@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -48,16 +49,25 @@ def child_env(root: Path) -> dict:
 
 
 def run_worker(root: Path, env: dict, args: list[str]) -> dict:
-    """Run ``worker.py`` and return its last line of output as JSON."""
+    """Run ``worker.py`` and return its last line of output as JSON.
+
+    The worker gets a session of its own, so that on a timeout the processes
+    it started are killed with it.
+    """
     command = [sys.executable, str(root / "perfbench" / "worker.py"), "--root", str(root),
                *args]
-    done = subprocess.run(command, cwd=root, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, timeout=WORKER_TIMEOUT_S,
-                          check=False)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
-        raise RuntimeError(f"worker {' '.join(args)} exited with {done.returncode}:\n"
-                           f"{done.stderr[-4000:]}")
+    with subprocess.Popen(command, cwd=root, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as worker:
+        try:
+            stdout, stderr = worker.communicate(timeout=WORKER_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            os.killpg(worker.pid, signal.SIGKILL)
+            worker.communicate()
+            raise
+    lines = stdout.strip().splitlines()
+    if worker.returncode != 0 or not lines:
+        raise RuntimeError(f"worker {' '.join(args)} exited with {worker.returncode}:\n"
+                           f"{stderr[-4000:]}")
     return json.loads(lines[-1])
 
 
@@ -99,7 +109,7 @@ def main(argv=None) -> int:
           f"trace {args.trace}")
     print(f"environment: python {env_info['python']}, numpy {env_info['numpy']}, "
           f"OpenBLAS {env_info['openblas']} ({env_info['openblas_threads']} thread), "
-          f"{env_info['cpu']}, nproc {env_info['nproc']}")
+          f"{env_info['cpu']}, nproc {env_info['nproc']}, pinned to CPU {env_info['pinned_cpu']}")
     print(f"operations: {result['attempted']} attempted, {result['failed']} failed; "
           f"failed_frac {result['failed_frac']:.6g} ratio (raised {causes['raised']}, "
           f"refused {causes['refused']}, gap_exceeded {causes['gap_exceeded']}, "

@@ -7,7 +7,8 @@ of ``BENCHMARK.json``, one run at a time, from the current directory (a
 checkout root).  For every metric it prints the median, the first and third
 quartiles (``statistics.quantiles(values, n=4)``) and their distance as a
 share of the median, next to the metric's bound.  ``--out`` also writes the
-runs and the summary as JSON.
+runs (with each run's ``notes:`` line, which holds the raw, unscaled figures)
+and the summary as JSON.
 """
 
 from __future__ import annotations
@@ -48,8 +49,11 @@ def main(argv=None) -> int:
             if done.returncode != 0:
                 print(f"{workload} seed {seed}: exit {done.returncode}", file=sys.stderr)
                 return 1
-            last = json.loads(done.stdout.strip().splitlines()[-1])
+            lines = done.stdout.strip().splitlines()
+            last = json.loads(lines[-1])
             last["seed"] = seed
+            last["notes"] = next((line[len("notes: "):] for line in lines
+                                  if line.startswith("notes: ")), None)
             runs.append(last)
             print(f"{workload} seed {seed}: correct {last['correct']}, "
                   f"{last['failed']}/{last['attempted']} failed", flush=True)

@@ -3,8 +3,10 @@
 Each workload turns ``--seed`` into a list of rounds before anything is timed.
 A round holds one operation of every kind the workload mixes, in a seeded
 order, so every run sees the same shares and a seed changes only the data.
-Runs cycle through the rounds when they outlast them; majgeom caches nothing,
-so a repeated input costs what a fresh one does.
+A run makes at least one pass over the rounds and cycles through them when
+it outlasts them; majgeom caches nothing, so a repeated input costs what a
+fresh one does.  The operations of a round are the same objects on every
+pass, which is how the timings tell repeats of one input apart.
 
 Every operation is checked against the direct oracle.  A check returns a
 ``Verdict``: ``failed`` marks a miss of a documented tolerance (the 1e-9
@@ -21,6 +23,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import resource
 import subprocess
 import sys
@@ -117,11 +120,6 @@ class Workload:
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             return Verdict(failed=True, wrong=f"unreadable output: {type(exc).__name__}: {exc}")
 
-    def kind(self, op):
-        """Operations of one kind share a cost profile; timings keep the
-        fastest of each kind."""
-        return op[0]
-
     def dimension(self, op) -> int | None:
         return None
 
@@ -136,11 +134,12 @@ class OracleMix(Workload):
     """Random triples in equal shares of four kinds, each by both routes."""
 
     KINDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
+    ROUNDS = 512
 
-    def __init__(self, seed: int, root: Path, n_rounds: int = 1024) -> None:
+    def __init__(self, seed: int, root: Path) -> None:
         rng = np.random.default_rng(seed)
         self.rounds = []
-        for _ in range(n_rounds):
+        for _ in range(self.ROUNDS):
             kinds = list(self.KINDS)
             rng.shuffle(kinds)
             self.rounds.append([self._draw(rng, kind) for kind in kinds])
@@ -213,11 +212,12 @@ class StellarHighN(Workload):
     """Random N = 4..8 states through points, round trip and factored values."""
 
     DIMENSIONS = (4, 5, 6, 7, 8)
+    ROUNDS = 48
 
-    def __init__(self, seed: int, root: Path, n_rounds: int = 96) -> None:
+    def __init__(self, seed: int, root: Path) -> None:
         rng = np.random.default_rng(seed)
         self.rounds = []
-        for _ in range(n_rounds):
+        for _ in range(self.ROUNDS):
             dims = list(self.DIMENSIONS)
             rng.shuffle(dims)
             self.rounds.append([self._draw(rng, n) for n in dims])
@@ -296,12 +296,14 @@ class Scan(Workload):
     """Singularity scans: the paper's setting, then three random ones."""
 
     RANDOM_PER_ROUND = 3
+    ROUNDS = 2
 
-    def __init__(self, seed: int, root: Path, n_rounds: int = 32) -> None:
+    def __init__(self, seed: int, root: Path) -> None:
         rng = np.random.default_rng(seed)
+        paper = ("paper", 4096, None)
         self.rounds = []
-        for _ in range(n_rounds):
-            ops = [("paper", 4096, None)]
+        for _ in range(self.ROUNDS):
+            ops = [paper]
             for _ in range(self.RANDOM_PER_ROUND):
                 setting = (float(rng.uniform(0.0, 0.5 * math.pi)),
                            float(rng.uniform(0.0, 2.0 * math.pi)),
@@ -341,31 +343,30 @@ class Cli(Workload):
     """One ``python -m majgeom`` process per operation over a command mix.
 
     With ``in_process`` set, ``majgeom.cli.run`` is called directly with stdout
-    captured instead (the traced run does this).
+    captured instead (the traced run does this).  Every round runs the same
+    seven commands (one seeded scenario file per scenario kind) in a seeded
+    order.  A process costs a few hundred milliseconds and a run fits about a
+    dozen rounds, so few commands give each one a dozen repeats.
     """
 
-    SCENARIOS_PER_KIND = 2
+    ROUNDS = 4
 
-    def __init__(self, seed: int, root: Path, n_rounds: int = 32) -> None:
+    def __init__(self, seed: int, root: Path) -> None:
         self.root = root
         self.seen: dict[tuple, str] = {}
+        self.peak_child_kb = 0
         rng = np.random.default_rng(seed)
         folder = root / ".perfbench_out" / "scenarios" / f"seed-{seed}"
         folder.mkdir(parents=True, exist_ok=True)
-        pool = {kind: [self._scenario(rng, kind, folder / f"{kind}-{k}.json")
-                       for k in range(self.SCENARIOS_PER_KIND)]
-                for kind in ("qutrit-weak", "qutrit-modular", "majorana")}
-        self.rounds = []
-        for index in range(n_rounds):
-            ops = [("three-box", ("three-box", "--format", "json"), None),
-                   ("three-box", ("three-box", "--format", "csv"), None),
-                   ("scan", ("scan-singularity", "--count", "512", "--format", "json"), None),
-                   ("scan", ("scan-singularity", "--count", "512", "--format", "csv"), None)]
-            for kind, scenarios in pool.items():
-                path, expected = scenarios[index % self.SCENARIOS_PER_KIND]
-                ops.append((kind, (kind, "--scenario", str(path)), expected))
-            order = rng.permutation(len(ops))
-            self.rounds.append([ops[k] for k in order])
+        ops = [("three-box", ("three-box", "--format", "json"), None),
+               ("three-box", ("three-box", "--format", "csv"), None),
+               ("scan", ("scan-singularity", "--count", "512", "--format", "json"), None),
+               ("scan", ("scan-singularity", "--count", "512", "--format", "csv"), None)]
+        for kind in ("qutrit-weak", "qutrit-modular", "majorana"):
+            path, expected = self._scenario(rng, kind, folder / f"{kind}.json")
+            ops.append((kind, (kind, "--scenario", str(path)), expected))
+        self.rounds = [[ops[k] for k in rng.permutation(len(ops))]
+                       for _ in range(self.ROUNDS)]
 
     @staticmethod
     def _scenario(rng, kind: str, path: Path):
@@ -404,10 +405,16 @@ class Cli(Workload):
             with contextlib.redirect_stdout(buffer):
                 code = mg.cli.run(argv)
             return code, buffer.getvalue().encode("utf-8")
-        done = subprocess.run([sys.executable, "-m", "majgeom", *argv], cwd=self.root,
-                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, timeout=120,
-                              check=False)
-        return done.returncode, done.stdout
+        child = subprocess.Popen([sys.executable, "-m", "majgeom", *argv], cwd=self.root,
+                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+        with child.stdout:
+            raw = child.stdout.read()
+        # Reaping the child with wait4 gives its own peak RSS, which
+        # RUSAGE_CHILDREN would mix with the worker's import probes.
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        self.peak_child_kb = max(self.peak_child_kb, usage.ru_maxrss)
+        return child.returncode, raw
 
     def check(self, op, out) -> Verdict:
         kind, argv, expected = op
@@ -472,17 +479,13 @@ class Cli(Workload):
             verdict.require(len(thetas) == 2 and thetas[0] < THETA_C < thetas[1],
                             "scan csv singular flags do not bracket theta_C")
 
-    def kind(self, op):
-        argv = op[1]
-        return (op[0], "csv" if "csv" in argv else "json")
-
     def bytes_out(self, op, out) -> int:
         return len(out[1])
 
     def peak_rss_kb(self) -> int:
         if self.in_process:
             return super().peak_rss_kb()
-        return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        return self.peak_child_kb
 
 
 WORKLOADS = {
