@@ -28,7 +28,6 @@ from .canonical import (
 from .errors import (
     AllCoefficientsZero,
     EtaOutOfRange,
-    GaugeUndefined,
     IncompleteContext,
     MajgeomError,
     NotHermitian,

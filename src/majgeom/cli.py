@@ -22,7 +22,7 @@ from . import canonical, experiments, majorana, nlevel_values, qubit_values
 from .bloch import as_bloch, qubit_to_bloch
 from .errors import (
     EtaOutOfRange,
-    IncompleteContext,
+    MajgeomError,
     OrthogonalSelection,
     UndefinedSolidAngle,
     ZeroDenominator,
@@ -34,8 +34,8 @@ SCENARIO_VERSION = 1
 
 _PHYSICAL_ERRORS = (OrthogonalSelection, EtaOutOfRange, UndefinedSolidAngle,
                     ZeroDenominator)
-_USAGE_ERRORS = (ValueError, KeyError, TypeError, IncompleteContext,
-                 json.JSONDecodeError)
+# Any other MajgeomError (NotHermitian, ...) means the input failed validation.
+_USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, MajgeomError)
 
 # Field names whose values are radians and honor --degrees on output.
 _ANGLE_KEYS = {
@@ -545,9 +545,6 @@ def run(argv) -> int:
         sys.stdout.write(_error_document("physical-singularity", exc))
         return 3
     except _USAGE_ERRORS as exc:
-        sys.stdout.write(_error_document("usage", exc))
-        return 2
-    except OSError as exc:
         sys.stdout.write(_error_document("usage", exc))
         return 2
 

@@ -29,10 +29,6 @@ class EtaOutOfRange(MajgeomError):
     """Final-state polar parameter exceeds the canonicalizable range."""
 
 
-class GaugeUndefined(MajgeomError):
-    """No component is available to anchor the global-phase convention."""
-
-
 class IncompleteContext(MajgeomError):
     """Projector set is not an orthogonal resolution of the identity."""
 

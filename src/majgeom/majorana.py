@@ -10,7 +10,7 @@ binomial weights below and reduces to the familiar three-level polynomial
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,12 +61,16 @@ def sort_points(points: np.ndarray) -> np.ndarray:
     return pts[order]
 
 
+@functools.lru_cache(maxsize=None)
+def _binomial_weights(m: int) -> np.ndarray:
+    """``(-1)^k sqrt(C(m, k))``, k = 0..m: state -> polynomial coefficients."""
+    return np.array([(-1.0) ** k * math.sqrt(math.comb(m, k)) for k in range(m + 1)])
+
+
 def representation_coefficients(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Polynomial coefficients (lowest degree first) of the stellar polynomial."""
     c = nlevel_state(state, tol=tol)
-    m = c.size - 1
-    weights = np.array([(-1.0) ** k * math.sqrt(math.comb(m, k)) for k in range(m + 1)])
-    return weights * c
+    return _binomial_weights(c.size - 1) * c
 
 
 def root_to_point(root: ProjectiveRoot) -> np.ndarray:
@@ -82,29 +86,34 @@ def root_to_point(root: ProjectiveRoot) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
+def _symmetrized(pts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
+    """Normalized coefficients of the symmetrized point multiset and its K.
+
+    With ``a_k`` the coefficients of the product of the qubits' linear
+    factors ``u z - v`` (a south-pole point just zeroes the top one), the sum
+    over the m! qubit permutations has norm ``m! sqrt(sum_k |a_k|^2 / C(m, k))``.
+    """
+    poly = [1.0 + 0.0j]  # lowest degree first; new a_k = u a_(k-1) - v a_k
+    for p in pts:
+        u, v = bloch_to_qubit(p, tol=tol).tolist()
+        poly = [u * lower - v * same for lower, same in zip([0j, *poly], [*poly, 0j])]
+    c = np.array(poly) / _binomial_weights(pts.shape[0])
+    norm = math.sqrt(np.vdot(c, c).real)
+    if norm <= 0.0:
+        raise ValueError("symmetrized state has vanishing norm")
+    return c / norm, 1.0 / (math.factorial(pts.shape[0]) * norm)
+
+
 def normalization_factor(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
     """K such that K * sum over qubit permutations is normalized.
 
-    Evaluated as ``1/sqrt(m! * perm(G))`` with ``G`` the Gram matrix of the
-    qubit states attached to the points; the permanent is computed by direct
-    enumeration (m <= 7).
+    Equals ``1/sqrt(m! * perm(G))`` for the Gram matrix ``G`` of the qubit
+    states, evaluated in O(m^2) from the closed form of ``_symmetrized``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError("expected an (m, 3) array of Bloch points")
-    states = [bloch_to_qubit(p, tol=tol) for p in pts]
-    m = len(states)
-    gram = np.array([[np.vdot(a, b) for b in states] for a in states])
-    permanent = 0.0 + 0.0j
-    for perm in itertools.permutations(range(m)):
-        term = 1.0 + 0.0j
-        for row, col in enumerate(perm):
-            term *= gram[row, col]
-        permanent += term
-    value = math.factorial(m) * permanent.real
-    if value <= 0.0:
-        raise ValueError("symmetrized state has vanishing norm")
-    return 1.0 / math.sqrt(value)
+    return _symmetrized(pts, tol)[1]
 
 
 def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricRepresentation:
@@ -118,29 +127,15 @@ def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricReprese
 def symmetrize(points, *, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """State whose stellar representation is the given point multiset.
 
-    Returns the gauge-canonical state together with the normalization K.  The
-    construction multiplies the projective linear factors ``u z - v`` of the
-    qubit pairs, so points at the south pole (roots at infinity) lower the
-    polynomial degree without special handling.
+    Returns the gauge-canonical state together with the normalization K.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("expected an (m, 3) array of Bloch points")
-    m = pts.shape[0]
-    if not 1 <= m <= MAX_LEVELS - 1:
+    if not 1 <= pts.shape[0] <= MAX_LEVELS - 1:
         raise ValueError(f"point count must lie in [1, {MAX_LEVELS - 1}]")
-    poly = np.array([1.0 + 0.0j])
-    for p in pts:
-        u, v = bloch_to_qubit(p, tol=tol)
-        poly = np.convolve(poly, np.array([-v, u]))
-    # poly has length m+1 but leading entries vanish for south-pole points;
-    # pad back to full length so coefficient slots line up with basis labels.
-    padded = np.zeros(m + 1, dtype=complex)
-    padded[: poly.size] = poly
-    weights = np.array([(-1.0) ** k * math.sqrt(math.comb(m, k)) for k in range(m + 1)])
-    c = padded / weights
-    state = canonical_gauge(c / np.linalg.norm(c), tol=tol)
-    return state, normalization_factor(pts, tol=tol)
+    state, normalization = _symmetrized(pts, tol)
+    return canonical_gauge(state, tol=tol), normalization
 
 
 def discriminant_degeneracy(state, *, tol: Tolerances = DEFAULT_TOL) -> float:

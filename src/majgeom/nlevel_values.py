@@ -9,6 +9,7 @@ point sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -142,25 +143,41 @@ def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f,
     return PolarComplex.from_complex(np.vdot(sf, u @ si) / overlap)
 
 
+@functools.lru_cache(maxsize=None)
+def _permutation_table(m: int) -> np.ndarray:
+    """Permutations of ``range(m)`` in lexicographic order, one per column."""
+    count = math.factorial(m)
+    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m))),
+                       dtype=np.int8, count=count * m)
+    return np.ascontiguousarray(flat.reshape(count, m).T)
+
+
 def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Reorder ``second`` to minimize the summed great-circle distance to
     ``first``.
 
-    Only sums over the paired polygons are contract-bearing; individual
-    pairings are a documented convention.
+    All permutations are scored at once; near-ties resolve as in a
+    lexicographic scan that accepts only improvements above 1e-15.  Only sums
+    over the paired polygons are contract-bearing.
     """
     a = np.asarray(first, dtype=float)
     b = np.asarray(second, dtype=float)
     if a.shape != b.shape:
         raise ValueError("point sets must have matching shapes")
-    m = a.shape[0]
     angles = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
-    best, best_cost = None, math.inf
-    for perm in itertools.permutations(range(m)):
-        cost = sum(angles[k, perm[k]] for k in range(m))
-        if cost < best_cost - 1e-15:
-            best, best_cost = perm, cost
-    return b[list(best)]
+    table = _permutation_table(a.shape[0])
+    costs = np.zeros(table.shape[1])
+    for row, images in zip(angles, table):
+        costs += row.take(images)
+    # Replay the scan: nothing before the current pick undercuts it by 1e-15,
+    # so the first such hit in the whole array is the scan's next pick.
+    best = 0
+    while True:
+        cheaper = costs < costs[best] - 1e-15
+        candidate = int(cheaper.argmax())
+        if not cheaper[candidate]:
+            return b.take(table[:, best], axis=0)
+        best = candidate
 
 
 def factored_weak_value(i_points, r_point, f_point,

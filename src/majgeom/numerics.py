@@ -210,7 +210,3 @@ def cayley_hamilton_exp_spin1(matrix, alpha: float,
 def unitarity_defect(matrix) -> float:
     m = _as_square(matrix)
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
-
-
-def is_unitary(matrix, *, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return unitarity_defect(matrix) <= tol.unitarity

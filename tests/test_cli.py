@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,7 +305,47 @@ class TestCliContract:
         doc = json.loads(out)
         assert "direct" in doc["results"] and "geometric" not in doc["results"]
 
+    @pytest.mark.parametrize("mode", ["geometric", "direct", "both"])
+    def test_non_hermitian_observable_exit_two(self, capsys, tmp_path, mode):
+        observable = np.diag([1.0, 0.0, -1.0]).astype(complex)
+        observable[0, 1] = 0.5  # no mirrored entry below the diagonal
+        scenario = write_scenario(tmp_path, {
+            "i": amplitudes(np.ones(3) / SQ3),
+            "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3),
+            "spec": {"observable": [[[v.real, v.imag] for v in row]
+                                    for row in observable], "alpha": 0.9},
+        })
+        code, out = run_cli(capsys, "qutrit-modular", "--scenario", scenario,
+                            "--mode", mode)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["error"]["kind"] == "usage"
+        assert doc["error"]["type"] == "NotHermitian"
+
     def test_csv_seventeen_digits(self, capsys):
         _, out = run_cli(capsys, "three-box", "--format", "csv")
         row = out.split("\n")[2].split(",")
         assert row[2] == "0.99999999999999978"
+
+
+def readme_scenarios():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"),
+                        flags=re.DOTALL)
+    return [json.loads(block) for block in blocks]
+
+
+def test_readme_has_scenarios():
+    assert len(readme_scenarios()) >= 2
+
+
+@pytest.mark.parametrize("doc", readme_scenarios())
+def test_readme_scenario_runs(capsys, tmp_path, doc):
+    dim = 2 if isinstance(doc["i"], dict) else len(doc["i"])
+    command = ("qubit" if dim == 2 else "qutrit") + ("-modular" if "spec" in doc
+                                                    else "-weak")
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, command, "--scenario", str(path))
+    assert code == 0, out
+    assert json.loads(out)["mismatch"] is False

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from helpers import random_bloch, random_state
+from majgeom.bloch import bloch_to_qubit
 from majgeom.canonical import StateAngles, params_to_state
 from majgeom.majorana import (
     discriminant_degeneracy,
@@ -156,6 +158,50 @@ class TestNormalizationFactor:
                 for perm in itertools.permutations(qs))
             k = normalization_factor(pts)
             assert abs(k * np.linalg.norm(psi) - 1.0) <= 1e-10
+
+
+def permanent_normalization(points):
+    """``1/sqrt(m! perm(G))`` with the permanent of the qubit Gram matrix
+    summed over all m! permutations."""
+    qs = [bloch_to_qubit(p) for p in points]
+    gram = np.array([[np.vdot(a, b) for b in qs] for a in qs])
+    m = len(qs)
+    permanent = sum(np.prod(gram[np.arange(m), list(perm)])
+                    for perm in itertools.permutations(range(m)))
+    return 1.0 / math.sqrt(math.factorial(m) * permanent.real)
+
+
+def point_sets(rng, m):
+    """Random, coincident, polar and antipodal multisets of m points."""
+    p = random_bloch(rng)
+    yield np.array([random_bloch(rng) for _ in range(m)])
+    yield np.array([random_bloch(rng) for _ in range(m)])
+    yield np.tile(p, (m, 1))
+    yield np.array([NORTH if k % 2 else SOUTH for k in range(m)])
+    yield np.tile(SOUTH, (m, 1))
+    yield np.array([p if k % 2 else -p for k in range(m)])
+    yield np.array([p, -p, *[random_bloch(rng) for _ in range(m - 2)]][:m])
+
+
+class TestClosedFormNormalization:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_permanent(self, m):
+        rng = np.random.default_rng(60 + m)
+        for pts in point_sets(rng, m):
+            reference = permanent_normalization(pts)
+            assert abs(normalization_factor(pts) - reference) <= 1e-12 * reference
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_symmetrize_shares_the_value(self, m):
+        rng = np.random.default_rng(70 + m)
+        for pts in point_sets(rng, m):
+            _, k = symmetrize(pts)
+            assert k == pytest.approx(normalization_factor(pts), rel=1e-14)
+
+    def test_rejects_bad_shapes(self):
+        for bad in (np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                normalization_factor(bad)
 
 
 class TestClosedFormRoots:

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +32,21 @@ NORTH = np.array([0.0, 0.0, 1.0])
 def random_bloch(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def random_points(rng, m):
+    return np.array([random_bloch(rng) for _ in range(m)])
+
+
+def enumerated_pairing(first, second):
+    """The pairing by a plain lexicographic scan over all m! permutations."""
+    angles = np.arccos(np.clip(first @ second.T, -1.0, 1.0))
+    best, best_cost = None, math.inf
+    for perm in itertools.permutations(range(first.shape[0])):
+        cost = sum(angles[k, perm[k]] for k in range(first.shape[0]))
+        if cost < best_cost - 1e-15:
+            best, best_cost = perm, cost
+    return second[list(best)]
 
 
 class TestGellMann:
@@ -299,6 +315,14 @@ class TestFactoredGeneralN:
             direct = total_argument(s_pts)
             swapped = total_argument(s_pts[::-1])
             assert ang_dist(direct, swapped) <= 1e-9
+        for m in range(3, 8):
+            for _ in range(5):
+                i_pts, s_pts = random_points(rng, m), random_points(rng, m)
+                r, f = random_bloch(rng), random_bloch(rng)
+                paired = total_argument(pair_points(i_pts, s_pts))
+                for _ in range(6):
+                    shuffled = total_argument(s_pts[rng.permutation(m)])
+                    assert ang_dist(shuffled, paired) <= 1e-9
 
     def test_pair_points_minimizes_distance(self):
         a = np.array([NORTH, [1.0, 0.0, 0.0]])
@@ -306,6 +330,30 @@ class TestFactoredGeneralN:
                       [0.0, math.sqrt(1 - 0.98**2), 0.98]])
         paired = pair_points(a, b)
         assert paired[0][2] > 0.9  # near-north partner aligned with north
+
+
+class TestPairPoints:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_matches_enumeration(self, m):
+        rng = np.random.default_rng(300 + m)
+        cases = []
+        for _ in range(4 if m == 7 else 12):
+            a = random_points(rng, m)
+            cases.append((a, random_points(rng, m)))
+            cases.append((a, a[rng.permutation(m)]))
+            noisy = a[rng.permutation(m)] + 1e-3 * rng.normal(size=(m, 3))
+            cases.append((a, noisy / np.linalg.norm(noisy, axis=1)[:, None]))
+        p, q = random_bloch(rng), random_bloch(rng)
+        coincident = np.tile(p, (m, 1))
+        cases.append((coincident, random_points(rng, m)))
+        cases.append((random_points(rng, m), coincident))
+        cases.append((coincident, np.array([p if k % 2 else q for k in range(m)])))
+        for a, b in cases:
+            assert np.array_equal(pair_points(a, b), enumerated_pairing(a, b))
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError):
+            pair_points(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestABL:
