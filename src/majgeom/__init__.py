@@ -4,8 +4,11 @@ representation."""
 
 from .bloch import (
     as_bloch,
+    as_bloch_array,
     bloch_to_qubit,
+    bloch_to_qubits,
     bloch_vector,
+    modular_moduli,
     projection_probability,
     qubit_state,
     qubit_to_bloch,
@@ -13,6 +16,8 @@ from .bloch import (
     solid_angle_quadrangle,
     solid_angle_quadrangle_rotation,
     solid_angle_triangle,
+    triangle_solid_angles,
+    weak_moduli,
 )
 from .canonical import (
     CanonicalTriple,

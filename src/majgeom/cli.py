@@ -27,7 +27,7 @@ from .errors import (
     UndefinedSolidAngle,
     ZeroDenominator,
 )
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances
 from .polar import GeometricBreakdown, PolarComplex
 
 SCENARIO_VERSION = 1
@@ -106,7 +106,7 @@ def _state_entry(doc: dict, key: str, dim: int, tol: Tolerances) -> np.ndarray:
     raw = entry["amplitudes"] if isinstance(entry, dict) else entry
     vec = _complex_vector(raw, dim)
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > 1e-8:
+    if abs(norm - 1.0) > _NORM_SLACK:
         raise ScenarioInvalid(f"state {key!r} deviates from normalization by "
                               f"{abs(norm - 1.0):.2e}")
     if abs(norm - 1.0) > 1e-10:

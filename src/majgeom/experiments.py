@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import bloch_to_qubit, solid_angle_triangle
+from .bloch import bloch_to_qubits, solid_angle_triangle, triangle_solid_angles, weak_moduli
 from .canonical import StateAngles, params_to_state, three_box_transform
 from .errors import OrthogonalSelection, UndefinedSolidAngle
 from .majorana import (
@@ -273,20 +273,18 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
         if lo is not None and hi is not None:
             omega2_jump = hi - lo
 
+    # Weak-value modulus factors over the whole grid; NaN where a point is
+    # antipodal to the postselection.
+    moduli1 = weak_moduli(np.array([row[2] for row in rows]), _EZ, _EX, tol=tol).tolist()
+    moduli2 = weak_moduli(np.array([row[3] for row in rows]), _EZ, _EX, tol=tol).tolist()
     records = []
     for k, (theta, angles, i1, i2, direct, flags) in enumerate(rows):
         w1, w2 = omega1[k], omega2[k]
-        if w1 is None or w2 is None or direct is None:
+        wv_mod = moduli1[k] * moduli2[k]
+        if w1 is None or w2 is None or direct is None or math.isnan(wv_mod):
             wv_mod = wv_arg = None
         else:
-            den1 = 1.0 + float(_EX @ i1)
-            den2 = 1.0 + float(_EX @ i2)
-            if min(den1, den2) <= 2.0 * tol.orthogonality**2:
-                wv_mod = wv_arg = None
-            else:
-                wv_mod = math.sqrt(max(0.0, 0.5 * (1.0 + i1[2]) / den1)) \
-                    * math.sqrt(max(0.0, 0.5 * (1.0 + i2[2]) / den2))
-                wv_arg = -0.5 * (w1 + w2)
+            wv_arg = -0.5 * (w1 + w2)
         records.append(ScanRecord(
             theta=theta,
             alpha1=angles.alpha_1, alpha2=angles.alpha_2,
@@ -372,7 +370,6 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
     i_vec = i_vec / np.linalg.norm(i_vec)
     f_vec = f_rep.points.mean(axis=0)
     f_vec = f_vec / np.linalg.norm(f_vec)
-    den = 1.0 + float(f_vec @ i_vec)
 
     boxes = []
     transformed_states = []
@@ -381,10 +378,9 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
         transformed_states.append(state)
         rep = majorana_points(state, tol=tol)
         factors = []
-        for point in rep.points:
-            bare = math.sqrt(max(0.0, 0.5 * (1.0 + f_vec @ point)
-                                 * (1.0 + point @ i_vec) / den))
-            omega = solid_angle_triangle(i_vec, point, f_vec, tol=tol)
+        bare_moduli = weak_moduli(i_vec, rep.points, f_vec, tol=tol).tolist()
+        omegas = triangle_solid_angles(i_vec, rep.points, f_vec, tol=tol).tolist()
+        for point, bare, omega in zip(rep.points, bare_moduli, omegas):
             modulus = 2.0 * rep.normalization * bare
             factors.append(BoxFactor(point=point, modulus=modulus, solid_angle=omega,
                                      value=modulus * complex(math.cos(-0.5 * omega),
@@ -402,8 +398,7 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
         boxes.append((rep, factors, weak_value, direct, closest))
 
     r_pair = boxes[1][0].points
-    phi_r = bloch_to_qubit(r_pair[0], tol=tol)
-    phi_mr = bloch_to_qubit(r_pair[1], tol=tol)
+    phi_r, phi_mr = bloch_to_qubits(r_pair, tol=tol)
     basis_rr = np.kron(phi_r, phi_r)
     basis_mm = np.kron(phi_mr, phi_mr)
     basis_bell = (np.kron(phi_r, phi_mr) + np.kron(phi_mr, phi_r)) / math.sqrt(2.0)

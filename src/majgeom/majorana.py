@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import bloch_to_qubit
+from .bloch import bloch_to_qubits
 from .numerics import (
+    _NORM_SLACK,
     DEFAULT_TOL,
     ProjectiveRoot,
     Tolerances,
@@ -26,7 +27,6 @@ from .numerics import (
 )
 
 MAX_LEVELS = 8
-_NORM_SLACK = 1e-8
 
 
 def nlevel_state(coeffs, *, tol: Tolerances = DEFAULT_TOL,
@@ -94,8 +94,7 @@ def _symmetrized(pts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
     over the m! qubit permutations has norm ``m! sqrt(sum_k |a_k|^2 / C(m, k))``.
     """
     poly = [1.0 + 0.0j]  # lowest degree first; new a_k = u a_(k-1) - v a_k
-    for p in pts:
-        u, v = bloch_to_qubit(p, tol=tol).tolist()
+    for u, v in bloch_to_qubits(pts, tol=tol).tolist():
         poly = [u * lower - v * same for lower, same in zip([0j, *poly], [*poly, 0j])]
     c = np.array(poly) / _binomial_weights(pts.shape[0])
     norm = math.sqrt(np.vdot(c, c).real)
@@ -259,8 +258,7 @@ def entanglement_entropy(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.shape != (2, 3):
         raise ValueError("entropy diagnostic needs exactly two Bloch points")
-    q1 = bloch_to_qubit(pts[0], tol=tol)
-    q2 = bloch_to_qubit(pts[1], tol=tol)
+    q1, q2 = bloch_to_qubits(pts, tol=tol)
     psi = np.kron(q1, q2) + np.kron(q2, q1)
     psi = psi / np.linalg.norm(psi)
     amp = psi.reshape(2, 2)

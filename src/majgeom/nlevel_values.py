@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_bloch, solid_angle_triangle
+from .bloch import _solid_angles, as_bloch, as_bloch_array, modular_moduli, weak_moduli
 from .canonical import canonicalize_triple
-from .errors import IncompleteContext, OrthogonalSelection, ZeroDenominator
+from .errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
 from .majorana import majorana_points, nlevel_state, normalization_factor
 from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, hermiticity_defect, unitary_exp
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
@@ -69,8 +69,7 @@ class GellMannDirection:
         op = np.asarray(operator, dtype=complex)
         if op.shape != (3, 3):
             raise ValueError("operator must be 3x3")
-        if hermiticity_defect(op) > tol.unitarity:
-            raise ValueError("operator must be Hermitian")
+        _check_hermitian(op, tol)
         if abs(np.trace(op)) > 1e-9:
             raise ValueError("operator must be traceless")
         r = np.array([0.5 * np.trace(op @ g).real for g in GELL_MANN])
@@ -104,6 +103,12 @@ class NLevelModularSpec:
     generic_theta: float | None = None
 
 
+def _check_hermitian(matrix: np.ndarray, tol: Tolerances) -> None:
+    defect = hermiticity_defect(matrix)
+    if defect > tol.unitarity:
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
+
+
 def _validated_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, complex]:
     si = nlevel_state(psi_i, tol=tol)
     sf = nlevel_state(psi_f, tol=tol)
@@ -123,8 +128,7 @@ def weak_value_direct(psi_i, observable, psi_f,
     a = np.asarray(observable, dtype=complex)
     if a.shape != (si.size, si.size):
         raise ValueError("observable dimension does not match the states")
-    if hermiticity_defect(a) > tol.unitarity:
-        raise ValueError("observable must be Hermitian")
+    _check_hermitian(a, tol)
     return PolarComplex.from_complex(np.vdot(sf, a @ si) / overlap)
 
 
@@ -180,27 +184,54 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         best = candidate
 
 
+def _point_set(points, tol: Tolerances) -> np.ndarray:
+    pts = as_bloch_array(points, tol=tol)
+    if pts.ndim != 2:
+        raise ValueError("expected an (m, 3) array of Bloch points")
+    return pts
+
+
+def _checked_moduli(moduli: np.ndarray) -> list[float]:
+    if np.isnan(moduli).any():
+        raise OrthogonalSelection("an initial point is antipodal to the final point")
+    return moduli.tolist()
+
+
 def factored_weak_value(i_points, r_point, f_point,
                         *, tol: Tolerances = DEFAULT_TOL):
     """Projector weak value from canonicalized stellar points.
 
     One factor per initial point: modulus ``sqrt((1+f.r)(1+r.i_k)/(2(1+f.i_k)))``
-    and solid angle of the (i_k, r, f) triangle.  The normalization constants
-    of the symmetrized states cancel for projector weak values.
+    and solid angle of the (i_k, r, f) triangle, each evaluated for all points
+    in one batch.  The normalization constants of the symmetrized states
+    cancel for projector weak values.
     """
-    pts = np.asarray(i_points, dtype=float)
+    vi = _point_set(i_points, tol)
     vr = as_bloch(r_point, tol=tol)
     vf = as_bloch(f_point, tol=tol)
-    factors = []
-    for p in pts:
-        vi = as_bloch(p, tol=tol)
-        den = 1.0 + float(vf @ vi)
-        if den <= 2.0 * tol.orthogonality**2:
-            raise OrthogonalSelection("an initial point is antipodal to the final point")
-        modulus = math.sqrt(max(0.0, 0.5 * (1.0 + vf @ vr) * (1.0 + vr @ vi) / den))
-        omega = solid_angle_triangle(vi, vr, vf, tol=tol)
-        factors.append(GeometricFactor(modulus, omega, vi))
-    breakdown = GeometricBreakdown(tuple(factors))
+    moduli = _checked_moduli(weak_moduli(vi, vr, vf, tol=tol))
+    omegas = _solid_angles(vi, vr, vf, tol).tolist()
+    breakdown = GeometricBreakdown(tuple(
+        GeometricFactor(modulus, omega, p) for modulus, omega, p in zip(moduli, omegas, vi)))
+    return breakdown.to_polar(), breakdown
+
+
+def _factored_modular_value(i_points, s_points, r_point, f_point, k_ratio: float,
+                            *, alpha: float, beta: float, eigenvalue: float,
+                            tol: Tolerances):
+    """:func:`factored_modular_value` for paired point sets with a known K_s / K_i."""
+    vi = _point_set(i_points, tol)
+    vs = _point_set(s_points, tol)
+    vr = as_bloch(r_point, tol=tol)
+    vf = as_bloch(f_point, tol=tol)
+    moduli = _checked_moduli(modular_moduli(vi, vs, vf, tol=tol))
+    omegas = (_solid_angles(vi, vr, vs, tol) + _solid_angles(vi, vs, vf, tol)).tolist()
+    dim = vi.shape[0] + 1
+    dynamical = beta - alpha * (dim - 1) / 2.0 * eigenvalue
+    breakdown = GeometricBreakdown(
+        tuple(GeometricFactor(modulus, omega, pi, ps)
+              for modulus, omega, pi, ps in zip(moduli, omegas, vi, vs)),
+        dynamical_phase=dynamical, k_ratio=k_ratio)
     return breakdown.to_polar(), breakdown
 
 
@@ -211,32 +242,16 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     evolved states.
 
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
-    quadrangle i_k -> r -> s_k -> f.  The dynamical phase is
-    ``beta - alpha*(N-1)/2*eigenvalue`` and the overall modulus carries the
-    normalization ratio K_s / K_i.
+    quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
+    phase is ``beta - alpha*(N-1)/2*eigenvalue`` and the overall modulus
+    carries the normalization ratio K_s / K_i.
     """
     i_pts = np.asarray(i_points, dtype=float)
     s_pts = pair_points(i_pts, np.asarray(s_points, dtype=float))
-    vr = as_bloch(r_point, tol=tol)
-    vf = as_bloch(f_point, tol=tol)
-    dim = i_pts.shape[0] + 1
-    factors = []
-    for pi, ps in zip(i_pts, s_pts):
-        vi = as_bloch(pi, tol=tol)
-        vs = as_bloch(ps, tol=tol)
-        den = 1.0 + float(vf @ vi)
-        if den <= 2.0 * tol.orthogonality**2:
-            raise OrthogonalSelection("an initial point is antipodal to the final point")
-        modulus = math.sqrt(max(0.0, (1.0 + vf @ vs) / den))
-        omega = (solid_angle_triangle(vi, vr, vs, tol=tol)
-                 + solid_angle_triangle(vi, vs, vf, tol=tol))
-        factors.append(GeometricFactor(modulus, omega, vi, vs))
     k_ratio = (normalization_factor(s_pts, tol=tol)
                / normalization_factor(i_pts, tol=tol))
-    dynamical = beta - alpha * (dim - 1) / 2.0 * eigenvalue
-    breakdown = GeometricBreakdown(tuple(factors), dynamical_phase=dynamical,
-                                   k_ratio=k_ratio)
-    return breakdown.to_polar(), breakdown
+    return _factored_modular_value(i_pts, s_pts, r_point, f_point, k_ratio,
+                                   alpha=alpha, beta=beta, eigenvalue=eigenvalue, tol=tol)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f,
@@ -253,7 +268,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
 
     The anchor eigenvector is canonicalized together with the selections; the
     evolved state is pushed through the same frame before its points are read
-    off.
+    off.  Both point sets arrive with their K, so neither is recomputed.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f, tol)
     if si.size != 3:
@@ -272,8 +287,10 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     psi_s = triple.u_total @ (evolution @ si)
     psi_s = psi_s / np.linalg.norm(psi_s)
     s_rep = majorana_points(psi_s, tol=tol)
-    return factored_modular_value(
-        triple.i_rep.points, s_rep.points, triple.r_vec, triple.f_vec,
+    i_pts = triple.i_rep.points
+    return _factored_modular_value(
+        i_pts, pair_points(i_pts, s_rep.points), triple.r_vec, triple.f_vec,
+        s_rep.normalization / triple.i_rep.normalization,
         alpha=spec.alpha, beta=spec.beta, eigenvalue=eigenvalue, tol=tol)
 
 

@@ -34,6 +34,10 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# Slack on the norm of every input vector (Bloch vectors, qubit and N-level
+# states) before it is renormalized.
+_NORM_SLACK = 1e-8
+
 
 def principal_angle(angle: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""

@@ -16,9 +16,11 @@ import numpy as np
 from .bloch import (
     as_bloch,
     as_qubit,
+    modular_moduli,
     rodrigues_rotate,
     solid_angle_quadrangle,
     solid_angle_triangle,
+    weak_moduli,
 )
 from .errors import OrthogonalSelection
 from .numerics import DEFAULT_TOL, Tolerances
@@ -60,6 +62,13 @@ def _overlap_or_raise(bra, ket, tol: Tolerances) -> complex:
     return overlap
 
 
+def _checked_modulus(modulus) -> float:
+    value = float(modulus)
+    if math.isnan(value):
+        raise OrthogonalSelection("pre- and postselected Bloch vectors are antipodal")
+    return value
+
+
 def projector_weak_value_direct(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
     """``<f|r><r|i> / <f|i>`` for the projector onto the qubit state ``r``."""
     qi, qr, qf = as_qubit(i, tol=tol), as_qubit(r, tol=tol), as_qubit(f, tol=tol)
@@ -75,10 +84,7 @@ def projector_weak_value_geometric(i, r, f, *, tol: Tolerances = DEFAULT_TOL):
     oriented solid angle of the (i, r, f) geodesic triangle.
     """
     vi, vr, vf = as_bloch(i, tol=tol), as_bloch(r, tol=tol), as_bloch(f, tol=tol)
-    den = 1.0 + float(vf @ vi)
-    if den <= 2.0 * tol.orthogonality**2:
-        raise OrthogonalSelection("pre- and postselected Bloch vectors are antipodal")
-    modulus = math.sqrt(max(0.0, 0.5 * (1.0 + vf @ vr) * (1.0 + vr @ vi) / den))
+    modulus = _checked_modulus(weak_moduli(vi, vr, vf, tol=tol))
     omega = solid_angle_triangle(vi, vr, vf, tol=tol)
     breakdown = GeometricBreakdown((GeometricFactor(modulus, omega, vi),))
     return breakdown.to_polar(), breakdown
@@ -106,11 +112,8 @@ def modular_value_geometric(i, spec: QubitModularSpec, f,
     """
     vi, vf = as_bloch(i, tol=tol), as_bloch(f, tol=tol)
     vr = spec.axis
-    den = 1.0 + float(vf @ vi)
-    if den <= 2.0 * tol.orthogonality**2:
-        raise OrthogonalSelection("pre- and postselected Bloch vectors are antipodal")
     vs = rodrigues_rotate(vi, vr, spec.alpha, tol=tol)
-    modulus = math.sqrt(max(0.0, (1.0 + vf @ vs) / den))
+    modulus = _checked_modulus(modular_moduli(vi, vs, vf, tol=tol))
     omega = solid_angle_quadrangle(vi, vr, vs, vf, tol=tol)
     dynamical = 0.5 * (spec.beta - spec.alpha)
     breakdown = GeometricBreakdown(

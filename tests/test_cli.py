@@ -9,6 +9,7 @@ import pytest
 from majgeom.cli import main
 
 SQ3 = math.sqrt(3.0)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +255,20 @@ class TestCliContract:
         _, csv_b = run_cli(capsys, "scan-singularity", "--count", "32",
                            "--format", "csv")
         assert csv_a == csv_b
+
+    @pytest.mark.parametrize("argv, golden", [
+        (("three-box",), "three_box.json"),
+        (("three-box", "--format", "csv"), "three_box.csv"),
+        (("scan-singularity", "--count", "512", "--format", "csv"),
+         "scan_singularity_512.csv"),
+    ])
+    def test_golden_bytes(self, capsys, argv, golden):
+        # Reference outputs from the per-point scalar implementation that the
+        # batched Bloch kernels replaced; regenerate only for a deliberate
+        # change of the printed numbers.
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.encode("utf-8") == (DATA / golden).read_bytes()
 
     def test_emitted_json_parses_and_reruns(self, capsys):
         _, out = run_cli(capsys, "three-box")

@@ -7,7 +7,9 @@ import pytest
 
 from helpers import ang_dist, polar_close, random_hermitian, random_state
 from majgeom.bloch import solid_angle_triangle
-from majgeom.errors import IncompleteContext, OrthogonalSelection, ZeroDenominator
+import majgeom.majorana
+import majgeom.nlevel_values
+from majgeom.errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
 from majgeom.majorana import majorana_points, nlevel_state, symmetrize
 from majgeom.nlevel_values import (
     GELL_MANN,
@@ -106,6 +108,33 @@ class TestWeakValueDirect:
     def test_orthogonal_selection(self):
         with pytest.raises(OrthogonalSelection):
             weak_value_direct([1.0, 0.0, 0.0], np.eye(3), [0.0, 1.0, 0.0])
+
+
+def unmirrored_observable():
+    observable = np.diag([1.0, 0.0, -1.0]).astype(complex)
+    observable[0, 1] = 0.5  # no mirrored entry below the diagonal
+    return observable
+
+
+class TestNonHermitianInput:
+    """Every route reports a non-Hermitian operator as NotHermitian."""
+
+    def test_weak_value_direct(self):
+        with pytest.raises(NotHermitian, match="Hermiticity defect 5.000e-01"):
+            weak_value_direct(np.ones(3) / SQ3, unmirrored_observable(),
+                              np.array([1.0, -1.0, 1.0]) / SQ3)
+
+    def test_gell_mann_direction(self):
+        with pytest.raises(NotHermitian, match="Hermiticity defect 5.000e-01"):
+            GellMannDirection.from_operator(unmirrored_observable())
+
+    def test_modular_routes(self):
+        spec = NLevelModularSpec(observable=unmirrored_observable(), alpha=0.9)
+        psi_i, psi_f = np.ones(3) / SQ3, np.array([1.0, -1.0, 1.0]) / SQ3
+        with pytest.raises(NotHermitian):
+            modular_value_direct(psi_i, spec, psi_f)
+        with pytest.raises(NotHermitian):
+            qutrit_modular_value_geometric(psi_i, spec, psi_f)
 
 
 class TestModularValueDirect:
@@ -234,6 +263,28 @@ class TestQutritModularGeometric:
             value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
             assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
             checked += 1
+
+    def test_normalization_computed_once_per_point_set(self, monkeypatch):
+        # canonicalize_triple and majorana_points each return K; the value
+        # route reuses them instead of recomputing K for the same points.
+        calls = []
+        original = majgeom.majorana.normalization_factor
+
+        def counting(points, **kwargs):
+            calls.append(len(points))
+            return original(points, **kwargs)
+
+        monkeypatch.setattr(majgeom.majorana, "normalization_factor", counting)
+        monkeypatch.setattr(majgeom.nlevel_values, "normalization_factor", counting)
+        rng = np.random.default_rng(85)
+        spec = NLevelModularSpec(
+            observable=GellMannDirection.from_r8(rng.normal(size=8)).operator,
+            alpha=0.7, beta=0.2)
+        psi_i, psi_f = random_state(rng, 3), random_state(rng, 3)
+        value, breakdown = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+        assert calls == [2, 2]
+        expected = modular_value_direct(psi_i, spec, psi_f).rect
+        assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_eigen_choice_override(self):
         rng = np.random.default_rng(83)
