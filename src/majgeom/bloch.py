@@ -176,22 +176,32 @@ def _reduce_to_branch(omega: float) -> float:
     return omega
 
 
-def _triangle_angle(y: float, x: float, zero: float) -> float:
+def _triangle_angle(y: float, x: float, zero: float) -> float | None:
     # libm's atan2 per element: numpy's vectorized arctan2 differs in the last bit.
     if abs(x) <= zero and abs(y) <= zero:
-        raise UndefinedSolidAngle(
-            "triangle contains an antipodal pair; the enclosed area is ambiguous")
+        return None  # antipodal vertices: no defined area
     return _reduce_to_branch(-2.0 * math.atan2(y, x))
+
+
+def _triangle_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
+                     tol: Tolerances) -> tuple[list[float | None], tuple[int, ...]]:
+    """Flattened triangle solid angles of validated, broadcastable ``(..., 3)``
+    arrays, ``None`` for each undefined triangle, and the batch shape."""
+    y = _rowdot(vf, _cross(vr, vi))
+    x = 1.0 + _rowdot(vf, vr) + _rowdot(vr, vi) + _rowdot(vf, vi)
+    angles = [_triangle_angle(yy, xx, tol.zero)
+              for yy, xx in zip(np.ravel(y).tolist(), np.ravel(x).tolist())]
+    return angles, np.shape(x)
 
 
 def _solid_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
                   tol: Tolerances) -> np.ndarray:
     """Triangle solid angles of validated, broadcastable ``(..., 3)`` arrays."""
-    y = _rowdot(vf, _cross(vr, vi))
-    x = 1.0 + _rowdot(vf, vr) + _rowdot(vr, vi) + _rowdot(vf, vi)
-    angles = [_triangle_angle(yy, xx, tol.zero)
-              for yy, xx in zip(np.ravel(y).tolist(), np.ravel(x).tolist())]
-    return np.array(angles).reshape(np.shape(x))
+    angles, shape = _triangle_angles(vi, vr, vf, tol)
+    if None in angles:
+        raise UndefinedSolidAngle(
+            "triangle contains an antipodal pair; the enclosed area is ambiguous")
+    return np.array(angles).reshape(shape)
 
 
 def triangle_solid_angles(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:

@@ -9,18 +9,24 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import bloch_to_qubits, solid_angle_triangle, triangle_solid_angles, weak_moduli
-from .canonical import StateAngles, params_to_state, three_box_transform
-from .errors import OrthogonalSelection, UndefinedSolidAngle
+from .bloch import (
+    _rowdot,
+    _triangle_angles,
+    as_bloch_array,
+    bloch_to_qubits,
+    triangle_solid_angles,
+    weak_moduli,
+)
+from .canonical import three_box_transform
 from .majorana import (
+    _qutrit_roots_at,
     discriminant_degeneracy,
     entanglement_entropy,
     majorana_points,
     nlevel_state,
-    qutrit_roots_closed_form,
 )
-from .nlevel_values import abl_distribution, abl_probability, weak_value_direct
-from .numerics import DEFAULT_TOL, Tolerances
+from .nlevel_values import _check_hermitian, abl_distribution, abl_probability, weak_value_direct
+from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances
 from .polar import PolarComplex
 
 SCAN_EPSILON = float(math.asin(math.tan(math.pi / 6.0)))
@@ -108,20 +114,76 @@ def _unwrap_segment(raw: list[float | None], period: float) -> list[float | None
     return out
 
 
+def _gauged_rows(c: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """:func:`nlevel_state` of each row of an ``(n, 3)`` complex array, bit for bit.
+
+    The finiteness and norm checks run once over the batch, with
+    ``nlevel_state``'s messages.  Norms are ``np.linalg.norm``'s real and
+    imaginary dots.  Each row's gauge phase divides the conjugate of its first
+    entry above ``tol.zero`` by that entry's modulus, taken with Python's
+    ``abs`` (the libm ``hypot`` of numpy's scalar ``abs``; ``np.abs`` over an
+    array rounds differently).
+    """
+    if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
+        raise ValueError("state coefficients must be finite")
+    re, im = c.real, c.imag
+    norms = np.sqrt(_rowdot(re, re) + _rowdot(im, im))
+    off = np.abs(norms - 1.0) > _NORM_SLACK
+    if off.any():
+        norm = float(norms[off][0])
+        raise ValueError(f"state norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
+    out = c / norms[:, None]
+    rows, cols, moduli = [], [], []
+    for k, row in enumerate(out.tolist()):
+        for j, entry in enumerate(row):
+            modulus = abs(entry)
+            if modulus > tol.zero:
+                rows.append(k)
+                cols.append(j)
+                moduli.append(modulus)
+                break
+    phases = np.ones(len(out), dtype=complex)
+    phases[rows] = out[rows, cols].conjugate() / np.array(moduli)
+    return out * phases[:, None]
+
+
+def _scan_states(thetas, epsilon: float, chi1: float, chi2: float,
+                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """:func:`scan_state` of every angle in ``thetas`` as an ``(n, 3)`` array."""
+    ce, se = math.cos(epsilon), math.sin(epsilon)
+    thetas = np.asarray(thetas, dtype=float)
+    sin_t, cos_t = np.sin(thetas), np.cos(thetas)  # libm's bits, as math.sin
+    c = np.empty((thetas.size, 3), dtype=complex)
+    c[:, 0] = np.exp(1j * chi1) * ce * sin_t
+    c[:, 1] = np.exp(1j * chi2) * se * sin_t
+    c[:, 2] = cos_t
+    return _gauged_rows(c, tol)
+
+
 def scan_state(theta: float, epsilon: float, chi1: float, chi2: float) -> np.ndarray:
-    return nlevel_state(params_to_state(StateAngles(theta, epsilon, chi1, chi2)))
+    """``nlevel_state`` of ``params_to_state(StateAngles(theta, epsilon, chi1, chi2))``."""
+    return _scan_states([theta], epsilon, chi1, chi2)[0]
 
 
 def _overlap_re(theta: float, epsilon: float, chi1: float, chi2: float) -> float:
     return float(np.vdot(_F_STATE, scan_state(theta, epsilon, chi1, chi2)).real)
 
 
-def _disc_re(theta: float, epsilon: float, chi1: float, chi2: float) -> float:
+def _disc_re(theta, epsilon: float, chi1: float, chi2: float):
+    """Re(disc * exp(-1j chi1)) of the scan state's stellar polynomial.
+
+    ``theta`` is a float or a float array.  The complex products are written
+    out in real arithmetic with the roundings of the complex expression
+    ``(2 se^2 st^2 e^(2i chi2) - 4 ce st ct e^(i chi1)) e^(-i chi1)``.
+    """
     se, ce = math.sin(epsilon), math.cos(epsilon)
-    st, ct = math.sin(theta), math.cos(theta)
-    disc = 2.0 * se * se * st * st * np.exp(2j * chi2) \
-        - 4.0 * ce * st * ct * np.exp(1j * chi1)
-    return float((disc * np.exp(-1j * chi1)).real)
+    st, ct = np.sin(theta), np.cos(theta)
+    e2, e1, back = np.exp(2j * chi2), np.exp(1j * chi1), np.exp(-1j * chi1)
+    a = 2.0 * se * se * st * st
+    b = 4.0 * ce * st * ct
+    re = a * e2.real - b * e1.real
+    im = a * e2.imag - b * e1.imag
+    return re * back.real - im * back.imag
 
 
 def default_theta_grid(count: int = 512) -> np.ndarray:
@@ -152,12 +214,13 @@ def _refined_default_grid(count: int, epsilon: float, chi1: float,
     if count < 4 * _CUSP_POINTS:
         return base
     probe = default_theta_grid(2048)
-    cusp = None
-    for k in range(probe.size - 1):
-        lo, hi = float(probe[k]), float(probe[k + 1])
-        if _disc_re(lo, epsilon, chi1, chi2) * _disc_re(hi, epsilon, chi1, chi2) < 0.0:
-            cusp = _bisect(lambda th: _disc_re(th, epsilon, chi1, chi2), lo, hi)
-            break
+    values = _disc_re(probe, epsilon, chi1, chi2)
+    brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
+    if not brackets.size:
+        return base
+    k = int(brackets[0])
+    cusp = _bisect(lambda th: _disc_re(th, epsilon, chi1, chi2),
+                   float(probe[k]), float(probe[k + 1]))
     if cusp is None:
         return base
     window_lo = max(cusp - _CUSP_WINDOW, 0.25 * base[0])
@@ -193,66 +256,78 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
         grid = np.asarray(theta_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("theta grid must be a 1-d sequence of at least two points")
+        if not np.isfinite(grid).all():
+            raise ValueError("theta grid must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("theta grid must be strictly increasing")
         if grid[0] <= 0.0 or grid[-1] >= 0.5 * math.pi:
             raise ValueError("theta grid must lie inside (0, pi/2)")
+    thetas = grid.tolist()
 
-    def overlap_re(theta: float) -> float:
-        return _overlap_re(theta, epsilon, chi1, chi2)
+    # Every stage runs once over the grid; each row keeps the bits of the
+    # per-theta public functions (scan_state, weak_value_direct,
+    # discriminant_degeneracy, solid_angle_triangle), which bisection still uses.
+    states = _scan_states(grid, epsilon, chi1, chi2, tol)
+    oracle_states = _gauged_rows(states, tol)  # nlevel_state is not bitwise idempotent
 
-    def disc_re(theta: float) -> float:
-        return _disc_re(theta, epsilon, chi1, chi2)
-
-    def locate(fn: Callable[[float], float],
+    def locate(values: np.ndarray, fn: Callable[[float], float],
                residual: Callable[[float], float]) -> tuple[float | None, int | None]:
-        for k in range(grid.size - 1):
-            if fn(grid[k]) * fn(grid[k + 1]) < 0.0:
-                found = _bisect(fn, float(grid[k]), float(grid[k + 1]))
-                if found is not None and residual(found) <= _LOCATE_RESIDUAL:
-                    return found, k
+        for k in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
+            found = _bisect(fn, thetas[k], thetas[k + 1])
+            if found is not None and residual(found) <= _LOCATE_RESIDUAL:
+                return found, k
         return None, None
 
     theta_singular, singular_gap = locate(
-        overlap_re,
+        np.array([np.vdot(_F_STATE, state).real for state in states]),
+        lambda th: _overlap_re(th, epsilon, chi1, chi2),
         lambda th: abs(complex(np.vdot(_F_STATE, scan_state(th, epsilon, chi1, chi2)))))
     theta_bifurcation, bifurcation_gap = locate(
-        disc_re,
+        _disc_re(grid, epsilon, chi1, chi2),
+        lambda th: _disc_re(th, epsilon, chi1, chi2),
         lambda th: discriminant_degeneracy(scan_state(th, epsilon, chi1, chi2)))
 
-    raw1: list[float | None] = []
-    raw2: list[float | None] = []
-    rows = []
-    for theta in grid:
-        theta = float(theta)
-        angles = qutrit_roots_closed_form(theta, epsilon, chi1, chi2, tol=tol)
-        i1, i2 = angles.points()
-        state = scan_state(theta, epsilon, chi1, chi2)
-        disc = discriminant_degeneracy(state, tol=tol)
-        flags = set()
+    # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
+    # the constant postselection and projector validated once.
+    f_state = nlevel_state(_F_STATE, tol=tol)
+    _check_hermitian(_R_PROJECTOR, tol)
+    projected = oracle_states @ _R_PROJECTOR.T
+    directs: list[PolarComplex | None] = []
+    for state, image in zip(oracle_states, projected):
+        overlap = complex(np.vdot(f_state, state))
+        if abs(overlap) <= tol.orthogonality:
+            directs.append(None)
+        else:
+            directs.append(PolarComplex.from_complex(np.vdot(f_state, image) / overlap))
+    # discriminant_degeneracy of every state: Python complex arithmetic rounds
+    # as numpy's scalar arithmetic, numpy's array abs would not.
+    discs = [abs(2.0 * c1 * c1 - 4.0 * c0 * c2) for c0, c1, c2 in oracle_states.tolist()]
+
+    roots = _qutrit_roots_at(epsilon, chi1, chi2, tol=tol)
+    angles = [roots(theta) for theta in thetas]
+    alpha = np.array([[a.alpha_1, a.alpha_2] for a in angles])
+    beta = np.array([[a.beta_1, a.beta_2] for a in angles])
+    sin_beta = np.sin(beta)
+    points = np.stack([np.cos(alpha) * sin_beta, np.sin(alpha) * sin_beta, np.cos(beta)],
+                      axis=-1)
+
+    # Solid angles of (i_k, +z, +x) for both points of every row; an undefined
+    # triangle blanks only its own entry.
+    raw, _ = _triangle_angles(as_bloch_array(points, tol=tol), _EZ, _EX, tol)
+    raw1, raw2 = raw[0::2], raw[1::2]
+
+    flags = []
+    for disc, direct in zip(discs, directs):
+        row = set()
         if tol.zero < disc <= _NEAR_DEGENERATE_BAND:
-            flags.add("near_degenerate")
-
-        def tri(point) -> float | None:
-            try:
-                return solid_angle_triangle(point, _EZ, _EX, tol=tol)
-            except UndefinedSolidAngle:
-                return None
-
-        w1, w2 = tri(i1), tri(i2)
-        try:
-            direct = weak_value_direct(state, _R_PROJECTOR, _F_STATE, tol=tol)
-        except OrthogonalSelection:
-            direct = None
-            flags.add("singular")
-        raw1.append(w1)
-        raw2.append(w2)
-        rows.append((theta, angles, i1, i2, direct, flags))
-
+            row.add("near_degenerate")
+        if direct is None:
+            row.add("singular")
+        flags.append(row)
     for gap, name in ((singular_gap, "singular"), (bifurcation_gap, "bifurcation")):
         if gap is not None:
-            rows[gap][5].add(name)
-            rows[gap + 1][5].add(name)
+            flags[gap].add(name)
+            flags[gap + 1].add(name)
 
     # Unwrap each side of the singular bracket independently; the genuine
     # jump across the singularity is reported, not smoothed away.
@@ -275,25 +350,25 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
 
     # Weak-value modulus factors over the whole grid; NaN where a point is
     # antipodal to the postselection.
-    moduli1 = weak_moduli(np.array([row[2] for row in rows]), _EZ, _EX, tol=tol).tolist()
-    moduli2 = weak_moduli(np.array([row[3] for row in rows]), _EZ, _EX, tol=tol).tolist()
+    moduli = weak_moduli(points, _EZ, _EX, tol=tol).tolist()
     records = []
-    for k, (theta, angles, i1, i2, direct, flags) in enumerate(rows):
+    for k, theta in enumerate(thetas):
         w1, w2 = omega1[k], omega2[k]
-        wv_mod = moduli1[k] * moduli2[k]
+        (m1, m2), direct, a = moduli[k], directs[k], angles[k]
+        wv_mod = m1 * m2
         if w1 is None or w2 is None or direct is None or math.isnan(wv_mod):
             wv_mod = wv_arg = None
         else:
             wv_arg = -0.5 * (w1 + w2)
         records.append(ScanRecord(
             theta=theta,
-            alpha1=angles.alpha_1, alpha2=angles.alpha_2,
-            beta1=angles.beta_1, beta2=angles.beta_2,
-            i1=i1, i2=i2,
+            alpha1=a.alpha_1, alpha2=a.alpha_2,
+            beta1=a.beta_1, beta2=a.beta_2,
+            i1=points[k, 0], i2=points[k, 1],
             omega1=w1, omega2=w2,
             wv_modulus=wv_mod, wv_argument=wv_arg,
             wv_direct=direct,
-            flags=frozenset(flags),
+            flags=frozenset(flags[k]),
         ))
     return SingularityScan(
         records=tuple(records),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -202,6 +203,61 @@ def _polish_root_angles(alpha: float, beta: float, lin: complex,
     return alpha_polished, 2.0 * math.atan(abs(z))
 
 
+def _qutrit_roots_at(epsilon: float, chi1: float, chi2: float,
+                     *, tol: Tolerances = DEFAULT_TOL) -> Callable[[float], QutritAngles]:
+    """:func:`qutrit_roots_closed_form` as a function of ``theta`` alone.
+
+    The ``theta``-independent factors are computed once, and each product keeps
+    its evaluation order, so every call returns the bits of the full function.
+    ``theta`` is not validated.
+    """
+    if not 0.0 <= epsilon <= 0.5 * math.pi:
+        raise ValueError("epsilon must lie in [0, pi/2]")
+    ce, se = math.cos(epsilon), math.sin(epsilon)
+    chi_tilde = (2.0 * chi2 - chi1) / 2.0 % (2.0 * math.pi)
+    branch = 1.0 if chi_tilde < math.pi else -1.0
+    four_ce2, se4, four_ce_se2 = 4.0 * ce * ce, se**4, 4.0 * ce * se * se
+    cos_2chi_tilde, cos_chi_tilde = math.cos(2.0 * chi_tilde), math.cos(chi_tilde)
+    two_ce, se2, sq2_se = 2.0 * ce, se * se, math.sqrt(2.0) * se
+    half_chi1 = 0.5 * chi1
+    lin_scale, two_se2, four_ce = -math.sqrt(2.0) * se, 2.0 * se * se, 4.0 * ce
+    e_chi1, e_chi2, e_2chi2 = np.exp(1j * chi1), np.exp(1j * chi2), np.exp(2j * chi2)
+
+    def roots(theta: float) -> QutritAngles:
+        t = math.tan(theta)
+        rho = four_ce2 * t * t + se4 * t**4 - four_ce_se2 * t**3 * cos_2chi_tilde
+        s = math.sqrt(max(0.0, two_ce * t + se2 * t * t + math.sqrt(max(0.0, rho))))
+        product = ce * t
+        spread = math.sqrt(max(0.0, s * s - 4.0 * product))
+        # Index convention: branch 2 is the root that can align against the
+        # postselection axis (the singular one in the scan), branch 1 stays
+        # continuous across the weak-value divergence.
+        beta_1 = 2.0 * math.atan(0.5 * (s - spread))
+        beta_2 = 2.0 * math.atan(0.5 * (s + spread))
+
+        if s <= tol.zero:
+            alpha_1 = alpha_2 = half_chi1
+        else:
+            cos_arg = min(1.0, max(-1.0, sq2_se * t * cos_chi_tilde / s))
+            delta = math.acos(cos_arg)
+            alpha_1 = half_chi1 - branch * delta
+            alpha_2 = half_chi1 + branch * delta
+            # Newton-polish against the exact monic polynomial; the nested
+            # square roots above lose ~8 digits in unlucky regimes and
+            # downstream solid angles amplify root errors near singular
+            # configurations.
+            lin = lin_scale * t * e_chi2
+            const = ce * t * e_chi1
+            alpha_1, beta_1 = _polish_root_angles(alpha_1, beta_1, lin, const)
+            alpha_2, beta_2 = _polish_root_angles(alpha_2, beta_2, lin, const)
+
+        disc = abs(two_se2 * t * t * e_2chi2 - four_ce * t * e_chi1)
+        degenerate = bool(disc <= tol.comparison or s <= tol.zero)
+        return QutritAngles(alpha_1, alpha_2, beta_1, beta_2, s, rho, chi_tilde, degenerate)
+
+    return roots
+
+
 def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float, chi2: float,
                              *, tol: Tolerances = DEFAULT_TOL) -> QutritAngles:
     """Closed-form roots for the state
@@ -212,42 +268,7 @@ def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float, chi2: fl
     """
     if not 0.0 <= theta < 0.5 * math.pi:
         raise ValueError("theta must lie in [0, pi/2)")
-    if not 0.0 <= epsilon <= 0.5 * math.pi:
-        raise ValueError("epsilon must lie in [0, pi/2]")
-    t = math.tan(theta)
-    ce, se = math.cos(epsilon), math.sin(epsilon)
-    chi_tilde = (2.0 * chi2 - chi1) / 2.0 % (2.0 * math.pi)
-    branch = 1.0 if chi_tilde < math.pi else -1.0
-
-    rho = (4.0 * ce * ce * t * t + se**4 * t**4
-           - 4.0 * ce * se * se * t**3 * math.cos(2.0 * chi_tilde))
-    s = math.sqrt(max(0.0, 2.0 * ce * t + se * se * t * t + math.sqrt(max(0.0, rho))))
-    product = ce * t
-    spread = math.sqrt(max(0.0, s * s - 4.0 * product))
-    # Index convention: branch 2 is the root that can align against the
-    # postselection axis (the singular one in the scan), branch 1 stays
-    # continuous across the weak-value divergence.
-    beta_1 = 2.0 * math.atan(0.5 * (s - spread))
-    beta_2 = 2.0 * math.atan(0.5 * (s + spread))
-
-    if s <= tol.zero:
-        alpha_1 = alpha_2 = 0.5 * chi1
-    else:
-        cos_arg = min(1.0, max(-1.0, math.sqrt(2.0) * se * t * math.cos(chi_tilde) / s))
-        delta = math.acos(cos_arg)
-        alpha_1 = 0.5 * chi1 - branch * delta
-        alpha_2 = 0.5 * chi1 + branch * delta
-        # Newton-polish against the exact monic polynomial; the nested square
-        # roots above lose ~8 digits in unlucky regimes and downstream solid
-        # angles amplify root errors near singular configurations.
-        lin = -math.sqrt(2.0) * se * t * np.exp(1j * chi2)
-        const = ce * t * np.exp(1j * chi1)
-        alpha_1, beta_1 = _polish_root_angles(alpha_1, beta_1, lin, const)
-        alpha_2, beta_2 = _polish_root_angles(alpha_2, beta_2, lin, const)
-
-    disc = abs(2.0 * se * se * t * t * np.exp(2j * chi2) - 4.0 * ce * t * np.exp(1j * chi1))
-    degenerate = bool(disc <= tol.comparison or s <= tol.zero)
-    return QutritAngles(alpha_1, alpha_2, beta_1, beta_2, s, rho, chi_tilde, degenerate)
+    return _qutrit_roots_at(epsilon, chi1, chi2, tol=tol)(theta)
 
 
 def entanglement_entropy(points, *, tol: Tolerances = DEFAULT_TOL) -> float:

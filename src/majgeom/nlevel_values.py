@@ -20,7 +20,14 @@ from .bloch import _solid_angles, as_bloch, as_bloch_array, modular_moduli, weak
 from .canonical import canonicalize_triple
 from .errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
 from .majorana import majorana_points, nlevel_state, normalization_factor
-from .numerics import DEFAULT_TOL, Tolerances, eig_hermitian, hermiticity_defect, unitary_exp
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerances,
+    _spectral_exp,
+    eig_hermitian,
+    hermiticity_defect,
+    unitary_exp,
+)
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
 
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -268,7 +275,9 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
 
     The anchor eigenvector is canonicalized together with the selections; the
     evolved state is pushed through the same frame before its points are read
-    off.  Both point sets arrive with their K, so neither is recomputed.
+    off.  Both point sets arrive with their K, so neither is recomputed, and
+    the one eigendecomposition of the observable gives both the anchor and
+    the evolution.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f, tol)
     if si.size != 3:
@@ -282,8 +291,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     eigenvalue = float(evals[index])
 
     triple = canonicalize_triple(si, psi_r, sf, tol=tol)
-    evolution = unitary_exp(a, phase=0.0, strength=spec.alpha * (si.size - 1) / 2.0,
-                            tol=tol)
+    evolution = _spectral_exp(evals, evecs, 0.0, spec.alpha * (si.size - 1) / 2.0)
     psi_s = triple.u_total @ (evolution @ si)
     psi_s = psi_s / np.linalg.norm(psi_s)
     s_rep = majorana_points(psi_s, tol=tol)

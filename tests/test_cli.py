@@ -246,6 +246,16 @@ class TestCliContract:
         code, out = run_cli(capsys, "qubit-weak", "--scenario", scenario)
         assert code == 2
 
+    def test_non_finite_scan_grid_exit_two(self, capsys, tmp_path):
+        scenario = write_scenario(tmp_path, {
+            "grid": {"start": math.nan, "stop": 1.2, "count": 16},
+        })
+        code, out = run_cli(capsys, "scan-singularity", "--scenario", scenario)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "usage"
+        assert error["message"] == "theta grid must be finite"
+
     def test_deterministic_bytes(self, capsys):
         _, first = run_cli(capsys, "three-box")
         _, second = run_cli(capsys, "three-box")
@@ -261,11 +271,15 @@ class TestCliContract:
         (("three-box", "--format", "csv"), "three_box.csv"),
         (("scan-singularity", "--count", "512", "--format", "csv"),
          "scan_singularity_512.csv"),
+        (("scan-singularity", "--count", "512", "--format", "json"),
+         "scan_singularity_512.json"),
+        (("scan-singularity", "--count", "1024", "--epsilon", "0.3", "--chi1", "1.0",
+          "--chi2", "2.5", "--format", "csv"), "scan_singularity_1024_eps0.3.csv"),
     ])
     def test_golden_bytes(self, capsys, argv, golden):
-        # Reference outputs from the per-point scalar implementation that the
-        # batched Bloch kernels replaced; regenerate only for a deliberate
-        # change of the printed numbers.
+        # Reference outputs of earlier implementations (tests/data/README.md
+        # names the command and commit of each); regenerate only for a
+        # deliberate change of the printed numbers.
         code, out = run_cli(capsys, *argv)
         assert code == 0
         assert out.encode("utf-8") == (DATA / golden).read_bytes()

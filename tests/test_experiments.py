@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from helpers import ang_dist
+from majgeom.bloch import solid_angle_triangle, weak_moduli
+from majgeom.canonical import StateAngles, params_to_state
+from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
 from majgeom.experiments import (
     SCAN_CHI1,
     SCAN_CHI2,
@@ -13,6 +16,9 @@ from majgeom.experiments import (
     singularity_scan,
     three_box_report,
 )
+from majgeom.majorana import discriminant_degeneracy, nlevel_state, qutrit_roots_closed_form
+from majgeom.nlevel_values import weak_value_direct
+from majgeom.numerics import DEFAULT_TOL
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
@@ -129,6 +135,14 @@ class TestSingularityScan:
         with pytest.raises(ValueError):
             singularity_scan(np.array([0.0, 0.3]))
 
+    @pytest.mark.parametrize("grid", [[0.1, math.nan, 0.3], [math.nan, 0.3],
+                                      [0.1, math.inf], [0.1, 0.2, -math.inf]])
+    def test_non_finite_grid_rejected_up_front(self, grid):
+        # NaN compares false, so such a grid passes the ordering and range
+        # checks and used to fail later on the states.
+        with pytest.raises(ValueError, match="^theta grid must be finite$"):
+            singularity_scan(grid)
+
     def test_near_degenerate_flagging(self):
         grid = np.array([THETA_B - 1e-5, THETA_B - 1e-9, THETA_B + 1e-5])
         scan = singularity_scan(grid)
@@ -139,6 +153,93 @@ class TestSingularityScan:
         assert grid.size == 512
         assert grid[0] > 0.0 and grid[-1] < math.pi / 2
         assert np.all(np.diff(grid) > 0)
+
+
+# Canonical scan frame, restated: projector on |2>, postselection with both
+# stellar points on +x, triangles against +z and +x.
+F_STATE = np.array([0.5, math.sqrt(0.5), 0.5], dtype=complex)
+R_PROJECTOR = np.diag([0.0, 0.0, 1.0]).astype(complex)
+EZ = np.array([0.0, 0.0, 1.0])
+EX = np.array([1.0, 0.0, 0.0])
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def check_against_per_theta_functions(scan):
+    """Every record, bit for bit, against the public one-theta functions."""
+    eps, chi1, chi2 = scan.epsilon, scan.chi1, scan.chi2
+    for r in scan.records:
+        angles = qutrit_roots_closed_form(r.theta, eps, chi1, chi2)
+        for got, want in ((r.alpha1, angles.alpha_1), (r.alpha2, angles.alpha_2),
+                          (r.beta1, angles.beta_1), (r.beta2, angles.beta_2)):
+            assert bits(got) == bits(want)
+        p1, p2 = angles.points()
+        assert r.i1.tobytes() == p1.tobytes() and r.i2.tobytes() == p2.tobytes()
+
+        state = scan_state(r.theta, eps, chi1, chi2)
+        raw = params_to_state(StateAngles(r.theta, eps, chi1, chi2))
+        assert state.tobytes() == nlevel_state(raw).tobytes()
+        try:
+            direct = weak_value_direct(state, R_PROJECTOR, F_STATE)
+        except OrthogonalSelection:
+            assert r.wv_direct is None and "singular" in r.flags
+        else:
+            assert bits(r.wv_direct.modulus) == bits(direct.modulus)
+            assert bits(r.wv_direct.argument) == bits(direct.argument)
+        disc = discriminant_degeneracy(state)
+        assert ("near_degenerate" in r.flags) == (DEFAULT_TOL.zero < disc <= 1e-8)
+
+        for omega, point in ((r.omega1, p1), (r.omega2, p2)):
+            try:
+                plain = solid_angle_triangle(point, EZ, EX)
+            except UndefinedSolidAngle:
+                assert omega is None
+                continue
+            turns = round((omega - plain) / (4.0 * math.pi))
+            assert bits(omega) == bits(plain + 4.0 * math.pi * turns)
+
+        modulus = float(weak_moduli(p1, EZ, EX) * weak_moduli(p2, EZ, EX))
+        if r.omega1 is None or r.omega2 is None or r.wv_direct is None or math.isnan(modulus):
+            assert r.wv_modulus is None and r.wv_argument is None
+        else:
+            assert bits(r.wv_modulus) == bits(modulus)
+            assert bits(r.wv_argument) == bits(-0.5 * (r.omega1 + r.omega2))
+
+
+class TestScanMatchesPerThetaFunctions:
+    """The batched scan keeps the bits of the per-theta public functions."""
+
+    @pytest.mark.parametrize("count, params", [
+        (64, {}),
+        (300, {}),
+        (512, {}),  # densified around the bifurcation
+        (1024, {"epsilon": 0.3, "chi1": 1.0, "chi2": 2.5}),
+        (400, {"epsilon": 1.2, "chi1": 5.9, "chi2": 0.4}),
+        (200, {"epsilon": 0.0, "chi1": 0.7, "chi2": 3.0}),
+        (200, {"epsilon": 0.5 * math.pi}),
+    ])
+    def test_default_grids(self, count, params):
+        check_against_per_theta_functions(singularity_scan(count=count, **params))
+
+    @pytest.mark.parametrize("grid", [
+        [0.1, 0.5, THETA_C, 1.0, 1.2],  # a node exactly at the singularity
+        [THETA_C, THETA_B],
+        [THETA_B - 1e-5, THETA_B - 1e-9, THETA_B + 1e-5],
+        [1e-12, 1e-6, 0.5 * math.pi - 1e-9],
+        list(np.linspace(0.01, 1.56, 333)),
+    ])
+    def test_custom_grids(self, grid):
+        scan = singularity_scan(np.array(grid))
+        check_against_per_theta_functions(scan)
+
+    def test_node_at_singularity_blanks_its_row_only(self):
+        scan = singularity_scan(np.array([0.1, 0.5, THETA_C, 1.0, 1.2]))
+        singular = scan.records[2]
+        assert singular.wv_direct is None and singular.omega2 is None
+        assert singular.omega1 is not None
+        assert all(r.wv_direct is not None for k, r in enumerate(scan.records) if k != 2)
 
 
 class TestThreeBoxReport:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from majgeom.bloch import (
+    _triangle_angles,
     as_bloch,
     as_bloch_array,
     bloch_to_qubit,
@@ -255,6 +256,21 @@ class TestTriangleSolidAngles:
         with pytest.raises(UndefinedSolidAngle) as batch:
             triangle_solid_angles(points, r, f)
         assert str(batch.value) == str(scalar.value)
+
+    def test_undefined_triangle_is_none_for_its_row_only(self):
+        # The per-row helper behind the batch: the scan blanks an antipodal
+        # triangle's row instead of failing the whole grid.
+        rng = np.random.default_rng(11)
+        points = rng.normal(size=(5, 3))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        r = np.array([0.0, 0.0, 1.0])
+        f = np.array([1.0, 0.0, 0.0])
+        points[2] = -f
+        angles, shape = _triangle_angles(as_bloch_array(points), r, f, DEFAULT_TOL)
+        assert shape == (5,)
+        assert angles[2] is None
+        for k in (0, 1, 3, 4):
+            assert same_bits(angles[k], solid_angle_triangle(points[k], r, f))
 
     def test_validates_each_vertex_batch(self):
         with pytest.raises(ValueError, match="deviates"):

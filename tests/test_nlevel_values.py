@@ -9,6 +9,7 @@ from helpers import ang_dist, polar_close, random_hermitian, random_state
 from majgeom.bloch import solid_angle_triangle
 import majgeom.majorana
 import majgeom.nlevel_values
+import majgeom.numerics
 from majgeom.errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
 from majgeom.majorana import majorana_points, nlevel_state, symmetrize
 from majgeom.nlevel_values import (
@@ -284,6 +285,29 @@ class TestQutritModularGeometric:
         value, breakdown = qutrit_modular_value_geometric(psi_i, spec, psi_f)
         assert calls == [2, 2]
         expected = modular_value_direct(psi_i, spec, psi_f).rect
+        assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        # The anchor eigenvector and the evolution share one eig_hermitian.
+        calls = []
+        original = majgeom.numerics.eig_hermitian
+
+        def counting(matrix, **kwargs):
+            calls.append(np.shape(matrix))
+            return original(matrix, **kwargs)
+
+        monkeypatch.setattr(majgeom.numerics, "eig_hermitian", counting)
+        monkeypatch.setattr(majgeom.nlevel_values, "eig_hermitian", counting)
+        rng = np.random.default_rng(86)
+        spec = NLevelModularSpec(
+            observable=GellMannDirection.from_r8(rng.normal(size=8)).operator,
+            alpha=1.3, beta=-0.4)
+        psi_i, psi_f = random_state(rng, 3), random_state(rng, 3)
+        value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+        assert calls == [(3, 3)]
+        calls.clear()
+        expected = modular_value_direct(psi_i, spec, psi_f).rect
+        assert calls == [(3, 3)]
         assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_eigen_choice_override(self):
