@@ -22,17 +22,12 @@ from .bloch import (
 from .canonical import (
     CanonicalTriple,
     StateAngles,
-    build_U1,
-    build_U2,
-    canonical_f_vector,
     canonicalize_triple,
-    extract_params,
     params_to_state,
     three_box_transform,
 )
 from .errors import (
     AllCoefficientsZero,
-    EtaOutOfRange,
     IncompleteContext,
     MajgeomError,
     NotHermitian,

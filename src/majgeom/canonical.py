@@ -1,10 +1,13 @@
-"""Canonicalizing unitaries for three-level triples.
+"""Canonical frames for N-level triples.
 
-Any triple (initial, projector, final) of qutrits can be rotated so the
-projector state has both stellar points at the north pole and the final state
-has coincident points in the xz half-plane.  Weak and modular values are
-invariant under the rotation, which is what makes the geometric factorization
-possible.
+Any triple (initial, projector, final) of N-level states can be rotated so
+the projector state has all N-1 stellar points at the north pole and the
+final state has N-1 coincident points in the xz half-plane.  Weak and modular
+values are invariant under the rotation, which is what makes the geometric
+factorization possible.  One construction serves every N: a Householder
+reflection takes the projector state to ``|N-1>``, a second one on the first
+N-1 components plus a phase on ``|N-1>`` takes the final state to the coherent
+state.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EtaOutOfRange
 from .majorana import SymmetricRepresentation, majorana_points, nlevel_state
 from .numerics import DEFAULT_TOL, Tolerances
 
@@ -26,44 +28,14 @@ _SQ6 = math.sqrt(6.0)
 @dataclass(frozen=True)
 class StateAngles:
     """Four-angle parametrization
-    ``(exp(1j*chi1) cos(eps) sin(theta), exp(1j*chi2) sin(eps) sin(theta), cos(theta))``.
-
-    Also used for the post-rotation final state, where the symbols are
-    conventionally renamed (theta -> eta, epsilon -> delta, chi -> xi).
-    ``degenerate`` marks sin(theta) = 0, where epsilon and the phases are
-    unconstrained and reported as zero.
+    ``(exp(1j*chi1) cos(eps) sin(theta), exp(1j*chi2) sin(eps) sin(theta), cos(theta))``
+    of a qutrit.
     """
 
     theta: float
     epsilon: float
     chi1: float
     chi2: float
-    degenerate: bool = False
-
-
-def anchor_gauge(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Strip the global phase using the third component when it is non-zero,
-    else the largest-modulus component (documented fallback)."""
-    c = np.asarray(state, dtype=complex).copy()
-    anchor = c[2] if abs(c[2]) > tol.zero else c[int(np.argmax(np.abs(c)))]
-    return c * (anchor.conjugate() / abs(anchor))
-
-
-def extract_params(state, *, tol: Tolerances = DEFAULT_TOL) -> StateAngles:
-    """Angles reproducing a qutrit up to global phase (exactly when the input
-    already carries the anchor gauge)."""
-    c = anchor_gauge(nlevel_state(state, tol=tol), tol=tol)
-    if c.size != 3:
-        raise ValueError("parameter extraction is defined for three-level states")
-    third = c[2].real if abs(c[2]) > tol.zero else 0.0
-    planar = math.hypot(abs(c[0]), abs(c[1]))
-    theta = math.atan2(planar, third)
-    if planar <= tol.zero:
-        return StateAngles(theta, 0.0, 0.0, 0.0, degenerate=True)
-    epsilon = math.atan2(abs(c[1]), abs(c[0]))
-    chi1 = float(np.angle(c[0])) % (2.0 * math.pi) if abs(c[0]) > tol.zero else 0.0
-    chi2 = float(np.angle(c[1])) % (2.0 * math.pi) if abs(c[1]) > tol.zero else 0.0
-    return StateAngles(theta, epsilon, chi1, chi2)
 
 
 def params_to_state(p: StateAngles) -> np.ndarray:
@@ -74,55 +46,47 @@ def params_to_state(p: StateAngles) -> np.ndarray:
     ])
 
 
-def build_U1(psi_r, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unitary mapping ``psi_r`` (anchor-gauged) to ``(0, 0, 1)``."""
-    p = extract_params(psi_r, tol=tol)
-    e1 = np.exp(-1j * p.chi1)
-    e2 = np.exp(-1j * p.chi2)
-    ce, se = math.cos(p.epsilon), math.sin(p.epsilon)
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    return np.array([
-        [-e1 * se, e2 * ce, 0.0],
-        [-e1 * ce * ct, -e2 * se * ct, st],
-        [e1 * ce * st, e2 * se * st, ct],
-    ])
+def _phase(z: complex) -> complex:
+    return z / abs(z) if z != 0 else 1.0 + 0.0j
 
 
-def build_U2_from_params(p: StateAngles, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Unitary fixing ``(0, 0, 1)`` that collapses the final state onto
-    coincident stellar points."""
-    half = math.tan(0.5 * p.theta)
-    if half > 1.0 + 1e-12:
-        raise EtaOutOfRange(
-            f"tan(eta/2) = {half:.6f} > 1; final state is outside the canonical range")
-    alpha = p.epsilon + math.acos(min(1.0, half))
-    e1 = np.exp(-1j * p.chi1)
-    e2 = np.exp(-1j * p.chi2)
-    ca, sa = math.cos(alpha), math.sin(alpha)
-    return np.array([
-        [e1 * ca, e2 * sa, 0.0],
-        [e1 * sa, -e2 * ca, 0.0],
-        [0.0, 0.0, 1.0],
-    ])
+def _reflection(x: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, complex]:
+    """Householder reflection taking ``x`` to ``phase * |x| * direction``.
+
+    The phase makes ``<x|image>`` negative, so ``v = x - image`` suffers no
+    cancellation and vanishes only with ``x`` (then the identity is returned).
+    In one dimension any reflection is -1; this phase makes -1 the right map.
+    """
+    phase = -_phase(np.vdot(direction, x))
+    v = x - (phase * np.linalg.norm(x)) * direction
+    scale = np.vdot(v, v).real
+    eye = np.eye(x.size, dtype=complex)
+    if scale == 0.0:
+        return eye, phase
+    return eye - (2.0 / scale) * np.outer(v, v.conj()), phase
 
 
-def build_U2(psi_f_prime, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return build_U2_from_params(extract_params(psi_f_prime, tol=tol), tol=tol)
+def _coherent_direction(w: float, v: float, m: int) -> np.ndarray:
+    """Unit vector along the first m amplitudes of the coherent state with
+    ``|<N-1|state>|^2 = w^m``, given ``v = 1 - w``.
 
-
-def canonical_f_vector(eta: float) -> np.ndarray:
-    """Coincident-point location of the canonicalized final state."""
-    c = math.cos(eta)
-    return np.array([math.sqrt(max(0.0, 4.0 * c * (1.0 - c))), 0.0, 2.0 * c - 1.0])
+    That state has amplitudes ``sqrt(C(m, k)) v^((m-k)/2) w^(k/2)``;
+    ``sqrt(v)`` is divided out so the direction stays defined at ``v = 0``.
+    """
+    k = np.arange(m)
+    amps = (np.sqrt([float(math.comb(m, j)) for j in range(m)])
+            * math.sqrt(v) ** (m - 1 - k) * math.sqrt(w) ** k)
+    return amps / np.linalg.norm(amps)
 
 
 @dataclass(frozen=True)
 class CanonicalTriple:
-    """Result of rotating a qutrit triple into the canonical frame.
+    """Result of rotating a triple into the canonical frame.
 
-    ``u_total`` composes both rotations.  The stored states additionally carry
-    per-state anchor gauging, so they may differ from ``u_total @ input`` by
-    global phases (which weak values ignore).
+    ``psi_*`` are ``u_total`` applied to the gauge-fixed inputs: ``psi_r`` is a
+    phase times ``|N-1>`` and ``psi_f`` a phase times the coherent state whose
+    points all sit at ``f_vec``.  ``eta`` is ``arccos |<r|f>|``, evaluated as
+    an ``atan2`` that stays accurate near 0.
     """
 
     u_total: np.ndarray
@@ -139,29 +103,37 @@ def canonicalize_triple(psi_i, psi_r, psi_f,
                         *, tol: Tolerances = DEFAULT_TOL) -> CanonicalTriple:
     """Rotate (initial, projector, final) into the canonical frame.
 
-    Afterwards the projector state has both stellar points at the north pole
-    and the final state sits at ``canonical_f_vector(eta)`` with coincident
-    points; the initial state's points and normalization are returned.
+    Afterwards the projector state has all points at the north pole and the
+    final state all points at ``(2 sqrt(w(1-w)), 0, 2w-1)`` with
+    ``w = |<r|f>|^(2/(N-1))``, taken in closed form: an (N-1)-fold root
+    loses accuracy like eps^(1/(N-1)).  The initial state's points and
+    normalization are returned.
     """
-    states = [anchor_gauge(nlevel_state(s, tol=tol), tol=tol)
-              for s in (psi_i, psi_r, psi_f)]
-    if any(s.size != 3 for s in states):
-        raise ValueError("canonicalization is defined for three-level states")
-    u1 = build_U1(states[1], tol=tol)
-    states = [anchor_gauge(u1 @ s, tol=tol) for s in states]
-    p_final = extract_params(states[2], tol=tol)
-    u2 = build_U2_from_params(p_final, tol=tol)
-    states = [anchor_gauge(u2 @ s, tol=tol) for s in states]
-    eta = p_final.theta
+    si, sr, sf = (nlevel_state(s, tol=tol) for s in (psi_i, psi_r, psi_f))
+    if not si.size == sr.size == sf.size:
+        raise ValueError("the three states must share a dimension")
+    m = sr.size - 1
+    u, _ = _reflection(sr, np.eye(m + 1)[m])
+    f_first = u @ sf
+    overlap = min(1.0, abs(f_first[m]))
+    rest = np.linalg.norm(f_first[:m])
+    w = overlap ** (2.0 / m)
+    # 1 - w from the rest's norm where the subtraction would cancel: near the
+    # north pole the point moves like the square root of any error in w.
+    v = 1.0 - w if w < 0.5 else -math.expm1(math.log1p(-rest * rest) / m)
+    second, phase = _reflection(f_first[:m], _coherent_direction(w, v, m))
+    u[:m] = second @ u[:m]
+    u[m] *= phase * _phase(f_first[m]).conjugate()
+    psi_i_c = u @ si
     return CanonicalTriple(
-        u_total=u2 @ u1,
+        u_total=u,
         r_vec=np.array([0.0, 0.0, 1.0]),
-        f_vec=canonical_f_vector(eta),
-        i_rep=majorana_points(states[0], tol=tol),
-        psi_i=states[0],
-        psi_r=states[1],
-        psi_f=states[2],
-        eta=eta,
+        f_vec=np.array([2.0 * math.sqrt(w * v), 0.0, w - v]),
+        i_rep=majorana_points(psi_i_c, tol=tol),
+        psi_i=psi_i_c,
+        psi_r=u @ sr,
+        psi_f=u @ sf,
+        eta=math.atan2(rest, overlap),
     )
 
 

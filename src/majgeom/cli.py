@@ -20,20 +20,13 @@ import numpy as np
 
 from . import canonical, experiments, majorana, nlevel_values, qubit_values
 from .bloch import as_bloch, qubit_to_bloch
-from .errors import (
-    EtaOutOfRange,
-    MajgeomError,
-    OrthogonalSelection,
-    UndefinedSolidAngle,
-    ZeroDenominator,
-)
+from .errors import MajgeomError, OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator
 from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances
 from .polar import GeometricBreakdown, PolarComplex
 
 SCENARIO_VERSION = 1
 
-_PHYSICAL_ERRORS = (OrthogonalSelection, EtaOutOfRange, UndefinedSolidAngle,
-                    ZeroDenominator)
+_PHYSICAL_ERRORS = (OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator)
 # Any other MajgeomError (NotHermitian, ...) means the input failed validation.
 _USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, MajgeomError)
 

@@ -25,10 +25,6 @@ class OrthogonalSelection(MajgeomError):
     """Pre- and postselected states are (numerically) orthogonal."""
 
 
-class EtaOutOfRange(MajgeomError):
-    """Final-state polar parameter exceeds the canonicalizable range."""
-
-
 class IncompleteContext(MajgeomError):
     """Projector set is not an orthogonal resolution of the identity."""
 

@@ -25,8 +25,8 @@ from .majorana import (
     majorana_points,
     nlevel_state,
 )
-from .nlevel_values import _check_hermitian, abl_distribution, abl_probability, weak_value_direct
-from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances
+from .nlevel_values import abl_distribution, abl_probability, weak_value_direct
+from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances, _check_hermitian
 from .polar import PolarComplex
 
 SCAN_EPSILON = float(math.asin(math.tan(math.pi / 6.0)))

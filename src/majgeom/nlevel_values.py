@@ -2,9 +2,9 @@
 
 Direct Hilbert-space evaluation works for every dimension and serves as the
 oracle.  The geometric route factors each value into N-1 qubit contributions
-via the stellar representation; it is constructive for N = 2 and 3 and, for
-larger N, available through entry points that accept caller-canonicalized
-point sets.
+via the stellar representation, after rotating the triple into the canonical
+frame of :mod:`majgeom.canonical`; it is constructive for every supported N.
+The ``factored_*`` entry points also accept caller-canonicalized point sets.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import numpy as np
 
 from .bloch import _solid_angles, as_bloch, as_bloch_array, modular_moduli, weak_moduli
 from .canonical import canonicalize_triple
-from .errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
+from .errors import IncompleteContext, OrthogonalSelection, ZeroDenominator
 from .majorana import majorana_points, nlevel_state, normalization_factor
 from .numerics import (
     DEFAULT_TOL,
     Tolerances,
+    _check_hermitian,
     _spectral_exp,
     eig_hermitian,
     hermiticity_defect,
@@ -110,12 +111,6 @@ class NLevelModularSpec:
     generic_theta: float | None = None
 
 
-def _check_hermitian(matrix: np.ndarray, tol: Tolerances) -> None:
-    defect = hermiticity_defect(matrix)
-    if defect > tol.unitarity:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
-
-
 def _validated_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, complex]:
     si = nlevel_state(psi_i, tol=tol)
     sf = nlevel_state(psi_f, tol=tol)
@@ -139,18 +134,27 @@ def weak_value_direct(psi_i, observable, psi_f,
     return PolarComplex.from_complex(np.vdot(sf, a @ si) / overlap)
 
 
+def _observable(spec: NLevelModularSpec, dim: int) -> np.ndarray:
+    a = np.asarray(spec.observable, dtype=complex)
+    if a.shape != (dim, dim):
+        raise ValueError("observable dimension does not match the states")
+    return a
+
+
+def _evolution_strength(spec: NLevelModularSpec, dim: int) -> float:
+    """The ``s`` of ``exp(-1j*s*A)``: ``generic_theta`` when set, else
+    ``alpha*(N-1)/2``."""
+    if spec.generic_theta is not None:
+        return float(spec.generic_theta)
+    return spec.alpha * (dim - 1) / 2.0
+
+
 def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f,
                          *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
     """``exp(1j*beta) <f| U |i> / <f|i>`` with U from the spec's convention."""
     si, sf, overlap = _validated_pair(psi_i, psi_f, tol)
-    a = np.asarray(spec.observable, dtype=complex)
-    if a.shape != (si.size, si.size):
-        raise ValueError("observable dimension does not match the states")
-    if spec.generic_theta is not None:
-        strength = float(spec.generic_theta)
-    else:
-        strength = spec.alpha * (si.size - 1) / 2.0
-    u = unitary_exp(a, phase=spec.beta, strength=strength, tol=tol)
+    a = _observable(spec, si.size)
+    u = unitary_exp(a, phase=spec.beta, strength=_evolution_strength(spec, si.size), tol=tol)
     return PolarComplex.from_complex(np.vdot(sf, u @ si) / overlap)
 
 
@@ -224,17 +228,15 @@ def factored_weak_value(i_points, r_point, f_point,
 
 
 def _factored_modular_value(i_points, s_points, r_point, f_point, k_ratio: float,
-                            *, alpha: float, beta: float, eigenvalue: float,
-                            tol: Tolerances):
-    """:func:`factored_modular_value` for paired point sets with a known K_s / K_i."""
+                            *, dynamical: float, tol: Tolerances):
+    """:func:`factored_modular_value` for paired point sets with a known K_s / K_i
+    and dynamical phase."""
     vi = _point_set(i_points, tol)
     vs = _point_set(s_points, tol)
     vr = as_bloch(r_point, tol=tol)
     vf = as_bloch(f_point, tol=tol)
     moduli = _checked_moduli(modular_moduli(vi, vs, vf, tol=tol))
     omegas = (_solid_angles(vi, vr, vs, tol) + _solid_angles(vi, vs, vf, tol)).tolist()
-    dim = vi.shape[0] + 1
-    dynamical = beta - alpha * (dim - 1) / 2.0 * eigenvalue
     breakdown = GeometricBreakdown(
         tuple(GeometricFactor(modulus, omega, pi, ps)
               for modulus, omega, pi, ps in zip(moduli, omegas, vi, vs)),
@@ -257,13 +259,14 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     s_pts = pair_points(i_pts, np.asarray(s_points, dtype=float))
     k_ratio = (normalization_factor(s_pts, tol=tol)
                / normalization_factor(i_pts, tol=tol))
+    dynamical = beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue
     return _factored_modular_value(i_pts, s_pts, r_point, f_point, k_ratio,
-                                   alpha=alpha, beta=beta, eigenvalue=eigenvalue, tol=tol)
+                                   dynamical=dynamical, tol=tol)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f,
                                           *, tol: Tolerances = DEFAULT_TOL):
-    """Geometric weak value of the projector onto the qutrit ``psi_r``."""
+    """Geometric weak value of the projector onto the N-level state ``psi_r``."""
     _validated_pair(psi_i, psi_f, tol)
     triple = canonicalize_triple(psi_i, psi_r, psi_f, tol=tol)
     return factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec, tol=tol)
@@ -271,27 +274,26 @@ def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f,
 
 def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
                                    *, tol: Tolerances = DEFAULT_TOL):
-    """Geometric modular value for a traceless 3x3 Hermitian observable.
+    """Geometric modular value for an N-level Hermitian observable.
 
     The anchor eigenvector is canonicalized together with the selections; the
     evolved state is pushed through the same frame before its points are read
     off.  Both point sets arrive with their K, so neither is recomputed, and
     the one eigendecomposition of the observable gives both the anchor and
-    the evolution.
+    the evolution.  The dynamical phase is ``beta - s*eigenvalue`` for the
+    evolution ``exp(-1j*s*A)`` that :func:`modular_value_direct` applies.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f, tol)
-    if si.size != 3:
-        raise ValueError("the constructive geometric route requires three-level states")
-    a = np.asarray(spec.observable, dtype=complex)
-    evals, evecs = eig_hermitian(a, tol=tol)
+    evals, evecs = eig_hermitian(_observable(spec, si.size), tol=tol)
     index = spec.eigen_choice if spec.eigen_choice is not None else si.size - 1
     if not 0 <= index < si.size:
         raise ValueError("eigen_choice outside the spectrum")
     psi_r = evecs[:, index]
     eigenvalue = float(evals[index])
+    strength = _evolution_strength(spec, si.size)
 
     triple = canonicalize_triple(si, psi_r, sf, tol=tol)
-    evolution = _spectral_exp(evals, evecs, 0.0, spec.alpha * (si.size - 1) / 2.0)
+    evolution = _spectral_exp(evals, evecs, 0.0, strength)
     psi_s = triple.u_total @ (evolution @ si)
     psi_s = psi_s / np.linalg.norm(psi_s)
     s_rep = majorana_points(psi_s, tol=tol)
@@ -299,7 +301,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     return _factored_modular_value(
         i_pts, pair_points(i_pts, s_rep.points), triple.r_vec, triple.f_vec,
         s_rep.normalization / triple.i_rep.normalization,
-        alpha=spec.alpha, beta=spec.beta, eigenvalue=eigenvalue, tol=tol)
+        dynamical=spec.beta - strength * eigenvalue, tol=tol)
 
 
 def _check_context(projectors, dim: int, tol: Tolerances) -> list[np.ndarray]:

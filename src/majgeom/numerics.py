@@ -151,6 +151,12 @@ def hermiticity_defect(matrix) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def _check_hermitian(matrix, tol: Tolerances) -> None:
+    defect = hermiticity_defect(matrix)
+    if defect > tol.unitarity:
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
+
+
 def eig_hermitian(matrix, *, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a small Hermitian matrix.
 
@@ -159,9 +165,7 @@ def eig_hermitian(matrix, *, tol: Tolerances = DEFAULT_TOL):
     made real and positive.
     """
     m = _as_square(matrix)
-    defect = hermiticity_defect(m)
-    if defect > tol.unitarity:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
+    _check_hermitian(m, tol)
     sym = 0.5 * (m + m.conj().T)
     evals, evecs = np.linalg.eigh(sym)
     evecs = evecs.copy()
@@ -199,9 +203,7 @@ def cayley_hamilton_exp_spin1(matrix, alpha: float,
     m = _as_square(matrix)
     if m.shape[0] != 3:
         raise ValueError("spin-1 exponential requires a 3x3 matrix")
-    defect = hermiticity_defect(m)
-    if defect > tol.unitarity:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
+    _check_hermitian(m, tol)
     spectral_tol = 1e-9
     trace = complex(np.trace(m))
     if abs(trace) > spectral_tol:

@@ -23,7 +23,7 @@ from .bloch import (
     weak_moduli,
 )
 from .errors import OrthogonalSelection
-from .numerics import DEFAULT_TOL, Tolerances
+from .numerics import DEFAULT_TOL, Tolerances, _check_hermitian
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
 
 PAULI = (
@@ -131,8 +131,7 @@ def observable_to_modular_spec(observable, theta: float,
     a = np.asarray(observable, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 observable")
-    if float(np.max(np.abs(a - a.conj().T))) > tol.unitarity:
-        raise ValueError("observable must be Hermitian")
+    _check_hermitian(a, tol)
     beta = -float(np.trace(a).real)
     traceless = a + 0.5 * beta * np.eye(2)
     comps = np.array([0.5 * np.trace(traceless @ p).real for p in PAULI])

@@ -12,7 +12,6 @@ import numpy as np
 from helpers import ang_dist, random_bloch, random_hermitian, random_qubit, random_state
 from majgeom.bloch import qubit_to_bloch, rodrigues_rotate, solid_angle_quadrangle, \
     solid_angle_triangle
-from majgeom.errors import EtaOutOfRange
 from majgeom.experiments import singularity_scan, three_box_report
 from majgeom.majorana import majorana_points, nlevel_state, symmetrize
 from majgeom.nlevel_values import (
@@ -151,7 +150,6 @@ def test_criterion_3_oracle_equivalence():
         agree("qubit modular", value, direct)
         done += 1
 
-    rejected = 0
     done = 0
     while done < 500:
         psi_i, psi_r, psi_f = (random_state(rng, 3) for _ in range(3))
@@ -159,11 +157,7 @@ def test_criterion_3_oracle_equivalence():
             continue
         projector = np.outer(psi_r, psi_r.conj())
         direct = weak_value_direct(psi_i, projector, psi_f).rect
-        try:
-            value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
-        except EtaOutOfRange:
-            rejected += 1
-            continue
+        value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
         agree("qutrit weak", value, direct)
         done += 1
 
@@ -177,17 +171,11 @@ def test_criterion_3_oracle_equivalence():
             alpha=rng.uniform(-2 * math.pi, 2 * math.pi),
             beta=rng.uniform(-2 * math.pi, 2 * math.pi))
         direct = modular_value_direct(psi_i, spec, psi_f).rect
-        try:
-            value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
-        except EtaOutOfRange:
-            rejected += 1
-            continue
+        value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
         agree("qutrit modular", value, direct)
         done += 1
 
-    rate = rejected / (1000 + rejected) if rejected else 0.0
-    report(3, "oracle equivalence", failures,
-           f"eta filter rejection rate {rate:.2%}")
+    report(3, "oracle equivalence", failures)
 
 
 def test_criterion_4_derivative_relation():

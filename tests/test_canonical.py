@@ -4,122 +4,49 @@ import numpy as np
 import pytest
 
 from helpers import random_state
-from majgeom.canonical import (
-    StateAngles,
-    anchor_gauge,
-    build_U1,
-    build_U2,
-    canonical_f_vector,
-    canonicalize_triple,
-    extract_params,
-    params_to_state,
-    three_box_transform,
+from majgeom.canonical import canonicalize_triple, three_box_transform
+from majgeom.majorana import (
+    MAX_LEVELS,
+    discriminant_degeneracy,
+    majorana_points,
+    nlevel_state,
+    symmetrize,
 )
-from majgeom.errors import EtaOutOfRange
-from majgeom.majorana import discriminant_degeneracy, majorana_points, nlevel_state
 from majgeom.numerics import unitarity_defect
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
-
-class TestExtractParams:
-    def test_top_state_is_degenerate(self):
-        p = extract_params([0.0, 0.0, 1.0])
-        assert p.theta == pytest.approx(0.0, abs=1e-12)
-        assert p.degenerate
-
-    def test_equator_state(self):
-        p = extract_params([1.0, 0.0, 0.0])
-        assert p.theta == pytest.approx(math.pi / 2, abs=1e-12)
-        assert p.epsilon == pytest.approx(0.0, abs=1e-12)
-        assert p.chi1 == pytest.approx(0.0, abs=1e-12)
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(60)
-        for _ in range(300):
-            state = anchor_gauge(nlevel_state(random_state(rng, 3)))
-            p = extract_params(state)
-            assert not p.degenerate
-            rebuilt = params_to_state(p)
-            assert np.max(np.abs(rebuilt - state)) <= 1e-10
-            assert 0.0 <= p.theta <= math.pi / 2
-            assert 0.0 <= p.epsilon <= math.pi / 2
-            assert 0.0 <= p.chi1 < 2 * math.pi
-            assert 0.0 <= p.chi2 < 2 * math.pi
-
-    def test_anchor_gauge_fallback(self):
-        # vanishing third component: largest component anchors the phase
-        state = np.array([0.8j, 0.6j, 0.0])
-        gauged = anchor_gauge(state)
-        assert gauged[0].imag == pytest.approx(0.0, abs=1e-15)
-        assert gauged[0].real > 0
+DIMS = list(range(2, MAX_LEVELS + 1))
 
 
-class TestBuildU1:
-    def test_pole_state_third_row(self):
-        u1 = build_U1([0.0, 0.0, 1.0])
-        assert unitarity_defect(u1) <= 1e-12
-        assert np.allclose(u1[2], [0, 0, 1])
-        assert np.allclose(u1 @ np.array([0, 0, 1.0]), [0, 0, 1.0])
-
-    def test_first_basis_state(self):
-        u1 = build_U1([1.0, 0.0, 0.0])
-        assert np.max(np.abs(u1 @ np.array([1.0, 0, 0]) - np.array([0, 0, 1.0]))) <= 1e-12
-
-    def test_random_mapping_residual(self):
-        rng = np.random.default_rng(61)
-        for _ in range(1000):
-            psi = anchor_gauge(nlevel_state(random_state(rng, 3)))
-            u1 = build_U1(psi)
-            assert unitarity_defect(u1) <= 1e-10
-            mapped = u1 @ psi
-            assert np.max(np.abs(mapped - np.array([0, 0, 1.0]))) <= 1e-10
+def top_state(n):
+    state = np.zeros(n, dtype=complex)
+    state[n - 1] = 1.0
+    return state
 
 
-class TestBuildU2:
-    def test_eta_zero_fixed_point(self):
-        u2 = build_U2([0.0, 0.0, 1.0])
-        assert unitarity_defect(u2) <= 1e-12
-        assert np.max(np.abs(u2 @ np.array([0, 0, 1.0]) - np.array([0, 0, 1.0]))) <= 1e-12
+def coherent_state(point, n):
+    """The state whose n-1 points all sit at ``point`` (in the xz plane):
+    amplitudes ``sqrt(C(m, k)) sin(theta/2)^(m-k) cos(theta/2)^k``."""
+    m = n - 1
+    half = 0.5 * math.atan2(point[0], point[2])
+    return np.array([math.sqrt(math.comb(m, k)) * math.sin(half) ** (m - k)
+                     * math.cos(half) ** k for k in range(n)], dtype=complex)
 
-    def test_reference_permutation_matrix(self):
-        # final state (sqrt2, 1, 1)/2 forces the plain swap of the first two axes
-        u2 = build_U2(np.array([SQ2, 1.0, 1.0]) / 2.0)
-        expected = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 1]], dtype=complex)
-        assert np.max(np.abs(u2 - expected)) <= 1e-12
-        mapped = u2 @ (np.array([SQ2, 1.0, 1.0]) / 2.0)
-        rep = majorana_points(mapped)
-        ex = np.array([1.0, 0.0, 0.0])
-        # coincident points sit on a double root: sqrt-of-eps conditioning
-        assert np.max(np.abs(rep.points - ex)) <= 1e-7
 
-    def test_collapses_final_state(self):
-        rng = np.random.default_rng(62)
-        for _ in range(1000):
-            psi = anchor_gauge(nlevel_state(random_state(rng, 3)))
-            u2 = build_U2(psi)
-            assert unitarity_defect(u2) <= 1e-10
-            assert discriminant_degeneracy(nlevel_state(u2 @ psi)) <= 1e-9
-            fixed = u2 @ np.array([0, 0, 1.0])
-            assert np.max(np.abs(fixed - np.array([0, 0, 1.0]))) <= 1e-12
+def phase_gap(a, b):
+    """Distance of ``a`` from the nearest phase multiple of ``b``."""
+    overlap = np.vdot(b, a)
+    phase = overlap / abs(overlap) if abs(overlap) > 0 else 1.0
+    return float(np.max(np.abs(a - phase * b)))
 
-    def test_canonical_form_of_mapped_state(self):
-        rng = np.random.default_rng(63)
-        for _ in range(100):
-            psi = anchor_gauge(nlevel_state(random_state(rng, 3)))
-            p = extract_params(psi)
-            u2 = build_U2(psi)
-            eta = p.theta
-            expected = np.array([1 - math.cos(eta),
-                                 math.sqrt(max(0.0, 2 * math.cos(eta) * (1 - math.cos(eta)))),
-                                 math.cos(eta)])
-            assert np.max(np.abs(u2 @ psi - expected)) <= 1e-9
 
-    def test_eta_out_of_range_guard(self):
-        from majgeom.canonical import build_U2_from_params
-        with pytest.raises(EtaOutOfRange):
-            build_U2_from_params(StateAngles(2.0, 0.3, 0.0, 0.0))
+def frame_point(psi_r, psi_f):
+    """f's frame point from cos^(N-1)(theta/2) = |<r|f>|, not from roots."""
+    r, f = nlevel_state(psi_r), nlevel_state(psi_f)
+    half = math.acos(min(1.0, abs(np.vdot(r, f))) ** (1.0 / (r.size - 1)))
+    return np.array([math.sin(2.0 * half), 0.0, math.cos(2.0 * half)])
 
 
 class TestCanonicalizeTriple:
@@ -152,7 +79,9 @@ class TestCanonicalizeTriple:
             assert np.max(np.abs(rep_f.points - triple.f_vec)) <= 1e-6
             rep_r = majorana_points(triple.psi_r)
             assert np.max(np.abs(rep_r.points - np.array([0, 0, 1.0]))) <= 1e-6
-            assert np.max(np.abs(canonical_f_vector(triple.eta) - triple.f_vec)) <= 1e-12
+            c = math.cos(triple.eta)
+            expected_f = np.array([math.sqrt(4.0 * c * (1.0 - c)), 0.0, 2.0 * c - 1.0])
+            assert np.max(np.abs(expected_f - triple.f_vec)) <= 1e-12
 
     def test_weak_value_invariance(self):
         rng = np.random.default_rng(67)
@@ -169,6 +98,113 @@ class TestCanonicalizeTriple:
                      * np.vdot(triple.psi_r, triple.psi_i)
                      / np.vdot(triple.psi_f, triple.psi_i))
             assert abs(before - after) <= 1e-10 * max(1.0, abs(before))
+
+
+class TestCanonicalFrame:
+    """The two-reflection frame for every supported N."""
+
+    @staticmethod
+    def random_triples(seed, n, count=40):
+        rng = np.random.default_rng(seed)
+        return [tuple(random_state(rng, n) for _ in range(3)) for _ in range(count)]
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_unitary_and_images(self, n):
+        for psi_i, psi_r, psi_f in self.random_triples(100 + n, n):
+            triple = canonicalize_triple(psi_i, psi_r, psi_f)
+            assert triple.u_total.shape == (n, n)
+            assert unitarity_defect(triple.u_total) <= 1e-12
+            for state, image in ((psi_i, triple.psi_i), (psi_r, triple.psi_r),
+                                 (psi_f, triple.psi_f)):
+                assert np.max(np.abs(triple.u_total @ nlevel_state(state) - image)) <= 1e-15
+            assert np.array_equal(triple.r_vec, [0.0, 0.0, 1.0])
+            rep = majorana_points(triple.psi_i)
+            assert np.array_equal(triple.i_rep.points, rep.points)
+            assert triple.i_rep.normalization == rep.normalization
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_projector_maps_to_top(self, n):
+        for psi_i, psi_r, psi_f in self.random_triples(200 + n, n):
+            triple = canonicalize_triple(psi_i, psi_r, psi_f)
+            assert phase_gap(triple.psi_r, top_state(n)) <= 1e-14
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_final_state_is_coherent(self, n):
+        for psi_i, psi_r, psi_f in self.random_triples(300 + n, n):
+            triple = canonicalize_triple(psi_i, psi_r, psi_f)
+            overlap = abs(np.vdot(nlevel_state(psi_r), nlevel_state(psi_f)))
+            assert triple.eta == pytest.approx(math.acos(overlap), abs=1e-12)
+            assert np.max(np.abs(triple.f_vec - frame_point(psi_r, psi_f))) <= 1e-14
+            assert phase_gap(triple.psi_f, coherent_state(triple.f_vec, n)) <= 1e-13
+            symmetrized, _ = symmetrize(np.tile(triple.f_vec, (n - 1, 1)))
+            assert phase_gap(triple.psi_f, symmetrized) <= 1e-12
+
+    def test_qutrit_final_amplitudes(self):
+        # The qutrit coherent state at the frame point, written out.
+        for psi_i, psi_r, psi_f in self.random_triples(63, 3, count=100):
+            triple = canonicalize_triple(psi_i, psi_r, psi_f)
+            c = math.cos(triple.eta)
+            expected = np.array([1.0 - c, math.sqrt(max(0.0, 2.0 * c * (1.0 - c))), c])
+            assert phase_gap(triple.psi_f, expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_projector_orthogonal_to_final(self, n):
+        # |<r|f>| is rounding noise here; the frame point lies within the
+        # (N-1)-th root of it from the south pole, with f mapped onto the
+        # coherent state there.
+        for psi_i, psi_r, psi_f in self.random_triples(450 + n, n, count=10):
+            psi_r = nlevel_state(psi_r)
+            psi_f = psi_f - np.vdot(psi_r, psi_f) * psi_r
+            psi_f = psi_f / np.linalg.norm(psi_f)
+            triple = canonicalize_triple(psi_i, psi_r, psi_f)
+            assert triple.eta == pytest.approx(0.5 * math.pi, abs=1e-15)
+            assert 0.0 <= triple.f_vec[0] <= 2.0 * 1e-15 ** (1.0 / (n - 1))
+            assert phase_gap(triple.psi_r, top_state(n)) <= 1e-14
+            assert phase_gap(triple.psi_f, coherent_state(triple.f_vec, n)) <= 1e-13
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_projector_equals_final(self, n):
+        # f's point comes from the rest's norm here, not from 1 - |<r|f>|,
+        # whose rounding would move it by sqrt(eps).
+        for psi_i, psi_r, _ in self.random_triples(500 + n, n, count=10):
+            triple = canonicalize_triple(psi_i, psi_r, 1j * psi_r)
+            assert triple.eta == pytest.approx(0.0, abs=1e-15)
+            assert np.max(np.abs(triple.f_vec - np.array([0.0, 0.0, 1.0]))) <= 1e-15
+            assert unitarity_defect(triple.u_total) <= 1e-12
+            assert phase_gap(triple.psi_r, top_state(n)) <= 1e-14
+            assert phase_gap(triple.psi_f, top_state(n)) <= 1e-15
+
+    @pytest.mark.parametrize("n", DIMS)
+    def test_projector_already_top(self, n):
+        for psi_i, _, psi_f in self.random_triples(600 + n, n, count=10):
+            for psi_r in (top_state(n), -1j * top_state(n)):
+                triple = canonicalize_triple(psi_i, psi_r, psi_f)
+                assert unitarity_defect(triple.u_total) <= 1e-12
+                assert phase_gap(triple.psi_r, top_state(n)) <= 1e-15
+                assert phase_gap(triple.psi_f, coherent_state(triple.f_vec, n)) <= 1e-13
+
+    def test_two_levels(self):
+        # One point per state: the frame is a rotation of the Bloch sphere
+        # that puts r on the north pole and f in the xz half-plane.
+        for psi_i, psi_r, psi_f in self.random_triples(700, 2, count=100):
+            triple = canonicalize_triple(psi_i, psi_r, psi_f)
+            vi, vr, vf = (majorana_points(s).points[0] for s in (psi_i, psi_r, psi_f))
+            point_r, point_f = (majorana_points(s).points[0] for s in (triple.psi_r, triple.psi_f))
+            point_i = triple.i_rep.points[0]
+            assert np.max(np.abs(point_r - [0.0, 0.0, 1.0])) <= 1e-15
+            assert np.max(np.abs(point_f - triple.f_vec)) <= 1e-14
+            assert float(point_f @ point_r) == pytest.approx(float(vf @ vr), abs=1e-14)
+            assert float(point_i @ point_r) == pytest.approx(float(vi @ vr), abs=1e-14)
+            assert float(point_i @ point_f) == pytest.approx(float(vi @ vf), abs=1e-14)
+            # a rotation, not a reflection, of the sphere
+            assert float(np.cross(point_r, point_f) @ point_i) == pytest.approx(
+                float(np.cross(vr, vf) @ vi), abs=1e-14)
+
+    def test_rejects_mixed_dimensions(self):
+        rng = np.random.default_rng(800)
+        with pytest.raises(ValueError, match="share a dimension"):
+            canonicalize_triple(random_state(rng, 3), random_state(rng, 4),
+                                random_state(rng, 3))
 
 
 class TestThreeBoxTransform:
@@ -200,3 +236,17 @@ class TestThreeBoxTransform:
         expected = np.array([SQ2, 0.0, 1.0]) / SQ3
         assert np.max(np.abs(rep.points[0] - expected)) <= 1e-9
         assert np.max(np.abs(rep.points[1] + expected)) <= 1e-9
+
+    def test_general_frame_agrees(self):
+        # Both frames put the preselected state on the north pole and the
+        # postselected state at (2 sqrt2, 0, -1)/3, so they map each to the
+        # same state up to a phase.
+        u1, u2 = three_box_transform()
+        psi_i = np.ones(3) / SQ3
+        psi_f = np.array([1.0, -1.0, 1.0]) / SQ3
+        triple = canonicalize_triple(np.array([0.0, 1.0, 0.0]), psi_i, psi_f)
+        expected = np.array([2 * SQ2, 0.0, -1.0]) / 3.0
+        assert np.max(np.abs(triple.f_vec - expected)) <= 1e-15
+        assert triple.eta == pytest.approx(math.acos(1.0 / 3.0), abs=1e-15)
+        assert phase_gap(triple.psi_r, u2 @ u1 @ psi_i) <= 1e-15
+        assert phase_gap(triple.psi_f, u2 @ u1 @ psi_f) <= 1e-15

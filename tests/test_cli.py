@@ -110,6 +110,23 @@ class TestQutritCommands:
         assert code == 0
         assert json.loads(out)["mismatch"] is False
 
+    def test_qutrit_modular_with_generic_theta(self, capsys, tmp_path):
+        # "theta" sets the evolution exp(-1j*theta*A) for both routes.
+        rng = np.random.default_rng(94)
+        states = {k: rng.normal(size=3) + 1j * rng.normal(size=3) for k in ("i", "f")}
+        scenario = write_scenario(tmp_path, {
+            **{k: amplitudes(v / np.linalg.norm(v)) for k, v in states.items()},
+            "spec": {"r8": list(rng.normal(size=8)), "alpha": 0.3, "beta": 0.2,
+                     "theta": 0.8},
+        })
+        code, out = run_cli(capsys, "qutrit-modular", "--scenario", scenario)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mismatch"] is False
+        gap = abs(complex(doc["results"]["geometric"]["re"], doc["results"]["geometric"]["im"])
+                  - complex(doc["results"]["direct"]["re"], doc["results"]["direct"]["im"]))
+        assert gap <= 1e-9
+
     def test_nlevel_direct_weak(self, capsys, tmp_path):
         psi_i = np.ones(3) / SQ3
         psi_f = np.array([1.0, -1.0, 1.0]) / SQ3
@@ -275,6 +292,12 @@ class TestCliContract:
          "scan_singularity_512.json"),
         (("scan-singularity", "--count", "1024", "--epsilon", "0.3", "--chi1", "1.0",
           "--chi2", "2.5", "--format", "csv"), "scan_singularity_1024_eps0.3.csv"),
+        (("canonicalize", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
+         "canonicalize_qutrit_triple.json"),
+        (("qutrit-weak", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
+         "qutrit_weak.json"),
+        (("qutrit-modular", "--scenario", str(DATA / "qutrit_modular.scenario.json")),
+         "qutrit_modular.json"),
     ])
     def test_golden_bytes(self, capsys, argv, golden):
         # Reference outputs of earlier implementations (tests/data/README.md

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import ang_dist, polar_close, random_hermitian, random_state
 from majgeom.bloch import solid_angle_triangle
@@ -11,7 +13,7 @@ import majgeom.majorana
 import majgeom.nlevel_values
 import majgeom.numerics
 from majgeom.errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
-from majgeom.majorana import majorana_points, nlevel_state, symmetrize
+from majgeom.majorana import MAX_LEVELS, majorana_points, nlevel_state, symmetrize
 from majgeom.nlevel_values import (
     GELL_MANN,
     GellMannDirection,
@@ -27,6 +29,7 @@ from majgeom.nlevel_values import (
     weak_value_direct,
 )
 from majgeom.numerics import eig_hermitian, unitary_exp
+from majgeom.qubit_values import observable_to_modular_spec
 
 SQ3 = math.sqrt(3.0)
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -136,6 +139,12 @@ class TestNonHermitianInput:
             modular_value_direct(psi_i, spec, psi_f)
         with pytest.raises(NotHermitian):
             qutrit_modular_value_geometric(psi_i, spec, psi_f)
+
+    def test_qubit_modular_spec(self):
+        observable = np.diag([1.0, -1.0]).astype(complex)
+        observable[0, 1] = 0.5
+        with pytest.raises(NotHermitian, match="Hermiticity defect 5.000e-01"):
+            observable_to_modular_spec(observable, 0.3)
 
 
 class TestModularValueDirect:
@@ -320,6 +329,106 @@ class TestQutritModularGeometric:
             expected = modular_value_direct(psi_i, spec, psi_f).rect
             value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
             assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None, suppress_health_check=[HealthCheck.too_slow])
+amplitude = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def triples(draw):
+    """Dimension, three states and a Hermitian observable, drawn entry by entry
+    so sparse and repeated amplitudes come up."""
+    n = draw(st.integers(2, MAX_LEVELS))
+    states = []
+    for _ in range(3):
+        v = np.array([complex(draw(amplitude), draw(amplitude)) for _ in range(n)])
+        norm = float(np.linalg.norm(v))
+        assume(norm >= 0.1)
+        states.append(v / norm)
+    m = np.array([[complex(draw(amplitude), draw(amplitude)) for _ in range(n)]
+                  for _ in range(n)])
+    return n, *states, 0.5 * (m + m.conj().T)
+
+
+def relative_gap(value, expected: complex) -> float:
+    return abs(value.rect - expected) / max(1.0, abs(expected))
+
+
+class TestGeometricEveryDimension:
+    """The canonical-frame routes against the direct oracle for N = 2..8."""
+
+    @PROPERTY_SETTINGS
+    @given(triples(), st.floats(-2 * math.pi, 2 * math.pi), st.floats(-math.pi, math.pi))
+    def test_matches_direct(self, case, alpha, beta):
+        n, psi_i, psi_r, psi_f, observable = case
+        # A factor vanishes when <r|i> or <f|r> does, and its angle with it;
+        # near-orthogonal selections make the value itself ill-conditioned.
+        assume(abs(np.vdot(psi_f, psi_i)) >= 1e-3)
+        assume(min(abs(np.vdot(psi_r, psi_i)), abs(np.vdot(psi_f, psi_r))) >= 1e-3)
+        projector = np.outer(psi_r, psi_r.conj())
+        expected = weak_value_direct(psi_i, projector, psi_f).rect
+        value, breakdown = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+        assert relative_gap(value, expected) <= 1e-9
+        assert len(breakdown.factors) == n - 1
+
+        spec = NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
+        expected = modular_value_direct(psi_i, spec, psi_f).rect
+        assume(abs(expected) >= 1e-6)
+        value, breakdown = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+        assert relative_gap(value, expected) <= 1e-9
+        assert len(breakdown.factors) == n - 1
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_small_selection_overlap(self, n):
+        rng = np.random.default_rng(900 + n)
+        for overlap in (1e-2, 1e-4, 1e-6):
+            psi_i, psi_r, psi_f = (nlevel_state(random_state(rng, n)) for _ in range(3))
+            # keep |<f|i>| = overlap: f's component along i, then the rest
+            perp = psi_f - np.vdot(psi_i, psi_f) * psi_i
+            psi_f = overlap * psi_i + math.sqrt(1 - overlap**2) * perp / np.linalg.norm(perp)
+            projector = np.outer(psi_r, psi_r.conj())
+            expected = weak_value_direct(psi_i, projector, psi_f).rect
+            value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+            assert abs(value.rect - expected) <= 1e-9 * abs(expected) / overlap
+            spec = NLevelModularSpec(observable=random_hermitian(rng, n), alpha=0.8, beta=0.1)
+            expected = modular_value_direct(psi_i, spec, psi_f).rect
+            value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+            assert abs(value.rect - expected) <= 1e-9 * abs(expected) / overlap
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_projector_on_final_state(self, n):
+        rng = np.random.default_rng(950 + n)
+        for _ in range(10):
+            psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+            value, _ = qutrit_projector_weak_value_geometric(psi_i, -1j * psi_f, psi_f)
+            assert abs(value.rect - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_projector_on_top_state(self, n):
+        rng = np.random.default_rng(970 + n)
+        psi_r = np.zeros(n, dtype=complex)
+        psi_r[n - 1] = 1.0
+        for _ in range(10):
+            psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+            expected = weak_value_direct(psi_i, np.outer(psi_r, psi_r), psi_f).rect
+            value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+            assert relative_gap(value, expected) <= 1e-12
+
+    def test_generic_theta_drives_both_routes(self):
+        # generic_theta replaces alpha*(N-1)/2 as the evolution strength in
+        # the direct and the geometric route alike.
+        rng = np.random.default_rng(990)
+        for n in (2, 3, 5):
+            psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+            spec = NLevelModularSpec(observable=random_hermitian(rng, n), alpha=0.3,
+                                     beta=0.2, generic_theta=0.8)
+            expected = modular_value_direct(psi_i, spec, psi_f).rect
+            value, breakdown = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+            assert relative_gap(value, expected) <= 1e-9
+            evals, _ = eig_hermitian(spec.observable)
+            assert breakdown.dynamical_phase == pytest.approx(0.2 - 0.8 * evals[-1], abs=1e-15)
 
 
 class TestFactoredGeneralN:
