@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from .errors import UndefinedSolidAngle
-from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances, canonical_gauge
+from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances, _checked_norm, _fix_gauge
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -62,12 +62,22 @@ def as_bloch_array(vecs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return v / _column(norms)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """:func:`as_bloch_array`'s renormalization without its checks.  It is
+    not bitwise idempotent, so a caller applies it wherever an ``as_bloch``
+    of an already-valid vector used to run."""
+    return v / _column(np.sqrt(_rowdot(v, v)))
+
+
 def as_bloch(vec, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Validate and renormalize a unit 3-vector."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
-    return as_bloch_array(v, tol=tol)
+    norm = math.sqrt(v.dot(v))
+    if abs(norm - 1.0) <= _NORM_SLACK:  # False for NaN
+        return v / norm
+    return as_bloch_array(v, tol=tol)  # raises its error for this vector
 
 
 def bloch_vector(x: float, y: float, z: float, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -79,12 +89,7 @@ def as_qubit(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = np.asarray(state, dtype=complex)
     if q.shape != (2,):
         raise ValueError("qubit state must have exactly two amplitudes")
-    if not np.all(np.isfinite(q.real) & np.isfinite(q.imag)):
-        raise ValueError("qubit amplitudes must be finite")
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > _NORM_SLACK:
-        raise ValueError(f"qubit norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
-    return canonical_gauge(q / norm, tol=tol)
+    return _fix_gauge(q / _checked_norm(q, "qubit", "amplitudes"), tol.zero)
 
 
 def qubit_state(a0, a1, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -96,7 +101,7 @@ def qubit_to_bloch(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     q = as_qubit(state, tol=tol)
     cross = q[0].conjugate() * q[1]
     v = np.array([2.0 * cross.real, 2.0 * cross.imag, abs(q[0]) ** 2 - abs(q[1]) ** 2])
-    return v / np.linalg.norm(v)
+    return v / math.sqrt(v.dot(v))
 
 
 def _amplitudes(x: float, y: float, z: float) -> tuple[float, float, float, float]:
@@ -194,14 +199,19 @@ def _triangle_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
     return angles, np.shape(x)
 
 
+def _checked_angles(angles: list[float | None]) -> list[float]:
+    """``angles`` unchanged, unless one is undefined (``None``): then raise."""
+    if None in angles:
+        raise UndefinedSolidAngle(
+            "triangle contains an antipodal pair; the enclosed area is ambiguous")
+    return angles
+
+
 def _solid_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
                   tol: Tolerances) -> np.ndarray:
     """Triangle solid angles of validated, broadcastable ``(..., 3)`` arrays."""
     angles, shape = _triangle_angles(vi, vr, vf, tol)
-    if None in angles:
-        raise UndefinedSolidAngle(
-            "triangle contains an antipodal pair; the enclosed area is ambiguous")
-    return np.array(angles).reshape(shape)
+    return np.array(_checked_angles(angles)).reshape(shape)
 
 
 def triangle_solid_angles(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -232,11 +242,14 @@ def solid_angle_triangle(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def rodrigues_rotate(i, r, alpha: float, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Rotate ``i`` about the axis ``r`` by ``alpha`` radians."""
-    vi = as_bloch(i, tol=tol)
-    vr = as_bloch(r, tol=tol)
+    return _rotate(as_bloch(i, tol=tol), as_bloch(r, tol=tol), alpha)
+
+
+def _rotate(vi: np.ndarray, vr: np.ndarray, alpha: float) -> np.ndarray:
+    """:func:`rodrigues_rotate` of validated unit vectors."""
     ca, sa = math.cos(alpha), math.sin(alpha)
     s = ca * vi + float(vr @ vi) * (1.0 - ca) * vr + sa * _cross(vr, vi)
-    return s / np.linalg.norm(s)
+    return s / math.sqrt(s.dot(s))
 
 
 def solid_angle_quadrangle(i, r, s, f, *, tol: Tolerances = DEFAULT_TOL) -> float:

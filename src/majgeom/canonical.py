@@ -12,13 +12,14 @@ state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .majorana import SymmetricRepresentation, majorana_points, nlevel_state
-from .numerics import DEFAULT_TOL, Tolerances
+from .majorana import SymmetricRepresentation, _majorana_points, _normalized, nlevel_state
+from .numerics import DEFAULT_TOL, Tolerances, _norm
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -58,12 +59,19 @@ def _reflection(x: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, compl
     In one dimension any reflection is -1; this phase makes -1 the right map.
     """
     phase = -_phase(np.vdot(direction, x))
-    v = x - (phase * np.linalg.norm(x)) * direction
+    v = x - (phase * _norm(x)) * direction
     scale = np.vdot(v, v).real
     eye = np.eye(x.size, dtype=complex)
     if scale == 0.0:
         return eye, phase
     return eye - (2.0 / scale) * np.outer(v, v.conj()), phase
+
+
+@functools.lru_cache(maxsize=None)
+def _coherent_weights(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sqrt(C(m, k))``, ``m - 1 - k`` and ``k`` for k = 0..m-1."""
+    k = np.arange(m)
+    return np.sqrt([float(math.comb(m, j)) for j in range(m)]), m - 1 - k, k
 
 
 def _coherent_direction(w: float, v: float, m: int) -> np.ndarray:
@@ -73,10 +81,9 @@ def _coherent_direction(w: float, v: float, m: int) -> np.ndarray:
     That state has amplitudes ``sqrt(C(m, k)) v^((m-k)/2) w^(k/2)``;
     ``sqrt(v)`` is divided out so the direction stays defined at ``v = 0``.
     """
-    k = np.arange(m)
-    amps = (np.sqrt([float(math.comb(m, j)) for j in range(m)])
-            * math.sqrt(v) ** (m - 1 - k) * math.sqrt(w) ** k)
-    return amps / np.linalg.norm(amps)
+    roots, v_powers, w_powers = _coherent_weights(m)
+    amps = roots * math.sqrt(v) ** v_powers * math.sqrt(w) ** w_powers
+    return amps / math.sqrt(amps.dot(amps))
 
 
 @dataclass(frozen=True)
@@ -109,14 +116,23 @@ def canonicalize_triple(psi_i, psi_r, psi_f,
     loses accuracy like eps^(1/(N-1)).  The initial state's points and
     normalization are returned.
     """
-    si, sr, sf = (nlevel_state(s, tol=tol) for s in (psi_i, psi_r, psi_f))
+    return _canonicalize(*(nlevel_state(s, tol=tol) for s in (psi_i, psi_r, psi_f)), tol)
+
+
+def _canonicalize(si: np.ndarray, sr: np.ndarray, sf: np.ndarray,
+                  tol: Tolerances) -> CanonicalTriple:
+    """:func:`canonicalize_triple` of states that :func:`nlevel_state` (or
+    ``majorana._normalized``) returned; only their shared dimension is
+    checked."""
     if not si.size == sr.size == sf.size:
         raise ValueError("the three states must share a dimension")
     m = sr.size - 1
-    u, _ = _reflection(sr, np.eye(m + 1)[m])
+    top = np.zeros(m + 1)
+    top[m] = 1.0
+    u, _ = _reflection(sr, top)
     f_first = u @ sf
     overlap = min(1.0, abs(f_first[m]))
-    rest = np.linalg.norm(f_first[:m])
+    rest = _norm(f_first[:m])
     w = overlap ** (2.0 / m)
     # 1 - w from the rest's norm where the subtraction would cancel: near the
     # north pole the point moves like the square root of any error in w.
@@ -129,7 +145,7 @@ def canonicalize_triple(psi_i, psi_r, psi_f,
         u_total=u,
         r_vec=np.array([0.0, 0.0, 1.0]),
         f_vec=np.array([2.0 * math.sqrt(w * v), 0.0, w - v]),
-        i_rep=majorana_points(psi_i_c, tol=tol),
+        i_rep=_majorana_points(_normalized(psi_i_c, tol), tol),
         psi_i=psi_i_c,
         psi_r=u @ sr,
         psi_f=u @ sf,

@@ -17,12 +17,14 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import bloch_to_qubits
+from .bloch import _unit, bloch_to_qubits
 from .numerics import (
-    _NORM_SLACK,
     DEFAULT_TOL,
     ProjectiveRoot,
     Tolerances,
+    _checked_norm,
+    _fix_gauge,
+    _norm,
     canonical_gauge,
     solve_polynomial,
 )
@@ -36,12 +38,14 @@ def nlevel_state(coeffs, *, tol: Tolerances = DEFAULT_TOL,
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or not 2 <= c.size <= max_levels:
         raise ValueError(f"state dimension must lie in [2, {max_levels}]")
-    if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
-        raise ValueError("state coefficients must be finite")
-    norm = float(np.linalg.norm(c))
-    if abs(norm - 1.0) > _NORM_SLACK:
-        raise ValueError(f"state norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
-    return canonical_gauge(c / norm, tol=tol)
+    return _fix_gauge(c / _checked_norm(c, "state", "coefficients"), tol.zero)
+
+
+def _normalized(c: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """:func:`nlevel_state`'s renormalization and gauge of a 1-d complex array,
+    without its checks.  Neither is bitwise idempotent, so a caller applies
+    this wherever an ``nlevel_state`` of an already-valid state used to run."""
+    return _fix_gauge(c / _norm(c), tol.zero)
 
 
 @dataclass(frozen=True)
@@ -76,15 +80,20 @@ def representation_coefficients(state, *, tol: Tolerances = DEFAULT_TOL) -> np.n
 
 def root_to_point(root: ProjectiveRoot) -> np.ndarray:
     """Bloch point of a projective root; infinity maps to the south pole."""
-    if root.is_infinite:
-        return np.array([0.0, 0.0, -1.0])
-    z = root.value
-    w = abs(z) ** 2
-    if not math.isfinite(w) or w > 1e300:
-        return np.array([0.0, 0.0, -1.0])
-    denom = 1.0 + w
-    p = np.array([2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - w) / denom])
-    return p / np.linalg.norm(p)
+    return _root_points([root])[0]
+
+
+def _root_points(roots: list[ProjectiveRoot]) -> np.ndarray:
+    """:func:`root_to_point` of each root, as the rows of one array."""
+    rows = []
+    for root in roots:
+        w = math.inf if root.is_infinite else abs(root.value) ** 2
+        if not math.isfinite(w) or w > 1e300:
+            rows.append((0.0, 0.0, -1.0))
+            continue
+        z, denom = root.value, 1.0 + w
+        rows.append((2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - w) / denom))
+    return _unit(np.array(rows))
 
 
 def _symmetrized(pts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
@@ -118,9 +127,14 @@ def normalization_factor(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricRepresentation:
     """Stellar representation of a state: N-1 Bloch points and K."""
-    coeffs = representation_coefficients(state, tol=tol)
-    roots = solve_polynomial(coeffs, tol=tol)
-    pts = sort_points(np.array([root_to_point(r) for r in roots]))
+    return _majorana_points(nlevel_state(state, tol=tol), tol)
+
+
+def _majorana_points(c: np.ndarray, tol: Tolerances) -> SymmetricRepresentation:
+    """:func:`majorana_points` of a state that :func:`nlevel_state` (or
+    :func:`_normalized`) returned; nothing is checked or renormalized."""
+    roots = solve_polynomial(_binomial_weights(c.size - 1) * c, tol=tol)
+    pts = sort_points(_root_points(roots))
     return SymmetricRepresentation(pts, normalization_factor(pts, tol=tol))
 
 

@@ -16,14 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _solid_angles, as_bloch, as_bloch_array, modular_moduli, weak_moduli
-from .canonical import canonicalize_triple
+from .bloch import (
+    _checked_angles,
+    _solid_angles,
+    _triangle_angles,
+    _unit,
+    as_bloch,
+    as_bloch_array,
+    modular_moduli,
+    weak_moduli,
+)
+from .canonical import _canonicalize
 from .errors import IncompleteContext, OrthogonalSelection, ZeroDenominator
-from .majorana import majorana_points, nlevel_state, normalization_factor
+from .majorana import _majorana_points, _normalized, nlevel_state, normalization_factor
 from .numerics import (
+    _CONTEXT_SLACK,
+    _GELL_MANN_SLACK,
     DEFAULT_TOL,
     Tolerances,
     _check_hermitian,
+    _norm,
     _spectral_exp,
     eig_hermitian,
     hermiticity_defect,
@@ -78,18 +90,14 @@ class GellMannDirection:
         if op.shape != (3, 3):
             raise ValueError("operator must be 3x3")
         _check_hermitian(op, tol)
-        if abs(np.trace(op)) > 1e-9:
+        if abs(np.trace(op)) > _GELL_MANN_SLACK:
             raise ValueError("operator must be traceless")
         r = np.array([0.5 * np.trace(op @ g).real for g in GELL_MANN])
         norm = float(np.linalg.norm(r))
         second = float(np.trace(op @ op).real)
-        if abs(second - 2.0) > 1e-9 or abs(norm - 1.0) > 1e-9:
+        if abs(second - 2.0) > _GELL_MANN_SLACK or abs(norm - 1.0) > _GELL_MANN_SLACK:
             raise ValueError("operator must satisfy tr(L^2) = 2 (unit direction)")
         return cls(r, op)
-
-    def is_spin_like(self) -> bool:
-        """True when det = 0, i.e. the spectrum is {-1, 0, +1}."""
-        return abs(complex(np.linalg.det(self.operator))) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -216,25 +224,33 @@ def factored_weak_value(i_points, r_point, f_point,
     and solid angle of the (i_k, r, f) triangle, each evaluated for all points
     in one batch.  The normalization constants of the symmetrized states
     cancel for projector weak values.
+
+    A factor whose modulus is exactly 0 (``r`` antipodal to ``i_k`` or to
+    ``f``: ``<r|i> = 0`` or ``<f|r> = 0``) gets solid angle 0.0, and the value
+    is then ``PolarComplex(0.0, 0.0)``.  Any other undefined triangle raises
+    :class:`UndefinedSolidAngle`.
     """
-    vi = _point_set(i_points, tol)
-    vr = as_bloch(r_point, tol=tol)
-    vf = as_bloch(f_point, tol=tol)
+    return _factored_weak_value(_point_set(i_points, tol), as_bloch(r_point, tol=tol),
+                                as_bloch(f_point, tol=tol), tol)
+
+
+def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray, tol: Tolerances):
+    """:func:`factored_weak_value` of validated unit vectors."""
     moduli = _checked_moduli(weak_moduli(vi, vr, vf, tol=tol))
-    omegas = _solid_angles(vi, vr, vf, tol).tolist()
+    angles, _ = _triangle_angles(vi, vr, vf, tol)
+    omegas = _checked_angles([0.0 if modulus == 0.0 else angle
+                              for modulus, angle in zip(moduli, angles)])
     breakdown = GeometricBreakdown(tuple(
         GeometricFactor(modulus, omega, p) for modulus, omega, p in zip(moduli, omegas, vi)))
+    if 0.0 in moduli:
+        return PolarComplex(0.0, 0.0, unwrapped_argument=0.0), breakdown
     return breakdown.to_polar(), breakdown
 
 
-def _factored_modular_value(i_points, s_points, r_point, f_point, k_ratio: float,
-                            *, dynamical: float, tol: Tolerances):
-    """:func:`factored_modular_value` for paired point sets with a known K_s / K_i
-    and dynamical phase."""
-    vi = _point_set(i_points, tol)
-    vs = _point_set(s_points, tol)
-    vr = as_bloch(r_point, tol=tol)
-    vf = as_bloch(f_point, tol=tol)
+def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
+                            k_ratio: float, *, dynamical: float, tol: Tolerances):
+    """:func:`factored_modular_value` of validated unit vectors, paired point
+    sets, a known K_s / K_i and the dynamical phase."""
     moduli = _checked_moduli(modular_moduli(vi, vs, vf, tol=tol))
     omegas = (_solid_angles(vi, vr, vs, tol) + _solid_angles(vi, vs, vf, tol)).tolist()
     breakdown = GeometricBreakdown(
@@ -260,16 +276,22 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     k_ratio = (normalization_factor(s_pts, tol=tol)
                / normalization_factor(i_pts, tol=tol))
     dynamical = beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue
-    return _factored_modular_value(i_pts, s_pts, r_point, f_point, k_ratio,
-                                   dynamical=dynamical, tol=tol)
+    return _factored_modular_value(
+        _point_set(i_pts, tol), _point_set(s_pts, tol), as_bloch(r_point, tol=tol),
+        as_bloch(f_point, tol=tol), k_ratio, dynamical=dynamical, tol=tol)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f,
                                           *, tol: Tolerances = DEFAULT_TOL):
-    """Geometric weak value of the projector onto the N-level state ``psi_r``."""
-    _validated_pair(psi_i, psi_f, tol)
-    triple = canonicalize_triple(psi_i, psi_r, psi_f, tol=tol)
-    return factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec, tol=tol)
+    """Geometric weak value of the projector onto the N-level state ``psi_r``.
+
+    Each input is validated once; the value is 0 when ``<r|i> = 0`` or
+    ``<f|r> = 0``, as :func:`factored_weak_value` describes.
+    """
+    si, sf, _ = _validated_pair(psi_i, psi_f, tol)
+    triple = _canonicalize(si, nlevel_state(psi_r, tol=tol), sf, tol)
+    return _factored_weak_value(_unit(triple.i_rep.points), _unit(triple.r_vec),
+                                _unit(triple.f_vec), tol)
 
 
 def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
@@ -282,6 +304,8 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     the one eigendecomposition of the observable gives both the anchor and
     the evolution.  The dynamical phase is ``beta - s*eigenvalue`` for the
     evolution ``exp(-1j*s*A)`` that :func:`modular_value_direct` applies.
+    The selections are validated once; every renormalization of the
+    validated states is kept, so the bits do not depend on where checks run.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f, tol)
     evals, evecs = eig_hermitian(_observable(spec, si.size), tol=tol)
@@ -292,15 +316,15 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     eigenvalue = float(evals[index])
     strength = _evolution_strength(spec, si.size)
 
-    triple = canonicalize_triple(si, psi_r, sf, tol=tol)
+    triple = _canonicalize(_normalized(si, tol), _normalized(psi_r, tol),
+                           _normalized(sf, tol), tol)
     evolution = _spectral_exp(evals, evecs, 0.0, strength)
     psi_s = triple.u_total @ (evolution @ si)
-    psi_s = psi_s / np.linalg.norm(psi_s)
-    s_rep = majorana_points(psi_s, tol=tol)
+    s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s), tol), tol)
     i_pts = triple.i_rep.points
     return _factored_modular_value(
-        i_pts, pair_points(i_pts, s_rep.points), triple.r_vec, triple.f_vec,
-        s_rep.normalization / triple.i_rep.normalization,
+        _unit(i_pts), _unit(pair_points(i_pts, s_rep.points)), _unit(triple.r_vec),
+        _unit(triple.f_vec), s_rep.normalization / triple.i_rep.normalization,
         dynamical=spec.beta - strength * eigenvalue, tol=tol)
 
 
@@ -313,13 +337,13 @@ def _check_context(projectors, dim: int, tol: Tolerances) -> list[np.ndarray]:
             raise IncompleteContext("projector dimension does not match the states")
         if hermiticity_defect(p) > tol.unitarity:
             raise IncompleteContext("context contains a non-Hermitian element")
-        if float(np.max(np.abs(p @ p - p))) > 1e-8:
+        if float(np.max(np.abs(p @ p - p))) > _CONTEXT_SLACK:
             raise IncompleteContext("context contains a non-idempotent element")
     for a, b in itertools.combinations(mats, 2):
-        if float(np.max(np.abs(a @ b))) > 1e-8:
+        if float(np.max(np.abs(a @ b))) > _CONTEXT_SLACK:
             raise IncompleteContext("context projectors are not mutually orthogonal")
     total = sum(mats)
-    if float(np.max(np.abs(total - np.eye(dim)))) > 1e-8:
+    if float(np.max(np.abs(total - np.eye(dim)))) > _CONTEXT_SLACK:
         raise IncompleteContext("context projectors do not sum to the identity")
     return mats
 

@@ -38,6 +38,14 @@ DEFAULT_TOL = Tolerances()
 # states) before it is renormalized.
 _NORM_SLACK = 1e-8
 
+# Slack on the trace, the second moment and the norm of an operator read as a
+# unit Gell-Mann direction.
+_GELL_MANN_SLACK = 1e-9
+
+# Slack on idempotence, mutual orthogonality and completeness of the
+# projectors of a measurement context.
+_CONTEXT_SLACK = 1e-8
+
 
 def principal_angle(angle: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
@@ -47,14 +55,47 @@ def principal_angle(angle: float) -> float:
     return wrapped
 
 
+def _fix_gauge(vec: np.ndarray, zero: float) -> np.ndarray:
+    """Multiply the 1-d complex ``vec`` in place by the global phase that makes
+    its first entry of modulus above ``zero`` real >= 0, and return it.
+
+    The entry is found over Python complexes, whose ``abs`` is the ``hypot``
+    numpy scalars use.  The phase ``conj(lead) / |lead|`` is numpy's complex
+    division written out (a reciprocal, then products); Python's own complex
+    division rounds differently.
+    """
+    for entry in vec.tolist():
+        modulus = abs(entry)
+        if modulus > zero:
+            scale = 1.0 / modulus
+            re, im = entry.real, -entry.imag
+            vec *= complex((re + im * 0.0) * scale, (im - re * 0.0) * scale)
+            break
+    return vec
+
+
 def canonical_gauge(vec: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Multiply by a global phase so the first non-vanishing entry is real >= 0."""
-    out = np.asarray(vec, dtype=complex).copy()
-    for entry in out:
-        if abs(entry) > tol.zero:
-            out *= entry.conjugate() / abs(entry)
-            break
-    return out
+    return _fix_gauge(np.asarray(vec, dtype=complex).copy(), tol.zero)
+
+
+def _norm(vec: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-d complex array by its own arithmetic, as a
+    Python float; not finite when an entry is not, or when the sum overflows."""
+    x = vec.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _checked_norm(vec: np.ndarray, what: str, entries: str) -> float:
+    """:func:`_norm` of a 1-d complex array that must be finite and of unit
+    norm within ``_NORM_SLACK``; ``what`` and ``entries`` name it in errors."""
+    norm = _norm(vec)
+    if not math.isfinite(norm) and not np.all(np.isfinite(vec.real) & np.isfinite(vec.imag)):
+        raise ValueError(f"{what} {entries} must be finite")
+    if abs(norm - 1.0) > _NORM_SLACK:
+        raise ValueError(f"{what} norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -131,14 +172,6 @@ def solve_polynomial(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> list[Projectiv
     return roots
 
 
-def evaluate_polynomial(coeffs, z: complex) -> complex:
-    """Horner evaluation with lowest-degree-first coefficients."""
-    acc = 0.0 + 0.0j
-    for coefficient in reversed(np.asarray(coeffs, dtype=complex)):
-        acc = acc * z + coefficient
-    return complex(acc)
-
-
 def _as_square(matrix) -> np.ndarray:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -170,11 +203,7 @@ def eig_hermitian(matrix, *, tol: Tolerances = DEFAULT_TOL):
     evals, evecs = np.linalg.eigh(sym)
     evecs = evecs.copy()
     for k in range(evecs.shape[1]):
-        col = evecs[:, k]
-        for entry in col:
-            if abs(entry) > tol.zero:
-                col *= entry.conjugate() / abs(entry)
-                break
+        _fix_gauge(evecs[:, k], tol.zero)
     return evals.astype(float), evecs
 
 
@@ -217,8 +246,3 @@ def cayley_hamilton_exp_spin1(matrix, alpha: float,
         raise PreconditionViolated(f"determinant condition failed: |det| = {abs(det):.3e}")
     eye = np.eye(3, dtype=complex)
     return eye - 1j * math.sin(alpha) * m + (math.cos(alpha) - 1.0) * (m @ m)
-
-
-def unitarity_defect(matrix) -> float:
-    m = _as_square(matrix)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    _rotate,
+    _solid_angles,
+    _unit,
     as_bloch,
     as_qubit,
     modular_moduli,
-    rodrigues_rotate,
-    solid_angle_quadrangle,
-    solid_angle_triangle,
     weak_moduli,
 )
 from .errors import OrthogonalSelection
@@ -81,13 +81,23 @@ def projector_weak_value_geometric(i, r, f, *, tol: Tolerances = DEFAULT_TOL):
     """Projector weak value from Bloch vectors.
 
     Modulus ``sqrt((1+f.r)(1+r.i) / (2(1+f.i)))``; argument is minus half the
-    oriented solid angle of the (i, r, f) geodesic triangle.
+    oriented solid angle of the (i, r, f) geodesic triangle.  When the modulus
+    is exactly 0 (``r`` antipodal to ``i`` or ``f``), the solid angle is 0.0
+    and the value ``PolarComplex(0.0, 0.0)``; the triangle is undefined there.
     """
     vi, vr, vf = as_bloch(i, tol=tol), as_bloch(r, tol=tol), as_bloch(f, tol=tol)
     modulus = _checked_modulus(weak_moduli(vi, vr, vf, tol=tol))
-    omega = solid_angle_triangle(vi, vr, vf, tol=tol)
+    if modulus == 0.0:
+        breakdown = GeometricBreakdown((GeometricFactor(modulus, 0.0, vi),))
+        return PolarComplex(0.0, 0.0, unwrapped_argument=0.0), breakdown
+    omega = _triangle(_unit(vi), _unit(vr), _unit(vf), tol)
     breakdown = GeometricBreakdown((GeometricFactor(modulus, omega, vi),))
     return breakdown.to_polar(), breakdown
+
+
+def _triangle(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray, tol: Tolerances) -> float:
+    """:func:`bloch.solid_angle_triangle` of validated unit vectors."""
+    return float(_solid_angles(vi, vr, vf, tol))
 
 
 def modular_value_direct(i, spec: QubitModularSpec, f,
@@ -111,10 +121,12 @@ def modular_value_geometric(i, spec: QubitModularSpec, f,
     half the (i, r, s, f) quadrangle solid angle.
     """
     vi, vf = as_bloch(i, tol=tol), as_bloch(f, tol=tol)
-    vr = spec.axis
-    vs = rodrigues_rotate(vi, vr, spec.alpha, tol=tol)
+    ui, ur = _unit(vi), _unit(spec.axis)
+    vs = _rotate(ui, ur, spec.alpha)
     modulus = _checked_modulus(modular_moduli(vi, vs, vf, tol=tol))
-    omega = solid_angle_quadrangle(vi, vr, vs, vf, tol=tol)
+    us = _unit(vs)
+    # solid_angle_quadrangle(vi, axis, vs, vf): two triangles sharing i -> s.
+    omega = _triangle(ui, ur, us, tol) + _triangle(ui, us, _unit(vf), tol)
     dynamical = 0.5 * (spec.beta - spec.alpha)
     breakdown = GeometricBreakdown(
         (GeometricFactor(modulus, omega, vi, vs),), dynamical_phase=dynamical)

@@ -79,3 +79,45 @@ def polar_close(polar, z: complex, tol: float = 1e-10) -> bool:
     if abs(z) > 1e-12 and ang_dist(polar.argument, cmath.phase(z)) > tol:
         return False
     return True
+
+
+def evaluate_polynomial(coeffs, z: complex) -> complex:
+    """Horner evaluation with lowest-degree-first coefficients."""
+    acc = 0.0 + 0.0j
+    for coefficient in reversed(np.asarray(coeffs, dtype=complex)):
+        acc = acc * z + coefficient
+    return complex(acc)
+
+
+def unitarity_defect(matrix) -> float:
+    m = np.asarray(matrix, dtype=complex)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def is_spin_like(operator) -> bool:
+    """True when det = 0, i.e. a unit Gell-Mann direction has spectrum {-1, 0, +1}."""
+    return abs(complex(np.linalg.det(operator))) <= 1e-9
+
+
+def reference_canonical_gauge(vec, zero: float = 1e-12) -> np.ndarray:
+    """The per-entry numpy-scalar loop that ``numerics.canonical_gauge`` ran
+    before its leading entry was found over Python complexes."""
+    out = np.asarray(vec, dtype=complex).copy()
+    for entry in out:
+        if abs(entry) > zero:
+            out *= entry.conjugate() / abs(entry)
+            break
+    return out
+
+
+def reference_column_gauge(evecs, zero: float = 1e-12) -> np.ndarray:
+    """The column-gauge loop of ``numerics.eig_hermitian`` before the same
+    rewrite, applied to a copy of ``evecs``."""
+    evecs = np.array(evecs, dtype=complex)
+    for k in range(evecs.shape[1]):
+        col = evecs[:, k]
+        for entry in col:
+            if abs(entry) > zero:
+                col *= entry.conjugate() / abs(entry)
+                break
+    return evecs

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import random_state, unitarity_defect
 from majgeom.canonical import canonicalize_triple, three_box_transform
 from majgeom.majorana import (
     MAX_LEVELS,
@@ -12,7 +12,6 @@ from majgeom.majorana import (
     nlevel_state,
     symmetrize,
 )
-from majgeom.numerics import unitarity_defect
 
 SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)

@@ -70,6 +70,21 @@ class TestQubitCommands:
         assert doc["error"]["kind"] == "physical-singularity"
         assert doc["error"]["type"] == "OrthogonalSelection"
 
+    def test_zero_weak_value_exit_zero(self, capsys, tmp_path):
+        # <r|i> = 0: both routes give 0; the geometric one used to exit 3.
+        scenario = write_scenario(tmp_path, {
+            "i": {"bloch": [0, 0, -1]},
+            "r": {"bloch": [0, 0, 1]},
+            "f": {"bloch": [1, 0, 0]},
+        })
+        code, out = run_cli(capsys, "qubit-weak", "--scenario", scenario)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["geometric"]["modulus"] == 0.0
+        assert doc["results"]["direct"]["modulus"] == 0.0
+        assert doc["results"]["breakdown"]["factors"][0]["solid_angle"] == 0.0
+        assert doc["mismatch"] is False
+
     def test_qubit_modular(self, capsys, tmp_path):
         scenario = write_scenario(tmp_path, {
             "i": {"bloch": [0, 0, 1]},
@@ -95,6 +110,21 @@ class TestQutritCommands:
         doc = json.loads(out)
         assert doc["mismatch"] is False
         assert len(doc["results"]["breakdown"]["factors"]) == 2
+
+    def test_zero_weak_value_exit_zero(self, capsys, tmp_path):
+        # <r|i> = 0 with i = |0>, r = |2>: both routes give 0, exit 0.
+        scenario = write_scenario(tmp_path, {
+            "i": amplitudes([1, 0, 0]),
+            "r": amplitudes([0, 0, 1]),
+            "f": amplitudes(np.ones(3) / SQ3),
+        })
+        code, out = run_cli(capsys, "qutrit-weak", "--scenario", scenario)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["results"]["geometric"]["modulus"] == 0.0
+        assert doc["results"]["geometric"]["argument"] == 0.0
+        assert doc["results"]["direct"]["modulus"] == 0.0
+        assert doc["mismatch"] is False
 
     def test_qutrit_modular_with_r8(self, capsys, tmp_path):
         rng = np.random.default_rng(92)

@@ -7,12 +7,26 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import ang_dist, polar_close, random_hermitian, random_state
+from helpers import (
+    ang_dist,
+    is_spin_like,
+    polar_close,
+    random_hermitian,
+    random_spin1_operator,
+    random_state,
+)
 from majgeom.bloch import solid_angle_triangle
+import majgeom.canonical
 import majgeom.majorana
 import majgeom.nlevel_values
 import majgeom.numerics
-from majgeom.errors import IncompleteContext, NotHermitian, OrthogonalSelection, ZeroDenominator
+from majgeom.errors import (
+    IncompleteContext,
+    NotHermitian,
+    OrthogonalSelection,
+    UndefinedSolidAngle,
+    ZeroDenominator,
+)
 from majgeom.majorana import MAX_LEVELS, majorana_points, nlevel_state, symmetrize
 from majgeom.nlevel_values import (
     GELL_MANN,
@@ -75,9 +89,8 @@ class TestGellMann:
 
     def test_spin_like_detection(self):
         rng = np.random.default_rng(71)
-        from helpers import random_spin1_operator
         direction = GellMannDirection.from_operator(random_spin1_operator(rng))
-        assert direction.is_spin_like()
+        assert is_spin_like(direction.operator)
 
 
 class TestWeakValueDirect:
@@ -231,6 +244,78 @@ class TestQutritProjectorGeometric:
         assert abs(br.modulus - value.modulus) <= 1e-12
         assert ang_dist(br.raw_argument, value.argument) <= 1e-12
         assert br.k_ratio == 1.0 and br.dynamical_phase == 0.0
+
+    def test_zero_value_when_r_orthogonal_to_i(self):
+        # <r|i> = 0 puts an initial point at the south pole, antipodal to r:
+        # that factor's triangle has no area, but its modulus and the value are 0.
+        psi_i, psi_r = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+        psi_f = np.ones(3) / SQ3
+        direct = weak_value_direct(psi_i, np.outer(psi_r, psi_r), psi_f)
+        assert (direct.modulus, direct.argument) == (0.0, 0.0)
+        value, breakdown = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+        assert (value.modulus, value.argument) == (0.0, 0.0)
+        zero = [f for f in breakdown.factors if f.modulus_ratio == 0.0]
+        assert zero and all(f.solid_angle == 0.0 for f in zero)
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_zero_value_when_f_orthogonal_to_r(self, n):
+        # <f|r> = 0 puts f_vec at the south pole: every factor vanishes.
+        rng = np.random.default_rng(60 + n)
+        psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+        psi_f[0] = 0.0
+        psi_f = psi_f / np.linalg.norm(psi_f)
+        psi_r = np.eye(n)[0]
+        direct = weak_value_direct(psi_i, np.outer(psi_r, psi_r), psi_f)
+        assert direct.modulus == 0.0  # its argument is that of a signed zero
+        value, breakdown = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+        assert (value.modulus, value.argument) == (0.0, 0.0)
+        assert [(f.modulus_ratio, f.solid_angle) for f in breakdown.factors] == [(0.0, 0.0)] * (n - 1)
+
+    def test_other_undefined_triangle_raises(self):
+        # i a hair from -r and f = r: the modulus is 1, not 0, yet the triangle
+        # is degenerate within tol.zero, so the route still refuses it.
+        delta = 1e-7
+        i_point = np.array([math.sin(delta), 0.0, -math.cos(delta)])
+        value, _ = factored_weak_value([[0.0, 0.0, 1.0]], NORTH, NORTH)
+        assert value.modulus == 1.0
+        with pytest.raises(UndefinedSolidAngle):
+            factored_weak_value([i_point], NORTH, NORTH)
+
+
+class TestValidatedOnce:
+    """Each caller input passes ``nlevel_state`` once per geometric value."""
+
+    @pytest.fixture
+    def state_calls(self, monkeypatch):
+        calls = []
+        original = majgeom.majorana.nlevel_state
+
+        def counting(coeffs, **kwargs):
+            calls.append(len(coeffs))
+            return original(coeffs, **kwargs)
+
+        for module in (majgeom.majorana, majgeom.canonical, majgeom.nlevel_values):
+            monkeypatch.setattr(module, "nlevel_state", counting)
+        return calls
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 8))
+    def test_weak_value(self, state_calls, n):
+        rng = np.random.default_rng(87 + n)
+        psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
+        value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+        assert state_calls == [n, n, n]
+        expected = weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f).rect
+        assert relative_gap(value, expected) <= 1e-9
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 8))
+    def test_modular_value(self, state_calls, n):
+        rng = np.random.default_rng(97 + n)
+        psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+        spec = NLevelModularSpec(observable=random_hermitian(rng, n), alpha=0.9, beta=0.3)
+        value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+        assert state_calls == [n, n]
+        expected = modular_value_direct(psi_i, spec, psi_f).rect
+        assert relative_gap(value, expected) <= 1e-9
 
 
 class TestQutritModularGeometric:

@@ -2,18 +2,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_hermitian, random_spin1_operator, random_state
+from helpers import (
+    evaluate_polynomial,
+    random_hermitian,
+    random_spin1_operator,
+    random_state,
+    reference_canonical_gauge,
+    reference_column_gauge,
+    unitarity_defect,
+)
 from majgeom.errors import AllCoefficientsZero, NotHermitian, PreconditionViolated
 from majgeom.numerics import (
     Tolerances,
     canonical_gauge,
     cayley_hamilton_exp_spin1,
     eig_hermitian,
-    evaluate_polynomial,
     principal_angle,
     solve_polynomial,
-    unitarity_defect,
     unitary_exp,
 )
 
@@ -192,3 +200,50 @@ def test_tolerances_defaults():
     assert tol.comparison == 1e-9
     assert tol.unitarity == 1e-10
     assert tol.zero == 1e-12
+
+
+ZERO = Tolerances().zero
+# Real and imaginary parts that put a modulus below, at and just above tol.zero.
+GAUGE_EDGES = (0.0, -0.0, 0.5 * ZERO, ZERO, -ZERO, float(np.nextafter(ZERO, 1.0)),
+               0.7 * ZERO, 2.0 * ZERO)
+gauge_part = st.one_of(st.sampled_from(GAUGE_EDGES),
+                       st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False))
+gauge_entry = st.builds(complex, gauge_part, gauge_part)
+
+
+@st.composite
+def gauge_vectors(draw, size=None):
+    """Edge-sized and ordinary entries, then (maybe) an all-zero tail."""
+    n = draw(st.integers(1, 8)) if size is None else size
+    entries = draw(st.lists(gauge_entry, min_size=n, max_size=n))
+    tail = draw(st.integers(0, n))
+    return np.array(entries[:tail] + [0j] * (n - tail), dtype=complex)
+
+
+class TestGaugeMatchesReference:
+    """The gauge loops find the leading entry over Python complexes and write
+    the phase out; the per-entry numpy-scalar loops they replaced are the
+    reference, bit for bit."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(gauge_vectors(), st.sampled_from((ZERO, 0.5 * ZERO, 2.0 * ZERO, 0.0)))
+    def test_canonical_gauge(self, vec, zero):
+        tol = Tolerances(zero=zero)
+        assert canonical_gauge(vec, tol=tol).tobytes() == reference_canonical_gauge(vec, zero).tobytes()
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, 5).flatmap(
+        lambda n: st.lists(gauge_vectors(n), min_size=n, max_size=n)))
+    def test_eig_hermitian_columns(self, rows):
+        m = np.array(rows)
+        m = m + m.conj().T
+        _, evecs = eig_hermitian(m)
+        _, raw = np.linalg.eigh(0.5 * (m + m.conj().T))
+        assert evecs.tobytes() == reference_column_gauge(raw, ZERO).tobytes()
+
+    def test_random_states(self):
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            n = int(rng.integers(1, 9))
+            v = random_state(rng, n) * 10.0 ** rng.uniform(-14, 2)
+            assert canonical_gauge(v).tobytes() == reference_canonical_gauge(v).tobytes()

@@ -12,8 +12,10 @@ from helpers import (
     random_bloch,
     random_qubit,
 )
+import majgeom.bloch
+import majgeom.qubit_values
 from majgeom.bloch import bloch_to_qubit, qubit_to_bloch
-from majgeom.errors import OrthogonalSelection
+from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
 from majgeom.qubit_values import (
     QubitModularSpec,
     modular_value_direct,
@@ -80,6 +82,25 @@ class TestProjectorWeakValueGeometric:
     def test_antipodal_selection_raises(self):
         with pytest.raises(OrthogonalSelection):
             projector_weak_value_geometric(EZ, EX, -EZ)
+
+    @pytest.mark.parametrize("i, r, f", [(-EZ, EZ, EX), (EX, EZ, -EZ)],
+                             ids=["r-antipodal-to-i", "r-antipodal-to-f"])
+    def test_zero_value(self, i, r, f):
+        # <r|i> = 0 or <f|r> = 0: the triangle has no area, the value is 0.
+        direct = projector_weak_value_direct(bloch_to_qubit(i), bloch_to_qubit(r),
+                                             bloch_to_qubit(f))
+        assert direct.modulus == 0.0
+        value, breakdown = projector_weak_value_geometric(i, r, f)
+        assert (value.modulus, value.argument) == (0.0, 0.0)
+        (factor,) = breakdown.factors
+        assert (factor.modulus_ratio, factor.solid_angle) == (0.0, 0.0)
+
+    def test_other_undefined_triangle_raises(self):
+        # i a hair from -r and f = r: modulus 1, degenerate triangle.
+        delta = 1e-7
+        i = np.array([math.sin(delta), 0.0, -math.cos(delta)])
+        with pytest.raises(UndefinedSolidAngle):
+            projector_weak_value_geometric(i, EZ, EZ)
 
     def test_complementary_projectors(self):
         rng = np.random.default_rng(4)
@@ -235,3 +256,38 @@ def test_geometric_accepts_states_via_vectors():
     assert abs(direct.rect - value.rect) <= 1e-10
     back = bloch_to_qubit(qubit_to_bloch(qi))
     assert abs(np.vdot(back, qi)) >= 1.0 - 1e-10
+
+
+class TestValidatedOnce:
+    """The geometric routes pass each caller vector through ``as_bloch`` once."""
+
+    @pytest.fixture
+    def bloch_calls(self, monkeypatch):
+        calls = []
+        original = majgeom.bloch.as_bloch
+
+        def counting(vec, **kwargs):
+            calls.append(tuple(vec))
+            return original(vec, **kwargs)
+
+        for module in (majgeom.bloch, majgeom.qubit_values):
+            monkeypatch.setattr(module, "as_bloch", counting)
+        return calls
+
+    def test_weak_value(self, bloch_calls):
+        rng = np.random.default_rng(30)
+        i, r, f = (random_bloch(rng) for _ in range(3))
+        value, _ = projector_weak_value_geometric(i, r, f)
+        assert bloch_calls == [tuple(i), tuple(r), tuple(f)]
+        expected = qubit_weak_value_rect(bloch_to_qubit(i), bloch_to_qubit(r), bloch_to_qubit(f))
+        assert polar_close(value, expected)
+
+    def test_modular_value(self, bloch_calls):
+        rng = np.random.default_rng(31)
+        i, axis, f = (random_bloch(rng) for _ in range(3))
+        spec = QubitModularSpec(axis=axis, alpha=1.3, beta=0.4)
+        bloch_calls.clear()  # the spec validated its axis when it was built
+        value, _ = modular_value_geometric(i, spec, f)
+        assert bloch_calls == [tuple(i), tuple(f)]
+        expected = modular_value_direct(bloch_to_qubit(i), spec, bloch_to_qubit(f))
+        assert polar_close(value, expected.rect)
