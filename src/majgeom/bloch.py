@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .errors import UndefinedSolidAngle
+from .errors import OrthogonalSelection, UndefinedSolidAngle
 from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances, _checked_norm, _fix_gauge
 
 
@@ -174,6 +174,16 @@ def modular_moduli(i, s, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, (1.0 + _rowdot(f, s)) / _selection_denominators(i, f, tol)))
 
 
+def _factor_moduli(moduli) -> list[float]:
+    """The moduli of :func:`weak_moduli` or :func:`modular_moduli` as a flat
+    list of floats; a NaN (an initial point antipodal to the final one)
+    raises :class:`OrthogonalSelection`."""
+    values = moduli.reshape(-1).tolist()
+    if any(map(math.isnan, values)):
+        raise OrthogonalSelection("an initial point is antipodal to the final point")
+    return values
+
+
 def _reduce_to_branch(omega: float) -> float:
     # Solid angles live on (-2*pi, 2*pi]; -2*atan2 lands on [-2*pi, 2*pi).
     if omega <= -2.0 * math.pi:
@@ -205,6 +215,24 @@ def _checked_angles(angles: list[float | None]) -> list[float]:
         raise UndefinedSolidAngle(
             "triangle contains an antipodal pair; the enclosed area is ambiguous")
     return angles
+
+
+def _quadrangle_angles(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray, vf: np.ndarray,
+                       tol: Tolerances) -> list[float | None]:
+    """Flattened solid angles of the quadrangles i -> r -> s -> f of validated,
+    broadcastable ``(..., 3)`` arrays: the triangles (i, r, s) plus (i, s, f),
+    whose shared i <-> s legs cancel; ``None`` where either is undefined."""
+    first, _ = _triangle_angles(vi, vr, vs, tol)
+    second, _ = _triangle_angles(vi, vs, vf, tol)
+    return [None if a is None or b is None else a + b for a, b in zip(first, second)]
+
+
+def _factor_angles(angles: list[float | None], moduli: list[float]) -> list[float]:
+    """The solid angles of a value's factors.  A factor whose modulus is
+    exactly 0 gets 0.0: its polygon has an antipodal pair there, but the value
+    is 0 whatever its angle.  Any other undefined angle raises."""
+    return _checked_angles([0.0 if modulus == 0.0 else angle
+                            for angle, modulus in zip(angles, moduli)])
 
 
 def _solid_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
@@ -259,8 +287,9 @@ def solid_angle_quadrangle(i, r, s, f, *, tol: Tolerances = DEFAULT_TOL) -> floa
     i <-> s geodesic legs cancel.  The raw sum is returned (callers compare
     modulo 4*pi).
     """
-    return (solid_angle_triangle(i, r, s, tol=tol)
-            + solid_angle_triangle(i, s, f, tol=tol))
+    vi, vr, vs, vf = (as_bloch(v, tol=tol) for v in (i, r, s, f))
+    (omega,) = _checked_angles(_quadrangle_angles(vi, vr, vs, vf, tol))
+    return omega
 
 
 def solid_angle_quadrangle_rotation(i, r, f, alpha: float,

@@ -14,14 +14,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import canonical, experiments, majorana, nlevel_values, qubit_values
-from .bloch import as_bloch, qubit_to_bloch
+from .bloch import as_bloch, bloch_to_qubit, qubit_to_bloch
 from .errors import MajgeomError, OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator
-from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances
+from .numerics import _NORM_SLACK, _RENORM_WARNING, DEFAULT_TOL, Tolerances
 from .polar import GeometricBreakdown, PolarComplex
 
 SCENARIO_VERSION = 1
@@ -86,26 +86,34 @@ def _complex_matrix(raw, dim: int | None = None) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _state_entry(doc: dict, key: str, dim: int, tol: Tolerances) -> np.ndarray:
-    """A state given either as amplitudes or (for qubits) as a Bloch vector."""
-    if key not in doc:
-        raise ScenarioInvalid(f"scenario is missing the state {key!r}")
-    entry = doc[key]
-    if isinstance(entry, dict) and "bloch" in entry:
-        if dim != 2:
-            raise ScenarioInvalid("bloch input is only meaningful for qubits")
-        from .bloch import bloch_to_qubit
-        return bloch_to_qubit(as_bloch(entry["bloch"], tol=tol), tol=tol)
-    raw = entry["amplitudes"] if isinstance(entry, dict) else entry
-    vec = _complex_vector(raw, dim)
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _NORM_SLACK:
-        raise ScenarioInvalid(f"state {key!r} deviates from normalization by "
-                              f"{abs(norm - 1.0):.2e}")
-    if abs(norm - 1.0) > 1e-10:
-        print(f"warning: state {key!r} renormalized "
-              f"(deviation {abs(norm - 1.0):.2e})", file=sys.stderr)
-    return vec / norm
+def _states(doc: dict, keys: tuple[str, ...], tol: Tolerances,
+            dim: int | None = None) -> list[np.ndarray]:
+    """The scenario's states ``keys``, each given either as amplitudes or (for
+    qubits) as a Bloch vector, all of dimension ``dim`` when it is given.
+    Otherwise the first state sets N (its amplitude count, or 2 for a
+    ``{"bloch": ...}`` entry) and the others must match it."""
+    states = []
+    for key in keys:
+        if key not in doc:
+            raise ScenarioInvalid(f"scenario is missing the state {key!r}")
+        entry = doc[key]
+        if isinstance(entry, dict) and "bloch" in entry:
+            if dim not in (None, 2):
+                raise ScenarioInvalid("bloch input is only meaningful for qubits")
+            states.append(bloch_to_qubit(as_bloch(entry["bloch"], tol=tol), tol=tol))
+        else:
+            raw = entry["amplitudes"] if isinstance(entry, dict) else entry
+            vec = _complex_vector(raw, dim)
+            norm = float(np.linalg.norm(vec))
+            if abs(norm - 1.0) > _NORM_SLACK:
+                raise ScenarioInvalid(f"state {key!r} deviates from normalization by "
+                                      f"{abs(norm - 1.0):.2e}")
+            if abs(norm - 1.0) > _RENORM_WARNING:
+                print(f"warning: state {key!r} renormalized "
+                      f"(deviation {abs(norm - 1.0):.2e})", file=sys.stderr)
+            states.append(vec / norm)
+        dim = states[-1].size
+    return states
 
 
 def _jsonable(value):
@@ -169,38 +177,38 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _polar_pair(direct: PolarComplex | None, geometric: PolarComplex | None,
-                tol: Tolerances) -> tuple[dict, bool]:
+def _run_routes(mode: str, tol: Tolerances, geometric, direct) -> dict:
+    """Payload of a value command: the routes ``mode`` selects (thunks, geometric
+    first), its breakdown, and whether the two values differ by more than
+    ``tol.comparison * max(1, |direct|)``."""
     results: dict = {}
+    breakdown = None
+    if mode in ("geometric", "both"):
+        results["geometric"], breakdown = geometric()
+    if mode in ("direct", "both"):
+        results["direct"] = direct()
     mismatch = False
-    if geometric is not None:
-        results["geometric"] = geometric
-    if direct is not None:
-        results["direct"] = direct
-    if geometric is not None and direct is not None:
-        gap = abs(geometric.rect - direct.rect)
-        mismatch = gap > tol.comparison * max(1.0, abs(direct.rect))
-    return results, mismatch
+    if mode == "both":
+        gap = abs(results["geometric"].rect - results["direct"].rect)
+        mismatch = gap > tol.comparison * max(1.0, abs(results["direct"].rect))
+    if breakdown is not None:
+        results["breakdown"] = breakdown
+    return {"results": results, "mismatch": mismatch}
 
 
 def _cmd_qubit_weak(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    states = {k: _state_entry(doc, k, 2, tol) for k in ("i", "r", "f")}
-    vectors = {k: qubit_to_bloch(v, tol=tol) for k, v in states.items()}
-    geometric = direct = breakdown = None
-    if args.mode in ("geometric", "both"):
-        geometric, breakdown = qubit_values.projector_weak_value_geometric(
-            vectors["i"], vectors["r"], vectors["f"], tol=tol)
-    if args.mode in ("direct", "both"):
-        direct = qubit_values.projector_weak_value_direct(
-            states["i"], states["r"], states["f"], tol=tol)
-    results, mismatch = _polar_pair(direct, geometric, tol)
-    if breakdown is not None:
-        results["breakdown"] = breakdown
-    primary = geometric if geometric is not None else direct
+    qi, qr, qf = _states(doc, ("i", "r", "f"), tol, dim=2)
+    vi, vr, vf = (qubit_to_bloch(q, tol=tol) for q in (qi, qr, qf))
+    payload = _run_routes(
+        args.mode, tol,
+        lambda: qubit_values.projector_weak_value_geometric(vi, vr, vf, tol=tol),
+        lambda: qubit_values.projector_weak_value_direct(qi, qr, qf, tol=tol))
+    results = payload["results"]
+    primary = results["geometric"] if "geometric" in results else results["direct"]
     results["modulus"] = primary.modulus
     results["argument"] = primary.argument
-    return {"results": results, "mismatch": mismatch}
+    return payload
 
 
 def _modular_spec(doc: dict, tol: Tolerances) -> qubit_values.QubitModularSpec:
@@ -216,36 +224,22 @@ def _modular_spec(doc: dict, tol: Tolerances) -> qubit_values.QubitModularSpec:
 
 def _cmd_qubit_modular(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    states = {k: _state_entry(doc, k, 2, tol) for k in ("i", "f")}
+    qi, qf = _states(doc, ("i", "f"), tol, dim=2)
     spec = _modular_spec(doc, tol)
-    vectors = {k: qubit_to_bloch(v, tol=tol) for k, v in states.items()}
-    geometric = direct = breakdown = None
-    if args.mode in ("geometric", "both"):
-        geometric, breakdown = qubit_values.modular_value_geometric(
-            vectors["i"], spec, vectors["f"], tol=tol)
-    if args.mode in ("direct", "both"):
-        direct = qubit_values.modular_value_direct(states["i"], spec, states["f"], tol=tol)
-    results, mismatch = _polar_pair(direct, geometric, tol)
-    if breakdown is not None:
-        results["breakdown"] = breakdown
-    return {"results": results, "mismatch": mismatch}
+    vi, vf = qubit_to_bloch(qi, tol=tol), qubit_to_bloch(qf, tol=tol)
+    return _run_routes(
+        args.mode, tol,
+        lambda: qubit_values.modular_value_geometric(vi, spec, vf, tol=tol),
+        lambda: qubit_values.modular_value_direct(qi, spec, qf, tol=tol))
 
 
 def _cmd_qutrit_weak(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    states = {k: _state_entry(doc, k, 3, tol) for k in ("i", "r", "f")}
-    geometric = direct = breakdown = None
-    if args.mode in ("geometric", "both"):
-        geometric, breakdown = nlevel_values.qutrit_projector_weak_value_geometric(
-            states["i"], states["r"], states["f"], tol=tol)
-    if args.mode in ("direct", "both"):
-        projector = np.outer(states["r"], states["r"].conj())
-        direct = nlevel_values.weak_value_direct(states["i"], projector, states["f"],
-                                                 tol=tol)
-    results, mismatch = _polar_pair(direct, geometric, tol)
-    if breakdown is not None:
-        results["breakdown"] = breakdown
-    return {"results": results, "mismatch": mismatch}
+    si, sr, sf = _states(doc, ("i", "r", "f"), tol)
+    return _run_routes(
+        args.mode, tol,
+        lambda: nlevel_values.qutrit_projector_weak_value_geometric(si, sr, sf, tol=tol),
+        lambda: nlevel_values.weak_value_direct(si, np.outer(sr, sr.conj()), sf, tol=tol))
 
 
 def _nlevel_spec(doc: dict, tol: Tolerances) -> nlevel_values.NLevelModularSpec:
@@ -270,34 +264,24 @@ def _nlevel_spec(doc: dict, tol: Tolerances) -> nlevel_values.NLevelModularSpec:
 
 def _cmd_qutrit_modular(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    states = {k: _state_entry(doc, k, 3, tol) for k in ("i", "f")}
+    si, sf = _states(doc, ("i", "f"), tol)
     spec = _nlevel_spec(doc, tol)
-    geometric = direct = breakdown = None
-    if args.mode in ("geometric", "both"):
-        geometric, breakdown = nlevel_values.qutrit_modular_value_geometric(
-            states["i"], spec, states["f"], tol=tol)
-    if args.mode in ("direct", "both"):
-        direct = nlevel_values.modular_value_direct(states["i"], spec, states["f"],
-                                                    tol=tol)
-    results, mismatch = _polar_pair(direct, geometric, tol)
-    if breakdown is not None:
-        results["breakdown"] = breakdown
-    return {"results": results, "mismatch": mismatch}
+    return _run_routes(
+        args.mode, tol,
+        lambda: nlevel_values.qutrit_modular_value_geometric(si, spec, sf, tol=tol),
+        lambda: nlevel_values.modular_value_direct(si, spec, sf, tol=tol))
 
 
 def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    dim = len(doc["i"]) if not isinstance(doc["i"], dict) else len(doc["i"]["amplitudes"])
-    states = {k: _state_entry(doc, k, dim, tol) for k in ("i", "f")}
+    si, sf = _states(doc, ("i", "f"), tol)
     kind = doc.get("kind", "weak")
     if kind == "weak":
-        observable = _complex_matrix(doc["observable"], dim)
-        value = nlevel_values.weak_value_direct(states["i"], observable, states["f"],
-                                                tol=tol)
+        observable = _complex_matrix(doc["observable"], si.size)
+        value = nlevel_values.weak_value_direct(si, observable, sf, tol=tol)
     elif kind == "modular":
         spec = _nlevel_spec(doc, tol)
-        value = nlevel_values.modular_value_direct(states["i"], spec, states["f"],
-                                                   tol=tol)
+        value = nlevel_values.modular_value_direct(si, spec, sf, tol=tol)
     else:
         raise ScenarioInvalid("kind must be 'weak' or 'modular'")
     return {"results": {"value": value, "kind": kind}, "provenance": "direct"}
@@ -305,9 +289,7 @@ def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
 
 def _cmd_majorana(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    raw = doc["state"]
-    state = _state_entry(doc, "state", len(raw["amplitudes"] if isinstance(raw, dict)
-                                           else raw), tol)
+    (state,) = _states(doc, ("state",), tol)
     rep = majorana.majorana_points(state, tol=tol)
     results = {
         "points": rep.points,
@@ -322,9 +304,7 @@ def _cmd_majorana(args, tol: Tolerances) -> dict:
 
 def _cmd_canonicalize(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    states = {k: _state_entry(doc, k, 3, tol) for k in ("i", "r", "f")}
-    triple = canonical.canonicalize_triple(states["i"], states["r"], states["f"],
-                                           tol=tol)
+    triple = canonical.canonicalize_triple(*_states(doc, ("i", "r", "f"), tol), tol=tol)
     return {
         "results": {
             "u_total": triple.u_total,
@@ -343,10 +323,9 @@ def _cmd_canonicalize(args, tol: Tolerances) -> dict:
 
 def _cmd_abl(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    dim = len(doc["i"]) if not isinstance(doc["i"], dict) else len(doc["i"]["amplitudes"])
-    states = {k: _state_entry(doc, k, dim, tol) for k in ("i", "f")}
-    projectors = [_complex_matrix(p, dim) for p in doc["projectors"]]
-    dist = nlevel_values.abl_distribution(states["i"], projectors, states["f"], tol=tol)
+    si, sf = _states(doc, ("i", "f"), tol)
+    projectors = [_complex_matrix(p, si.size) for p in doc["projectors"]]
+    dist = nlevel_values.abl_distribution(si, projectors, sf, tol=tol)
     return {"results": {"probabilities": dist}, "provenance": "direct"}
 
 
@@ -373,7 +352,7 @@ def _scan_to_results(scan: experiments.SingularityScan) -> dict:
 
 
 def _cmd_scan(args, tol: Tolerances) -> dict:
-    kwargs = {}
+    kwargs, grid = {}, None
     if args.scenario is not None:
         doc = _load_scenario(args.scenario)
         for key in ("epsilon", "chi1", "chi2"):
@@ -383,15 +362,10 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
         if grid_spec is not None:
             grid = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]),
                                int(grid_spec["count"]))
-            scan = experiments.singularity_scan(grid, tol=tol, **kwargs)
-            return {"results": _scan_to_results(scan), "provenance": "both"}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.chi1 is not None:
-        kwargs["chi1"] = args.chi1
-    if args.chi2 is not None:
-        kwargs["chi2"] = args.chi2
-    scan = experiments.singularity_scan(count=args.count, tol=tol, **kwargs)
+    for key in ("epsilon", "chi1", "chi2"):
+        if grid is None and getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
+    scan = experiments.singularity_scan(grid, count=args.count, tol=tol, **kwargs)
     return {"results": _scan_to_results(scan), "provenance": "both"}
 
 
@@ -546,12 +520,7 @@ def run(argv) -> int:
         "version": SCENARIO_VERSION,
         "mode": args.mode,
         "provenance": payload.get("provenance", args.mode),
-        "tolerances": {
-            "comparison": tol.comparison,
-            "unitarity": tol.unitarity,
-            "zero": tol.zero,
-            "orthogonality": tol.orthogonality,
-        },
+        "tolerances": asdict(tol),
         "results": _jsonable(payload["results"]),
     }
     if "mismatch" in payload:

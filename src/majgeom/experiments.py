@@ -26,7 +26,14 @@ from .majorana import (
     nlevel_state,
 )
 from .nlevel_values import abl_distribution, abl_probability, weak_value_direct
-from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances, _check_hermitian
+from .numerics import (
+    _NORM_SLACK,
+    _R_BASIS_SLACK,
+    _SYMMETRY_SLACK,
+    DEFAULT_TOL,
+    Tolerances,
+    _check_hermitian,
+)
 from .polar import PolarComplex
 
 SCAN_EPSILON = float(math.asin(math.tan(math.pi / 6.0)))
@@ -512,11 +519,9 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
     def reflect(v: np.ndarray) -> np.ndarray:
         return 2.0 * float(v @ r_pair[0]) * r_pair[0] - v
 
-    check = 1e-10
-
     def swapped(pair: np.ndarray) -> bool:
-        return bool(np.linalg.norm(reflect(pair[0]) - pair[1]) <= check
-                    and np.linalg.norm(reflect(pair[1]) - pair[0]) <= check)
+        return bool(np.linalg.norm(reflect(pair[0]) - pair[1]) <= _SYMMETRY_SLACK
+                    and np.linalg.norm(reflect(pair[1]) - pair[0]) <= _SYMMETRY_SLACK)
 
     n_pair = results[0].points
     m_pair = results[2].points
@@ -526,24 +531,24 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
         np.array([-0.5, 0.0, sq3 / 2.0]),
     )
     r_basis_ok = all(
-        np.linalg.norm(results[k].r_basis - expected_r_basis[k]) <= 1e-9
-        or np.linalg.norm(results[k].r_basis + expected_r_basis[k]) <= 1e-9
+        np.linalg.norm(results[k].r_basis - expected_r_basis[k]) <= _R_BASIS_SLACK
+        or np.linalg.norm(results[k].r_basis + expected_r_basis[k]) <= _R_BASIS_SLACK
         for k in range(3))
     weak_sum = sum(r.weak_value for r in results)
     symmetry_checks = {
         "rotation_fixes_r_pair": bool(
-            np.linalg.norm(reflect(r_pair[0]) - r_pair[0]) <= check
-            and np.linalg.norm(reflect(r_pair[1]) - r_pair[1]) <= check),
+            np.linalg.norm(reflect(r_pair[0]) - r_pair[0]) <= _SYMMETRY_SLACK
+            and np.linalg.norm(reflect(r_pair[1]) - r_pair[1]) <= _SYMMETRY_SLACK),
         "rotation_swaps_n_pair": swapped(n_pair),
         "rotation_swaps_m_pair": swapped(m_pair),
-        "rotation_swaps_i_f": bool(np.linalg.norm(reflect(i_vec) - f_vec) <= check),
+        "rotation_swaps_i_f": bool(np.linalg.norm(reflect(i_vec) - f_vec) <= _SYMMETRY_SLACK),
         "box1_factors_conjugate": bool(
             abs(results[0].factors[0].value - results[0].factors[1].value.conjugate())
-            <= check),
-        "bell_overlap_zero": bool(abs(results[0].bell_overlap) <= check
-                                  and abs(results[2].bell_overlap) <= check),
+            <= _SYMMETRY_SLACK),
+        "bell_overlap_zero": bool(abs(results[0].bell_overlap) <= _SYMMETRY_SLACK
+                                  and abs(results[2].bell_overlap) <= _SYMMETRY_SLACK),
         "r_basis_matches": bool(r_basis_ok),
-        "weak_values_sum_to_one": bool(abs(weak_sum - 1.0) <= check),
+        "weak_values_sum_to_one": bool(abs(weak_sum - 1.0) <= _SYMMETRY_SLACK),
     }
 
     return ThreeBoxReport(

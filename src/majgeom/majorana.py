@@ -19,6 +19,7 @@ import numpy as np
 
 from .bloch import _unit, bloch_to_qubits
 from .numerics import (
+    _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
     ProjectiveRoot,
     Tolerances,
@@ -32,12 +33,11 @@ from .numerics import (
 MAX_LEVELS = 8
 
 
-def nlevel_state(coeffs, *, tol: Tolerances = DEFAULT_TOL,
-                 max_levels: int = MAX_LEVELS) -> np.ndarray:
+def nlevel_state(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Validate, normalize and gauge-fix an N-level coefficient vector."""
     c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or not 2 <= c.size <= max_levels:
-        raise ValueError(f"state dimension must lie in [2, {max_levels}]")
+    if c.ndim != 1 or not 2 <= c.size <= MAX_LEVELS:
+        raise ValueError(f"state dimension must lie in [2, {MAX_LEVELS}]")
     return _fix_gauge(c / _checked_norm(c, "state", "coefficients"), tol.zero)
 
 
@@ -78,13 +78,8 @@ def representation_coefficients(state, *, tol: Tolerances = DEFAULT_TOL) -> np.n
     return _binomial_weights(c.size - 1) * c
 
 
-def root_to_point(root: ProjectiveRoot) -> np.ndarray:
-    """Bloch point of a projective root; infinity maps to the south pole."""
-    return _root_points([root])[0]
-
-
 def _root_points(roots: list[ProjectiveRoot]) -> np.ndarray:
-    """:func:`root_to_point` of each root, as the rows of one array."""
+    """Bloch points of projective roots, one per row; infinity is the south pole."""
     rows = []
     for root in roots:
         w = math.inf if root.is_infinite else abs(root.value) ** 2
@@ -206,7 +201,7 @@ def _polish_root_angles(alpha: float, beta: float, lin: complex,
     for _ in range(2):
         residual = (z + lin) * z + const
         slope = 2.0 * z + lin
-        if abs(slope) < 1e-8:
+        if abs(slope) < _NEWTON_SLOPE_FLOOR:
             break
         step = residual / slope
         if abs(step) > 0.5 * max(1.0, abs(z)):

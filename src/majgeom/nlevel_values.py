@@ -17,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
-    _checked_angles,
-    _solid_angles,
+    _factor_angles,
+    _factor_moduli,
+    _quadrangle_angles,
     _triangle_angles,
     _unit,
     as_bloch,
@@ -27,7 +28,7 @@ from .bloch import (
     weak_moduli,
 )
 from .canonical import _canonicalize
-from .errors import IncompleteContext, OrthogonalSelection, ZeroDenominator
+from .errors import IncompleteContext, ZeroDenominator
 from .majorana import _majorana_points, _normalized, nlevel_state, normalization_factor
 from .numerics import (
     _CONTEXT_SLACK,
@@ -35,6 +36,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerances,
     _check_hermitian,
+    _checked_overlap,
     _norm,
     _spectral_exp,
     eig_hermitian,
@@ -124,26 +126,20 @@ def _validated_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarr
     sf = nlevel_state(psi_f, tol=tol)
     if si.size != sf.size:
         raise ValueError("pre- and postselected states must share a dimension")
-    overlap = complex(np.vdot(sf, si))
-    if abs(overlap) <= tol.orthogonality:
-        raise OrthogonalSelection(
-            f"|<f|i>| = {abs(overlap):.3e} is below {tol.orthogonality:.1e}")
-    return si, sf, overlap
+    return si, sf, _checked_overlap(sf, si, tol)
 
 
 def weak_value_direct(psi_i, observable, psi_f,
                       *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
     """``<f|A|i> / <f|i>`` for a Hermitian observable."""
     si, sf, overlap = _validated_pair(psi_i, psi_f, tol)
-    a = np.asarray(observable, dtype=complex)
-    if a.shape != (si.size, si.size):
-        raise ValueError("observable dimension does not match the states")
+    a = _observable(observable, si.size)
     _check_hermitian(a, tol)
     return PolarComplex.from_complex(np.vdot(sf, a @ si) / overlap)
 
 
-def _observable(spec: NLevelModularSpec, dim: int) -> np.ndarray:
-    a = np.asarray(spec.observable, dtype=complex)
+def _observable(observable, dim: int) -> np.ndarray:
+    a = np.asarray(observable, dtype=complex)
     if a.shape != (dim, dim):
         raise ValueError("observable dimension does not match the states")
     return a
@@ -161,7 +157,7 @@ def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f,
                          *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
     """``exp(1j*beta) <f| U |i> / <f|i>`` with U from the spec's convention."""
     si, sf, overlap = _validated_pair(psi_i, psi_f, tol)
-    a = _observable(spec, si.size)
+    a = _observable(spec.observable, si.size)
     u = unitary_exp(a, phase=spec.beta, strength=_evolution_strength(spec, si.size), tol=tol)
     return PolarComplex.from_complex(np.vdot(sf, u @ si) / overlap)
 
@@ -210,12 +206,6 @@ def _point_set(points, tol: Tolerances) -> np.ndarray:
     return pts
 
 
-def _checked_moduli(moduli: np.ndarray) -> list[float]:
-    if np.isnan(moduli).any():
-        raise OrthogonalSelection("an initial point is antipodal to the final point")
-    return moduli.tolist()
-
-
 def factored_weak_value(i_points, r_point, f_point,
                         *, tol: Tolerances = DEFAULT_TOL):
     """Projector weak value from canonicalized stellar points.
@@ -236,14 +226,11 @@ def factored_weak_value(i_points, r_point, f_point,
 
 def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray, tol: Tolerances):
     """:func:`factored_weak_value` of validated unit vectors."""
-    moduli = _checked_moduli(weak_moduli(vi, vr, vf, tol=tol))
+    moduli = _factor_moduli(weak_moduli(vi, vr, vf, tol=tol))
     angles, _ = _triangle_angles(vi, vr, vf, tol)
-    omegas = _checked_angles([0.0 if modulus == 0.0 else angle
-                              for modulus, angle in zip(moduli, angles)])
     breakdown = GeometricBreakdown(tuple(
-        GeometricFactor(modulus, omega, p) for modulus, omega, p in zip(moduli, omegas, vi)))
-    if 0.0 in moduli:
-        return PolarComplex(0.0, 0.0, unwrapped_argument=0.0), breakdown
+        GeometricFactor(modulus, omega, p)
+        for modulus, omega, p in zip(moduli, _factor_angles(angles, moduli), vi)))
     return breakdown.to_polar(), breakdown
 
 
@@ -251,8 +238,8 @@ def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: 
                             k_ratio: float, *, dynamical: float, tol: Tolerances):
     """:func:`factored_modular_value` of validated unit vectors, paired point
     sets, a known K_s / K_i and the dynamical phase."""
-    moduli = _checked_moduli(modular_moduli(vi, vs, vf, tol=tol))
-    omegas = (_solid_angles(vi, vr, vs, tol) + _solid_angles(vi, vs, vf, tol)).tolist()
+    moduli = _factor_moduli(modular_moduli(vi, vs, vf, tol=tol))
+    omegas = _factor_angles(_quadrangle_angles(vi, vr, vs, vf, tol), moduli)
     breakdown = GeometricBreakdown(
         tuple(GeometricFactor(modulus, omega, pi, ps)
               for modulus, omega, pi, ps in zip(moduli, omegas, vi, vs)),
@@ -269,7 +256,8 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
     quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
     phase is ``beta - alpha*(N-1)/2*eigenvalue`` and the overall modulus
-    carries the normalization ratio K_s / K_i.
+    carries the normalization ratio K_s / K_i.  A pair with modulus ratio 0
+    (``s_k`` antipodal to ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.
     """
     i_pts = np.asarray(i_points, dtype=float)
     s_pts = pair_points(i_pts, np.asarray(s_points, dtype=float))
@@ -308,7 +296,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     validated states is kept, so the bits do not depend on where checks run.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f, tol)
-    evals, evecs = eig_hermitian(_observable(spec, si.size), tol=tol)
+    evals, evecs = eig_hermitian(_observable(spec.observable, si.size), tol=tol)
     index = spec.eigen_choice if spec.eigen_choice is not None else si.size - 1
     if not 0 <= index < si.size:
         raise ValueError("eigen_choice outside the spectrum")

@@ -13,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllCoefficientsZero, NotHermitian, PreconditionViolated
+from .errors import (
+    AllCoefficientsZero,
+    NotHermitian,
+    OrthogonalSelection,
+    PreconditionViolated,
+)
 
 
 @dataclass(frozen=True)
@@ -45,6 +50,19 @@ _GELL_MANN_SLACK = 1e-9
 # Slack on idempotence, mutual orthogonality and completeness of the
 # projectors of a measurement context.
 _CONTEXT_SLACK = 1e-8
+
+# Norm deviation above which the CLI warns that it renormalized a scenario state.
+_RENORM_WARNING = 1e-10
+
+# Slack on the trace, second moment and determinant of a spin-1 generator.
+_SPIN1_SLACK = 1e-9
+
+# Newton slope below which a stellar root is left unpolished.
+_NEWTON_SLOPE_FLOOR = 1e-8
+
+# Slack on the three-box symmetry checks, and on its r-basis against closed forms.
+_SYMMETRY_SLACK = 1e-10
+_R_BASIS_SLACK = 1e-9
 
 
 def principal_angle(angle: float) -> float:
@@ -85,6 +103,16 @@ def _norm(vec: np.ndarray) -> float:
     x = vec.ravel(order="K")
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _checked_overlap(bra: np.ndarray, ket: np.ndarray, tol: Tolerances) -> complex:
+    """``<bra|ket>`` of the post- and preselected states as a Python complex;
+    a modulus at or below ``tol.orthogonality`` raises :class:`OrthogonalSelection`."""
+    overlap = complex(np.vdot(bra, ket))
+    if abs(overlap) <= tol.orthogonality:
+        raise OrthogonalSelection(
+            f"|<f|i>| = {abs(overlap):.3e} is below {tol.orthogonality:.1e}")
+    return overlap
 
 
 def _checked_norm(vec: np.ndarray, what: str, entries: str) -> float:
@@ -233,16 +261,15 @@ def cayley_hamilton_exp_spin1(matrix, alpha: float,
     if m.shape[0] != 3:
         raise ValueError("spin-1 exponential requires a 3x3 matrix")
     _check_hermitian(m, tol)
-    spectral_tol = 1e-9
     trace = complex(np.trace(m))
-    if abs(trace) > spectral_tol:
+    if abs(trace) > _SPIN1_SLACK:
         raise PreconditionViolated(f"trace condition failed: |tr| = {abs(trace):.3e}")
     second = complex(np.trace(m @ m))
-    if abs(second - 2.0) > spectral_tol:
+    if abs(second - 2.0) > _SPIN1_SLACK:
         raise PreconditionViolated(
             f"second-moment condition failed: |tr(L^2) - 2| = {abs(second - 2.0):.3e}")
     det = complex(np.linalg.det(m))
-    if abs(det) > spectral_tol:
+    if abs(det) > _SPIN1_SLACK:
         raise PreconditionViolated(f"determinant condition failed: |det| = {abs(det):.3e}")
     eye = np.eye(3, dtype=complex)
     return eye - 1j * math.sin(alpha) * m + (math.cos(alpha) - 1.0) * (m @ m)

@@ -18,6 +18,7 @@ class PolarComplex:
     ``argument`` lies in (-pi, pi].  ``unwrapped_argument`` preserves the raw
     accumulated phase when the value was assembled from angle sums (scan and
     breakdown contexts); it is ``None`` when no unwrapping information exists.
+    An exact zero has no argument and is held as ``(0.0, 0.0)``.
     """
 
     modulus: float
@@ -31,6 +32,8 @@ class PolarComplex:
     @classmethod
     def from_complex(cls, z: complex) -> "PolarComplex":
         z = complex(z)
+        if not z:
+            return cls(0.0, 0.0)
         return cls(abs(z), principal_angle(cmath.phase(z)))
 
 
@@ -69,5 +72,8 @@ class GeometricBreakdown:
         return self.dynamical_phase - 0.5 * sum(f.solid_angle for f in self.factors)
 
     def to_polar(self) -> PolarComplex:
+        modulus = self.modulus
+        if modulus == 0.0:
+            return PolarComplex(0.0, 0.0, unwrapped_argument=0.0)
         raw = self.raw_argument
-        return PolarComplex(self.modulus, principal_angle(raw), unwrapped_argument=raw)
+        return PolarComplex(modulus, principal_angle(raw), unwrapped_argument=raw)

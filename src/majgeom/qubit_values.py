@@ -14,16 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import (
+    _factor_angles,
+    _factor_moduli,
+    _quadrangle_angles,
     _rotate,
-    _solid_angles,
+    _triangle_angles,
     _unit,
     as_bloch,
     as_qubit,
     modular_moduli,
     weak_moduli,
 )
-from .errors import OrthogonalSelection
-from .numerics import DEFAULT_TOL, Tolerances, _check_hermitian
+from .numerics import DEFAULT_TOL, Tolerances, _check_hermitian, _checked_overlap
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
 
 PAULI = (
@@ -54,25 +56,10 @@ class QubitModularSpec:
         return sum(c * p for c, p in zip(self.axis, PAULI))
 
 
-def _overlap_or_raise(bra, ket, tol: Tolerances) -> complex:
-    overlap = complex(np.vdot(bra, ket))
-    if abs(overlap) <= tol.orthogonality:
-        raise OrthogonalSelection(
-            f"|<f|i>| = {abs(overlap):.3e} is below {tol.orthogonality:.1e}")
-    return overlap
-
-
-def _checked_modulus(modulus) -> float:
-    value = float(modulus)
-    if math.isnan(value):
-        raise OrthogonalSelection("pre- and postselected Bloch vectors are antipodal")
-    return value
-
-
 def projector_weak_value_direct(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
     """``<f|r><r|i> / <f|i>`` for the projector onto the qubit state ``r``."""
     qi, qr, qf = as_qubit(i, tol=tol), as_qubit(r, tol=tol), as_qubit(f, tol=tol)
-    den = _overlap_or_raise(qf, qi, tol)
+    den = _checked_overlap(qf, qi, tol)
     value = np.vdot(qf, qr) * np.vdot(qr, qi) / den
     return PolarComplex.from_complex(value)
 
@@ -86,25 +73,18 @@ def projector_weak_value_geometric(i, r, f, *, tol: Tolerances = DEFAULT_TOL):
     and the value ``PolarComplex(0.0, 0.0)``; the triangle is undefined there.
     """
     vi, vr, vf = as_bloch(i, tol=tol), as_bloch(r, tol=tol), as_bloch(f, tol=tol)
-    modulus = _checked_modulus(weak_moduli(vi, vr, vf, tol=tol))
-    if modulus == 0.0:
-        breakdown = GeometricBreakdown((GeometricFactor(modulus, 0.0, vi),))
-        return PolarComplex(0.0, 0.0, unwrapped_argument=0.0), breakdown
-    omega = _triangle(_unit(vi), _unit(vr), _unit(vf), tol)
-    breakdown = GeometricBreakdown((GeometricFactor(modulus, omega, vi),))
+    moduli = _factor_moduli(weak_moduli(vi, vr, vf, tol=tol))
+    angles, _ = _triangle_angles(_unit(vi), _unit(vr), _unit(vf), tol)
+    (omega,) = _factor_angles(angles, moduli)
+    breakdown = GeometricBreakdown((GeometricFactor(moduli[0], omega, vi),))
     return breakdown.to_polar(), breakdown
-
-
-def _triangle(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray, tol: Tolerances) -> float:
-    """:func:`bloch.solid_angle_triangle` of validated unit vectors."""
-    return float(_solid_angles(vi, vr, vf, tol))
 
 
 def modular_value_direct(i, spec: QubitModularSpec, f,
                          *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
     """``exp(1j*beta/2) <f| exp(-1j*(alpha/2)*sigma_r) |i> / <f|i>``."""
     qi, qf = as_qubit(i, tol=tol), as_qubit(f, tol=tol)
-    den = _overlap_or_raise(qf, qi, tol)
+    den = _checked_overlap(qf, qi, tol)
     half = 0.5 * spec.alpha
     unitary = math.cos(half) * np.eye(2) - 1j * math.sin(half) * spec.sigma
     value = np.exp(0.5j * spec.beta) * np.vdot(qf, unitary @ qi) / den
@@ -118,18 +98,18 @@ def modular_value_geometric(i, spec: QubitModularSpec, f,
     The evolved vector ``s`` is ``i`` rotated about the axis by ``alpha``.  The
     modulus is ``sqrt((1+f.s)/(1+f.i))``; the argument splits into the
     dynamical term ``(beta-alpha)/2`` and the geometric term given by minus
-    half the (i, r, s, f) quadrangle solid angle.
+    half the (i, r, s, f) quadrangle solid angle.  When the modulus is exactly
+    0 (``s`` antipodal to ``f``), the solid angle is 0.0 and the value
+    ``PolarComplex(0.0, 0.0)``.
     """
     vi, vf = as_bloch(i, tol=tol), as_bloch(f, tol=tol)
     ui, ur = _unit(vi), _unit(spec.axis)
     vs = _rotate(ui, ur, spec.alpha)
-    modulus = _checked_modulus(modular_moduli(vi, vs, vf, tol=tol))
-    us = _unit(vs)
-    # solid_angle_quadrangle(vi, axis, vs, vf): two triangles sharing i -> s.
-    omega = _triangle(ui, ur, us, tol) + _triangle(ui, us, _unit(vf), tol)
+    moduli = _factor_moduli(modular_moduli(vi, vs, vf, tol=tol))
+    (omega,) = _factor_angles(_quadrangle_angles(ui, ur, _unit(vs), _unit(vf), tol), moduli)
     dynamical = 0.5 * (spec.beta - spec.alpha)
     breakdown = GeometricBreakdown(
-        (GeometricFactor(modulus, omega, vi, vs),), dynamical_phase=dynamical)
+        (GeometricFactor(moduli[0], omega, vi, vs),), dynamical_phase=dynamical)
     return breakdown.to_polar(), breakdown
 
 

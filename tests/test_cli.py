@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import random_state
 from majgeom.cli import main
 
 SQ3 = math.sqrt(3.0)
@@ -94,6 +95,22 @@ class TestQubitCommands:
         code, out = run_cli(capsys, "qubit-modular", "--scenario", scenario)
         assert code == 0
         doc = json.loads(out)
+        assert doc["mismatch"] is False
+
+    def test_zero_modular_value_exit_zero(self, capsys, tmp_path):
+        # +z turned by pi about +x is antipodal to f = +z: the value is 0 and
+        # the geometric route used to exit 3.
+        scenario = write_scenario(tmp_path, {
+            "i": {"bloch": [0, 0, 1]},
+            "f": {"bloch": [0, 0, 1]},
+            "spec": {"axis": [1, 0, 0], "alpha": math.pi},
+        })
+        code, out = run_cli(capsys, "qubit-modular", "--scenario", scenario)
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["results"]["geometric"]["modulus"] == 0.0
+        assert doc["results"]["geometric"]["argument"] == 0.0
+        assert doc["results"]["direct"]["modulus"] <= 1e-16
         assert doc["mismatch"] is False
 
 
@@ -195,6 +212,16 @@ class TestQutritCommands:
         assert doc["results"]["r_vec"] == [0.0, 0.0, 1.0]
         assert len(doc["results"]["i_points"]) == 2
 
+    def test_canonicalize_five_levels(self, capsys, tmp_path):
+        rng = np.random.default_rng(94)
+        scenario = write_scenario(tmp_path, {k: amplitudes(random_state(rng, 5)) for k in "irf"})
+        code, out = run_cli(capsys, "canonicalize", "--scenario", scenario)
+        assert code == 0, out
+        results = json.loads(out)["results"]
+        assert len(results["u_total"]) == 5 and len(results["u_total"][0]) == 5
+        assert len(results["i_points"]) == 4
+        assert results["r_vec"] == [0.0, 0.0, 1.0]
+
     def test_abl_command(self, capsys, tmp_path):
         psi_i = np.ones(3) / SQ3
         psi_f = np.array([1.0, -1.0, 1.0]) / SQ3
@@ -208,6 +235,72 @@ class TestQutritCommands:
         assert code == 0
         doc = json.loads(out)
         assert np.allclose(doc["results"]["probabilities"], [1 / 3] * 3, atol=1e-12)
+
+
+class TestValueCommandsAnyDimension:
+    """The value commands read N from the scenario: the amplitude count, or 2
+    for Bloch input."""
+
+    def test_qutrit_weak_five_levels(self, capsys, tmp_path):
+        rng = np.random.default_rng(95)
+        scenario = write_scenario(tmp_path, {k: amplitudes(random_state(rng, 5)) for k in "irf"})
+        code, out = run_cli(capsys, "qutrit-weak", "--scenario", scenario)
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["mismatch"] is False
+        assert len(doc["results"]["breakdown"]["factors"]) == 4
+
+    def test_qutrit_modular_four_levels(self, capsys, tmp_path):
+        rng = np.random.default_rng(96)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a = (a + a.conj().T) / 2
+        scenario = write_scenario(tmp_path, {
+            "i": amplitudes(random_state(rng, 4)),
+            "f": amplitudes(random_state(rng, 4)),
+            "spec": {"observable": [[[z.real, z.imag] for z in row] for row in a],
+                     "alpha": 0.7, "beta": 0.2},
+        })
+        code, out = run_cli(capsys, "qutrit-modular", "--scenario", scenario)
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["mismatch"] is False
+        assert len(doc["results"]["breakdown"]["factors"]) == 3
+
+    def test_qutrit_weak_two_levels_from_bloch(self, capsys, tmp_path):
+        scenario = write_scenario(tmp_path, {
+            "i": {"bloch": [0, 0, 1]},
+            "r": {"bloch": [1, 0, 0]},
+            "f": {"bloch": [0, 1, 0]},
+        })
+        code, out = run_cli(capsys, "qutrit-weak", "--scenario", scenario)
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["mismatch"] is False
+        assert len(doc["results"]["breakdown"]["factors"]) == 1
+
+    @pytest.mark.parametrize("command", ["qutrit-weak", "qutrit-modular", "canonicalize"])
+    def test_nine_levels_exit_two(self, capsys, tmp_path, command):
+        state = amplitudes(np.ones(9) / 3.0)
+        scenario = write_scenario(tmp_path, {
+            "i": state, "r": state, "f": state,
+            "spec": {"observable": [amplitudes(row) for row in np.eye(9)]},
+        })
+        code, out = run_cli(capsys, command, "--scenario", scenario)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "usage"
+        assert error["type"] == "ValueError"
+        assert "[2, 8]" in error["message"]
+
+    def test_mixed_dimensions_exit_two(self, capsys, tmp_path):
+        scenario = write_scenario(tmp_path, {
+            "i": amplitudes(np.ones(4) / 2.0),
+            "r": amplitudes(np.ones(4) / 2.0),
+            "f": {"bloch": [0, 0, 1]},
+        })
+        code, out = run_cli(capsys, "qutrit-weak", "--scenario", scenario)
+        assert code == 2
+        assert json.loads(out)["error"]["message"] == "bloch input is only meaningful for qubits"
 
 
 class TestThreeBoxCommand:

@@ -20,6 +20,7 @@ from majgeom.bloch import (
     bloch_to_qubit,
     bloch_to_qubits,
     modular_moduli,
+    solid_angle_quadrangle,
     solid_angle_triangle,
     triangle_solid_angles,
     weak_moduli,
@@ -276,6 +277,23 @@ class TestTriangleSolidAngles:
         with pytest.raises(ValueError, match="deviates"):
             triangle_solid_angles([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]],
                                   [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+
+
+class TestQuadrangle:
+    def test_sum_of_reference_triangles(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            i, r, s, f = (v / np.linalg.norm(v) for v in rng.normal(size=(4, 3)))
+            expected = ref_solid_angle(i, r, s) + ref_solid_angle(i, s, f)
+            assert same_bits(solid_angle_quadrangle(i, r, s, f), expected)
+
+    @pytest.mark.parametrize("i, r, s, f", [
+        ((0, 0, 1), (1, 0, 0), (0, 0, -1), (0, 1, 0)),  # (i, r, s) undefined
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)),  # (i, s, f) undefined
+    ])
+    def test_undefined_triangle_raises(self, i, r, s, f):
+        with pytest.raises(UndefinedSolidAngle):
+            solid_angle_quadrangle(i, r, s, f)
 
 
 # --- moduli ------------------------------------------------------------------

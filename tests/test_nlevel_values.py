@@ -266,7 +266,7 @@ class TestQutritProjectorGeometric:
         psi_f = psi_f / np.linalg.norm(psi_f)
         psi_r = np.eye(n)[0]
         direct = weak_value_direct(psi_i, np.outer(psi_r, psi_r), psi_f)
-        assert direct.modulus == 0.0  # its argument is that of a signed zero
+        assert (direct.modulus, direct.argument) == (0.0, 0.0)
         value, breakdown = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
         assert (value.modulus, value.argument) == (0.0, 0.0)
         assert [(f.modulus_ratio, f.solid_angle) for f in breakdown.factors] == [(0.0, 0.0)] * (n - 1)
@@ -342,6 +342,24 @@ class TestQutritModularGeometric:
         assert abs(breakdown.dynamical_phase) <= 1e-12
         total_omega = sum(f.solid_angle for f in breakdown.factors)
         assert ang_dist(value.argument, -0.5 * total_omega) <= 1e-12
+
+    def test_zero_value_when_s_antipodal_to_f(self):
+        # exp(-i pi/2 sigma_x)|0> = -i|1>: s lands antipodal to f = |0>, so
+        # the value is 0 although the quadrangle has no area.
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        spec = NLevelModularSpec(observable=sigma_x, generic_theta=math.pi / 2)
+        ket0 = np.array([1.0, 0.0], dtype=complex)
+        assert modular_value_direct(ket0, spec, ket0).modulus <= 1e-16
+        value, breakdown = qutrit_modular_value_geometric(ket0, spec, ket0)
+        assert (value.modulus, value.argument, value.unwrapped_argument) == (0.0, 0.0, 0.0)
+        assert [(f.modulus_ratio, f.solid_angle) for f in breakdown.factors] == [(0.0, 0.0)]
+
+    def test_near_antipodal_s_still_raises(self):
+        sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        spec = NLevelModularSpec(observable=sigma_x, generic_theta=math.pi / 2 - 1e-7)
+        ket0 = np.array([1.0, 0.0], dtype=complex)
+        with pytest.raises(UndefinedSolidAngle):
+            qutrit_modular_value_geometric(ket0, spec, ket0)
 
     def test_against_direct_oracle(self):
         rng = np.random.default_rng(82)

@@ -211,6 +211,24 @@ class TestModularValueGeometric:
             assert abs(br.modulus - value.modulus) <= 1e-12
             assert ang_dist(br.raw_argument, value.argument) <= 1e-12
 
+    def test_zero_value_when_s_antipodal_to_f(self):
+        # +z turned by pi about +x lands on -z, antipodal to f = +z: the
+        # quadrangle has no area, but the modulus and the value are 0.
+        spec = QubitModularSpec(axis=EX, alpha=math.pi)
+        direct = modular_value_direct(KET0, spec, KET0)
+        assert direct.modulus <= 1e-16
+        value, breakdown = modular_value_geometric(EZ, spec, EZ)
+        assert (value.modulus, value.argument, value.unwrapped_argument) == (0.0, 0.0, 0.0)
+        (factor,) = breakdown.factors
+        assert (factor.modulus_ratio, factor.solid_angle) == (0.0, 0.0)
+
+    def test_near_antipodal_s_still_raises(self):
+        # s a hair from -f: the modulus is not 0, so the degenerate
+        # quadrangle is refused, as for weak values.
+        spec = QubitModularSpec(axis=EX, alpha=math.pi - 1e-7)
+        with pytest.raises(UndefinedSolidAngle):
+            modular_value_geometric(EZ, spec, EZ)
+
 
 class TestDerivativeRelation:
     def test_spin_observable(self):
