@@ -9,7 +9,14 @@ import math
 import numpy as np
 
 from .errors import OrthogonalSelection, UndefinedSolidAngle
-from .numerics import _NORM_SLACK, DEFAULT_TOL, Tolerances, _checked_norm, _fix_gauge
+from .numerics import (
+    _NORM_SLACK,
+    _SOUTH_POLE_CUT,
+    DEFAULT_TOL,
+    Tolerances,
+    _checked_norm,
+    _fix_gauge,
+)
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,7 +114,7 @@ def qubit_to_bloch(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 def _amplitudes(x: float, y: float, z: float) -> tuple[float, float, float, float]:
     # (re, im) of (cos(t/2), e^(i p) sin(t/2)) before renormalization.
     a0 = math.sqrt(max(0.0, 0.5 * (1.0 + z)))
-    if a0 < 1e-150:
+    if a0 < _SOUTH_POLE_CUT:
         return 0.0, 0.0, 1.0, 0.0
     a1 = complex(x, y) / (2.0 * a0)
     return a0, 0.0, a1.real, a1.imag
@@ -118,11 +125,15 @@ def bloch_to_qubits(vecs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
 
     Returns an ``(..., 2)`` complex array ``(a0, a1)/|(a0, a1)|`` with
     ``a0 = sqrt((1+z)/2)`` and ``a1 = (x + iy)/(2 a0)``; south-pole rows
-    (``a0`` below 1e-150) map to ``(0, 1)``.  Rows are validated by
-    :func:`as_bloch_array`.  The amplitudes are formed per row in Python
+    (``a0`` below ``_SOUTH_POLE_CUT``) map to ``(0, 1)``.  Rows are validated
+    by :func:`as_bloch_array`.  The amplitudes are formed per row in Python
     floats; the renormalization runs on the whole batch.
     """
-    v = as_bloch_array(vecs, tol=tol)
+    return _qubits(as_bloch_array(vecs, tol=tol))
+
+
+def _qubits(v: np.ndarray) -> np.ndarray:
+    """:func:`bloch_to_qubits` of unit rows, without their validation."""
     rows = [_amplitudes(*row) for row in v.reshape(-1, 3).tolist()]
     q = np.array(rows).reshape(v.shape[:-1] + (4,)).view(complex)
     # Real and imaginary strided dots, as np.linalg.norm takes a complex norm.

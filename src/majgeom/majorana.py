@@ -17,17 +17,17 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import _unit, bloch_to_qubits
+from .bloch import _qubits, _unit, as_bloch_array, bloch_to_qubits
 from .numerics import (
+    _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
-    ProjectiveRoot,
     Tolerances,
     _checked_norm,
     _fix_gauge,
     _norm,
+    _polynomial_roots,
     canonical_gauge,
-    solve_polynomial,
 )
 
 MAX_LEVELS = 8
@@ -78,28 +78,30 @@ def representation_coefficients(state, *, tol: Tolerances = DEFAULT_TOL) -> np.n
     return _binomial_weights(c.size - 1) * c
 
 
-def _root_points(roots: list[ProjectiveRoot]) -> np.ndarray:
-    """Bloch points of projective roots, one per row; infinity is the south pole."""
+def _root_points(roots: list[complex | None]) -> np.ndarray:
+    """Bloch points of projective roots, one per row; infinity (``None``, or a
+    squared modulus above ``_INFINITE_ROOT``) is the south pole."""
     rows = []
-    for root in roots:
-        w = math.inf if root.is_infinite else abs(root.value) ** 2
-        if not math.isfinite(w) or w > 1e300:
+    for z in roots:
+        w = math.inf if z is None else abs(z) ** 2
+        if not math.isfinite(w) or w > _INFINITE_ROOT:
             rows.append((0.0, 0.0, -1.0))
             continue
-        z, denom = root.value, 1.0 + w
+        denom = 1.0 + w
         rows.append((2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - w) / denom))
     return _unit(np.array(rows))
 
 
-def _symmetrized(pts: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, float]:
-    """Normalized coefficients of the symmetrized point multiset and its K.
+def _symmetrized(pts: np.ndarray) -> tuple[np.ndarray, float]:
+    """Normalized coefficients of the symmetrized multiset of the unit rows
+    ``pts``, and its K; the rows are not validated or renormalized.
 
     With ``a_k`` the coefficients of the product of the qubits' linear
     factors ``u z - v`` (a south-pole point just zeroes the top one), the sum
     over the m! qubit permutations has norm ``m! sqrt(sum_k |a_k|^2 / C(m, k))``.
     """
     poly = [1.0 + 0.0j]  # lowest degree first; new a_k = u a_(k-1) - v a_k
-    for u, v in bloch_to_qubits(pts, tol=tol).tolist():
+    for u, v in _qubits(pts).tolist():
         poly = [u * lower - v * same for lower, same in zip([0j, *poly], [*poly, 0j])]
     c = np.array(poly) / _binomial_weights(pts.shape[0])
     norm = math.sqrt(np.vdot(c, c).real)
@@ -114,10 +116,17 @@ def normalization_factor(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
     Equals ``1/sqrt(m! * perm(G))`` for the Gram matrix ``G`` of the qubit
     states, evaluated in O(m^2) from the closed form of ``_symmetrized``.
     """
+    return _symmetrized(_point_rows(points, tol))[1]
+
+
+def _point_rows(points, tol: Tolerances) -> np.ndarray:
+    """The unit rows of an ``(m, 3)`` array of Bloch points, m >= 1, checked
+    as :func:`normalization_factor` checks them: shape first, then each row
+    by :func:`as_bloch_array`."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError("expected an (m, 3) array of Bloch points")
-    return _symmetrized(pts, tol)[1]
+    return as_bloch_array(pts, tol=tol)
 
 
 def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricRepresentation:
@@ -127,10 +136,11 @@ def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricReprese
 
 def _majorana_points(c: np.ndarray, tol: Tolerances) -> SymmetricRepresentation:
     """:func:`majorana_points` of a state that :func:`nlevel_state` (or
-    :func:`_normalized`) returned; nothing is checked or renormalized."""
-    roots = solve_polynomial(_binomial_weights(c.size - 1) * c, tol=tol)
-    pts = sort_points(_root_points(roots))
-    return SymmetricRepresentation(pts, normalization_factor(pts, tol=tol))
+    :func:`_normalized`) returned; nothing is checked or renormalized.
+    K is taken from the points renormalized once more, as validating them
+    would leave them."""
+    pts = sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c, tol)))
+    return SymmetricRepresentation(pts, _symmetrized(_unit(pts))[1])
 
 
 def symmetrize(points, *, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
@@ -143,7 +153,7 @@ def symmetrize(points, *, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, fl
         raise ValueError("expected an (m, 3) array of Bloch points")
     if not 1 <= pts.shape[0] <= MAX_LEVELS - 1:
         raise ValueError(f"point count must lie in [1, {MAX_LEVELS - 1}]")
-    state, normalization = _symmetrized(pts, tol)
+    state, normalization = _symmetrized(as_bloch_array(pts, tol=tol))
     return canonical_gauge(state, tol=tol), normalization
 
 

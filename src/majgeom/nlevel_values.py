@@ -29,10 +29,11 @@ from .bloch import (
 )
 from .canonical import _canonicalize
 from .errors import IncompleteContext, ZeroDenominator
-from .majorana import _majorana_points, _normalized, nlevel_state, normalization_factor
+from .majorana import _majorana_points, _normalized, _point_rows, _symmetrized, nlevel_state
 from .numerics import (
     _CONTEXT_SLACK,
     _GELL_MANN_SLACK,
+    _PAIRING_TIE_SLACK,
     DEFAULT_TOL,
     Tolerances,
     _check_hermitian,
@@ -176,7 +177,8 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     ``first``.
 
     All permutations are scored at once; near-ties resolve as in a
-    lexicographic scan that accepts only improvements above 1e-15.  Only sums
+    lexicographic scan that accepts only improvements above
+    ``_PAIRING_TIE_SLACK``.  Only sums
     over the paired polygons are contract-bearing.
     """
     a = np.asarray(first, dtype=float)
@@ -188,11 +190,11 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     costs = np.zeros(table.shape[1])
     for row, images in zip(angles, table):
         costs += row.take(images)
-    # Replay the scan: nothing before the current pick undercuts it by 1e-15,
-    # so the first such hit in the whole array is the scan's next pick.
+    # Replay the scan: nothing before the current pick undercuts it by the
+    # slack, so the first such hit in the whole array is the scan's next pick.
     best = 0
     while True:
-        cheaper = costs < costs[best] - 1e-15
+        cheaper = costs < costs[best] - _PAIRING_TIE_SLACK
         candidate = int(cheaper.argmax())
         if not cheaper[candidate]:
             return b.take(table[:, best], axis=0)
@@ -260,13 +262,12 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     (``s_k`` antipodal to ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.
     """
     i_pts = np.asarray(i_points, dtype=float)
-    s_pts = pair_points(i_pts, np.asarray(s_points, dtype=float))
-    k_ratio = (normalization_factor(s_pts, tol=tol)
-               / normalization_factor(i_pts, tol=tol))
+    vs = _point_rows(pair_points(i_pts, np.asarray(s_points, dtype=float)), tol)
+    vi = _point_rows(i_pts, tol)
     dynamical = beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue
     return _factored_modular_value(
-        _point_set(i_pts, tol), _point_set(s_pts, tol), as_bloch(r_point, tol=tol),
-        as_bloch(f_point, tol=tol), k_ratio, dynamical=dynamical, tol=tol)
+        vi, vs, as_bloch(r_point, tol=tol), as_bloch(f_point, tol=tol),
+        _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical, tol=tol)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f,

@@ -64,6 +64,15 @@ _NEWTON_SLOPE_FLOOR = 1e-8
 _SYMMETRY_SLACK = 1e-10
 _R_BASIS_SLACK = 1e-9
 
+# Squared root modulus above which a stellar root is placed at the south pole.
+_INFINITE_ROOT = 1e300
+
+# Amplitude of |0> below which a Bloch point maps to the south-pole qubit (0, 1).
+_SOUTH_POLE_CUT = 1e-150
+
+# Cost margin by which a pairing of Majorana points must beat the current one.
+_PAIRING_TIE_SLACK = 1e-15
+
 
 def principal_angle(angle: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
@@ -162,6 +171,42 @@ def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [q / c2, c0 / q]
 
 
+def _polynomial_roots(c: np.ndarray, tol: Tolerances) -> list[complex | None]:
+    """:func:`solve_polynomial` of a finite 1-d complex array, without its
+    checks: the finite roots as Python complexes, then ``None`` for each
+    root at infinity.
+
+    Above degree 2 the roots are the eigenvalues of the companion matrix
+    that ``np.roots`` builds, so they keep its bits and order: exact-zero
+    low-order coefficients are split off as ``0j`` roots listed last.
+    """
+    mags = np.abs(c).tolist()
+    top = c.size - 1
+    while mags[top] <= tol.zero:
+        top -= 1
+        if top < 0:
+            raise AllCoefficientsZero("every polynomial coefficient is below tolerance")
+    n_inf = c.size - 1 - top
+
+    finite: list[complex] = []
+    if top == 1:
+        finite = [complex(-c[0] / c[1])]
+    elif top == 2:
+        finite = [complex(z) for z in _quadratic_roots(c[0], c[1], c[2])]
+    elif top >= 3:
+        zeros = 0
+        while mags[zeros] == 0.0:
+            zeros += 1
+        size = top - zeros
+        if size:
+            # np.roots' first row -p[1:] / p[0], p = c[top], ..., c[zeros].
+            companion = np.eye(size, size, -1, dtype=complex)
+            companion[0, :] = -c[zeros:top][::-1] / c[top]
+            finite = np.linalg.eigvals(companion).tolist()
+        finite += [0j] * zeros
+    return finite + [None] * n_inf
+
+
 def solve_polynomial(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> list[ProjectiveRoot]:
     """Roots (with multiplicity) of ``sum_k coeffs[k] z^k`` on the Riemann sphere.
 
@@ -175,29 +220,7 @@ def solve_polynomial(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> list[Projectiv
         raise ValueError("coefficients must form a non-empty 1-d sequence")
     if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
         raise ValueError("coefficients must be finite")
-    mags = np.abs(c)
-    if np.all(mags <= tol.zero):
-        raise AllCoefficientsZero("every polynomial coefficient is below tolerance")
-
-    degree = c.size - 1
-    n_inf = 0
-    while mags[c.size - 1 - n_inf] <= tol.zero:
-        n_inf += 1
-    work = c[: c.size - n_inf]
-
-    finite: list[complex] = []
-    d = work.size - 1
-    if d == 1:
-        finite = [complex(-work[0] / work[1])]
-    elif d == 2:
-        finite = _quadratic_roots(work[0], work[1], work[2])
-    elif d >= 3:
-        finite = [complex(z) for z in np.roots(work[::-1])]
-
-    roots = [ProjectiveRoot.finite(z) for z in finite]
-    roots.extend(ProjectiveRoot.at_infinity() for _ in range(n_inf))
-    assert len(roots) == degree
-    return roots
+    return [ProjectiveRoot(z) for z in _polynomial_roots(c, tol)]
 
 
 def _as_square(matrix) -> np.ndarray:

@@ -377,18 +377,25 @@ class TestQutritModularGeometric:
             assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
             checked += 1
 
+    @staticmethod
+    def count_calls(monkeypatch, name, modules):
+        """Record ``len`` of the first argument of every call to ``name``."""
+        calls = []
+        original = getattr(modules[0], name)
+
+        def counting(points, *args, **kwargs):
+            calls.append(len(points))
+            return original(points, *args, **kwargs)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
+        return calls
+
     def test_normalization_computed_once_per_point_set(self, monkeypatch):
         # canonicalize_triple and majorana_points each return K; the value
         # route reuses them instead of recomputing K for the same points.
-        calls = []
-        original = majgeom.majorana.normalization_factor
-
-        def counting(points, **kwargs):
-            calls.append(len(points))
-            return original(points, **kwargs)
-
-        monkeypatch.setattr(majgeom.majorana, "normalization_factor", counting)
-        monkeypatch.setattr(majgeom.nlevel_values, "normalization_factor", counting)
+        calls = self.count_calls(monkeypatch, "_symmetrized",
+                                 (majgeom.majorana, majgeom.nlevel_values))
         rng = np.random.default_rng(85)
         spec = NLevelModularSpec(
             observable=GellMannDirection.from_r8(rng.normal(size=8)).operator,
@@ -398,6 +405,21 @@ class TestQutritModularGeometric:
         assert calls == [2, 2]
         expected = modular_value_direct(psi_i, spec, psi_f).rect
         assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_factored_modular_value_validates_and_normalizes_each_set_once(self, monkeypatch):
+        k_calls = self.count_calls(monkeypatch, "_symmetrized",
+                                   (majgeom.majorana, majgeom.nlevel_values))
+        checks = self.count_calls(monkeypatch, "as_bloch_array",
+                                  (majgeom.bloch, majgeom.majorana, majgeom.nlevel_values))
+        rng = np.random.default_rng(88)
+        i_pts, s_pts = random_points(rng, 4), random_points(rng, 4)
+        value, breakdown = factored_modular_value(
+            i_pts, s_pts, random_bloch(rng), random_bloch(rng), alpha=0.4, beta=0.1,
+            eigenvalue=1.0)
+        assert k_calls == [4, 4]
+        assert checks == [4, 4]
+        assert breakdown.k_ratio == (majgeom.majorana.normalization_factor(
+            pair_points(i_pts, s_pts)) / majgeom.majorana.normalization_factor(i_pts))
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
         # The anchor eigenvector and the evolution share one eig_hermitian.
