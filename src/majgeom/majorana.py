@@ -120,13 +120,21 @@ def normalization_factor(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def _point_rows(points, tol: Tolerances) -> np.ndarray:
-    """The unit rows of an ``(m, 3)`` array of Bloch points, m >= 1, checked
-    as :func:`normalization_factor` checks them: shape first, then each row
-    by :func:`as_bloch_array`."""
+    """The unit rows of an ``(m, 3)`` array of Bloch points, checked as
+    :func:`normalization_factor` checks them: shape and count by
+    :func:`_point_array`, then each row by :func:`as_bloch_array`."""
+    return as_bloch_array(_point_array(points), tol=tol)
+
+
+def _point_array(points) -> np.ndarray:
+    """``points`` as a float ``(m, 3)`` array, checked for its shape (m = 0
+    fails it) and then for 1 <= m <= MAX_LEVELS - 1, but not row by row."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 1:
         raise ValueError("expected an (m, 3) array of Bloch points")
-    return as_bloch_array(pts, tol=tol)
+    if pts.shape[0] > MAX_LEVELS - 1:
+        raise ValueError(f"point count must lie in [1, {MAX_LEVELS - 1}]")
+    return pts
 
 
 def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricRepresentation:

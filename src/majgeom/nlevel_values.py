@@ -23,19 +23,26 @@ from .bloch import (
     _triangle_angles,
     _unit,
     as_bloch,
-    as_bloch_array,
     modular_moduli,
     weak_moduli,
 )
 from .canonical import _canonicalize
 from .errors import IncompleteContext, ZeroDenominator
-from .majorana import _majorana_points, _normalized, _point_rows, _symmetrized, nlevel_state
+from .majorana import (
+    _majorana_points,
+    _normalized,
+    _point_array,
+    _point_rows,
+    _symmetrized,
+    nlevel_state,
+)
 from .numerics import (
     _CONTEXT_SLACK,
     _GELL_MANN_SLACK,
     _PAIRING_TIE_SLACK,
     DEFAULT_TOL,
     Tolerances,
+    _check_finite,
     _check_hermitian,
     _checked_overlap,
     _norm,
@@ -80,6 +87,8 @@ class GellMannDirection:
         r = np.asarray(r8, dtype=float)
         if r.shape != (8,):
             raise ValueError("direction must have eight components")
+        if not np.isfinite(r).all():
+            raise ValueError("direction must be finite")
         norm = float(np.linalg.norm(r))
         if norm <= 0.0:
             raise ValueError("direction must be non-zero")
@@ -121,12 +130,20 @@ class NLevelModularSpec:
     eigen_choice: int | None = None
     generic_theta: float | None = None
 
+    def __post_init__(self) -> None:
+        _check_finite(alpha=self.alpha, beta=self.beta, generic_theta=self.generic_theta)
 
-def _validated_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, complex]:
+
+def _state_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     si = nlevel_state(psi_i, tol=tol)
     sf = nlevel_state(psi_f, tol=tol)
     if si.size != sf.size:
         raise ValueError("pre- and postselected states must share a dimension")
+    return si, sf
+
+
+def _validated_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, complex]:
+    si, sf = _state_pair(psi_i, psi_f, tol)
     return si, sf, _checked_overlap(sf, si, tol)
 
 
@@ -179,12 +196,14 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     All permutations are scored at once; near-ties resolve as in a
     lexicographic scan that accepts only improvements above
     ``_PAIRING_TIE_SLACK``.  Only sums
-    over the paired polygons are contract-bearing.
+    over the paired polygons are contract-bearing.  Both sets are ``(m, 3)``,
+    1 <= m <= 7, checked before any m!-sized work; their rows are not.
     """
     a = np.asarray(first, dtype=float)
     b = np.asarray(second, dtype=float)
     if a.shape != b.shape:
         raise ValueError("point sets must have matching shapes")
+    _point_array(a)
     angles = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
     table = _permutation_table(a.shape[0])
     costs = np.zeros(table.shape[1])
@@ -201,13 +220,6 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         best = candidate
 
 
-def _point_set(points, tol: Tolerances) -> np.ndarray:
-    pts = as_bloch_array(points, tol=tol)
-    if pts.ndim != 2:
-        raise ValueError("expected an (m, 3) array of Bloch points")
-    return pts
-
-
 def factored_weak_value(i_points, r_point, f_point,
                         *, tol: Tolerances = DEFAULT_TOL):
     """Projector weak value from canonicalized stellar points.
@@ -222,29 +234,27 @@ def factored_weak_value(i_points, r_point, f_point,
     is then ``PolarComplex(0.0, 0.0)``.  Any other undefined triangle raises
     :class:`UndefinedSolidAngle`.
     """
-    return _factored_weak_value(_point_set(i_points, tol), as_bloch(r_point, tol=tol),
+    return _factored_weak_value(_point_rows(i_points, tol), as_bloch(r_point, tol=tol),
                                 as_bloch(f_point, tol=tol), tol)
 
 
 def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray, tol: Tolerances):
-    """:func:`factored_weak_value` of validated unit vectors."""
+    """:func:`factored_weak_value` of validated unit vectors, or one ``(3,)`` ``vi``."""
     moduli = _factor_moduli(weak_moduli(vi, vr, vf, tol=tol))
     angles, _ = _triangle_angles(vi, vr, vf, tol)
-    breakdown = GeometricBreakdown(tuple(
-        GeometricFactor(modulus, omega, p)
-        for modulus, omega, p in zip(moduli, _factor_angles(angles, moduli), vi)))
+    breakdown = GeometricBreakdown(tuple(map(
+        GeometricFactor, moduli, _factor_angles(angles, moduli), vi.reshape(-1, 3))))
     return breakdown.to_polar(), breakdown
 
 
 def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
                             k_ratio: float, *, dynamical: float, tol: Tolerances):
-    """:func:`factored_modular_value` of validated unit vectors, paired point
-    sets, a known K_s / K_i and the dynamical phase."""
+    """:func:`factored_modular_value` of validated unit vectors (or one ``(3,)``
+    point each), paired point sets, a known K_s / K_i and the dynamical phase."""
     moduli = _factor_moduli(modular_moduli(vi, vs, vf, tol=tol))
     omegas = _factor_angles(_quadrangle_angles(vi, vr, vs, vf, tol), moduli)
     breakdown = GeometricBreakdown(
-        tuple(GeometricFactor(modulus, omega, pi, ps)
-              for modulus, omega, pi, ps in zip(moduli, omegas, vi, vs)),
+        tuple(map(GeometricFactor, moduli, omegas, vi.reshape(-1, 3), vs.reshape(-1, 3))),
         dynamical_phase=dynamical, k_ratio=k_ratio)
     return breakdown.to_polar(), breakdown
 
@@ -261,6 +271,7 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     carries the normalization ratio K_s / K_i.  A pair with modulus ratio 0
     (``s_k`` antipodal to ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.
     """
+    _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     i_pts = np.asarray(i_points, dtype=float)
     vs = _point_rows(pair_points(i_pts, np.asarray(s_points, dtype=float)), tol)
     vi = _point_rows(i_pts, tol)
@@ -324,7 +335,7 @@ def _check_context(projectors, dim: int, tol: Tolerances) -> list[np.ndarray]:
     for p in mats:
         if p.shape != (dim, dim):
             raise IncompleteContext("projector dimension does not match the states")
-        if hermiticity_defect(p) > tol.unitarity:
+        if not hermiticity_defect(p) <= tol.unitarity:  # NaN and inf fail too
             raise IncompleteContext("context contains a non-Hermitian element")
         if float(np.max(np.abs(p @ p - p))) > _CONTEXT_SLACK:
             raise IncompleteContext("context contains a non-idempotent element")
@@ -343,8 +354,7 @@ def abl_distribution(psi_i, projectors, psi_f,
     measurement between pre- and postselection:
     ``P(k) = |<f|P_k|i>|^2 / sum_j |<f|P_j|i>|^2``.
     """
-    si = nlevel_state(psi_i, tol=tol)
-    sf = nlevel_state(psi_f, tol=tol)
+    si, sf = _state_pair(psi_i, psi_f, tol)
     mats = _check_context(projectors, si.size, tol)
     weights = np.array([abs(complex(np.vdot(sf, p @ si))) ** 2 for p in mats])
     total = float(weights.sum())

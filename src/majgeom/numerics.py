@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,6 +35,11 @@ class Tolerances:
     unitarity: float = 1e-10
     zero: float = 1e-12
     orthogonality: float = 1e-10
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            if not 0.0 <= getattr(self, field.name) < math.inf:  # False for NaN
+                raise ValueError(f"tolerance {field.name} must be finite and non-negative")
 
 
 DEFAULT_TOL = Tolerances()
@@ -124,6 +129,14 @@ def _checked_overlap(bra: np.ndarray, ket: np.ndarray, tol: Tolerances) -> compl
     return overlap
 
 
+def _check_finite(**values: float | None) -> None:
+    """Raise ``ValueError`` naming the first of ``values`` that is set (not
+    ``None``) but not finite."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 def _checked_norm(vec: np.ndarray, what: str, entries: str) -> float:
     """:func:`_norm` of a 1-d complex array that must be finite and of unit
     norm within ``_NORM_SLACK``; ``what`` and ``entries`` name it in errors."""
@@ -148,14 +161,6 @@ class ProjectiveRoot:
     @property
     def is_infinite(self) -> bool:
         return self.value is None
-
-    @staticmethod
-    def finite(z: complex) -> "ProjectiveRoot":
-        return ProjectiveRoot(complex(z))
-
-    @staticmethod
-    def at_infinity() -> "ProjectiveRoot":
-        return ProjectiveRoot(None)
 
 
 def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
@@ -236,8 +241,10 @@ def hermiticity_defect(matrix) -> float:
 
 
 def _check_hermitian(matrix, tol: Tolerances) -> None:
+    """Raise :class:`NotHermitian` unless the defect is at most ``tol.unitarity``;
+    a NaN or inf entry gives a defect that is not."""
     defect = hermiticity_defect(matrix)
-    if defect > tol.unitarity:
+    if not defect <= tol.unitarity:
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
 
 

@@ -2,8 +2,9 @@
 
 Each quantity exists twice: a direct Hilbert-space evaluation and a geometric
 one built from Bloch vectors (probability ratios and oriented solid angles).
-The two routes agree to the comparison tolerance and are cross-checked in the
-test suite.
+The geometric routes are the one-point case of the factored N-level cores of
+:mod:`majgeom.nlevel_values`.  The two routes agree to the comparison
+tolerance and are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -13,20 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    _factor_angles,
-    _factor_moduli,
-    _quadrangle_angles,
-    _rotate,
-    _triangle_angles,
-    _unit,
-    as_bloch,
-    as_qubit,
-    modular_moduli,
-    weak_moduli,
+from .bloch import _rotate, as_bloch, as_qubit
+from .nlevel_values import _factored_modular_value, _factored_weak_value
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerances,
+    _check_finite,
+    _check_hermitian,
+    _checked_overlap,
 )
-from .numerics import DEFAULT_TOL, Tolerances, _check_hermitian, _checked_overlap
-from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
+from .polar import PolarComplex
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -50,6 +47,7 @@ class QubitModularSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axis", as_bloch(self.axis))
+        _check_finite(alpha=self.alpha, beta=self.beta)
 
     @property
     def sigma(self) -> np.ndarray:
@@ -71,13 +69,10 @@ def projector_weak_value_geometric(i, r, f, *, tol: Tolerances = DEFAULT_TOL):
     oriented solid angle of the (i, r, f) geodesic triangle.  When the modulus
     is exactly 0 (``r`` antipodal to ``i`` or ``f``), the solid angle is 0.0
     and the value ``PolarComplex(0.0, 0.0)``; the triangle is undefined there.
+    Bit for bit ``factored_weak_value([i], r, f)``.
     """
-    vi, vr, vf = as_bloch(i, tol=tol), as_bloch(r, tol=tol), as_bloch(f, tol=tol)
-    moduli = _factor_moduli(weak_moduli(vi, vr, vf, tol=tol))
-    angles, _ = _triangle_angles(_unit(vi), _unit(vr), _unit(vf), tol)
-    (omega,) = _factor_angles(angles, moduli)
-    breakdown = GeometricBreakdown((GeometricFactor(moduli[0], omega, vi),))
-    return breakdown.to_polar(), breakdown
+    return _factored_weak_value(as_bloch(i, tol=tol), as_bloch(r, tol=tol),
+                                as_bloch(f, tol=tol), tol)
 
 
 def modular_value_direct(i, spec: QubitModularSpec, f,
@@ -100,17 +95,13 @@ def modular_value_geometric(i, spec: QubitModularSpec, f,
     dynamical term ``(beta-alpha)/2`` and the geometric term given by minus
     half the (i, r, s, f) quadrangle solid angle.  When the modulus is exactly
     0 (``s`` antipodal to ``f``), the solid angle is 0.0 and the value
-    ``PolarComplex(0.0, 0.0)``.
+    ``PolarComplex(0.0, 0.0)``.  This is the one-point ``factored_modular_value``
+    with ``beta/2`` for ``beta``, eigenvalue 1 and K_s / K_i taken as exactly 1.
     """
     vi, vf = as_bloch(i, tol=tol), as_bloch(f, tol=tol)
-    ui, ur = _unit(vi), _unit(spec.axis)
-    vs = _rotate(ui, ur, spec.alpha)
-    moduli = _factor_moduli(modular_moduli(vi, vs, vf, tol=tol))
-    (omega,) = _factor_angles(_quadrangle_angles(ui, ur, _unit(vs), _unit(vf), tol), moduli)
-    dynamical = 0.5 * (spec.beta - spec.alpha)
-    breakdown = GeometricBreakdown(
-        (GeometricFactor(moduli[0], omega, vi, vs),), dynamical_phase=dynamical)
-    return breakdown.to_polar(), breakdown
+    vs = _rotate(vi, spec.axis, spec.alpha)
+    return _factored_modular_value(vi, vs, spec.axis, vf, 1.0,
+                                   dynamical=0.5 * (spec.beta - spec.alpha), tol=tol)
 
 
 def observable_to_modular_spec(observable, theta: float,

@@ -497,6 +497,38 @@ class TestCliContract:
         assert doc["error"]["kind"] == "usage"
         assert doc["error"]["type"] == "NotHermitian"
 
+    @pytest.mark.parametrize("command, payload, extra, error_type", [
+        ("nlevel-direct", {"kind": "weak", "observable": [
+            [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, (), "NotHermitian"),
+        ("abl", {"projectors": [
+            [[[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+             [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
+             [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]]}, (), "IncompleteContext"),
+        ("qutrit-modular", {"spec": {"r8": [1.0] + [0.0] * 7, "alpha": math.nan}}, (),
+         "ValueError"),
+        ("qutrit-modular", {"spec": {"r8": [1.0] + [0.0] * 7, "alpha": math.nan}},
+         ("--mode", "direct"), "ValueError"),
+        ("qutrit-modular", {"spec": {"r8": [1.0, math.nan] + [0.0] * 6, "alpha": 0.3}}, (),
+         "ValueError"),
+    ])
+    def test_non_finite_input_exit_two(self, capsys, tmp_path, command, payload, extra,
+                                       error_type):
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        scenario = write_scenario(tmp_path, {
+            "i": amplitudes(np.ones(3) / SQ3),
+            "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3), **payload})
+        code, out = run_cli(capsys, command, "--scenario", scenario, *extra)
+        assert code == 2, out
+        error = json.loads(out, parse_constant=refuse)["error"]
+        assert (error["kind"], error["type"]) == ("usage", error_type)
+
     def test_csv_seventeen_digits(self, capsys):
         _, out = run_cli(capsys, "three-box", "--format", "csv")
         row = out.split("\n")[2].split(",")

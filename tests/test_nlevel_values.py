@@ -160,6 +160,50 @@ class TestNonHermitianInput:
             observable_to_modular_spec(observable, 0.3)
 
 
+class TestNonFiniteInput:
+    """NaN and inf in an operator, an angle or a direction are input errors."""
+
+    PSI_I, PSI_F = np.ones(3) / SQ3, np.array([1.0, -1.0, 1.0]) / SQ3
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_observable_entry(self, bad):
+        observable = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        observable[1, 1] = bad
+        with pytest.raises(NotHermitian):
+            weak_value_direct(self.PSI_I, observable, self.PSI_F)
+        with pytest.raises(NotHermitian):
+            modular_value_direct(self.PSI_I, NLevelModularSpec(observable=observable),
+                                 self.PSI_F)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_projector_entry(self, bad):
+        context = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]
+        context[0][0, 0] = bad
+        with pytest.raises(IncompleteContext, match="non-Hermitian"):
+            abl_distribution(self.PSI_I, context, self.PSI_F)
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "generic_theta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_spec_angles(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            NLevelModularSpec(observable=GELL_MANN[2], **{field: bad})
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "eigenvalue"])
+    def test_factored_modular_value_parameters(self, field):
+        params = {"alpha": 0.4, "beta": 0.1, "eigenvalue": 1.0, field: math.nan}
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            factored_modular_value([NORTH], [NORTH], NORTH, NORTH, **params)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_gell_mann_direction(self, bad):
+        r8 = np.ones(8)
+        r8[3] = bad
+        with pytest.raises(ValueError, match="^direction must be finite$"):
+            GellMannDirection.from_r8(r8)
+
+
 class TestModularValueDirect:
     def test_no_evolution(self):
         rng = np.random.default_rng(74)
@@ -410,7 +454,7 @@ class TestQutritModularGeometric:
         k_calls = self.count_calls(monkeypatch, "_symmetrized",
                                    (majgeom.majorana, majgeom.nlevel_values))
         checks = self.count_calls(monkeypatch, "as_bloch_array",
-                                  (majgeom.bloch, majgeom.majorana, majgeom.nlevel_values))
+                                  (majgeom.bloch, majgeom.majorana))
         rng = np.random.default_rng(88)
         i_pts, s_pts = random_points(rng, 4), random_points(rng, 4)
         value, breakdown = factored_modular_value(
@@ -702,6 +746,10 @@ class TestABL:
         psi = np.array([1.0, 0.0, 0.0])
         with pytest.raises(IncompleteContext):
             abl_distribution(psi, [np.diag([1.0, 0, 0])], psi)
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(ValueError, match="must share a dimension"):
+            abl_distribution(np.ones(3) / SQ3, [np.eye(3)], np.array([1.0, 0.0]))
 
     def test_zero_denominator(self):
         # orthogonal selection with a diagonal context blocks every path

@@ -121,6 +121,14 @@ class TestEigHermitian:
         with pytest.raises(NotHermitian):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_non_finite_entry(self, bad):
+        matrix = np.eye(2, dtype=complex)
+        matrix[0, 0] = bad
+        with pytest.raises(NotHermitian):
+            eig_hermitian(matrix)
+
 
 class TestUnitaryExp:
     def test_identity_at_zero(self):
@@ -200,6 +208,14 @@ def test_tolerances_defaults():
     assert tol.comparison == 1e-9
     assert tol.unitarity == 1e-10
     assert tol.zero == 1e-12
+
+
+@pytest.mark.parametrize("field", ["comparison", "unitarity", "zero", "orthogonality"])
+@pytest.mark.parametrize("bad", [-1e-12, -1.0, math.nan, math.inf])
+def test_tolerances_reject_negative_and_non_finite(field, bad):
+    with pytest.raises(ValueError, match=f"^tolerance {field} must be finite and non-negative$"):
+        Tolerances(**{field: bad})
+    assert getattr(Tolerances(**{field: 0.0}), field) == 0.0
 
 
 ZERO = Tolerances().zero

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     ang_dist,
@@ -14,8 +16,9 @@ from helpers import (
 )
 import majgeom.bloch
 import majgeom.qubit_values
-from majgeom.bloch import bloch_to_qubit, qubit_to_bloch
+from majgeom.bloch import bloch_to_qubit, qubit_to_bloch, rodrigues_rotate
 from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
+from majgeom.nlevel_values import factored_modular_value, factored_weak_value
 from majgeom.qubit_values import (
     QubitModularSpec,
     modular_value_direct,
@@ -309,3 +312,72 @@ class TestValidatedOnce:
         assert bloch_calls == [tuple(i), tuple(f)]
         expected = modular_value_direct(bloch_to_qubit(i), spec, bloch_to_qubit(f))
         assert polar_close(value, expected.rect)
+
+
+coordinate = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def near_unit_vectors(draw):
+    """Unit vectors with norms off 1 by less than the validation slack, the
+    poles over-represented."""
+    v = np.array([draw(coordinate), draw(coordinate), draw(st.sampled_from([-1.0, 1.0]))
+                  if draw(st.integers(0, 4)) == 0 else draw(coordinate)])
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-3:
+        v, norm = EZ, 1.0
+    return v / norm * (1.0 + draw(st.floats(-1e-9, 1e-9)))
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s value and breakdown, or its error type and message."""
+    try:
+        return fn(*args, **kwargs)
+    except (OrthogonalSelection, UndefinedSolidAngle) as exc:
+        return type(exc), str(exc)
+
+
+def breakdown_bits(breakdown):
+    return (breakdown.dynamical_phase, breakdown.k_ratio,
+            [(f.modulus_ratio, f.solid_angle, f.i_point.tobytes(),
+              None if f.s_point is None else f.s_point.tobytes()) for f in breakdown.factors])
+
+
+class TestOnePointCase:
+    """The qubit geometric routes are the m = 1 case of the factored N-level cores."""
+
+    SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+    @SETTINGS
+    @given(i=near_unit_vectors(), r=near_unit_vectors(), f=near_unit_vectors())
+    def test_weak_value_is_bit_for_bit_the_factored_value(self, i, r, f):
+        qubit = outcome(projector_weak_value_geometric, i, r, f)
+        factored = outcome(factored_weak_value, [i], r, f)
+        if isinstance(qubit[0], type):
+            assert qubit == factored
+            return
+        assert qubit[0] == factored[0]
+        assert breakdown_bits(qubit[1]) == breakdown_bits(factored[1])
+
+    @SETTINGS
+    @given(i=near_unit_vectors(), axis=near_unit_vectors(), f=near_unit_vectors(),
+           alpha=st.floats(-7.0, 7.0), beta=st.floats(-7.0, 7.0))
+    def test_modular_value_matches_the_factored_value(self, i, axis, f, alpha, beta):
+        spec = QubitModularSpec(axis=axis, alpha=alpha, beta=beta)
+        qubit = outcome(modular_value_geometric, i, spec, f)
+        factored = outcome(factored_modular_value, [i], [rodrigues_rotate(i, axis, alpha)],
+                           axis, f, alpha=alpha, beta=beta / 2, eigenvalue=1.0)
+        if isinstance(qubit[0], type):
+            assert qubit == factored
+            return
+        expected = factored[0].rect
+        assert abs(qubit[0].rect - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+class TestNonFiniteSpec:
+    @pytest.mark.parametrize("field", ["alpha", "beta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            QubitModularSpec(axis=EZ, **{field: bad})

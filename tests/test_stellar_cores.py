@@ -24,7 +24,12 @@ from majgeom.majorana import (
     normalization_factor,
     symmetrize,
 )
-from majgeom.nlevel_values import factored_modular_value
+from majgeom.nlevel_values import (
+    _permutation_table,
+    factored_modular_value,
+    factored_weak_value,
+    pair_points,
+)
 from majgeom.numerics import (
     DEFAULT_TOL,
     _polynomial_roots,
@@ -266,6 +271,34 @@ class TestPointSetShapeErrors:
                 (ValueError, NORM_MESSAGE.format(2.0))
             assert message(fn, [[0.0, 0.0, 2.0], [0.0, np.inf, 1.0]]) == \
                 (ValueError, "Bloch vector must be finite")
+
+
+class TestPointCountBound:
+    """Every ``(m, 3)`` entry point takes 1 <= m <= MAX_LEVELS - 1 points and
+    refuses any other m before m!-sized work: m = 0 fails the shape check,
+    m = MAX_LEVELS the count check, both ahead of the row norms."""
+
+    CALLS = {
+        "factored_weak_value": lambda pts: factored_weak_value(pts, NORTH, EAST),
+        "factored_modular_value": lambda pts: factored_modular_value(
+            pts, pts, NORTH, EAST, alpha=0.5, beta=0.1, eigenvalue=1.0),
+        "normalization_factor": normalization_factor,
+        "pair_points": lambda pts: pair_points(pts, pts),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    @pytest.mark.parametrize("count, expected", [
+        (0, SHAPE_MESSAGE), (MAX_LEVELS, f"point count must lie in [1, {MAX_LEVELS - 1}]")])
+    @pytest.mark.parametrize("norm", [1.0, 5.0])
+    def test_out_of_range_count(self, name, count, expected, norm):
+        tables = _permutation_table.cache_info().currsize
+        assert message(self.CALLS[name], np.tile([0.0, 0.0, norm], (count, 1))) == \
+            (ValueError, expected)
+        assert _permutation_table.cache_info().currsize == tables
+
+    def test_factored_weak_value_column_count(self):
+        assert message(factored_weak_value, np.zeros((2, 4)), NORTH, EAST) == \
+            (ValueError, SHAPE_MESSAGE)
 
 
 class TestSolvePolynomialErrors:
