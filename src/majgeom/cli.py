@@ -9,12 +9,11 @@ geometric/direct mismatch check.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -37,6 +36,12 @@ _ANGLE_KEYS = {
     "omega1", "omega2", "wv_arg", "theta", "eta", "epsilon", "chi1", "chi2",
     "theta_bifurcation", "theta_singular", "omega2_jump",
 }
+
+_RECORD_FIELDS = tuple(field.name for field in fields(experiments.ScanRecord))
+# Printed names of the scan-record fields that differ from the dataclass's.
+_RECORD_KEYS = {"wv_modulus": "wv_mod", "wv_argument": "wv_arg"}
+_SCAN_COLUMNS = ("theta", "alpha1", "alpha2", "beta1", "beta2", "omega1", "omega2",
+                 "wv_mod", "wv_arg")
 
 
 class ScenarioInvalid(ValueError):
@@ -291,10 +296,7 @@ def _cmd_majorana(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
     (state,) = _states(doc, ("state",), tol)
     rep = majorana.majorana_points(state, tol=tol)
-    results = {
-        "points": rep.points,
-        "normalization": rep.normalization,
-    }
+    results = asdict(rep)
     if state.size == 3:
         results["discriminant"] = majorana.discriminant_degeneracy(state, tol=tol)
         results["entanglement_entropy"] = majorana.entanglement_entropy(rep.points,
@@ -335,19 +337,8 @@ def _scan_to_results(scan: experiments.SingularityScan) -> dict:
         "theta_bifurcation": scan.theta_bifurcation,
         "theta_singular": scan.theta_singular,
         "omega2_jump": scan.omega2_jump,
-        "records": [
-            {
-                "theta": r.theta,
-                "alpha1": r.alpha1, "alpha2": r.alpha2,
-                "beta1": r.beta1, "beta2": r.beta2,
-                "i1": r.i1, "i2": r.i2,
-                "omega1": r.omega1, "omega2": r.omega2,
-                "wv_mod": r.wv_modulus, "wv_arg": r.wv_argument,
-                "wv_direct": r.wv_direct,
-                "flags": r.flags,
-            }
-            for r in scan.records
-        ],
+        "records": [{_RECORD_KEYS.get(name, name): getattr(r, name) for name in _RECORD_FIELDS}
+                    for r in scan.records],
     }
 
 
@@ -370,86 +361,43 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
 
 
 def _cmd_three_box(args, tol: Tolerances) -> dict:
-    report = experiments.three_box_report(tol=tol)
-    boxes = []
-    for box in report.boxes:
-        boxes.append({
-            "name": box.name,
-            "points": box.points,
-            "normalization": box.normalization,
-            "factors": [
-                {"modulus": f.modulus, "solid_angle": f.solid_angle,
-                 "value": f.value, "point": f.point}
-                for f in box.factors
-            ],
-            "weak_value": box.weak_value,
-            "weak_value_direct": box.weak_value_direct,
-            "entropy": box.entropy,
-            "r_basis": box.r_basis,
-            "bell_overlap": box.bell_overlap,
-            "closest_separable": box.closest_separable,
-        })
-    return {
-        "results": {
-            "i_vec": report.i_vec,
-            "f_vec": report.f_vec,
-            "boxes": boxes,
-            "weak_value_sum": report.weak_value_sum,
-            "abl_one_box": report.abl_one_box,
-            "abl_all_boxes": report.abl_all_boxes,
-            "symmetry_checks": report.symmetry_checks,
-        },
-        "provenance": "both",
-    }
+    return {"results": asdict(experiments.three_box_report(tol=tol)), "provenance": "both"}
+
+
+def _csv(header, rows) -> str:
+    """A table: the ``header`` names, then one line of ``_fmt`` cells per row."""
+    lines = [",".join(header)] + [",".join(_fmt(cell) for cell in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _three_box_csv(results: dict) -> str:
-    buffer = io.StringIO()
-    buffer.write("box,qubit,modulus,solid_angle,weak_value_re,weak_value_im\n")
-    for box_index, box in enumerate(results["boxes"], start=1):
-        for qubit_index, factor in enumerate(box["factors"], start=1):
-            buffer.write(",".join([
-                str(box_index), str(qubit_index),
-                _fmt(factor["modulus"]), _fmt(factor["solid_angle"]),
-                _fmt(factor["value"]["re"]), _fmt(factor["value"]["im"]),
-            ]) + "\n")
-    for box_index, box in enumerate(results["boxes"], start=1):
-        total_angle = sum(f["solid_angle"] for f in box["factors"])
-        total_mod = abs(complex(box["weak_value"]["re"], box["weak_value"]["im"]))
-        buffer.write(",".join([
-            str(box_index), "total",
-            _fmt(total_mod), _fmt(total_angle),
-            _fmt(box["weak_value"]["re"]), _fmt(box["weak_value"]["im"]),
-        ]) + "\n")
-    return buffer.getvalue()
+    boxes = list(enumerate(results["boxes"], start=1))
+    rows = [(b, q, f["modulus"], f["solid_angle"], f["value"]["re"], f["value"]["im"])
+            for b, box in boxes for q, f in enumerate(box["factors"], start=1)]
+    rows += [(b, "total", abs(complex(box["weak_value"]["re"], box["weak_value"]["im"])),
+              sum(f["solid_angle"] for f in box["factors"]),
+              box["weak_value"]["re"], box["weak_value"]["im"])
+             for b, box in boxes]
+    return _csv(("box", "qubit", "modulus", "solid_angle", "weak_value_re", "weak_value_im"),
+                rows)
 
 
 def _scan_csv(results: dict) -> str:
-    buffer = io.StringIO()
-    buffer.write("theta,alpha1,alpha2,beta1,beta2,omega1,omega2,wv_mod,wv_arg,flags\n")
-    for record in results["records"]:
-        buffer.write(",".join([
-            _fmt(record["theta"]),
-            _fmt(record["alpha1"]), _fmt(record["alpha2"]),
-            _fmt(record["beta1"]), _fmt(record["beta2"]),
-            _fmt(record["omega1"]), _fmt(record["omega2"]),
-            _fmt(record["wv_mod"]), _fmt(record["wv_arg"]),
-            ";".join(record["flags"]),
-        ]) + "\n")
-    return buffer.getvalue()
+    return _csv(_SCAN_COLUMNS + ("flags",),
+                ([*(r[c] for c in _SCAN_COLUMNS), ";".join(r["flags"])]
+                 for r in results["records"]))
 
 
-def _generic_csv(node, prefix: str = "") -> list[str]:
-    rows: list[str] = []
+def _field_rows(node, prefix: str = ""):
+    """``(dotted path, leaf)`` for every leaf of a JSON document, in order."""
     if isinstance(node, dict):
         for key, value in node.items():
-            rows.extend(_generic_csv(value, f"{prefix}{key}." if prefix else f"{key}."))
+            yield from _field_rows(value, f"{prefix}{key}.")
     elif isinstance(node, list):
         for index, value in enumerate(node):
-            rows.extend(_generic_csv(value, f"{prefix}{index}."))
+            yield from _field_rows(value, f"{prefix}{index}.")
     else:
-        rows.append(f"{prefix[:-1]},{_fmt(node)}")
-    return rows
+        yield prefix[:-1], node
 
 
 _COMMANDS = {
@@ -536,7 +484,7 @@ def run(argv) -> int:
     elif args.command == "scan-singularity":
         text = _scan_csv(envelope["results"])
     else:
-        text = "field,value\n" + "\n".join(_generic_csv(envelope["results"])) + "\n"
+        text = _csv(("field", "value"), _field_rows(envelope["results"]))
     _emit(text, args.out)
     return 0
 

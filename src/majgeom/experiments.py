@@ -56,6 +56,8 @@ class ScanRecord:
 
     ``omega1``/``omega2`` are unwrapped along the grid (reset across the
     singular bracket); undefined quantities at a singular point are ``None``.
+    ``scan-singularity`` prints the fields in this order, ``wv_modulus`` and
+    ``wv_argument`` as ``wv_mod`` and ``wv_arg``.
     """
 
     theta: float
@@ -395,10 +397,10 @@ class BoxFactor:
     the entangled-projector case.
     """
 
-    point: np.ndarray
     modulus: float
     solid_angle: float
     value: complex
+    point: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -417,6 +419,9 @@ class BoxResult:
 
 @dataclass(frozen=True)
 class ThreeBoxReport:
+    """The three-box analysis; ``three-box`` prints it, its :class:`BoxResult`
+    and :class:`BoxFactor` records field by field in declaration order."""
+
     i_vec: np.ndarray
     f_vec: np.ndarray
     boxes: tuple[BoxResult, BoxResult, BoxResult]
@@ -424,8 +429,6 @@ class ThreeBoxReport:
     abl_one_box: dict[str, float]
     abl_all_boxes: np.ndarray
     symmetry_checks: dict[str, bool]
-    u1: np.ndarray
-    u2: np.ndarray
 
 
 def _symmetric_embedding(qutrit: np.ndarray) -> np.ndarray:
@@ -559,6 +562,4 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
         abl_one_box=abl_one_box,
         abl_all_boxes=abl_all,
         symmetry_checks=symmetry_checks,
-        u1=u1,
-        u2=u2,
     )

@@ -73,6 +73,11 @@ def gell_mann_matrices() -> tuple[np.ndarray, ...]:
 
 GELL_MANN = gell_mann_matrices()
 
+# Range of the largest |component| in which the norm's eight squares neither
+# overflow nor lose bits to underflow; outside it, a direction is scaled by that
+# component first.
+_SQUARES_SAFE = (1e-140, 1e140)
+
 
 @dataclass(frozen=True)
 class GellMannDirection:
@@ -89,10 +94,12 @@ class GellMannDirection:
             raise ValueError("direction must have eight components")
         if not np.isfinite(r).all():
             raise ValueError("direction must be finite")
-        norm = float(np.linalg.norm(r))
-        if norm <= 0.0:
+        peak = float(np.max(np.abs(r)))
+        if peak == 0.0:
             raise ValueError("direction must be non-zero")
-        r = r / norm
+        if not _SQUARES_SAFE[0] <= peak <= _SQUARES_SAFE[1]:
+            r = r / peak
+        r = r / float(np.linalg.norm(r))
         op = sum(c * g for c, g in zip(r, GELL_MANN))
         return cls(r, op)
 

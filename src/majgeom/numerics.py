@@ -237,7 +237,8 @@ def _as_square(matrix) -> np.ndarray:
 
 def hermiticity_defect(matrix) -> float:
     m = _as_square(matrix)
-    return float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN; callers refuse a non-finite defect
+        return float(np.max(np.abs(m - m.conj().T)))
 
 
 def _check_hermitian(matrix, tol: Tolerances) -> None:

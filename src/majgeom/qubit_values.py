@@ -129,6 +129,8 @@ def observable_to_modular_spec(observable, theta: float,
 def weak_value_from_modular_derivative(i, observable, f, *, h: float = 1e-5,
                                        tol: Tolerances = DEFAULT_TOL) -> complex:
     """Central-difference check of ``A_w = 1j * dA_m/dtheta`` at zero strength."""
+    if not (math.isfinite(h) and h != 0.0):
+        raise ValueError("h must be finite and non-zero")
     plus = modular_value_direct(i, observable_to_modular_spec(observable, h, tol=tol), f,
                                 tol=tol).rect
     minus = modular_value_direct(i, observable_to_modular_spec(observable, -h, tol=tol), f,

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from helpers import random_state
 from majgeom.cli import main
+from majgeom.nlevel_values import GellMannDirection, NLevelModularSpec, modular_value_direct
 
 SQ3 = math.sqrt(3.0)
 DATA = Path(__file__).resolve().parent / "data"
@@ -27,6 +29,20 @@ def write_scenario(tmp_path, payload, name="scenario.json"):
 
 def amplitudes(vec):
     return [[z.real, z.imag] for z in np.asarray(vec, dtype=complex)]
+
+
+def flatten(node, prefix=""):
+    """(dotted path, leaf) pairs of a JSON document, in document order."""
+    if isinstance(node, dict):
+        return [pair for key, value in node.items() for pair in flatten(value, f"{prefix}{key}.")]
+    if isinstance(node, list):
+        return [pair for index, value in enumerate(node)
+                for pair in flatten(value, f"{prefix}{index}.")]
+    return [(prefix[:-1], node)]
+
+
+def csv_rows(text):
+    return [line.split(",") for line in text.rstrip("\n").split("\n")]
 
 
 class TestQubitCommands:
@@ -533,6 +549,124 @@ class TestCliContract:
         _, out = run_cli(capsys, "three-box", "--format", "csv")
         row = out.split("\n")[2].split(",")
         assert row[2] == "0.99999999999999978"
+
+
+class TestCsvOutput:
+    TRIPLE = json.loads((DATA / "qutrit_triple.scenario.json").read_text())
+
+    @pytest.mark.parametrize("command, payload", [
+        ("qutrit-weak", TRIPLE),
+        ("canonicalize", TRIPLE),
+        ("majorana", {"state": amplitudes([0.6, 0.0, 0.8j])}),
+        ("majorana", {"state": amplitudes(random_state(np.random.default_rng(95), 4))}),
+    ])
+    def test_field_rows_match_json(self, capsys, tmp_path, command, payload):
+        scenario = write_scenario(tmp_path, payload)
+        _, document = run_cli(capsys, command, "--scenario", scenario)
+        code, table = run_cli(capsys, command, "--scenario", scenario, "--format", "csv")
+        assert code == 0
+        rows = csv_rows(table)
+        expected = flatten(json.loads(document)["results"])
+        assert rows[0] == ["field", "value"]
+        assert [row[0] for row in rows[1:]] == [path for path, _ in expected]
+        for (_, cell), (_, leaf) in zip(rows[1:], expected):
+            if leaf is None:
+                assert cell == ""
+            elif isinstance(leaf, float):
+                assert float(cell) == leaf
+            else:
+                assert cell == str(leaf)
+
+    def test_three_box_degrees_scale_solid_angles(self, capsys):
+        _, radians = run_cli(capsys, "three-box", "--format", "csv")
+        _, degrees = run_cli(capsys, "three-box", "--format", "csv", "--degrees")
+        rad_rows, deg_rows = csv_rows(radians), csv_rows(degrees)
+        assert deg_rows[0] == rad_rows[0]
+        assert rad_rows[0][3] == "solid_angle"
+        for rad, deg in zip(rad_rows[1:7], deg_rows[1:7]):
+            assert float(deg[3]) == float(rad[3]) * (180.0 / math.pi)
+            assert deg[:3] + deg[4:] == rad[:3] + rad[4:]
+        for box, (rad, deg) in enumerate(zip(rad_rows[7:], deg_rows[7:])):
+            factor_rows = deg_rows[1 + 2 * box:3 + 2 * box]
+            assert float(deg[3]) == sum(float(row[3]) for row in factor_rows)
+            assert deg[:3] + deg[4:] == rad[:3] + rad[4:]
+
+    def test_scan_degrees_scale_angle_columns(self, capsys):
+        angles = {"theta", "alpha1", "alpha2", "beta1", "beta2", "omega1", "omega2",
+                  "wv_arg"}
+        argv = ("scan-singularity", "--count", "512", "--format", "csv")
+        _, radians = run_cli(capsys, *argv)
+        _, degrees = run_cli(capsys, *argv, "--degrees")
+        rad_rows, deg_rows = csv_rows(radians), csv_rows(degrees)
+        header = rad_rows[0]
+        assert deg_rows[0] == header
+        assert any("" in row for row in rad_rows[1:])
+        for rad, deg in zip(rad_rows[1:], deg_rows[1:]):
+            for name, rad_cell, deg_cell in zip(header, rad, deg):
+                if name in angles and rad_cell != "":
+                    assert float(deg_cell) == float(rad_cell) * (180.0 / math.pi)
+                else:
+                    assert deg_cell == rad_cell
+
+
+class TestNlevelDirectModular:
+    @pytest.mark.parametrize("spec", [
+        {"observable": [[[float(i == j) * (i - 1.0), 0.0] for j in range(3)]
+                        for i in range(3)], "alpha": 0.7, "beta": 0.1},
+        {"r8": [0.3, -1.2, 0.5, 0.0, 2.0, -0.7, 0.1, 0.9], "alpha": 0.4, "theta": 0.9},
+    ])
+    def test_equals_modular_value_direct(self, capsys, tmp_path, spec):
+        rng = np.random.default_rng(96)
+        psi_i, psi_f = random_state(rng, 3), random_state(rng, 3)
+        scenario = write_scenario(tmp_path, {"i": amplitudes(psi_i), "f": amplitudes(psi_f),
+                                             "kind": "modular", "spec": spec})
+        code, out = run_cli(capsys, "nlevel-direct", "--scenario", scenario)
+        assert code == 0, out
+        doc = json.loads(out)
+        assert doc["provenance"] == "direct"
+        assert doc["results"]["kind"] == "modular"
+        if "r8" in spec:
+            observable = GellMannDirection.from_r8(spec["r8"]).operator
+        else:
+            grid = np.array(spec["observable"])
+            observable = grid[..., 0] + 1j * grid[..., 1]
+        expected = modular_value_direct(
+            psi_i / np.linalg.norm(psi_i),
+            NLevelModularSpec(observable=observable, alpha=spec["alpha"],
+                              beta=spec.get("beta", 0.0), generic_theta=spec.get("theta")),
+            psi_f / np.linalg.norm(psi_f))
+        rect = expected.rect
+        assert doc["results"]["value"] == {"modulus": expected.modulus,
+                                           "argument": expected.argument,
+                                           "re": rect.real, "im": rect.imag}
+
+
+class TestStderr:
+    @pytest.mark.parametrize("deviation, warning", [
+        (5e-10, "warning: state 'state' renormalized (deviation 5.00e-10)\n"),
+        (5e-11, ""),
+    ])
+    def test_renormalization_warning(self, capsys, tmp_path, deviation, warning):
+        scenario = write_scenario(tmp_path, {"state": amplitudes([1.0 + deviation, 0.0, 0.0])})
+        code = main(["majorana", "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert code == 0, captured.out
+        assert captured.err == warning
+
+    def test_inf_observable_entry_writes_no_warning(self, capsys, tmp_path):
+        observable = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+        observable[1][1] = [math.inf, 0.0]
+        scenario = write_scenario(tmp_path, {
+            "i": amplitudes(np.ones(3) / SQ3),
+            "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3),
+            "kind": "weak", "observable": observable})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["nlevel-direct", "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert json.loads(captured.out)["error"]["type"] == "NotHermitian"
+        assert (captured.err, caught) == ("", [])
 
 
 def readme_scenarios():

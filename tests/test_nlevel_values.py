@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,7 +166,6 @@ class TestNonFiniteInput:
 
     PSI_I, PSI_F = np.ones(3) / SQ3, np.array([1.0, -1.0, 1.0]) / SQ3
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_observable_entry(self, bad):
         observable = np.diag([0.0, 1.0, 0.0]).astype(complex)
@@ -176,7 +176,6 @@ class TestNonFiniteInput:
             modular_value_direct(self.PSI_I, NLevelModularSpec(observable=observable),
                                  self.PSI_F)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_projector_entry(self, bad):
         context = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]
@@ -202,6 +201,14 @@ class TestNonFiniteInput:
         r8[3] = bad
         with pytest.raises(ValueError, match="^direction must be finite$"):
             GellMannDirection.from_r8(r8)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e200, 1e308])
+    def test_gell_mann_direction_extreme_scale(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direction = GellMannDirection.from_r8([scale] * 8)
+        assert abs(np.linalg.norm(direction.r8) - 1.0) <= 1e-12
+        assert np.allclose(direction.r8, 1.0 / math.sqrt(8.0), rtol=0.0, atol=1e-15)
 
 
 class TestModularValueDirect:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from majgeom.numerics import (
     canonical_gauge,
     cayley_hamilton_exp_spin1,
     eig_hermitian,
+    hermiticity_defect,
     principal_angle,
     solve_polynomial,
     unitary_exp,
@@ -121,13 +123,20 @@ class TestEigHermitian:
         with pytest.raises(NotHermitian):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_non_finite_entry(self, bad):
         matrix = np.eye(2, dtype=complex)
         matrix[0, 0] = bad
         with pytest.raises(NotHermitian):
             eig_hermitian(matrix)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(math.inf, math.inf)])
+    def test_inf_entry_defect_not_finite_without_warning(self, bad):
+        matrix = np.eye(2, dtype=complex)
+        matrix[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not math.isfinite(hermiticity_defect(matrix))
 
 
 class TestUnitaryExp:

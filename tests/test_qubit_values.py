@@ -250,6 +250,13 @@ class TestDerivativeRelation:
             derived = weak_value_from_modular_derivative(qi, sr, qf, h=1e-5)
             assert abs(derived - expected) <= 1e-6
 
+    @pytest.mark.parametrize("h", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_step_must_be_finite_and_non_zero(self, h):
+        sz = np.array([[1, 0], [0, -1]], dtype=complex)
+        qi = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+        with pytest.raises(ValueError, match="^h must be finite and non-zero$"):
+            weak_value_from_modular_derivative(qi, sz, qi, h=h)
+
     def test_observable_decomposition_round_trip(self):
         rng = np.random.default_rng(15)
         for _ in range(100):
