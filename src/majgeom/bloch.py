@@ -13,7 +13,6 @@ from .numerics import (
     _NORM_SLACK,
     _SOUTH_POLE_CUT,
     DEFAULT_TOL,
-    Tolerances,
     _checked_norm,
     _fix_gauge,
 )
@@ -48,7 +47,7 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def as_bloch_array(vecs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def as_bloch_array(vecs) -> np.ndarray:
     """Validate and renormalize unit 3-vectors stacked as an ``(..., 3)`` array.
 
     Every row passes the checks of :func:`as_bloch` and comes back divided by
@@ -76,7 +75,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / _column(np.sqrt(_rowdot(v, v)))
 
 
-def as_bloch(vec, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def as_bloch(vec) -> np.ndarray:
     """Validate and renormalize a unit 3-vector."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
@@ -84,28 +83,28 @@ def as_bloch(vec, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     norm = math.sqrt(v.dot(v))
     if abs(norm - 1.0) <= _NORM_SLACK:  # False for NaN
         return v / norm
-    return as_bloch_array(v, tol=tol)  # raises its error for this vector
+    return as_bloch_array(v)  # raises its error for this vector
 
 
-def bloch_vector(x: float, y: float, z: float, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return as_bloch([x, y, z], tol=tol)
+def bloch_vector(x: float, y: float, z: float) -> np.ndarray:
+    return as_bloch([x, y, z])
 
 
-def as_qubit(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def as_qubit(state) -> np.ndarray:
     """Validate, normalize and gauge-fix a two-component amplitude vector."""
     q = np.asarray(state, dtype=complex)
     if q.shape != (2,):
         raise ValueError("qubit state must have exactly two amplitudes")
-    return _fix_gauge(q / _checked_norm(q, "qubit", "amplitudes"), tol.zero)
+    return _fix_gauge(q / _checked_norm(q, "qubit", "amplitudes"))
 
 
-def qubit_state(a0, a1, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    return as_qubit([a0, a1], tol=tol)
+def qubit_state(a0, a1) -> np.ndarray:
+    return as_qubit([a0, a1])
 
 
-def qubit_to_bloch(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def qubit_to_bloch(state) -> np.ndarray:
     """Unit Bloch vector of a pure qubit state."""
-    q = as_qubit(state, tol=tol)
+    q = as_qubit(state)
     cross = q[0].conjugate() * q[1]
     v = np.array([2.0 * cross.real, 2.0 * cross.imag, abs(q[0]) ** 2 - abs(q[1]) ** 2])
     return v / math.sqrt(v.dot(v))
@@ -120,7 +119,7 @@ def _amplitudes(x: float, y: float, z: float) -> tuple[float, float, float, floa
     return a0, 0.0, a1.real, a1.imag
 
 
-def bloch_to_qubits(vecs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def bloch_to_qubits(vecs) -> np.ndarray:
     """Gauge-canonical qubit states of the rows of an ``(..., 3)`` array.
 
     Returns an ``(..., 2)`` complex array ``(a0, a1)/|(a0, a1)|`` with
@@ -129,7 +128,7 @@ def bloch_to_qubits(vecs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     by :func:`as_bloch_array`.  The amplitudes are formed per row in Python
     floats; the renormalization runs on the whole batch.
     """
-    return _qubits(as_bloch_array(vecs, tol=tol))
+    return _qubits(as_bloch_array(vecs))
 
 
 def _qubits(v: np.ndarray) -> np.ndarray:
@@ -141,40 +140,39 @@ def _qubits(v: np.ndarray) -> np.ndarray:
     return q / _column(np.sqrt(_rowdot(re, re) + _rowdot(im, im)))
 
 
-def bloch_to_qubit(vec, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def bloch_to_qubit(vec) -> np.ndarray:
     """Gauge-canonical qubit state of a Bloch vector."""
     v = np.asarray(vec, dtype=float)
     if v.shape != (3,):
         raise ValueError("Bloch vector must have exactly three components")
-    return bloch_to_qubits(v, tol=tol)
+    return bloch_to_qubits(v)
 
 
-def projection_probability(u, v, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def projection_probability(u, v) -> float:
     """``|<phi_v|phi_u>|^2`` expressed through the Bloch scalar product."""
-    a = as_bloch(u, tol=tol)
-    b = as_bloch(v, tol=tol)
+    a, b = as_bloch(u), as_bloch(v)
     return float(np.clip(0.5 * (1.0 + float(a @ b)), 0.0, 1.0))
 
 
-def _selection_denominators(i, f, tol: Tolerances) -> np.ndarray:
+def _selection_denominators(i, f) -> np.ndarray:
     den = 1.0 + _rowdot(f, i)
-    return np.where(den <= 2.0 * tol.orthogonality**2, np.nan, den)
+    return np.where(den <= 2.0 * DEFAULT_TOL.orthogonality**2, np.nan, den)
 
 
-def weak_moduli(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def weak_moduli(i, r, f) -> np.ndarray:
     """``sqrt(0.5 (1+f.r)(1+r.i) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast.
 
     The modulus of the projector weak value ``<f|r><r|i>/<f|i>`` from unit
     Bloch vectors (the caller validates them).  Rows whose ``1+f.i`` is at or
-    below ``2 tol.orthogonality**2`` (i antipodal to f) come back as NaN.
+    below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f) come back as NaN.
     """
     i, r, f = (np.asarray(i, dtype=float), np.asarray(r, dtype=float),
                np.asarray(f, dtype=float))
-    den = _selection_denominators(i, f, tol)
+    den = _selection_denominators(i, f)
     return np.sqrt(np.maximum(0.0, 0.5 * (1.0 + _rowdot(f, r)) * (1.0 + _rowdot(r, i)) / den))
 
 
-def modular_moduli(i, s, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def modular_moduli(i, s, f) -> np.ndarray:
     """``sqrt((1+f.s) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast.
 
     The per-qubit modulus ratio of a modular value, ``s`` the evolved vector;
@@ -182,7 +180,7 @@ def modular_moduli(i, s, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """
     i, s, f = (np.asarray(i, dtype=float), np.asarray(s, dtype=float),
                np.asarray(f, dtype=float))
-    return np.sqrt(np.maximum(0.0, (1.0 + _rowdot(f, s)) / _selection_denominators(i, f, tol)))
+    return np.sqrt(np.maximum(0.0, (1.0 + _rowdot(f, s)) / _selection_denominators(i, f)))
 
 
 def _factor_moduli(moduli) -> list[float]:
@@ -202,20 +200,20 @@ def _reduce_to_branch(omega: float) -> float:
     return omega
 
 
-def _triangle_angle(y: float, x: float, zero: float) -> float | None:
+def _triangle_angle(y: float, x: float) -> float | None:
     # libm's atan2 per element: numpy's vectorized arctan2 differs in the last bit.
-    if abs(x) <= zero and abs(y) <= zero:
+    if abs(x) <= DEFAULT_TOL.zero and abs(y) <= DEFAULT_TOL.zero:
         return None  # antipodal vertices: no defined area
     return _reduce_to_branch(-2.0 * math.atan2(y, x))
 
 
-def _triangle_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
-                     tol: Tolerances) -> tuple[list[float | None], tuple[int, ...]]:
+def _triangle_angles(vi: np.ndarray, vr: np.ndarray,
+                     vf: np.ndarray) -> tuple[list[float | None], tuple[int, ...]]:
     """Flattened triangle solid angles of validated, broadcastable ``(..., 3)``
     arrays, ``None`` for each undefined triangle, and the batch shape."""
     y = _rowdot(vf, _cross(vr, vi))
     x = 1.0 + _rowdot(vf, vr) + _rowdot(vr, vi) + _rowdot(vf, vi)
-    angles = [_triangle_angle(yy, xx, tol.zero)
+    angles = [_triangle_angle(yy, xx)
               for yy, xx in zip(np.ravel(y).tolist(), np.ravel(x).tolist())]
     return angles, np.shape(x)
 
@@ -228,13 +226,13 @@ def _checked_angles(angles: list[float | None]) -> list[float]:
     return angles
 
 
-def _quadrangle_angles(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray, vf: np.ndarray,
-                       tol: Tolerances) -> list[float | None]:
+def _quadrangle_angles(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
+                       vf: np.ndarray) -> list[float | None]:
     """Flattened solid angles of the quadrangles i -> r -> s -> f of validated,
     broadcastable ``(..., 3)`` arrays: the triangles (i, r, s) plus (i, s, f),
     whose shared i <-> s legs cancel; ``None`` where either is undefined."""
-    first, _ = _triangle_angles(vi, vr, vs, tol)
-    second, _ = _triangle_angles(vi, vs, vf, tol)
+    first, _ = _triangle_angles(vi, vr, vs)
+    second, _ = _triangle_angles(vi, vs, vf)
     return [None if a is None or b is None else a + b for a, b in zip(first, second)]
 
 
@@ -246,42 +244,39 @@ def _factor_angles(angles: list[float | None], moduli: list[float]) -> list[floa
                             for angle, modulus in zip(angles, moduli)])
 
 
-def _solid_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray,
-                  tol: Tolerances) -> np.ndarray:
+def _solid_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> np.ndarray:
     """Triangle solid angles of validated, broadcastable ``(..., 3)`` arrays."""
-    angles, shape = _triangle_angles(vi, vr, vf, tol)
+    angles, shape = _triangle_angles(vi, vr, vf)
     return np.array(_checked_angles(angles)).reshape(shape)
 
 
-def triangle_solid_angles(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def triangle_solid_angles(i, r, f) -> np.ndarray:
     """Oriented solid angles of geodesic triangles i -> r -> f -> i, batched.
 
     ``i``, ``r`` and ``f`` are ``(..., 3)`` arrays of unit vectors that
     broadcast against each other; each is validated by :func:`as_bloch_array`.
     Uses ``omega = -2 atan2(f.(r x i), 1 + f.r + r.i + f.i)`` reduced to
     (-2*pi, 2*pi].  If any triangle has both arctangent arguments below
-    ``tol.zero`` (antipodal vertices), the batch raises
+    ``DEFAULT_TOL.zero`` (antipodal vertices), the batch raises
     :class:`UndefinedSolidAngle`.
     """
-    return _solid_angles(as_bloch_array(i, tol=tol), as_bloch_array(r, tol=tol),
-                         as_bloch_array(f, tol=tol), tol)
+    return _solid_angles(as_bloch_array(i), as_bloch_array(r), as_bloch_array(f))
 
 
-def solid_angle_triangle(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def solid_angle_triangle(i, r, f) -> float:
     """Oriented solid angle of the geodesic triangle traversed i -> r -> f -> i.
 
     The result lies in (-2*pi, 2*pi] and equals minus twice the argument of the
     Bargmann triple of the three corresponding qubit states.  A configuration
-    with both arctangent arguments below ``tol.zero`` (antipodal vertices) has
-    no defined value and raises :class:`UndefinedSolidAngle`.
+    with both arctangent arguments below ``DEFAULT_TOL.zero`` (antipodal
+    vertices) has no defined value and raises :class:`UndefinedSolidAngle`.
     """
-    return float(_solid_angles(as_bloch(i, tol=tol), as_bloch(r, tol=tol),
-                               as_bloch(f, tol=tol), tol))
+    return float(_solid_angles(as_bloch(i), as_bloch(r), as_bloch(f)))
 
 
-def rodrigues_rotate(i, r, alpha: float, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def rodrigues_rotate(i, r, alpha: float) -> np.ndarray:
     """Rotate ``i`` about the axis ``r`` by ``alpha`` radians."""
-    return _rotate(as_bloch(i, tol=tol), as_bloch(r, tol=tol), alpha)
+    return _rotate(as_bloch(i), as_bloch(r), alpha)
 
 
 def _rotate(vi: np.ndarray, vr: np.ndarray, alpha: float) -> np.ndarray:
@@ -291,29 +286,26 @@ def _rotate(vi: np.ndarray, vr: np.ndarray, alpha: float) -> np.ndarray:
     return s / math.sqrt(s.dot(s))
 
 
-def solid_angle_quadrangle(i, r, s, f, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def solid_angle_quadrangle(i, r, s, f) -> float:
     """Oriented solid angle of the spherical quadrangle i -> r -> s -> f -> i.
 
     Defined as the sum of the triangles (i, r, s) and (i, s, f); the shared
     i <-> s geodesic legs cancel.  The raw sum is returned (callers compare
     modulo 4*pi).
     """
-    vi, vr, vs, vf = (as_bloch(v, tol=tol) for v in (i, r, s, f))
-    (omega,) = _checked_angles(_quadrangle_angles(vi, vr, vs, vf, tol))
+    vi, vr, vs, vf = (as_bloch(v) for v in (i, r, s, f))
+    (omega,) = _checked_angles(_quadrangle_angles(vi, vr, vs, vf))
     return omega
 
 
-def solid_angle_quadrangle_rotation(i, r, f, alpha: float,
-                                    *, tol: Tolerances = DEFAULT_TOL) -> float:
+def solid_angle_quadrangle_rotation(i, r, f, alpha: float) -> float:
     """Closed-form quadrangle solid angle when ``s`` is ``i`` rotated about ``r``.
 
     Evaluates the quadrangle i -> r -> s -> f -> i without constructing ``s``,
     using only scalar and triple products of the three remaining vectors.  The
     expression is regularized so it stays finite at alpha = pi.
     """
-    vi = as_bloch(i, tol=tol)
-    vr = as_bloch(r, tol=tol)
-    vf = as_bloch(f, tol=tol)
+    vi, vr, vf = as_bloch(i), as_bloch(r), as_bloch(f)
     c = math.cos(0.5 * alpha)
     sn = math.sin(0.5 * alpha)
     volume = float(vf @ _cross(vr, vi))
@@ -321,6 +313,6 @@ def solid_angle_quadrangle_rotation(i, r, f, alpha: float,
     base = 1.0 + float(vf @ vi)
     re = c * c * base + volume * sn * c + pair * sn * sn
     im = sn * c * base + volume * sn * sn - pair * sn * c
-    if abs(re) <= tol.zero and abs(im) <= tol.zero:
+    if abs(re) <= DEFAULT_TOL.zero and abs(im) <= DEFAULT_TOL.zero:
         raise UndefinedSolidAngle("rotated quadrangle is degenerate; no defined area")
     return _reduce_to_branch(-2.0 * math.atan2(im, re))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .majorana import SymmetricRepresentation, _majorana_points, _normalized, nlevel_state
-from .numerics import DEFAULT_TOL, Tolerances, _norm
+from .numerics import _norm
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
@@ -106,8 +106,7 @@ class CanonicalTriple:
     eta: float
 
 
-def canonicalize_triple(psi_i, psi_r, psi_f,
-                        *, tol: Tolerances = DEFAULT_TOL) -> CanonicalTriple:
+def canonicalize_triple(psi_i, psi_r, psi_f) -> CanonicalTriple:
     """Rotate (initial, projector, final) into the canonical frame.
 
     Afterwards the projector state has all points at the north pole and the
@@ -116,11 +115,10 @@ def canonicalize_triple(psi_i, psi_r, psi_f,
     loses accuracy like eps^(1/(N-1)).  The initial state's points and
     normalization are returned.
     """
-    return _canonicalize(*(nlevel_state(s, tol=tol) for s in (psi_i, psi_r, psi_f)), tol)
+    return _canonicalize(*(nlevel_state(s) for s in (psi_i, psi_r, psi_f)))
 
 
-def _canonicalize(si: np.ndarray, sr: np.ndarray, sf: np.ndarray,
-                  tol: Tolerances) -> CanonicalTriple:
+def _canonicalize(si: np.ndarray, sr: np.ndarray, sf: np.ndarray) -> CanonicalTriple:
     """:func:`canonicalize_triple` of states that :func:`nlevel_state` (or
     ``majorana._normalized``) returned; only their shared dimension is
     checked."""
@@ -145,7 +143,7 @@ def _canonicalize(si: np.ndarray, sr: np.ndarray, sf: np.ndarray,
         u_total=u,
         r_vec=np.array([0.0, 0.0, 1.0]),
         f_vec=np.array([2.0 * math.sqrt(w * v), 0.0, w - v]),
-        i_rep=_majorana_points(_normalized(psi_i_c, tol), tol),
+        i_rep=_majorana_points(_normalized(psi_i_c)),
         psi_i=psi_i_c,
         psi_r=u @ sr,
         psi_f=u @ sf,

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 usage or validation failure, 3 physical singularity
 (orthogonal selection and friends).  Output bytes are deterministic for fixed
-inputs; set ``MAJGEOM_TOL`` to override the comparison tolerance used for the
-geometric/direct mismatch check.
+inputs.  ``MAJGEOM_TOL`` overrides the comparison tolerance of the
+geometric/direct ``mismatch`` check and nothing else: the library computes
+every value with ``DEFAULT_TOL``, and the envelope's ``tolerances`` shows the
+record the check used.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ def _complex_matrix(raw, dim: int | None = None) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _states(doc: dict, keys: tuple[str, ...], tol: Tolerances,
-            dim: int | None = None) -> list[np.ndarray]:
+def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np.ndarray]:
     """The scenario's states ``keys``, each given either as amplitudes or (for
     qubits) as a Bloch vector, all of dimension ``dim`` when it is given.
     Otherwise the first state sets N (its amplitude count, or 2 for a
@@ -105,7 +106,7 @@ def _states(doc: dict, keys: tuple[str, ...], tol: Tolerances,
         if isinstance(entry, dict) and "bloch" in entry:
             if dim not in (None, 2):
                 raise ScenarioInvalid("bloch input is only meaningful for qubits")
-            states.append(bloch_to_qubit(as_bloch(entry["bloch"], tol=tol), tol=tol))
+            states.append(bloch_to_qubit(as_bloch(entry["bloch"])))
         else:
             raw = entry["amplitudes"] if isinstance(entry, dict) else entry
             vec = _complex_vector(raw, dim)
@@ -203,12 +204,12 @@ def _run_routes(mode: str, tol: Tolerances, geometric, direct) -> dict:
 
 def _cmd_qubit_weak(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    qi, qr, qf = _states(doc, ("i", "r", "f"), tol, dim=2)
-    vi, vr, vf = (qubit_to_bloch(q, tol=tol) for q in (qi, qr, qf))
+    qi, qr, qf = _states(doc, ("i", "r", "f"), dim=2)
+    vi, vr, vf = (qubit_to_bloch(q) for q in (qi, qr, qf))
     payload = _run_routes(
         args.mode, tol,
-        lambda: qubit_values.projector_weak_value_geometric(vi, vr, vf, tol=tol),
-        lambda: qubit_values.projector_weak_value_direct(qi, qr, qf, tol=tol))
+        lambda: qubit_values.projector_weak_value_geometric(vi, vr, vf),
+        lambda: qubit_values.projector_weak_value_direct(qi, qr, qf))
     results = payload["results"]
     primary = results["geometric"] if "geometric" in results else results["direct"]
     results["modulus"] = primary.modulus
@@ -216,12 +217,12 @@ def _cmd_qubit_weak(args, tol: Tolerances) -> dict:
     return payload
 
 
-def _modular_spec(doc: dict, tol: Tolerances) -> qubit_values.QubitModularSpec:
+def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
     spec = doc.get("spec")
     if not isinstance(spec, dict):
         raise ScenarioInvalid("scenario is missing the 'spec' object")
     return qubit_values.QubitModularSpec(
-        axis=as_bloch(spec["axis"], tol=tol),
+        axis=as_bloch(spec["axis"]),
         alpha=float(spec.get("alpha", 0.0)),
         beta=float(spec.get("beta", 0.0)),
     )
@@ -229,25 +230,25 @@ def _modular_spec(doc: dict, tol: Tolerances) -> qubit_values.QubitModularSpec:
 
 def _cmd_qubit_modular(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    qi, qf = _states(doc, ("i", "f"), tol, dim=2)
-    spec = _modular_spec(doc, tol)
-    vi, vf = qubit_to_bloch(qi, tol=tol), qubit_to_bloch(qf, tol=tol)
+    qi, qf = _states(doc, ("i", "f"), dim=2)
+    spec = _modular_spec(doc)
+    vi, vf = qubit_to_bloch(qi), qubit_to_bloch(qf)
     return _run_routes(
         args.mode, tol,
-        lambda: qubit_values.modular_value_geometric(vi, spec, vf, tol=tol),
-        lambda: qubit_values.modular_value_direct(qi, spec, qf, tol=tol))
+        lambda: qubit_values.modular_value_geometric(vi, spec, vf),
+        lambda: qubit_values.modular_value_direct(qi, spec, qf))
 
 
 def _cmd_qutrit_weak(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    si, sr, sf = _states(doc, ("i", "r", "f"), tol)
+    si, sr, sf = _states(doc, ("i", "r", "f"))
     return _run_routes(
         args.mode, tol,
-        lambda: nlevel_values.qutrit_projector_weak_value_geometric(si, sr, sf, tol=tol),
-        lambda: nlevel_values.weak_value_direct(si, np.outer(sr, sr.conj()), sf, tol=tol))
+        lambda: nlevel_values.qutrit_projector_weak_value_geometric(si, sr, sf),
+        lambda: nlevel_values.weak_value_direct(si, np.outer(sr, sr.conj()), sf))
 
 
-def _nlevel_spec(doc: dict, tol: Tolerances) -> nlevel_values.NLevelModularSpec:
+def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
     spec = doc.get("spec")
     if not isinstance(spec, dict):
         raise ScenarioInvalid("scenario is missing the 'spec' object")
@@ -269,24 +270,23 @@ def _nlevel_spec(doc: dict, tol: Tolerances) -> nlevel_values.NLevelModularSpec:
 
 def _cmd_qutrit_modular(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    si, sf = _states(doc, ("i", "f"), tol)
-    spec = _nlevel_spec(doc, tol)
+    si, sf = _states(doc, ("i", "f"))
+    spec = _nlevel_spec(doc)
     return _run_routes(
         args.mode, tol,
-        lambda: nlevel_values.qutrit_modular_value_geometric(si, spec, sf, tol=tol),
-        lambda: nlevel_values.modular_value_direct(si, spec, sf, tol=tol))
+        lambda: nlevel_values.qutrit_modular_value_geometric(si, spec, sf),
+        lambda: nlevel_values.modular_value_direct(si, spec, sf))
 
 
 def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    si, sf = _states(doc, ("i", "f"), tol)
+    si, sf = _states(doc, ("i", "f"))
     kind = doc.get("kind", "weak")
     if kind == "weak":
         observable = _complex_matrix(doc["observable"], si.size)
-        value = nlevel_values.weak_value_direct(si, observable, sf, tol=tol)
+        value = nlevel_values.weak_value_direct(si, observable, sf)
     elif kind == "modular":
-        spec = _nlevel_spec(doc, tol)
-        value = nlevel_values.modular_value_direct(si, spec, sf, tol=tol)
+        value = nlevel_values.modular_value_direct(si, _nlevel_spec(doc), sf)
     else:
         raise ScenarioInvalid("kind must be 'weak' or 'modular'")
     return {"results": {"value": value, "kind": kind}, "provenance": "direct"}
@@ -294,19 +294,18 @@ def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
 
 def _cmd_majorana(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    (state,) = _states(doc, ("state",), tol)
-    rep = majorana.majorana_points(state, tol=tol)
+    (state,) = _states(doc, ("state",))
+    rep = majorana.majorana_points(state)
     results = asdict(rep)
     if state.size == 3:
-        results["discriminant"] = majorana.discriminant_degeneracy(state, tol=tol)
-        results["entanglement_entropy"] = majorana.entanglement_entropy(rep.points,
-                                                                        tol=tol)
+        results["discriminant"] = majorana.discriminant_degeneracy(state)
+        results["entanglement_entropy"] = majorana.entanglement_entropy(rep.points)
     return {"results": results, "provenance": "direct"}
 
 
 def _cmd_canonicalize(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    triple = canonical.canonicalize_triple(*_states(doc, ("i", "r", "f"), tol), tol=tol)
+    triple = canonical.canonicalize_triple(*_states(doc, ("i", "r", "f")))
     return {
         "results": {
             "u_total": triple.u_total,
@@ -325,9 +324,9 @@ def _cmd_canonicalize(args, tol: Tolerances) -> dict:
 
 def _cmd_abl(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
-    si, sf = _states(doc, ("i", "f"), tol)
+    si, sf = _states(doc, ("i", "f"))
     projectors = [_complex_matrix(p, si.size) for p in doc["projectors"]]
-    dist = nlevel_values.abl_distribution(si, projectors, sf, tol=tol)
+    dist = nlevel_values.abl_distribution(si, projectors, sf)
     return {"results": {"probabilities": dist}, "provenance": "direct"}
 
 
@@ -356,12 +355,12 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
     for key in ("epsilon", "chi1", "chi2"):
         if grid is None and getattr(args, key) is not None:
             kwargs[key] = getattr(args, key)
-    scan = experiments.singularity_scan(grid, count=args.count, tol=tol, **kwargs)
+    scan = experiments.singularity_scan(grid, count=args.count, **kwargs)
     return {"results": _scan_to_results(scan), "provenance": "both"}
 
 
 def _cmd_three_box(args, tol: Tolerances) -> dict:
-    return {"results": asdict(experiments.three_box_report(tol=tol)), "provenance": "both"}
+    return {"results": asdict(experiments.three_box_report()), "provenance": "both"}
 
 
 def _csv(header, rows) -> str:

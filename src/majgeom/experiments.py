@@ -19,6 +19,7 @@ from .bloch import (
 )
 from .canonical import three_box_transform
 from .majorana import (
+    _discriminant,
     _qutrit_roots_at,
     discriminant_degeneracy,
     entanglement_entropy,
@@ -31,7 +32,6 @@ from .numerics import (
     _R_BASIS_SLACK,
     _SYMMETRY_SLACK,
     DEFAULT_TOL,
-    Tolerances,
     _check_hermitian,
 )
 from .polar import PolarComplex
@@ -48,6 +48,9 @@ _R_PROJECTOR = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 _NEAR_DEGENERATE_BAND = 1e-8
 _LOCATE_RESIDUAL = 1e-8
+# Bracket width at which a bisection stops, and its step budget.
+_BISECT_WIDTH = 1e-12
+_BISECT_STEPS = 256
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ class SingularityScan:
     omega2_jump: float | None
 
 
-def _bisect(fn: Callable[[float], float], lo: float, hi: float,
-            *, xtol: float = 1e-12, maxiter: int = 256) -> float | None:
+def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float | None:
     flo, fhi = fn(lo), fn(hi)
     if flo == 0.0:
         return lo
@@ -95,9 +97,9 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float,
         return hi
     if flo * fhi > 0.0:
         return None
-    for _ in range(maxiter):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= xtol:
+        if hi - lo <= _BISECT_WIDTH:
             return mid
         fmid = fn(mid)
         if fmid == 0.0:
@@ -123,13 +125,13 @@ def _unwrap_segment(raw: list[float | None], period: float) -> list[float | None
     return out
 
 
-def _gauged_rows(c: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _gauged_rows(c: np.ndarray) -> np.ndarray:
     """:func:`nlevel_state` of each row of an ``(n, 3)`` complex array, bit for bit.
 
     The finiteness and norm checks run once over the batch, with
     ``nlevel_state``'s messages.  Norms are ``np.linalg.norm``'s real and
     imaginary dots.  Each row's gauge phase divides the conjugate of its first
-    entry above ``tol.zero`` by that entry's modulus, taken with Python's
+    entry above ``DEFAULT_TOL.zero`` by that entry's modulus, taken with Python's
     ``abs`` (the libm ``hypot`` of numpy's scalar ``abs``; ``np.abs`` over an
     array rounds differently).
     """
@@ -146,7 +148,7 @@ def _gauged_rows(c: np.ndarray, tol: Tolerances) -> np.ndarray:
     for k, row in enumerate(out.tolist()):
         for j, entry in enumerate(row):
             modulus = abs(entry)
-            if modulus > tol.zero:
+            if modulus > DEFAULT_TOL.zero:
                 rows.append(k)
                 cols.append(j)
                 moduli.append(modulus)
@@ -156,8 +158,7 @@ def _gauged_rows(c: np.ndarray, tol: Tolerances) -> np.ndarray:
     return out * phases[:, None]
 
 
-def _scan_states(thetas, epsilon: float, chi1: float, chi2: float,
-                 tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def _scan_states(thetas, epsilon: float, chi1: float, chi2: float) -> np.ndarray:
     """:func:`scan_state` of every angle in ``thetas`` as an ``(n, 3)`` array."""
     ce, se = math.cos(epsilon), math.sin(epsilon)
     thetas = np.asarray(thetas, dtype=float)
@@ -166,7 +167,7 @@ def _scan_states(thetas, epsilon: float, chi1: float, chi2: float,
     c[:, 0] = np.exp(1j * chi1) * ce * sin_t
     c[:, 1] = np.exp(1j * chi2) * se * sin_t
     c[:, 2] = cos_t
-    return _gauged_rows(c, tol)
+    return _gauged_rows(c)
 
 
 def scan_state(theta: float, epsilon: float, chi1: float, chi2: float) -> np.ndarray:
@@ -248,8 +249,7 @@ def _refined_default_grid(count: int, epsilon: float, chi1: float,
 
 def singularity_scan(theta_grid=None, *, count: int = 512,
                      epsilon: float = SCAN_EPSILON,
-                     chi1: float = SCAN_CHI1, chi2: float = SCAN_CHI2,
-                     tol: Tolerances = DEFAULT_TOL) -> SingularityScan:
+                     chi1: float = SCAN_CHI1, chi2: float = SCAN_CHI2) -> SingularityScan:
     """Sweep the initial-state polar angle and track the projector weak value.
 
     Each record carries the closed-form root angles, the two initial Bloch
@@ -276,8 +276,8 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     # Every stage runs once over the grid; each row keeps the bits of the
     # per-theta public functions (scan_state, weak_value_direct,
     # discriminant_degeneracy, solid_angle_triangle), which bisection still uses.
-    states = _scan_states(grid, epsilon, chi1, chi2, tol)
-    oracle_states = _gauged_rows(states, tol)  # nlevel_state is not bitwise idempotent
+    states = _scan_states(grid, epsilon, chi1, chi2)
+    oracle_states = _gauged_rows(states)  # nlevel_state is not bitwise idempotent
 
     def locate(values: np.ndarray, fn: Callable[[float], float],
                residual: Callable[[float], float]) -> tuple[float | None, int | None]:
@@ -298,21 +298,19 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
 
     # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
     # the constant postselection and projector validated once.
-    f_state = nlevel_state(_F_STATE, tol=tol)
-    _check_hermitian(_R_PROJECTOR, tol)
+    f_state = nlevel_state(_F_STATE)
+    _check_hermitian(_R_PROJECTOR)
     projected = oracle_states @ _R_PROJECTOR.T
     directs: list[PolarComplex | None] = []
     for state, image in zip(oracle_states, projected):
         overlap = complex(np.vdot(f_state, state))
-        if abs(overlap) <= tol.orthogonality:
+        if abs(overlap) <= DEFAULT_TOL.orthogonality:
             directs.append(None)
         else:
             directs.append(PolarComplex.from_complex(np.vdot(f_state, image) / overlap))
-    # discriminant_degeneracy of every state: Python complex arithmetic rounds
-    # as numpy's scalar arithmetic, numpy's array abs would not.
-    discs = [abs(2.0 * c1 * c1 - 4.0 * c0 * c2) for c0, c1, c2 in oracle_states.tolist()]
+    discs = [_discriminant(*state) for state in oracle_states.tolist()]
 
-    roots = _qutrit_roots_at(epsilon, chi1, chi2, tol=tol)
+    roots = _qutrit_roots_at(epsilon, chi1, chi2)
     angles = [roots(theta) for theta in thetas]
     alpha = np.array([[a.alpha_1, a.alpha_2] for a in angles])
     beta = np.array([[a.beta_1, a.beta_2] for a in angles])
@@ -322,13 +320,13 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
 
     # Solid angles of (i_k, +z, +x) for both points of every row; an undefined
     # triangle blanks only its own entry.
-    raw, _ = _triangle_angles(as_bloch_array(points, tol=tol), _EZ, _EX, tol)
+    raw, _ = _triangle_angles(as_bloch_array(points), _EZ, _EX)
     raw1, raw2 = raw[0::2], raw[1::2]
 
     flags = []
     for disc, direct in zip(discs, directs):
         row = set()
-        if tol.zero < disc <= _NEAR_DEGENERATE_BAND:
+        if DEFAULT_TOL.zero < disc <= _NEAR_DEGENERATE_BAND:
             row.add("near_degenerate")
         if direct is None:
             row.add("singular")
@@ -359,7 +357,7 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
 
     # Weak-value modulus factors over the whole grid; NaN where a point is
     # antipodal to the postselection.
-    moduli = weak_moduli(points, _EZ, _EX, tol=tol).tolist()
+    moduli = weak_moduli(points, _EZ, _EX).tolist()
     records = []
     for k, theta in enumerate(thetas):
         w1, w2 = omega1[k], omega2[k]
@@ -438,7 +436,7 @@ def _symmetric_embedding(qutrit: np.ndarray) -> np.ndarray:
     return np.array([c2, half, half, c0])
 
 
-def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
+def three_box_report() -> ThreeBoxReport:
     """Full bipartite analysis of the three-box pre/postselection scenario."""
     sq3 = math.sqrt(3.0)
     psi_i = np.array([1.0, 1.0, 1.0], dtype=complex) / sq3
@@ -449,8 +447,8 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
 
     u1, u2 = three_box_transform()
     u = u2 @ u1
-    i_rep = majorana_points(u @ psi_i, tol=tol)
-    f_rep = majorana_points(u @ psi_f, tol=tol)
+    i_rep = majorana_points(u @ psi_i)
+    f_rep = majorana_points(u @ psi_f)
     i_vec = i_rep.points.mean(axis=0)
     i_vec = i_vec / np.linalg.norm(i_vec)
     f_vec = f_rep.points.mean(axis=0)
@@ -461,10 +459,10 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
     for index, projector in enumerate(box_projectors):
         state = u @ np.eye(3, dtype=complex)[:, index]
         transformed_states.append(state)
-        rep = majorana_points(state, tol=tol)
+        rep = majorana_points(state)
         factors = []
-        bare_moduli = weak_moduli(i_vec, rep.points, f_vec, tol=tol).tolist()
-        omegas = triangle_solid_angles(i_vec, rep.points, f_vec, tol=tol).tolist()
+        bare_moduli = weak_moduli(i_vec, rep.points, f_vec).tolist()
+        omegas = triangle_solid_angles(i_vec, rep.points, f_vec).tolist()
         for point, bare, omega in zip(rep.points, bare_moduli, omegas):
             modulus = 2.0 * rep.normalization * bare
             factors.append(BoxFactor(point=point, modulus=modulus, solid_angle=omega,
@@ -474,7 +472,7 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
         factors.sort(key=lambda f: (round(f.solid_angle, 9),
                                     -round(f.point[0], 12), -round(f.point[1], 12)))
         weak_value = factors[0].value * factors[1].value
-        direct = weak_value_direct(psi_i, projector, psi_f, tol=tol).rect
+        direct = weak_value_direct(psi_i, projector, psi_f).rect
         if index in (0, 2):
             bisector = rep.points.sum(axis=0)
             closest = bisector / np.linalg.norm(bisector)
@@ -483,7 +481,7 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
         boxes.append((rep, factors, weak_value, direct, closest))
 
     r_pair = boxes[1][0].points
-    phi_r, phi_mr = bloch_to_qubits(r_pair, tol=tol)
+    phi_r, phi_mr = bloch_to_qubits(r_pair)
     basis_rr = np.kron(phi_r, phi_r)
     basis_mm = np.kron(phi_mr, phi_mr)
     basis_bell = (np.kron(phi_r, phi_mr) + np.kron(phi_mr, phi_r)) / math.sqrt(2.0)
@@ -504,7 +502,7 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
             factors=(factors[0], factors[1]),
             weak_value=weak_value,
             weak_value_direct=direct,
-            entropy=entanglement_entropy(rep.points, tol=tol),
+            entropy=entanglement_entropy(rep.points),
             r_basis=components,
             bell_overlap=complex(components[1]),
             closest_separable=closest,
@@ -513,11 +511,11 @@ def three_box_report(*, tol: Tolerances = DEFAULT_TOL) -> ThreeBoxReport:
     identity = np.eye(3, dtype=complex)
     abl_one_box = {
         "box1": abl_probability(psi_i, [box_projectors[0], identity - box_projectors[0]],
-                                psi_f, 0, tol=tol),
+                                psi_f, 0),
         "box3": abl_probability(psi_i, [box_projectors[2], identity - box_projectors[2]],
-                                psi_f, 0, tol=tol),
+                                psi_f, 0),
     }
-    abl_all = abl_distribution(psi_i, box_projectors, psi_f, tol=tol)
+    abl_all = abl_distribution(psi_i, box_projectors, psi_f)
 
     def reflect(v: np.ndarray) -> np.ndarray:
         return 2.0 * float(v @ r_pair[0]) * r_pair[0] - v

@@ -22,7 +22,6 @@ from .numerics import (
     _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
-    Tolerances,
     _checked_norm,
     _fix_gauge,
     _norm,
@@ -33,19 +32,19 @@ from .numerics import (
 MAX_LEVELS = 8
 
 
-def nlevel_state(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def nlevel_state(coeffs) -> np.ndarray:
     """Validate, normalize and gauge-fix an N-level coefficient vector."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or not 2 <= c.size <= MAX_LEVELS:
         raise ValueError(f"state dimension must lie in [2, {MAX_LEVELS}]")
-    return _fix_gauge(c / _checked_norm(c, "state", "coefficients"), tol.zero)
+    return _fix_gauge(c / _checked_norm(c, "state", "coefficients"))
 
 
-def _normalized(c: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _normalized(c: np.ndarray) -> np.ndarray:
     """:func:`nlevel_state`'s renormalization and gauge of a 1-d complex array,
     without its checks.  Neither is bitwise idempotent, so a caller applies
     this wherever an ``nlevel_state`` of an already-valid state used to run."""
-    return _fix_gauge(c / _norm(c), tol.zero)
+    return _fix_gauge(c / _norm(c))
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,9 @@ def _binomial_weights(m: int) -> np.ndarray:
     return np.array([(-1.0) ** k * math.sqrt(math.comb(m, k)) for k in range(m + 1)])
 
 
-def representation_coefficients(state, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def representation_coefficients(state) -> np.ndarray:
     """Polynomial coefficients (lowest degree first) of the stellar polynomial."""
-    c = nlevel_state(state, tol=tol)
+    c = nlevel_state(state)
     return _binomial_weights(c.size - 1) * c
 
 
@@ -110,20 +109,20 @@ def _symmetrized(pts: np.ndarray) -> tuple[np.ndarray, float]:
     return c / norm, 1.0 / (math.factorial(pts.shape[0]) * norm)
 
 
-def normalization_factor(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def normalization_factor(points) -> float:
     """K such that K * sum over qubit permutations is normalized.
 
     Equals ``1/sqrt(m! * perm(G))`` for the Gram matrix ``G`` of the qubit
     states, evaluated in O(m^2) from the closed form of ``_symmetrized``.
     """
-    return _symmetrized(_point_rows(points, tol))[1]
+    return _symmetrized(_point_rows(points))[1]
 
 
-def _point_rows(points, tol: Tolerances) -> np.ndarray:
-    """The unit rows of an ``(m, 3)`` array of Bloch points, checked as
-    :func:`normalization_factor` checks them: shape and count by
+def _point_rows(points) -> np.ndarray:
+    """The unit rows of an ``(m, 3)`` array of Bloch points, checked as every
+    point-set entry point checks them: shape and count by
     :func:`_point_array`, then each row by :func:`as_bloch_array`."""
-    return as_bloch_array(_point_array(points), tol=tol)
+    return as_bloch_array(_point_array(points))
 
 
 def _point_array(points) -> np.ndarray:
@@ -137,44 +136,46 @@ def _point_array(points) -> np.ndarray:
     return pts
 
 
-def majorana_points(state, *, tol: Tolerances = DEFAULT_TOL) -> SymmetricRepresentation:
+def majorana_points(state) -> SymmetricRepresentation:
     """Stellar representation of a state: N-1 Bloch points and K."""
-    return _majorana_points(nlevel_state(state, tol=tol), tol)
+    return _majorana_points(nlevel_state(state))
 
 
-def _majorana_points(c: np.ndarray, tol: Tolerances) -> SymmetricRepresentation:
+def _majorana_points(c: np.ndarray) -> SymmetricRepresentation:
     """:func:`majorana_points` of a state that :func:`nlevel_state` (or
     :func:`_normalized`) returned; nothing is checked or renormalized.
     K is taken from the points renormalized once more, as validating them
     would leave them."""
-    pts = sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c, tol)))
+    pts = sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c)))
     return SymmetricRepresentation(pts, _symmetrized(_unit(pts))[1])
 
 
-def symmetrize(points, *, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, float]:
+def symmetrize(points) -> tuple[np.ndarray, float]:
     """State whose stellar representation is the given point multiset.
 
     Returns the gauge-canonical state together with the normalization K.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError("expected an (m, 3) array of Bloch points")
-    if not 1 <= pts.shape[0] <= MAX_LEVELS - 1:
-        raise ValueError(f"point count must lie in [1, {MAX_LEVELS - 1}]")
-    state, normalization = _symmetrized(as_bloch_array(pts, tol=tol))
-    return canonical_gauge(state, tol=tol), normalization
+    state, normalization = _symmetrized(_point_rows(points))
+    return canonical_gauge(state), normalization
 
 
-def discriminant_degeneracy(state, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def _discriminant(c0: complex, c1: complex, c2: complex) -> float:
+    """|discriminant| of the stellar polynomial of the qutrit ``(c0, c1, c2)``,
+    in Python complex arithmetic: it rounds as numpy's scalar arithmetic,
+    where numpy's array ``abs`` would not."""
+    return abs(2.0 * c1 * c1 - 4.0 * c0 * c2)
+
+
+def discriminant_degeneracy(state) -> float:
     """|discriminant| of the three-level stellar polynomial.
 
     Zero (within tolerance) exactly when the two points coincide, including
     the doubly-infinite case.
     """
-    c = nlevel_state(state, tol=tol)
+    c = nlevel_state(state)
     if c.size != 3:
         raise ValueError("discriminant diagnostic is defined for three-level states")
-    return float(abs(2.0 * c[1] * c[1] - 4.0 * c[0] * c[2]))
+    return _discriminant(*c.tolist())
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,8 @@ def _polish_root_angles(alpha: float, beta: float, lin: complex,
     return alpha_polished, 2.0 * math.atan(abs(z))
 
 
-def _qutrit_roots_at(epsilon: float, chi1: float, chi2: float,
-                     *, tol: Tolerances = DEFAULT_TOL) -> Callable[[float], QutritAngles]:
+def _qutrit_roots_at(epsilon: float, chi1: float,
+                     chi2: float) -> Callable[[float], QutritAngles]:
     """:func:`qutrit_roots_closed_form` as a function of ``theta`` alone.
 
     The ``theta``-independent factors are computed once, and each product keeps
@@ -262,7 +263,7 @@ def _qutrit_roots_at(epsilon: float, chi1: float, chi2: float,
         beta_1 = 2.0 * math.atan(0.5 * (s - spread))
         beta_2 = 2.0 * math.atan(0.5 * (s + spread))
 
-        if s <= tol.zero:
+        if s <= DEFAULT_TOL.zero:
             alpha_1 = alpha_2 = half_chi1
         else:
             cos_arg = min(1.0, max(-1.0, sq2_se * t * cos_chi_tilde / s))
@@ -279,14 +280,14 @@ def _qutrit_roots_at(epsilon: float, chi1: float, chi2: float,
             alpha_2, beta_2 = _polish_root_angles(alpha_2, beta_2, lin, const)
 
         disc = abs(two_se2 * t * t * e_2chi2 - four_ce * t * e_chi1)
-        degenerate = bool(disc <= tol.comparison or s <= tol.zero)
+        degenerate = bool(disc <= DEFAULT_TOL.comparison or s <= DEFAULT_TOL.zero)
         return QutritAngles(alpha_1, alpha_2, beta_1, beta_2, s, rho, chi_tilde, degenerate)
 
     return roots
 
 
-def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float, chi2: float,
-                             *, tol: Tolerances = DEFAULT_TOL) -> QutritAngles:
+def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float,
+                             chi2: float) -> QutritAngles:
     """Closed-form roots for the state
     ``(exp(1j*chi1) cos(eps) sin(theta), exp(1j*chi2) sin(eps) sin(theta), cos(theta))``.
 
@@ -295,10 +296,10 @@ def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float, chi2: fl
     """
     if not 0.0 <= theta < 0.5 * math.pi:
         raise ValueError("theta must lie in [0, pi/2)")
-    return _qutrit_roots_at(epsilon, chi1, chi2, tol=tol)(theta)
+    return _qutrit_roots_at(epsilon, chi1, chi2)(theta)
 
 
-def entanglement_entropy(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def entanglement_entropy(points) -> float:
     """Von Neumann entropy (bits) of either qubit of a symmetrized point pair.
 
     0 for coincident points (separable), 1 for antipodal points (Bell state).
@@ -306,7 +307,7 @@ def entanglement_entropy(points, *, tol: Tolerances = DEFAULT_TOL) -> float:
     pts = np.asarray(points, dtype=float)
     if pts.shape != (2, 3):
         raise ValueError("entropy diagnostic needs exactly two Bloch points")
-    q1, q2 = bloch_to_qubits(pts, tol=tol)
+    q1, q2 = bloch_to_qubits(pts)
     psi = np.kron(q1, q2) + np.kron(q2, q1)
     psi = psi / np.linalg.norm(psi)
     amp = psi.reshape(2, 2)

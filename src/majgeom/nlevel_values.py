@@ -41,7 +41,6 @@ from .numerics import (
     _GELL_MANN_SLACK,
     _PAIRING_TIE_SLACK,
     DEFAULT_TOL,
-    Tolerances,
     _check_finite,
     _check_hermitian,
     _checked_overlap,
@@ -104,11 +103,11 @@ class GellMannDirection:
         return cls(r, op)
 
     @classmethod
-    def from_operator(cls, operator, *, tol: Tolerances = DEFAULT_TOL) -> "GellMannDirection":
+    def from_operator(cls, operator) -> "GellMannDirection":
         op = np.asarray(operator, dtype=complex)
         if op.shape != (3, 3):
             raise ValueError("operator must be 3x3")
-        _check_hermitian(op, tol)
+        _check_hermitian(op)
         if abs(np.trace(op)) > _GELL_MANN_SLACK:
             raise ValueError("operator must be traceless")
         r = np.array([0.5 * np.trace(op @ g).real for g in GELL_MANN])
@@ -141,25 +140,23 @@ class NLevelModularSpec:
         _check_finite(alpha=self.alpha, beta=self.beta, generic_theta=self.generic_theta)
 
 
-def _state_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
-    si = nlevel_state(psi_i, tol=tol)
-    sf = nlevel_state(psi_f, tol=tol)
+def _state_pair(psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
+    si, sf = nlevel_state(psi_i), nlevel_state(psi_f)
     if si.size != sf.size:
         raise ValueError("pre- and postselected states must share a dimension")
     return si, sf
 
 
-def _validated_pair(psi_i, psi_f, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, complex]:
-    si, sf = _state_pair(psi_i, psi_f, tol)
-    return si, sf, _checked_overlap(sf, si, tol)
+def _validated_pair(psi_i, psi_f) -> tuple[np.ndarray, np.ndarray, complex]:
+    si, sf = _state_pair(psi_i, psi_f)
+    return si, sf, _checked_overlap(sf, si)
 
 
-def weak_value_direct(psi_i, observable, psi_f,
-                      *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
+def weak_value_direct(psi_i, observable, psi_f) -> PolarComplex:
     """``<f|A|i> / <f|i>`` for a Hermitian observable."""
-    si, sf, overlap = _validated_pair(psi_i, psi_f, tol)
+    si, sf, overlap = _validated_pair(psi_i, psi_f)
     a = _observable(observable, si.size)
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     return PolarComplex.from_complex(np.vdot(sf, a @ si) / overlap)
 
 
@@ -178,12 +175,11 @@ def _evolution_strength(spec: NLevelModularSpec, dim: int) -> float:
     return spec.alpha * (dim - 1) / 2.0
 
 
-def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f,
-                         *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
+def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f) -> PolarComplex:
     """``exp(1j*beta) <f| U |i> / <f|i>`` with U from the spec's convention."""
-    si, sf, overlap = _validated_pair(psi_i, psi_f, tol)
+    si, sf, overlap = _validated_pair(psi_i, psi_f)
     a = _observable(spec.observable, si.size)
-    u = unitary_exp(a, phase=spec.beta, strength=_evolution_strength(spec, si.size), tol=tol)
+    u = unitary_exp(a, phase=spec.beta, strength=_evolution_strength(spec, si.size))
     return PolarComplex.from_complex(np.vdot(sf, u @ si) / overlap)
 
 
@@ -227,8 +223,7 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         best = candidate
 
 
-def factored_weak_value(i_points, r_point, f_point,
-                        *, tol: Tolerances = DEFAULT_TOL):
+def factored_weak_value(i_points, r_point, f_point):
     """Projector weak value from canonicalized stellar points.
 
     One factor per initial point: modulus ``sqrt((1+f.r)(1+r.i_k)/(2(1+f.i_k)))``
@@ -241,25 +236,24 @@ def factored_weak_value(i_points, r_point, f_point,
     is then ``PolarComplex(0.0, 0.0)``.  Any other undefined triangle raises
     :class:`UndefinedSolidAngle`.
     """
-    return _factored_weak_value(_point_rows(i_points, tol), as_bloch(r_point, tol=tol),
-                                as_bloch(f_point, tol=tol), tol)
+    return _factored_weak_value(_point_rows(i_points), as_bloch(r_point), as_bloch(f_point))
 
 
-def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray, tol: Tolerances):
+def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
     """:func:`factored_weak_value` of validated unit vectors, or one ``(3,)`` ``vi``."""
-    moduli = _factor_moduli(weak_moduli(vi, vr, vf, tol=tol))
-    angles, _ = _triangle_angles(vi, vr, vf, tol)
+    moduli = _factor_moduli(weak_moduli(vi, vr, vf))
+    angles, _ = _triangle_angles(vi, vr, vf)
     breakdown = GeometricBreakdown(tuple(map(
         GeometricFactor, moduli, _factor_angles(angles, moduli), vi.reshape(-1, 3))))
     return breakdown.to_polar(), breakdown
 
 
 def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
-                            k_ratio: float, *, dynamical: float, tol: Tolerances):
+                            k_ratio: float, *, dynamical: float):
     """:func:`factored_modular_value` of validated unit vectors (or one ``(3,)``
     point each), paired point sets, a known K_s / K_i and the dynamical phase."""
-    moduli = _factor_moduli(modular_moduli(vi, vs, vf, tol=tol))
-    omegas = _factor_angles(_quadrangle_angles(vi, vr, vs, vf, tol), moduli)
+    moduli = _factor_moduli(modular_moduli(vi, vs, vf))
+    omegas = _factor_angles(_quadrangle_angles(vi, vr, vs, vf), moduli)
     breakdown = GeometricBreakdown(
         tuple(map(GeometricFactor, moduli, omegas, vi.reshape(-1, 3), vs.reshape(-1, 3))),
         dynamical_phase=dynamical, k_ratio=k_ratio)
@@ -267,8 +261,7 @@ def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: 
 
 
 def factored_modular_value(i_points, s_points, r_point, f_point,
-                           *, alpha: float, beta: float, eigenvalue: float,
-                           tol: Tolerances = DEFAULT_TOL):
+                           *, alpha: float, beta: float, eigenvalue: float):
     """Modular value from canonicalized stellar points of the initial and
     evolved states.
 
@@ -280,29 +273,27 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     i_pts = np.asarray(i_points, dtype=float)
-    vs = _point_rows(pair_points(i_pts, np.asarray(s_points, dtype=float)), tol)
-    vi = _point_rows(i_pts, tol)
+    vs = _point_rows(pair_points(i_pts, np.asarray(s_points, dtype=float)))
+    vi = _point_rows(i_pts)
     dynamical = beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue
     return _factored_modular_value(
-        vi, vs, as_bloch(r_point, tol=tol), as_bloch(f_point, tol=tol),
-        _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical, tol=tol)
+        vi, vs, as_bloch(r_point), as_bloch(f_point),
+        _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical)
 
 
-def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f,
-                                          *, tol: Tolerances = DEFAULT_TOL):
+def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
     """Geometric weak value of the projector onto the N-level state ``psi_r``.
 
     Each input is validated once; the value is 0 when ``<r|i> = 0`` or
     ``<f|r> = 0``, as :func:`factored_weak_value` describes.
     """
-    si, sf, _ = _validated_pair(psi_i, psi_f, tol)
-    triple = _canonicalize(si, nlevel_state(psi_r, tol=tol), sf, tol)
+    si, sf, _ = _validated_pair(psi_i, psi_f)
+    triple = _canonicalize(si, nlevel_state(psi_r), sf)
     return _factored_weak_value(_unit(triple.i_rep.points), _unit(triple.r_vec),
-                                _unit(triple.f_vec), tol)
+                                _unit(triple.f_vec))
 
 
-def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
-                                   *, tol: Tolerances = DEFAULT_TOL):
+def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     """Geometric modular value for an N-level Hermitian observable.
 
     The anchor eigenvector is canonicalized together with the selections; the
@@ -314,8 +305,8 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     The selections are validated once; every renormalization of the
     validated states is kept, so the bits do not depend on where checks run.
     """
-    si, sf, _ = _validated_pair(psi_i, psi_f, tol)
-    evals, evecs = eig_hermitian(_observable(spec.observable, si.size), tol=tol)
+    si, sf, _ = _validated_pair(psi_i, psi_f)
+    evals, evecs = eig_hermitian(_observable(spec.observable, si.size))
     index = spec.eigen_choice if spec.eigen_choice is not None else si.size - 1
     if not 0 <= index < si.size:
         raise ValueError("eigen_choice outside the spectrum")
@@ -323,26 +314,25 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f,
     eigenvalue = float(evals[index])
     strength = _evolution_strength(spec, si.size)
 
-    triple = _canonicalize(_normalized(si, tol), _normalized(psi_r, tol),
-                           _normalized(sf, tol), tol)
+    triple = _canonicalize(_normalized(si), _normalized(psi_r), _normalized(sf))
     evolution = _spectral_exp(evals, evecs, 0.0, strength)
     psi_s = triple.u_total @ (evolution @ si)
-    s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s), tol), tol)
+    s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s)))
     i_pts = triple.i_rep.points
     return _factored_modular_value(
         _unit(i_pts), _unit(pair_points(i_pts, s_rep.points)), _unit(triple.r_vec),
         _unit(triple.f_vec), s_rep.normalization / triple.i_rep.normalization,
-        dynamical=spec.beta - strength * eigenvalue, tol=tol)
+        dynamical=spec.beta - strength * eigenvalue)
 
 
-def _check_context(projectors, dim: int, tol: Tolerances) -> list[np.ndarray]:
+def _check_context(projectors, dim: int) -> list[np.ndarray]:
     mats = [np.asarray(p, dtype=complex) for p in projectors]
     if not mats:
         raise IncompleteContext("context must contain at least one projector")
     for p in mats:
         if p.shape != (dim, dim):
             raise IncompleteContext("projector dimension does not match the states")
-        if not hermiticity_defect(p) <= tol.unitarity:  # NaN and inf fail too
+        if not hermiticity_defect(p) <= DEFAULT_TOL.unitarity:  # NaN and inf fail too
             raise IncompleteContext("context contains a non-Hermitian element")
         if float(np.max(np.abs(p @ p - p))) > _CONTEXT_SLACK:
             raise IncompleteContext("context contains a non-idempotent element")
@@ -355,24 +345,22 @@ def _check_context(projectors, dim: int, tol: Tolerances) -> list[np.ndarray]:
     return mats
 
 
-def abl_distribution(psi_i, projectors, psi_f,
-                     *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def abl_distribution(psi_i, projectors, psi_f) -> np.ndarray:
     """Conditional outcome probabilities of an intermediate projective
     measurement between pre- and postselection:
     ``P(k) = |<f|P_k|i>|^2 / sum_j |<f|P_j|i>|^2``.
     """
-    si, sf = _state_pair(psi_i, psi_f, tol)
-    mats = _check_context(projectors, si.size, tol)
+    si, sf = _state_pair(psi_i, psi_f)
+    mats = _check_context(projectors, si.size)
     weights = np.array([abs(complex(np.vdot(sf, p @ si))) ** 2 for p in mats])
     total = float(weights.sum())
-    if total <= tol.zero:
+    if total <= DEFAULT_TOL.zero:
         raise ZeroDenominator("no intermediate outcome is compatible with the selection")
     return weights / total
 
 
-def abl_probability(psi_i, projectors, psi_f, k: int,
-                    *, tol: Tolerances = DEFAULT_TOL) -> float:
-    dist = abl_distribution(psi_i, projectors, psi_f, tol=tol)
+def abl_probability(psi_i, projectors, psi_f, k: int) -> float:
+    dist = abl_distribution(psi_i, projectors, psi_f)
     if not 0 <= k < dist.size:
         raise ValueError("outcome index outside the context")
     return float(dist[k])

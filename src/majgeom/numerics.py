@@ -23,7 +23,9 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Central numeric thresholds used by every module.
+    """The four numeric thresholds.  The library reads them from the one
+    instance ``DEFAULT_TOL``; only the CLI builds another, whose
+    ``comparison`` (set by ``MAJGEOM_TOL``) drives its mismatch check alone.
 
     comparison     general value agreement (relative or absolute as documented)
     unitarity      max-norm defect allowed for unitary / Hermitian checks
@@ -87,9 +89,10 @@ def principal_angle(angle: float) -> float:
     return wrapped
 
 
-def _fix_gauge(vec: np.ndarray, zero: float) -> np.ndarray:
+def _fix_gauge(vec: np.ndarray) -> np.ndarray:
     """Multiply the 1-d complex ``vec`` in place by the global phase that makes
-    its first entry of modulus above ``zero`` real >= 0, and return it.
+    its first entry of modulus above ``DEFAULT_TOL.zero`` real >= 0, and
+    return it.
 
     The entry is found over Python complexes, whose ``abs`` is the ``hypot``
     numpy scalars use.  The phase ``conj(lead) / |lead|`` is numpy's complex
@@ -98,7 +101,7 @@ def _fix_gauge(vec: np.ndarray, zero: float) -> np.ndarray:
     """
     for entry in vec.tolist():
         modulus = abs(entry)
-        if modulus > zero:
+        if modulus > DEFAULT_TOL.zero:
             scale = 1.0 / modulus
             re, im = entry.real, -entry.imag
             vec *= complex((re + im * 0.0) * scale, (im - re * 0.0) * scale)
@@ -106,9 +109,9 @@ def _fix_gauge(vec: np.ndarray, zero: float) -> np.ndarray:
     return vec
 
 
-def canonical_gauge(vec: np.ndarray, *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def canonical_gauge(vec: np.ndarray) -> np.ndarray:
     """Multiply by a global phase so the first non-vanishing entry is real >= 0."""
-    return _fix_gauge(np.asarray(vec, dtype=complex).copy(), tol.zero)
+    return _fix_gauge(np.asarray(vec, dtype=complex).copy())
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -119,13 +122,14 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _checked_overlap(bra: np.ndarray, ket: np.ndarray, tol: Tolerances) -> complex:
-    """``<bra|ket>`` of the post- and preselected states as a Python complex;
-    a modulus at or below ``tol.orthogonality`` raises :class:`OrthogonalSelection`."""
+def _checked_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
+    """``<bra|ket>`` of the post- and preselected states as a Python complex; a
+    modulus at or below ``DEFAULT_TOL.orthogonality`` raises
+    :class:`OrthogonalSelection`."""
     overlap = complex(np.vdot(bra, ket))
-    if abs(overlap) <= tol.orthogonality:
+    if abs(overlap) <= DEFAULT_TOL.orthogonality:
         raise OrthogonalSelection(
-            f"|<f|i>| = {abs(overlap):.3e} is below {tol.orthogonality:.1e}")
+            f"|<f|i>| = {abs(overlap):.3e} is below {DEFAULT_TOL.orthogonality:.1e}")
     return overlap
 
 
@@ -176,7 +180,7 @@ def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [q / c2, c0 / q]
 
 
-def _polynomial_roots(c: np.ndarray, tol: Tolerances) -> list[complex | None]:
+def _polynomial_roots(c: np.ndarray) -> list[complex | None]:
     """:func:`solve_polynomial` of a finite 1-d complex array, without its
     checks: the finite roots as Python complexes, then ``None`` for each
     root at infinity.
@@ -187,7 +191,7 @@ def _polynomial_roots(c: np.ndarray, tol: Tolerances) -> list[complex | None]:
     """
     mags = np.abs(c).tolist()
     top = c.size - 1
-    while mags[top] <= tol.zero:
+    while mags[top] <= DEFAULT_TOL.zero:
         top -= 1
         if top < 0:
             raise AllCoefficientsZero("every polynomial coefficient is below tolerance")
@@ -212,11 +216,11 @@ def _polynomial_roots(c: np.ndarray, tol: Tolerances) -> list[complex | None]:
     return finite + [None] * n_inf
 
 
-def solve_polynomial(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> list[ProjectiveRoot]:
+def solve_polynomial(coeffs) -> list[ProjectiveRoot]:
     """Roots (with multiplicity) of ``sum_k coeffs[k] z^k`` on the Riemann sphere.
 
     Coefficients are lowest degree first.  Exactly ``len(coeffs) - 1`` roots are
-    returned; each leading coefficient of modulus <= ``tol.zero`` contributes
+    returned; each leading coefficient of modulus <= ``DEFAULT_TOL.zero`` contributes
     one root at infinity.  Finite roots come from the closed-form quadratic for
     degree <= 2 and from companion-matrix eigenvalues above that.
     """
@@ -225,7 +229,7 @@ def solve_polynomial(coeffs, *, tol: Tolerances = DEFAULT_TOL) -> list[Projectiv
         raise ValueError("coefficients must form a non-empty 1-d sequence")
     if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
         raise ValueError("coefficients must be finite")
-    return [ProjectiveRoot(z) for z in _polynomial_roots(c, tol)]
+    return [ProjectiveRoot(z) for z in _polynomial_roots(c)]
 
 
 def _as_square(matrix) -> np.ndarray:
@@ -241,35 +245,35 @@ def hermiticity_defect(matrix) -> float:
         return float(np.max(np.abs(m - m.conj().T)))
 
 
-def _check_hermitian(matrix, tol: Tolerances) -> None:
-    """Raise :class:`NotHermitian` unless the defect is at most ``tol.unitarity``;
-    a NaN or inf entry gives a defect that is not."""
+def _check_hermitian(matrix) -> None:
+    """Raise :class:`NotHermitian` unless the defect is at most
+    ``DEFAULT_TOL.unitarity``; a NaN or inf entry gives a defect that is not."""
     defect = hermiticity_defect(matrix)
-    if not defect <= tol.unitarity:
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds {tol.unitarity:.1e}")
+    if not defect <= DEFAULT_TOL.unitarity:
+        raise NotHermitian(
+            f"Hermiticity defect {defect:.3e} exceeds {DEFAULT_TOL.unitarity:.1e}")
 
 
-def eig_hermitian(matrix, *, tol: Tolerances = DEFAULT_TOL):
+def eig_hermitian(matrix):
     """Eigendecomposition of a small Hermitian matrix.
 
     Returns ascending eigenvalues and an orthonormal eigenvector matrix whose
-    columns are gauge fixed: the first entry of modulus above ``tol.zero`` is
-    made real and positive.
+    columns are gauge fixed: the first entry of modulus above
+    ``DEFAULT_TOL.zero`` is made real and positive.
     """
     m = _as_square(matrix)
-    _check_hermitian(m, tol)
+    _check_hermitian(m)
     sym = 0.5 * (m + m.conj().T)
     evals, evecs = np.linalg.eigh(sym)
     evecs = evecs.copy()
     for k in range(evecs.shape[1]):
-        _fix_gauge(evecs[:, k], tol.zero)
+        _fix_gauge(evecs[:, k])
     return evals.astype(float), evecs
 
 
-def unitary_exp(matrix, phase: float = 0.0, strength: float = 1.0,
-                *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def unitary_exp(matrix, phase: float = 0.0, strength: float = 1.0) -> np.ndarray:
     """``exp(1j*phase) * exp(-1j*strength*H)`` for Hermitian ``H``."""
-    evals, evecs = eig_hermitian(matrix, tol=tol)
+    evals, evecs = eig_hermitian(matrix)
     return _spectral_exp(evals, evecs, phase, strength)
 
 
@@ -280,8 +284,7 @@ def _spectral_exp(evals: np.ndarray, evecs: np.ndarray, phase: float,
     return np.exp(1j * phase) * ((evecs * diag) @ evecs.conj().T)
 
 
-def cayley_hamilton_exp_spin1(matrix, alpha: float,
-                              *, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def cayley_hamilton_exp_spin1(matrix, alpha: float) -> np.ndarray:
     """Closed-form ``exp(-1j*alpha*L)`` for a 3x3 Hermitian ``L`` whose spectrum
     is {-1, 0, +1}.
 
@@ -291,7 +294,7 @@ def cayley_hamilton_exp_spin1(matrix, alpha: float,
     m = _as_square(matrix)
     if m.shape[0] != 3:
         raise ValueError("spin-1 exponential requires a 3x3 matrix")
-    _check_hermitian(m, tol)
+    _check_hermitian(m)
     trace = complex(np.trace(m))
     if abs(trace) > _SPIN1_SLACK:
         raise PreconditionViolated(f"trace condition failed: |tr| = {abs(trace):.3e}")

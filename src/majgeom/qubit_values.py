@@ -16,13 +16,7 @@ import numpy as np
 
 from .bloch import _rotate, as_bloch, as_qubit
 from .nlevel_values import _factored_modular_value, _factored_weak_value
-from .numerics import (
-    DEFAULT_TOL,
-    Tolerances,
-    _check_finite,
-    _check_hermitian,
-    _checked_overlap,
-)
+from .numerics import DEFAULT_TOL, _check_finite, _check_hermitian, _checked_overlap
 from .polar import PolarComplex
 
 PAULI = (
@@ -54,15 +48,15 @@ class QubitModularSpec:
         return sum(c * p for c, p in zip(self.axis, PAULI))
 
 
-def projector_weak_value_direct(i, r, f, *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
+def projector_weak_value_direct(i, r, f) -> PolarComplex:
     """``<f|r><r|i> / <f|i>`` for the projector onto the qubit state ``r``."""
-    qi, qr, qf = as_qubit(i, tol=tol), as_qubit(r, tol=tol), as_qubit(f, tol=tol)
-    den = _checked_overlap(qf, qi, tol)
+    qi, qr, qf = as_qubit(i), as_qubit(r), as_qubit(f)
+    den = _checked_overlap(qf, qi)
     value = np.vdot(qf, qr) * np.vdot(qr, qi) / den
     return PolarComplex.from_complex(value)
 
 
-def projector_weak_value_geometric(i, r, f, *, tol: Tolerances = DEFAULT_TOL):
+def projector_weak_value_geometric(i, r, f):
     """Projector weak value from Bloch vectors.
 
     Modulus ``sqrt((1+f.r)(1+r.i) / (2(1+f.i)))``; argument is minus half the
@@ -71,23 +65,20 @@ def projector_weak_value_geometric(i, r, f, *, tol: Tolerances = DEFAULT_TOL):
     and the value ``PolarComplex(0.0, 0.0)``; the triangle is undefined there.
     Bit for bit ``factored_weak_value([i], r, f)``.
     """
-    return _factored_weak_value(as_bloch(i, tol=tol), as_bloch(r, tol=tol),
-                                as_bloch(f, tol=tol), tol)
+    return _factored_weak_value(as_bloch(i), as_bloch(r), as_bloch(f))
 
 
-def modular_value_direct(i, spec: QubitModularSpec, f,
-                         *, tol: Tolerances = DEFAULT_TOL) -> PolarComplex:
+def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
     """``exp(1j*beta/2) <f| exp(-1j*(alpha/2)*sigma_r) |i> / <f|i>``."""
-    qi, qf = as_qubit(i, tol=tol), as_qubit(f, tol=tol)
-    den = _checked_overlap(qf, qi, tol)
+    qi, qf = as_qubit(i), as_qubit(f)
+    den = _checked_overlap(qf, qi)
     half = 0.5 * spec.alpha
     unitary = math.cos(half) * np.eye(2) - 1j * math.sin(half) * spec.sigma
     value = np.exp(0.5j * spec.beta) * np.vdot(qf, unitary @ qi) / den
     return PolarComplex.from_complex(value)
 
 
-def modular_value_geometric(i, spec: QubitModularSpec, f,
-                            *, tol: Tolerances = DEFAULT_TOL):
+def modular_value_geometric(i, spec: QubitModularSpec, f):
     """Modular value from Bloch vectors.
 
     The evolved vector ``s`` is ``i`` rotated about the axis by ``alpha``.  The
@@ -98,14 +89,13 @@ def modular_value_geometric(i, spec: QubitModularSpec, f,
     ``PolarComplex(0.0, 0.0)``.  This is the one-point ``factored_modular_value``
     with ``beta/2`` for ``beta``, eigenvalue 1 and K_s / K_i taken as exactly 1.
     """
-    vi, vf = as_bloch(i, tol=tol), as_bloch(f, tol=tol)
+    vi, vf = as_bloch(i), as_bloch(f)
     vs = _rotate(vi, spec.axis, spec.alpha)
     return _factored_modular_value(vi, vs, spec.axis, vf, 1.0,
-                                   dynamical=0.5 * (spec.beta - spec.alpha), tol=tol)
+                                   dynamical=0.5 * (spec.beta - spec.alpha))
 
 
-def observable_to_modular_spec(observable, theta: float,
-                               *, tol: Tolerances = DEFAULT_TOL) -> QubitModularSpec:
+def observable_to_modular_spec(observable, theta: float) -> QubitModularSpec:
     """Rewrite ``exp(-1j*theta*A)`` for a 2x2 Hermitian ``A`` as a modular spec.
 
     Decomposes ``A = -(beta/2) I + (alpha/2) sigma_r`` and scales both angles
@@ -114,25 +104,22 @@ def observable_to_modular_spec(observable, theta: float,
     a = np.asarray(observable, dtype=complex)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 observable")
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     beta = -float(np.trace(a).real)
     traceless = a + 0.5 * beta * np.eye(2)
     comps = np.array([0.5 * np.trace(traceless @ p).real for p in PAULI])
     alpha = 2.0 * float(np.linalg.norm(comps))
-    if alpha <= tol.zero:
+    if alpha <= DEFAULT_TOL.zero:
         axis = np.array([0.0, 0.0, 1.0])
     else:
         axis = 2.0 * comps / alpha
     return QubitModularSpec(axis=axis, alpha=theta * alpha, beta=theta * beta)
 
 
-def weak_value_from_modular_derivative(i, observable, f, *, h: float = 1e-5,
-                                       tol: Tolerances = DEFAULT_TOL) -> complex:
+def weak_value_from_modular_derivative(i, observable, f, *, h: float = 1e-5) -> complex:
     """Central-difference check of ``A_w = 1j * dA_m/dtheta`` at zero strength."""
     if not (math.isfinite(h) and h != 0.0):
         raise ValueError("h must be finite and non-zero")
-    plus = modular_value_direct(i, observable_to_modular_spec(observable, h, tol=tol), f,
-                                tol=tol).rect
-    minus = modular_value_direct(i, observable_to_modular_spec(observable, -h, tol=tol), f,
-                                 tol=tol).rect
+    plus = modular_value_direct(i, observable_to_modular_spec(observable, h), f).rect
+    minus = modular_value_direct(i, observable_to_modular_spec(observable, -h), f).rect
     return 1j * (plus - minus) / (2.0 * h)

@@ -376,6 +376,23 @@ class TestScanCommand:
         assert len(doc["results"]["records"]) == 16
 
 
+# Every command pinned by a file in tests/data, with that file.
+GOLDEN_RUNS = [
+    (("three-box",), "three_box.json"),
+    (("three-box", "--format", "csv"), "three_box.csv"),
+    (("scan-singularity", "--count", "512", "--format", "csv"), "scan_singularity_512.csv"),
+    (("scan-singularity", "--count", "512", "--format", "json"), "scan_singularity_512.json"),
+    (("scan-singularity", "--count", "1024", "--epsilon", "0.3", "--chi1", "1.0",
+      "--chi2", "2.5", "--format", "csv"), "scan_singularity_1024_eps0.3.csv"),
+    (("canonicalize", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
+     "canonicalize_qutrit_triple.json"),
+    (("qutrit-weak", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
+     "qutrit_weak.json"),
+    (("qutrit-modular", "--scenario", str(DATA / "qutrit_modular.scenario.json")),
+     "qutrit_modular.json"),
+]
+
+
 class TestCliContract:
     def test_unknown_command_exit_two(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -422,22 +439,7 @@ class TestCliContract:
                            "--format", "csv")
         assert csv_a == csv_b
 
-    @pytest.mark.parametrize("argv, golden", [
-        (("three-box",), "three_box.json"),
-        (("three-box", "--format", "csv"), "three_box.csv"),
-        (("scan-singularity", "--count", "512", "--format", "csv"),
-         "scan_singularity_512.csv"),
-        (("scan-singularity", "--count", "512", "--format", "json"),
-         "scan_singularity_512.json"),
-        (("scan-singularity", "--count", "1024", "--epsilon", "0.3", "--chi1", "1.0",
-          "--chi2", "2.5", "--format", "csv"), "scan_singularity_1024_eps0.3.csv"),
-        (("canonicalize", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
-         "canonicalize_qutrit_triple.json"),
-        (("qutrit-weak", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
-         "qutrit_weak.json"),
-        (("qutrit-modular", "--scenario", str(DATA / "qutrit_modular.scenario.json")),
-         "qutrit_modular.json"),
-    ])
+    @pytest.mark.parametrize("argv, golden", GOLDEN_RUNS)
     def test_golden_bytes(self, capsys, argv, golden):
         # Reference outputs of earlier implementations (tests/data/README.md
         # names the command and commit of each); regenerate only for a
@@ -473,11 +475,28 @@ class TestCliContract:
         assert deg_doc["results"]["argument"] == pytest.approx(
             math.degrees(rad_doc["results"]["argument"]))
 
-    def test_tolerance_env_override(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAJGEOM_TOL", "1e-3")
-        code, out = run_cli(capsys, "three-box")
+    @pytest.mark.parametrize("argv, golden", GOLDEN_RUNS)
+    def test_tolerance_env_reaches_only_mismatch(self, capsys, monkeypatch, argv, golden):
+        # MAJGEOM_TOL changes the printed record and the mismatch check, and
+        # no value: the library computes with DEFAULT_TOL whatever it is.
+        comparison = 1e-3
+        monkeypatch.setenv("MAJGEOM_TOL", str(comparison))
+        code, out = run_cli(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["tolerances"]["comparison"] == 1e-3
+        reference = (DATA / golden).read_text(encoding="utf-8")
+        if not golden.endswith(".json"):
+            assert out == reference
+            return
+        doc, expected = json.loads(out), json.loads(reference)
+        assert doc["tolerances"].pop("comparison") == comparison
+        expected["tolerances"].pop("comparison")
+        assert doc == expected
+        if "mismatch" in doc:
+            results = doc["results"]
+            geometric, direct = (complex(results[k]["re"], results[k]["im"])
+                                 for k in ("geometric", "direct"))
+            gap = abs(geometric - direct)
+            assert doc["mismatch"] == (gap > comparison * max(1.0, abs(direct)))
 
     def test_bad_tolerance_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MAJGEOM_TOL", "banana")

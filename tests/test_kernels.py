@@ -267,7 +267,7 @@ class TestTriangleSolidAngles:
         r = np.array([0.0, 0.0, 1.0])
         f = np.array([1.0, 0.0, 0.0])
         points[2] = -f
-        angles, shape = _triangle_angles(as_bloch_array(points), r, f, DEFAULT_TOL)
+        angles, shape = _triangle_angles(as_bloch_array(points), r, f)
         assert shape == (5,)
         assert angles[2] is None
         for k in (0, 1, 3, 4):

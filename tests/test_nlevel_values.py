@@ -324,7 +324,7 @@ class TestQutritProjectorGeometric:
 
     def test_other_undefined_triangle_raises(self):
         # i a hair from -r and f = r: the modulus is 1, not 0, yet the triangle
-        # is degenerate within tol.zero, so the route still refuses it.
+        # is degenerate within DEFAULT_TOL.zero, so the route still refuses it.
         delta = 1e-7
         i_point = np.array([math.sin(delta), 0.0, -math.cos(delta)])
         value, _ = factored_weak_value([[0.0, 0.0, 1.0]], NORTH, NORTH)

@@ -1,5 +1,10 @@
+import importlib
+import inspect
 import math
+import pkgutil
+import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from helpers import (
     reference_column_gauge,
     unitarity_defect,
 )
+import majgeom
 from majgeom.errors import AllCoefficientsZero, NotHermitian, PreconditionViolated
 from majgeom.numerics import (
     Tolerances,
@@ -227,8 +233,51 @@ def test_tolerances_reject_negative_and_non_finite(field, bad):
     assert getattr(Tolerances(**{field: 0.0}), field) == 0.0
 
 
+def package_callables():
+    """``(qualified name, function)`` for every function and method defined in
+    a ``majgeom`` module, constructors (``__init__``) included."""
+    for info in pkgutil.iter_modules(majgeom.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"majgeom.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{info.name}.{name}", obj
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)  # class/static methods
+                    if inspect.isfunction(member):
+                        yield f"{info.name}.{name}.{attr}", member
+
+
+class TestThresholdsAreConstants:
+    """The library reads its thresholds from ``DEFAULT_TOL``: no signature
+    takes a ``Tolerances`` or one of its fields.  Only the CLI's mismatch
+    check takes the record that ``MAJGEOM_TOL`` may change."""
+
+    CLI_CHECK = re.compile(r"cli\.(_run_routes|_cmd_\w+)$")
+
+    def test_no_public_tol_parameter(self):
+        public = [(name, fn) for name, fn in package_callables()
+                  if not any(part.startswith("_") and not part.endswith("__")
+                             for part in name.split("."))]
+        assert {"numerics.solve_polynomial",
+                "nlevel_values.GellMannDirection.from_operator"} <= dict(public).keys()
+        assert [name for name, fn in public if "tol" in inspect.signature(fn).parameters] == []
+
+    def test_no_threshold_parameter(self):
+        thresholds = {"tol", *(field.name for field in fields(Tolerances))}
+        offenders = [name for name, fn in package_callables()
+                     if not name.startswith("numerics.Tolerances")
+                     and not self.CLI_CHECK.match(name)
+                     and thresholds & set(inspect.signature(fn).parameters)]
+        assert offenders == []
+
+
 ZERO = Tolerances().zero
-# Real and imaginary parts that put a modulus below, at and just above tol.zero.
+# Real and imaginary parts that put a modulus below, at and just above ZERO.
 GAUGE_EDGES = (0.0, -0.0, 0.5 * ZERO, ZERO, -ZERO, float(np.nextafter(ZERO, 1.0)),
                0.7 * ZERO, 2.0 * ZERO)
 gauge_part = st.one_of(st.sampled_from(GAUGE_EDGES),
@@ -251,10 +300,9 @@ class TestGaugeMatchesReference:
     reference, bit for bit."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
-    @given(gauge_vectors(), st.sampled_from((ZERO, 0.5 * ZERO, 2.0 * ZERO, 0.0)))
-    def test_canonical_gauge(self, vec, zero):
-        tol = Tolerances(zero=zero)
-        assert canonical_gauge(vec, tol=tol).tobytes() == reference_canonical_gauge(vec, zero).tobytes()
+    @given(gauge_vectors())
+    def test_canonical_gauge(self, vec):
+        assert canonical_gauge(vec).tobytes() == reference_canonical_gauge(vec, ZERO).tobytes()
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.integers(2, 5).flatmap(
