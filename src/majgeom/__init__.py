@@ -7,10 +7,8 @@ from .bloch import (
     as_bloch_array,
     bloch_to_qubit,
     bloch_to_qubits,
-    bloch_vector,
     modular_moduli,
     projection_probability,
-    qubit_state,
     qubit_to_bloch,
     rodrigues_rotate,
     solid_angle_quadrangle,

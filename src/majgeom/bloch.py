@@ -86,20 +86,12 @@ def as_bloch(vec) -> np.ndarray:
     return as_bloch_array(v)  # raises its error for this vector
 
 
-def bloch_vector(x: float, y: float, z: float) -> np.ndarray:
-    return as_bloch([x, y, z])
-
-
 def as_qubit(state) -> np.ndarray:
     """Validate, normalize and gauge-fix a two-component amplitude vector."""
     q = np.asarray(state, dtype=complex)
     if q.shape != (2,):
         raise ValueError("qubit state must have exactly two amplitudes")
     return _fix_gauge(q / _checked_norm(q, "qubit", "amplitudes"))
-
-
-def qubit_state(a0, a1) -> np.ndarray:
-    return as_qubit([a0, a1])
 
 
 def qubit_to_bloch(state) -> np.ndarray:

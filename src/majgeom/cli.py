@@ -44,6 +44,10 @@ _RECORD_FIELDS = tuple(field.name for field in fields(experiments.ScanRecord))
 _RECORD_KEYS = {"wv_modulus": "wv_mod", "wv_argument": "wv_arg"}
 _SCAN_COLUMNS = ("theta", "alpha1", "alpha2", "beta1", "beta2", "omega1", "omega2",
                  "wv_mod", "wv_arg")
+# Scan parameters a scenario may set and a flag of the same name overrides.
+_SCAN_PARAMETERS = ("epsilon", "chi1", "chi2")
+# Largest scan grid: the scan's memory grows with its point count.
+_MAX_SCAN_POINTS = 2**16
 
 
 class ScenarioInvalid(ValueError):
@@ -73,6 +77,13 @@ def _load_scenario(path: str | None) -> dict:
     if doc.get("version") != SCENARIO_VERSION:
         raise ScenarioInvalid(f"scenario version must be {SCENARIO_VERSION}")
     return doc
+
+
+def _required(doc: dict, key: str, where: str = "scenario"):
+    """``doc[key]``; a missing key raises :class:`ScenarioInvalid` naming it."""
+    if key not in doc:
+        raise ScenarioInvalid(f"{where} is missing {key!r}")
+    return doc[key]
 
 
 def _complex_vector(raw, length: int | None = None) -> np.ndarray:
@@ -222,7 +233,7 @@ def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
     if not isinstance(spec, dict):
         raise ScenarioInvalid("scenario is missing the 'spec' object")
     return qubit_values.QubitModularSpec(
-        axis=as_bloch(spec["axis"]),
+        axis=as_bloch(_required(spec, "axis", "spec")),
         alpha=float(spec.get("alpha", 0.0)),
         beta=float(spec.get("beta", 0.0)),
     )
@@ -283,7 +294,7 @@ def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
     si, sf = _states(doc, ("i", "f"))
     kind = doc.get("kind", "weak")
     if kind == "weak":
-        observable = _complex_matrix(doc["observable"], si.size)
+        observable = _complex_matrix(_required(doc, "observable"), si.size)
         value = nlevel_values.weak_value_direct(si, observable, sf)
     elif kind == "modular":
         value = nlevel_values.modular_value_direct(si, _nlevel_spec(doc), sf)
@@ -325,7 +336,7 @@ def _cmd_canonicalize(args, tol: Tolerances) -> dict:
 def _cmd_abl(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
     si, sf = _states(doc, ("i", "f"))
-    projectors = [_complex_matrix(p, si.size) for p in doc["projectors"]]
+    projectors = [_complex_matrix(p, si.size) for p in _required(doc, "projectors")]
     dist = nlevel_values.abl_distribution(si, projectors, sf)
     return {"results": {"probabilities": dist}, "provenance": "direct"}
 
@@ -341,21 +352,26 @@ def _scan_to_results(scan: experiments.SingularityScan) -> dict:
     }
 
 
+def _scan_count(count: int, name: str) -> int:
+    if count > _MAX_SCAN_POINTS:
+        raise ScenarioInvalid(f"{name} must not exceed {_MAX_SCAN_POINTS}")
+    return count
+
+
 def _cmd_scan(args, tol: Tolerances) -> dict:
-    kwargs, grid = {}, None
-    if args.scenario is not None:
-        doc = _load_scenario(args.scenario)
-        for key in ("epsilon", "chi1", "chi2"):
-            if key in doc:
-                kwargs[key] = float(doc[key])
-        grid_spec = doc.get("grid")
-        if grid_spec is not None:
-            grid = np.linspace(float(grid_spec["start"]), float(grid_spec["stop"]),
-                               int(grid_spec["count"]))
-    for key in ("epsilon", "chi1", "chi2"):
-        if grid is None and getattr(args, key) is not None:
-            kwargs[key] = getattr(args, key)
-    scan = experiments.singularity_scan(grid, count=args.count, **kwargs)
+    """The scan of the scenario's parameters and grid, if any; a flag always
+    overrides the scenario's key, and ``--count`` is unused with a grid."""
+    doc = {} if args.scenario is None else _load_scenario(args.scenario)
+    kwargs = {key: float(doc[key]) for key in _SCAN_PARAMETERS if key in doc}
+    kwargs.update((key, getattr(args, key)) for key in _SCAN_PARAMETERS
+                  if getattr(args, key) is not None)
+    count, grid = _scan_count(args.count, "--count"), None
+    grid_spec = doc.get("grid")
+    if grid_spec is not None:
+        start, stop, points = (_required(grid_spec, key, "grid")
+                               for key in ("start", "stop", "count"))
+        grid = np.linspace(float(start), float(stop), _scan_count(int(points), "grid count"))
+    scan = experiments.singularity_scan(grid, count=count, **kwargs)
     return {"results": _scan_to_results(scan), "provenance": "both"}
 
 

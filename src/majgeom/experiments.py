@@ -19,6 +19,7 @@ from .bloch import (
 )
 from .canonical import three_box_transform
 from .majorana import (
+    _check_state_angles,
     _discriminant,
     _qutrit_roots_at,
     discriminant_degeneracy,
@@ -28,11 +29,12 @@ from .majorana import (
 )
 from .nlevel_values import abl_distribution, abl_probability, weak_value_direct
 from .numerics import (
-    _NORM_SLACK,
     _R_BASIS_SLACK,
     _SYMMETRY_SLACK,
     DEFAULT_TOL,
+    _check_finite,
     _check_hermitian,
+    _gauge_phase,
 )
 from .polar import PolarComplex
 
@@ -126,40 +128,17 @@ def _unwrap_segment(raw: list[float | None], period: float) -> list[float | None
 
 
 def _gauged_rows(c: np.ndarray) -> np.ndarray:
-    """:func:`nlevel_state` of each row of an ``(n, 3)`` complex array, bit for bit.
-
-    The finiteness and norm checks run once over the batch, with
-    ``nlevel_state``'s messages.  Norms are ``np.linalg.norm``'s real and
-    imaginary dots.  Each row's gauge phase divides the conjugate of its first
-    entry above ``DEFAULT_TOL.zero`` by that entry's modulus, taken with Python's
-    ``abs`` (the libm ``hypot`` of numpy's scalar ``abs``; ``np.abs`` over an
-    array rounds differently).
-    """
-    if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
-        raise ValueError("state coefficients must be finite")
+    """:func:`nlevel_state` of each unit row of an ``(n, 3)`` complex array, bit
+    for bit, without its checks.  Norms are ``np.linalg.norm``'s real and
+    imaginary dots; every unit row has a :func:`_gauge_phase`."""
     re, im = c.real, c.imag
-    norms = np.sqrt(_rowdot(re, re) + _rowdot(im, im))
-    off = np.abs(norms - 1.0) > _NORM_SLACK
-    if off.any():
-        norm = float(norms[off][0])
-        raise ValueError(f"state norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
-    out = c / norms[:, None]
-    rows, cols, moduli = [], [], []
-    for k, row in enumerate(out.tolist()):
-        for j, entry in enumerate(row):
-            modulus = abs(entry)
-            if modulus > DEFAULT_TOL.zero:
-                rows.append(k)
-                cols.append(j)
-                moduli.append(modulus)
-                break
-    phases = np.ones(len(out), dtype=complex)
-    phases[rows] = out[rows, cols].conjugate() / np.array(moduli)
-    return out * phases[:, None]
+    out = c / np.sqrt(_rowdot(re, re) + _rowdot(im, im))[:, None]
+    return out * np.array([_gauge_phase(row) for row in out.tolist()])[:, None]
 
 
 def _scan_states(thetas, epsilon: float, chi1: float, chi2: float) -> np.ndarray:
-    """:func:`scan_state` of every angle in ``thetas`` as an ``(n, 3)`` array."""
+    """:func:`scan_state` of every angle in ``thetas`` as an ``(n, 3)`` array;
+    nothing is checked."""
     ce, se = math.cos(epsilon), math.sin(epsilon)
     thetas = np.asarray(thetas, dtype=float)
     sin_t, cos_t = np.sin(thetas), np.cos(thetas)  # libm's bits, as math.sin
@@ -172,6 +151,8 @@ def _scan_states(thetas, epsilon: float, chi1: float, chi2: float) -> np.ndarray
 
 def scan_state(theta: float, epsilon: float, chi1: float, chi2: float) -> np.ndarray:
     """``nlevel_state`` of ``params_to_state(StateAngles(theta, epsilon, chi1, chi2))``."""
+    _check_state_angles(epsilon, chi1, chi2)
+    _check_finite(theta=theta)
     return _scan_states([theta], epsilon, chi1, chi2)[0]
 
 
@@ -196,15 +177,15 @@ def _disc_re(theta, epsilon: float, chi1: float, chi2: float):
     return re * back.real - im * back.imag
 
 
+def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
+    return lo + (np.arange(n) + 0.5) / n * (hi - lo)
+
+
 def default_theta_grid(count: int = 512) -> np.ndarray:
     """Midpoint grid strictly inside (0, pi/2)."""
     if count < 2:
         raise ValueError("grid needs at least two points")
-    return (np.arange(count) + 0.5) / count * (0.5 * math.pi)
-
-
-def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
-    return lo + (np.arange(n) + 0.5) / n * (hi - lo)
+    return _midpoints(0.0, 0.5 * math.pi, count)
 
 
 _CUSP_WINDOW = 0.02
@@ -259,6 +240,7 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     singularity are located by bisection on sign-changing proxies and flagged
     on the bracketing grid points.
     """
+    _check_state_angles(epsilon, chi1, chi2)
     if theta_grid is None:
         grid = _refined_default_grid(count, epsilon, chi1, chi2)
     else:

@@ -22,6 +22,7 @@ from .numerics import (
     _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
+    _check_finite,
     _checked_norm,
     _fix_gauge,
     _norm,
@@ -183,8 +184,7 @@ class QutritAngles:
     """Closed-form root angles of the three-level stellar polynomial.
 
     The roots are ``tan(beta_k/2) * exp(1j*alpha_k)``; ``s``, ``rho`` and
-    ``chi_tilde`` are the auxiliaries of the closed form.  ``degenerate`` flags
-    a (near-)double root.
+    ``chi_tilde`` are the auxiliaries of the closed form.
     """
 
     alpha_1: float
@@ -194,7 +194,6 @@ class QutritAngles:
     s: float
     rho: float
     chi_tilde: float
-    degenerate: bool = False
 
     def roots(self) -> tuple[complex, complex]:
         z1 = math.tan(0.5 * self.beta_1) * complex(math.cos(self.alpha_1),
@@ -211,6 +210,14 @@ class QutritAngles:
                        math.sin(self.alpha_2) * math.sin(self.beta_2),
                        math.cos(self.beta_2)])
         return p1, p2
+
+
+def _check_state_angles(epsilon: float, chi1: float, chi2: float) -> None:
+    """Refuse an ``epsilon`` outside [0, pi/2] (NaN included) and a non-finite
+    ``chi1`` or ``chi2`` of the closed-form three-level state."""
+    if not 0.0 <= epsilon <= 0.5 * math.pi:
+        raise ValueError("epsilon must lie in [0, pi/2]")
+    _check_finite(chi1=chi1, chi2=chi2)
 
 
 def _polish_root_angles(alpha: float, beta: float, lin: complex,
@@ -237,10 +244,8 @@ def _qutrit_roots_at(epsilon: float, chi1: float,
 
     The ``theta``-independent factors are computed once, and each product keeps
     its evaluation order, so every call returns the bits of the full function.
-    ``theta`` is not validated.
+    Nothing is validated.
     """
-    if not 0.0 <= epsilon <= 0.5 * math.pi:
-        raise ValueError("epsilon must lie in [0, pi/2]")
     ce, se = math.cos(epsilon), math.sin(epsilon)
     chi_tilde = (2.0 * chi2 - chi1) / 2.0 % (2.0 * math.pi)
     branch = 1.0 if chi_tilde < math.pi else -1.0
@@ -248,8 +253,8 @@ def _qutrit_roots_at(epsilon: float, chi1: float,
     cos_2chi_tilde, cos_chi_tilde = math.cos(2.0 * chi_tilde), math.cos(chi_tilde)
     two_ce, se2, sq2_se = 2.0 * ce, se * se, math.sqrt(2.0) * se
     half_chi1 = 0.5 * chi1
-    lin_scale, two_se2, four_ce = -math.sqrt(2.0) * se, 2.0 * se * se, 4.0 * ce
-    e_chi1, e_chi2, e_2chi2 = np.exp(1j * chi1), np.exp(1j * chi2), np.exp(2j * chi2)
+    lin_scale = -math.sqrt(2.0) * se
+    e_chi1, e_chi2 = np.exp(1j * chi1), np.exp(1j * chi2)
 
     def roots(theta: float) -> QutritAngles:
         t = math.tan(theta)
@@ -278,10 +283,7 @@ def _qutrit_roots_at(epsilon: float, chi1: float,
             const = ce * t * e_chi1
             alpha_1, beta_1 = _polish_root_angles(alpha_1, beta_1, lin, const)
             alpha_2, beta_2 = _polish_root_angles(alpha_2, beta_2, lin, const)
-
-        disc = abs(two_se2 * t * t * e_2chi2 - four_ce * t * e_chi1)
-        degenerate = bool(disc <= DEFAULT_TOL.comparison or s <= DEFAULT_TOL.zero)
-        return QutritAngles(alpha_1, alpha_2, beta_1, beta_2, s, rho, chi_tilde, degenerate)
+        return QutritAngles(alpha_1, alpha_2, beta_1, beta_2, s, rho, chi_tilde)
 
     return roots
 
@@ -294,6 +296,7 @@ def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float,
     Valid for ``theta`` in [0, pi/2) and ``epsilon`` in [0, pi/2], where the
     root-modulus product ``cos(eps) tan(theta)`` is non-negative.
     """
+    _check_state_angles(epsilon, chi1, chi2)
     if not 0.0 <= theta < 0.5 * math.pi:
         raise ValueError("theta must lie in [0, pi/2)")
     return _qutrit_roots_at(epsilon, chi1, chi2)(theta)

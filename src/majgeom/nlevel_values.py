@@ -52,8 +52,6 @@ from .numerics import (
 )
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
 
-_NORTH = np.array([0.0, 0.0, 1.0])
-
 
 def gell_mann_matrices() -> tuple[np.ndarray, ...]:
     """The eight traceless Hermitian generators with ``tr(L_a L_b) = 2 delta_ab``."""

@@ -89,23 +89,31 @@ def principal_angle(angle: float) -> float:
     return wrapped
 
 
-def _fix_gauge(vec: np.ndarray) -> np.ndarray:
-    """Multiply the 1-d complex ``vec`` in place by the global phase that makes
-    its first entry of modulus above ``DEFAULT_TOL.zero`` real >= 0, and
-    return it.
+def _gauge_phase(entries: list[complex]) -> complex | None:
+    """The global phase that makes the first of the Python complexes
+    ``entries`` of modulus above ``DEFAULT_TOL.zero`` real >= 0; ``None`` when
+    there is no such entry.
 
-    The entry is found over Python complexes, whose ``abs`` is the ``hypot``
-    numpy scalars use.  The phase ``conj(lead) / |lead|`` is numpy's complex
-    division written out (a reciprocal, then products); Python's own complex
-    division rounds differently.
+    ``abs`` of a Python complex is the ``hypot`` numpy scalars use.  The phase
+    ``conj(lead) / |lead|`` is numpy's complex division written out (a
+    reciprocal, then products); Python's own complex division rounds
+    differently.
     """
-    for entry in vec.tolist():
+    for entry in entries:
         modulus = abs(entry)
         if modulus > DEFAULT_TOL.zero:
             scale = 1.0 / modulus
             re, im = entry.real, -entry.imag
-            vec *= complex((re + im * 0.0) * scale, (im - re * 0.0) * scale)
-            break
+            return complex((re + im * 0.0) * scale, (im - re * 0.0) * scale)
+    return None
+
+
+def _fix_gauge(vec: np.ndarray) -> np.ndarray:
+    """Multiply the 1-d complex ``vec`` in place by its :func:`_gauge_phase`,
+    if it has one, and return it."""
+    phase = _gauge_phase(vec.tolist())
+    if phase is not None:
+        vec *= phase
     return vec
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import ang_dist, bargmann_argument, bloch_of, random_bloch, random_qubit
 from majgeom.bloch import (
+    as_qubit,
     bloch_to_qubit,
     projection_probability,
-    qubit_state,
     qubit_to_bloch,
     rodrigues_rotate,
     solid_angle_quadrangle,
@@ -45,12 +45,12 @@ class TestStateVectorMaps:
         assert np.allclose(bloch_to_qubit([0, 0, -1]), [0, 1])
 
     def test_gauge(self):
-        q = qubit_state(1j * 0.6, 0.8j)
+        q = as_qubit([1j * 0.6, 0.8j])
         assert q[0].imag == 0 and q[0].real > 0
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError):
-            qubit_state(1.0, 1.0)
+            as_qubit([1.0, 1.0])
 
 
 class TestProjectionProbability:

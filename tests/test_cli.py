@@ -9,6 +9,7 @@ import pytest
 
 from helpers import random_state
 from majgeom.cli import main
+from majgeom.experiments import SCAN_CHI1, SCAN_CHI2, SCAN_EPSILON
 from majgeom.nlevel_values import GellMannDirection, NLevelModularSpec, modular_value_direct
 
 SQ3 = math.sqrt(3.0)
@@ -374,6 +375,36 @@ class TestScanCommand:
         assert code == 0
         doc = json.loads(out)
         assert len(doc["results"]["records"]) == 16
+        thetas = [r["theta"] for r in doc["results"]["records"]]
+        assert thetas == np.linspace(0.2, 1.0, 16).tolist()
+
+    @pytest.mark.parametrize("grid", [None, {"start": 0.2, "stop": 1.2, "count": 8}])
+    @pytest.mark.parametrize("key, value", [("epsilon", 0.3), ("chi1", 1.0), ("chi2", 2.5)])
+    def test_scenario_parameter_and_flag_override(self, capsys, tmp_path, grid, key, value):
+        # A flag always overrides the scenario's key, with or without a grid.
+        payload = {key: value} if grid is None else {key: value, "grid": grid}
+        scenario = write_scenario(tmp_path, payload)
+        for flags, expected in (((), value), ((f"--{key}", "0.4"), 0.4)):
+            code, out = run_cli(capsys, "scan-singularity", "--scenario", scenario,
+                                "--count", "8", *flags)
+            assert code == 0, out
+            results = json.loads(out)["results"]
+            defaults = {"epsilon": SCAN_EPSILON, "chi1": SCAN_CHI1, "chi2": SCAN_CHI2}
+            assert results["parameters"] == {**defaults, key: expected}
+            assert len(results["records"]) == 8
+
+    @pytest.mark.parametrize("argv, payload, message", [
+        (("--count", str(2**16 + 1)), None, "--count must not exceed 65536"),
+        ((), {"grid": {"start": 0.2, "stop": 1.2, "count": 2**16 + 1}},
+         "grid count must not exceed 65536"),
+    ])
+    def test_count_bound_exit_two(self, capsys, tmp_path, argv, payload, message):
+        if payload is not None:
+            argv = ("--scenario", write_scenario(tmp_path, payload), *argv)
+        code, out = run_cli(capsys, "scan-singularity", *argv)
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
+                                            "message": message}
 
 
 # Every command pinned by a file in tests/data, with that file.
@@ -498,10 +529,16 @@ class TestCliContract:
             gap = abs(geometric - direct)
             assert doc["mismatch"] == (gap > comparison * max(1.0, abs(direct)))
 
-    def test_bad_tolerance_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAJGEOM_TOL", "banana")
+    @pytest.mark.parametrize("value, message", [
+        ("banana", "MAJGEOM_TOL is not a number: 'banana'"),
+        ("2.0", "MAJGEOM_TOL must lie in (0, 1)"),
+    ])
+    def test_bad_tolerance_env(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("MAJGEOM_TOL", value)
         code, out = run_cli(capsys, "three-box")
         assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
+                                            "message": message}
 
     def test_mode_direct_only(self, capsys, tmp_path):
         scenario = write_scenario(tmp_path, {
@@ -532,42 +569,105 @@ class TestCliContract:
         assert doc["error"]["kind"] == "usage"
         assert doc["error"]["type"] == "NotHermitian"
 
-    @pytest.mark.parametrize("command, payload, extra, error_type", [
+    @pytest.mark.parametrize("command, payload, extra, error_type, message", [
         ("nlevel-direct", {"kind": "weak", "observable": [
             [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]],
             [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, (), "NotHermitian"),
+            [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]}, (), "NotHermitian",
+         "Hermiticity defect nan exceeds 1.0e-10"),
         ("abl", {"projectors": [
             [[[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0]],
              [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
              [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]],
             [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
              [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]],
-             [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]]}, (), "IncompleteContext"),
+             [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]]]}, (), "IncompleteContext",
+         "context contains a non-Hermitian element"),
         ("qutrit-modular", {"spec": {"r8": [1.0] + [0.0] * 7, "alpha": math.nan}}, (),
-         "ValueError"),
+         "ValueError", "alpha must be finite"),
         ("qutrit-modular", {"spec": {"r8": [1.0] + [0.0] * 7, "alpha": math.nan}},
-         ("--mode", "direct"), "ValueError"),
+         ("--mode", "direct"), "ValueError", "alpha must be finite"),
         ("qutrit-modular", {"spec": {"r8": [1.0, math.nan] + [0.0] * 6, "alpha": 0.3}}, (),
-         "ValueError"),
+         "ValueError", "direction must be finite"),
+        ("scan-singularity", {}, ("--epsilon", "inf"), "ValueError",
+         "epsilon must lie in [0, pi/2]"),
+        ("scan-singularity", {}, ("--epsilon", "nan"), "ValueError",
+         "epsilon must lie in [0, pi/2]"),
+        ("scan-singularity", {}, ("--epsilon", "2.0"), "ValueError",
+         "epsilon must lie in [0, pi/2]"),
+        ("scan-singularity", {}, ("--chi1", "inf"), "ValueError", "chi1 must be finite"),
+        ("scan-singularity", {}, ("--chi2", "nan"), "ValueError", "chi2 must be finite"),
     ])
     def test_non_finite_input_exit_two(self, capsys, tmp_path, command, payload, extra,
-                                       error_type):
+                                       error_type, message):
         def refuse(constant):
             raise ValueError(f"non-standard JSON constant {constant}")
 
         scenario = write_scenario(tmp_path, {
             "i": amplitudes(np.ones(3) / SQ3),
             "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3), **payload})
-        code, out = run_cli(capsys, command, "--scenario", scenario, *extra)
-        assert code == 2, out
-        error = json.loads(out, parse_constant=refuse)["error"]
-        assert (error["kind"], error["type"]) == ("usage", error_type)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--scenario", scenario, *extra])
+        captured = capsys.readouterr()
+        assert code == 2, captured.out
+        error = json.loads(captured.out, parse_constant=refuse)["error"]
+        assert error == {"kind": "usage", "type": error_type, "message": message}
+        assert (captured.err, caught) == ("", [])
 
     def test_csv_seventeen_digits(self, capsys):
         _, out = run_cli(capsys, "three-box", "--format", "csv")
         row = out.split("\n")[2].split(",")
         assert row[2] == "0.99999999999999978"
+
+
+QUBIT_PAIR = {"i": {"bloch": [0, 0, 1]}, "f": {"bloch": [0, 1, 0]}}
+QUTRIT_PAIR = {"i": amplitudes(np.ones(3) / SQ3),
+               "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3)}
+IDENTITY_3 = [[[float(j == k), 0.0] for k in range(3)] for j in range(3)]
+
+
+class TestScenarioValidation:
+    """Each refusal of a malformed scenario: exit 2 with a usage error naming it."""
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("qubit-weak", {"i": [1.0, 0.0], "r": {"bloch": [1, 0, 0]}, "f": {"bloch": [0, 1, 0]}},
+         "amplitudes must be a list of [re, im] pairs"),
+        ("qubit-weak", {"i": amplitudes(np.ones(3) / SQ3), "r": {"bloch": [1, 0, 0]},
+                        "f": {"bloch": [0, 1, 0]}}, "expected 2 amplitudes, got 3"),
+        ("nlevel-direct", {**QUTRIT_PAIR, "observable": [[1.0, 0.0], [0.0, 1.0]]},
+         "matrix must be a square grid of [re, im] pairs"),
+        ("nlevel-direct", {**QUTRIT_PAIR, "observable": [[[1.0, 0.0], [0.0, 0.0]],
+                                                         [[0.0, 0.0], [1.0, 0.0]]]},
+         "expected a 3x3 matrix"),
+        ("qubit-weak", {"i": {"bloch": [0, 0, 1]}, "r": {"bloch": [1, 0, 0]}},
+         "scenario is missing the state 'f'"),
+        ("qubit-modular", QUBIT_PAIR, "scenario is missing the 'spec' object"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"alpha": 0.3}}, "spec is missing 'axis'"),
+        ("qutrit-modular", QUTRIT_PAIR, "scenario is missing the 'spec' object"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"alpha": 0.3}},
+         "spec needs either 'r8' or 'observable'"),
+        ("nlevel-direct", {**QUTRIT_PAIR, "kind": "strong", "observable": IDENTITY_3},
+         "kind must be 'weak' or 'modular'"),
+        ("nlevel-direct", {**QUTRIT_PAIR, "kind": "weak"}, "scenario is missing 'observable'"),
+        ("abl", QUTRIT_PAIR, "scenario is missing 'projectors'"),
+        ("scan-singularity", {"grid": {"stop": 1.2, "count": 8}}, "grid is missing 'start'"),
+        ("scan-singularity", {"grid": {"start": 0.2, "count": 8}}, "grid is missing 'stop'"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2}}, "grid is missing 'count'"),
+    ])
+    def test_malformed_scenario_exit_two(self, capsys, tmp_path, command, payload, message):
+        code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))
+        assert code == 2, out
+        assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
+                                            "message": message}
+
+    def test_non_object_document_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out = run_cli(capsys, "majorana", "--scenario", str(path))
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
+                                            "message": "scenario document must be a JSON object"}
 
 
 class TestCsvOutput:

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +26,19 @@ SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 THETA_B = math.atan(2 * math.sqrt(6.0))
 THETA_C = math.atan(math.sqrt(1.5))
+
+# One hostile scan parameter per row, with the message that refuses it.
+HOSTILE_SCAN_PARAMETERS = [
+    ({"epsilon": math.inf}, "epsilon must lie in [0, pi/2]"),
+    ({"epsilon": -math.inf}, "epsilon must lie in [0, pi/2]"),
+    ({"epsilon": math.nan}, "epsilon must lie in [0, pi/2]"),
+    ({"epsilon": 2.0}, "epsilon must lie in [0, pi/2]"),
+    ({"epsilon": -1e-300}, "epsilon must lie in [0, pi/2]"),
+    ({"chi1": math.inf}, "chi1 must be finite"),
+    ({"chi1": math.nan}, "chi1 must be finite"),
+    ({"chi2": -math.inf}, "chi2 must be finite"),
+    ({"chi2": math.nan}, "chi2 must be finite"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +157,23 @@ class TestSingularityScan:
         # checks and used to fail later on the states.
         with pytest.raises(ValueError, match="^theta grid must be finite$"):
             singularity_scan(grid)
+
+    @pytest.mark.parametrize("kwargs, message", HOSTILE_SCAN_PARAMETERS)
+    def test_hostile_parameters_rejected_up_front(self, kwargs, message):
+        params = {"epsilon": SCAN_EPSILON, "chi1": SCAN_CHI1, "chi2": SCAN_CHI2, **kwargs}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                singularity_scan(count=8, **params)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                qutrit_roots_closed_form(0.3, **params)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                scan_state(0.3, **params)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_scan_state_needs_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="^theta must be finite$"):
+            scan_state(theta, SCAN_EPSILON, SCAN_CHI1, SCAN_CHI2)
 
     def test_near_degenerate_flagging(self):
         grid = np.array([THETA_B - 1e-5, THETA_B - 1e-9, THETA_B + 1e-5])

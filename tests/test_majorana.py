@@ -225,7 +225,8 @@ class TestClosedFormRoots:
         angles = qutrit_roots_closed_form(0.0, 0.7, 1.0, 2.0)
         assert angles.beta_1 == pytest.approx(0.0, abs=1e-12)
         assert angles.beta_2 == pytest.approx(0.0, abs=1e-12)
-        assert angles.degenerate
+        z1, z2 = angles.roots()
+        assert z1 == z2
 
     def test_against_generic_solver(self):
         rng = np.random.default_rng(50)
@@ -244,12 +245,13 @@ class TestClosedFormRoots:
                       abs(z1 - roots[1]) + abs(z2 - roots[0])) / scale
             assert err <= 1e-9
 
-    def test_degenerate_flag_at_bifurcation(self):
+    def test_double_root_at_bifurcation(self):
         epsilon = math.asin(math.tan(math.pi / 6))
         theta_b = math.atan(2 * math.sqrt(6))
         angles = qutrit_roots_closed_form(theta_b, epsilon, 4 * math.pi / 3,
                                           2 * math.pi / 3)
-        assert angles.degenerate
+        z1, z2 = angles.roots()
+        assert z1 == z2
 
 
 class TestDiscriminant:
