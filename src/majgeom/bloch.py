@@ -1,10 +1,20 @@
 """Bloch-sphere geometry: qubit/vector maps, projection probabilities,
 oriented solid angles of geodesic triangles and quadrangles, axis rotations.
+
+Every modulus ratio and polygon solid angle comes from one stacked-dot
+kernel: the cross products and every scalar product a call needs are stacked
+into one :func:`_rowdot` call, and the formulas then run row by row in Python
+floats.  The scalar routes (:func:`solid_angle_triangle`,
+:func:`solid_angle_quadrangle`), the batches (:func:`weak_moduli`,
+:func:`modular_moduli`, :func:`triangle_solid_angles`) and the factored weak
+and modular values of :mod:`majgeom.nlevel_values` all share it; only
+:func:`solid_angle_quadrangle_rotation`, an independent closed form, does not.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -35,16 +45,16 @@ def _column(values):
     return values[..., None] if values.ndim else values
 
 
+# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1]: both products of
+# every component come from one gather of a and one of b.
+_ROLLS = np.array([[1, 2, 0], [2, 0, 1]])
+_ROLLS_SWAPPED = _ROLLS[::-1].copy()
+
+
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of ``(..., 3)`` arrays, written out with the same roundings."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c0 = a1 * b2 - a2 * b1
-    out = np.empty(np.shape(c0) + (3,))
-    out[..., 0] = c0
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    """``np.cross`` of ``(..., 3)`` arrays that broadcast, with the same roundings."""
+    products = a.take(_ROLLS, -1) * b.take(_ROLLS_SWAPPED, -1)
+    return products[..., 0, :] - products[..., 1, :]
 
 
 def as_bloch_array(vecs) -> np.ndarray:
@@ -146,43 +156,46 @@ def projection_probability(u, v) -> float:
     return float(np.clip(0.5 * (1.0 + float(a @ b)), 0.0, 1.0))
 
 
-def _selection_denominators(i, f) -> np.ndarray:
-    den = 1.0 + _rowdot(f, i)
-    return np.where(den <= 2.0 * DEFAULT_TOL.orthogonality**2, np.nan, den)
+def _tiled(*vecs) -> tuple[int, list[np.ndarray]]:
+    """The row count ``n`` of unit ``(3,)`` vectors and ``(n, 3)`` rows, and
+    each of them as ``(n, 3)`` rows."""
+    n = next((len(v) for v in vecs if v.ndim == 2), 1)
+    return n, [v if v.ndim == 2 else v[None].repeat(n, 0) for v in vecs]
 
 
-def weak_moduli(i, r, f) -> np.ndarray:
-    """``sqrt(0.5 (1+f.r)(1+r.i) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast.
-
-    The modulus of the projector weak value ``<f|r><r|i>/<f|i>`` from unit
-    Bloch vectors (the caller validates them).  Rows whose ``1+f.i`` is at or
-    below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f) come back as NaN.
-    """
-    i, r, f = (np.asarray(i, dtype=float), np.asarray(r, dtype=float),
-               np.asarray(f, dtype=float))
-    den = _selection_denominators(i, f)
-    return np.sqrt(np.maximum(0.0, 0.5 * (1.0 + _rowdot(f, r)) * (1.0 + _rowdot(r, i)) / den))
+def _stacked_dots(left: list[np.ndarray], right: list[np.ndarray],
+                  n: int) -> list[list[float]]:
+    """The row scalar products of the ``(n, 3)`` blocks ``left[k]`` and
+    ``right[k]``, stacked into one :func:`_rowdot` call, as one list of
+    floats per block."""
+    size = len(left) * n
+    rows = np.concatenate(left + right)
+    flat = _rowdot(rows[:size], rows[size:]).tolist()
+    return [flat[k * n:(k + 1) * n] for k in range(len(left))]
 
 
-def modular_moduli(i, s, f) -> np.ndarray:
-    """``sqrt((1+f.s) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast.
+# The formulas run row by row in Python floats: +, -, *, /, math.sqrt and
+# math.atan2 round as numpy's elementwise ufuncs and libm do.
 
-    The per-qubit modulus ratio of a modular value, ``s`` the evolved vector;
-    NaN marks antipodal i and f as in :func:`weak_moduli`.
-    """
-    i, s, f = (np.asarray(i, dtype=float), np.asarray(s, dtype=float),
-               np.asarray(f, dtype=float))
-    return np.sqrt(np.maximum(0.0, (1.0 + _rowdot(f, s)) / _selection_denominators(i, f)))
+def _moduli(nums: Iterable[float], fi: list[float]) -> list[float]:
+    """``sqrt(num / (1 + f.i))`` row by row, clipped at 0 as ``np.maximum``
+    clips (a NaN stays NaN); NaN where ``1 + f.i`` is at or below
+    ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f)."""
+    floor = 2.0 * DEFAULT_TOL.orthogonality**2
+    out = []
+    for num, dot in zip(nums, fi):
+        den = 1.0 + dot
+        ratio = num / den if den > floor else math.nan
+        out.append(math.sqrt(0.0 if ratio <= 0.0 else ratio))
+    return out
 
 
-def _factor_moduli(moduli) -> list[float]:
-    """The moduli of :func:`weak_moduli` or :func:`modular_moduli` as a flat
-    list of floats; a NaN (an initial point antipodal to the final one)
-    raises :class:`OrthogonalSelection`."""
-    values = moduli.reshape(-1).tolist()
-    if any(map(math.isnan, values)):
-        raise OrthogonalSelection("an initial point is antipodal to the final point")
-    return values
+def _weak_modulus_rows(fr: list[float], ri: list[float], fi: list[float]) -> list[float]:
+    return _moduli((0.5 * (1.0 + a) * (1.0 + b) for a, b in zip(fr, ri)), fi)
+
+
+def _modular_modulus_rows(fs: list[float], fi: list[float]) -> list[float]:
+    return _moduli((1.0 + a for a in fs), fi)
 
 
 def _reduce_to_branch(omega: float) -> float:
@@ -192,25 +205,55 @@ def _reduce_to_branch(omega: float) -> float:
     return omega
 
 
-def _triangle_angle(y: float, x: float) -> float | None:
-    # libm's atan2 per element: numpy's vectorized arctan2 differs in the last bit.
-    if abs(x) <= DEFAULT_TOL.zero and abs(y) <= DEFAULT_TOL.zero:
-        return None  # antipodal vertices: no defined area
-    return _reduce_to_branch(-2.0 * math.atan2(y, x))
+def _triangles(y: list[float], fr: list[float], ri: list[float],
+               fi: list[float]) -> list[float | None]:
+    """Solid angles of the triangles i -> r -> f row by row, from
+    ``y = f.(r x i)`` and the three scalar products; ``None`` for each
+    undefined triangle."""
+    zero = DEFAULT_TOL.zero
+    out = []
+    for yy, a, b, c in zip(y, fr, ri, fi):
+        x = 1.0 + a + b + c
+        if abs(x) <= zero and abs(yy) <= zero:
+            out.append(None)  # antipodal vertices: no defined area
+        else:
+            # libm's atan2 per row: numpy's vectorized arctan2 differs in the last bit.
+            out.append(_reduce_to_branch(-2.0 * math.atan2(yy, x)))
+    return out
 
 
-def _triangle_angles(vi: np.ndarray, vr: np.ndarray,
-                     vf: np.ndarray) -> tuple[list[float | None], tuple[int, ...]]:
-    """Flattened triangle solid angles of validated, broadcastable ``(..., 3)``
-    arrays, ``None`` for each undefined triangle, and the batch shape."""
-    y = _rowdot(vf, _cross(vr, vi))
-    x = 1.0 + _rowdot(vf, vr) + _rowdot(vr, vi) + _rowdot(vf, vi)
-    angles = [_triangle_angle(yy, xx)
-              for yy, xx in zip(np.ravel(y).tolist(), np.ravel(x).tolist())]
-    return angles, np.shape(x)
+def _quadrangles(y1: list[float], sr: list[float], ri: list[float], si: list[float],
+                 y2: list[float], fs: list[float], fi: list[float]) -> list[float | None]:
+    """Solid angles of the quadrangles i -> r -> s -> f row by row: the
+    triangles (i, r, s) and (i, s, f), whose shared i <-> s legs cancel;
+    ``None`` where either is undefined."""
+    return [None if a is None or b is None else a + b
+            for a, b in zip(_triangles(y1, sr, ri, si), _triangles(y2, fs, si, fi))]
 
 
-def _checked_angles(angles: list[float | None]) -> list[float]:
+def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> list[list[float]]:
+    """``f.(r x i)``, ``f.r``, ``r.i`` and ``f.i`` of the triangles (i, r, f)
+    of unit ``(3,)`` vectors or ``(n, 3)`` rows, one float per row."""
+    n, (i, r, f) = _tiled(vi, vr, vf)
+    return _stacked_dots([f, f, r, f], [_cross(r, i), r, i, i], n)
+
+
+def _triangle_rows(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> list[float | None]:
+    """Triangle solid angles of unit ``(3,)`` vectors or ``(n, 3)`` rows, one
+    per row, ``None`` for each undefined triangle."""
+    return _triangles(*_triangle_dots(vi, vr, vf))
+
+
+def _quadrangle_dots(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
+                     vf: np.ndarray) -> list[list[float]]:
+    """The scalar and triple products of the quadrangles i -> r -> s -> f in
+    the argument order of :func:`_quadrangles`, one float per row."""
+    n, (i, r, s, f) = _tiled(vi, vr, vs, vf)
+    r_x_i, s_x_i = _cross(np.concatenate((r, s)).reshape(2, n, 3), i)
+    return _stacked_dots([s, s, r, s, f, f, f], [r_x_i, r, i, i, s_x_i, s, i], n)
+
+
+def _defined(angles: list[float | None]) -> list[float]:
     """``angles`` unchanged, unless one is undefined (``None``): then raise."""
     if None in angles:
         raise UndefinedSolidAngle(
@@ -218,28 +261,69 @@ def _checked_angles(angles: list[float | None]) -> list[float]:
     return angles
 
 
-def _quadrangle_angles(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
-                       vf: np.ndarray) -> list[float | None]:
-    """Flattened solid angles of the quadrangles i -> r -> s -> f of validated,
-    broadcastable ``(..., 3)`` arrays: the triangles (i, r, s) plus (i, s, f),
-    whose shared i <-> s legs cancel; ``None`` where either is undefined."""
-    first, _ = _triangle_angles(vi, vr, vs)
-    second, _ = _triangle_angles(vi, vs, vf)
-    return [None if a is None or b is None else a + b for a, b in zip(first, second)]
+def _factors(moduli: list[float],
+             angles: list[float | None]) -> tuple[list[float], list[float]]:
+    """The moduli and solid angles of a value's factors.  A NaN modulus (an
+    initial point antipodal to the final one) raises
+    :class:`OrthogonalSelection` before any angle is looked at.  A factor
+    whose modulus is exactly 0 gets 0.0: its polygon has an antipodal pair
+    there, but the value is 0 whatever its angle.  Any other undefined angle
+    raises :class:`UndefinedSolidAngle`."""
+    if any(map(math.isnan, moduli)):
+        raise OrthogonalSelection("an initial point is antipodal to the final point")
+    return moduli, _defined([0.0 if modulus == 0.0 else angle
+                             for modulus, angle in zip(moduli, angles)])
 
 
-def _factor_angles(angles: list[float | None], moduli: list[float]) -> list[float]:
-    """The solid angles of a value's factors.  A factor whose modulus is
-    exactly 0 gets 0.0: its polygon has an antipodal pair there, but the value
-    is 0 whatever its angle.  Any other undefined angle raises."""
-    return _checked_angles([0.0 if modulus == 0.0 else angle
-                            for angle, modulus in zip(angles, moduli)])
+def _weak_factors(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
+    """Factor moduli and triangle solid angles of the weak value of unit
+    ``(m, 3)`` points (or one ``(3,)`` point) ``vi`` with ``vr`` and ``vf``."""
+    y, fr, ri, fi = _triangle_dots(vi, vr, vf)
+    return _factors(_weak_modulus_rows(fr, ri, fi), _triangles(y, fr, ri, fi))
 
 
-def _solid_angles(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> np.ndarray:
-    """Triangle solid angles of validated, broadcastable ``(..., 3)`` arrays."""
-    angles, shape = _triangle_angles(vi, vr, vf)
-    return np.array(_checked_angles(angles)).reshape(shape)
+def _modular_factors(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray, vf: np.ndarray):
+    """Factor moduli and quadrangle solid angles of the modular value of
+    paired unit points ``vi`` and ``vs`` (``(m, 3)`` or ``(3,)``)."""
+    dots = _quadrangle_dots(vi, vr, vs, vf)
+    return _factors(_modular_modulus_rows(*dots[5:]), _quadrangles(*dots))
+
+
+def _flat_rows(*vecs) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The batch shape of ``(..., 3)`` arrays that broadcast, and each array
+    as a ``(3,)`` vector or as the ``(n, 3)`` rows of that shape."""
+    arrays = [np.asarray(v, dtype=float) for v in vecs]
+    shape = np.broadcast(*arrays).shape
+    return shape[:-1], [
+        a if a.ndim == 1 else (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(-1, 3)
+        for a in arrays]
+
+
+def _shaped(values: list[float], shape: tuple[int, ...]) -> np.ndarray:
+    return np.array(values, dtype=float).reshape(shape)
+
+
+def weak_moduli(i, r, f) -> np.ndarray:
+    """``sqrt(0.5 (1+f.r)(1+r.i) / (1+f.i))`` over ``(..., 3)`` arrays that
+    broadcast; three single vectors give a numpy scalar.
+
+    The modulus of the projector weak value ``<f|r><r|i>/<f|i>`` from unit
+    Bloch vectors (the caller validates them).  Rows whose ``1+f.i`` is at or
+    below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f) come back as NaN.
+    """
+    shape, rows = _flat_rows(i, r, f)
+    return _shaped(_weak_modulus_rows(*_triangle_dots(*rows)[1:]), shape)[()]
+
+
+def modular_moduli(i, s, f) -> np.ndarray:
+    """``sqrt((1+f.s) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast.
+
+    The per-qubit modulus ratio of a modular value, ``s`` the evolved vector;
+    NaN marks antipodal i and f as in :func:`weak_moduli`.
+    """
+    shape, rows = _flat_rows(i, s, f)
+    _, fs, _, fi = _triangle_dots(*rows)  # of the triangles (i, s, f)
+    return _shaped(_modular_modulus_rows(fs, fi), shape)[()]
 
 
 def triangle_solid_angles(i, r, f) -> np.ndarray:
@@ -252,7 +336,8 @@ def triangle_solid_angles(i, r, f) -> np.ndarray:
     ``DEFAULT_TOL.zero`` (antipodal vertices), the batch raises
     :class:`UndefinedSolidAngle`.
     """
-    return _solid_angles(as_bloch_array(i), as_bloch_array(r), as_bloch_array(f))
+    shape, rows = _flat_rows(as_bloch_array(i), as_bloch_array(r), as_bloch_array(f))
+    return _shaped(_defined(_triangle_rows(*rows)), shape)
 
 
 def solid_angle_triangle(i, r, f) -> float:
@@ -263,7 +348,8 @@ def solid_angle_triangle(i, r, f) -> float:
     with both arctangent arguments below ``DEFAULT_TOL.zero`` (antipodal
     vertices) has no defined value and raises :class:`UndefinedSolidAngle`.
     """
-    return float(_solid_angles(as_bloch(i), as_bloch(r), as_bloch(f)))
+    (omega,) = _defined(_triangle_rows(as_bloch(i), as_bloch(r), as_bloch(f)))
+    return omega
 
 
 def rodrigues_rotate(i, r, alpha: float) -> np.ndarray:
@@ -286,7 +372,7 @@ def solid_angle_quadrangle(i, r, s, f) -> float:
     modulo 4*pi).
     """
     vi, vr, vs, vf = (as_bloch(v) for v in (i, r, s, f))
-    (omega,) = _checked_angles(_quadrangle_angles(vi, vr, vs, vf))
+    (omega,) = _defined(_quadrangles(*_quadrangle_dots(vi, vr, vs, vf)))
     return omega
 
 

@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -429,8 +430,18 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads any token starting ``-<digit>`` or
+    ``-.<digit>`` as a negative number, so ``--chi1 -1e-3`` parses like
+    ``--chi1=-1e-3`` (Python 3.11's argparse takes ``-1e-3`` for an option)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="majgeom",
         description="Weak and modular values of discrete quantum systems, "
                     "directly and through Bloch-sphere geometry.")

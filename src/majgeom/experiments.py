@@ -11,7 +11,7 @@ import numpy as np
 
 from .bloch import (
     _rowdot,
-    _triangle_angles,
+    _triangle_rows,
     as_bloch_array,
     bloch_to_qubits,
     triangle_solid_angles,
@@ -302,7 +302,7 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
 
     # Solid angles of (i_k, +z, +x) for both points of every row; an undefined
     # triangle blanks only its own entry.
-    raw, _ = _triangle_angles(as_bloch_array(points), _EZ, _EX)
+    raw = _triangle_rows(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
     raw1, raw2 = raw[0::2], raw[1::2]
 
     flags = []

@@ -213,11 +213,15 @@ class QutritAngles:
 
 
 def _check_state_angles(epsilon: float, chi1: float, chi2: float) -> None:
-    """Refuse an ``epsilon`` outside [0, pi/2] (NaN included) and a non-finite
-    ``chi1`` or ``chi2`` of the closed-form three-level state."""
+    """Refuse an ``epsilon`` outside [0, pi/2] (NaN included), a non-finite
+    ``chi1`` or ``chi2`` of the closed-form three-level state, and phases so
+    large that the closed form's ``2*chi2 - chi1`` overflows; where that is
+    finite, so is ``2*chi2``."""
     if not 0.0 <= epsilon <= 0.5 * math.pi:
         raise ValueError("epsilon must lie in [0, pi/2]")
     _check_finite(chi1=chi1, chi2=chi2)
+    if not math.isfinite(2.0 * chi2 - chi1):
+        raise ValueError("2*chi2 - chi1 must be finite")
 
 
 def _polish_root_angles(alpha: float, beta: float, lin: complex,

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import (
-    _factor_angles,
-    _factor_moduli,
-    _quadrangle_angles,
-    _triangle_angles,
-    _unit,
-    as_bloch,
-    modular_moduli,
-    weak_moduli,
-)
+from .bloch import _modular_factors, _unit, _weak_factors, as_bloch
 from .canonical import _canonicalize
 from .errors import IncompleteContext, ZeroDenominator
 from .majorana import (
@@ -239,10 +230,9 @@ def factored_weak_value(i_points, r_point, f_point):
 
 def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
     """:func:`factored_weak_value` of validated unit vectors, or one ``(3,)`` ``vi``."""
-    moduli = _factor_moduli(weak_moduli(vi, vr, vf))
-    angles, _ = _triangle_angles(vi, vr, vf)
-    breakdown = GeometricBreakdown(tuple(map(
-        GeometricFactor, moduli, _factor_angles(angles, moduli), vi.reshape(-1, 3))))
+    moduli, angles = _weak_factors(vi, vr, vf)
+    breakdown = GeometricBreakdown(tuple(map(GeometricFactor, moduli, angles,
+                                             vi.reshape(-1, 3))))
     return breakdown.to_polar(), breakdown
 
 
@@ -250,8 +240,7 @@ def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: 
                             k_ratio: float, *, dynamical: float):
     """:func:`factored_modular_value` of validated unit vectors (or one ``(3,)``
     point each), paired point sets, a known K_s / K_i and the dynamical phase."""
-    moduli = _factor_moduli(modular_moduli(vi, vs, vf))
-    omegas = _factor_angles(_quadrangle_angles(vi, vr, vs, vf), moduli)
+    moduli, omegas = _modular_factors(vi, vr, vs, vf)
     breakdown = GeometricBreakdown(
         tuple(map(GeometricFactor, moduli, omegas, vi.reshape(-1, 3), vs.reshape(-1, 3))),
         dynamical_phase=dynamical, k_ratio=k_ratio)

@@ -460,6 +460,15 @@ class TestCliContract:
         assert error["kind"] == "usage"
         assert error["message"] == "theta grid must be finite"
 
+    @pytest.mark.parametrize("flag, value", [("--chi1", "-1e-3"), ("--chi2", "-2.5E+0"),
+                                             ("--chi1", "-.5e1")])
+    def test_negative_exponent_after_space(self, capsys, flag, value):
+        # argparse on Python 3.11 takes "-1e-3" for an option unless told otherwise.
+        spaced = run_cli(capsys, "scan-singularity", "--count", "32", flag, value)
+        joined = run_cli(capsys, "scan-singularity", "--count", "32", f"{flag}={value}")
+        assert spaced[0] == 0
+        assert spaced == joined
+
     def test_deterministic_bytes(self, capsys):
         _, first = run_cli(capsys, "three-box")
         _, second = run_cli(capsys, "three-box")
@@ -597,6 +606,14 @@ class TestCliContract:
          "epsilon must lie in [0, pi/2]"),
         ("scan-singularity", {}, ("--chi1", "inf"), "ValueError", "chi1 must be finite"),
         ("scan-singularity", {}, ("--chi2", "nan"), "ValueError", "chi2 must be finite"),
+        # Finite phases whose doubled value overflows in the closed form.
+        ("scan-singularity", {}, ("--chi2", "1e308"), "ValueError",
+         "2*chi2 - chi1 must be finite"),
+        ("scan-singularity", {}, ("--chi1", "-1.7e308", "--chi2", "8.9e307"), "ValueError",
+         "2*chi2 - chi1 must be finite"),
+        # A negative exponent float after a space reaches the library's check.
+        ("scan-singularity", {}, ("--epsilon", "-1e-3"), "ValueError",
+         "epsilon must lie in [0, pi/2]"),
     ])
     def test_non_finite_input_exit_two(self, capsys, tmp_path, command, payload, extra,
                                        error_type, message):

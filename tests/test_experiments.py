@@ -38,6 +38,9 @@ HOSTILE_SCAN_PARAMETERS = [
     ({"chi1": math.nan}, "chi1 must be finite"),
     ({"chi2": -math.inf}, "chi2 must be finite"),
     ({"chi2": math.nan}, "chi2 must be finite"),
+    ({"chi2": 1e308}, "2*chi2 - chi1 must be finite"),
+    ({"chi2": -1e308}, "2*chi2 - chi1 must be finite"),
+    ({"chi1": -1.7e308, "chi2": 8.9e307}, "2*chi2 - chi1 must be finite"),
 ]
 
 

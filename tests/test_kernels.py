@@ -14,19 +14,26 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from majgeom.bloch import (
-    _triangle_angles,
+    _triangle_rows,
     as_bloch,
     as_bloch_array,
     bloch_to_qubit,
     bloch_to_qubits,
     modular_moduli,
+    rodrigues_rotate,
     solid_angle_quadrangle,
     solid_angle_triangle,
     triangle_solid_angles,
     weak_moduli,
 )
-from majgeom.errors import UndefinedSolidAngle
+from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
+from majgeom.nlevel_values import factored_modular_value, factored_weak_value, pair_points
 from majgeom.numerics import DEFAULT_TOL
+from majgeom.qubit_values import (
+    QubitModularSpec,
+    modular_value_geometric,
+    projector_weak_value_geometric,
+)
 
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -50,7 +57,10 @@ def ref_bloch_to_qubit(vec):
 
 
 def ref_solid_angle(i, r, f):
-    vi, vr, vf = ref_as_bloch(i), ref_as_bloch(r), ref_as_bloch(f)
+    return ref_unit_solid_angle(ref_as_bloch(i), ref_as_bloch(r), ref_as_bloch(f))
+
+
+def ref_unit_solid_angle(vi, vr, vf):
     y = float(vf @ np.cross(vr, vi))
     x = 1.0 + float(vf @ vr) + float(vr @ vi) + float(vf @ vi)
     if abs(x) <= DEFAULT_TOL.zero and abs(y) <= DEFAULT_TOL.zero:
@@ -259,7 +269,7 @@ class TestTriangleSolidAngles:
         assert str(batch.value) == str(scalar.value)
 
     def test_undefined_triangle_is_none_for_its_row_only(self):
-        # The per-row helper behind the batch: the scan blanks an antipodal
+        # The per-row kernel behind the batch: the scan blanks an antipodal
         # triangle's row instead of failing the whole grid.
         rng = np.random.default_rng(11)
         points = rng.normal(size=(5, 3))
@@ -267,8 +277,8 @@ class TestTriangleSolidAngles:
         r = np.array([0.0, 0.0, 1.0])
         f = np.array([1.0, 0.0, 0.0])
         points[2] = -f
-        angles, shape = _triangle_angles(as_bloch_array(points), r, f)
-        assert shape == (5,)
+        angles = _triangle_rows(as_bloch_array(points), r, f)
+        assert len(angles) == 5
         assert angles[2] is None
         for k in (0, 1, 3, 4):
             assert same_bits(angles[k], solid_angle_triangle(points[k], r, f))
@@ -322,3 +332,134 @@ class TestModuli:
     def test_single_vectors_give_a_scalar(self):
         ez, ex = np.eye(3)[2], np.eye(3)[0]
         assert same_bits(weak_moduli(ez, ex, ez), ref_weak_modulus(ez, ex, ez))
+
+
+# --- factored values ---------------------------------------------------------
+
+def ref_factors(moduli, angle_fns):
+    """Reference factor moduli and angles under the value rules: a NaN
+    modulus raises OrthogonalSelection before any angle is formed; a factor
+    of modulus exactly 0 gets 0.0; any other undefined angle raises."""
+    if any(math.isnan(m) for m in moduli):
+        raise OrthogonalSelection("reference")
+    return moduli, [0.0 if m == 0.0 else angle() for m, angle in zip(moduli, angle_fns)]
+
+
+def ref_weak_factors(vi, vr, vf):
+    """Of unit rows ``vi`` and unit ``vr``, ``vf``."""
+    return ref_factors([ref_weak_modulus(p, vr, vf) for p in vi],
+                       [lambda p=p: ref_unit_solid_angle(p, vr, vf) for p in vi])
+
+
+def ref_modular_factors(vi, vs, vr, vf):
+    """Of unit rows ``vi`` and ``vs``, paired row by row, and unit ``vr``, ``vf``."""
+    return ref_factors(
+        [ref_modular_modulus(p, q, vf) for p, q in zip(vi, vs)],
+        [lambda p=p, q=q: ref_unit_solid_angle(p, vr, q) + ref_unit_solid_angle(p, q, vf)
+         for p, q in zip(vi, vs)])
+
+
+def units(rows):
+    return [ref_as_bloch(p) for p in rows]
+
+
+def factor_lists(breakdown):
+    return ([g.modulus_ratio for g in breakdown.factors],
+            [g.solid_angle for g in breakdown.factors])
+
+
+def same_outcome(expected, actual):
+    """Run both thunks: the same error type, or factor lists equal bit for bit."""
+    try:
+        want = expected()
+    except (OrthogonalSelection, UndefinedSolidAngle) as exc:
+        with pytest.raises(type(exc)):
+            actual()
+        return
+    got = actual()
+    assert same_bits(np.array(got[0]), np.array(want[0]))
+    assert same_bits(np.array(got[1]), np.array(want[1]))
+
+
+@st.composite
+def modular_batches(draw):
+    """A triangle batch plus m evolved points, some exactly or nearly antipodal to f."""
+    points, r, f = draw(triangle_batches())
+    s = draw(st.lists(unit_vectors(), min_size=len(points), max_size=len(points)).map(np.array))
+    for k in range(len(s)):
+        if draw(st.integers(0, 5)) == 0:
+            v = -f + draw(st.sampled_from([0.0, 1e-9]))
+            s[k] = v / np.linalg.norm(v)
+    return points, s, r, f
+
+
+class TestFactoredValues:
+    """``factored_weak_value`` and ``factored_modular_value`` (with the qubit
+    routes as their one-point case) against the one-vector references."""
+
+    @KERNEL_SETTINGS
+    @given(case=triangle_batches())
+    def test_weak_factors_match_reference(self, case):
+        points, r, f = case
+        vr, vf = ref_as_bloch(r), ref_as_bloch(f)
+        same_outcome(lambda: ref_weak_factors(units(points), vr, vf),
+                     lambda: factor_lists(factored_weak_value(points, r, f)[1]))
+        same_outcome(lambda: ref_weak_factors(units(points[:1]), vr, vf),
+                     lambda: factor_lists(projector_weak_value_geometric(points[0], r, f)[1]))
+
+    @KERNEL_SETTINGS
+    @given(case=modular_batches())
+    def test_modular_factors_match_reference(self, case):
+        points, s, r, f = case
+        vi, vs = units(points), units(pair_points(points, s))
+        vr, vf = ref_as_bloch(r), ref_as_bloch(f)
+        same_outcome(lambda: ref_modular_factors(vi, vs, vr, vf),
+                     lambda: factor_lists(factored_modular_value(
+                         points, s, r, f, alpha=0.4, beta=0.2, eigenvalue=1.0)[1]))
+        # The one-point case: the qubit route rotates i about r into s.
+        alpha = float(np.arctan2(s[0, 1], s[0, 0]))
+        evolved = rodrigues_rotate(points[0], r, alpha)
+        same_outcome(lambda: ref_modular_factors(vi[:1], [evolved], vr, vf),
+                     lambda: factor_lists(modular_value_geometric(
+                         points[0], QubitModularSpec(r, alpha=alpha), f)[1]))
+
+    def test_zero_modulus_factor_gets_positive_zero_angle(self):
+        ez, ex = np.eye(3)[2], np.eye(3)[0]
+        points = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
+        value, breakdown = factored_weak_value(points, -ez, ez)  # r antipodal to f
+        assert (value.modulus, value.argument) == (0.0, 0.0)
+        for factor in breakdown.factors:
+            assert factor.modulus_ratio == 0.0
+            assert math.copysign(1.0, factor.solid_angle) == 1.0
+        value, breakdown = factored_modular_value(
+            points, np.array([-ex, [0.0, 1.0, 0.0]]), ez, ex, alpha=0.3, beta=0.0,
+            eigenvalue=1.0)
+        zero = [g for g in breakdown.factors if g.modulus_ratio == 0.0]
+        assert len(zero) == 1 and same_bits(zero[0].solid_angle, 0.0)
+        assert (value.modulus, value.argument) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_orthogonal_selection_before_undefined_angle(self, order):
+        ez, ex, ey = np.eye(3)[2], np.eye(3)[0], np.eye(3)[1]
+        # Row -ex is antipodal to f; row -ez makes the (i, r, s) triangle
+        # undefined while its modulus stays finite and non-zero.
+        rows = np.array([-ex, -ez])[list(order)]
+        s = np.array([ey, [0.6, 0.8, 0.0]])
+        with pytest.raises(OrthogonalSelection):
+            factored_modular_value(rows, s, ez, ex, alpha=0.3, beta=0.0, eigenvalue=1.0)
+        with pytest.raises(UndefinedSolidAngle):
+            factored_modular_value(np.array([ey, -ez]), s, ez, ex, alpha=0.3, beta=0.0,
+                                   eigenvalue=1.0)
+        # One row both antipodal to f and with an undefined triangle.
+        with pytest.raises(OrthogonalSelection):
+            factored_weak_value(np.array([ey, -ex])[list(order)], ez, ex)
+
+    def test_negative_zero_angles_kept(self):
+        ez, ex = np.eye(3)[2], np.eye(3)[0]
+        _, breakdown = factored_weak_value(np.array([ez, ex]), ez, ex)
+        moduli, angles = factor_lists(breakdown)
+        assert same_bits(np.array(angles), np.array([ref_solid_angle(ez, ez, ex),
+                                                      ref_solid_angle(ex, ez, ex)]))
+        assert [math.copysign(1.0, a) for a in angles] == [-1.0, -1.0]
+        assert same_bits(np.array(moduli), np.array([ref_weak_modulus(ez, ez, ex),
+                                                      ref_weak_modulus(ex, ez, ex)]))
