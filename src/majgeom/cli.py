@@ -29,8 +29,9 @@ from .polar import GeometricBreakdown, PolarComplex
 SCENARIO_VERSION = 1
 
 _PHYSICAL_ERRORS = (OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator)
-# Any other MajgeomError (NotHermitian, ...) means the input failed validation.
-_USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, MajgeomError)
+# Any other MajgeomError (NotHermitian, ...) means the input failed validation;
+# an OverflowError is a scenario number out of range for int() or float().
+_USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, OverflowError, MajgeomError)
 
 # Field names whose values are radians and honor --degrees on output.
 _ANGLE_KEYS = {
@@ -72,7 +73,10 @@ def _load_scenario(path: str | None) -> dict:
     if path is None:
         raise ScenarioInvalid("this command requires --scenario FILE")
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except RecursionError as exc:
+            raise ScenarioInvalid("scenario document is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ScenarioInvalid("scenario document must be a JSON object")
     if doc.get("version") != SCENARIO_VERSION:

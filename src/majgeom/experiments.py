@@ -12,9 +12,10 @@ import numpy as np
 from .bloch import (
     _rowdot,
     _triangle_rows,
+    _unit,
+    _weak_factors,
     as_bloch_array,
     bloch_to_qubits,
-    triangle_solid_angles,
     weak_moduli,
 )
 from .canonical import three_box_transform
@@ -33,7 +34,6 @@ from .numerics import (
     _SYMMETRY_SLACK,
     DEFAULT_TOL,
     _check_finite,
-    _check_hermitian,
     _gauge_phase,
 )
 from .polar import PolarComplex
@@ -48,6 +48,8 @@ _EX = np.array([1.0, 0.0, 0.0])
 _F_STATE = np.array([0.5, math.sqrt(0.5), 0.5], dtype=complex)
 _R_PROJECTOR = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
+# Solid angles are defined modulo 4 pi; the scan unwraps them along the grid.
+_SOLID_ANGLE_PERIOD = 4.0 * math.pi
 _NEAR_DEGENERATE_BAND = 1e-8
 _LOCATE_RESIDUAL = 1e-8
 # Bracket width at which a bisection stops, and its step budget.
@@ -113,7 +115,21 @@ def _bisect(fn: Callable[[float], float], lo: float, hi: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def _unwrap_segment(raw: list[float | None], period: float) -> list[float | None]:
+def _first_root(thetas, values: np.ndarray, fn: Callable[[float], float],
+                residual: Callable[[float], float] | None = None
+                ) -> tuple[float | None, int | None]:
+    """The first root of ``fn`` that bisection finds in a bracket where
+    ``values`` (``fn`` on the grid ``thetas``) changes sign, with the index of
+    the bracket's left node; a root whose ``residual`` exceeds
+    ``_LOCATE_RESIDUAL`` is passed over.  ``(None, None)`` when none is found."""
+    for k in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
+        found = _bisect(fn, float(thetas[k]), float(thetas[k + 1]))
+        if found is not None and (residual is None or residual(found) <= _LOCATE_RESIDUAL):
+            return found, k
+    return None, None
+
+
+def _unwrap_segment(raw: list[float | None]) -> list[float | None]:
     out: list[float | None] = []
     prev: float | None = None
     for value in raw:
@@ -121,7 +137,7 @@ def _unwrap_segment(raw: list[float | None], period: float) -> list[float | None
             out.append(None)
             continue
         if prev is not None:
-            value += period * round((prev - value) / period)
+            value += _SOLID_ANGLE_PERIOD * round((prev - value) / _SOLID_ANGLE_PERIOD)
         out.append(value)
         prev = value
     return out
@@ -205,13 +221,8 @@ def _refined_default_grid(count: int, epsilon: float, chi1: float,
     if count < 4 * _CUSP_POINTS:
         return base
     probe = default_theta_grid(2048)
-    values = _disc_re(probe, epsilon, chi1, chi2)
-    brackets = np.flatnonzero(values[:-1] * values[1:] < 0.0)
-    if not brackets.size:
-        return base
-    k = int(brackets[0])
-    cusp = _bisect(lambda th: _disc_re(th, epsilon, chi1, chi2),
-                   float(probe[k]), float(probe[k + 1]))
+    cusp, _ = _first_root(probe, _disc_re(probe, epsilon, chi1, chi2),
+                          lambda th: _disc_re(th, epsilon, chi1, chi2))
     if cusp is None:
         return base
     window_lo = max(cusp - _CUSP_WINDOW, 0.25 * base[0])
@@ -261,36 +272,19 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     states = _scan_states(grid, epsilon, chi1, chi2)
     oracle_states = _gauged_rows(states)  # nlevel_state is not bitwise idempotent
 
-    def locate(values: np.ndarray, fn: Callable[[float], float],
-               residual: Callable[[float], float]) -> tuple[float | None, int | None]:
-        for k in np.flatnonzero(values[:-1] * values[1:] < 0.0).tolist():
-            found = _bisect(fn, thetas[k], thetas[k + 1])
-            if found is not None and residual(found) <= _LOCATE_RESIDUAL:
-                return found, k
-        return None, None
-
-    theta_singular, singular_gap = locate(
-        np.array([np.vdot(_F_STATE, state).real for state in states]),
+    theta_singular, singular_gap = _first_root(
+        thetas, np.array([np.vdot(_F_STATE, state).real for state in states]),
         lambda th: _overlap_re(th, epsilon, chi1, chi2),
         lambda th: abs(complex(np.vdot(_F_STATE, scan_state(th, epsilon, chi1, chi2)))))
-    theta_bifurcation, bifurcation_gap = locate(
-        _disc_re(grid, epsilon, chi1, chi2),
+    theta_bifurcation, bifurcation_gap = _first_root(
+        thetas, _disc_re(grid, epsilon, chi1, chi2),
         lambda th: _disc_re(th, epsilon, chi1, chi2),
         lambda th: discriminant_degeneracy(scan_state(th, epsilon, chi1, chi2)))
-
-    # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
-    # the constant postselection and projector validated once.
-    f_state = nlevel_state(_F_STATE)
-    _check_hermitian(_R_PROJECTOR)
-    projected = oracle_states @ _R_PROJECTOR.T
-    directs: list[PolarComplex | None] = []
-    for state, image in zip(oracle_states, projected):
-        overlap = complex(np.vdot(f_state, state))
-        if abs(overlap) <= DEFAULT_TOL.orthogonality:
-            directs.append(None)
-        else:
-            directs.append(PolarComplex.from_complex(np.vdot(f_state, image) / overlap))
-    discs = [_discriminant(*state) for state in oracle_states.tolist()]
+    flags = [set() for _ in thetas]
+    for gap, name in ((singular_gap, "singular"), (bifurcation_gap, "bifurcation")):
+        if gap is not None:
+            flags[gap].add(name)
+            flags[gap + 1].add(name)
 
     roots = _qutrit_roots_at(epsilon, chi1, chi2)
     angles = [roots(theta) for theta in thetas]
@@ -301,63 +295,50 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
                       axis=-1)
 
     # Solid angles of (i_k, +z, +x) for both points of every row; an undefined
-    # triangle blanks only its own entry.
+    # triangle blanks only its own entry.  Each side of the singular bracket
+    # is unwrapped independently: the genuine jump across the singularity is
+    # reported, not smoothed away.
     raw = _triangle_rows(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
-    raw1, raw2 = raw[0::2], raw[1::2]
-
-    flags = []
-    for disc, direct in zip(discs, directs):
-        row = set()
-        if DEFAULT_TOL.zero < disc <= _NEAR_DEGENERATE_BAND:
-            row.add("near_degenerate")
-        if direct is None:
-            row.add("singular")
-        flags.append(row)
-    for gap, name in ((singular_gap, "singular"), (bifurcation_gap, "bifurcation")):
-        if gap is not None:
-            flags[gap].add(name)
-            flags[gap + 1].add(name)
-
-    # Unwrap each side of the singular bracket independently; the genuine
-    # jump across the singularity is reported, not smoothed away.
-    period = 4.0 * math.pi
-    if singular_gap is not None:
-        split = singular_gap + 1
-        omega1 = (_unwrap_segment(raw1[:split], period)
-                  + _unwrap_segment(raw1[split:], period))
-        omega2 = (_unwrap_segment(raw2[:split], period)
-                  + _unwrap_segment(raw2[split:], period))
-    else:
-        omega1 = _unwrap_segment(raw1, period)
-        omega2 = _unwrap_segment(raw2, period)
-
-    omega2_jump = None
-    if singular_gap is not None:
-        lo, hi = omega2[singular_gap], omega2[singular_gap + 1]
-        if lo is not None and hi is not None:
-            omega2_jump = hi - lo
+    split = len(thetas) if singular_gap is None else singular_gap + 1
+    omega1, omega2 = (_unwrap_segment(side[:split]) + _unwrap_segment(side[split:])
+                      for side in (raw[0::2], raw[1::2]))
+    ends = omega2[split - 1:split + 1]  # one entry when no bracket splits the grid
+    omega2_jump = ends[1] - ends[0] if len(ends) == 2 and None not in ends else None
 
     # Weak-value modulus factors over the whole grid; NaN where a point is
     # antipodal to the postselection.
     moduli = weak_moduli(points, _EZ, _EX).tolist()
+    # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
+    # the constant postselection validated once.
+    f_state = nlevel_state(_F_STATE)
+    projected = oracle_states @ _R_PROJECTOR.T
     records = []
-    for k, theta in enumerate(thetas):
+    for k, (state, image, entries, row) in enumerate(
+            zip(oracle_states, projected, oracle_states.tolist(), flags)):
+        overlap = complex(np.vdot(f_state, state))
+        direct = None
+        if abs(overlap) <= DEFAULT_TOL.orthogonality:
+            row.add("singular")
+        else:
+            direct = PolarComplex.from_complex(np.vdot(f_state, image) / overlap)
+        if DEFAULT_TOL.zero < _discriminant(*entries) <= _NEAR_DEGENERATE_BAND:
+            row.add("near_degenerate")
         w1, w2 = omega1[k], omega2[k]
-        (m1, m2), direct, a = moduli[k], directs[k], angles[k]
+        (m1, m2), a = moduli[k], angles[k]
         wv_mod = m1 * m2
         if w1 is None or w2 is None or direct is None or math.isnan(wv_mod):
             wv_mod = wv_arg = None
         else:
             wv_arg = -0.5 * (w1 + w2)
         records.append(ScanRecord(
-            theta=theta,
+            theta=thetas[k],
             alpha1=a.alpha_1, alpha2=a.alpha_2,
             beta1=a.beta_1, beta2=a.beta_2,
             i1=points[k, 0], i2=points[k, 1],
             omega1=w1, omega2=w2,
             wv_modulus=wv_mod, wv_argument=wv_arg,
             wv_direct=direct,
-            flags=frozenset(flags[k]),
+            flags=frozenset(row),
         ))
     return SingularityScan(
         records=tuple(records),
@@ -431,21 +412,23 @@ def three_box_report() -> ThreeBoxReport:
     u = u2 @ u1
     i_rep = majorana_points(u @ psi_i)
     f_rep = majorana_points(u @ psi_f)
-    i_vec = i_rep.points.mean(axis=0)
-    i_vec = i_vec / np.linalg.norm(i_vec)
-    f_vec = f_rep.points.mean(axis=0)
-    f_vec = f_vec / np.linalg.norm(f_vec)
+    i_vec = _unit(i_rep.points.mean(axis=0))
+    f_vec = _unit(f_rep.points.mean(axis=0))
+    vi, vf = as_bloch_array(i_vec), as_bloch_array(f_vec)
 
-    boxes = []
-    transformed_states = []
-    for index, projector in enumerate(box_projectors):
-        state = u @ np.eye(3, dtype=complex)[:, index]
-        transformed_states.append(state)
-        rep = majorana_points(state)
+    states = [u @ np.eye(3, dtype=complex)[:, index] for index in range(3)]
+    reps = [majorana_points(state) for state in states]
+    r_pair = reps[1].points
+    phi_r, phi_mr = bloch_to_qubits(r_pair)
+    basis_rr = np.kron(phi_r, phi_r)
+    basis_mm = np.kron(phi_mr, phi_mr)
+    basis_bell = (np.kron(phi_r, phi_mr) + np.kron(phi_mr, phi_r)) / math.sqrt(2.0)
+
+    results = []
+    for index, (projector, state, rep) in enumerate(zip(box_projectors, states, reps)):
         factors = []
-        bare_moduli = weak_moduli(i_vec, rep.points, f_vec).tolist()
-        omegas = triangle_solid_angles(i_vec, rep.points, f_vec).tolist()
-        for point, bare, omega in zip(rep.points, bare_moduli, omegas):
+        for point, bare, omega in zip(rep.points,
+                                      *_weak_factors(vi, as_bloch_array(rep.points), vf)):
             modulus = 2.0 * rep.normalization * bare
             factors.append(BoxFactor(point=point, modulus=modulus, solid_angle=omega,
                                      value=modulus * complex(math.cos(-0.5 * omega),
@@ -453,24 +436,7 @@ def three_box_report() -> ThreeBoxReport:
         # stable physical row order: negative-phase factor first, then +x, +y
         factors.sort(key=lambda f: (round(f.solid_angle, 9),
                                     -round(f.point[0], 12), -round(f.point[1], 12)))
-        weak_value = factors[0].value * factors[1].value
-        direct = weak_value_direct(psi_i, projector, psi_f).rect
-        if index in (0, 2):
-            bisector = rep.points.sum(axis=0)
-            closest = bisector / np.linalg.norm(bisector)
-        else:
-            closest = None
-        boxes.append((rep, factors, weak_value, direct, closest))
-
-    r_pair = boxes[1][0].points
-    phi_r, phi_mr = bloch_to_qubits(r_pair)
-    basis_rr = np.kron(phi_r, phi_r)
-    basis_mm = np.kron(phi_mr, phi_mr)
-    basis_bell = (np.kron(phi_r, phi_mr) + np.kron(phi_mr, phi_r)) / math.sqrt(2.0)
-
-    results = []
-    for index, (rep, factors, weak_value, direct, closest) in enumerate(boxes):
-        embedded = _symmetric_embedding(transformed_states[index])
+        embedded = _symmetric_embedding(state)
         components = np.array([np.vdot(basis_mm, embedded),
                                np.vdot(basis_bell, embedded),
                                np.vdot(basis_rr, embedded)])
@@ -482,12 +448,12 @@ def three_box_report() -> ThreeBoxReport:
             points=np.stack([f.point for f in factors]),
             normalization=rep.normalization,
             factors=(factors[0], factors[1]),
-            weak_value=weak_value,
-            weak_value_direct=direct,
+            weak_value=factors[0].value * factors[1].value,
+            weak_value_direct=weak_value_direct(psi_i, projector, psi_f).rect,
             entropy=entanglement_entropy(rep.points),
             r_basis=components,
             bell_overlap=complex(components[1]),
-            closest_separable=closest,
+            closest_separable=None if index == 1 else _unit(rep.points.sum(axis=0)),
         ))
 
     identity = np.eye(3, dtype=complex)

@@ -185,11 +185,12 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Reorder ``second`` to minimize the summed great-circle distance to
     ``first``.
 
-    All permutations are scored at once; near-ties resolve as in a
-    lexicographic scan that accepts only improvements above
-    ``_PAIRING_TIE_SLACK``.  Only sums
-    over the paired polygons are contract-bearing.  Both sets are ``(m, 3)``,
-    1 <= m <= 7, checked before any m!-sized work; their rows are not.
+    All permutations are scored at once.  ``second`` keeps its order unless
+    the cheapest pairing is shorter than the identity by more than
+    ``_PAIRING_TIE_SLACK``; then the first cheapest pairing (in lexicographic
+    order) is returned.  Only sums over the paired polygons are
+    contract-bearing.  Both sets are ``(m, 3)``, 1 <= m <= 7, checked before
+    any m!-sized work; their rows are not.
     """
     a = np.asarray(first, dtype=float)
     b = np.asarray(second, dtype=float)
@@ -201,15 +202,10 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     costs = np.zeros(table.shape[1])
     for row, images in zip(angles, table):
         costs += row.take(images)
-    # Replay the scan: nothing before the current pick undercuts it by the
-    # slack, so the first such hit in the whole array is the scan's next pick.
-    best = 0
-    while True:
-        cheaper = costs < costs[best] - _PAIRING_TIE_SLACK
-        candidate = int(cheaper.argmax())
-        if not cheaper[candidate]:
-            return b.take(table[:, best], axis=0)
-        best = candidate
+    best = int(costs.argmin())  # column 0 of the table is the identity
+    if not costs[best] < costs[0] - _PAIRING_TIE_SLACK:  # False for NaN too
+        best = 0
+    return b.take(table[:, best], axis=0)
 
 
 def factored_weak_value(i_points, r_point, f_point):
@@ -276,8 +272,8 @@ def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     triple = _canonicalize(si, nlevel_state(psi_r), sf)
-    return _factored_weak_value(_unit(triple.i_rep.points), _unit(triple.r_vec),
-                                _unit(triple.f_vec))
+    rows = _unit(np.vstack((triple.i_rep.points, triple.r_vec, triple.f_vec)))
+    return _factored_weak_value(rows[:-2], rows[-2], rows[-1])
 
 
 def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
@@ -306,9 +302,12 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     psi_s = triple.u_total @ (evolution @ si)
     s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s)))
     i_pts = triple.i_rep.points
+    m = len(i_pts)
+    rows = _unit(np.vstack((i_pts, pair_points(i_pts, s_rep.points), triple.r_vec,
+                            triple.f_vec)))
     return _factored_modular_value(
-        _unit(i_pts), _unit(pair_points(i_pts, s_rep.points)), _unit(triple.r_vec),
-        _unit(triple.f_vec), s_rep.normalization / triple.i_rep.normalization,
+        rows[:m], rows[m:-2], rows[-2], rows[-1],
+        s_rep.normalization / triple.i_rep.normalization,
         dynamical=spec.beta - strength * eigenvalue)
 
 

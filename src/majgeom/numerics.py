@@ -77,8 +77,9 @@ _INFINITE_ROOT = 1e300
 # Amplitude of |0> below which a Bloch point maps to the south-pole qubit (0, 1).
 _SOUTH_POLE_CUT = 1e-150
 
-# Cost margin by which a pairing of Majorana points must beat the current one.
-_PAIRING_TIE_SLACK = 1e-15
+# Cost margin by which a pairing of Majorana points must beat the identity; it
+# lies above the summation spread of equal costs (5.3e-15 seen at m = 7).
+_PAIRING_TIE_SLACK = 1e-12
 
 
 def principal_angle(angle: float) -> float:

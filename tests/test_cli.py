@@ -678,6 +678,37 @@ class TestScenarioValidation:
         assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
                                             "message": message}
 
+    @pytest.mark.parametrize("command, document, error_type, message", [
+        ("majorana", '{"version": 1, "state": ' + "[" * 200_000 + "]" * 200_000 + "}",
+         "ScenarioInvalid", "scenario document is nested too deeply"),
+        # JSON reads 1e400 as inf, which int() refuses.
+        ("qutrit-modular", json.dumps({"version": 1, **QUTRIT_PAIR, "spec": {
+            "r8": [1.0] + [0.0] * 7, "eigen_choice": 0}}).replace('"eigen_choice": 0',
+                                                               '"eigen_choice": 1e400'),
+         "OverflowError", "cannot convert float infinity to integer"),
+        ("scan-singularity",
+         '{"version": 1, "grid": {"start": 0.2, "stop": 1.2, "count": 1e400}}',
+         "OverflowError", "cannot convert float infinity to integer"),
+        # An integer of 401 digits, which float() refuses.
+        ("qutrit-modular", json.dumps({"version": 1, **QUTRIT_PAIR, "spec": {
+            "r8": [1.0] + [0.0] * 7, "alpha": 10**400}}),
+         "OverflowError", "int too large to convert to float"),
+        ("qubit-modular", json.dumps({"version": 1, **QUBIT_PAIR, "spec": {
+            "axis": [0, 0, 1], "alpha": 10**400}}),
+         "OverflowError", "int too large to convert to float"),
+    ], ids=["deep-nesting", "eigen-choice-1e400", "grid-count-1e400", "qutrit-alpha-401-digits",
+            "qubit-alpha-401-digits"])
+    def test_out_of_range_document_exit_two(self, capsys, tmp_path, command, document,
+                                            error_type, message):
+        path = tmp_path / "scenario.json"
+        path.write_text(document)
+        code = main([command, "--scenario", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, captured.out
+        assert json.loads(captured.out)["error"] == {"kind": "usage", "type": error_type,
+                                                     "message": message}
+        assert captured.err == ""
+
     def test_non_object_document_exit_two(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

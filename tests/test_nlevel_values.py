@@ -65,7 +65,7 @@ def enumerated_pairing(first, second):
     best, best_cost = None, math.inf
     for perm in itertools.permutations(range(first.shape[0])):
         cost = sum(angles[k, perm[k]] for k in range(first.shape[0]))
-        if cost < best_cost - 1e-15:
+        if cost < best_cost - majgeom.numerics._PAIRING_TIE_SLACK:
             best, best_cost = perm, cost
     return second[list(best)]
 
@@ -710,6 +710,16 @@ class TestPairPoints:
         cases.append((coincident, np.array([p if k % 2 else q for k in range(m)])))
         for a, b in cases:
             assert np.array_equal(pair_points(a, b), enumerated_pairing(a, b))
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_coincident_points_keep_order(self, m):
+        # Every pairing with m coincident initial points costs the same up to
+        # summation rounding; the tie resolves to the identity.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            first = np.tile(random_bloch(rng), (m, 1))
+            second = random_points(rng, m)
+            assert np.array_equal(pair_points(first, second), second)
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):

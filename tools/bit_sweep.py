@@ -1,0 +1,198 @@
+"""Bit-identity sweep: one sha256 digest per entry point over fixed inputs.
+
+Run it on two checkouts and compare the printed lines; equal digests mean
+every computed bit (and every printed CLI byte) is unchanged.  It needs only
+numpy and the package under ``src``::
+
+    PYTHONPATH=src python tools/bit_sweep.py
+
+The inputs come from fixed seeds.  A result is hashed through its exact
+float bits (``float.hex``, the raw bytes of arrays); an exception is hashed
+by its type and message, so a refusal that moves shows as well.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import io
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import majgeom as mg
+from majgeom import cli, nlevel_values
+
+DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+LEVELS = range(2, 9)
+DRAWS = 40
+THETA_C = math.atan(math.sqrt(1.5))  # the default scan's weak-value singularity
+
+
+def _canon(obj) -> str:
+    """A string that differs whenever a bit of ``obj`` differs."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return repr(obj)
+    if isinstance(obj, float):
+        return float.hex(obj)
+    if isinstance(obj, complex):
+        return f"({float.hex(obj.real)},{float.hex(obj.imag)})"
+    if isinstance(obj, (np.ndarray, np.generic)):
+        arr = np.ascontiguousarray(obj)
+        return f"array({arr.dtype.str},{arr.shape},{arr.tobytes().hex()})"
+    if dataclasses.is_dataclass(obj):
+        return type(obj).__name__ + _canon(
+            [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)])
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{_canon(k)}:{_canon(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(map(_canon, obj)) + "]"
+    if isinstance(obj, (set, frozenset)):
+        return "set" + _canon(sorted(obj))
+    raise TypeError(f"cannot hash {type(obj).__name__}")
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    try:
+        return _canon(fn(*args, **kwargs))
+    except Exception as exc:  # noqa: BLE001 - a refusal is part of the outcome
+        return f"error:{type(exc).__name__}:{exc}"
+
+
+def _state(rng, n: int) -> np.ndarray:
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _hermitian(rng, n: int) -> np.ndarray:
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (m + m.conj().T)
+
+
+def _bloch(rng, m: int | None = None) -> np.ndarray:
+    v = rng.normal(size=(3,) if m is None else (m, 3))
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def qubit_values():
+    rng = np.random.default_rng(101)
+    for _ in range(4 * DRAWS):
+        qi, qr, qf = (_state(rng, 2) for _ in range(3))
+        vi, vr, vf = (mg.qubit_to_bloch(q) for q in (qi, qr, qf))
+        spec = mg.QubitModularSpec(axis=_bloch(rng), alpha=float(rng.uniform(-4, 4)),
+                                   beta=float(rng.uniform(-1, 1)))
+        yield "qubit.weak.direct", _outcome(mg.projector_weak_value_direct, qi, qr, qf)
+        yield "qubit.weak.geometric", _outcome(mg.projector_weak_value_geometric, vi, vr, vf)
+        yield "qubit.modular.direct", _outcome(mg.qubit_modular_value_direct, qi, spec, qf)
+        yield "qubit.modular.geometric", _outcome(mg.qubit_modular_value_geometric,
+                                                  vi, spec, vf)
+
+
+def nlevel_values_sweep():
+    rng = np.random.default_rng(202)
+    for n in LEVELS:
+        for _ in range(DRAWS):
+            si, sr, sf = (_state(rng, n) for _ in range(3))
+            projector = np.outer(sr, sr.conj())
+            spec = mg.NLevelModularSpec(observable=_hermitian(rng, n),
+                                        alpha=float(rng.uniform(-3, 3)),
+                                        beta=float(rng.uniform(-1, 1)))
+            yield f"nlevel.weak.direct.n{n}", _outcome(mg.weak_value_direct, si, projector, sf)
+            yield f"nlevel.weak.geometric.n{n}", _outcome(
+                mg.qutrit_projector_weak_value_geometric, si, sr, sf)
+            yield f"nlevel.modular.direct.n{n}", _outcome(mg.modular_value_direct, si, spec, sf)
+            yield f"nlevel.modular.geometric.n{n}", _outcome(
+                mg.qutrit_modular_value_geometric, si, spec, sf)
+
+
+def stellar():
+    rng = np.random.default_rng(303)
+    for n in LEVELS:
+        for _ in range(DRAWS):
+            state = _state(rng, n)
+            yield f"majorana_points.n{n}", _outcome(mg.majorana_points, state)
+            yield f"symmetrize.n{n}", _outcome(mg.symmetrize, _bloch(rng, n - 1))
+            yield f"canonicalize_triple.n{n}", _outcome(
+                mg.canonicalize_triple, state, _state(rng, n), _state(rng, n))
+
+
+def pairing():
+    rng = np.random.default_rng(404)
+    for m in range(1, 8):
+        for _ in range(DRAWS):
+            yield f"pair_points.m{m}", _outcome(
+                nlevel_values.pair_points, _bloch(rng, m), _bloch(rng, m))
+            # m coincident initial points: every pairing costs the same.
+            first = np.repeat(_bloch(rng)[None], m, axis=0)
+            yield f"pair_points.coincident.m{m}", _outcome(
+                nlevel_values.pair_points, first, _bloch(rng, m))
+
+
+SCAN_RUNS = [
+    {"count": 32}, {"count": 300}, {"count": 512}, {"count": 777}, {"count": 1024},
+    {"count": 4096},
+    {"count": 700, "epsilon": 0.3, "chi1": 1.0, "chi2": 2.5},
+    {"count": 512, "epsilon": 0.9, "chi1": -2.0, "chi2": 0.4},
+    {"count": 1024, "epsilon": 0.3, "chi1": 1.0, "chi2": 2.5},
+]
+
+
+def experiments():
+    for kwargs in SCAN_RUNS:
+        yield "singularity_scan", _outcome(mg.singularity_scan, **kwargs)
+    user_grid = np.sort(np.append(np.linspace(0.05, 1.5, 61), THETA_C))
+    yield "singularity_scan.user_grid", _outcome(mg.singularity_scan, user_grid)
+    yield "three_box_report", _outcome(mg.three_box_report)
+
+
+CLI_RUNS = [
+    ("three-box",),
+    ("scan-singularity", "--count", "32"),
+    ("scan-singularity", "--count", "300"),
+    ("scan-singularity", "--count", "512"),
+    ("scan-singularity", "--count", "777"),
+    ("scan-singularity", "--count", "4096"),
+    ("scan-singularity", "--count", "700", "--epsilon", "0.3", "--chi1", "1.0",
+     "--chi2", "2.5"),
+    ("scan-singularity", "--count", "512", "--epsilon", "0.9", "--chi1", "-2.0",
+     "--chi2", "0.4"),
+    ("scan-singularity", "--count", "1024", "--epsilon", "0.3", "--chi1", "1.0",
+     "--chi2", "2.5"),
+    ("canonicalize", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
+    ("qutrit-weak", "--scenario", str(DATA / "qutrit_triple.scenario.json")),
+    ("qutrit-modular", "--scenario", str(DATA / "qutrit_modular.scenario.json")),
+]
+
+
+def _cli(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return f"{code}:{out.getvalue()}"
+
+
+def cli_runs():
+    for argv in CLI_RUNS:
+        for fmt in ("json", "csv"):
+            for degrees in ((), ("--degrees",)):
+                yield "cli.run", _outcome(_cli, [*argv, "--format", fmt, *degrees])
+
+
+SWEEPS = (qubit_values, nlevel_values_sweep, stellar, pairing, experiments, cli_runs)
+
+
+def main() -> int:
+    digests = {}
+    for sweep in SWEEPS:
+        for name, text in sweep():
+            digests.setdefault(name, hashlib.sha256()).update(text.encode() + b"\n")
+    for name, digest in digests.items():
+        print(name, digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
