@@ -16,7 +16,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -33,17 +33,16 @@ _PHYSICAL_ERRORS = (OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator)
 # an OverflowError is a scenario number out of range for int() or float().
 _USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, OverflowError, MajgeomError)
 
-# Field names whose values are radians and honor --degrees on output.
+# Printed keys whose numbers are radians and honor --degrees on output.
 _ANGLE_KEYS = {
-    "argument", "unwrapped_argument", "solid_angle", "dynamical_phase",
-    "alpha", "beta", "alpha1", "alpha2", "beta1", "beta2",
-    "omega1", "omega2", "wv_arg", "theta", "eta", "epsilon", "chi1", "chi2",
+    "argument", "unwrapped_argument", "solid_angle", "dynamical_phase", "alpha1", "alpha2",
+    "beta1", "beta2", "omega1", "omega2", "wv_arg", "theta", "eta", "epsilon", "chi1", "chi2",
     "theta_bifurcation", "theta_singular", "omega2_jump",
 }
+_DEGREES_PER_RADIAN = 180.0 / math.pi
 
-_RECORD_FIELDS = tuple(field.name for field in fields(experiments.ScanRecord))
-# Printed names of the scan-record fields that differ from the dataclass's.
-_RECORD_KEYS = {"wv_modulus": "wv_mod", "wv_argument": "wv_arg"}
+# Printed names of the record fields that differ from the dataclass's.
+_PRINTED_NAMES = {"wv_modulus": "wv_mod", "wv_argument": "wv_arg"}
 _SCAN_COLUMNS = ("theta", "alpha1", "alpha2", "beta1", "beta2", "omega1", "omega2",
                  "wv_mod", "wv_arg")
 # Scan parameters a scenario may set and a flag of the same name overrides.
@@ -89,6 +88,15 @@ def _required(doc: dict, key: str, where: str = "scenario"):
     if key not in doc:
         raise ScenarioInvalid(f"{where} is missing {key!r}")
     return doc[key]
+
+
+def _integer(raw, name: str) -> int:
+    """``int(raw)``; a value that ``int()`` changes raises :class:`ScenarioInvalid`
+    naming it."""
+    value = int(raw)
+    if value != raw:
+        raise ScenarioInvalid(f"{name} must be an integer")
+    return value
 
 
 def _complex_vector(raw, length: int | None = None) -> np.ndarray:
@@ -138,28 +146,12 @@ def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np
     return states
 
 
-def _jsonable(value):
-    if isinstance(value, PolarComplex):
-        rect = value.rect
-        out = {"modulus": value.modulus, "argument": value.argument,
-               "re": rect.real, "im": rect.imag}
-        if value.unwrapped_argument is not None:
-            out["unwrapped_argument"] = value.unwrapped_argument
-        return out
-    if isinstance(value, GeometricBreakdown):
-        return {
-            "k_ratio": value.k_ratio,
-            "dynamical_phase": value.dynamical_phase,
-            "factors": [
-                {
-                    "modulus_ratio": f.modulus_ratio,
-                    "solid_angle": f.solid_angle,
-                    "i_point": _jsonable(f.i_point),
-                    **({"s_point": _jsonable(f.s_point)} if f.s_point is not None else {}),
-                }
-                for f in value.factors
-            ],
-        }
+def _jsonable(value, degrees: bool = False):
+    """``value`` in JSON types: a dataclass record becomes the dict of its fields
+    in declaration order, renamed by ``_PRINTED_NAMES``, and with ``degrees``
+    every number under an ``_ANGLE_KEYS`` key is converted from radians."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, np.ndarray):
@@ -170,23 +162,32 @@ def _jsonable(value):
         return value.tolist()
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [_jsonable(v, degrees) for v in value]
     if isinstance(value, frozenset):
         return sorted(value)
-    return value
-
-
-def _convert_angles(node, factor: float):
-    if isinstance(node, dict):
-        return {k: (_convert_angles(v, factor) if k not in _ANGLE_KEYS
-                    else (v * factor if isinstance(v, (int, float)) else v))
-                for k, v in node.items()}
-    if isinstance(node, list):
-        return [_convert_angles(v, factor) for v in node]
-    return node
+    if isinstance(value, dict):
+        node = value
+    elif isinstance(value, PolarComplex):
+        rect = value.rect
+        node = {"modulus": value.modulus, "argument": value.argument,
+                "re": rect.real, "im": rect.imag}
+        if value.unwrapped_argument is not None:
+            node["unwrapped_argument"] = value.unwrapped_argument
+    elif isinstance(value, GeometricBreakdown):
+        node = {"k_ratio": value.k_ratio, "dynamical_phase": value.dynamical_phase,
+                "factors": [{"modulus_ratio": f.modulus_ratio, "solid_angle": f.solid_angle,
+                             "i_point": f.i_point,
+                             **({"s_point": f.s_point} if f.s_point is not None else {})}
+                            for f in value.factors]}
+    else:
+        node = {_PRINTED_NAMES.get(k, k): v for k, v in vars(value).items()}
+    out = {k: _jsonable(v, degrees) for k, v in node.items()}
+    if degrees:
+        for key, v in out.items():
+            if key in _ANGLE_KEYS and isinstance(v, (int, float)):
+                out[key] = v * _DEGREES_PER_RADIAN
+    return out
 
 
 def _fmt(value) -> str:
@@ -279,7 +280,7 @@ def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
         observable=observable,
         alpha=float(spec.get("alpha", 0.0)),
         beta=float(spec.get("beta", 0.0)),
-        eigen_choice=None if eigen_choice is None else int(eigen_choice),
+        eigen_choice=None if eigen_choice is None else _integer(eigen_choice, "eigen_choice"),
         generic_theta=(None if spec.get("theta") is None else float(spec["theta"])),
     )
 
@@ -312,7 +313,7 @@ def _cmd_majorana(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
     (state,) = _states(doc, ("state",))
     rep = majorana.majorana_points(state)
-    results = asdict(rep)
+    results = {"points": rep.points, "normalization": rep.normalization}
     if state.size == 3:
         results["discriminant"] = majorana.discriminant_degeneracy(state)
         results["entanglement_entropy"] = majorana.entanglement_entropy(rep.points)
@@ -352,12 +353,12 @@ def _scan_to_results(scan: experiments.SingularityScan) -> dict:
         "theta_bifurcation": scan.theta_bifurcation,
         "theta_singular": scan.theta_singular,
         "omega2_jump": scan.omega2_jump,
-        "records": [{_RECORD_KEYS.get(name, name): getattr(r, name) for name in _RECORD_FIELDS}
-                    for r in scan.records],
+        "records": scan.records,
     }
 
 
-def _scan_count(count: int, name: str) -> int:
+def _scan_count(count, name: str) -> int:
+    count = _integer(count, name)
     if count > _MAX_SCAN_POINTS:
         raise ScenarioInvalid(f"{name} must not exceed {_MAX_SCAN_POINTS}")
     return count
@@ -375,13 +376,13 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
     if grid_spec is not None:
         start, stop, points = (_required(grid_spec, key, "grid")
                                for key in ("start", "stop", "count"))
-        grid = np.linspace(float(start), float(stop), _scan_count(int(points), "grid count"))
+        grid = np.linspace(float(start), float(stop), _scan_count(points, "grid count"))
     scan = experiments.singularity_scan(grid, count=count, **kwargs)
     return {"results": _scan_to_results(scan), "provenance": "both"}
 
 
 def _cmd_three_box(args, tol: Tolerances) -> dict:
-    return {"results": asdict(experiments.three_box_report()), "provenance": "both"}
+    return {"results": experiments.three_box_report(), "provenance": "both"}
 
 
 def _csv(header, rows) -> str:
@@ -498,13 +499,12 @@ def run(argv) -> int:
         "version": SCENARIO_VERSION,
         "mode": args.mode,
         "provenance": payload.get("provenance", args.mode),
-        "tolerances": asdict(tol),
-        "results": _jsonable(payload["results"]),
+        "tolerances": _jsonable(tol),
+        "results": _jsonable(payload["results"], args.degrees),
     }
     if "mismatch" in payload:
         envelope["mismatch"] = payload["mismatch"]
     if args.degrees:
-        envelope["results"] = _convert_angles(envelope["results"], 180.0 / math.pi)
         envelope["angle_unit"] = "degrees"
 
     if args.format == "json":
@@ -515,7 +515,11 @@ def run(argv) -> int:
         text = _scan_csv(envelope["results"])
     else:
         text = _csv(("field", "value"), _field_rows(envelope["results"]))
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:  # an unwritable --out
+        sys.stdout.write(_error_document("usage", exc))
+        return 2
     return 0
 
 

@@ -198,7 +198,10 @@ def _midpoints(lo: float, hi: float, n: int) -> np.ndarray:
 
 
 def default_theta_grid(count: int = 512) -> np.ndarray:
-    """Midpoint grid strictly inside (0, pi/2)."""
+    """Midpoint grid of ``count`` points strictly inside (0, pi/2); ``count``
+    must be a finite integer (``512.0`` counts as one) of at least 2."""
+    if not (math.isfinite(count) and count == int(count)):
+        raise ValueError("grid count must be an integer")
     if count < 2:
         raise ValueError("grid needs at least two points")
     return _midpoints(0.0, 0.5 * math.pi, count)
@@ -440,7 +443,8 @@ def three_box_report() -> ThreeBoxReport:
         components = np.array([np.vdot(basis_mm, embedded),
                                np.vdot(basis_bell, embedded),
                                np.vdot(basis_rr, embedded)])
-        # report the r-basis image with the same global-phase convention as states
+        # report the r-basis image with its largest component (the first, on a tie)
+        # real and positive
         anchor = components[np.argmax(np.abs(components))]
         components = components * (anchor.conjugate() / abs(anchor))
         results.append(BoxResult(

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bloch import _qubits, _unit, as_bloch_array, bloch_to_qubits
 from .numerics import (
+    _ENTROPY_FLOOR,
     _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
@@ -183,17 +184,13 @@ def discriminant_degeneracy(state) -> float:
 class QutritAngles:
     """Closed-form root angles of the three-level stellar polynomial.
 
-    The roots are ``tan(beta_k/2) * exp(1j*alpha_k)``; ``s``, ``rho`` and
-    ``chi_tilde`` are the auxiliaries of the closed form.
+    The roots are ``tan(beta_k/2) * exp(1j*alpha_k)``.
     """
 
     alpha_1: float
     alpha_2: float
     beta_1: float
     beta_2: float
-    s: float
-    rho: float
-    chi_tilde: float
 
     def roots(self) -> tuple[complex, complex]:
         z1 = math.tan(0.5 * self.beta_1) * complex(math.cos(self.alpha_1),
@@ -287,7 +284,7 @@ def _qutrit_roots_at(epsilon: float, chi1: float,
             const = ce * t * e_chi1
             alpha_1, beta_1 = _polish_root_angles(alpha_1, beta_1, lin, const)
             alpha_2, beta_2 = _polish_root_angles(alpha_2, beta_2, lin, const)
-        return QutritAngles(alpha_1, alpha_2, beta_1, beta_2, s, rho, chi_tilde)
+        return QutritAngles(alpha_1, alpha_2, beta_1, beta_2)
 
     return roots
 
@@ -320,5 +317,5 @@ def entanglement_entropy(points) -> float:
     amp = psi.reshape(2, 2)
     rho = amp @ amp.conj().T
     evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, 1.0)
-    entropy = -sum(v * math.log2(v) for v in evals if v > 1e-15)
+    entropy = -sum(v * math.log2(v) for v in evals if v > _ENTROPY_FLOOR)
     return float(np.clip(entropy, 0.0, 1.0))

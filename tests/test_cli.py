@@ -501,6 +501,16 @@ class TestCliContract:
         assert out == ""
         assert json.loads(target.read_text())["command"] == "three-box"
 
+    @pytest.mark.parametrize("target, error_type", [
+        ("no-such-dir/result.json", "FileNotFoundError"), (".", "IsADirectoryError")])
+    def test_unwritable_out_exit_two(self, capsys, tmp_path, target, error_type):
+        code = main(["three-box", "--out", str(tmp_path / target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert (error["kind"], error["type"]) == ("usage", error_type)
+        assert captured.err == ""
+
     def test_degrees_flag(self, capsys, tmp_path):
         scenario = write_scenario(tmp_path, {
             "i": {"bloch": [0, 0, 1]},
@@ -671,6 +681,11 @@ class TestScenarioValidation:
         ("scan-singularity", {"grid": {"stop": 1.2, "count": 8}}, "grid is missing 'start'"),
         ("scan-singularity", {"grid": {"start": 0.2, "count": 8}}, "grid is missing 'stop'"),
         ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2}}, "grid is missing 'count'"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2, "count": 3.9}},
+         "grid count must be an integer"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7,
+                                                    "eigen_choice": 1.7}},
+         "eigen_choice must be an integer"),
     ])
     def test_malformed_scenario_exit_two(self, capsys, tmp_path, command, payload, message):
         code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))

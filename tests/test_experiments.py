@@ -189,6 +189,16 @@ class TestSingularityScan:
         assert grid[0] > 0.0 and grid[-1] < math.pi / 2
         assert np.all(np.diff(grid) > 0)
 
+    def test_grid_count_must_be_integer(self):
+        # 2.5 once gave a last point at exactly pi/2, outside the open interval.
+        for count in (2.5, 500.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^grid count must be an integer$"):
+                default_theta_grid(count)
+            with pytest.raises(ValueError, match="^grid count must be an integer$"):
+                singularity_scan(count=count)
+        for count in (512.0, np.int64(512)):
+            assert default_theta_grid(count).tobytes() == default_theta_grid(512).tobytes()
+
 
 # Canonical scan frame, restated: projector on |2>, postselection with both
 # stellar points on +x, triangles against +z and +x.

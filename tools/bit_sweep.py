@@ -8,7 +8,9 @@ numpy and the package under ``src``::
 
 The inputs come from fixed seeds.  A result is hashed through its exact
 float bits (``float.hex``, the raw bytes of arrays); an exception is hashed
-by its type and message, so a refusal that moves shows as well.
+by its type and message, so a refusal that moves shows as well.  A CLI run is
+hashed by its exit code, stdout and stderr; the scenarios of the value
+subcommands are written to a temporary directory at full precision.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -168,10 +174,10 @@ CLI_RUNS = [
 
 
 def _cli(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    return f"{code}:{out.getvalue()}"
+    return f"{code}:{out.getvalue()}" + (f"\nstderr:{err.getvalue()}" if err.getvalue() else "")
 
 
 def cli_runs():
@@ -181,7 +187,80 @@ def cli_runs():
                 yield "cli.run", _outcome(_cli, [*argv, "--format", fmt, *degrees])
 
 
-SWEEPS = (qubit_values, nlevel_values_sweep, stellar, pairing, experiments, cli_runs)
+def _amplitudes(vec) -> list[list[float]]:
+    return [[float(z.real), float(z.imag)] for z in vec]
+
+
+def _scenarios() -> dict[str, dict]:
+    """One scenario document per value-subcommand case, from fixed seeds; a
+    ``json.dumps`` of them keeps every float bit."""
+    rng = np.random.default_rng(505)
+
+    def states(n: int, keys: str) -> dict:
+        return {key: _amplitudes(_state(rng, n)) for key in keys}
+
+    def bloch(keys: str) -> dict:
+        return {key: {"bloch": _bloch(rng).tolist()} for key in keys}
+
+    def matrix(m: np.ndarray) -> list:
+        return [_amplitudes(row) for row in m]
+
+    def angles() -> dict:
+        return {"alpha": float(rng.uniform(-3, 3)), "beta": float(rng.uniform(-1, 1))}
+
+    basis = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+    return {
+        "qubit-weak.bloch": bloch("irf"),
+        "qubit-weak.amplitudes": states(2, "irf"),
+        "qubit-modular": {**states(2, "if"), "spec": {"axis": _bloch(rng).tolist(), **angles()}},
+        "nlevel-direct.weak": {**states(4, "if"), "kind": "weak",
+                               "observable": matrix(_hermitian(rng, 4))},
+        "nlevel-direct.modular": {**states(3, "if"), "kind": "modular",
+                                  "spec": {"observable": matrix(_hermitian(rng, 3)),
+                                           **angles()}},
+        "majorana.n2-bloch": {"state": {"bloch": _bloch(rng).tolist()}},
+        "majorana.n3": states(3, ["state"]),
+        "majorana.n8": states(8, ["state"]),
+        "abl": {**states(3, "if"),
+                "projectors": [matrix(np.outer(e, e.conj())) for e in basis.T]},
+        "canonicalize.n5": states(5, "irf"),
+        "qutrit-modular.theta": {**states(4, "if"),
+                                 "spec": {"observable": matrix(_hermitian(rng, 4)),
+                                          "theta": float(rng.uniform(-3, 3)), **angles()}},
+        # a state off its norm by 1e-9: renormalized, with a warning on stderr
+        "qutrit-weak.renormalized": {**states(3, "ir"),
+                                     "f": _amplitudes((1.0 + 1e-9) * _state(rng, 3))},
+        # exit 3: the pre- and postselected qubits are orthogonal
+        "qubit-weak.orthogonal": {"i": {"bloch": [0.0, 0.0, 1.0]},
+                                  "r": {"bloch": [1.0, 0.0, 0.0]},
+                                  "f": {"bloch": [0.0, 0.0, -1.0]}},
+        # exit 2: the second state has another dimension than the first
+        "qutrit-weak.dimensions": {**states(3, "ir"), **states(4, "f")},
+    }
+
+
+def scenario_runs():
+    with tempfile.TemporaryDirectory() as root:
+        for name, doc in _scenarios().items():
+            path = Path(root) / f"{name}.json"
+            path.write_text(json.dumps({"version": 1, **doc}))
+            command = name.split(".")[0]
+            for mode in ("both", "geometric", "direct"):
+                for fmt in ("json", "csv"):
+                    for degrees in ((), ("--degrees",)):
+                        yield f"cli.{name}", _outcome(
+                            _cli, [command, "--scenario", str(path), "--mode", mode,
+                                   "--format", fmt, *degrees])
+        scenario = str(Path(root) / "qutrit-modular.theta.json")
+        with mock.patch.dict(os.environ, {"MAJGEOM_TOL": "1e-3"}):
+            yield "cli.tolerance-env", _outcome(_cli, ["qutrit-modular", "--scenario", scenario])
+        out = Path(root) / "out.json"
+        yield "cli.out-file", _outcome(_cli, ["qutrit-modular", "--scenario", scenario,
+                                              "--out", str(out)]) + out.read_text()
+
+
+SWEEPS = (qubit_values, nlevel_values_sweep, stellar, pairing, experiments, cli_runs,
+          scenario_runs)
 
 
 def main() -> int:
