@@ -112,8 +112,8 @@ def canonicalize_triple(psi_i, psi_r, psi_f) -> CanonicalTriple:
     Afterwards the projector state has all points at the north pole and the
     final state all points at ``(2 sqrt(w(1-w)), 0, 2w-1)`` with
     ``w = |<r|f>|^(2/(N-1))``, taken in closed form: an (N-1)-fold root
-    loses accuracy like eps^(1/(N-1)).  The initial state's points and
-    normalization are returned.
+    loses accuracy like eps^(1/(N-1)).  The initial state's stellar
+    representation is returned; its K is computed only when read.
     """
     return _canonicalize(*(nlevel_state(s) for s in (psi_i, psi_r, psi_f)))
 

@@ -30,8 +30,10 @@ SCENARIO_VERSION = 1
 
 _PHYSICAL_ERRORS = (OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator)
 # Any other MajgeomError (NotHermitian, ...) means the input failed validation;
-# an OverflowError is a scenario number out of range for int() or float().
-_USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, OverflowError, MajgeomError)
+# an OverflowError is a scenario number out of range for int() or float(), and
+# an ArgumentError a command line the parser refused.
+_USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, OverflowError, MajgeomError,
+                 argparse.ArgumentError)
 
 # Printed keys whose numbers are radians and honor --degrees on output.
 _ANGLE_KEYS = {
@@ -68,9 +70,7 @@ def _tolerances_from_env() -> Tolerances:
     return replace(DEFAULT_TOL, comparison=value)
 
 
-def _load_scenario(path: str | None) -> dict:
-    if path is None:
-        raise ScenarioInvalid("this command requires --scenario FILE")
+def _load_scenario(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
@@ -78,7 +78,8 @@ def _load_scenario(path: str | None) -> dict:
             raise ScenarioInvalid("scenario document is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ScenarioInvalid("scenario document must be a JSON object")
-    if doc.get("version") != SCENARIO_VERSION:
+    version = doc.get("version")
+    if isinstance(version, bool) or version != SCENARIO_VERSION:
         raise ScenarioInvalid(f"scenario version must be {SCENARIO_VERSION}")
     return doc
 
@@ -91,12 +92,19 @@ def _required(doc: dict, key: str, where: str = "scenario"):
 
 
 def _integer(raw, name: str) -> int:
-    """``int(raw)``; a value that ``int()`` changes raises :class:`ScenarioInvalid`
-    naming it."""
+    """``int(raw)``; a JSON boolean, or a value that ``int()`` changes, raises
+    :class:`ScenarioInvalid` naming it."""
     value = int(raw)
-    if value != raw:
+    if isinstance(raw, bool) or value != raw:
         raise ScenarioInvalid(f"{name} must be an integer")
     return value
+
+
+def _real(raw, name: str) -> float:
+    """``float(raw)``; a JSON boolean raises :class:`ScenarioInvalid` naming it."""
+    if isinstance(raw, bool):
+        raise ScenarioInvalid(f"{name} must be a number")
+    return float(raw)
 
 
 def _complex_vector(raw, length: int | None = None) -> np.ndarray:
@@ -240,8 +248,8 @@ def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
         raise ScenarioInvalid("scenario is missing the 'spec' object")
     return qubit_values.QubitModularSpec(
         axis=as_bloch(_required(spec, "axis", "spec")),
-        alpha=float(spec.get("alpha", 0.0)),
-        beta=float(spec.get("beta", 0.0)),
+        alpha=_real(spec.get("alpha", 0.0), "alpha"),
+        beta=_real(spec.get("beta", 0.0), "beta"),
     )
 
 
@@ -278,10 +286,10 @@ def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
     eigen_choice = spec.get("eigen_choice")
     return nlevel_values.NLevelModularSpec(
         observable=observable,
-        alpha=float(spec.get("alpha", 0.0)),
-        beta=float(spec.get("beta", 0.0)),
+        alpha=_real(spec.get("alpha", 0.0), "alpha"),
+        beta=_real(spec.get("beta", 0.0), "beta"),
         eigen_choice=None if eigen_choice is None else _integer(eigen_choice, "eigen_choice"),
-        generic_theta=(None if spec.get("theta") is None else float(spec["theta"])),
+        generic_theta=(None if spec.get("theta") is None else _real(spec["theta"], "theta")),
     )
 
 
@@ -368,7 +376,7 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
     """The scan of the scenario's parameters and grid, if any; a flag always
     overrides the scenario's key, and ``--count`` is unused with a grid."""
     doc = {} if args.scenario is None else _load_scenario(args.scenario)
-    kwargs = {key: float(doc[key]) for key in _SCAN_PARAMETERS if key in doc}
+    kwargs = {key: _real(doc[key], key) for key in _SCAN_PARAMETERS if key in doc}
     kwargs.update((key, getattr(args, key)) for key in _SCAN_PARAMETERS
                   if getattr(args, key) is not None)
     count, grid = _scan_count(args.count, "--count"), None
@@ -376,7 +384,8 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
     if grid_spec is not None:
         start, stop, points = (_required(grid_spec, key, "grid")
                                for key in ("start", "stop", "count"))
-        grid = np.linspace(float(start), float(stop), _scan_count(points, "grid count"))
+        grid = np.linspace(_real(start, "grid start"), _real(stop, "grid stop"),
+                           _scan_count(points, "grid count"))
     scan = experiments.singularity_scan(grid, count=count, **kwargs)
     return {"results": _scan_to_results(scan), "provenance": "both"}
 
@@ -435,14 +444,23 @@ _COMMANDS = {
 }
 
 
+# The subcommands that compute a value by both routes and take --mode.
+_VALUE_COMMANDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads any token starting ``-<digit>`` or
     ``-.<digit>`` as a negative number, so ``--chi1 -1e-3`` parses like
-    ``--chi1=-1e-3`` (Python 3.11's argparse takes ``-1e-3`` for an option)."""
+    ``--chi1=-1e-3`` (Python 3.11's argparse takes ``-1e-3`` for an option),
+    and raises a command line it refuses instead of exiting, so that
+    :func:`run` prints the usage error document."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,10 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--scenario", default=None, help="JSON scenario file")
+        if name != "three-box":
+            p.add_argument("--scenario", required=name != "scan-singularity",
+                           help="JSON scenario file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--mode", choices=("geometric", "direct", "both"),
-                       default="both")
+        if name in _VALUE_COMMANDS:
+            p.add_argument("--mode", choices=("geometric", "direct", "both"),
+                           default="both")
+        else:
+            p.set_defaults(mode="both")
         p.add_argument("--out", default=None, help="write the document to a file")
         p.add_argument("--degrees", action="store_true",
                        help="convert angular output fields to degrees")
@@ -482,9 +505,8 @@ def _error_document(kind: str, exc: Exception) -> str:
 
 
 def run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         tol = _tolerances_from_env()
         payload = _COMMANDS[args.command](args, tol)
     except _PHYSICAL_ERRORS as exc:

@@ -429,10 +429,11 @@ def three_box_report() -> ThreeBoxReport:
 
     results = []
     for index, (projector, state, rep) in enumerate(zip(box_projectors, states, reps)):
+        normalization = rep.normalization
         factors = []
         for point, bare, omega in zip(rep.points,
                                       *_weak_factors(vi, as_bloch_array(rep.points), vf)):
-            modulus = 2.0 * rep.normalization * bare
+            modulus = 2.0 * normalization * bare
             factors.append(BoxFactor(point=point, modulus=modulus, solid_angle=omega,
                                      value=modulus * complex(math.cos(-0.5 * omega),
                                                              math.sin(-0.5 * omega))))
@@ -450,7 +451,7 @@ def three_box_report() -> ThreeBoxReport:
         results.append(BoxResult(
             name=f"box{index + 1}",
             points=np.stack([f.point for f in factors]),
-            normalization=rep.normalization,
+            normalization=normalization,
             factors=(factors[0], factors[1]),
             weak_value=factors[0].value * factors[1].value,
             weak_value_direct=weak_value_direct(psi_i, projector, psi_f).rect,

@@ -51,14 +51,20 @@ def _normalized(c: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetricRepresentation:
-    """Multiset of N-1 Bloch points plus the symmetrization normalization K.
+    """Multiset of N-1 Bloch points; its symmetrization normalization K is
+    computed each time it is read.
 
     Points are stored sorted by (z, x, y) descending so serialized output is
     stable; the multiset itself carries no order.
     """
 
     points: np.ndarray
-    normalization: float
+
+    @property
+    def normalization(self) -> float:
+        """K of the points, renormalized once more, as validating them would
+        leave them."""
+        return _symmetrized(_unit(self.points))[1]
 
 
 def sort_points(points: np.ndarray) -> np.ndarray:
@@ -139,17 +145,15 @@ def _point_array(points) -> np.ndarray:
 
 
 def majorana_points(state) -> SymmetricRepresentation:
-    """Stellar representation of a state: N-1 Bloch points and K."""
+    """Stellar representation of a state: its N-1 Bloch points."""
     return _majorana_points(nlevel_state(state))
 
 
 def _majorana_points(c: np.ndarray) -> SymmetricRepresentation:
     """:func:`majorana_points` of a state that :func:`nlevel_state` (or
-    :func:`_normalized`) returned; nothing is checked or renormalized.
-    K is taken from the points renormalized once more, as validating them
-    would leave them."""
-    pts = sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c)))
-    return SymmetricRepresentation(pts, _symmetrized(_unit(pts))[1])
+    :func:`_normalized`) returned; nothing is checked or renormalized."""
+    return SymmetricRepresentation(
+        sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c))))
 
 
 def symmetrize(points) -> tuple[np.ndarray, float]:

@@ -281,7 +281,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
 
     The anchor eigenvector is canonicalized together with the selections; the
     evolved state is pushed through the same frame before its points are read
-    off.  Both point sets arrive with their K, so neither is recomputed, and
+    off.  K is read once for each point set, only for their ratio, and
     the one eigendecomposition of the observable gives both the anchor and
     the evolution.  The dynamical phase is ``beta - s*eigenvalue`` for the
     evolution ``exp(-1j*s*A)`` that :func:`modular_value_direct` applies.

@@ -424,11 +424,61 @@ GOLDEN_RUNS = [
 ]
 
 
+VALUE_COMMANDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
+OTHER_COMMANDS = ("nlevel-direct", "majorana", "canonicalize", "scan-singularity", "three-box",
+                  "abl")
+
+
 class TestCliContract:
     def test_unknown_command_exit_two(self, capsys):
+        code = main(["no-such-command"])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert (error["kind"], error["type"]) == ("usage", "ArgumentError")
+        assert "invalid choice: 'no-such-command'" in error["message"]
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("argv, fragment", [
+        ((), "the following arguments are required: command"),
+        (("three-box", "--bogus"), "unrecognized arguments: --bogus"),
+        (("scan-singularity", "--count", "abc"), "argument --count: invalid int value: 'abc'"),
+        (("qutrit-weak",), "the following arguments are required: --scenario"),
+        (("three-box", "--scenario", "/no/such/file.json"),
+         "unrecognized arguments: --scenario /no/such/file.json"),
+        (("qubit-weak", "--mode", "fast", "--scenario", "x.json"),
+         "argument --mode: invalid choice: 'fast'"),
+    ], ids=["no-command", "unknown-option", "count-not-int", "missing-scenario",
+            "three-box-scenario", "bad-mode"])
+    def test_refused_command_line_is_the_error_document(self, capsys, argv, fragment):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        error = json.loads(captured.out)["error"]
+        assert (error["kind"], error["type"]) == ("usage", "ArgumentError")
+        assert fragment in error["message"]
+        assert captured.err == ""
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
-            main(["no-such-command"])
-        assert info.value.code == 2
+            main(["three-box", "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: majgeom three-box")
+
+    @pytest.mark.parametrize("command", VALUE_COMMANDS + OTHER_COMMANDS)
+    def test_mode_only_for_value_commands(self, capsys, command):
+        # The scenario file does not exist: a value command gets past the
+        # parser and fails to open it, any other command stops at --mode.
+        argv = [command, "--mode", "direct"]
+        if command != "three-box":
+            argv += ["--scenario", "no-such-scenario.json"]
+        assert main(argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        if command in VALUE_COMMANDS:
+            assert error["type"] == "FileNotFoundError"
+        else:
+            assert (error["type"], error["message"]) == (
+                "ArgumentError", "unrecognized arguments: --mode direct")
 
     def test_missing_scenario_exit_two(self, capsys):
         code, out = run_cli(capsys, "qubit-weak")
@@ -723,6 +773,40 @@ class TestScenarioValidation:
         assert json.loads(captured.out)["error"] == {"kind": "usage", "type": error_type,
                                                      "message": message}
         assert captured.err == ""
+
+    @pytest.mark.parametrize("command, payload, message", [
+        ("qutrit-modular", {"version": True, **QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7}},
+         "scenario version must be 1"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7,
+                                                    "eigen_choice": True}},
+         "eigen_choice must be an integer"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7, "alpha": True}},
+         "alpha must be a number"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7, "beta": True}},
+         "beta must be a number"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7, "theta": True}},
+         "theta must be a number"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, 0, 1], "alpha": True}},
+         "alpha must be a number"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, 0, 1], "beta": False}},
+         "beta must be a number"),
+        ("scan-singularity", {"epsilon": True}, "epsilon must be a number"),
+        ("scan-singularity", {"chi1": True}, "chi1 must be a number"),
+        ("scan-singularity", {"chi2": False}, "chi2 must be a number"),
+        ("scan-singularity", {"grid": {"start": True, "stop": 1.2, "count": 8}},
+         "grid start must be a number"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": True, "count": 8}},
+         "grid stop must be a number"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2, "count": True}},
+         "grid count must be an integer"),
+    ], ids=["version", "eigen_choice", "qutrit-alpha", "qutrit-beta", "theta", "qubit-alpha",
+            "qubit-beta", "epsilon", "chi1", "chi2", "grid-start", "grid-stop", "grid-count"])
+    def test_boolean_number_exit_two(self, capsys, tmp_path, command, payload, message):
+        # JSON true and false are Python's bool, an int equal to 1 or 0.
+        code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))
+        assert code == 2, out
+        assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
+                                            "message": message}
 
     def test_non_object_document_exit_two(self, capsys, tmp_path):
         path = tmp_path / "list.json"

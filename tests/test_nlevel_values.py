@@ -443,8 +443,8 @@ class TestQutritModularGeometric:
         return calls
 
     def test_normalization_computed_once_per_point_set(self, monkeypatch):
-        # canonicalize_triple and majorana_points each return K; the value
-        # route reuses them instead of recomputing K for the same points.
+        # K is computed when a representation's normalization is read; the
+        # value route reads it once for each of its two point sets.
         calls = self.count_calls(monkeypatch, "_symmetrized",
                                  (majgeom.majorana, majgeom.nlevel_values))
         rng = np.random.default_rng(85)

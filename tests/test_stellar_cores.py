@@ -6,6 +6,7 @@ rows the K and state of ``normalization_factor`` and ``symmetrize``, bit for
 bit.  The public shells must still raise the same errors, in the same order.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,10 +15,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_bloch, random_state
+import majgeom.majorana
+import majgeom.nlevel_values
 from majgeom.bloch import as_bloch_array
+from majgeom.canonical import canonicalize_triple
 from majgeom.errors import AllCoefficientsZero
+from majgeom.experiments import three_box_report
 from majgeom.majorana import (
     MAX_LEVELS,
+    SymmetricRepresentation,
     _binomial_weights,
     _symmetrized,
     majorana_points,
@@ -29,6 +35,7 @@ from majgeom.nlevel_values import (
     factored_modular_value,
     factored_weak_value,
     pair_points,
+    qutrit_projector_weak_value_geometric,
 )
 from majgeom.numerics import (
     DEFAULT_TOL,
@@ -186,6 +193,57 @@ class TestSymmetrizedCore:
             rep = majorana_points(psi)
             assert np.float64(rep.normalization).tobytes() == \
                 np.float64(normalization_factor(rep.points)).tobytes()
+
+
+class TestNormalizationWhenRead:
+    """A stellar representation holds its points alone; K is computed from
+    them each time it is read, so a route that never reads K never computes it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The ``_symmetrized`` calls made, as the point count of each."""
+        calls = []
+
+        def counting(pts):
+            calls.append(len(pts))
+            return _symmetrized(pts)
+
+        for module in (majgeom.majorana, majgeom.nlevel_values):
+            monkeypatch.setattr(module, "_symmetrized", counting)
+        return calls
+
+    def test_points_are_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(SymmetricRepresentation)] == ["points"]
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_each_read_computes_the_same_k(self, calls, n):
+        # No cache: a reader that reads K twice pays twice, for the same bits.
+        rng = np.random.default_rng(700 + n)
+        states = [random_state(rng, n) for _ in range(20)]
+        states += [np.eye(n)[k] for k in range(n)]
+        for psi in states:
+            rep = majorana_points(psi)
+            del calls[:]
+            first, second = rep.normalization, rep.normalization
+            assert calls == [n - 1, n - 1]
+            expected = np.float64(normalization_factor(rep.points)).tobytes()
+            assert np.float64(first).tobytes() == expected
+            assert np.float64(second).tobytes() == expected
+
+    def test_representations_are_built_without_k(self, calls):
+        rng = np.random.default_rng(71)
+        psi_i, psi_r, psi_f = (random_state(rng, 6) for _ in range(3))
+        rep = majorana_points(psi_i)
+        triple = canonicalize_triple(psi_i, psi_r, psi_f)
+        qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+        assert calls == []
+        rep.normalization
+        triple.i_rep.normalization
+        assert calls == [5, 5]
+
+    def test_three_box_reads_k_once_per_box(self, calls):
+        three_box_report()
+        assert calls == [2, 2, 2]
 
 
 # --- errors of the public shells ---------------------------------------------

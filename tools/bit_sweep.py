@@ -8,9 +8,11 @@ numpy and the package under ``src``::
 
 The inputs come from fixed seeds.  A result is hashed through its exact
 float bits (``float.hex``, the raw bytes of arrays); an exception is hashed
-by its type and message, so a refusal that moves shows as well.  A CLI run is
-hashed by its exit code, stdout and stderr; the scenarios of the value
-subcommands are written to a temporary directory at full precision.
+by its type and message, so a refusal that moves shows as well.  A
+``SymmetricRepresentation`` is hashed with its K after its fields.  A CLI run
+is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
+scenarios of the value subcommands are written to a temporary directory at
+full precision.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 LEVELS = range(2, 9)
 DRAWS = 40
 THETA_C = math.atan(math.sqrt(1.5))  # the default scan's weak-value singularity
+# The subcommands that compute a value by both routes and take --mode.
+VALUE_COMMANDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
 
 
 def _canon(obj) -> str:
@@ -50,8 +54,10 @@ def _canon(obj) -> str:
         arr = np.ascontiguousarray(obj)
         return f"array({arr.dtype.str},{arr.shape},{arr.tobytes().hex()})"
     if dataclasses.is_dataclass(obj):
-        return type(obj).__name__ + _canon(
-            [(f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj)])
+        names = [f.name for f in dataclasses.fields(obj)]
+        if isinstance(obj, mg.SymmetricRepresentation) and "normalization" not in names:
+            names.append("normalization")  # K, computed when read
+        return type(obj).__name__ + _canon([(name, getattr(obj, name)) for name in names])
     if isinstance(obj, dict):
         return "{" + ",".join(f"{_canon(k)}:{_canon(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -176,7 +182,10 @@ CLI_RUNS = [
 def _cli(argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(argv)
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:  # a parser that exits instead of returning
+            code = exc.code
     return f"{code}:{out.getvalue()}" + (f"\nstderr:{err.getvalue()}" if err.getvalue() else "")
 
 
@@ -245,11 +254,13 @@ def scenario_runs():
             path = Path(root) / f"{name}.json"
             path.write_text(json.dumps({"version": 1, **doc}))
             command = name.split(".")[0]
-            for mode in ("both", "geometric", "direct"):
+            modes = ([("--mode", mode) for mode in ("both", "geometric", "direct")]
+                     if command in VALUE_COMMANDS else [()])
+            for mode in modes:
                 for fmt in ("json", "csv"):
                     for degrees in ((), ("--degrees",)):
                         yield f"cli.{name}", _outcome(
-                            _cli, [command, "--scenario", str(path), "--mode", mode,
+                            _cli, [command, "--scenario", str(path), *mode,
                                    "--format", fmt, *degrees])
         scenario = str(Path(root) / "qutrit-modular.theta.json")
         with mock.patch.dict(os.environ, {"MAJGEOM_TOL": "1e-3"}):
@@ -259,8 +270,50 @@ def scenario_runs():
                                               "--out", str(out)]) + out.read_text()
 
 
+# Command lines and scenarios the CLI must refuse with exit 2 and its JSON
+# error document.
+USAGE_RUNS = {
+    "unknown-command": ["no-such-command"],
+    "unknown-option": ["three-box", "--bogus"],
+    "count-not-int": ["scan-singularity", "--count", "abc"],
+    "no-command": [],
+    "missing-scenario": ["qutrit-weak"],
+    "three-box-mode": ["three-box", "--mode", "direct"],
+    "majorana-mode": ["majorana", "--mode", "geometric",
+                      "--scenario", str(DATA / "qutrit_triple.scenario.json")],
+}
+
+
+def _boolean_scenarios() -> dict[str, tuple[str, dict]]:
+    """Scenarios with a JSON ``true`` where a number belongs, by name, each
+    with the subcommand that reads it."""
+    base = json.loads((DATA / "qutrit_modular.scenario.json").read_text())
+
+    def modular(**spec) -> dict:
+        return {**base, "spec": {**base["spec"], **spec}}
+
+    return {
+        "qutrit-modular.alpha": ("qutrit-modular", modular(alpha=True)),
+        "qutrit-modular.eigen_choice": ("qutrit-modular", modular(eigen_choice=True)),
+        "qutrit-modular.version": ("qutrit-modular", {**base, "version": True}),
+        "scan.epsilon": ("scan-singularity", {"version": 1, "epsilon": True}),
+        "scan.grid-count": ("scan-singularity",
+                            {"version": 1, "grid": {"start": 0.2, "stop": 1.2, "count": True}}),
+    }
+
+
+def usage_runs():
+    for name, argv in USAGE_RUNS.items():
+        yield f"cli.usage.{name}", _outcome(_cli, argv)
+    with tempfile.TemporaryDirectory() as root:
+        for name, (command, doc) in _boolean_scenarios().items():
+            path = Path(root) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            yield f"cli.usage.boolean.{name}", _outcome(_cli, [command, "--scenario", str(path)])
+
+
 SWEEPS = (qubit_values, nlevel_values_sweep, stellar, pairing, experiments, cli_runs,
-          scenario_runs)
+          scenario_runs, usage_runs)
 
 
 def main() -> int:
