@@ -1,6 +1,10 @@
 """Weak and modular values of discrete quantum systems, computed directly in
 Hilbert space and geometrically on the Bloch sphere through the stellar
-representation."""
+representation.
+
+``import majgeom`` loads numpy and the value modules.  The paper's two
+reproductions, ``experiments`` and the names it exports here, load on first
+use (PEP 562); the CLI imports every module itself."""
 
 from .bloch import (
     as_bloch,
@@ -33,16 +37,6 @@ from .errors import (
     PreconditionViolated,
     UndefinedSolidAngle,
     ZeroDenominator,
-)
-from .experiments import (
-    SCAN_CHI1,
-    SCAN_CHI2,
-    SCAN_EPSILON,
-    ScanRecord,
-    SingularityScan,
-    ThreeBoxReport,
-    singularity_scan,
-    three_box_report,
 )
 from .majorana import (
     QutritAngles,
@@ -89,3 +83,27 @@ from .qubit_values import projector_weak_value_direct
 from .qubit_values import projector_weak_value_geometric
 
 __version__ = "0.1.0"
+
+# Exported from ``experiments``, which is imported when one of them is first
+# read.  Each read goes to the module, so a rebinding there shows here.
+_EXPERIMENTS = frozenset({
+    "SCAN_CHI1", "SCAN_CHI2", "SCAN_EPSILON", "ScanRecord", "SingularityScan",
+    "ThreeBoxReport", "singularity_scan", "three_box_report",
+})
+
+# Every public name bound above (the submodules included), and the lazy ones.
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | _EXPERIMENTS | {"experiments"})
+
+
+def __getattr__(name: str):
+    if name == "experiments" or name in _EXPERIMENTS:
+        import importlib
+
+        experiments = importlib.import_module(f"{__name__}.experiments")
+        return experiments if name == "experiments" else getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -91,24 +91,46 @@ def _required(doc: dict, key: str, where: str = "scenario"):
     return doc[key]
 
 
+def _is_number(raw) -> bool:
+    """Whether ``raw`` is a JSON number: an ``int`` that is not a ``bool`` (JSON
+    ``true`` and ``false``), or a ``float``."""
+    return isinstance(raw, (int, float)) and not isinstance(raw, bool)
+
+
 def _integer(raw, name: str) -> int:
-    """``int(raw)``; a JSON boolean, or a value that ``int()`` changes, raises
-    :class:`ScenarioInvalid` naming it."""
-    value = int(raw)
-    if isinstance(raw, bool) or value != raw:
-        raise ScenarioInvalid(f"{name} must be an integer")
-    return value
+    """``int(raw)``; anything but a JSON number, or a number that ``int()``
+    changes, raises :class:`ScenarioInvalid` naming it."""
+    if _is_number(raw):
+        value = int(raw)
+        if value == raw:
+            return value
+    raise ScenarioInvalid(f"{name} must be an integer")
 
 
 def _real(raw, name: str) -> float:
-    """``float(raw)``; a JSON boolean raises :class:`ScenarioInvalid` naming it."""
-    if isinstance(raw, bool):
+    """``float(raw)``; anything but a JSON number raises
+    :class:`ScenarioInvalid` naming it."""
+    if not _is_number(raw):
         raise ScenarioInvalid(f"{name} must be a number")
     return float(raw)
 
 
-def _complex_vector(raw, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+def _numbers(raw, name: str):
+    """``raw``, a JSON number or nested lists of them; any other leaf raises
+    :class:`ScenarioInvalid` naming it.  The walk keeps its own stack, so a
+    list nested as deeply as the JSON reader allows does not recurse."""
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif not _is_number(item):
+            raise ScenarioInvalid(f"{name} must hold only numbers")
+    return raw
+
+
+def _complex_vector(raw, name: str, length: int | None = None) -> np.ndarray:
+    arr = np.asarray(_numbers(raw, name), dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ScenarioInvalid("amplitudes must be a list of [re, im] pairs")
     if length is not None and arr.shape[0] != length:
@@ -116,8 +138,8 @@ def _complex_vector(raw, length: int | None = None) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _complex_matrix(raw, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
+def _complex_matrix(raw, name: str, dim: int | None = None) -> np.ndarray:
+    arr = np.asarray(_numbers(raw, name), dtype=float)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ScenarioInvalid("matrix must be a square grid of [re, im] pairs")
     if dim is not None and arr.shape[0] != dim:
@@ -138,10 +160,11 @@ def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np
         if isinstance(entry, dict) and "bloch" in entry:
             if dim not in (None, 2):
                 raise ScenarioInvalid("bloch input is only meaningful for qubits")
-            states.append(bloch_to_qubit(as_bloch(entry["bloch"])))
+            bloch = as_bloch(_numbers(entry["bloch"], f"state {key!r}"))
+            states.append(bloch_to_qubit(bloch))
         else:
             raw = entry["amplitudes"] if isinstance(entry, dict) else entry
-            vec = _complex_vector(raw, dim)
+            vec = _complex_vector(raw, f"state {key!r}", dim)
             norm = float(np.linalg.norm(vec))
             if abs(norm - 1.0) > _NORM_SLACK:
                 raise ScenarioInvalid(f"state {key!r} deviates from normalization by "
@@ -247,7 +270,7 @@ def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
     if not isinstance(spec, dict):
         raise ScenarioInvalid("scenario is missing the 'spec' object")
     return qubit_values.QubitModularSpec(
-        axis=as_bloch(_required(spec, "axis", "spec")),
+        axis=as_bloch(_numbers(_required(spec, "axis", "spec"), "axis")),
         alpha=_real(spec.get("alpha", 0.0), "alpha"),
         beta=_real(spec.get("beta", 0.0), "beta"),
     )
@@ -278,9 +301,10 @@ def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
     if not isinstance(spec, dict):
         raise ScenarioInvalid("scenario is missing the 'spec' object")
     if "r8" in spec:
-        observable = nlevel_values.GellMannDirection.from_r8(spec["r8"]).operator
+        direction = nlevel_values.GellMannDirection.from_r8(_numbers(spec["r8"], "r8"))
+        observable = direction.operator
     elif "observable" in spec:
-        observable = _complex_matrix(spec["observable"])
+        observable = _complex_matrix(spec["observable"], "observable")
     else:
         raise ScenarioInvalid("spec needs either 'r8' or 'observable'")
     eigen_choice = spec.get("eigen_choice")
@@ -308,7 +332,7 @@ def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
     si, sf = _states(doc, ("i", "f"))
     kind = doc.get("kind", "weak")
     if kind == "weak":
-        observable = _complex_matrix(_required(doc, "observable"), si.size)
+        observable = _complex_matrix(_required(doc, "observable"), "observable", si.size)
         value = nlevel_values.weak_value_direct(si, observable, sf)
     elif kind == "modular":
         value = nlevel_values.modular_value_direct(si, _nlevel_spec(doc), sf)
@@ -350,7 +374,8 @@ def _cmd_canonicalize(args, tol: Tolerances) -> dict:
 def _cmd_abl(args, tol: Tolerances) -> dict:
     doc = _load_scenario(args.scenario)
     si, sf = _states(doc, ("i", "f"))
-    projectors = [_complex_matrix(p, si.size) for p in _required(doc, "projectors")]
+    projectors = [_complex_matrix(p, "projectors", si.size)
+                  for p in _required(doc, "projectors")]
     dist = nlevel_values.abl_distribution(si, projectors, sf)
     return {"results": {"probabilities": dist}, "provenance": "direct"}
 

@@ -84,6 +84,14 @@ class ScanRecord:
 
 @dataclass(frozen=True)
 class SingularityScan:
+    """The singularity scan: one :class:`ScanRecord` per grid angle, the scan
+    parameters, and the located features, ``None`` where the grid has none:
+    the bifurcation angle, the angle where ``<f|i>`` vanishes, and the jump of
+    ``omega2`` across it.  ``scan-singularity`` prints ``epsilon``, ``chi1``
+    and ``chi2`` as its ``parameters``, then the other fields in declaration
+    order with ``records`` last.
+    """
+
     records: tuple[ScanRecord, ...]
     epsilon: float
     chi1: float
@@ -369,6 +377,16 @@ class BoxFactor:
 
 @dataclass(frozen=True)
 class BoxResult:
+    """One box of the three-box analysis, in the canonical frame: the Majorana
+    points of the box state (in factor order) and their K, its two qubit
+    factors, its weak value as their product and by the direct route, the
+    entanglement entropy of its two-qubit state, that state's components in
+    the basis of the middle box's pair (-r-r, symmetric Bell, rr) with the
+    largest made real and positive, the Bell component alone, and the unit
+    sum of the points (``None`` for the middle box, whose points are
+    antipodal).  ``three-box`` prints the fields in declaration order.
+    """
+
     name: str
     points: np.ndarray
     normalization: float

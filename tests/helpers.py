@@ -1,9 +1,24 @@
-"""Shared randomized-state generators and independent test oracles."""
+"""Shared randomized-state generators, independent test oracles, and the
+command that runs Python on this checkout's package in a fresh process."""
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args: str, text: bool = False) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter with this checkout's ``src``
+    first on ``PYTHONPATH``; stdout and stderr are captured."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=text,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
 
 
 def ang_dist(a: float, b: float, period: float = 2.0 * math.pi) -> float:

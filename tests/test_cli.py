@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import random_state
+from helpers import random_state, run_python
 from majgeom.cli import main
 from majgeom.experiments import SCAN_CHI1, SCAN_CHI2, SCAN_EPSILON
 from majgeom.nlevel_values import GellMannDirection, NLevelModularSpec, modular_value_direct
@@ -808,6 +808,58 @@ class TestScenarioValidation:
         assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
                                             "message": message}
 
+    @pytest.mark.parametrize("command, payload, message", [
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7, "alpha": "0.5"}},
+         "alpha must be a number"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7, "beta": "0.5"}},
+         "beta must be a number"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7, "theta": "0.5"}},
+         "theta must be a number"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7,
+                                                    "eigen_choice": "1"}},
+         "eigen_choice must be an integer"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, 0, 1], "alpha": "0.5"}},
+         "alpha must be a number"),
+        ("scan-singularity", {"epsilon": "0.5"}, "epsilon must be a number"),
+        ("scan-singularity", {"chi1": "1.0"}, "chi1 must be a number"),
+        ("scan-singularity", {"chi2": "2.5"}, "chi2 must be a number"),
+        ("scan-singularity", {"grid": {"start": "0.2", "stop": 1.2, "count": 8}},
+         "grid start must be a number"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": "1.2", "count": 8}},
+         "grid stop must be a number"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2, "count": "8"}},
+         "grid count must be an integer"),
+        ("qubit-weak", {"i": [[True, 0], [False, 0]], "r": {"bloch": [0, 0, 1]},
+                        "f": [[0.6, 0], [0.8, 0]]}, "state 'i' must hold only numbers"),
+        ("qubit-weak", {"i": [[1.0, 0], [0.0, 0]], "r": {"bloch": [0, 0, 1]},
+                        "f": {"amplitudes": [["0.6", 0], [0.8, 0]]}},
+         "state 'f' must hold only numbers"),
+        ("qubit-weak", {"i": {"bloch": [0, 0, 1]}, "r": {"bloch": ["1", 0, 0]},
+                        "f": {"bloch": [0, 1, 0]}}, "state 'r' must hold only numbers"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, 0, True]}},
+         "axis must hold only numbers"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": ["1.0"] + [0.0] * 7}},
+         "r8 must hold only numbers"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"observable": [
+            [[True, 0.0]] + IDENTITY_3[0][1:], *IDENTITY_3[1:]]}},
+         "observable must hold only numbers"),
+        ("nlevel-direct", {**QUTRIT_PAIR, "observable": [
+            [["1", 0.0]] + IDENTITY_3[0][1:], *IDENTITY_3[1:]]},
+         "observable must hold only numbers"),
+        ("abl", {**QUTRIT_PAIR, "projectors": [IDENTITY_3[:2] + [[[0.0, 0.0], [0.0, 0.0],
+                                                                  [False, 0.0]]]]},
+         "projectors must hold only numbers"),
+    ], ids=["qutrit-alpha", "qutrit-beta", "theta", "eigen_choice", "qubit-alpha", "epsilon",
+            "chi1", "chi2", "grid-start", "grid-stop", "grid-count", "amplitudes-boolean",
+            "amplitudes-string", "bloch", "axis", "r8", "spec-observable", "observable",
+            "projectors"])
+    def test_non_number_exit_two(self, capsys, tmp_path, command, payload, message):
+        # Only an int that is not a bool, or a float, is a JSON number.
+        code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))
+        assert code == 2, out
+        assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
+                                            "message": message}
+
     def test_non_object_document_exit_two(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -815,6 +867,32 @@ class TestScenarioValidation:
         assert code == 2
         assert json.loads(out)["error"] == {"kind": "usage", "type": "ScenarioInvalid",
                                             "message": "scenario document must be a JSON object"}
+
+
+class TestCliProcess:
+    """``python -m majgeom`` in a fresh interpreter, as a user runs it."""
+
+    @pytest.mark.parametrize("argv, golden", GOLDEN_RUNS)
+    def test_golden_bytes(self, argv, golden):
+        done = run_python("-m", "majgeom", *argv)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (DATA / golden).read_bytes()
+
+    def test_usage_error_exit_two(self):
+        done = run_python("-m", "majgeom", "no-such-command")
+        assert (done.returncode, done.stderr) == (2, b"")
+        error = json.loads(done.stdout)["error"]
+        assert (error["kind"], error["type"]) == ("usage", "ArgumentError")
+        assert "invalid choice: 'no-such-command'" in error["message"]
+
+    def test_orthogonal_selection_exit_three(self, tmp_path):
+        scenario = write_scenario(tmp_path, {"i": {"bloch": [0, 0, 1]},
+                                             "r": {"bloch": [1, 0, 0]},
+                                             "f": {"bloch": [0, 0, -1]}})
+        done = run_python("-m", "majgeom", "qubit-weak", "--scenario", scenario)
+        assert (done.returncode, done.stderr) == (3, b"")
+        error = json.loads(done.stdout)["error"]
+        assert (error["kind"], error["type"]) == ("physical-singularity", "OrthogonalSelection")
 
 
 class TestCsvOutput:

@@ -12,7 +12,8 @@ by its type and message, so a refusal that moves shows as well.  A
 ``SymmetricRepresentation`` is hashed with its K after its fields.  A CLI run
 is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
-full precision.
+full precision.  The last line hashes the sorted names ``from majgeom import
+*`` binds, so a change of the public surface shows too.
 """
 
 from __future__ import annotations
@@ -284,21 +285,50 @@ USAGE_RUNS = {
 }
 
 
-def _boolean_scenarios() -> dict[str, tuple[str, dict]]:
-    """Scenarios with a JSON ``true`` where a number belongs, by name, each
-    with the subcommand that reads it."""
+def _non_number_scenarios(bad) -> dict[str, tuple[str, dict]]:
+    """Scenarios with ``bad`` (a JSON ``true`` or a string) where a number
+    belongs, one per number slot the CLI reads, by name, each with the
+    subcommand that reads it."""
     base = json.loads((DATA / "qutrit_modular.scenario.json").read_text())
+    triple = json.loads((DATA / "qutrit_triple.scenario.json").read_text())
+    pair = {"version": 1, "i": base["i"], "f": base["f"]}
+    qubits = {"version": 1, "i": {"bloch": [0.0, 0.0, 1.0]}, "f": {"bloch": [0.0, 1.0, 0.0]}}
+    # The 3x3 identity as [re, im] pairs, with ``bad`` as its first real part.
+    matrix = [[[bad if j == k == 0 else float(j == k), 0.0] for k in range(3)]
+              for j in range(3)]
 
     def modular(**spec) -> dict:
         return {**base, "spec": {**base["spec"], **spec}}
 
+    def qubit_modular(**spec) -> dict:
+        return {**qubits, "spec": {"axis": [0.0, 0.0, 1.0], **spec}}
+
+    def grid(**bounds) -> dict:
+        return {"version": 1, "grid": {"start": 0.2, "stop": 1.2, "count": 8, **bounds}}
+
     return {
-        "qutrit-modular.alpha": ("qutrit-modular", modular(alpha=True)),
-        "qutrit-modular.eigen_choice": ("qutrit-modular", modular(eigen_choice=True)),
-        "qutrit-modular.version": ("qutrit-modular", {**base, "version": True}),
-        "scan.epsilon": ("scan-singularity", {"version": 1, "epsilon": True}),
-        "scan.grid-count": ("scan-singularity",
-                            {"version": 1, "grid": {"start": 0.2, "stop": 1.2, "count": True}}),
+        "qutrit-modular.alpha": ("qutrit-modular", modular(alpha=bad)),
+        "qutrit-modular.eigen_choice": ("qutrit-modular", modular(eigen_choice=bad)),
+        "qutrit-modular.version": ("qutrit-modular", {**base, "version": bad}),
+        "scan.epsilon": ("scan-singularity", {"version": 1, "epsilon": bad}),
+        "scan.grid-count": ("scan-singularity", grid(count=bad)),
+        "qutrit-modular.beta": ("qutrit-modular", modular(beta=bad)),
+        "qutrit-modular.theta": ("qutrit-modular", modular(theta=bad)),
+        "qutrit-modular.r8": ("qutrit-modular", modular(r8=[bad, *base["spec"]["r8"][1:]])),
+        "qutrit-modular.observable": ("qutrit-modular",
+                                      {**pair, "spec": {"observable": matrix, "alpha": 0.9}}),
+        "qutrit-weak.amplitudes": ("qutrit-weak",
+                                   {**triple, "i": [[bad, 0.0], *triple["i"][1:]]}),
+        "qubit-weak.bloch": ("qubit-weak", {**qubits, "r": {"bloch": [bad, 0.0, 1.0]}}),
+        "qubit-modular.axis": ("qubit-modular", qubit_modular(axis=[bad, 0.0, 1.0])),
+        "qubit-modular.alpha": ("qubit-modular", qubit_modular(alpha=bad)),
+        "qubit-modular.beta": ("qubit-modular", qubit_modular(beta=bad)),
+        "nlevel-direct.observable": ("nlevel-direct", {**pair, "observable": matrix}),
+        "abl.projectors": ("abl", {**pair, "projectors": [matrix]}),
+        "scan.chi1": ("scan-singularity", {"version": 1, "chi1": bad}),
+        "scan.chi2": ("scan-singularity", {"version": 1, "chi2": bad}),
+        "scan.grid-start": ("scan-singularity", grid(start=bad)),
+        "scan.grid-stop": ("scan-singularity", grid(stop=bad)),
     }
 
 
@@ -306,14 +336,22 @@ def usage_runs():
     for name, argv in USAGE_RUNS.items():
         yield f"cli.usage.{name}", _outcome(_cli, argv)
     with tempfile.TemporaryDirectory() as root:
-        for name, (command, doc) in _boolean_scenarios().items():
-            path = Path(root) / f"{name}.json"
-            path.write_text(json.dumps(doc))
-            yield f"cli.usage.boolean.{name}", _outcome(_cli, [command, "--scenario", str(path)])
+        for kind, bad in (("boolean", True), ("string", "1")):
+            for name, (command, doc) in _non_number_scenarios(bad).items():
+                path = Path(root) / f"{kind}.{name}.json"
+                path.write_text(json.dumps(doc))
+                yield f"cli.usage.{kind}.{name}", _outcome(_cli, [command, "--scenario",
+                                                                  str(path)])
+
+
+def surface():
+    namespace: dict = {}
+    exec("from majgeom import *", namespace)  # noqa: S102 - the star-import surface
+    yield "majgeom.star-import", _canon(sorted(set(namespace) - {"__builtins__"}))
 
 
 SWEEPS = (qubit_values, nlevel_values_sweep, stellar, pairing, experiments, cli_runs,
-          scenario_runs, usage_runs)
+          scenario_runs, usage_runs, surface)
 
 
 def main() -> int:
