@@ -30,8 +30,8 @@ SCENARIO_VERSION = 1
 
 _PHYSICAL_ERRORS = (OrthogonalSelection, UndefinedSolidAngle, ZeroDenominator)
 # Any other MajgeomError (NotHermitian, ...) means the input failed validation;
-# an OverflowError is a scenario number out of range for int() or float(), and
-# an ArgumentError a command line the parser refused.
+# an OverflowError is a scenario integer out of range for float(), and an
+# ArgumentError a command line the parser refused.
 _USAGE_ERRORS = (ValueError, KeyError, TypeError, OSError, OverflowError, MajgeomError,
                  argparse.ArgumentError)
 
@@ -51,6 +51,8 @@ _SCAN_COLUMNS = ("theta", "alpha1", "alpha2", "beta1", "beta2", "omega1", "omega
 _SCAN_PARAMETERS = ("epsilon", "chi1", "chi2")
 # Largest scan grid: the scan's memory grows with its point count.
 _MAX_SCAN_POINTS = 2**16
+# Deepest nesting of a scenario's number lists: numpy's largest array rank.
+_MAX_RANK = 64
 
 
 class ScenarioInvalid(ValueError):
@@ -98,9 +100,9 @@ def _is_number(raw) -> bool:
 
 
 def _integer(raw, name: str) -> int:
-    """``int(raw)``; anything but a JSON number, or a number that ``int()``
-    changes, raises :class:`ScenarioInvalid` naming it."""
-    if _is_number(raw):
+    """``int(raw)``; anything but a finite JSON number, or a number that
+    ``int()`` changes, raises :class:`ScenarioInvalid` naming it."""
+    if _is_number(raw) and (isinstance(raw, int) or math.isfinite(raw)):
         value = int(raw)
         if value == raw:
             return value
@@ -115,22 +117,33 @@ def _real(raw, name: str) -> float:
     return float(raw)
 
 
-def _numbers(raw, name: str):
-    """``raw``, a JSON number or nested lists of them; any other leaf raises
-    :class:`ScenarioInvalid` naming it.  The walk keeps its own stack, so a
-    list nested as deeply as the JSON reader allows does not recurse."""
-    pending = [raw]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        elif not _is_number(item):
+def _numbers(raw, name: str) -> np.ndarray:
+    """``raw``, a JSON number or nested lists of them, as a float array.  A
+    leaf that is not a number, lists of unequal length at one depth (or a list
+    beside a number) and lists nested more than ``_MAX_RANK`` deep each raise
+    :class:`ScenarioInvalid` naming it, in that order wherever they sit.  The
+    walk goes one depth at a time, so a list nested as deeply as the JSON
+    reader allows does not recurse."""
+    level, shape, rectangular = [raw], [], True
+    while True:
+        lists = [item for item in level if isinstance(item, list)]
+        if not all(_is_number(item) for item in level if not isinstance(item, list)):
             raise ScenarioInvalid(f"{name} must hold only numbers")
-    return raw
+        if not lists:
+            break
+        rectangular = (rectangular and len(lists) == len(level)
+                       and len({len(item) for item in lists}) == 1)
+        shape.append(len(lists[0]))
+        level = [leaf for item in lists for leaf in item]
+    if not rectangular:
+        raise ScenarioInvalid(f"{name} must be a rectangular array")
+    if len(shape) > _MAX_RANK:
+        raise ScenarioInvalid(f"{name} is nested too deeply")
+    return np.array(level, dtype=float).reshape(shape)
 
 
 def _complex_vector(raw, name: str, length: int | None = None) -> np.ndarray:
-    arr = np.asarray(_numbers(raw, name), dtype=float)
+    arr = _numbers(raw, name)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ScenarioInvalid("amplitudes must be a list of [re, im] pairs")
     if length is not None and arr.shape[0] != length:
@@ -139,7 +152,7 @@ def _complex_vector(raw, name: str, length: int | None = None) -> np.ndarray:
 
 
 def _complex_matrix(raw, name: str, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(_numbers(raw, name), dtype=float)
+    arr = _numbers(raw, name)
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ScenarioInvalid("matrix must be a square grid of [re, im] pairs")
     if dim is not None and arr.shape[0] != dim:

@@ -4,7 +4,8 @@ Direct Hilbert-space evaluation works for every dimension and serves as the
 oracle.  The geometric route factors each value into N-1 qubit contributions
 via the stellar representation, after rotating the triple into the canonical
 frame of :mod:`majgeom.canonical`; it is constructive for every supported N.
-The ``factored_*`` entry points also accept caller-canonicalized point sets.
+It ends in the assembly of the ``factored_*`` entry points, which also accept
+caller-canonicalized point sets.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _modular_factors, _unit, _weak_factors, as_bloch
+from .bloch import _modular_factors, _weak_factors, as_bloch
 from .canonical import _canonicalize
 from .errors import IncompleteContext, ZeroDenominator
 from .majorana import (
@@ -251,14 +252,23 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
     quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
     phase is ``beta - alpha*(N-1)/2*eigenvalue`` and the overall modulus
-    carries the normalization ratio K_s / K_i.  A pair with modulus ratio 0
-    (``s_k`` antipodal to ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.
+    carries the normalization ratio K_s / K_i, each K read from the validated
+    rows of its paired set.  A pair with modulus ratio 0 (``s_k`` antipodal to
+    ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.
+    :func:`qutrit_modular_value_geometric` ends in the same assembly.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     i_pts = np.asarray(i_points, dtype=float)
-    vs = _point_rows(pair_points(i_pts, np.asarray(s_points, dtype=float)))
+    return _paired_modular_value(i_pts, s_points, r_point, f_point,
+                                 dynamical=beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue)
+
+
+def _paired_modular_value(i_pts: np.ndarray, s_points, r_point, f_point, *, dynamical: float):
+    """The modular value of point sets in one frame: ``s`` paired to ``i``,
+    each set validated once (``s`` first, then ``i``, ``r`` and ``f``), and
+    K_s / K_i read from the paired rows."""
+    vs = _point_rows(pair_points(i_pts, s_points))
     vi = _point_rows(i_pts)
-    dynamical = beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue
     return _factored_modular_value(
         vi, vs, as_bloch(r_point), as_bloch(f_point),
         _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical)
@@ -267,13 +277,14 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
     """Geometric weak value of the projector onto the N-level state ``psi_r``.
 
-    Each input is validated once; the value is 0 when ``<r|i> = 0`` or
-    ``<f|r> = 0``, as :func:`factored_weak_value` describes.
+    Each input is validated once, the triple is rotated into the canonical
+    frame, and the value is :func:`factored_weak_value` of the frame's
+    points; it is 0 when ``<r|i> = 0`` or ``<f|r> = 0``, as that function
+    describes.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     triple = _canonicalize(si, nlevel_state(psi_r), sf)
-    rows = _unit(np.vstack((triple.i_rep.points, triple.r_vec, triple.f_vec)))
-    return _factored_weak_value(rows[:-2], rows[-2], rows[-1])
+    return factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec)
 
 
 def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
@@ -281,12 +292,15 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
 
     The anchor eigenvector is canonicalized together with the selections; the
     evolved state is pushed through the same frame before its points are read
-    off.  K is read once for each point set, only for their ratio, and
-    the one eigendecomposition of the observable gives both the anchor and
-    the evolution.  The dynamical phase is ``beta - s*eigenvalue`` for the
-    evolution ``exp(-1j*s*A)`` that :func:`modular_value_direct` applies.
-    The selections are validated once; every renormalization of the
-    validated states is kept, so the bits do not depend on where checks run.
+    off.  The one eigendecomposition of the observable gives both the anchor
+    and the evolution.  The points then go through the assembly that
+    :func:`factored_modular_value` ends in: ``s`` is paired to ``i`` and each K
+    is read from the validated paired rows, so both routes return the same
+    bits for the same canonical points.  The dynamical phase is
+    ``beta - s*eigenvalue`` for the evolution ``exp(-1j*s*A)`` that
+    :func:`modular_value_direct` applies.  The selections are validated once;
+    every renormalization of the validated states is kept, so the bits do not
+    depend on where checks run.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     evals, evecs = eig_hermitian(_observable(spec.observable, si.size))
@@ -294,21 +308,14 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     if not 0 <= index < si.size:
         raise ValueError("eigen_choice outside the spectrum")
     psi_r = evecs[:, index]
-    eigenvalue = float(evals[index])
     strength = _evolution_strength(spec, si.size)
 
     triple = _canonicalize(_normalized(si), _normalized(psi_r), _normalized(sf))
     evolution = _spectral_exp(evals, evecs, 0.0, strength)
     psi_s = triple.u_total @ (evolution @ si)
     s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s)))
-    i_pts = triple.i_rep.points
-    m = len(i_pts)
-    rows = _unit(np.vstack((i_pts, pair_points(i_pts, s_rep.points), triple.r_vec,
-                            triple.f_vec)))
-    return _factored_modular_value(
-        rows[:m], rows[m:-2], rows[-2], rows[-1],
-        s_rep.normalization / triple.i_rep.normalization,
-        dynamical=spec.beta - strength * eigenvalue)
+    return _paired_modular_value(triple.i_rep.points, s_rep.points, triple.r_vec, triple.f_vec,
+                                 dynamical=spec.beta - strength * float(evals[index]))
 
 
 def _check_context(projectors, dim: int) -> list[np.ndarray]:

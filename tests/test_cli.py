@@ -704,6 +704,13 @@ QUTRIT_PAIR = {"i": amplitudes(np.ones(3) / SQ3),
 IDENTITY_3 = [[[float(j == k), 0.0] for k in range(3)] for j in range(3)]
 
 
+def nested(leaf, depth):
+    """``leaf`` inside ``depth`` single-element lists."""
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
 class TestScenarioValidation:
     """Each refusal of a malformed scenario: exit 2 with a usage error naming it."""
 
@@ -736,6 +743,37 @@ class TestScenarioValidation:
         ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7,
                                                     "eigen_choice": 1.7}},
          "eigen_choice must be an integer"),
+        # json.dumps writes NaN and Infinity, which the JSON reader accepts.
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7,
+                                                    "eigen_choice": math.nan}},
+         "eigen_choice must be an integer"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [1.0] + [0.0] * 7,
+                                                    "eigen_choice": math.inf}},
+         "eigen_choice must be an integer"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2, "count": math.nan}},
+         "grid count must be an integer"),
+        ("scan-singularity", {"grid": {"start": 0.2, "stop": 1.2, "count": -math.inf}},
+         "grid count must be an integer"),
+        ("qubit-weak", {"i": [[1.0, 0.0], [0.0]], "r": {"bloch": [0, 0, 1]},
+                        "f": [[0.6, 0.0], [0.8, 0.0]]}, "state 'i' must be a rectangular array"),
+        ("qutrit-weak", {**QUTRIT_PAIR, "r": [[1.0, 0.0], 0.0, [0.0, 0.0]]},
+         "state 'r' must be a rectangular array"),
+        ("qubit-weak", {"i": {"bloch": [0, 0, 1]}, "r": {"bloch": [[1], 0, 0]},
+                        "f": {"bloch": [0, 1, 0]}}, "state 'r' must be a rectangular array"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, [0, 0], 1]}},
+         "axis must be a rectangular array"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": [[1.0]] + [0.0] * 7}},
+         "r8 must be a rectangular array"),
+        ("nlevel-direct", {**QUTRIT_PAIR, "observable": [
+            [[1.0]] + IDENTITY_3[0][1:], *IDENTITY_3[1:]]},
+         "observable must be a rectangular array"),
+        ("abl", {**QUTRIT_PAIR, "projectors": [IDENTITY_3[:2] + [IDENTITY_3[2][:2]]]},
+         "projectors must be a rectangular array"),
+        ("majorana", {"state": nested(0.0, 65)}, "state 'state' is nested too deeply"),
+        ("qutrit-modular", {**QUTRIT_PAIR, "spec": {"r8": nested(1.0, 65)}},
+         "r8 is nested too deeply"),
+        # 64 levels make an array numpy can hold, refused for its shape.
+        ("majorana", {"state": nested(0.0, 64)}, "amplitudes must be a list of [re, im] pairs"),
     ])
     def test_malformed_scenario_exit_two(self, capsys, tmp_path, command, payload, message):
         code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))
@@ -746,14 +784,14 @@ class TestScenarioValidation:
     @pytest.mark.parametrize("command, document, error_type, message", [
         ("majorana", '{"version": 1, "state": ' + "[" * 200_000 + "]" * 200_000 + "}",
          "ScenarioInvalid", "scenario document is nested too deeply"),
-        # JSON reads 1e400 as inf, which int() refuses.
+        # JSON reads 1e400 as inf, which is no integer.
         ("qutrit-modular", json.dumps({"version": 1, **QUTRIT_PAIR, "spec": {
             "r8": [1.0] + [0.0] * 7, "eigen_choice": 0}}).replace('"eigen_choice": 0',
                                                                '"eigen_choice": 1e400'),
-         "OverflowError", "cannot convert float infinity to integer"),
+         "ScenarioInvalid", "eigen_choice must be an integer"),
         ("scan-singularity",
          '{"version": 1, "grid": {"start": 0.2, "stop": 1.2, "count": 1e400}}',
-         "OverflowError", "cannot convert float infinity to integer"),
+         "ScenarioInvalid", "grid count must be an integer"),
         # An integer of 401 digits, which float() refuses.
         ("qutrit-modular", json.dumps({"version": 1, **QUTRIT_PAIR, "spec": {
             "r8": [1.0] + [0.0] * 7, "alpha": 10**400}}),

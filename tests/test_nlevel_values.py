@@ -607,6 +607,54 @@ class TestGeometricEveryDimension:
             assert breakdown.dynamical_phase == pytest.approx(0.2 - 0.8 * evals[-1], abs=1e-15)
 
 
+def value_bits(result):
+    """A value and its breakdown as exact bit patterns."""
+    value, breakdown = result
+    factors = [(f.modulus_ratio.hex(), f.solid_angle.hex(), f.i_point.tobytes(),
+                None if f.s_point is None else f.s_point.tobytes())
+               for f in breakdown.factors]
+    return (value.modulus.hex(), value.argument.hex(), repr(value.unwrapped_argument),
+            breakdown.k_ratio.hex(), breakdown.dynamical_phase.hex(), factors)
+
+
+class TestCanonicalRoutesAreFactored:
+    """The canonical-frame routes return, bit for bit, what the factored
+    routes return for the frame's points."""
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_modular_route(self, n):
+        rng = np.random.default_rng(1200 + n)
+        reordered = 0
+        for _ in range(40):
+            psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+            observable = random_hermitian(rng, n)
+            alpha, beta = rng.uniform(-3, 3), rng.uniform(-1, 1)
+            spec = NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
+            si, sf = nlevel_state(psi_i), nlevel_state(psi_f)
+            evals, evecs = eig_hermitian(observable)
+            triple = majgeom.canonical.canonicalize_triple(si, evecs[:, -1], sf)
+            evolution = unitary_exp(observable, 0.0, alpha * (n - 1) / 2.0)
+            psi_s = triple.u_total @ (evolution @ si)
+            s_points = majorana_points(psi_s / np.linalg.norm(psi_s)).points
+            i_points = triple.i_rep.points
+            reordered += not np.array_equal(pair_points(i_points, s_points), s_points)
+            assert value_bits(qutrit_modular_value_geometric(psi_i, spec, psi_f)) == \
+                value_bits(factored_modular_value(i_points, s_points, triple.r_vec,
+                                                  triple.f_vec, alpha=alpha, beta=beta,
+                                                  eigenvalue=float(evals[-1])))
+        assert reordered > 0 or n == 2  # one point has one pairing
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_weak_route(self, n):
+        rng = np.random.default_rng(1300 + n)
+        for _ in range(40):
+            psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
+            triple = majgeom.canonical.canonicalize_triple(psi_i, psi_r, psi_f)
+            assert value_bits(qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)) == \
+                value_bits(factored_weak_value(triple.i_rep.points, triple.r_vec,
+                                               triple.f_vec))
+
+
 class TestFactoredGeneralN:
     def _canonical_dim4_setup(self, rng):
         psi_r = np.zeros(4, dtype=complex)

@@ -12,8 +12,10 @@ by its type and message, so a refusal that moves shows as well.  A
 ``SymmetricRepresentation`` is hashed with its K after its fields.  A CLI run
 is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
-full precision.  The last line hashes the sorted names ``from majgeom import
-*`` binds, so a change of the public surface shows too.
+full precision.  ``nlevel.modular.routes`` hashes the geometric modular route
+together with the factored one on the canonical points it reads off, so a
+split between the two shows.  The last line hashes the sorted names ``from
+majgeom import *`` binds, so a change of the public surface shows too.
 """
 
 from __future__ import annotations
@@ -119,6 +121,29 @@ def nlevel_values_sweep():
             yield f"nlevel.modular.direct.n{n}", _outcome(mg.modular_value_direct, si, spec, sf)
             yield f"nlevel.modular.geometric.n{n}", _outcome(
                 mg.qutrit_modular_value_geometric, si, spec, sf)
+
+
+def modular_routes():
+    """Both modular routes on one set of canonical points: the geometric route,
+    and the factored route given the points that route reads off, so a split
+    between the two shows."""
+    rng = np.random.default_rng(606)
+    for n in LEVELS:
+        for _ in range(DRAWS):
+            psi_i, psi_f = _state(rng, n), _state(rng, n)
+            observable = _hermitian(rng, n)
+            alpha, beta = float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))
+            spec = mg.NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
+            si, sf = mg.nlevel_state(psi_i), mg.nlevel_state(psi_f)
+            evals, evecs = mg.eig_hermitian(observable)
+            triple = mg.canonicalize_triple(si, evecs[:, -1], sf)
+            psi_s = triple.u_total @ (mg.unitary_exp(observable, 0.0, alpha * (n - 1) / 2.0) @ si)
+            s_points = mg.majorana_points(psi_s / np.linalg.norm(psi_s)).points
+            yield "nlevel.modular.routes", (
+                _outcome(mg.qutrit_modular_value_geometric, psi_i, spec, psi_f) + "|"
+                + _outcome(mg.factored_modular_value, triple.i_rep.points, s_points,
+                           triple.r_vec, triple.f_vec, alpha=alpha, beta=beta,
+                           eigenvalue=float(evals[-1])))
 
 
 def stellar():
@@ -332,10 +357,52 @@ def _non_number_scenarios(bad) -> dict[str, tuple[str, dict]]:
     }
 
 
+def _nested(leaf, depth: int):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+def _unreadable_scenarios() -> dict[str, tuple[str, dict]]:
+    """Scenarios whose integer is not finite or whose number lists do not form
+    an array, one per refusal that names its field, each with the subcommand
+    that reads it.  ``json.dumps`` writes NaN and Infinity as the JSON reader
+    accepts them."""
+    base = json.loads((DATA / "qutrit_modular.scenario.json").read_text())
+    triple = json.loads((DATA / "qutrit_triple.scenario.json").read_text())
+    pair = {"version": 1, "i": base["i"], "f": base["f"]}
+    identity = [[[float(j == k), 0.0] for k in range(3)] for j in range(3)]
+
+    def grid(count) -> dict:
+        return {"version": 1, "grid": {"start": 0.2, "stop": 1.2, "count": count}}
+
+    return {
+        "eigen_choice.nan": ("qutrit-modular",
+                             {**base, "spec": {**base["spec"], "eigen_choice": math.nan}}),
+        "eigen_choice.infinity": ("qutrit-modular",
+                                  {**base, "spec": {**base["spec"], "eigen_choice": math.inf}}),
+        "grid-count.nan": ("scan-singularity", grid(math.nan)),
+        "grid-count.infinity": ("scan-singularity", grid(-math.inf)),
+        "ragged.amplitudes": ("qutrit-weak", {**triple, "i": [[1.0, 0.0], [0.0]]}),
+        "ragged.r8": ("qutrit-modular",
+                      {**base, "spec": {**base["spec"], "r8": [[1.0]] + [0.0] * 7}}),
+        "ragged.observable": ("nlevel-direct", {**pair, "observable": [
+            [[1.0]] + identity[0][1:], *identity[1:]]}),
+        "ragged.bloch": ("qubit-weak", {"version": 1, "i": {"bloch": [0.0, 0.0, 1.0]},
+                                        "r": {"bloch": [[1.0], 0.0, 0.0]},
+                                        "f": {"bloch": [0.0, 1.0, 0.0]}}),
+        "deep.amplitudes": ("majorana", {"version": 1, "state": _nested(0.0, 65)}),
+    }
+
+
 def usage_runs():
     for name, argv in USAGE_RUNS.items():
         yield f"cli.usage.{name}", _outcome(_cli, argv)
     with tempfile.TemporaryDirectory() as root:
+        for name, (command, doc) in _unreadable_scenarios().items():
+            path = Path(root) / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            yield f"cli.usage.{name}", _outcome(_cli, [command, "--scenario", str(path)])
         for kind, bad in (("boolean", True), ("string", "1")):
             for name, (command, doc) in _non_number_scenarios(bad).items():
                 path = Path(root) / f"{kind}.{name}.json"
@@ -350,8 +417,8 @@ def surface():
     yield "majgeom.star-import", _canon(sorted(set(namespace) - {"__builtins__"}))
 
 
-SWEEPS = (qubit_values, nlevel_values_sweep, stellar, pairing, experiments, cli_runs,
-          scenario_runs, usage_runs, surface)
+SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, pairing, experiments,
+          cli_runs, scenario_runs, usage_runs, surface)
 
 
 def main() -> int:
