@@ -200,12 +200,8 @@ def _jsonable(value, degrees: bool = False):
         return {"re": value.real, "im": value.imag}
     if isinstance(value, np.ndarray):
         if np.iscomplexobj(value):
-            if value.ndim == 0:
-                return _jsonable(complex(value))
             return [_jsonable(row) for row in value]
         return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v, degrees) for v in value]
     if isinstance(value, frozenset):
@@ -244,9 +240,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_routes(mode: str, tol: Tolerances, geometric, direct) -> dict:
-    """Payload of a value command: the routes ``mode`` selects (thunks, geometric
-    first), its breakdown, and whether the two values differ by more than
+def _run_routes(mode: str, tol: Tolerances, geometric, direct) -> tuple[dict, bool]:
+    """Results of a value command: the routes ``mode`` selects (thunks, geometric
+    first) and its breakdown; then whether the two values differ by more than
     ``tol.comparison * max(1, |direct|)``."""
     results: dict = {}
     breakdown = None
@@ -260,22 +256,20 @@ def _run_routes(mode: str, tol: Tolerances, geometric, direct) -> dict:
         mismatch = gap > tol.comparison * max(1.0, abs(results["direct"].rect))
     if breakdown is not None:
         results["breakdown"] = breakdown
-    return {"results": results, "mismatch": mismatch}
+    return results, mismatch
 
 
-def _cmd_qubit_weak(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_qubit_weak(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
     qi, qr, qf = _states(doc, ("i", "r", "f"), dim=2)
     vi, vr, vf = (qubit_to_bloch(q) for q in (qi, qr, qf))
-    payload = _run_routes(
+    results, mismatch = _run_routes(
         args.mode, tol,
         lambda: qubit_values.projector_weak_value_geometric(vi, vr, vf),
         lambda: qubit_values.projector_weak_value_direct(qi, qr, qf))
-    results = payload["results"]
     primary = results["geometric"] if "geometric" in results else results["direct"]
     results["modulus"] = primary.modulus
     results["argument"] = primary.argument
-    return payload
+    return results, mismatch
 
 
 def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
@@ -289,8 +283,7 @@ def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
     )
 
 
-def _cmd_qubit_modular(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_qubit_modular(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
     qi, qf = _states(doc, ("i", "f"), dim=2)
     spec = _modular_spec(doc)
     vi, vf = qubit_to_bloch(qi), qubit_to_bloch(qf)
@@ -300,8 +293,7 @@ def _cmd_qubit_modular(args, tol: Tolerances) -> dict:
         lambda: qubit_values.modular_value_direct(qi, spec, qf))
 
 
-def _cmd_qutrit_weak(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_qutrit_weak(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
     si, sr, sf = _states(doc, ("i", "r", "f"))
     return _run_routes(
         args.mode, tol,
@@ -330,8 +322,7 @@ def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
     )
 
 
-def _cmd_qutrit_modular(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_qutrit_modular(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
     si, sf = _states(doc, ("i", "f"))
     spec = _nlevel_spec(doc)
     return _run_routes(
@@ -340,8 +331,7 @@ def _cmd_qutrit_modular(args, tol: Tolerances) -> dict:
         lambda: nlevel_values.modular_value_direct(si, spec, sf))
 
 
-def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_nlevel_direct(doc: dict, args, tol: Tolerances) -> dict:
     si, sf = _states(doc, ("i", "f"))
     kind = doc.get("kind", "weak")
     if kind == "weak":
@@ -351,56 +341,40 @@ def _cmd_nlevel_direct(args, tol: Tolerances) -> dict:
         value = nlevel_values.modular_value_direct(si, _nlevel_spec(doc), sf)
     else:
         raise ScenarioInvalid("kind must be 'weak' or 'modular'")
-    return {"results": {"value": value, "kind": kind}, "provenance": "direct"}
+    return {"value": value, "kind": kind}
 
 
-def _cmd_majorana(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_majorana(doc: dict, args, tol: Tolerances) -> dict:
     (state,) = _states(doc, ("state",))
     rep = majorana.majorana_points(state)
     results = {"points": rep.points, "normalization": rep.normalization}
     if state.size == 3:
         results["discriminant"] = majorana.discriminant_degeneracy(state)
         results["entanglement_entropy"] = majorana.entanglement_entropy(rep.points)
-    return {"results": results, "provenance": "direct"}
+    return results
 
 
-def _cmd_canonicalize(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_canonicalize(doc: dict, args, tol: Tolerances) -> dict:
     triple = canonical.canonicalize_triple(*_states(doc, ("i", "r", "f")))
     return {
-        "results": {
-            "u_total": triple.u_total,
-            "r_vec": triple.r_vec,
-            "f_vec": triple.f_vec,
-            "eta": triple.eta,
-            "i_points": triple.i_rep.points,
-            "i_normalization": triple.i_rep.normalization,
-            "psi_i": triple.psi_i,
-            "psi_r": triple.psi_r,
-            "psi_f": triple.psi_f,
-        },
-        "provenance": "direct",
+        "u_total": triple.u_total,
+        "r_vec": triple.r_vec,
+        "f_vec": triple.f_vec,
+        "eta": triple.eta,
+        "i_points": triple.i_rep.points,
+        "i_normalization": triple.i_rep.normalization,
+        "psi_i": triple.psi_i,
+        "psi_r": triple.psi_r,
+        "psi_f": triple.psi_f,
     }
 
 
-def _cmd_abl(args, tol: Tolerances) -> dict:
-    doc = _load_scenario(args.scenario)
+def _cmd_abl(doc: dict, args, tol: Tolerances) -> dict:
     si, sf = _states(doc, ("i", "f"))
     projectors = [_complex_matrix(p, "projectors", si.size)
                   for p in _required(doc, "projectors")]
     dist = nlevel_values.abl_distribution(si, projectors, sf)
-    return {"results": {"probabilities": dist}, "provenance": "direct"}
-
-
-def _scan_to_results(scan: experiments.SingularityScan) -> dict:
-    return {
-        "parameters": {"epsilon": scan.epsilon, "chi1": scan.chi1, "chi2": scan.chi2},
-        "theta_bifurcation": scan.theta_bifurcation,
-        "theta_singular": scan.theta_singular,
-        "omega2_jump": scan.omega2_jump,
-        "records": scan.records,
-    }
+    return {"probabilities": dist}
 
 
 def _scan_count(count, name: str) -> int:
@@ -410,10 +384,9 @@ def _scan_count(count, name: str) -> int:
     return count
 
 
-def _cmd_scan(args, tol: Tolerances) -> dict:
+def _cmd_scan(doc: dict, args, tol: Tolerances) -> dict:
     """The scan of the scenario's parameters and grid, if any; a flag always
     overrides the scenario's key, and ``--count`` is unused with a grid."""
-    doc = {} if args.scenario is None else _load_scenario(args.scenario)
     kwargs = {key: _real(doc[key], key) for key in _SCAN_PARAMETERS if key in doc}
     kwargs.update((key, getattr(args, key)) for key in _SCAN_PARAMETERS
                   if getattr(args, key) is not None)
@@ -425,11 +398,17 @@ def _cmd_scan(args, tol: Tolerances) -> dict:
         grid = np.linspace(_real(start, "grid start"), _real(stop, "grid stop"),
                            _scan_count(points, "grid count"))
     scan = experiments.singularity_scan(grid, count=count, **kwargs)
-    return {"results": _scan_to_results(scan), "provenance": "both"}
+    return {
+        "parameters": {"epsilon": scan.epsilon, "chi1": scan.chi1, "chi2": scan.chi2},
+        "theta_bifurcation": scan.theta_bifurcation,
+        "theta_singular": scan.theta_singular,
+        "omega2_jump": scan.omega2_jump,
+        "records": scan.records,
+    }
 
 
-def _cmd_three_box(args, tol: Tolerances) -> dict:
-    return {"results": experiments.three_box_report(), "provenance": "both"}
+def _cmd_three_box(doc: dict, args, tol: Tolerances) -> experiments.ThreeBoxReport:
+    return experiments.three_box_report()
 
 
 def _csv(header, rows) -> str:
@@ -456,6 +435,10 @@ def _scan_csv(results: dict) -> str:
                  for r in results["records"]))
 
 
+def _fields_csv(results: dict) -> str:
+    return _csv(("field", "value"), _field_rows(results))
+
+
 def _field_rows(node, prefix: str = ""):
     """``(dotted path, leaf)`` for every leaf of a JSON document, in order."""
     if isinstance(node, dict):
@@ -468,22 +451,23 @@ def _field_rows(node, prefix: str = ""):
         yield prefix[:-1], node
 
 
+# Each subcommand: its handler, called with the scenario document (empty when
+# none is given), the arguments and the tolerances; whether --scenario is
+# "required", "optional" or absent (None); its provenance; and its CSV writer.
+# A value command has provenance None: it takes --mode, prints the mode as its
+# provenance, and its handler returns its results and the mismatch flag.
 _COMMANDS = {
-    "qubit-weak": _cmd_qubit_weak,
-    "qubit-modular": _cmd_qubit_modular,
-    "qutrit-weak": _cmd_qutrit_weak,
-    "qutrit-modular": _cmd_qutrit_modular,
-    "nlevel-direct": _cmd_nlevel_direct,
-    "majorana": _cmd_majorana,
-    "canonicalize": _cmd_canonicalize,
-    "scan-singularity": _cmd_scan,
-    "three-box": _cmd_three_box,
-    "abl": _cmd_abl,
+    "qubit-weak": (_cmd_qubit_weak, "required", None, _fields_csv),
+    "qubit-modular": (_cmd_qubit_modular, "required", None, _fields_csv),
+    "qutrit-weak": (_cmd_qutrit_weak, "required", None, _fields_csv),
+    "qutrit-modular": (_cmd_qutrit_modular, "required", None, _fields_csv),
+    "nlevel-direct": (_cmd_nlevel_direct, "required", "direct", _fields_csv),
+    "majorana": (_cmd_majorana, "required", "direct", _fields_csv),
+    "canonicalize": (_cmd_canonicalize, "required", "direct", _fields_csv),
+    "scan-singularity": (_cmd_scan, "optional", "both", _scan_csv),
+    "three-box": (_cmd_three_box, None, "both", _three_box_csv),
+    "abl": (_cmd_abl, "required", "direct", _fields_csv),
 }
-
-
-# The subcommands that compute a value by both routes and take --mode.
-_VALUE_COMMANDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -507,13 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Weak and modular values of discrete quantum systems, "
                     "directly and through Bloch-sphere geometry.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, scenario, provenance, _) in _COMMANDS.items():
         p = sub.add_parser(name)
-        if name != "three-box":
-            p.add_argument("--scenario", required=name != "scan-singularity",
+        if scenario is not None:
+            p.add_argument("--scenario", required=scenario == "required",
                            help="JSON scenario file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        if name in _VALUE_COMMANDS:
+        if provenance is None:
             p.add_argument("--mode", choices=("geometric", "direct", "both"),
                            default="both")
         else:
@@ -545,8 +529,10 @@ def _error_document(kind: str, exc: Exception) -> str:
 def run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
+        handler, _, provenance, writer = _COMMANDS[args.command]
         tol = _tolerances_from_env()
-        payload = _COMMANDS[args.command](args, tol)
+        path = getattr(args, "scenario", None)
+        results = handler({} if path is None else _load_scenario(path), args, tol)
     except _PHYSICAL_ERRORS as exc:
         sys.stdout.write(_error_document("physical-singularity", exc))
         return 3
@@ -554,27 +540,24 @@ def run(argv) -> int:
         sys.stdout.write(_error_document("usage", exc))
         return 2
 
+    results, mismatch = results if provenance is None else (results, None)
     envelope = {
         "command": args.command,
         "version": SCENARIO_VERSION,
         "mode": args.mode,
-        "provenance": payload.get("provenance", args.mode),
+        "provenance": provenance or args.mode,
         "tolerances": _jsonable(tol),
-        "results": _jsonable(payload["results"], args.degrees),
+        "results": _jsonable(results, args.degrees),
     }
-    if "mismatch" in payload:
-        envelope["mismatch"] = payload["mismatch"]
+    if mismatch is not None:
+        envelope["mismatch"] = mismatch
     if args.degrees:
         envelope["angle_unit"] = "degrees"
 
     if args.format == "json":
         text = json.dumps(envelope, indent=2) + "\n"
-    elif args.command == "three-box":
-        text = _three_box_csv(envelope["results"])
-    elif args.command == "scan-singularity":
-        text = _scan_csv(envelope["results"])
     else:
-        text = _csv(("field", "value"), _field_rows(envelope["results"]))
+        text = writer(envelope["results"])
     try:
         _emit(text, args.out)
     except OSError as exc:  # an unwritable --out

@@ -258,20 +258,20 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     :func:`qutrit_modular_value_geometric` ends in the same assembly.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
-    i_pts = np.asarray(i_points, dtype=float)
-    return _paired_modular_value(i_pts, s_points, r_point, f_point,
-                                 dynamical=beta - alpha * i_pts.shape[0] / 2.0 * eigenvalue)
+    return _paired_modular_value(i_points, s_points, r_point, f_point,
+                                 dynamical=lambda m: beta - alpha * m / 2.0 * eigenvalue)
 
 
-def _paired_modular_value(i_pts: np.ndarray, s_points, r_point, f_point, *, dynamical: float):
+def _paired_modular_value(i_points, s_points, r_point, f_point, *, dynamical):
     """The modular value of point sets in one frame: ``s`` paired to ``i``,
     each set validated once (``s`` first, then ``i``, ``r`` and ``f``), and
-    K_s / K_i read from the paired rows."""
-    vs = _point_rows(pair_points(i_pts, s_points))
-    vi = _point_rows(i_pts)
+    K_s / K_i read from the paired rows.  ``dynamical(m)`` is the dynamical
+    phase for the m points, called only once both sets have passed."""
+    vs = _point_rows(pair_points(i_points, s_points))
+    vi = _point_rows(i_points)
     return _factored_modular_value(
         vi, vs, as_bloch(r_point), as_bloch(f_point),
-        _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical)
+        _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical(vi.shape[0]))
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
@@ -315,7 +315,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     psi_s = triple.u_total @ (evolution @ si)
     s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s)))
     return _paired_modular_value(triple.i_rep.points, s_rep.points, triple.r_vec, triple.f_vec,
-                                 dynamical=spec.beta - strength * float(evals[index]))
+                                 dynamical=lambda m: spec.beta - strength * float(evals[index]))
 
 
 def _check_context(projectors, dim: int) -> list[np.ndarray]:

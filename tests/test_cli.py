@@ -393,6 +393,28 @@ class TestScanCommand:
             assert results["parameters"] == {**defaults, key: expected}
             assert len(results["records"]) == 8
 
+    def test_rows_on_the_singularity_have_empty_cells(self, capsys, tmp_path):
+        # Three grid points on theta_C: the weak value and omega2 are undefined
+        # there, so they print as null in JSON and as empty CSV cells.
+        scenario = write_scenario(tmp_path, {
+            "grid": {"start": 0.8860771237926, "stop": 0.8860771237927, "count": 3},
+        })
+        code, out = run_cli(capsys, "scan-singularity", "--scenario", scenario)
+        assert code == 0
+        records = json.loads(out)["results"]["records"]
+        assert len(records) == 3
+        for record in records:
+            assert "singular" in record["flags"]
+            assert (record["omega2"], record["wv_mod"], record["wv_arg"]) == (None, None, None)
+        code, out = run_cli(capsys, "scan-singularity", "--scenario", scenario,
+                            "--format", "csv")
+        assert code == 0
+        rows = [line.split(",") for line in out.rstrip("\n").split("\n")[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert row[6:9] == ["", "", ""]
+            assert "singular" in row[9].split(";")
+
     @pytest.mark.parametrize("argv, payload, message", [
         (("--count", str(2**16 + 1)), None, "--count must not exceed 65536"),
         ((), {"grid": {"start": 0.2, "stop": 1.2, "count": 2**16 + 1}},
@@ -427,6 +449,17 @@ GOLDEN_RUNS = [
 VALUE_COMMANDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
 OTHER_COMMANDS = ("nlevel-direct", "majorana", "canonicalize", "scan-singularity", "three-box",
                   "abl")
+# The commands that require --scenario.
+SCENARIO_COMMANDS = tuple(command for command in VALUE_COMMANDS + OTHER_COMMANDS
+                          if command not in ("scan-singularity", "three-box"))
+# Each option only scan-singularity takes, on every other command (with the
+# --scenario it requires, which is not opened), by name.
+MISPLACED_SCAN_OPTIONS = {
+    f"{command}{flag}": (command,
+                         *(("--scenario", "x.json") if command in SCENARIO_COMMANDS else ()),
+                         flag, "8")
+    for command in VALUE_COMMANDS + OTHER_COMMANDS if command != "scan-singularity"
+    for flag in ("--count", "--epsilon", "--chi1", "--chi2")}
 
 
 class TestCliContract:
@@ -448,8 +481,14 @@ class TestCliContract:
          "unrecognized arguments: --scenario /no/such/file.json"),
         (("qubit-weak", "--mode", "fast", "--scenario", "x.json"),
          "argument --mode: invalid choice: 'fast'"),
+    ] + [((command,), "the following arguments are required: --scenario")
+         for command in SCENARIO_COMMANDS
+    ] + [(argv, f"unrecognized arguments: {argv[-2]} 8")
+         for argv in MISPLACED_SCAN_OPTIONS.values()
     ], ids=["no-command", "unknown-option", "count-not-int", "missing-scenario",
-            "three-box-scenario", "bad-mode"])
+            "three-box-scenario", "bad-mode",
+            *(f"{command}-no-scenario" for command in SCENARIO_COMMANDS),
+            *MISPLACED_SCAN_OPTIONS])
     def test_refused_command_line_is_the_error_document(self, capsys, argv, fragment):
         code = main(list(argv))
         captured = capsys.readouterr()
@@ -458,6 +497,11 @@ class TestCliContract:
         assert (error["kind"], error["type"]) == ("usage", "ArgumentError")
         assert fragment in error["message"]
         assert captured.err == ""
+
+    def test_scan_needs_no_scenario(self, capsys):
+        code, out = run_cli(capsys, "scan-singularity", "--count", "8")
+        assert code == 0
+        assert len(json.loads(out)["results"]["records"]) == 8
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:

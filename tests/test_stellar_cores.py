@@ -306,6 +306,11 @@ class TestFactoredModularValueErrors:
     def test_wrong_point_shape(self, shape):
         assert modular(np.zeros(shape), np.zeros(shape)) == (ValueError, SHAPE_MESSAGE)
 
+    @pytest.mark.parametrize("bad", [5.0, None, True])
+    def test_scalar_i_set(self, bad):
+        rng = np.random.default_rng(416)
+        assert modular(bad, points(rng, 2)) == (ValueError, "point sets must have matching shapes")
+
 
 class TestPointSetShapeErrors:
     @pytest.mark.parametrize("bad", [np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2)),

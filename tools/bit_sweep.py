@@ -14,8 +14,10 @@ is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
 full precision.  ``nlevel.modular.routes`` hashes the geometric modular route
 together with the factored one on the canonical points it reads off, so a
-split between the two shows.  The last line hashes the sorted names ``from
-majgeom import *`` binds, so a change of the public surface shows too.
+split between the two shows.  The ``cli.help.*`` lines hash the ``--help``
+text of the program and of each subcommand.  The last line hashes the sorted
+names ``from majgeom import *`` binds, so a change of the public surface
+shows too.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ DRAWS = 40
 THETA_C = math.atan(math.sqrt(1.5))  # the default scan's weak-value singularity
 # The subcommands that compute a value by both routes and take --mode.
 VALUE_COMMANDS = ("qubit-weak", "qubit-modular", "qutrit-weak", "qutrit-modular")
+COMMANDS = VALUE_COMMANDS + ("nlevel-direct", "majorana", "canonicalize", "scan-singularity",
+                             "three-box", "abl")
 
 
 def _canon(obj) -> str:
@@ -411,6 +415,15 @@ def usage_runs():
                                                                   str(path)])
 
 
+def help_runs():
+    """The program's and every subcommand's ``--help``, 80 columns wide, so a
+    reordered or dropped argument shows."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        yield "cli.help.majgeom", _outcome(_cli, ["--help"])
+        for command in COMMANDS:
+            yield f"cli.help.{command}", _outcome(_cli, [command, "--help"])
+
+
 def surface():
     namespace: dict = {}
     exec("from majgeom import *", namespace)  # noqa: S102 - the star-import surface
@@ -418,7 +431,7 @@ def surface():
 
 
 SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, pairing, experiments,
-          cli_runs, scenario_runs, usage_runs, surface)
+          cli_runs, scenario_runs, usage_runs, help_runs, surface)
 
 
 def main() -> int:
