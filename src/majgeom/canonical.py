@@ -86,7 +86,7 @@ def _coherent_direction(w: float, v: float, m: int) -> np.ndarray:
     return amps / math.sqrt(amps.dot(amps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CanonicalTriple:
     """Result of rotating a triple into the canonical frame.
 

@@ -93,6 +93,15 @@ def _required(doc: dict, key: str, where: str = "scenario"):
     return doc[key]
 
 
+def _object(doc: dict, key: str) -> dict:
+    """``doc[key]``; anything but a JSON object there raises
+    :class:`ScenarioInvalid` naming it."""
+    value = doc.get(key)
+    if not isinstance(value, dict):
+        raise ScenarioInvalid(f"scenario is missing the {key!r} object")
+    return value
+
+
 def _is_number(raw) -> bool:
     """Whether ``raw`` is a JSON number: an ``int`` that is not a ``bool`` (JSON
     ``true`` and ``false``), or a ``float``."""
@@ -176,7 +185,8 @@ def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np
             bloch = as_bloch(_numbers(entry["bloch"], f"state {key!r}"))
             states.append(bloch_to_qubit(bloch))
         else:
-            raw = entry["amplitudes"] if isinstance(entry, dict) else entry
+            raw = (_required(entry, "amplitudes", f"state {key!r}") if isinstance(entry, dict)
+                   else entry)
             vec = _complex_vector(raw, f"state {key!r}", dim)
             norm = float(np.linalg.norm(vec))
             if abs(norm - 1.0) > _NORM_SLACK:
@@ -240,42 +250,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _run_routes(mode: str, tol: Tolerances, geometric, direct) -> tuple[dict, bool]:
+def _run_routes(mode: str, geometric, direct) -> dict:
     """Results of a value command: the routes ``mode`` selects (thunks, geometric
-    first) and its breakdown; then whether the two values differ by more than
-    ``tol.comparison * max(1, |direct|)``."""
+    first) and its breakdown."""
     results: dict = {}
     breakdown = None
     if mode in ("geometric", "both"):
         results["geometric"], breakdown = geometric()
     if mode in ("direct", "both"):
         results["direct"] = direct()
-    mismatch = False
-    if mode == "both":
-        gap = abs(results["geometric"].rect - results["direct"].rect)
-        mismatch = gap > tol.comparison * max(1.0, abs(results["direct"].rect))
     if breakdown is not None:
         results["breakdown"] = breakdown
-    return results, mismatch
+    return results
 
 
-def _cmd_qubit_weak(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
+def _cmd_qubit_weak(doc: dict, args) -> dict:
     qi, qr, qf = _states(doc, ("i", "r", "f"), dim=2)
     vi, vr, vf = (qubit_to_bloch(q) for q in (qi, qr, qf))
-    results, mismatch = _run_routes(
-        args.mode, tol,
-        lambda: qubit_values.projector_weak_value_geometric(vi, vr, vf),
-        lambda: qubit_values.projector_weak_value_direct(qi, qr, qf))
+    results = _run_routes(args.mode,
+                          lambda: qubit_values.projector_weak_value_geometric(vi, vr, vf),
+                          lambda: qubit_values.projector_weak_value_direct(qi, qr, qf))
     primary = results["geometric"] if "geometric" in results else results["direct"]
     results["modulus"] = primary.modulus
     results["argument"] = primary.argument
-    return results, mismatch
+    return results
 
 
 def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
-    spec = doc.get("spec")
-    if not isinstance(spec, dict):
-        raise ScenarioInvalid("scenario is missing the 'spec' object")
+    spec = _object(doc, "spec")
     return qubit_values.QubitModularSpec(
         axis=as_bloch(_numbers(_required(spec, "axis", "spec"), "axis")),
         alpha=_real(spec.get("alpha", 0.0), "alpha"),
@@ -283,28 +285,24 @@ def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
     )
 
 
-def _cmd_qubit_modular(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
+def _cmd_qubit_modular(doc: dict, args) -> dict:
     qi, qf = _states(doc, ("i", "f"), dim=2)
     spec = _modular_spec(doc)
     vi, vf = qubit_to_bloch(qi), qubit_to_bloch(qf)
-    return _run_routes(
-        args.mode, tol,
-        lambda: qubit_values.modular_value_geometric(vi, spec, vf),
-        lambda: qubit_values.modular_value_direct(qi, spec, qf))
+    return _run_routes(args.mode,
+                       lambda: qubit_values.modular_value_geometric(vi, spec, vf),
+                       lambda: qubit_values.modular_value_direct(qi, spec, qf))
 
 
-def _cmd_qutrit_weak(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
+def _cmd_qutrit_weak(doc: dict, args) -> dict:
     si, sr, sf = _states(doc, ("i", "r", "f"))
-    return _run_routes(
-        args.mode, tol,
-        lambda: nlevel_values.qutrit_projector_weak_value_geometric(si, sr, sf),
-        lambda: nlevel_values.weak_value_direct(si, np.outer(sr, sr.conj()), sf))
+    return _run_routes(args.mode,
+                       lambda: nlevel_values.qutrit_projector_weak_value_geometric(si, sr, sf),
+                       lambda: nlevel_values.weak_value_direct(si, np.outer(sr, sr.conj()), sf))
 
 
 def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
-    spec = doc.get("spec")
-    if not isinstance(spec, dict):
-        raise ScenarioInvalid("scenario is missing the 'spec' object")
+    spec = _object(doc, "spec")
     if "r8" in spec:
         direction = nlevel_values.GellMannDirection.from_r8(_numbers(spec["r8"], "r8"))
         observable = direction.operator
@@ -322,16 +320,15 @@ def _nlevel_spec(doc: dict) -> nlevel_values.NLevelModularSpec:
     )
 
 
-def _cmd_qutrit_modular(doc: dict, args, tol: Tolerances) -> tuple[dict, bool]:
+def _cmd_qutrit_modular(doc: dict, args) -> dict:
     si, sf = _states(doc, ("i", "f"))
     spec = _nlevel_spec(doc)
-    return _run_routes(
-        args.mode, tol,
-        lambda: nlevel_values.qutrit_modular_value_geometric(si, spec, sf),
-        lambda: nlevel_values.modular_value_direct(si, spec, sf))
+    return _run_routes(args.mode,
+                       lambda: nlevel_values.qutrit_modular_value_geometric(si, spec, sf),
+                       lambda: nlevel_values.modular_value_direct(si, spec, sf))
 
 
-def _cmd_nlevel_direct(doc: dict, args, tol: Tolerances) -> dict:
+def _cmd_nlevel_direct(doc: dict, args) -> dict:
     si, sf = _states(doc, ("i", "f"))
     kind = doc.get("kind", "weak")
     if kind == "weak":
@@ -344,7 +341,7 @@ def _cmd_nlevel_direct(doc: dict, args, tol: Tolerances) -> dict:
     return {"value": value, "kind": kind}
 
 
-def _cmd_majorana(doc: dict, args, tol: Tolerances) -> dict:
+def _cmd_majorana(doc: dict, args) -> dict:
     (state,) = _states(doc, ("state",))
     rep = majorana.majorana_points(state)
     results = {"points": rep.points, "normalization": rep.normalization}
@@ -354,7 +351,7 @@ def _cmd_majorana(doc: dict, args, tol: Tolerances) -> dict:
     return results
 
 
-def _cmd_canonicalize(doc: dict, args, tol: Tolerances) -> dict:
+def _cmd_canonicalize(doc: dict, args) -> dict:
     triple = canonical.canonicalize_triple(*_states(doc, ("i", "r", "f")))
     return {
         "u_total": triple.u_total,
@@ -369,10 +366,12 @@ def _cmd_canonicalize(doc: dict, args, tol: Tolerances) -> dict:
     }
 
 
-def _cmd_abl(doc: dict, args, tol: Tolerances) -> dict:
+def _cmd_abl(doc: dict, args) -> dict:
     si, sf = _states(doc, ("i", "f"))
-    projectors = [_complex_matrix(p, "projectors", si.size)
-                  for p in _required(doc, "projectors")]
+    projectors = _required(doc, "projectors")
+    if not isinstance(projectors, list):
+        raise ScenarioInvalid("projectors must be a list of matrices")
+    projectors = [_complex_matrix(p, "projectors", si.size) for p in projectors]
     dist = nlevel_values.abl_distribution(si, projectors, sf)
     return {"probabilities": dist}
 
@@ -384,15 +383,15 @@ def _scan_count(count, name: str) -> int:
     return count
 
 
-def _cmd_scan(doc: dict, args, tol: Tolerances) -> dict:
+def _cmd_scan(doc: dict, args) -> dict:
     """The scan of the scenario's parameters and grid, if any; a flag always
     overrides the scenario's key, and ``--count`` is unused with a grid."""
     kwargs = {key: _real(doc[key], key) for key in _SCAN_PARAMETERS if key in doc}
     kwargs.update((key, getattr(args, key)) for key in _SCAN_PARAMETERS
                   if getattr(args, key) is not None)
     count, grid = _scan_count(args.count, "--count"), None
-    grid_spec = doc.get("grid")
-    if grid_spec is not None:
+    if doc.get("grid") is not None:
+        grid_spec = _object(doc, "grid")
         start, stop, points = (_required(grid_spec, key, "grid")
                                for key in ("start", "stop", "count"))
         grid = np.linspace(_real(start, "grid start"), _real(stop, "grid stop"),
@@ -407,7 +406,7 @@ def _cmd_scan(doc: dict, args, tol: Tolerances) -> dict:
     }
 
 
-def _cmd_three_box(doc: dict, args, tol: Tolerances) -> experiments.ThreeBoxReport:
+def _cmd_three_box(doc: dict, args) -> experiments.ThreeBoxReport:
     return experiments.three_box_report()
 
 
@@ -452,10 +451,10 @@ def _field_rows(node, prefix: str = ""):
 
 
 # Each subcommand: its handler, called with the scenario document (empty when
-# none is given), the arguments and the tolerances; whether --scenario is
-# "required", "optional" or absent (None); its provenance; and its CSV writer.
-# A value command has provenance None: it takes --mode, prints the mode as its
-# provenance, and its handler returns its results and the mismatch flag.
+# none is given) and the arguments; whether --scenario is "required",
+# "optional" or absent (None); its provenance; and its CSV writer.  A value
+# command has provenance None: it takes --mode, prints the mode as its
+# provenance, and run() adds the mismatch flag of its two routes.
 _COMMANDS = {
     "qubit-weak": (_cmd_qubit_weak, "required", None, _fields_csv),
     "qubit-modular": (_cmd_qubit_modular, "required", None, _fields_csv),
@@ -532,7 +531,7 @@ def run(argv) -> int:
         handler, _, provenance, writer = _COMMANDS[args.command]
         tol = _tolerances_from_env()
         path = getattr(args, "scenario", None)
-        results = handler({} if path is None else _load_scenario(path), args, tol)
+        results = handler({} if path is None else _load_scenario(path), args)
     except _PHYSICAL_ERRORS as exc:
         sys.stdout.write(_error_document("physical-singularity", exc))
         return 3
@@ -540,7 +539,6 @@ def run(argv) -> int:
         sys.stdout.write(_error_document("usage", exc))
         return 2
 
-    results, mismatch = results if provenance is None else (results, None)
     envelope = {
         "command": args.command,
         "version": SCENARIO_VERSION,
@@ -549,8 +547,10 @@ def run(argv) -> int:
         "tolerances": _jsonable(tol),
         "results": _jsonable(results, args.degrees),
     }
-    if mismatch is not None:
-        envelope["mismatch"] = mismatch
+    if provenance is None:
+        envelope["mismatch"] = args.mode == "both" and (
+            abs(results["geometric"].rect - results["direct"].rect)
+            > tol.comparison * max(1.0, abs(results["direct"].rect)))
     if args.degrees:
         envelope["angle_unit"] = "degrees"
 

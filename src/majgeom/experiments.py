@@ -57,7 +57,7 @@ _BISECT_WIDTH = 1e-12
 _BISECT_STEPS = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanRecord:
     """One grid point of the singularity scan.
 
@@ -82,7 +82,7 @@ class ScanRecord:
     flags: frozenset[str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingularityScan:
     """The singularity scan: one :class:`ScanRecord` per grid angle, the scan
     parameters, and the located features, ``None`` where the grid has none:
@@ -360,7 +360,7 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxFactor:
     """One qubit contribution to a box-projector weak value.
 
@@ -375,7 +375,7 @@ class BoxFactor:
     point: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxResult:
     """One box of the three-box analysis, in the canonical frame: the Majorana
     points of the box state (in factor order) and their K, its two qubit
@@ -399,7 +399,7 @@ class BoxResult:
     closest_separable: np.ndarray | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThreeBoxReport:
     """The three-box analysis; ``three-box`` prints it, its :class:`BoxResult`
     and :class:`BoxFactor` records field by field in declaration order."""

@@ -49,7 +49,7 @@ def _normalized(c: np.ndarray) -> np.ndarray:
     return _fix_gauge(c / _norm(c))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetricRepresentation:
     """Multiset of N-1 Bloch points; its symmetrization normalization K is
     computed each time it is read.

@@ -68,7 +68,7 @@ GELL_MANN = gell_mann_matrices()
 _SQUARES_SAFE = (1e-140, 1e140)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GellMannDirection:
     """Unit direction in the eight-dimensional generator space and the
     associated traceless Hermitian operator."""
@@ -108,7 +108,7 @@ class GellMannDirection:
         return cls(r, op)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NLevelModularSpec:
     """Evolution data for an N-level modular value.
 

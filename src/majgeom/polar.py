@@ -37,7 +37,7 @@ class PolarComplex:
         return cls(abs(z), principal_angle(cmath.phase(z)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricFactor:
     """One per-qubit contribution to a factored weak or modular value.
 
@@ -51,7 +51,7 @@ class GeometricFactor:
     s_point: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricBreakdown:
     """Factored form of a weak or modular value.
 

@@ -26,7 +26,7 @@ PAULI = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubitModularSpec:
     """Rotation axis plus the two angles of the unitary
     ``exp(1j*beta/2) * exp(-1j*(alpha/2)*sigma_r)``.

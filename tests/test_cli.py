@@ -818,6 +818,11 @@ class TestScenarioValidation:
          "r8 is nested too deeply"),
         # 64 levels make an array numpy can hold, refused for its shape.
         ("majorana", {"state": nested(0.0, 64)}, "amplitudes must be a list of [re, im] pairs"),
+        ("qubit-weak", {"i": {"amplitude": [[1.0, 0.0], [0.0, 0.0]]}, "r": {"bloch": [1, 0, 0]},
+                        "f": {"bloch": [0, 1, 0]}}, "state 'i' is missing 'amplitudes'"),
+        ("scan-singularity", {"grid": 5}, "scenario is missing the 'grid' object"),
+        ("scan-singularity", {"grid": "start"}, "scenario is missing the 'grid' object"),
+        ("abl", {**QUTRIT_PAIR, "projectors": 5}, "projectors must be a list of matrices"),
     ])
     def test_malformed_scenario_exit_two(self, capsys, tmp_path, command, payload, message):
         code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))

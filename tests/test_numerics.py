@@ -2,7 +2,6 @@ import importlib
 import inspect
 import math
 import pkgutil
-import re
 import warnings
 from dataclasses import fields
 
@@ -254,10 +253,8 @@ def package_callables():
 
 class TestThresholdsAreConstants:
     """The library reads its thresholds from ``DEFAULT_TOL``: no signature
-    takes a ``Tolerances`` or one of its fields.  Only the CLI's mismatch
-    check takes the record that ``MAJGEOM_TOL`` may change."""
-
-    CLI_CHECK = re.compile(r"cli\.(_run_routes|_cmd_\w+)$")
+    takes a ``Tolerances`` or one of its fields, the CLI's included.  Only
+    ``cli.run`` holds the record that ``MAJGEOM_TOL`` may change."""
 
     def test_no_public_tol_parameter(self):
         public = [(name, fn) for name, fn in package_callables()
@@ -271,7 +268,6 @@ class TestThresholdsAreConstants:
         thresholds = {"tol", *(field.name for field in fields(Tolerances))}
         offenders = [name for name, fn in package_callables()
                      if not name.startswith("numerics.Tolerances")
-                     and not self.CLI_CHECK.match(name)
                      and thresholds & set(inspect.signature(fn).parameters)]
         assert offenders == []
 

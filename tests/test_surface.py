@@ -1,7 +1,8 @@
 """Names that other files depend on: the benchmark tracer's layers, the
-README's entry points and example, and what ``import majgeom`` loads and
-exports."""
+README's entry points and example, what ``import majgeom`` loads and
+exports, and how its records compare."""
 
+import copy
 import importlib
 import importlib.util
 import json
@@ -9,6 +10,8 @@ import re
 from pathlib import Path
 
 import pytest
+
+import numpy as np
 
 from helpers import run_python
 import majgeom
@@ -136,3 +139,32 @@ def test_star_import_and_dir_keep_the_surface(import_report):
 def test_missing_name_raises_attribute_error(import_report):
     assert import_report["missing"] == ["AttributeError",
                                         "module 'majgeom' has no attribute 'no_such_name'"]
+
+
+def array_records():
+    """One instance of each record that holds arrays, or records that do."""
+    si, sr, sf = (np.array(v, dtype=complex) / np.linalg.norm(v)
+                  for v in ([1, 1j, 0.5], [1, 0, 1], [0.3, 1, -1j]))
+    direction = majgeom.GellMannDirection.from_r8([1.0] + [0.0] * 7)
+    _, breakdown = majgeom.projector_weak_value_geometric([0, 0, 1], [1, 0, 0], [0, 1, 0])
+    scan = majgeom.singularity_scan(count=8)
+    report = majgeom.three_box_report()
+    return [majgeom.canonicalize_triple(si, sr, sf), majgeom.majorana_points(si), direction,
+            majgeom.NLevelModularSpec(direction.operator, alpha=0.3),
+            majgeom.QubitModularSpec([0, 0, 1], alpha=0.3), breakdown.factors[0], breakdown,
+            scan.records[0], scan, report.boxes[0].factors[0], report.boxes[0], report]
+
+
+def test_record_equality():
+    """A record that holds arrays compares and hashes by identity; a
+    ``PolarComplex`` compares by value."""
+    records = array_records()
+    assert [type(r).__name__ for r in records] == [
+        "CanonicalTriple", "SymmetricRepresentation", "GellMannDirection",
+        "NLevelModularSpec", "QubitModularSpec", "GeometricFactor", "GeometricBreakdown",
+        "ScanRecord", "SingularityScan", "BoxFactor", "BoxResult", "ThreeBoxReport"]
+    for record in records:
+        assert record == record and hash(record) == hash(record)
+        assert copy.copy(record) != record
+    value = majgeom.PolarComplex(2.0, 0.5)
+    assert value == majgeom.PolarComplex(2.0, 0.5) and hash(value) == hash(copy.copy(value))

@@ -368,8 +368,9 @@ def _nested(leaf, depth: int):
 
 
 def _unreadable_scenarios() -> dict[str, tuple[str, dict]]:
-    """Scenarios whose integer is not finite or whose number lists do not form
-    an array, one per refusal that names its field, each with the subcommand
+    """Scenarios whose integer is not finite, whose number lists do not form
+    an array, or whose state, grid or projectors is not the object or list it
+    must be, one per refusal that names its field, each with the subcommand
     that reads it.  ``json.dumps`` writes NaN and Infinity as the JSON reader
     accepts them."""
     base = json.loads((DATA / "qutrit_modular.scenario.json").read_text())
@@ -396,6 +397,10 @@ def _unreadable_scenarios() -> dict[str, tuple[str, dict]]:
                                         "r": {"bloch": [[1.0], 0.0, 0.0]},
                                         "f": {"bloch": [0.0, 1.0, 0.0]}}),
         "deep.amplitudes": ("majorana", {"version": 1, "state": _nested(0.0, 65)}),
+        "container.state": ("qutrit-weak", {**triple, "i": {"amplitude": triple["i"]}}),
+        "container.grid-number": ("scan-singularity", {"version": 1, "grid": 5}),
+        "container.grid-string": ("scan-singularity", {"version": 1, "grid": "start"}),
+        "container.projectors": ("abl", {**pair, "projectors": 5}),
     }
 
 
