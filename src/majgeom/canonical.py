@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bloch import _unit
 from .majorana import SymmetricRepresentation, _majorana_points, _normalized, nlevel_state
 from .numerics import _norm
 
 _SQ2 = math.sqrt(2.0)
 _SQ3 = math.sqrt(3.0)
 _SQ6 = math.sqrt(6.0)
+_NORTH = np.array([0.0, 0.0, 1.0])
+_DIMENSIONS = "the three states must share a dimension"
 
 
 @dataclass(frozen=True)
@@ -51,20 +55,24 @@ def _phase(z: complex) -> complex:
     return z / abs(z) if z != 0 else 1.0 + 0.0j
 
 
-def _reflection(x: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, complex]:
-    """Householder reflection taking ``x`` to ``phase * |x| * direction``.
+def _householder(x: np.ndarray, direction: np.ndarray) -> tuple[np.ndarray, float, complex]:
+    """Householder vector ``v`` and ``2/|v|^2`` of the reflection taking ``x``
+    to ``phase * |x| * direction``, and that phase.
 
     The phase makes ``<x|image>`` negative, so ``v = x - image`` suffers no
-    cancellation and vanishes only with ``x`` (then the identity is returned).
-    In one dimension any reflection is -1; this phase makes -1 the right map.
+    cancellation and vanishes only with ``x`` (then ``2/|v|^2`` is 0.0 and the
+    reflection is the identity).  In one dimension any reflection is -1; this
+    phase makes -1 the right map.
     """
     phase = -_phase(np.vdot(direction, x))
     v = x - (phase * _norm(x)) * direction
     scale = np.vdot(v, v).real
-    eye = np.eye(x.size, dtype=complex)
-    if scale == 0.0:
-        return eye, phase
-    return eye - (2.0 / scale) * np.outer(v, v.conj()), phase
+    return v, (2.0 / scale if scale else 0.0), phase
+
+
+def _reflect(x: np.ndarray, v: np.ndarray, k: float) -> np.ndarray:
+    """``x - k v (v^H x)``: a Householder reflection applied to one vector."""
+    return x - (k * np.vdot(v, x)) * v
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,10 +98,10 @@ def _coherent_direction(w: float, v: float, m: int) -> np.ndarray:
 class CanonicalTriple:
     """Result of rotating a triple into the canonical frame.
 
-    ``psi_*`` are ``u_total`` applied to the gauge-fixed inputs: ``psi_r`` is a
+    ``psi_*`` are the frame applied to the gauge-fixed inputs: ``psi_r`` is a
     phase times ``|N-1>`` and ``psi_f`` a phase times the coherent state whose
-    points all sit at ``f_vec``.  ``eta`` is ``arccos |<r|f>|``, evaluated as
-    an ``atan2`` that stays accurate near 0.
+    points all sit at the unit vector ``f_vec``.  ``eta`` is ``arccos |<r|f>|``,
+    evaluated as an ``atan2`` that stays accurate near 0.
     """
 
     u_total: np.ndarray
@@ -113,42 +121,61 @@ def canonicalize_triple(psi_i, psi_r, psi_f) -> CanonicalTriple:
     final state all points at ``(2 sqrt(w(1-w)), 0, 2w-1)`` with
     ``w = |<r|f>|^(2/(N-1))``, taken in closed form: an (N-1)-fold root
     loses accuracy like eps^(1/(N-1)).  The initial state's stellar
-    representation is returned; its K is computed only when read.
+    representation is returned; its K is computed only when read.  The states
+    and points are the frame's, as the geometric value routes take them;
+    ``u_total`` is the frame applied to the identity.
     """
-    return _canonicalize(*(nlevel_state(s) for s in (psi_i, psi_r, psi_f)))
+    si, sr, sf = (nlevel_state(s) for s in (psi_i, psi_r, psi_f))
+    if si.size != sf.size:
+        raise ValueError(_DIMENSIONS)
+    to_frame, f_vec, eta = _frame(sr, sf)
+    image_i = to_frame(si)
+    return CanonicalTriple(
+        u_total=np.stack([to_frame(e) for e in np.eye(si.size, dtype=complex)], axis=1),
+        r_vec=_NORTH.copy(),
+        f_vec=f_vec,
+        i_rep=_frame_points(image_i),
+        psi_i=image_i,
+        psi_r=to_frame(sr),
+        psi_f=to_frame(sf),
+        eta=eta,
+    )
 
 
-def _canonicalize(si: np.ndarray, sr: np.ndarray, sf: np.ndarray) -> CanonicalTriple:
-    """:func:`canonicalize_triple` of states that :func:`nlevel_state` (or
-    ``majorana._normalized``) returned; only their shared dimension is
-    checked."""
-    if not si.size == sr.size == sf.size:
-        raise ValueError("the three states must share a dimension")
+def _frame(sr: np.ndarray, sf: np.ndarray) -> tuple[Callable, np.ndarray, float]:
+    """The frame of the validated projector and final states as the map it
+    applies to a state vector (two Householder reflections held as vectors,
+    then a phase on ``|N-1>``), f's frame point, renormalized once so the Bloch
+    kernel reads it as it stands, and ``eta``."""
+    if sr.size != sf.size:
+        raise ValueError(_DIMENSIONS)
     m = sr.size - 1
     top = np.zeros(m + 1)
     top[m] = 1.0
-    u, _ = _reflection(sr, top)
-    f_first = u @ sf
+    first, k_first, _ = _householder(sr, top)
+    f_first = _reflect(sf, first, k_first)
     overlap = min(1.0, abs(f_first[m]))
     rest = _norm(f_first[:m])
     w = overlap ** (2.0 / m)
     # 1 - w from the rest's norm where the subtraction would cancel: near the
     # north pole the point moves like the square root of any error in w.
     v = 1.0 - w if w < 0.5 else -math.expm1(math.log1p(-rest * rest) / m)
-    second, phase = _reflection(f_first[:m], _coherent_direction(w, v, m))
-    u[:m] = second @ u[:m]
-    u[m] *= phase * _phase(f_first[m]).conjugate()
-    psi_i_c = u @ si
-    return CanonicalTriple(
-        u_total=u,
-        r_vec=np.array([0.0, 0.0, 1.0]),
-        f_vec=np.array([2.0 * math.sqrt(w * v), 0.0, w - v]),
-        i_rep=_majorana_points(_normalized(psi_i_c)),
-        psi_i=psi_i_c,
-        psi_r=u @ sr,
-        psi_f=u @ sf,
-        eta=math.atan2(rest, overlap),
-    )
+    second, k_second, phase = _householder(f_first[:m], _coherent_direction(w, v, m))
+    phase *= _phase(f_first[m]).conjugate()
+
+    def to_frame(x: np.ndarray) -> np.ndarray:
+        y = _reflect(x, first, k_first)
+        y[:m] = _reflect(y[:m], second, k_second)
+        y[m] *= phase
+        return y
+
+    f_vec = _unit(np.array([2.0 * math.sqrt(w * v), 0.0, w - v]))
+    return to_frame, f_vec, math.atan2(rest, overlap)
+
+
+def _frame_points(psi: np.ndarray) -> SymmetricRepresentation:
+    """The stellar points of a frame image, bit for bit :func:`majorana_points` of it."""
+    return _majorana_points(_normalized(psi))
 
 
 def three_box_transform() -> tuple[np.ndarray, np.ndarray]:

@@ -94,12 +94,13 @@ def _required(doc: dict, key: str, where: str = "scenario"):
 
 
 def _object(doc: dict, key: str) -> dict:
-    """``doc[key]``; anything but a JSON object there raises
+    """``doc[key]``; a missing key, or anything but a JSON object there, raises
     :class:`ScenarioInvalid` naming it."""
-    value = doc.get(key)
-    if not isinstance(value, dict):
+    if key not in doc:
         raise ScenarioInvalid(f"scenario is missing the {key!r} object")
-    return value
+    if not isinstance(doc[key], dict):
+        raise ScenarioInvalid(f"scenario {key!r} must be an object")
+    return doc[key]
 
 
 def _is_number(raw) -> bool:
@@ -151,6 +152,16 @@ def _numbers(raw, name: str) -> np.ndarray:
     return np.array(level, dtype=float).reshape(shape)
 
 
+def _bloch(raw, name: str, where: str) -> np.ndarray:
+    """``raw`` as a unit Bloch vector (:func:`as_bloch`); a refusal of its
+    numbers names ``name``, a refusal of the vector names ``where``."""
+    vec = _numbers(raw, name)
+    try:
+        return as_bloch(vec)
+    except ValueError as exc:
+        raise ScenarioInvalid(f"{where}: {exc}") from exc
+
+
 def _complex_vector(raw, name: str, length: int | None = None) -> np.ndarray:
     arr = _numbers(raw, name)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -182,8 +193,8 @@ def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np
         if isinstance(entry, dict) and "bloch" in entry:
             if dim not in (None, 2):
                 raise ScenarioInvalid("bloch input is only meaningful for qubits")
-            bloch = as_bloch(_numbers(entry["bloch"], f"state {key!r}"))
-            states.append(bloch_to_qubit(bloch))
+            name = f"state {key!r}"
+            states.append(bloch_to_qubit(_bloch(entry["bloch"], name, name)))
         else:
             raw = (_required(entry, "amplitudes", f"state {key!r}") if isinstance(entry, dict)
                    else entry)
@@ -279,7 +290,7 @@ def _cmd_qubit_weak(doc: dict, args) -> dict:
 def _modular_spec(doc: dict) -> qubit_values.QubitModularSpec:
     spec = _object(doc, "spec")
     return qubit_values.QubitModularSpec(
-        axis=as_bloch(_numbers(_required(spec, "axis", "spec"), "axis")),
+        axis=_bloch(_required(spec, "axis", "spec"), "axis", "spec 'axis'"),
         alpha=_real(spec.get("alpha", 0.0), "alpha"),
         beta=_real(spec.get("beta", 0.0), "beta"),
     )

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _modular_factors, _weak_factors, as_bloch
-from .canonical import _canonicalize
+from .canonical import _NORTH, _frame, _frame_points
 from .errors import IncompleteContext, ZeroDenominator
 from .majorana import (
-    _majorana_points,
-    _normalized,
     _point_array,
     _point_rows,
     _symmetrized,
@@ -36,8 +34,6 @@ from .numerics import (
     _check_finite,
     _check_hermitian,
     _checked_overlap,
-    _norm,
-    _spectral_exp,
     eig_hermitian,
     hermiticity_defect,
     unitary_exp,
@@ -254,68 +250,64 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     phase is ``beta - alpha*(N-1)/2*eigenvalue`` and the overall modulus
     carries the normalization ratio K_s / K_i, each K read from the validated
     rows of its paired set.  A pair with modulus ratio 0 (``s_k`` antipodal to
-    ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.
-    :func:`qutrit_modular_value_geometric` ends in the same assembly.
+    ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.  ``s`` is
+    paired to ``i``, then each set is validated once (``s`` first, then ``i``,
+    ``r`` and ``f``); :func:`qutrit_modular_value_geometric` ends in the same
+    core.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
-    return _paired_modular_value(i_points, s_points, r_point, f_point,
-                                 dynamical=lambda m: beta - alpha * m / 2.0 * eigenvalue)
-
-
-def _paired_modular_value(i_points, s_points, r_point, f_point, *, dynamical):
-    """The modular value of point sets in one frame: ``s`` paired to ``i``,
-    each set validated once (``s`` first, then ``i``, ``r`` and ``f``), and
-    K_s / K_i read from the paired rows.  ``dynamical(m)`` is the dynamical
-    phase for the m points, called only once both sets have passed."""
     vs = _point_rows(pair_points(i_points, s_points))
     vi = _point_rows(i_points)
-    return _factored_modular_value(
-        vi, vs, as_bloch(r_point), as_bloch(f_point),
-        _symmetrized(vs)[1] / _symmetrized(vi)[1], dynamical=dynamical(vi.shape[0]))
+    return _paired_modular_value(vi, vs, as_bloch(r_point), as_bloch(f_point),
+                                 beta - alpha * vi.shape[0] / 2.0 * eigenvalue)
+
+
+def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
+                          dynamical: float):
+    """The modular value of unit rows in one frame, ``vs`` paired to ``vi``,
+    with K_s / K_i read from those rows."""
+    return _factored_modular_value(vi, vs, vr, vf, _symmetrized(vs)[1] / _symmetrized(vi)[1],
+                                   dynamical=dynamical)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
     """Geometric weak value of the projector onto the N-level state ``psi_r``.
 
     Each input is validated once, the triple is rotated into the canonical
-    frame, and the value is :func:`factored_weak_value` of the frame's
-    points; it is 0 when ``<r|i> = 0`` or ``<f|r> = 0``, as that function
-    describes.
+    frame, and the value is the core of :func:`factored_weak_value` on the
+    frame's points, which nothing re-validates; it is 0 when ``<r|i> = 0`` or
+    ``<f|r> = 0``, as that function describes.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
-    triple = _canonicalize(si, nlevel_state(psi_r), sf)
-    return factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec)
+    to_frame, f_vec, _ = _frame(nlevel_state(psi_r), sf)
+    return _factored_weak_value(_frame_points(to_frame(si)).points, _NORTH, f_vec)
 
 
 def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     """Geometric modular value for an N-level Hermitian observable.
 
-    The anchor eigenvector is canonicalized together with the selections; the
-    evolved state is pushed through the same frame before its points are read
-    off.  The one eigendecomposition of the observable gives both the anchor
-    and the evolution.  The points then go through the assembly that
-    :func:`factored_modular_value` ends in: ``s`` is paired to ``i`` and each K
-    is read from the validated paired rows, so both routes return the same
-    bits for the same canonical points.  The dynamical phase is
-    ``beta - s*eigenvalue`` for the evolution ``exp(-1j*s*A)`` that
-    :func:`modular_value_direct` applies.  The selections are validated once;
-    every renormalization of the validated states is kept, so the bits do not
-    depend on where checks run.
+    The anchor eigenvector is canonicalized together with the final state;
+    the initial state and its evolution ``exp(-1j*s*A)``, applied to the
+    vector from the one eigendecomposition of the observable, are pushed
+    through the frame and their points read off.  ``s`` is paired to ``i`` and
+    the points go through the core that :func:`factored_modular_value` calls
+    once it has validated, with K_s and K_i read from the paired rows.  The
+    dynamical phase is ``beta - s*eigenvalue``, for the evolution that
+    :func:`modular_value_direct` applies.  The selections are validated once,
+    and nothing the route makes is validated or renormalized again.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     evals, evecs = eig_hermitian(_observable(spec.observable, si.size))
     index = spec.eigen_choice if spec.eigen_choice is not None else si.size - 1
     if not 0 <= index < si.size:
         raise ValueError("eigen_choice outside the spectrum")
-    psi_r = evecs[:, index]
     strength = _evolution_strength(spec, si.size)
-
-    triple = _canonicalize(_normalized(si), _normalized(psi_r), _normalized(sf))
-    evolution = _spectral_exp(evals, evecs, 0.0, strength)
-    psi_s = triple.u_total @ (evolution @ si)
-    s_rep = _majorana_points(_normalized(psi_s / _norm(psi_s)))
-    return _paired_modular_value(triple.i_rep.points, s_rep.points, triple.r_vec, triple.f_vec,
-                                 dynamical=lambda m: spec.beta - strength * float(evals[index]))
+    to_frame, f_vec, _ = _frame(evecs[:, index], sf)
+    evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+    vi = _frame_points(to_frame(si)).points
+    vs = pair_points(vi, _frame_points(to_frame(evolved)).points)
+    return _paired_modular_value(vi, vs, _NORTH, f_vec,
+                                 spec.beta - strength * float(evals[index]))
 
 
 def _check_context(projectors, dim: int) -> list[np.ndarray]:

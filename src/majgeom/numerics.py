@@ -286,12 +286,6 @@ def eig_hermitian(matrix):
 def unitary_exp(matrix, phase: float = 0.0, strength: float = 1.0) -> np.ndarray:
     """``exp(1j*phase) * exp(-1j*strength*H)`` for Hermitian ``H``."""
     evals, evecs = eig_hermitian(matrix)
-    return _spectral_exp(evals, evecs, phase, strength)
-
-
-def _spectral_exp(evals: np.ndarray, evecs: np.ndarray, phase: float,
-                  strength: float) -> np.ndarray:
-    """:func:`unitary_exp` from an eigendecomposition of ``H``."""
     diag = np.exp(-1j * strength * evals)
     return np.exp(1j * phase) * ((evecs * diag) @ evecs.conj().T)
 

@@ -36,6 +36,13 @@ def random_state(rng, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def top_state(n: int) -> np.ndarray:
+    """The basis state ``|N-1>``, whose N-1 stellar points sit at the north pole."""
+    state = np.zeros(n, dtype=complex)
+    state[n - 1] = 1.0
+    return state
+
+
 def random_qubit(rng) -> np.ndarray:
     return random_state(rng, 2)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_state, unitarity_defect
+from helpers import random_state, top_state, unitarity_defect
 from majgeom.canonical import canonicalize_triple, three_box_transform
 from majgeom.majorana import (
     MAX_LEVELS,
@@ -17,12 +17,6 @@ SQ2 = math.sqrt(2.0)
 SQ3 = math.sqrt(3.0)
 
 DIMS = list(range(2, MAX_LEVELS + 1))
-
-
-def top_state(n):
-    state = np.zeros(n, dtype=complex)
-    state[n - 1] = 1.0
-    return state
 
 
 def coherent_state(point, n):

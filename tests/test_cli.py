@@ -820,9 +820,19 @@ class TestScenarioValidation:
         ("majorana", {"state": nested(0.0, 64)}, "amplitudes must be a list of [re, im] pairs"),
         ("qubit-weak", {"i": {"amplitude": [[1.0, 0.0], [0.0, 0.0]]}, "r": {"bloch": [1, 0, 0]},
                         "f": {"bloch": [0, 1, 0]}}, "state 'i' is missing 'amplitudes'"),
-        ("scan-singularity", {"grid": 5}, "scenario is missing the 'grid' object"),
-        ("scan-singularity", {"grid": "start"}, "scenario is missing the 'grid' object"),
+        ("scan-singularity", {"grid": 5}, "scenario 'grid' must be an object"),
+        ("scan-singularity", {"grid": "start"}, "scenario 'grid' must be an object"),
         ("abl", {**QUTRIT_PAIR, "projectors": 5}, "projectors must be a list of matrices"),
+        ("qubit-weak", {"i": {"bloch": 5}, "r": {"bloch": [1, 0, 0]}, "f": {"bloch": [0, 1, 0]}},
+         "state 'i': Bloch vector must have exactly three components"),
+        ("qubit-weak", {"i": {"bloch": [0, 0, 0]}, "r": {"bloch": [1, 0, 0]},
+                        "f": {"bloch": [0, 1, 0]}},
+         "state 'i': Bloch vector norm 0.000000 deviates from 1 beyond 1e-08"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, 0, 0]}},
+         "spec 'axis': Bloch vector norm 0.000000 deviates from 1 beyond 1e-08"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": {"axis": [0, 0, 1, 0]}},
+         "spec 'axis': Bloch vector must have exactly three components"),
+        ("qubit-modular", {**QUBIT_PAIR, "spec": [0, 0, 1]}, "scenario 'spec' must be an object"),
     ])
     def test_malformed_scenario_exit_two(self, capsys, tmp_path, command, payload, message):
         code, out = run_cli(capsys, command, "--scenario", write_scenario(tmp_path, payload))

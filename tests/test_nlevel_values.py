@@ -15,6 +15,7 @@ from helpers import (
     random_hermitian,
     random_spin1_operator,
     random_state,
+    top_state,
 )
 from majgeom.bloch import solid_angle_triangle
 import majgeom.canonical
@@ -618,8 +619,22 @@ def value_bits(result):
 
 
 class TestCanonicalRoutesAreFactored:
-    """The canonical-frame routes return, bit for bit, what the factored
-    routes return for the frame's points."""
+    """The canonical-frame routes return, bit for bit, what the factored cores
+    return for the frame's own points, and the public ``factored_*`` of
+    ``canonicalize_triple``'s points agree with them to 1e-12 relative.  The
+    public functions renormalize the points once more; the gap that makes
+    grows like ``1/|<f|i>|^2``, as the routes' own gap to the direct oracle
+    does, so the bound is checked where ``|<f|i>| >= 0.1``."""
+
+    @staticmethod
+    def frame_values(evecs, evals, si, sf, strength):
+        """The frame's points of ``si`` and of its evolution, as the route reads
+        them: the frame of the raw anchor eigenvector, the evolution applied to
+        the vector, and ``majorana_points`` of each image."""
+        to_frame, f_vec, _ = majgeom.canonical._frame(evecs[:, -1], sf)
+        evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+        i_points = majorana_points(to_frame(si)).points
+        return i_points, majorana_points(to_frame(evolved)).points, f_vec
 
     @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
     def test_modular_route(self, n):
@@ -632,16 +647,24 @@ class TestCanonicalRoutesAreFactored:
             spec = NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
             si, sf = nlevel_state(psi_i), nlevel_state(psi_f)
             evals, evecs = eig_hermitian(observable)
+            strength = alpha * (n - 1) / 2.0
+            route = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+
+            i_points, s_points, f_vec = self.frame_values(evecs, evals, si, sf, strength)
+            paired = pair_points(i_points, s_points)
+            reordered += not np.array_equal(paired, s_points)
+            assert value_bits(route) == value_bits(majgeom.nlevel_values._paired_modular_value(
+                i_points, paired, NORTH, f_vec, beta - strength * float(evals[-1])))
+
+            if abs(np.vdot(sf, si)) < 0.1:
+                continue
             triple = majgeom.canonical.canonicalize_triple(si, evecs[:, -1], sf)
-            evolution = unitary_exp(observable, 0.0, alpha * (n - 1) / 2.0)
-            psi_s = triple.u_total @ (evolution @ si)
-            s_points = majorana_points(psi_s / np.linalg.norm(psi_s)).points
-            i_points = triple.i_rep.points
-            reordered += not np.array_equal(pair_points(i_points, s_points), s_points)
-            assert value_bits(qutrit_modular_value_geometric(psi_i, spec, psi_f)) == \
-                value_bits(factored_modular_value(i_points, s_points, triple.r_vec,
-                                                  triple.f_vec, alpha=alpha, beta=beta,
-                                                  eigenvalue=float(evals[-1])))
+            psi_s = triple.u_total @ (unitary_exp(observable, 0.0, strength) @ si)
+            public, _ = factored_modular_value(
+                triple.i_rep.points, majorana_points(psi_s / np.linalg.norm(psi_s)).points,
+                triple.r_vec, triple.f_vec, alpha=alpha, beta=beta,
+                eigenvalue=float(evals[-1]))
+            assert relative_gap(public, route[0].rect) <= 1e-12
         assert reordered > 0 or n == 2  # one point has one pairing
 
     @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
@@ -649,10 +672,130 @@ class TestCanonicalRoutesAreFactored:
         rng = np.random.default_rng(1300 + n)
         for _ in range(40):
             psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
+            route = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
             triple = majgeom.canonical.canonicalize_triple(psi_i, psi_r, psi_f)
-            assert value_bits(qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)) == \
-                value_bits(factored_weak_value(triple.i_rep.points, triple.r_vec,
-                                               triple.f_vec))
+            assert value_bits(route) == value_bits(majgeom.nlevel_values._factored_weak_value(
+                triple.i_rep.points, triple.r_vec, triple.f_vec))
+            if abs(np.vdot(psi_f, psi_i)) >= 0.1:
+                public, _ = factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec)
+                assert relative_gap(public, route[0].rect) <= 1e-12
+
+
+def anchored_observable(rng, r):
+    """A Hermitian observable whose largest eigenvalue, 2, has eigenvector ``r``;
+    the rest of its spectrum lies in [-1, 1]."""
+    r = nlevel_state(r)
+    rest = np.eye(r.size) - np.outer(r, r.conj())
+    block = rest @ random_hermitian(rng, r.size) @ rest
+    return 2.0 * np.outer(r, r.conj()) + block / np.linalg.norm(block, 2)
+
+
+def orthogonal_to(rng, state):
+    """A random unit state orthogonal to ``state``."""
+    state = nlevel_state(state)
+    other = random_state(rng, state.size)
+    other = other - np.vdot(state, other) * state
+    return other / np.linalg.norm(other)
+
+
+class TestFrameEdgeCases:
+    """Both canonical-frame routes at the frame's edge cases, against the direct
+    oracle, for N = 2..8.  ``r`` is the projector state of the weak value and
+    the anchor eigenvector of the modular one."""
+
+    CASES = ("r-top", "r-equals-f", "r-orthogonal-f", "i-equals-r", "r-orthogonal-i")
+
+    @staticmethod
+    def triple(rng, n, case):
+        psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
+        if case == "r-top":  # the projector state is already |N-1>
+            psi_r = -1j * top_state(n)
+        elif case == "r-equals-f":  # w = 1: f's frame point is the north pole
+            psi_f = 1j * psi_r
+        elif case == "r-orthogonal-f":  # f's frame point is the south pole
+            psi_f = orthogonal_to(rng, psi_r)
+        elif case == "i-equals-r":
+            psi_i = psi_r
+        else:  # the weak value is 0
+            psi_i = orthogonal_to(rng, psi_r)
+        return psi_i, psi_r, psi_f
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_weak_route(self, n, case):
+        rng = np.random.default_rng(1400 + n)
+        checked = 0
+        while checked < 10:
+            psi_i, psi_r, psi_f = self.triple(rng, n, case)
+            if abs(np.vdot(psi_f, psi_i)) < 1e-2:
+                continue
+            expected = weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f).rect
+            value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+            assert relative_gap(value, expected) <= 1e-9
+            checked += 1
+
+    def modular_draws(self, n, case, count=10):
+        """Selections and a spec anchored at ``r``, with ``|<f|i>| >= 1e-2``."""
+        rng = np.random.default_rng(1500 + n)
+        while count:
+            psi_i, psi_r, psi_f = self.triple(rng, n, case)
+            if abs(np.vdot(psi_f, psi_i)) < 1e-2:
+                continue
+            yield psi_i, NLevelModularSpec(observable=anchored_observable(rng, psi_r),
+                                           alpha=rng.uniform(-3, 3),
+                                           beta=rng.uniform(-1, 1)), psi_f
+            count -= 1
+
+    @pytest.mark.parametrize("case", CASES[:-1])
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_modular_route(self, n, case):
+        for psi_i, spec, psi_f in self.modular_draws(n, case):
+            expected = modular_value_direct(psi_i, spec, psi_f).rect
+            value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+            assert relative_gap(value, expected) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_modular_route_refuses_anchor_orthogonal_to_i(self, n):
+        # A point of i lands on the south pole, antipodal to r, so the
+        # quadrangle i -> r -> s -> f has no defined area; unlike the weak
+        # value, the modular value is not 0 there, and the route refuses it.
+        for psi_i, spec, psi_f in self.modular_draws(n, "r-orthogonal-i", count=3):
+            assert modular_value_direct(psi_i, spec, psi_f).modulus > 1e-3
+            with pytest.raises(UndefinedSolidAngle):
+                qutrit_modular_value_geometric(psi_i, spec, psi_f)
+
+
+def with_overlap(rng, n, overlap):
+    """A random initial state and a final state with ``|<f|i>| = overlap``."""
+    psi_i = random_state(rng, n)
+    phase = np.exp(2j * math.pi * rng.uniform())
+    return psi_i, overlap * phase * psi_i + math.sqrt(1.0 - overlap**2) * orthogonal_to(rng, psi_i)
+
+
+class TestSmallOverlapAccuracy:
+    """Both canonical-frame routes at ``|<f|i>| = 1e-3``, where the Bloch
+    route's ``1 + f.i`` is small: an unrenormalized frame point shows here."""
+
+    @pytest.mark.parametrize("n", (3, 5, 8))
+    def test_weak_route(self, n):
+        rng = np.random.default_rng(1600 + n)
+        for _ in range(200):
+            psi_i, psi_f = with_overlap(rng, n, 1e-3)
+            psi_r = random_state(rng, n)
+            expected = weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f).rect
+            value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+            assert relative_gap(value, expected) <= 1e-9
+
+    @pytest.mark.parametrize("n", (3, 5, 8))
+    def test_modular_route(self, n):
+        rng = np.random.default_rng(1700 + n)
+        for _ in range(200):
+            psi_i, psi_f = with_overlap(rng, n, 1e-3)
+            spec = NLevelModularSpec(observable=random_hermitian(rng, n),
+                                     alpha=rng.uniform(-3, 3), beta=rng.uniform(-1, 1))
+            expected = modular_value_direct(psi_i, spec, psi_f).rect
+            value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+            assert relative_gap(value, expected) <= 1e-9
 
 
 class TestFactoredGeneralN:

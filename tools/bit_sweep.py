@@ -13,8 +13,8 @@ by its type and message, so a refusal that moves shows as well.  A
 is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
 full precision.  ``nlevel.modular.routes`` hashes the geometric modular route
-together with the factored one on the canonical points it reads off, so a
-split between the two shows.  The ``cli.help.*`` lines hash the ``--help``
+together with the factored core on the frame points it reads off, so a split
+between the two shows.  The ``cli.help.*`` lines hash the ``--help``
 text of the program and of each subcommand.  The last line hashes the sorted
 names ``from majgeom import *`` binds, so a change of the public surface
 shows too.
@@ -37,7 +37,7 @@ from unittest import mock
 import numpy as np
 
 import majgeom as mg
-from majgeom import cli, nlevel_values
+from majgeom import canonical, cli, nlevel_values
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 LEVELS = range(2, 9)
@@ -128,8 +128,9 @@ def nlevel_values_sweep():
 
 
 def modular_routes():
-    """Both modular routes on one set of canonical points: the geometric route,
-    and the factored route given the points that route reads off, so a split
+    """Both modular routes on one set of frame points: the geometric route, and
+    the factored core given the points that route reads off (the frame of the
+    anchor eigenvector and of f, applied to i and to its evolution), so a split
     between the two shows."""
     rng = np.random.default_rng(606)
     for n in LEVELS:
@@ -140,14 +141,16 @@ def modular_routes():
             spec = mg.NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
             si, sf = mg.nlevel_state(psi_i), mg.nlevel_state(psi_f)
             evals, evecs = mg.eig_hermitian(observable)
-            triple = mg.canonicalize_triple(si, evecs[:, -1], sf)
-            psi_s = triple.u_total @ (mg.unitary_exp(observable, 0.0, alpha * (n - 1) / 2.0) @ si)
-            s_points = mg.majorana_points(psi_s / np.linalg.norm(psi_s)).points
+            strength = alpha * (n - 1) / 2.0
+            to_frame, f_vec, _ = canonical._frame(evecs[:, -1], sf)
+            evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+            i_points = mg.majorana_points(to_frame(si)).points
+            s_points = nlevel_values.pair_points(i_points,
+                                                 mg.majorana_points(to_frame(evolved)).points)
             yield "nlevel.modular.routes", (
                 _outcome(mg.qutrit_modular_value_geometric, psi_i, spec, psi_f) + "|"
-                + _outcome(mg.factored_modular_value, triple.i_rep.points, s_points,
-                           triple.r_vec, triple.f_vec, alpha=alpha, beta=beta,
-                           eigenvalue=float(evals[-1])))
+                + _outcome(nlevel_values._paired_modular_value, i_points, s_points,
+                           canonical._NORTH, f_vec, beta - strength * float(evals[-1])))
 
 
 def stellar():
