@@ -17,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _modular_factors, _weak_factors, as_bloch
+from .bloch import _modular_factors, _rowdot, _weak_factors, as_bloch
 from .canonical import _NORTH, _frame, _frame_points
 from .errors import IncompleteContext, ZeroDenominator
-from .majorana import (
-    _point_array,
-    _point_rows,
-    _symmetrized,
-    nlevel_state,
-)
+from .majorana import _point_array, _point_rows, nlevel_state
 from .numerics import (
     _CONTEXT_SLACK,
     _GELL_MANN_SLACK,
@@ -34,7 +29,7 @@ from .numerics import (
     _check_finite,
     _check_hermitian,
     _checked_overlap,
-    eig_hermitian,
+    _eigh,
     hermiticity_defect,
     unitary_exp,
 )
@@ -247,13 +242,15 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
 
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
     quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
-    phase is ``beta - alpha*(N-1)/2*eigenvalue`` and the overall modulus
-    carries the normalization ratio K_s / K_i, each K read from the validated
-    rows of its paired set.  A pair with modulus ratio 0 (``s_k`` antipodal to
-    ``f``) gets solid angle 0.0, as in :func:`factored_weak_value`.  ``s`` is
-    paired to ``i``, then each set is validated once (``s`` first, then ``i``,
-    ``r`` and ``f``); :func:`qutrit_modular_value_geometric` ends in the same
-    core.
+    phase is ``beta - alpha*(N-1)/2*eigenvalue``.  The overall modulus carries
+    the anchor ratio ``prod_k |r+i_k| / prod_k |r+s_k|``, which equals the
+    normalization ratio K_s / K_i under this function's contract: ``s`` is
+    ``i`` evolved by a unitary with the coherent state at ``r`` as an
+    eigenvector, so ``|<r|s>| = |<r|i>|``.  A pair with modulus ratio 0
+    (``s_k`` antipodal to ``f``) gets solid angle 0.0, as in
+    :func:`factored_weak_value`.  ``s`` is paired to ``i``, then each set is
+    validated once (``s`` first, then ``i``, ``r`` and ``f``);
+    :func:`qutrit_modular_value_geometric` ends in the same core.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     vs = _point_rows(pair_points(i_points, s_points))
@@ -265,8 +262,23 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
 def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
                           dynamical: float):
     """The modular value of unit rows in one frame, ``vs`` paired to ``vi``,
-    with K_s / K_i read from those rows."""
-    return _factored_modular_value(vi, vs, vr, vf, _symmetrized(vs)[1] / _symmetrized(vi)[1],
+    with K_s / K_i read off the anchor ``vr``.
+
+    The coherent state at ``r`` is an eigenvector of the evolution, so
+    ``|<r|s>| = |<r|i>|``, and ``<r|psi> = K m! prod_k <r|q_k>`` with
+    ``|<r|q_k>| = |r+q_k|/2``: K_s / K_i is ``prod_k |r+i_k| / prod_k |r+s_k|``,
+    whatever the pairing.  ``|r+x|^2`` is summed from the rows ``r+x``, not
+    taken as ``2(1 + r.x)``, which loses bits where ``x`` nears ``-r``.
+    """
+    sums = vr + np.concatenate((vi, vs))
+    squares = _rowdot(sums, sums).tolist()
+    m = len(vi)
+    num, den = math.prod(squares[:m]), math.prod(squares[m:])
+    k_ratio = math.sqrt(num / den) if den else math.inf
+    # The ratio is infinite only where some |r+s_k| is below 1e-12 (0/0 at
+    # -r).  That quadrangle has no area, so the core refuses the value unless
+    # the zero-value rule makes it 0, whatever k_ratio is; k_ratio is then 0.0.
+    return _factored_modular_value(vi, vs, vr, vf, k_ratio if k_ratio < math.inf else 0.0,
                                    dynamical=dynamical)
 
 
@@ -291,13 +303,13 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     vector from the one eigendecomposition of the observable, are pushed
     through the frame and their points read off.  ``s`` is paired to ``i`` and
     the points go through the core that :func:`factored_modular_value` calls
-    once it has validated, with K_s and K_i read from the paired rows.  The
+    once it has validated, with K_s / K_i read off the anchor.  The
     dynamical phase is ``beta - s*eigenvalue``, for the evolution that
     :func:`modular_value_direct` applies.  The selections are validated once,
     and nothing the route makes is validated or renormalized again.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
-    evals, evecs = eig_hermitian(_observable(spec.observable, si.size))
+    evals, evecs = _eigh(_observable(spec.observable, si.size))
     index = spec.eigen_choice if spec.eigen_choice is not None else si.size - 1
     if not 0 <= index < si.size:
         raise ValueError("eigen_choice outside the spectrum")

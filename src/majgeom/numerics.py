@@ -266,6 +266,16 @@ def _check_hermitian(matrix) -> None:
             f"Hermiticity defect {defect:.3e} exceeds {DEFAULT_TOL.unitarity:.1e}")
 
 
+def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and orthonormal eigenvectors of a small Hermitian
+    matrix, checked and symmetrized, with the column phases ``np.linalg.eigh``
+    gives them: ``V diag(f(lambda)) V^H`` and the rays of the columns do not
+    depend on those phases."""
+    m = _as_square(matrix)
+    _check_hermitian(m)
+    return np.linalg.eigh(0.5 * (m + m.conj().T))
+
+
 def eig_hermitian(matrix):
     """Eigendecomposition of a small Hermitian matrix.
 
@@ -273,10 +283,7 @@ def eig_hermitian(matrix):
     columns are gauge fixed: the first entry of modulus above
     ``DEFAULT_TOL.zero`` is made real and positive.
     """
-    m = _as_square(matrix)
-    _check_hermitian(m)
-    sym = 0.5 * (m + m.conj().T)
-    evals, evecs = np.linalg.eigh(sym)
+    evals, evecs = _eigh(matrix)
     evecs = evecs.copy()
     for k in range(evecs.shape[1]):
         _fix_gauge(evecs[:, k])
@@ -285,7 +292,7 @@ def eig_hermitian(matrix):
 
 def unitary_exp(matrix, phase: float = 0.0, strength: float = 1.0) -> np.ndarray:
     """``exp(1j*phase) * exp(-1j*strength*H)`` for Hermitian ``H``."""
-    evals, evecs = eig_hermitian(matrix)
+    evals, evecs = _eigh(matrix)
     diag = np.exp(-1j * strength * evals)
     return np.exp(1j * phase) * ((evecs * diag) @ evecs.conj().T)
 

@@ -58,6 +58,18 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def spin_component(m: int, axis: np.ndarray) -> np.ndarray:
+    """``axis . J`` for spin m/2 in majgeom's N-level basis, where ``|k>`` has
+    k of its m stellar points at the north pole; the coherent state at
+    ``axis`` is its eigenvector of eigenvalue m/2."""
+    k = np.arange(m + 1, dtype=float)
+    j_plus = np.diag(np.sqrt((m - k[:-1]) * (k[:-1] + 1.0)), -1).astype(complex)
+    j_minus = j_plus.conj().T
+    jz = np.diag(k - 0.5 * m).astype(complex)
+    return (axis[0] * 0.5 * (j_plus + j_minus) - axis[1] * 0.5j * (j_plus - j_minus)
+            + axis[2] * jz)
+
+
 def random_spin1_operator(rng) -> np.ndarray:
     """Random traceless Hermitian 3x3 with spectrum exactly {-1, 0, +1}."""
     v = random_unitary(rng, 3)

@@ -15,6 +15,7 @@ from helpers import (
     random_hermitian,
     random_spin1_operator,
     random_state,
+    spin_component,
     top_state,
 )
 from majgeom.bloch import solid_angle_triangle
@@ -45,6 +46,7 @@ from majgeom.nlevel_values import (
     weak_value_direct,
 )
 from majgeom.numerics import eig_hermitian, unitary_exp
+from majgeom.polar import PolarComplex
 from majgeom.qubit_values import observable_to_modular_spec
 
 SQ3 = math.sqrt(3.0)
@@ -443,47 +445,46 @@ class TestQutritModularGeometric:
             monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_normalization_computed_once_per_point_set(self, monkeypatch):
-        # K is computed when a representation's normalization is read; the
-        # value route reads it once for each of its two point sets.
-        calls = self.count_calls(monkeypatch, "_symmetrized",
-                                 (majgeom.majorana, majgeom.nlevel_values))
+    def test_normalization_never_computed(self, monkeypatch):
+        # K_s / K_i is read off the anchor: neither modular route symmetrizes.
+        calls = self.count_calls(monkeypatch, "_symmetrized", (majgeom.majorana,))
         rng = np.random.default_rng(85)
         spec = NLevelModularSpec(
             observable=GellMannDirection.from_r8(rng.normal(size=8)).operator,
             alpha=0.7, beta=0.2)
         psi_i, psi_f = random_state(rng, 3), random_state(rng, 3)
         value, breakdown = qutrit_modular_value_geometric(psi_i, spec, psi_f)
-        assert calls == [2, 2]
+        factored_modular_value([f.i_point for f in breakdown.factors],
+                               [f.s_point for f in breakdown.factors], NORTH, random_bloch(rng),
+                               alpha=0.7, beta=0.2, eigenvalue=1.0)
+        assert calls == []
         expected = modular_value_direct(psi_i, spec, psi_f).rect
         assert abs(value.rect - expected) <= 1e-9 * max(1.0, abs(expected))
 
     def test_factored_modular_value_validates_and_normalizes_each_set_once(self, monkeypatch):
-        k_calls = self.count_calls(monkeypatch, "_symmetrized",
-                                   (majgeom.majorana, majgeom.nlevel_values))
+        k_calls = self.count_calls(monkeypatch, "_symmetrized", (majgeom.majorana,))
         checks = self.count_calls(monkeypatch, "as_bloch_array",
                                   (majgeom.bloch, majgeom.majorana))
         rng = np.random.default_rng(88)
         i_pts, s_pts = random_points(rng, 4), random_points(rng, 4)
-        value, breakdown = factored_modular_value(
-            i_pts, s_pts, random_bloch(rng), random_bloch(rng), alpha=0.4, beta=0.1,
-            eigenvalue=1.0)
-        assert k_calls == [4, 4]
+        factored_modular_value(i_pts, s_pts, random_bloch(rng), random_bloch(rng),
+                               alpha=0.4, beta=0.1, eigenvalue=1.0)
+        assert k_calls == []
         assert checks == [4, 4]
-        assert breakdown.k_ratio == (majgeom.majorana.normalization_factor(
-            pair_points(i_pts, s_pts)) / majgeom.majorana.normalization_factor(i_pts))
 
     def test_one_eigendecomposition_per_call(self, monkeypatch):
-        # The anchor eigenvector and the evolution share one eig_hermitian.
+        # The anchor eigenvector and the evolution share one _eigh; neither
+        # route gauge-fixes its eigenvectors.
         calls = []
-        original = majgeom.numerics.eig_hermitian
+        original = majgeom.numerics._eigh
 
         def counting(matrix, **kwargs):
             calls.append(np.shape(matrix))
             return original(matrix, **kwargs)
 
-        monkeypatch.setattr(majgeom.numerics, "eig_hermitian", counting)
-        monkeypatch.setattr(majgeom.nlevel_values, "eig_hermitian", counting)
+        for module in (majgeom.numerics, majgeom.nlevel_values):
+            monkeypatch.setattr(module, "_eigh", counting)
+        monkeypatch.setattr(majgeom.numerics, "eig_hermitian", None)  # a call would fail
         rng = np.random.default_rng(86)
         spec = NLevelModularSpec(
             observable=GellMannDirection.from_r8(rng.normal(size=8)).operator,
@@ -646,7 +647,7 @@ class TestCanonicalRoutesAreFactored:
             alpha, beta = rng.uniform(-3, 3), rng.uniform(-1, 1)
             spec = NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
             si, sf = nlevel_state(psi_i), nlevel_state(psi_f)
-            evals, evecs = eig_hermitian(observable)
+            evals, evecs = majgeom.numerics._eigh(observable)
             strength = alpha * (n - 1) / 2.0
             route = qutrit_modular_value_geometric(psi_i, spec, psi_f)
 
@@ -796,6 +797,110 @@ class TestSmallOverlapAccuracy:
             expected = modular_value_direct(psi_i, spec, psi_f).rect
             value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
             assert relative_gap(value, expected) <= 1e-9
+
+
+class TestAnchorRatio:
+    """K_s / K_i read off the anchor, ``prod |r+i_k| / prod |r+s_k|``: against
+    the ratio of the two symmetrization constants, at its 0/0 edge, and in the
+    modular route where ``|<r|i>|`` is small."""
+
+    @staticmethod
+    def evolved_points(rng, n, kind, angle):
+        """Points of a random ``i``, of its evolution and the anchor point ``r``.
+        ``spin``: a spin rotation by ``angle`` about a random ``r``.  ``anchor``:
+        ``i`` and its evolution under a Gell-Mann (N = 3) or random observable,
+        in the frame of that observable's top eigenvector and a random ``f``,
+        where ``r`` is the north pole."""
+        psi_i = nlevel_state(random_state(rng, n))
+        if kind == "spin":
+            r = random_bloch(rng)
+            evolved = unitary_exp(spin_component(n - 1, r), 0.0, angle) @ psi_i
+            return majorana_points(psi_i).points, majorana_points(evolved).points, r
+        observable = (GellMannDirection.from_r8(rng.normal(size=8)).operator if n == 3
+                      else random_hermitian(rng, n))
+        _, evecs = eig_hermitian(observable)
+        triple = majgeom.canonical.canonicalize_triple(psi_i, evecs[:, -1], random_state(rng, n))
+        evolved = triple.u_total @ (unitary_exp(observable, 0.0, angle) @ psi_i)
+        return triple.i_rep.points, majorana_points(evolved).points, NORTH
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(2, MAX_LEVELS), st.sampled_from(("spin", "anchor")),
+           st.floats(-2 * math.pi, 2 * math.pi), st.integers(0, 2**32 - 1))
+    def test_matches_normalization_ratio(self, n, kind, angle, seed):
+        rng = np.random.default_rng(seed)
+        i_pts, s_pts, r = self.evolved_points(rng, n, kind, angle)
+        _, breakdown = factored_modular_value(i_pts, s_pts, r, random_bloch(rng),
+                                              alpha=angle, beta=0.0, eigenvalue=1.0)
+        expected = (majgeom.majorana.normalization_factor(pair_points(i_pts, s_pts))
+                    / majgeom.majorana.normalization_factor(i_pts))
+        assert abs(breakdown.k_ratio - expected) <= 1e-12 * expected
+
+    @staticmethod
+    def finite(value, breakdown) -> bool:
+        numbers = [value.modulus, value.argument, value.unwrapped_argument,
+                   breakdown.k_ratio, breakdown.dynamical_phase]
+        for factor in breakdown.factors:
+            numbers += [factor.modulus_ratio, factor.solid_angle,
+                        *factor.i_point, *factor.s_point]
+        return all(map(math.isfinite, numbers))
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_evolved_point_antipodal_to_anchor(self, n):
+        # s_k = -r makes the anchor ratio 0/0: the value is refused, or it is
+        # 0 by the zero-value rule (f = r) and every number of it is finite.
+        rng = np.random.default_rng(1800 + n)
+        for _ in range(10):
+            r = random_bloch(rng)
+            i_pts, s_pts = random_points(rng, n - 1), random_points(rng, n - 1)
+            k = rng.integers(n - 1)
+            s_pts[k] = -r
+
+            def value(f, i_pts=i_pts):
+                return factored_modular_value(i_pts, s_pts, r, f, alpha=0.3, beta=0.2,
+                                              eigenvalue=1.0)
+
+            with pytest.raises(UndefinedSolidAngle):
+                value(random_bloch(rng))
+            result = value(r)
+            assert result[0] == PolarComplex(0.0, 0.0, 0.0)
+            assert result[1].k_ratio == 0.0 and self.finite(*result)
+            with pytest.raises(OrthogonalSelection):  # i_k = -r is antipodal to f = r
+                value(r, np.concatenate((-r[None], i_pts[1:])))
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_evolved_point_all_but_antipodal_to_anchor(self, n):
+        # |r + s_k|^2 underflows to 0 although s_k != -r.
+        rng = np.random.default_rng(1850 + n)
+        for _ in range(10):
+            r = random_bloch(rng)
+            near = -r + 1e-170 * np.cross(r, random_bloch(rng))
+            i_pts, s_pts = random_points(rng, n - 1), random_points(rng, n - 1)
+            s_pts[:] = near / np.linalg.norm(near)
+            for f in (r, random_bloch(rng)):
+                try:
+                    result = factored_modular_value(i_pts, s_pts, r, f, alpha=0.3, beta=0.2,
+                                                    eigenvalue=1.0)
+                except (UndefinedSolidAngle, OrthogonalSelection):
+                    continue
+                assert self.finite(*result)
+
+    @pytest.mark.parametrize("overlap", (1e-2, 1e-3))
+    @pytest.mark.parametrize("n", (3, 5, 8))
+    def test_small_anchor_overlap(self, n, overlap):
+        # |<r|i>| small puts points of i and s near -r, where |r + x| is small.
+        rng = np.random.default_rng(1900 + n)
+        checked = 0
+        while checked < 40:
+            psi_r, psi_i = with_overlap(rng, n, overlap)
+            psi_f = random_state(rng, n)
+            if abs(np.vdot(psi_f, psi_i)) < 1e-2:
+                continue
+            spec = NLevelModularSpec(observable=anchored_observable(rng, psi_r),
+                                     alpha=rng.uniform(-3, 3), beta=rng.uniform(-1, 1))
+            expected = modular_value_direct(psi_i, spec, psi_f).rect
+            value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
+            assert abs(value.rect - expected) <= 1e-9 * abs(expected)
+            checked += 1
 
 
 class TestFactoredGeneralN:

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from helpers import random_bloch, random_state
 import majgeom.majorana
-import majgeom.nlevel_values
 from majgeom.bloch import as_bloch_array
 from majgeom.canonical import canonicalize_triple
 from majgeom.errors import AllCoefficientsZero
@@ -208,8 +207,7 @@ class TestNormalizationWhenRead:
             calls.append(len(pts))
             return _symmetrized(pts)
 
-        for module in (majgeom.majorana, majgeom.nlevel_values):
-            monkeypatch.setattr(module, "_symmetrized", counting)
+        monkeypatch.setattr(majgeom.majorana, "_symmetrized", counting)
         return calls
 
     def test_points_are_the_only_field(self):

@@ -37,7 +37,7 @@ from unittest import mock
 import numpy as np
 
 import majgeom as mg
-from majgeom import canonical, cli, nlevel_values
+from majgeom import canonical, cli, nlevel_values, numerics
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 LEVELS = range(2, 9)
@@ -130,8 +130,8 @@ def nlevel_values_sweep():
 def modular_routes():
     """Both modular routes on one set of frame points: the geometric route, and
     the factored core given the points that route reads off (the frame of the
-    anchor eigenvector and of f, applied to i and to its evolution), so a split
-    between the two shows."""
+    anchor eigenvector, as ``numerics._eigh`` returns it without a gauge, and
+    of f, applied to i and to its evolution), so a split between the two shows."""
     rng = np.random.default_rng(606)
     for n in LEVELS:
         for _ in range(DRAWS):
@@ -140,7 +140,7 @@ def modular_routes():
             alpha, beta = float(rng.uniform(-3, 3)), float(rng.uniform(-1, 1))
             spec = mg.NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
             si, sf = mg.nlevel_state(psi_i), mg.nlevel_state(psi_f)
-            evals, evecs = mg.eig_hermitian(observable)
+            evals, evecs = numerics._eigh(observable)
             strength = alpha * (n - 1) / 2.0
             to_frame, f_vec, _ = canonical._frame(evecs[:, -1], sf)
             evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
