@@ -26,7 +26,6 @@ from .canonical import (
     StateAngles,
     canonicalize_triple,
     params_to_state,
-    three_box_transform,
 )
 from .errors import (
     AllCoefficientsZero,

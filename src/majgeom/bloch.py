@@ -222,15 +222,6 @@ def _triangles(y: list[float], fr: list[float], ri: list[float],
     return out
 
 
-def _quadrangles(y1: list[float], sr: list[float], ri: list[float], si: list[float],
-                 y2: list[float], fs: list[float], fi: list[float]) -> list[float | None]:
-    """Solid angles of the quadrangles i -> r -> s -> f row by row: the
-    triangles (i, r, s) and (i, s, f), whose shared i <-> s legs cancel;
-    ``None`` where either is undefined."""
-    return [None if a is None or b is None else a + b
-            for a, b in zip(_triangles(y1, sr, ri, si), _triangles(y2, fs, si, fi))]
-
-
 def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> list[list[float]]:
     """``f.(r x i)``, ``f.r``, ``r.i`` and ``f.i`` of the triangles (i, r, f)
     of unit ``(3,)`` vectors or ``(n, 3)`` rows, one float per row."""
@@ -244,13 +235,17 @@ def _triangle_rows(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> list[float
     return _triangles(*_triangle_dots(vi, vr, vf))
 
 
-def _quadrangle_dots(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
-                     vf: np.ndarray) -> list[list[float]]:
-    """The scalar and triple products of the quadrangles i -> r -> s -> f in
-    the argument order of :func:`_quadrangles`, one float per row."""
+def _quadrangle_rows(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
+                     vf: np.ndarray) -> tuple[list[float | None], list[float], list[float]]:
+    """Solid angles of the quadrangles i -> r -> s -> f row by row, ``None``
+    where one is undefined, with ``f.s`` and ``f.i``.  Each is the triangles
+    (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, stacked into
+    one :func:`_triangle_dots` call over 2n rows."""
     n, (i, r, s, f) = _tiled(vi, vr, vs, vf)
-    r_x_i, s_x_i = _cross(np.concatenate((r, s)).reshape(2, n, 3), i)
-    return _stacked_dots([s, s, r, s, f, f, f], [r_x_i, r, i, i, s_x_i, s, i], n)
+    y, fr, ri, fi = _triangle_dots(*(np.concatenate(pair) for pair in ((i, i), (r, s), (s, f))))
+    angles = _triangles(y, fr, ri, fi)
+    return ([None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])],
+            fr[n:], fi[n:])
 
 
 def _defined(angles: list[float | None]) -> list[float]:
@@ -285,8 +280,8 @@ def _weak_factors(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
 def _modular_factors(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray, vf: np.ndarray):
     """Factor moduli and quadrangle solid angles of the modular value of
     paired unit points ``vi`` and ``vs`` (``(m, 3)`` or ``(3,)``)."""
-    dots = _quadrangle_dots(vi, vr, vs, vf)
-    return _factors(_modular_modulus_rows(*dots[5:]), _quadrangles(*dots))
+    angles, fs, fi = _quadrangle_rows(vi, vr, vs, vf)
+    return _factors(_modular_modulus_rows(fs, fi), angles)
 
 
 def _flat_rows(*vecs) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -372,7 +367,7 @@ def solid_angle_quadrangle(i, r, s, f) -> float:
     modulo 4*pi).
     """
     vi, vr, vs, vf = (as_bloch(v) for v in (i, r, s, f))
-    (omega,) = _defined(_quadrangles(*_quadrangle_dots(vi, vr, vs, vf)))
+    (omega,) = _defined(_quadrangle_rows(vi, vr, vs, vf)[0])
     return omega
 
 

@@ -23,9 +23,6 @@ from .bloch import _unit
 from .majorana import SymmetricRepresentation, _majorana_points, _normalized, nlevel_state
 from .numerics import _norm
 
-_SQ2 = math.sqrt(2.0)
-_SQ3 = math.sqrt(3.0)
-_SQ6 = math.sqrt(6.0)
 _NORTH = np.array([0.0, 0.0, 1.0])
 _DIMENSIONS = "the three states must share a dimension"
 
@@ -177,17 +174,3 @@ def _frame_points(psi: np.ndarray) -> SymmetricRepresentation:
     """The stellar points of a frame image, bit for bit :func:`majorana_points` of it."""
     return _majorana_points(_normalized(psi))
 
-
-def three_box_transform() -> tuple[np.ndarray, np.ndarray]:
-    """The fixed pair of unitaries canonicalizing the three-box scenario."""
-    u1 = np.array([
-        [-_SQ3, _SQ3, 0.0],
-        [-1.0, -1.0, 2.0],
-        [_SQ2, _SQ2, _SQ2],
-    ], dtype=complex) / _SQ6
-    u2 = np.array([
-        [-(1.0 + _SQ3), (1.0 - _SQ3), 0.0],
-        [(1.0 - _SQ3), (1.0 + _SQ3), 0.0],
-        [0.0, 0.0, 2.0 * _SQ2],
-    ], dtype=complex) / (2.0 * _SQ2)
-    return u1, u2

@@ -18,14 +18,13 @@ from .bloch import (
     bloch_to_qubits,
     weak_moduli,
 )
-from .canonical import three_box_transform
+from .canonical import _NORTH, _frame, _frame_points
 from .majorana import (
     _check_state_angles,
     _discriminant,
     _qutrit_roots_at,
     discriminant_degeneracy,
     entanglement_entropy,
-    majorana_points,
     nlevel_state,
 )
 from .nlevel_values import abl_distribution, abl_probability, weak_value_direct
@@ -429,16 +428,10 @@ def three_box_report() -> ThreeBoxReport:
                       np.diag([0.0, 1.0, 0.0]).astype(complex),
                       np.diag([0.0, 0.0, 1.0]).astype(complex)]
 
-    u1, u2 = three_box_transform()
-    u = u2 @ u1
-    i_rep = majorana_points(u @ psi_i)
-    f_rep = majorana_points(u @ psi_f)
-    i_vec = _unit(i_rep.points.mean(axis=0))
-    f_vec = _unit(f_rep.points.mean(axis=0))
-    vi, vf = as_bloch_array(i_vec), as_bloch_array(f_vec)
-
-    states = [u @ np.eye(3, dtype=complex)[:, index] for index in range(3)]
-    reps = [majorana_points(state) for state in states]
+    to_frame, f_vec, _ = _frame(nlevel_state(psi_i), nlevel_state(psi_f))
+    i_vec = _NORTH.copy()
+    states = [to_frame(e) for e in np.eye(3, dtype=complex)]
+    reps = [_frame_points(state) for state in states]
     r_pair = reps[1].points
     phi_r, phi_mr = bloch_to_qubits(r_pair)
     basis_rr = np.kron(phi_r, phi_r)
@@ -450,7 +443,7 @@ def three_box_report() -> ThreeBoxReport:
         normalization = rep.normalization
         factors = []
         for point, bare, omega in zip(rep.points,
-                                      *_weak_factors(vi, as_bloch_array(rep.points), vf)):
+                                      *_weak_factors(i_vec, rep.points, f_vec)):
             modulus = 2.0 * normalization * bare
             factors.append(BoxFactor(point=point, modulus=modulus, solid_angle=omega,
                                      value=modulus * complex(math.cos(-0.5 * omega),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import random_state, top_state, unitarity_defect
-from majgeom.canonical import canonicalize_triple, three_box_transform
+from majgeom.canonical import canonicalize_triple
 from majgeom.majorana import (
     MAX_LEVELS,
     discriminant_degeneracy,
@@ -200,46 +200,49 @@ class TestCanonicalFrame:
                                 random_state(rng, 3))
 
 
-class TestThreeBoxTransform:
+# The paper's two unitaries canonicalizing the three-box scenario, as
+# printed: the reference the generic frame is checked against.
+SQ6 = math.sqrt(6.0)
+THREE_BOX_U1 = np.array([
+    [-SQ3, SQ3, 0.0],
+    [-1.0, -1.0, 2.0],
+    [SQ2, SQ2, SQ2],
+], dtype=complex) / SQ6
+THREE_BOX_U2 = np.array([
+    [-(1.0 + SQ3), 1.0 - SQ3, 0.0],
+    [1.0 - SQ3, 1.0 + SQ3, 0.0],
+    [0.0, 0.0, 2.0 * SQ2],
+], dtype=complex) / (2.0 * SQ2)
+THREE_BOX_I = np.ones(3) / SQ3
+THREE_BOX_F = np.array([1.0, -1.0, 1.0]) / SQ3
+
+
+class TestThreeBoxFrame:
+    """The generic frame with the preselected state in the projector slot and
+    the postselected one in the final slot is the paper's frame, phases and all."""
+
+    @pytest.fixture(scope="class")
+    def triple(self):
+        # the middle box's state in the initial slot
+        return canonicalize_triple(np.array([0.0, 1.0, 0.0]), THREE_BOX_I, THREE_BOX_F)
+
     def test_unitarity(self):
-        u1, u2 = three_box_transform()
-        assert unitarity_defect(u1) <= 1e-12
-        assert unitarity_defect(u2) <= 1e-12
+        assert unitarity_defect(THREE_BOX_U1) <= 1e-15
+        assert unitarity_defect(THREE_BOX_U2) <= 1e-15
 
-    def test_preselected_state_maps_to_north_pair(self):
-        u1, u2 = three_box_transform()
-        psi_i = np.ones(3) / SQ3
-        rep = majorana_points(u2 @ u1 @ psi_i)
-        # double-root conditioning bounds the recovered pair at ~1e-8
-        assert np.max(np.abs(rep.points - np.array([0, 0, 1.0]))) <= 1e-7
-        assert np.max(np.abs(rep.points.mean(axis=0)
-                             / np.linalg.norm(rep.points.mean(axis=0))
-                             - np.array([0, 0, 1.0]))) <= 1e-12
+    def test_general_frame_agrees(self, triple):
+        # column k is the frame image of e_k, the state of box k + 1
+        assert np.max(np.abs(triple.u_total - THREE_BOX_U2 @ THREE_BOX_U1)) <= 4.4e-16
+        assert unitarity_defect(triple.u_total) <= 4.4e-16
 
-    def test_postselected_state_maps_to_coincident_pair(self):
-        u1, u2 = three_box_transform()
-        psi_f = np.array([1.0, -1.0, 1.0]) / SQ3
-        rep = majorana_points(u2 @ u1 @ psi_f)
-        expected = np.array([2 * SQ2, 0.0, -1.0]) / 3.0
-        assert np.max(np.abs(rep.points - expected)) <= 1e-9
+    def test_preselected_state_maps_to_north_pair(self, triple):
+        assert np.max(np.abs(triple.psi_r - np.array([0.0, 0.0, 1.0]))) <= 1e-15
 
-    def test_middle_box_maps_to_antipodal_pair(self):
-        u1, u2 = three_box_transform()
-        rep = majorana_points(u2 @ u1 @ np.array([0, 1.0, 0]))
+    def test_postselected_state_maps_to_coincident_pair(self, triple):
+        expected = np.array([2.0 * SQ2, 0.0, -1.0]) / 3.0
+        assert np.max(np.abs(triple.f_vec - expected)) <= 2.3e-16
+        assert abs(triple.eta - math.acos(1.0 / 3.0)) <= 2.3e-16
+
+    def test_middle_box_maps_to_antipodal_pair(self, triple):
         expected = np.array([SQ2, 0.0, 1.0]) / SQ3
-        assert np.max(np.abs(rep.points[0] - expected)) <= 1e-9
-        assert np.max(np.abs(rep.points[1] + expected)) <= 1e-9
-
-    def test_general_frame_agrees(self):
-        # Both frames put the preselected state on the north pole and the
-        # postselected state at (2 sqrt2, 0, -1)/3, so they map each to the
-        # same state up to a phase.
-        u1, u2 = three_box_transform()
-        psi_i = np.ones(3) / SQ3
-        psi_f = np.array([1.0, -1.0, 1.0]) / SQ3
-        triple = canonicalize_triple(np.array([0.0, 1.0, 0.0]), psi_i, psi_f)
-        expected = np.array([2 * SQ2, 0.0, -1.0]) / 3.0
-        assert np.max(np.abs(triple.f_vec - expected)) <= 1e-15
-        assert triple.eta == pytest.approx(math.acos(1.0 / 3.0), abs=1e-15)
-        assert phase_gap(triple.psi_r, u2 @ u1 @ psi_i) <= 1e-15
-        assert phase_gap(triple.psi_f, u2 @ u1 @ psi_f) <= 1e-15
+        assert np.max(np.abs(triple.i_rep.points - np.stack([expected, -expected]))) <= 4.4e-16

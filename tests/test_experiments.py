@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import warnings
@@ -7,6 +8,9 @@ import pytest
 
 from helpers import ang_dist
 from majgeom.bloch import solid_angle_triangle, weak_moduli
+import majgeom.canonical
+import majgeom.experiments
+import majgeom.majorana
 from majgeom.canonical import StateAngles, params_to_state
 from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
 from majgeom.experiments import (
@@ -140,6 +144,60 @@ class TestSingularityScan:
         above = [r for r in recs if r.theta > THETA_C + 0.05 and r.wv_argument is not None]
         assert all(abs(r.wv_argument) <= 1e-8 for r in below)
         assert all(ang_dist(r.wv_argument, math.pi) <= 1e-8 for r in above)
+
+    def test_printed_numbers_meet_their_closed_forms(self, report):
+        # Every number three-box prints that has a closed form, to within a
+        # few units in the last place, not just the 1e-9 of the rows above.
+        corner = 2 * math.atan(math.sqrt(3 + 2 * SQ3))
+        moduli = ((1.0, 1.0), (math.sqrt(2 + SQ3), math.sqrt(2 - SQ3)), (1.0, 1.0))
+        angles = ((-corner, corner), (0.0, 2 * math.pi), (0.0, 0.0))
+        entropy = -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)
+        middle = np.array([SQ2, 0.0, 1.0]) / SQ3
+        rows = [("i_vec", report.i_vec, [0.0, 0.0, 1.0]),
+                ("f_vec", report.f_vec, [2 * SQ2 / 3, 0.0, -1.0 / 3]),
+                ("weak_value_sum", report.weak_value_sum, 1.0)]
+        for box, value, box_moduli, box_angles, side in zip(
+                report.boxes, (1.0, -1.0, 1.0), moduli, angles, (-1.0, None, 1.0)):
+            rows += [(f"{box.name} weak_value", box.weak_value, value),
+                     (f"{box.name} weak_value_direct", box.weak_value_direct, value)]
+            for k, (factor, modulus, omega) in enumerate(zip(box.factors, box_moduli, box_angles)):
+                rows += [(f"{box.name} factor {k} modulus", factor.modulus, modulus),
+                         (f"{box.name} factor {k} solid_angle", factor.solid_angle, omega),
+                         (f"{box.name} factor {k} value", factor.value,
+                          modulus * cmath.exp(-0.5j * omega))]
+            if side is not None:
+                rows += [(f"{box.name} entropy", box.entropy, entropy),
+                         (f"{box.name} bell_overlap", box.bell_overlap, 0.0),
+                         (f"{box.name} closest_separable", box.closest_separable, side * middle)]
+        for name, got, expected in rows:
+            assert np.max(np.abs(np.subtract(got, expected))) <= 2e-15, name
+
+    def test_one_frame_and_a_point_solve_per_box(self, monkeypatch):
+        frames, solves = [], []
+
+        def counted(fn, log):
+            def wrapper(*args):
+                log.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(majgeom.experiments, "_frame",
+                            counted(majgeom.experiments._frame, frames))
+        for module in (majgeom.canonical, majgeom.majorana):
+            monkeypatch.setattr(module, "_majorana_points",
+                                counted(majgeom.majorana._majorana_points, solves))
+        three_box_report()
+        assert len(frames) == 1
+        assert len(solves) == 3  # the boxes; none for the pre- or postselected state
+
+    def test_frame_vectors_belong_to_the_caller(self):
+        first = three_box_report()
+        first.i_vec[:] = 0.0
+        first.f_vec[:] = 0.0
+        second = three_box_report()
+        assert second.i_vec.tolist() == [0.0, 0.0, 1.0]
+        assert np.max(np.abs(second.f_vec - np.array([2 * SQ2, 0.0, -1.0]) / 3.0)) <= 2.3e-16
+        assert majgeom.canonical._NORTH.tolist() == [0.0, 0.0, 1.0]
 
     def test_runtime(self):
         import time
@@ -383,6 +441,60 @@ class TestThreeBoxReport:
         assert np.max(np.abs(by_name["box1"].closest_separable + r1)) <= 1e-9
         assert np.max(np.abs(by_name["box3"].closest_separable - r1)) <= 1e-9
         assert by_name["box2"].closest_separable is None
+
+    def test_printed_numbers_meet_their_closed_forms(self, report):
+        # Every number three-box prints that has a closed form, to within a
+        # few units in the last place, not just the 1e-9 of the rows above.
+        corner = 2 * math.atan(math.sqrt(3 + 2 * SQ3))
+        moduli = ((1.0, 1.0), (math.sqrt(2 + SQ3), math.sqrt(2 - SQ3)), (1.0, 1.0))
+        angles = ((-corner, corner), (0.0, 2 * math.pi), (0.0, 0.0))
+        entropy = -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)
+        middle = np.array([SQ2, 0.0, 1.0]) / SQ3
+        rows = [("i_vec", report.i_vec, [0.0, 0.0, 1.0]),
+                ("f_vec", report.f_vec, [2 * SQ2 / 3, 0.0, -1.0 / 3]),
+                ("weak_value_sum", report.weak_value_sum, 1.0)]
+        for box, value, box_moduli, box_angles, side in zip(
+                report.boxes, (1.0, -1.0, 1.0), moduli, angles, (-1.0, None, 1.0)):
+            rows += [(f"{box.name} weak_value", box.weak_value, value),
+                     (f"{box.name} weak_value_direct", box.weak_value_direct, value)]
+            for k, (factor, modulus, omega) in enumerate(zip(box.factors, box_moduli, box_angles)):
+                rows += [(f"{box.name} factor {k} modulus", factor.modulus, modulus),
+                         (f"{box.name} factor {k} solid_angle", factor.solid_angle, omega),
+                         (f"{box.name} factor {k} value", factor.value,
+                          modulus * cmath.exp(-0.5j * omega))]
+            if side is not None:
+                rows += [(f"{box.name} entropy", box.entropy, entropy),
+                         (f"{box.name} bell_overlap", box.bell_overlap, 0.0),
+                         (f"{box.name} closest_separable", box.closest_separable, side * middle)]
+        for name, got, expected in rows:
+            assert np.max(np.abs(np.subtract(got, expected))) <= 2e-15, name
+
+    def test_one_frame_and_a_point_solve_per_box(self, monkeypatch):
+        frames, solves = [], []
+
+        def counted(fn, log):
+            def wrapper(*args):
+                log.append(args)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(majgeom.experiments, "_frame",
+                            counted(majgeom.experiments._frame, frames))
+        for module in (majgeom.canonical, majgeom.majorana):
+            monkeypatch.setattr(module, "_majorana_points",
+                                counted(majgeom.majorana._majorana_points, solves))
+        three_box_report()
+        assert len(frames) == 1
+        assert len(solves) == 3  # the boxes; none for the pre- or postselected state
+
+    def test_frame_vectors_belong_to_the_caller(self):
+        first = three_box_report()
+        first.i_vec[:] = 0.0
+        first.f_vec[:] = 0.0
+        second = three_box_report()
+        assert second.i_vec.tolist() == [0.0, 0.0, 1.0]
+        assert np.max(np.abs(second.f_vec - np.array([2 * SQ2, 0.0, -1.0]) / 3.0)) <= 2.3e-16
+        assert majgeom.canonical._NORTH.tolist() == [0.0, 0.0, 1.0]
 
     def test_runtime(self):
         import time

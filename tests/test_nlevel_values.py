@@ -336,6 +336,26 @@ class TestQutritProjectorGeometric:
             factored_weak_value([i_point], NORTH, NORTH)
 
 
+class TestNBoxParadox:
+    """The N-box paradox: preselect sum_k |k>, postselect sum_{k<N} |k> +
+    (2 - N)|N>.  Boxes 1..N-1 have weak value exactly 1, box N has 2 - N.
+    The box states are Dicke states: their points coincide at the poles and
+    include roots at infinity."""
+
+    @pytest.mark.parametrize("n", range(3, MAX_LEVELS + 1))
+    def test_box_weak_values_are_exact(self, n):
+        psi_i = np.ones(n) / math.sqrt(n)
+        psi_f = np.ones(n)
+        psi_f[-1] = 2.0 - n
+        psi_f = psi_f / np.linalg.norm(psi_f)
+        for k, box in enumerate(np.eye(n)):
+            exact = 1.0 if k < n - 1 else 2.0 - n
+            value, _ = qutrit_projector_weak_value_geometric(psi_i, box, psi_f)
+            assert abs(value.rect - exact) <= 1e-12, k
+            direct = weak_value_direct(psi_i, np.outer(box, box), psi_f)
+            assert abs(direct.rect - exact) <= 1e-14, k
+
+
 class TestValidatedOnce:
     """Each caller input passes ``nlevel_state`` once per geometric value."""
 

@@ -80,8 +80,8 @@ STAR_NAMES = [
     "qutrit_modular_value_geometric", "qutrit_projector_weak_value_geometric",
     "qutrit_roots_closed_form", "rodrigues_rotate", "singularity_scan",
     "solid_angle_quadrangle", "solid_angle_quadrangle_rotation", "solid_angle_triangle",
-    "solve_polynomial", "symmetrize", "three_box_report", "three_box_transform",
-    "triangle_solid_angles", "unitary_exp", "weak_moduli", "weak_value_direct",
+    "solve_polynomial", "symmetrize", "three_box_report", "triangle_solid_angles",
+    "unitary_exp", "weak_moduli", "weak_value_direct",
 ]
 LAZY_NAMES = ["SCAN_CHI1", "SCAN_CHI2", "SCAN_EPSILON", "ScanRecord", "SingularityScan",
               "ThreeBoxReport", "singularity_scan", "three_box_report", "experiments"]
