@@ -12,7 +12,9 @@ by its type and message, so a refusal that moves shows as well.  A
 ``SymmetricRepresentation`` is hashed with its K after its fields.  A CLI run
 is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
-full precision.  ``nlevel.modular.routes`` hashes the geometric modular route
+full precision.  The ``state.*`` lines hash the public functions that
+return a state (gauge-fixed), so they show apart from the value lines.
+``nlevel.modular.routes`` hashes the geometric modular route
 together with the factored core on the frame points it reads off, so a split
 between the two shows.  The ``cli.help.*`` lines hash the ``--help``
 text of the program and of each subcommand.  The last line hashes the sorted
@@ -37,7 +39,8 @@ from unittest import mock
 import numpy as np
 
 import majgeom as mg
-from majgeom import canonical, cli, nlevel_values, numerics
+from majgeom import bloch, canonical, cli, majorana, nlevel_values, numerics
+from majgeom import experiments as exp
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 LEVELS = range(2, 9)
@@ -162,6 +165,34 @@ def stellar():
             yield f"symmetrize.n{n}", _outcome(mg.symmetrize, _bloch(rng, n - 1))
             yield f"canonicalize_triple.n{n}", _outcome(
                 mg.canonicalize_triple, state, _state(rng, n), _state(rng, n))
+
+
+def states():
+    """The public functions that return a state, on fixed inputs: each keeps
+    the global phase it fixes, whatever the value routes do with theirs."""
+    rng = np.random.default_rng(707)
+    for n in LEVELS:
+        for _ in range(DRAWS):
+            state = _state(rng, n)
+            yield f"state.nlevel_state.n{n}", _outcome(mg.nlevel_state, state)
+            yield f"state.canonical_gauge.n{n}", _outcome(numerics.canonical_gauge, state)
+            yield f"state.representation_coefficients.n{n}", _outcome(
+                majorana.representation_coefficients, state)
+            yield f"state.eig_hermitian.n{n}", _outcome(mg.eig_hermitian, _hermitian(rng, n))
+            triple = canonical.canonicalize_triple(state, _state(rng, n), _state(rng, n))
+            yield f"state.canonicalize_triple.n{n}", _canon(
+                [triple.psi_i, triple.psi_r, triple.psi_f, triple.u_total, triple.f_vec,
+                 triple.eta])
+    for _ in range(4 * DRAWS):
+        yield "state.as_qubit", _outcome(bloch.as_qubit, _state(rng, 2))
+        yield "state.bloch_to_qubit", _outcome(mg.bloch_to_qubit, _bloch(rng))
+    for m in range(1, 8):
+        yield "state.bloch_to_qubits", _outcome(mg.bloch_to_qubits, _bloch(rng, m))
+    for kwargs in SCAN_RUNS:
+        angles = {key: kwargs.get(key, default) for key, default in (
+            ("epsilon", exp.SCAN_EPSILON), ("chi1", exp.SCAN_CHI1), ("chi2", exp.SCAN_CHI2))}
+        for theta in np.linspace(0.0, 1.5, 31).tolist() + [THETA_C]:
+            yield "state.scan_state", _outcome(exp.scan_state, theta, **angles)
 
 
 def pairing():
@@ -438,8 +469,8 @@ def surface():
     yield "majgeom.star-import", _canon(sorted(set(namespace) - {"__builtins__"}))
 
 
-SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, pairing, experiments,
-          cli_runs, scenario_runs, usage_runs, help_runs, surface)
+SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, states, pairing,
+          experiments, cli_runs, scenario_runs, usage_runs, help_runs, surface)
 
 
 def main() -> int:
