@@ -98,15 +98,22 @@ def as_bloch(vec) -> np.ndarray:
 
 def as_qubit(state) -> np.ndarray:
     """Validate, normalize and gauge-fix a two-component amplitude vector."""
+    return _fix_gauge(_unit_qubit(state))
+
+
+def _unit_qubit(state) -> np.ndarray:
+    """:func:`as_qubit` without the gauge: two amplitudes checked and divided
+    by their norm, in a new array, with the global phase left as given."""
     q = np.asarray(state, dtype=complex)
     if q.shape != (2,):
         raise ValueError("qubit state must have exactly two amplitudes")
-    return _fix_gauge(q / _checked_norm(q, "qubit", "amplitudes"))
+    return q / _checked_norm(q, "qubit", "amplitudes")
 
 
 def qubit_to_bloch(state) -> np.ndarray:
-    """Unit Bloch vector of a pure qubit state."""
-    q = as_qubit(state)
+    """Unit Bloch vector of a pure qubit state, checked and renormalized; its
+    global phase, which moves no vector, is not fixed."""
+    q = _unit_qubit(state)
     cross = q[0].conjugate() * q[1]
     v = np.array([2.0 * cross.real, 2.0 * cross.imag, abs(q[0]) ** 2 - abs(q[1]) ** 2])
     return v / math.sqrt(v.dot(v))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _unit
-from .majorana import SymmetricRepresentation, _majorana_points, _normalized, nlevel_state
+from .majorana import SymmetricRepresentation, _majorana_points, nlevel_state
 from .numerics import _norm
 
 _NORTH = np.array([0.0, 0.0, 1.0])
@@ -171,6 +171,7 @@ def _frame(sr: np.ndarray, sf: np.ndarray) -> tuple[Callable, np.ndarray, float]
 
 
 def _frame_points(psi: np.ndarray) -> SymmetricRepresentation:
-    """The stellar points of a frame image, bit for bit :func:`majorana_points` of it."""
-    return _majorana_points(_normalized(psi))
+    """The stellar points of a frame image, divided by its norm once and
+    given no gauge: bit for bit :func:`majorana_points` of it."""
+    return _majorana_points(psi / _norm(psi))
 

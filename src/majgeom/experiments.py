@@ -23,6 +23,7 @@ from .majorana import (
     _check_state_angles,
     _discriminant,
     _qutrit_roots_at,
+    _unit_state,
     discriminant_degeneracy,
     entanglement_entropy,
     nlevel_state,
@@ -150,12 +151,18 @@ def _unwrap_segment(raw: list[float | None]) -> list[float | None]:
     return out
 
 
+def _unit_rows(c: np.ndarray) -> np.ndarray:
+    """:func:`_unit_state` of each row of an ``(n, 3)`` complex array, bit for
+    bit, without its checks: norms are ``np.linalg.norm``'s real and imaginary
+    dots."""
+    re, im = c.real, c.imag
+    return c / np.sqrt(_rowdot(re, re) + _rowdot(im, im))[:, None]
+
+
 def _gauged_rows(c: np.ndarray) -> np.ndarray:
     """:func:`nlevel_state` of each unit row of an ``(n, 3)`` complex array, bit
-    for bit, without its checks.  Norms are ``np.linalg.norm``'s real and
-    imaginary dots; every unit row has a :func:`_gauge_phase`."""
-    re, im = c.real, c.imag
-    out = c / np.sqrt(_rowdot(re, re) + _rowdot(im, im))[:, None]
+    for bit, without its checks; every unit row has a :func:`_gauge_phase`."""
+    out = _unit_rows(c)
     return out * np.array([_gauge_phase(row) for row in out.tolist()])[:, None]
 
 
@@ -280,7 +287,9 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     # per-theta public functions (scan_state, weak_value_direct,
     # discriminant_degeneracy, solid_angle_triangle), which bisection still uses.
     states = _scan_states(grid, epsilon, chi1, chi2)
-    oracle_states = _gauged_rows(states)  # nlevel_state is not bitwise idempotent
+    # Renormalized once more, as weak_value_direct and discriminant_degeneracy
+    # take scan_state; neither fixes a gauge, which moves no value.
+    oracle_states = _unit_rows(states)
 
     theta_singular, singular_gap = _first_root(
         thetas, np.array([np.vdot(_F_STATE, state).real for state in states]),
@@ -320,7 +329,7 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     moduli = weak_moduli(points, _EZ, _EX).tolist()
     # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
     # the constant postselection validated once.
-    f_state = nlevel_state(_F_STATE)
+    f_state = _unit_state(_F_STATE)
     projected = oracle_states @ _R_PROJECTOR.T
     records = []
     for k, (state, image, entries, row) in enumerate(

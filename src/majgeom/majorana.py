@@ -26,7 +26,6 @@ from .numerics import (
     _check_finite,
     _checked_norm,
     _fix_gauge,
-    _norm,
     _polynomial_roots,
     canonical_gauge,
 )
@@ -35,18 +34,21 @@ MAX_LEVELS = 8
 
 
 def nlevel_state(coeffs) -> np.ndarray:
-    """Validate, normalize and gauge-fix an N-level coefficient vector."""
+    """Validate, normalize and gauge-fix an N-level coefficient vector: the
+    state :func:`_unit_state` returns, times the global phase that makes its
+    first non-vanishing entry real and positive."""
+    return _fix_gauge(_unit_state(coeffs))
+
+
+def _unit_state(coeffs) -> np.ndarray:
+    """An N-level coefficient vector checked (dimension, finiteness, unit norm
+    within the slack) and divided by its norm, in a new array, with its global
+    phase left as given.  Values and stellar points depend only on the ray, so
+    the routes that return no state take their inputs this way."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or not 2 <= c.size <= MAX_LEVELS:
         raise ValueError(f"state dimension must lie in [2, {MAX_LEVELS}]")
-    return _fix_gauge(c / _checked_norm(c, "state", "coefficients"))
-
-
-def _normalized(c: np.ndarray) -> np.ndarray:
-    """:func:`nlevel_state`'s renormalization and gauge of a 1-d complex array,
-    without its checks.  Neither is bitwise idempotent, so a caller applies
-    this wherever an ``nlevel_state`` of an already-valid state used to run."""
-    return _fix_gauge(c / _norm(c))
+    return c / _checked_norm(c, "state", "coefficients")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,13 +147,15 @@ def _point_array(points) -> np.ndarray:
 
 
 def majorana_points(state) -> SymmetricRepresentation:
-    """Stellar representation of a state: its N-1 Bloch points."""
-    return _majorana_points(nlevel_state(state))
+    """Stellar representation of a state: its N-1 Bloch points.  The state is
+    checked and renormalized; its global phase, which moves no point, is not
+    fixed."""
+    return _majorana_points(_unit_state(state))
 
 
 def _majorana_points(c: np.ndarray) -> SymmetricRepresentation:
-    """:func:`majorana_points` of a state that :func:`nlevel_state` (or
-    :func:`_normalized`) returned; nothing is checked or renormalized."""
+    """:func:`majorana_points` of a state that :func:`_unit_state` returned, or
+    that was divided by its norm; nothing is checked or renormalized."""
     return SymmetricRepresentation(
         sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c))))
 
@@ -178,7 +182,7 @@ def discriminant_degeneracy(state) -> float:
     Zero (within tolerance) exactly when the two points coincide, including
     the doubly-infinite case.
     """
-    c = nlevel_state(state)
+    c = _unit_state(state)
     if c.size != 3:
         raise ValueError("discriminant diagnostic is defined for three-level states")
     return _discriminant(*c.tolist())

@@ -20,7 +20,7 @@ import numpy as np
 from .bloch import _modular_factors, _rowdot, _weak_factors, as_bloch
 from .canonical import _NORTH, _frame, _frame_points
 from .errors import IncompleteContext, ZeroDenominator
-from .majorana import _point_array, _point_rows, nlevel_state
+from .majorana import _point_array, _point_rows, _unit_state
 from .numerics import (
     _CONTEXT_SLACK,
     _GELL_MANN_SLACK,
@@ -31,7 +31,6 @@ from .numerics import (
     _checked_overlap,
     _eigh,
     hermiticity_defect,
-    unitary_exp,
 )
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
 
@@ -122,7 +121,8 @@ class NLevelModularSpec:
 
 
 def _state_pair(psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
-    si, sf = nlevel_state(psi_i), nlevel_state(psi_f)
+    """The checked, renormalized selections; no value depends on their phases."""
+    si, sf = _unit_state(psi_i), _unit_state(psi_f)
     if si.size != sf.size:
         raise ValueError("pre- and postselected states must share a dimension")
     return si, sf
@@ -156,12 +156,20 @@ def _evolution_strength(spec: NLevelModularSpec, dim: int) -> float:
     return spec.alpha * (dim - 1) / 2.0
 
 
+def _evolved(si: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
+             strength: float) -> np.ndarray:
+    """``exp(-1j*strength*A) si`` applied to the vector, from the
+    eigendecomposition of ``A``; no unitary is built."""
+    return evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+
+
 def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f) -> PolarComplex:
-    """``exp(1j*beta) <f| U |i> / <f|i>`` with U from the spec's convention."""
+    """``exp(1j*beta) <f| U |i> / <f|i>`` with U from the spec's convention,
+    applied to ``|i>`` from one eigendecomposition of the observable."""
     si, sf, overlap = _validated_pair(psi_i, psi_f)
-    a = _observable(spec.observable, si.size)
-    u = unitary_exp(a, phase=spec.beta, strength=_evolution_strength(spec, si.size))
-    return PolarComplex.from_complex(np.vdot(sf, u @ si) / overlap)
+    evals, evecs = _eigh(_observable(spec.observable, si.size))
+    evolved = _evolved(si, evals, evecs, _evolution_strength(spec, si.size))
+    return PolarComplex.from_complex(np.exp(1j * spec.beta) * np.vdot(sf, evolved) / overlap)
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,7 +299,7 @@ def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
     ``<f|r> = 0``, as that function describes.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
-    to_frame, f_vec, _ = _frame(nlevel_state(psi_r), sf)
+    to_frame, f_vec, _ = _frame(_unit_state(psi_r), sf)
     return _factored_weak_value(_frame_points(to_frame(si)).points, _NORTH, f_vec)
 
 
@@ -315,9 +323,8 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
         raise ValueError("eigen_choice outside the spectrum")
     strength = _evolution_strength(spec, si.size)
     to_frame, f_vec, _ = _frame(evecs[:, index], sf)
-    evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
     vi = _frame_points(to_frame(si)).points
-    vs = pair_points(vi, _frame_points(to_frame(evolved)).points)
+    vs = pair_points(vi, _frame_points(to_frame(_evolved(si, evals, evecs, strength))).points)
     return _paired_modular_value(vi, vs, _NORTH, f_vec,
                                  spec.beta - strength * float(evals[index]))
 

@@ -9,12 +9,13 @@ tolerance and are cross-checked in the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _rotate, as_bloch, as_qubit
+from .bloch import _rotate, _unit_qubit, as_bloch
 from .nlevel_values import _factored_modular_value, _factored_weak_value
 from .numerics import DEFAULT_TOL, _check_finite, _check_hermitian, _checked_overlap
 from .polar import PolarComplex
@@ -50,7 +51,7 @@ class QubitModularSpec:
 
 def projector_weak_value_direct(i, r, f) -> PolarComplex:
     """``<f|r><r|i> / <f|i>`` for the projector onto the qubit state ``r``."""
-    qi, qr, qf = as_qubit(i), as_qubit(r), as_qubit(f)
+    qi, qr, qf = _unit_qubit(i), _unit_qubit(r), _unit_qubit(f)
     den = _checked_overlap(qf, qi)
     value = np.vdot(qf, qr) * np.vdot(qr, qi) / den
     return PolarComplex.from_complex(value)
@@ -69,12 +70,21 @@ def projector_weak_value_geometric(i, r, f):
 
 
 def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
-    """``exp(1j*beta/2) <f| exp(-1j*(alpha/2)*sigma_r) |i> / <f|i>``."""
-    qi, qf = as_qubit(i), as_qubit(f)
+    """``exp(1j*beta/2) <f| exp(-1j*(alpha/2)*sigma_r) |i> / <f|i>``.
+
+    The evolution is applied to ``|i>`` as
+    ``cos(alpha/2) |i> - 1j sin(alpha/2) (n.sigma)|i>`` from the axis
+    components; no matrix is built."""
+    qi, qf = _unit_qubit(i), _unit_qubit(f)
     den = _checked_overlap(qf, qi)
+    x, y, z = spec.axis.tolist()
+    a0, a1 = qi.tolist()
+    n0, n1 = z * a0 + complex(x, -y) * a1, complex(x, y) * a0 - z * a1  # (n.sigma)|i>
     half = 0.5 * spec.alpha
-    unitary = math.cos(half) * np.eye(2) - 1j * math.sin(half) * spec.sigma
-    value = np.exp(0.5j * spec.beta) * np.vdot(qf, unitary @ qi) / den
+    c, s = math.cos(half), math.sin(half)
+    b0, b1 = qf.conjugate().tolist()
+    transition = b0 * (c * a0 - 1j * s * n0) + b1 * (c * a1 - 1j * s * n1)  # <f|U|i>
+    value = cmath.exp(0.5j * spec.beta) * transition / den
     return PolarComplex.from_complex(value)
 
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,29 @@ def bargmann_argument(qi: np.ndarray, qr: np.ndarray, qf: np.ndarray) -> float:
 def qubit_weak_value_rect(qi, qr, qf) -> complex:
     """Direct rectangular projector weak value, written independently."""
     return complex(np.vdot(qf, qr) * np.vdot(qr, qi) / np.vdot(qf, qi))
+
+
+def exact_weak_value(psi_i, psi_r, psi_f) -> complex:
+    """``<f|r><r|i> / (<r|r><f|i>)`` evaluated exactly (``fractions.Fraction``)
+    on the float inputs as given, then rounded once to a complex.  The value
+    is scale-invariant, so unnormalized inputs need no renormalizing."""
+
+    def exact(state):
+        return [(Fraction(z.real), Fraction(z.imag)) for z in np.asarray(state, dtype=complex)]
+
+    def vdot(a, b):
+        return (sum(ar * br + ai * bi for (ar, ai), (br, bi) in zip(a, b)),
+                sum(ar * bi - ai * br for (ar, ai), (br, bi) in zip(a, b)))
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    i, r, f = exact(psi_i), exact(psi_r), exact(psi_f)
+    num = mul(vdot(f, r), vdot(r, i))
+    den = mul(vdot(r, r), vdot(f, i))
+    scale = den[0] ** 2 + den[1] ** 2
+    re, im = mul(num, (den[0], -den[1]))
+    return complex(float(re / scale), float(im / scale))
 
 
 def qubit_modular_closed_form(vi, vr, vf, alpha, beta) -> complex:

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     ang_dist,
+    exact_weak_value,
     is_spin_like,
     polar_close,
     random_hermitian,
@@ -18,7 +20,7 @@ from helpers import (
     spin_component,
     top_state,
 )
-from majgeom.bloch import solid_angle_triangle
+from majgeom.bloch import qubit_to_bloch, solid_angle_triangle
 import majgeom.canonical
 import majgeom.majorana
 import majgeom.nlevel_values
@@ -47,7 +49,14 @@ from majgeom.nlevel_values import (
 )
 from majgeom.numerics import eig_hermitian, unitary_exp
 from majgeom.polar import PolarComplex
-from majgeom.qubit_values import observable_to_modular_spec
+from majgeom.qubit_values import (
+    QubitModularSpec,
+    observable_to_modular_spec,
+    projector_weak_value_direct,
+    projector_weak_value_geometric,
+)
+from majgeom.qubit_values import modular_value_direct as qubit_modular_value_direct
+from majgeom.qubit_values import modular_value_geometric as qubit_modular_value_geometric
 
 SQ3 = math.sqrt(3.0)
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -356,40 +365,74 @@ class TestNBoxParadox:
             assert abs(direct.rect - exact) <= 1e-14, k
 
 
+def patch_everywhere(monkeypatch, name, wrap):
+    """Replace ``name`` with ``wrap(original)`` in every majgeom module that binds it."""
+    modules = [m for key, m in sys.modules.items()
+               if key.startswith("majgeom.") and hasattr(m, name)]
+    wrapped = wrap(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, wrapped)
+
+
 class TestValidatedOnce:
-    """Each caller input passes ``nlevel_state`` once per geometric value."""
+    """Each caller input passes ``_unit_state`` once per value, and no value
+    route, nor ``qubit_to_bloch`` or ``majorana_points``, fixes a gauge: no
+    value or point depends on it."""
 
     @pytest.fixture
-    def state_calls(self, monkeypatch):
-        calls = []
-        original = majgeom.majorana.nlevel_state
+    def calls(self, monkeypatch):
+        calls = {"_unit_state": [], "_fix_gauge": []}
 
-        def counting(coeffs, **kwargs):
-            calls.append(len(coeffs))
-            return original(coeffs, **kwargs)
+        def counting(name):
+            def wrap(original):
+                def counted(vec, *args, **kwargs):
+                    calls[name].append(len(vec))
+                    return original(vec, *args, **kwargs)
+                return counted
+            return wrap
 
-        for module in (majgeom.majorana, majgeom.canonical, majgeom.nlevel_values):
-            monkeypatch.setattr(module, "nlevel_state", counting)
+        for name in calls:
+            patch_everywhere(monkeypatch, name, counting(name))
         return calls
 
     @pytest.mark.parametrize("n", (2, 3, 5, 8))
-    def test_weak_value(self, state_calls, n):
+    def test_weak_value(self, calls, n):
         rng = np.random.default_rng(87 + n)
         psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
         value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
-        assert state_calls == [n, n, n]
+        assert calls == {"_unit_state": [n, n, n], "_fix_gauge": []}
         expected = weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f).rect
+        assert calls == {"_unit_state": [n] * 5, "_fix_gauge": []}
         assert relative_gap(value, expected) <= 1e-9
 
     @pytest.mark.parametrize("n", (2, 3, 5, 8))
-    def test_modular_value(self, state_calls, n):
+    def test_modular_value(self, calls, n):
         rng = np.random.default_rng(97 + n)
         psi_i, psi_f = random_state(rng, n), random_state(rng, n)
         spec = NLevelModularSpec(observable=random_hermitian(rng, n), alpha=0.9, beta=0.3)
         value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
-        assert state_calls == [n, n]
+        assert calls == {"_unit_state": [n, n], "_fix_gauge": []}
         expected = modular_value_direct(psi_i, spec, psi_f).rect
+        assert calls == {"_unit_state": [n] * 4, "_fix_gauge": []}
         assert relative_gap(value, expected) <= 1e-9
+
+    def test_abl_and_points(self, calls):
+        rng = np.random.default_rng(107)
+        psi_i, psi_f = random_state(rng, 3), random_state(rng, 3)
+        abl_distribution(psi_i, [np.diag(e).astype(complex) for e in np.eye(3)], psi_f)
+        majorana_points(random_state(rng, 5))
+        assert calls == {"_unit_state": [3, 3, 5], "_fix_gauge": []}
+
+    def test_qubit_routes(self, calls):
+        rng = np.random.default_rng(117)
+        qi, qr, qf = (random_state(rng, 2) for _ in range(3))
+        vi, vr, vf = (qubit_to_bloch(q) for q in (qi, qr, qf))
+        spec = QubitModularSpec(axis=vr, alpha=0.7, beta=0.2)
+        projector_weak_value_direct(qi, qr, qf)
+        qubit_modular_value_direct(qi, spec, qf)
+        projector_weak_value_geometric(vi, vr, vf)
+        qubit_modular_value_geometric(vi, spec, vf)
+        assert calls == {"_unit_state": [], "_fix_gauge": []}
 
 
 class TestQutritModularGeometric:
@@ -535,10 +578,10 @@ amplitude = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def triples(draw):
+def triples(draw, dims=st.integers(2, MAX_LEVELS)):
     """Dimension, three states and a Hermitian observable, drawn entry by entry
     so sparse and repeated amplitudes come up."""
-    n = draw(st.integers(2, MAX_LEVELS))
+    n = draw(dims)
     states = []
     for _ in range(3):
         v = np.array([complex(draw(amplitude), draw(amplitude)) for _ in range(n)])
@@ -666,7 +709,7 @@ class TestCanonicalRoutesAreFactored:
             observable = random_hermitian(rng, n)
             alpha, beta = rng.uniform(-3, 3), rng.uniform(-1, 1)
             spec = NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
-            si, sf = nlevel_state(psi_i), nlevel_state(psi_f)
+            si, sf = (majgeom.majorana._unit_state(s) for s in (psi_i, psi_f))
             evals, evecs = majgeom.numerics._eigh(observable)
             strength = alpha * (n - 1) / 2.0
             route = qutrit_modular_value_geometric(psi_i, spec, psi_f)
@@ -694,10 +737,12 @@ class TestCanonicalRoutesAreFactored:
         for _ in range(40):
             psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
             route = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
-            triple = majgeom.canonical.canonicalize_triple(psi_i, psi_r, psi_f)
+            si, sr, sf = (majgeom.majorana._unit_state(s) for s in (psi_i, psi_r, psi_f))
+            to_frame, f_vec, _ = majgeom.canonical._frame(sr, sf)
             assert value_bits(route) == value_bits(majgeom.nlevel_values._factored_weak_value(
-                triple.i_rep.points, triple.r_vec, triple.f_vec))
+                majorana_points(to_frame(si)).points, NORTH, f_vec))
             if abs(np.vdot(psi_f, psi_i)) >= 0.1:
+                triple = majgeom.canonical.canonicalize_triple(psi_i, psi_r, psi_f)
                 public, _ = factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec)
                 assert relative_gap(public, route[0].rect) <= 1e-12
 
@@ -817,6 +862,94 @@ class TestSmallOverlapAccuracy:
             expected = modular_value_direct(psi_i, spec, psi_f).rect
             value, _ = qutrit_modular_value_geometric(psi_i, spec, psi_f)
             assert relative_gap(value, expected) <= 1e-9
+
+
+PHASES = st.tuples(*[st.floats(0.0, 2.0 * math.pi)] * 3)
+
+
+def phased(states, phases):
+    """Each state times its own global phase ``exp(1j*phase)``."""
+    return [s * cmath.exp(1j * p) for s, p in zip(states, phases)]
+
+
+class TestGlobalPhaseInvariance:
+    """A global phase on any input state changes no value and no point; with
+    the inputs taken ungauged, only rounding moves them."""
+
+    @staticmethod
+    def assert_close(values, moved):
+        for a, b in zip(values, moved):
+            assert abs(b - a) <= 1e-12 * max(1.0, abs(a))
+
+    @PROPERTY_SETTINGS
+    @given(triples(), PHASES, st.floats(-2 * math.pi, 2 * math.pi), st.floats(-math.pi, math.pi))
+    def test_nlevel_values(self, case, phases, alpha, beta):
+        n, psi_i, psi_r, psi_f, observable = case
+        assume(abs(np.vdot(psi_f, psi_i)) >= 1e-2)
+        # The weak value's factors vanish with <r|i> or <f|r>, and their angles.
+        assume(min(abs(np.vdot(psi_r, psi_i)), abs(np.vdot(psi_f, psi_r))) >= 1e-3)
+        spec = NLevelModularSpec(observable=observable, alpha=alpha, beta=beta)
+
+        def values(si, sr, sf):
+            return [weak_value_direct(si, np.outer(sr, sr.conj()), sf).rect,
+                    qutrit_projector_weak_value_geometric(si, sr, sf)[0].rect,
+                    modular_value_direct(si, spec, sf).rect,
+                    qutrit_modular_value_geometric(si, spec, sf)[0].rect]
+
+        self.assert_close(values(psi_i, psi_r, psi_f),
+                          values(*phased((psi_i, psi_r, psi_f), phases)))
+
+    @PROPERTY_SETTINGS
+    @given(triples(st.just(2)), PHASES, st.floats(-2 * math.pi, 2 * math.pi),
+           st.floats(-math.pi, math.pi))
+    def test_qubit_direct_routes(self, case, phases, alpha, beta):
+        _, qi, qr, qf, _ = case
+        assume(abs(np.vdot(qf, qi)) >= 1e-2)
+        spec = QubitModularSpec(axis=qubit_to_bloch(qr), alpha=alpha, beta=beta)
+
+        def values(si, sr, sf):
+            return [projector_weak_value_direct(si, sr, sf).rect,
+                    qubit_modular_value_direct(si, spec, sf).rect,
+                    *(component for s in (si, sr, sf) for component in qubit_to_bloch(s))]
+
+        self.assert_close(values(qi, qr, qf), values(*phased((qi, qr, qf), phases)))
+
+    @PROPERTY_SETTINGS
+    @given(triples(), st.floats(0.0, 2.0 * math.pi))
+    def test_majorana_points(self, case, phase):
+        _, state, *_ = case
+        # Clustered roots, and the companion solve of coefficients that span
+        # many decades, are ill-conditioned: there any rounding moves them.
+        assume(np.all((state == 0) | (np.abs(state) >= 1e-2)))
+        points = majorana_points(state).points
+        gaps = np.linalg.norm(points[:, None] - points[None], axis=-1)
+        assume(np.min(gaps + 2.0 * np.eye(len(points))) >= 1e-2)
+        moved = majorana_points(state * cmath.exp(1j * phase)).points
+        # Matched point by point, so the sort order of near-equal points is moot.
+        assert np.abs(moved[:, None] - points[None]).max(-1).min(-1).max() <= 5e-14
+
+
+class TestExactWeakValue:
+    """The direct weak routes against the exact value of their float inputs
+    where ``|<f|i>|`` is small; their relative error grows like u/|<f|i>|.
+    Each bound is the largest error measured over these draws, plus ~10 %."""
+
+    BOUNDS = {1e-2: 1.2e-14, 1e-4: 1.0e-12, 1e-6: 1.2e-10}
+
+    @pytest.mark.parametrize("overlap", sorted(BOUNDS))
+    def test_direct_routes(self, overlap):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for n in (2, 3, 8):
+            for _ in range(40):
+                psi_i, psi_f = with_overlap(rng, n, overlap)
+                psi_r = random_state(rng, n)
+                exact = exact_weak_value(psi_i, psi_r, psi_f)
+                values = [weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f).rect]
+                if n == 2:
+                    values.append(projector_weak_value_direct(psi_i, psi_r, psi_f).rect)
+                worst = max(worst, *(abs(v - exact) / abs(exact) for v in values))
+        assert worst <= self.BOUNDS[overlap]
 
 
 class TestAnchorRatio:

@@ -1,0 +1,103 @@
+"""In-process timing of the value entry points, one line per entry point.
+
+Each entry point is called on 300 fixed random inputs (numpy
+``default_rng(0)``); a round times those 300 calls, and the figure printed is
+the fastest of 5 rounds divided by 300: microseconds per call (milliseconds
+for the scan).  The process pins itself to one CPU and runs OpenBLAS on one
+thread.  It needs only numpy and the package under ``src``::
+
+    PYTHONPATH=src python tools/route_timing.py
+
+Inputs are built before anything is timed, and each call's conversions
+(Bloch vectors for the qubit geometric routes, the modular specs, the
+projectors of the direct weak route) are built with them.  Only public
+names are called, so the script runs unchanged on older checkouts: to
+compare two, run it in each checkout alternately, a few times, and compare
+the smallest figure of each line.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
+
+import sys  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import majgeom as mg  # noqa: E402
+
+ROUNDS = 5
+CALLS = 300
+LEVELS = (3, 5, 8)
+
+
+def _state(rng, n: int) -> np.ndarray:
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return v / np.linalg.norm(v)
+
+
+def _hermitian(rng, n: int) -> np.ndarray:
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (m + m.conj().T)
+
+
+def _bloch(rng) -> np.ndarray:
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v)
+
+
+def entry_points():
+    """``(name, function, argument tuples)`` for every timed entry point."""
+    rng = np.random.default_rng(0)
+    qubits = [tuple(_state(rng, 2) for _ in range(3)) for _ in range(CALLS)]
+    blochs = [tuple(mg.qubit_to_bloch(q) for q in triple) for triple in qubits]
+    specs = [mg.QubitModularSpec(axis=_bloch(rng), alpha=float(rng.uniform(-4, 4)),
+                                 beta=float(rng.uniform(-1, 1))) for _ in range(CALLS)]
+    yield ("qubit.weak.direct", mg.projector_weak_value_direct, qubits)
+    yield ("qubit.weak.geometric", mg.projector_weak_value_geometric, blochs)
+    yield ("qubit.modular.direct", mg.qubit_modular_value_direct,
+           [(i, spec, f) for (i, _, f), spec in zip(qubits, specs)])
+    yield ("qubit.modular.geometric", mg.qubit_modular_value_geometric,
+           [(i, spec, f) for (i, _, f), spec in zip(blochs, specs)])
+    for n in LEVELS:
+        triples = [tuple(_state(rng, n) for _ in range(3)) for _ in range(CALLS)]
+        specs = [mg.NLevelModularSpec(observable=_hermitian(rng, n),
+                                      alpha=float(rng.uniform(-3, 3)),
+                                      beta=float(rng.uniform(-1, 1))) for _ in range(CALLS)]
+        yield (f"nlevel.weak.direct.n{n}", mg.weak_value_direct,
+               [(i, np.outer(r, r.conj()), f) for i, r, f in triples])
+        yield (f"nlevel.weak.geometric.n{n}", mg.qutrit_projector_weak_value_geometric, triples)
+        yield (f"nlevel.modular.direct.n{n}", mg.modular_value_direct,
+               [(i, spec, f) for (i, _, f), spec in zip(triples, specs)])
+        yield (f"nlevel.modular.geometric.n{n}", mg.qutrit_modular_value_geometric,
+               [(i, spec, f) for (i, _, f), spec in zip(triples, specs)])
+    yield ("singularity_scan.count512.ms", lambda: mg.singularity_scan(count=512),
+           [()] * CALLS)
+
+
+def per_call(fn, args: list[tuple]) -> float:
+    """Seconds per call: the fastest of ``ROUNDS`` rounds over ``args``."""
+    fn(*args[0])  # warm-up
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter_ns()
+        for a in args:
+            fn(*a)
+        best = min(best, time.perf_counter_ns() - start)
+    return best * 1e-9 / len(args)
+
+
+def main() -> int:
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    for name, fn, args in entry_points():
+        scale = 1e3 if name.endswith(".ms") else 1e6
+        print(f"{name} {per_call(fn, args) * scale:.1f}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
