@@ -365,13 +365,12 @@ class TestNBoxParadox:
             assert abs(direct.rect - exact) <= 1e-14, k
 
 
-def patch_everywhere(monkeypatch, name, wrap):
-    """Replace ``name`` with ``wrap(original)`` in every majgeom module that binds it."""
-    modules = [m for key, m in sys.modules.items()
-               if key.startswith("majgeom.") and hasattr(m, name)]
-    wrapped = wrap(getattr(modules[0], name))
-    for module in modules:
-        monkeypatch.setattr(module, name, wrapped)
+def counting(original, log):
+    """``original``, logging the length of its first argument on each call."""
+    def counted(vec, *args, **kwargs):
+        log.append(len(vec))
+        return original(vec, *args, **kwargs)
+    return counted
 
 
 class TestValidatedOnce:
@@ -381,18 +380,15 @@ class TestValidatedOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        """The vector sizes of every ``_unit_state`` and ``_fix_gauge`` call,
+        counted in each majgeom module that binds the name."""
         calls = {"_unit_state": [], "_fix_gauge": []}
-
-        def counting(name):
-            def wrap(original):
-                def counted(vec, *args, **kwargs):
-                    calls[name].append(len(vec))
-                    return original(vec, *args, **kwargs)
-                return counted
-            return wrap
-
-        for name in calls:
-            patch_everywhere(monkeypatch, name, counting(name))
+        for name, log in calls.items():
+            modules = [m for key, m in sys.modules.items()
+                       if key.startswith("majgeom.") and hasattr(m, name)]
+            wrapped = counting(getattr(modules[0], name), log)
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapped)
         return calls
 
     @pytest.mark.parametrize("n", (2, 3, 5, 8))
