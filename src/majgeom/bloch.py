@@ -1,14 +1,14 @@
 """Bloch-sphere geometry: qubit/vector maps, projection probabilities,
 oriented solid angles of geodesic triangles and quadrangles, axis rotations.
 
-Every modulus ratio and polygon solid angle comes from one stacked-dot
-kernel: the cross products and every scalar product a call needs are stacked
-into one :func:`_rowdot` call, and the formulas then run row by row in Python
-floats.  The scalar routes (:func:`solid_angle_triangle`,
-:func:`solid_angle_quadrangle`), the batches (:func:`weak_moduli`,
-:func:`modular_moduli`, :func:`triangle_solid_angles`) and the factored weak
-and modular values of :mod:`majgeom.nlevel_values` all share it; only
-:func:`solid_angle_quadrangle_rotation`, an independent closed form, does not.
+Every modulus ratio and polygon solid angle comes from one per-row kernel:
+the unit points are read once, and every product and formula runs row by
+row in Python floats, whose bits no BLAS build moves.  The scalar routes
+(:func:`solid_angle_triangle`, :func:`solid_angle_quadrangle`), the batches
+(:func:`weak_moduli`, :func:`modular_moduli`, :func:`triangle_solid_angles`)
+and the factored weak and modular values of :mod:`majgeom.nlevel_values` all
+share it; only :func:`solid_angle_quadrangle_rotation`, an independent closed
+form, does not.
 """
 
 from __future__ import annotations
@@ -45,16 +45,10 @@ def _column(values):
     return values[..., None] if values.ndim else values
 
 
-# Component k of a x b is a[k+1] b[k+2] - a[k+2] b[k+1]: both products of
-# every component come from one gather of a and one of b.
-_ROLLS = np.array([[1, 2, 0], [2, 0, 1]])
-_ROLLS_SWAPPED = _ROLLS[::-1].copy()
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of ``(..., 3)`` arrays that broadcast, with the same roundings."""
-    products = a.take(_ROLLS, -1) * b.take(_ROLLS_SWAPPED, -1)
-    return products[..., 0, :] - products[..., 1, :]
+    """``np.cross`` of two ``(3,)`` vectors, with its roundings, in Python floats."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def as_bloch_array(vecs) -> np.ndarray:
@@ -163,24 +157,6 @@ def projection_probability(u, v) -> float:
     return float(np.clip(0.5 * (1.0 + float(a @ b)), 0.0, 1.0))
 
 
-def _tiled(*vecs) -> tuple[int, list[np.ndarray]]:
-    """The row count ``n`` of unit ``(3,)`` vectors and ``(n, 3)`` rows, and
-    each of them as ``(n, 3)`` rows."""
-    n = next((len(v) for v in vecs if v.ndim == 2), 1)
-    return n, [v if v.ndim == 2 else v[None].repeat(n, 0) for v in vecs]
-
-
-def _stacked_dots(left: list[np.ndarray], right: list[np.ndarray],
-                  n: int) -> list[list[float]]:
-    """The row scalar products of the ``(n, 3)`` blocks ``left[k]`` and
-    ``right[k]``, stacked into one :func:`_rowdot` call, as one list of
-    floats per block."""
-    size = len(left) * n
-    rows = np.concatenate(left + right)
-    flat = _rowdot(rows[:size], rows[size:]).tolist()
-    return [flat[k * n:(k + 1) * n] for k in range(len(left))]
-
-
 # The formulas run row by row in Python floats: +, -, *, /, math.sqrt and
 # math.atan2 round as numpy's elementwise ufuncs and libm do.
 
@@ -229,27 +205,41 @@ def _triangles(y: list[float], fr: list[float], ri: list[float],
     return out
 
 
-def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> list[list[float]]:
-    """``f.(r x i)``, ``f.r``, ``r.i`` and ``f.i`` of the triangles (i, r, f)
-    of unit ``(3,)`` vectors or ``(n, 3)`` rows, one float per row."""
-    n, (i, r, f) = _tiled(vi, vr, vf)
-    return _stacked_dots([f, f, r, f], [_cross(r, i), r, i, i], n)
+def _float_rows(*vecs: np.ndarray) -> list[list[list[float]]]:
+    """Unit ``(3,)`` vectors and ``(n, 3)`` rows as ``n`` rows of Python floats
+    each, read by one ``tolist()``; a ``(3,)`` vector is one row, shared."""
+    n = next((len(v) for v in vecs if v.ndim == 2), 1)
+    return [v.tolist() if v.ndim == 2 else [v.tolist()] * n for v in vecs]
 
 
-def _triangle_rows(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> list[float | None]:
-    """Triangle solid angles of unit ``(3,)`` vectors or ``(n, 3)`` rows, one
-    per row, ``None`` for each undefined triangle."""
-    return _triangles(*_triangle_dots(vi, vr, vf))
+def _row_dots(i_rows, r_rows, f_rows) -> tuple[list[float], ...]:
+    """``f.(r x i)``, ``f.r``, ``r.i`` and ``f.i`` of the triangles (i, r, f) of
+    rows of three Python floats: the cross product in :func:`_cross`'s order,
+    each scalar product ``(a0 b0 + a1 b1) + a2 b2``, never a fused ``a*b + c``."""
+    y, fr, ri, fi = [], [], [], []
+    for (i0, i1, i2), (r0, r1, r2), (f0, f1, f2) in zip(i_rows, r_rows, f_rows):
+        y.append((f0 * (r1 * i2 - r2 * i1) + f1 * (r2 * i0 - r0 * i2))
+                 + f2 * (r0 * i1 - r1 * i0))
+        fr.append((f0 * r0 + f1 * r1) + f2 * r2)
+        ri.append((r0 * i0 + r1 * i1) + r2 * i2)
+        fi.append((f0 * i0 + f1 * i1) + f2 * i2)
+    return y, fr, ri, fi
+
+
+def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> tuple[list[float], ...]:
+    """:func:`_row_dots` of unit ``(3,)`` vectors or ``(n, 3)`` rows."""
+    return _row_dots(*_float_rows(vi, vr, vf))
 
 
 def _quadrangle_rows(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
                      vf: np.ndarray) -> tuple[list[float | None], list[float], list[float]]:
     """Solid angles of the quadrangles i -> r -> s -> f row by row, ``None``
     where one is undefined, with ``f.s`` and ``f.i``.  Each is the triangles
-    (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, stacked into
-    one :func:`_triangle_dots` call over 2n rows."""
-    n, (i, r, s, f) = _tiled(vi, vr, vs, vf)
-    y, fr, ri, fi = _triangle_dots(*(np.concatenate(pair) for pair in ((i, i), (r, s), (s, f))))
+    (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, as one
+    :func:`_row_dots` pass over 2n rows."""
+    i, r, s, f = _float_rows(vi, vr, vs, vf)
+    n = len(i)
+    y, fr, ri, fi = _row_dots(i + i, r + s, s + f)
     angles = _triangles(y, fr, ri, fi)
     return ([None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])],
             fr[n:], fi[n:])
@@ -339,7 +329,7 @@ def triangle_solid_angles(i, r, f) -> np.ndarray:
     :class:`UndefinedSolidAngle`.
     """
     shape, rows = _flat_rows(as_bloch_array(i), as_bloch_array(r), as_bloch_array(f))
-    return _shaped(_defined(_triangle_rows(*rows)), shape)
+    return _shaped(_defined(_triangles(*_triangle_dots(*rows))), shape)
 
 
 def solid_angle_triangle(i, r, f) -> float:
@@ -350,7 +340,7 @@ def solid_angle_triangle(i, r, f) -> float:
     with both arctangent arguments below ``DEFAULT_TOL.zero`` (antipodal
     vertices) has no defined value and raises :class:`UndefinedSolidAngle`.
     """
-    (omega,) = _defined(_triangle_rows(as_bloch(i), as_bloch(r), as_bloch(f)))
+    (omega,) = _defined(_triangles(*_triangle_dots(as_bloch(i), as_bloch(r), as_bloch(f))))
     return omega
 
 

@@ -11,12 +11,13 @@ import numpy as np
 
 from .bloch import (
     _rowdot,
-    _triangle_rows,
+    _triangle_dots,
+    _triangles,
     _unit,
     _weak_factors,
+    _weak_modulus_rows,
     as_bloch_array,
     bloch_to_qubits,
-    weak_moduli,
 )
 from .canonical import _NORTH, _frame, _frame_points
 from .majorana import (
@@ -313,20 +314,20 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     points = np.stack([np.cos(alpha) * sin_beta, np.sin(alpha) * sin_beta, np.cos(beta)],
                       axis=-1)
 
-    # Solid angles of (i_k, +z, +x) for both points of every row; an undefined
-    # triangle blanks only its own entry.  Each side of the singular bracket
-    # is unwrapped independently: the genuine jump across the singularity is
-    # reported, not smoothed away.
-    raw = _triangle_rows(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
+    # One kernel pass over both renormalized points of every row gives the
+    # solid angles of (i_k, +z, +x), an undefined triangle blanking only its
+    # entry, and the modulus factors, NaN where a point is antipodal to the
+    # postselection.  Each side of the singular bracket is unwrapped
+    # independently: the genuine jump across the singularity is reported.
+    y, fr, ri, fi = _triangle_dots(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
+    raw = _triangles(y, fr, ri, fi)
+    moduli = _weak_modulus_rows(fr, ri, fi)
     split = len(thetas) if singular_gap is None else singular_gap + 1
     omega1, omega2 = (_unwrap_segment(side[:split]) + _unwrap_segment(side[split:])
                       for side in (raw[0::2], raw[1::2]))
     ends = omega2[split - 1:split + 1]  # one entry when no bracket splits the grid
     omega2_jump = ends[1] - ends[0] if len(ends) == 2 and None not in ends else None
 
-    # Weak-value modulus factors over the whole grid; NaN where a point is
-    # antipodal to the postselection.
-    moduli = weak_moduli(points, _EZ, _EX).tolist()
     # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
     # the constant postselection validated once.
     f_state = _unit_state(_F_STATE)
@@ -343,8 +344,8 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
         if DEFAULT_TOL.zero < _discriminant(*entries) <= _NEAR_DEGENERATE_BAND:
             row.add("near_degenerate")
         w1, w2 = omega1[k], omega2[k]
-        (m1, m2), a = moduli[k], angles[k]
-        wv_mod = m1 * m2
+        a = angles[k]
+        wv_mod = moduli[2 * k] * moduli[2 * k + 1]
         if w1 is None or w2 is None or direct is None or math.isnan(wv_mod):
             wv_mod = wv_arg = None
         else:

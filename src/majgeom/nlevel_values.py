@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _modular_factors, _rowdot, _weak_factors, as_bloch
+from .bloch import _modular_factors, _weak_factors, as_bloch
 from .canonical import _NORTH, _frame, _frame_points
 from .errors import IncompleteContext, ZeroDenominator
 from .majorana import _point_array, _point_rows, _unit_state
@@ -150,16 +150,19 @@ def _observable(observable, dim: int) -> np.ndarray:
 
 def _evolution_strength(spec: NLevelModularSpec, dim: int) -> float:
     """The ``s`` of ``exp(-1j*s*A)``: ``generic_theta`` when set, else
-    ``alpha*(N-1)/2``."""
+    ``alpha*((N-1)/2)``, which overflows only where ``s`` itself does."""
     if spec.generic_theta is not None:
         return float(spec.generic_theta)
-    return spec.alpha * (dim - 1) / 2.0
+    return spec.alpha * ((dim - 1) / 2.0)
 
 
 def _evolved(si: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
              strength: float) -> np.ndarray:
     """``exp(-1j*strength*A) si`` applied to the vector, from the
-    eigendecomposition of ``A``; no unitary is built."""
+    eigendecomposition of ``A``; no unitary is built.  A phase
+    ``strength*eigenvalue`` that overflows raises ``ValueError``; the
+    ascending spectrum's two ends bound every phase."""
+    _check_finite(evolution_phase=strength * max(-float(evals[0]), float(evals[-1])))
     return evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
 
 
@@ -250,7 +253,8 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
 
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
     quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
-    phase is ``beta - alpha*(N-1)/2*eigenvalue``.  The overall modulus carries
+    phase is ``beta - alpha*((N-1)/2)*eigenvalue``; one that overflows raises
+    ``ValueError``.  The overall modulus carries
     the anchor ratio ``prod_k |r+i_k| / prod_k |r+s_k|``, which equals the
     normalization ratio K_s / K_i under this function's contract: ``s`` is
     ``i`` evolved by a unitary with the coherent state at ``r`` as an
@@ -264,7 +268,7 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     vs = _point_rows(pair_points(i_points, s_points))
     vi = _point_rows(i_points)
     return _paired_modular_value(vi, vs, as_bloch(r_point), as_bloch(f_point),
-                                 beta - alpha * vi.shape[0] / 2.0 * eigenvalue)
+                                 beta - alpha * (vi.shape[0] / 2.0) * eigenvalue)
 
 
 def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
@@ -275,11 +279,14 @@ def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np
     The coherent state at ``r`` is an eigenvector of the evolution, so
     ``|<r|s>| = |<r|i>|``, and ``<r|psi> = K m! prod_k <r|q_k>`` with
     ``|<r|q_k>| = |r+q_k|/2``: K_s / K_i is ``prod_k |r+i_k| / prod_k |r+s_k|``,
-    whatever the pairing.  ``|r+x|^2`` is summed from the rows ``r+x``, not
-    taken as ``2(1 + r.x)``, which loses bits where ``x`` nears ``-r``.
+    whatever the pairing.  ``|r+x|^2`` is summed in Python floats from the rows
+    ``r+x``, not taken as ``2(1 + r.x)``, which loses bits where ``x`` nears
+    ``-r``.  A dynamical phase that overflowed raises ``ValueError``.
     """
-    sums = vr + np.concatenate((vi, vs))
-    squares = _rowdot(sums, sums).tolist()
+    _check_finite(dynamical_phase=dynamical)
+    r0, r1, r2 = vr.tolist()
+    sums = [(r0 + x0, r1 + x1, r2 + x2) for x0, x1, x2 in vi.tolist() + vs.tolist()]
+    squares = [(a0 * a0 + a1 * a1) + a2 * a2 for a0, a1, a2 in sums]
     m = len(vi)
     num, den = math.prod(squares[:m]), math.prod(squares[m:])
     k_ratio = math.sqrt(num / den) if den else math.inf

@@ -93,7 +93,8 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
 
     The evolved vector ``s`` is ``i`` rotated about the axis by ``alpha``.  The
     modulus is ``sqrt((1+f.s)/(1+f.i))``; the argument splits into the
-    dynamical term ``(beta-alpha)/2`` and the geometric term given by minus
+    dynamical term ``beta/2 - alpha/2`` (finite for every finite pair, where
+    ``(beta-alpha)/2`` can overflow) and the geometric term given by minus
     half the (i, r, s, f) quadrangle solid angle.  When the modulus is exactly
     0 (``s`` antipodal to ``f``), the solid angle is 0.0 and the value
     ``PolarComplex(0.0, 0.0)``.  This is the one-point ``factored_modular_value``
@@ -102,7 +103,7 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
     vi, vf = as_bloch(i), as_bloch(f)
     vs = _rotate(vi, spec.axis, spec.alpha)
     return _factored_modular_value(vi, vs, spec.axis, vf, 1.0,
-                                   dynamical=0.5 * (spec.beta - spec.alpha))
+                                   dynamical=0.5 * spec.beta - 0.5 * spec.alpha)
 
 
 def observable_to_modular_spec(observable, theta: float) -> QubitModularSpec:

@@ -1082,6 +1082,52 @@ class TestNlevelDirectModular:
                                            "re": rect.real, "im": rect.imag}
 
 
+class TestOverflowingPhase:
+    """A phase that fits is computed; one beyond the float range is a usage
+    error.  Either way the output is strict JSON and stderr stays empty."""
+
+    OBSERVABLE = [[[float(i == j) * (1.0 - i), 0.0] for j in range(3)] for i in range(3)]
+    PAIR = {"i": amplitudes(np.ones(3) / SQ3), "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3)}
+
+    @staticmethod
+    def run_quiet(capsys, command, scenario):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--scenario", scenario])
+        captured = capsys.readouterr()
+        assert (captured.err, caught) == ("", [])
+
+        def refuse(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        return code, json.loads(captured.out, parse_constant=refuse)
+
+    @pytest.mark.parametrize("command, extra", [
+        ("nlevel-direct", {"kind": "modular"}),
+        ("qutrit-modular", {}),
+    ])
+    def test_phase_within_range(self, capsys, tmp_path, command, extra):
+        scenario = write_scenario(tmp_path, {**self.PAIR, **extra, "spec": {
+            "observable": self.OBSERVABLE, "alpha": 1e308}})
+        code, doc = self.run_quiet(capsys, command, scenario)
+        assert code == 0, doc
+        value = doc["results"]["value" if command == "nlevel-direct" else "direct"]
+        assert abs(value["re"] - (2.0 * math.cos(1e308) - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("command, extra", [
+        ("nlevel-direct", {"kind": "modular"}),
+        ("qutrit-modular", {}),
+    ])
+    def test_overflowing_phase_exit_two(self, capsys, tmp_path, command, extra):
+        observable = [[[10.0 * re, im] for re, im in row] for row in self.OBSERVABLE]
+        scenario = write_scenario(tmp_path, {**self.PAIR, **extra, "spec": {
+            "observable": observable, "alpha": 1e308}})
+        code, doc = self.run_quiet(capsys, command, scenario)
+        assert code == 2
+        assert doc == {"error": {"kind": "usage", "type": "ValueError",
+                                 "message": "evolution_phase must be finite"}}
+
+
 class TestStderr:
     @pytest.mark.parametrize("deviation, warning", [
         (5e-10, "warning: state 'state' renormalized (deviation 5.00e-10)\n"),

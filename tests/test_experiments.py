@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import ang_dist
-from majgeom.bloch import solid_angle_triangle, weak_moduli
+from majgeom.bloch import as_bloch, solid_angle_triangle, weak_moduli
 import majgeom.canonical
 import majgeom.experiments
 import majgeom.majorana
@@ -303,7 +303,8 @@ def check_against_per_theta_functions(scan):
             turns = round((omega - plain) / (4.0 * math.pi))
             assert bits(omega) == bits(plain + 4.0 * math.pi * turns)
 
-        modulus = float(weak_moduli(p1, EZ, EX) * weak_moduli(p2, EZ, EX))
+        # The moduli read the points as solid_angle_triangle reads them.
+        modulus = float(weak_moduli(as_bloch(p1), EZ, EX) * weak_moduli(as_bloch(p2), EZ, EX))
         if r.omega1 is None or r.omega2 is None or r.wv_direct is None or math.isnan(modulus):
             assert r.wv_modulus is None and r.wv_argument is None
         else:

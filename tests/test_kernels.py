@@ -1,20 +1,26 @@
 """Batched Bloch kernels against their scalar wrappers and the reference formulas.
 
 The reference functions below restate the scalar formulas one vector at a
-time (``np.linalg.norm``, ``np.cross``, ``float(a @ b)``, ``math.atan2``,
-Python complex division).  Every kernel must reproduce them bit for bit,
-zero signs included, for any batch size and broadcast pattern.
+time (``np.linalg.norm``, ``math.atan2``, Python complex division, and the
+cross and scalar products in Python floats, ``(a0 b0 + a1 b1) + a2 b2``).
+Every kernel must reproduce them bit for bit, zero signs included, for any
+batch size and broadcast pattern.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from majgeom import bloch
 from majgeom.bloch import (
-    _triangle_rows,
+    _modular_factors,
+    _triangle_dots,
+    _triangles,
+    _weak_factors,
     as_bloch,
     as_bloch_array,
     bloch_to_qubit,
@@ -60,9 +66,21 @@ def ref_solid_angle(i, r, f):
     return ref_unit_solid_angle(ref_as_bloch(i), ref_as_bloch(r), ref_as_bloch(f))
 
 
+def ref_dot(a, b):
+    a0, a1, a2 = map(float, a)
+    b0, b1, b2 = map(float, b)
+    return (a0 * b0 + a1 * b1) + a2 * b2
+
+
+def ref_cross(a, b):
+    a0, a1, a2 = map(float, a)
+    b0, b1, b2 = map(float, b)
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def ref_unit_solid_angle(vi, vr, vf):
-    y = float(vf @ np.cross(vr, vi))
-    x = 1.0 + float(vf @ vr) + float(vr @ vi) + float(vf @ vi)
+    y = ref_dot(vf, ref_cross(vr, vi))
+    x = 1.0 + ref_dot(vf, vr) + ref_dot(vr, vi) + ref_dot(vf, vi)
     if abs(x) <= DEFAULT_TOL.zero and abs(y) <= DEFAULT_TOL.zero:
         raise UndefinedSolidAngle("reference")
     omega = -2.0 * math.atan2(y, x)
@@ -70,17 +88,17 @@ def ref_unit_solid_angle(vi, vr, vf):
 
 
 def ref_weak_modulus(vi, vr, vf):
-    den = 1.0 + float(vf @ vi)
+    den = 1.0 + ref_dot(vf, vi)
     if den <= THRESHOLD:
         return math.nan
-    return math.sqrt(max(0.0, 0.5 * (1.0 + vf @ vr) * (1.0 + vr @ vi) / den))
+    return math.sqrt(max(0.0, 0.5 * (1.0 + ref_dot(vf, vr)) * (1.0 + ref_dot(vr, vi)) / den))
 
 
 def ref_modular_modulus(vi, vs, vf):
-    den = 1.0 + float(vf @ vi)
+    den = 1.0 + ref_dot(vf, vi)
     if den <= THRESHOLD:
         return math.nan
-    return math.sqrt(max(0.0, (1.0 + vf @ vs) / den))
+    return math.sqrt(max(0.0, (1.0 + ref_dot(vf, vs)) / den))
 
 
 def same_bits(a, b) -> bool:
@@ -277,7 +295,7 @@ class TestTriangleSolidAngles:
         r = np.array([0.0, 0.0, 1.0])
         f = np.array([1.0, 0.0, 0.0])
         points[2] = -f
-        angles = _triangle_rows(as_bloch_array(points), r, f)
+        angles = _triangles(*_triangle_dots(as_bloch_array(points), r, f))
         assert len(angles) == 5
         assert angles[2] is None
         for k in (0, 1, 3, 4):
@@ -304,6 +322,52 @@ class TestQuadrangle:
     def test_undefined_triangle_raises(self, i, r, s, f):
         with pytest.raises(UndefinedSolidAngle):
             solid_angle_quadrangle(i, r, s, f)
+
+
+# --- the kernel's products --------------------------------------------------
+
+def exact_dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+class TestKernelProducts:
+    @KERNEL_SETTINGS
+    @given(case=triangle_batches())
+    def test_within_four_units_of_exact(self, case):
+        # Each product of unit vectors, against its exact value from the
+        # float inputs as rationals: at most 4 units of 2**-53 off.
+        points, r, f = case
+        products = _triangle_dots(points, r, f)
+        vr, vf = ([Fraction(x) for x in v.tolist()] for v in (r, f))
+        for k, p in enumerate(points.tolist()):
+            vi = [Fraction(x) for x in p]
+            cross = [vr[1] * vi[2] - vr[2] * vi[1], vr[2] * vi[0] - vr[0] * vi[2],
+                     vr[0] * vi[1] - vr[1] * vi[0]]
+            exact = (exact_dot(vf, cross), exact_dot(vf, vr), exact_dot(vr, vi),
+                     exact_dot(vf, vi))
+            for got, want in zip((column[k] for column in products), exact):
+                assert abs(Fraction(got) - want) <= Fraction(4, 2**53)
+
+    def test_factors_make_no_blas_dot(self, monkeypatch):
+        # The factor bits come from Python floats alone, so no BLAS build
+        # (whose dot may fuse a*b + c) can move them.
+        def refuse(*_):
+            raise AssertionError("_rowdot called")
+
+        monkeypatch.setattr(bloch, "_rowdot", refuse)
+        rng = np.random.default_rng(3)
+        vi, vs = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in rng.normal(size=(2, 4, 3)))
+        r, f = np.eye(3)[2], np.eye(3)[0]
+        for rows in (vi, vi[0]):
+            assert len(_weak_factors(rows, r, f)[0]) == len(np.atleast_2d(rows))
+        assert len(_modular_factors(vi, r, vs, f)[1]) == 4
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    @pytest.mark.parametrize("kernel", [weak_moduli, modular_moduli, triangle_solid_angles])
+    def test_empty_batch_gives_empty_array(self, kernel, shape):
+        out = kernel(np.empty(shape), np.eye(3)[2], np.eye(3)[0])
+        assert isinstance(out, np.ndarray)
+        assert (out.shape, out.dtype) == (shape[:-1], np.float64)
 
 
 # --- moduli ------------------------------------------------------------------

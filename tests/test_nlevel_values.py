@@ -21,6 +21,7 @@ from helpers import (
     top_state,
 )
 from majgeom.bloch import qubit_to_bloch, solid_angle_triangle
+import majgeom.bloch
 import majgeom.canonical
 import majgeom.majorana
 import majgeom.nlevel_values
@@ -221,6 +222,43 @@ class TestNonFiniteInput:
             direction = GellMannDirection.from_r8([scale] * 8)
         assert abs(np.linalg.norm(direction.r8) - 1.0) <= 1e-12
         assert np.allclose(direction.r8, 1.0 / math.sqrt(8.0), rtol=0.0, atol=1e-15)
+
+
+class TestOverflowingPhase:
+    """An evolution or dynamical phase beyond the float range is refused by
+    name, with no numpy warning; every phase that fits is computed."""
+
+    PSI_I, PSI_F = np.ones(3) / SQ3, np.array([1.0, -1.0, 1.0]) / SQ3
+    OBSERVABLE = np.diag([1.0, 0.0, -1.0])
+
+    def test_phase_within_range_is_computed(self):
+        # alpha*(N-1) overflows at alpha = 1e308; the phases alpha*((N-1)/2)*lambda fit.
+        spec = NLevelModularSpec(observable=self.OBSERVABLE, alpha=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            direct = modular_value_direct(self.PSI_I, spec, self.PSI_F)
+            geometric, _ = qutrit_modular_value_geometric(self.PSI_I, spec, self.PSI_F)
+        # <f|k><k|i> = (1, -1, 1)/3 and <f|i> = 1/3: the value is 2 cos(1e308) - 1.
+        assert abs(direct.rect - (2.0 * math.cos(1e308) - 1.0)) <= 1e-12
+        assert geometric.modulus == pytest.approx(direct.modulus, rel=1e-9)
+
+    @pytest.mark.parametrize("route", [modular_value_direct, qutrit_modular_value_geometric])
+    def test_overflowing_evolution_phase(self, route):
+        spec = NLevelModularSpec(observable=10.0 * self.OBSERVABLE, alpha=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^evolution_phase must be finite$"):
+                route(self.PSI_I, spec, self.PSI_F)
+
+    def test_overflowing_dynamical_phase(self):
+        # strength*eigenvalue = -1e308 fits, beta minus it does not.
+        spec = NLevelModularSpec(observable=self.OBSERVABLE, alpha=-1e308, beta=1e308)
+        assert math.isfinite(modular_value_direct(self.PSI_I, spec, self.PSI_F).modulus)
+        with pytest.raises(ValueError, match="^dynamical_phase must be finite$"):
+            qutrit_modular_value_geometric(self.PSI_I, spec, self.PSI_F)
+        with pytest.raises(ValueError, match="^dynamical_phase must be finite$"):
+            factored_modular_value([NORTH], [[1.0, 0.0, 0.0]], NORTH, [0.0, 1.0, 0.0],
+                                   alpha=1e308, beta=0.0, eigenvalue=10.0)
 
 
 class TestModularValueDirect:
@@ -983,6 +1021,18 @@ class TestAnchorRatio:
         expected = (majgeom.majorana.normalization_factor(pair_points(i_pts, s_pts))
                     / majgeom.majorana.normalization_factor(i_pts))
         assert abs(breakdown.k_ratio - expected) <= 1e-12 * expected
+
+    def test_makes_no_blas_dot(self, monkeypatch):
+        # |r+x|^2 is summed in Python floats, so no BLAS build moves K_s / K_i.
+        def refuse(*_):
+            raise AssertionError("_rowdot called")
+
+        monkeypatch.setattr(majgeom.bloch, "_rowdot", refuse)
+        rng = np.random.default_rng(8)
+        vi, vs = random_points(rng, 4), random_points(rng, 4)
+        value, breakdown = majgeom.nlevel_values._paired_modular_value(
+            vi, vs, NORTH, random_bloch(rng), 0.3)
+        assert math.isfinite(value.modulus) and len(breakdown.factors) == 4
 
     @staticmethod
     def finite(value, breakdown) -> bool:

@@ -388,3 +388,12 @@ class TestNonFiniteSpec:
     def test_rejected(self, field, bad):
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             QubitModularSpec(axis=EZ, **{field: bad})
+
+    def test_huge_angles_answer_where_direct_does(self):
+        # (beta - alpha)/2 would overflow; beta/2 - alpha/2 is finite.
+        spec = QubitModularSpec(axis=EZ, alpha=-1e308, beta=1e308)
+        value, breakdown = modular_value_geometric(EX, spec, EY)
+        direct = modular_value_direct(bloch_to_qubit(EX), spec, bloch_to_qubit(EY))
+        assert breakdown.dynamical_phase == 1e308
+        assert math.isfinite(value.argument)
+        assert value.modulus == pytest.approx(direct.modulus, rel=1e-12)

@@ -10,7 +10,10 @@ thread.  It needs only numpy and the package under ``src``::
 
 Inputs are built before anything is timed, and each call's conversions
 (Bloch vectors for the qubit geometric routes, the modular specs, the
-projectors of the direct weak route) are built with them.  Only public
+projectors of the direct weak route, the rotated points of the factored
+modular value) are built with them.  Besides the value routes, it times the
+factored cores at m = 1, 2, 4 and 7 points and the batched kernels at 1024
+rows, where the per-row kernel's small-batch gain and large-batch cost show.  Only public
 names are called, so the script runs unchanged on older checkouts: to
 compare two, run it in each checkout alternately, a few times, and compare
 the smallest figure of each line.
@@ -32,6 +35,8 @@ import majgeom as mg  # noqa: E402
 ROUNDS = 5
 CALLS = 300
 LEVELS = (3, 5, 8)
+POINTS = (1, 2, 4, 7)  # m = N - 1 of the factored cores
+ROWS = 1024  # rows of the batched kernels
 
 
 def _state(rng, n: int) -> np.ndarray:
@@ -47,6 +52,11 @@ def _hermitian(rng, n: int) -> np.ndarray:
 def _bloch(rng) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def _blochs(rng, rows: int) -> np.ndarray:
+    v = rng.normal(size=(rows, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def entry_points():
@@ -74,6 +84,21 @@ def entry_points():
                [(i, spec, f) for (i, _, f), spec in zip(triples, specs)])
         yield (f"nlevel.modular.geometric.n{n}", mg.qutrit_modular_value_geometric,
                [(i, spec, f) for (i, _, f), spec in zip(triples, specs)])
+    for m in POINTS:
+        # i points with coherent r and f; s is i rotated rigidly about r, so
+        # r's coherent state is an eigenvector of the evolution, as the
+        # modular core's contract asks.
+        triples = [(_blochs(rng, m), _bloch(rng), _bloch(rng)) for _ in range(CALLS)]
+        angles = rng.uniform(-3, 3, size=CALLS).tolist()
+        yield (f"factored.weak.m{m}", mg.factored_weak_value, triples)
+        yield (f"factored.modular.m{m}",
+               lambda i, s, r, f, a: mg.factored_modular_value(i, s, r, f, alpha=a, beta=0.3,
+                                                               eigenvalue=1.0),
+               [(i, np.array([mg.rodrigues_rotate(p, r, a) for p in i]), r, f, a)
+                for (i, r, f), a in zip(triples, angles)])
+    batches = [(_blochs(rng, ROWS), _bloch(rng), _bloch(rng)) for _ in range(CALLS)]
+    yield (f"triangle_solid_angles.rows{ROWS}", mg.triangle_solid_angles, batches)
+    yield (f"weak_moduli.rows{ROWS}", mg.weak_moduli, batches)
     yield ("singularity_scan.count512.ms", lambda: mg.singularity_scan(count=512),
            [()] * CALLS)
 
