@@ -9,6 +9,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import majorana
 from .bloch import (
     _rowdot,
     _triangle_dots,
@@ -17,7 +18,6 @@ from .bloch import (
     _weak_factors,
     _weak_modulus_rows,
     as_bloch_array,
-    bloch_to_qubits,
 )
 from .canonical import _NORTH, _frame, _frame_points
 from .majorana import (
@@ -389,10 +389,11 @@ class BoxResult:
     """One box of the three-box analysis, in the canonical frame: the Majorana
     points of the box state (in factor order) and their K, its two qubit
     factors, its weak value as their product and by the direct route, the
-    entanglement entropy of its two-qubit state, that state's components in
-    the basis of the middle box's pair (-r-r, symmetric Bell, rr) with the
-    largest made real and positive, the Bell component alone, and the unit
-    sum of the points (``None`` for the middle box, whose points are
+    entanglement entropy of its points as a symmetrized qubit pair, its
+    overlaps with the states whose points are the middle box's pair taken as
+    {-r,-r}, {r,-r} and {r,r} (the two-qubit basis -r-r, symmetric Bell, rr)
+    with the largest made real and positive, the Bell overlap alone, and the
+    unit sum of the points (``None`` for the middle box, whose points are
     antipodal).  ``three-box`` prints the fields in declaration order.
     """
 
@@ -422,13 +423,6 @@ class ThreeBoxReport:
     symmetry_checks: dict[str, bool]
 
 
-def _symmetric_embedding(qutrit: np.ndarray) -> np.ndarray:
-    """Two-qubit amplitudes of a qutrit under the stellar correspondence."""
-    c0, c1, c2 = qutrit
-    half = c1 / math.sqrt(2.0)
-    return np.array([c2, half, half, c0])
-
-
 def three_box_report() -> ThreeBoxReport:
     """Full bipartite analysis of the three-box pre/postselection scenario."""
     sq3 = math.sqrt(3.0)
@@ -443,10 +437,9 @@ def three_box_report() -> ThreeBoxReport:
     states = [to_frame(e) for e in np.eye(3, dtype=complex)]
     reps = [_frame_points(state) for state in states]
     r_pair = reps[1].points
-    phi_r, phi_mr = bloch_to_qubits(r_pair)
-    basis_rr = np.kron(phi_r, phi_r)
-    basis_mm = np.kron(phi_mr, phi_mr)
-    basis_bell = (np.kron(phi_r, phi_mr) + np.kron(phi_mr, phi_r)) / math.sqrt(2.0)
+    # The states whose points are {-r,-r}, {r,-r} and {r,r}: the symmetric
+    # two-qubit r basis (-r-r, Bell, rr), in the space of the box states.
+    r_basis = [majorana._symmetrized(r_pair[rows])[0] for rows in ([1, 1], [0, 1], [0, 0])]
 
     results = []
     for index, (projector, state, rep) in enumerate(zip(box_projectors, states, reps)):
@@ -461,10 +454,7 @@ def three_box_report() -> ThreeBoxReport:
         # stable physical row order: negative-phase factor first, then +x, +y
         factors.sort(key=lambda f: (round(f.solid_angle, 9),
                                     -round(f.point[0], 12), -round(f.point[1], 12)))
-        embedded = _symmetric_embedding(state)
-        components = np.array([np.vdot(basis_mm, embedded),
-                               np.vdot(basis_bell, embedded),
-                               np.vdot(basis_rr, embedded)])
+        components = np.array([np.vdot(b, state) for b in r_basis])
         # report the r-basis image with its largest component (the first, on a tie)
         # real and positive
         anchor = components[np.argmax(np.abs(components))]

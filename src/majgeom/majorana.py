@@ -17,9 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import _qubits, _unit, as_bloch_array, bloch_to_qubits
+from .bloch import _qubits, _unit, as_bloch_array
 from .numerics import (
-    _ENTROPY_FLOOR,
     _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
@@ -312,18 +311,24 @@ def qutrit_roots_closed_form(theta: float, epsilon: float, chi1: float,
 
 
 def entanglement_entropy(points) -> float:
-    """Von Neumann entropy (bits) of either qubit of a symmetrized point pair.
+    """Von Neumann entropy (bits) of either qubit of a symmetrized point pair,
+    read off the points.
 
-    0 for coincident points (separable), 1 for antipodal points (Bell state).
+    For unit points a and b with c = a.b, the reduced qubit has the Bloch
+    vector n = 2(a+b)/(3+c); with the concurrence C = (1-c)/(3+c),
+    |n| = sqrt((1-C)(1+C)), and the smaller eigenvalue C^2 / (2(1+|n|)) has
+    no cancellation near separable pairs.  0 for coincident points
+    (separable), 1 for antipodal points (Bell state).
     """
     pts = np.asarray(points, dtype=float)
     if pts.shape != (2, 3):
         raise ValueError("entropy diagnostic needs exactly two Bloch points")
-    q1, q2 = bloch_to_qubits(pts)
-    psi = np.kron(q1, q2) + np.kron(q2, q1)
-    psi = psi / np.linalg.norm(psi)
-    amp = psi.reshape(2, 2)
-    rho = amp @ amp.conj().T
-    evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, 1.0)
-    entropy = -sum(v * math.log2(v) for v in evals if v > _ENTROPY_FLOOR)
-    return float(np.clip(entropy, 0.0, 1.0))
+    (a0, a1, a2), (b0, b1, b2) = as_bloch_array(pts).tolist()
+    # The kernel's product order; an antipodal pair can round below -1.
+    c = min(1.0, max(-1.0, (a0 * b0 + a1 * b1) + a2 * b2))
+    concurrence = (1.0 - c) / (3.0 + c)
+    length = math.sqrt((1.0 - concurrence) * (1.0 + concurrence))
+    low = concurrence * concurrence / (2.0 * (1.0 + length))
+    if low == 0.0:
+        return 0.0
+    return -(low * math.log2(low) + (1.0 - low) * math.log2(1.0 - low))

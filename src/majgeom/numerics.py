@@ -81,9 +81,6 @@ _SOUTH_POLE_CUT = 1e-150
 # lies above the summation spread of equal costs (5.3e-15 seen at m = 7).
 _PAIRING_TIE_SLACK = 1e-12
 
-# Reduced-density eigenvalue at or below which an entropy term counts as zero.
-_ENTROPY_FLOOR = 1e-15
-
 
 def principal_angle(angle: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from majgeom.bloch import bloch_to_qubits
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -117,6 +119,40 @@ def exact_weak_value(psi_i, psi_r, psi_f) -> complex:
     scale = den[0] ** 2 + den[1] ** 2
     re, im = mul(num, (den[0], -den[1]))
     return complex(float(re / scale), float(im / scale))
+
+
+def exact_abl_distribution(psi_i, groups, psi_f) -> list[Fraction]:
+    """ABL probabilities ``|<f|P_k|i>|^2 / sum_j |<f|P_j|i>|^2`` evaluated
+    exactly (``fractions.Fraction``) on the inputs as given, for the
+    computational-basis context whose projector ``P_k`` keeps the basis
+    indices ``groups[k]``.  Gaussian-integer states give the exact values of
+    the rays they span: the probabilities are scale-invariant."""
+    i, f = (np.asarray(state, dtype=complex) for state in (psi_i, psi_f))
+
+    def weight(group):
+        re = im = Fraction(0)
+        for j in group:
+            fr, fi = Fraction(f[j].real), Fraction(f[j].imag)
+            ir, ii = Fraction(i[j].real), Fraction(i[j].imag)
+            re += fr * ir + fi * ii
+            im += fr * ii - fi * ir
+        return re * re + im * im
+
+    weights = [weight(group) for group in groups]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def two_qubit_entropy(points) -> float:
+    """Entropy (bits) of either qubit of the symmetrized pair of two Bloch
+    points, from the two-qubit vector: its reduced density matrix is
+    diagonalized, and eigenvalues at or below 1e-15 count as zero."""
+    q1, q2 = bloch_to_qubits(points)
+    psi = np.kron(q1, q2) + np.kron(q2, q1)
+    amp = (psi / np.linalg.norm(psi)).reshape(2, 2)
+    evals = np.clip(np.linalg.eigvalsh(amp @ amp.conj().T).real, 0.0, 1.0)
+    entropy = -sum(v * math.log2(v) for v in evals if v > 1e-15)
+    return float(np.clip(entropy, 0.0, 1.0))
 
 
 def qubit_modular_closed_form(vi, vr, vf, alpha, beta) -> complex:

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_bloch, random_state
+from helpers import random_bloch, random_state, two_qubit_entropy
 from majgeom.bloch import bloch_to_qubit
 from majgeom.canonical import StateAngles, params_to_state
+from majgeom.experiments import three_box_report
 from majgeom.majorana import (
     discriminant_degeneracy,
     entanglement_entropy,
@@ -278,14 +281,33 @@ class TestDiscriminant:
             assert (disc > 1e-8) == (separation > 1e-4)
 
 
+bloch_part = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+bloch_points = st.tuples(bloch_part, bloch_part, bloch_part).map(np.array).filter(
+    lambda v: np.linalg.norm(v) >= 0.1).map(lambda v: v / np.linalg.norm(v))
+
+
+def rotation(axis: np.ndarray, angle: float) -> np.ndarray:
+    """Rodrigues' rotation matrix about a unit axis."""
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]],
+                  [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
 class TestEntanglementEntropy:
+    # h(1/4), the box entropy, at 20 digits
+    QUARTER = 0.81127812445913286391
+
     def test_coincident(self):
-        p = random_bloch(np.random.default_rng(52))
-        assert entanglement_entropy([p, p]) == pytest.approx(0.0, abs=1e-12)
+        rng = np.random.default_rng(52)
+        for _ in range(200):
+            p = random_bloch(rng)
+            assert abs(entanglement_entropy([p, p])) <= 1e-15
 
     def test_antipodal(self):
-        p = random_bloch(np.random.default_rng(53))
-        assert entanglement_entropy([p, -p]) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            p = random_bloch(rng)
+            assert abs(entanglement_entropy([p, -p]) - 1.0) <= 1e-15
 
     def test_three_box_box1_value(self):
         x = 2.0 - math.sqrt(3.0)
@@ -295,6 +317,29 @@ class TestEntanglementEntropy:
         expected = -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)
         assert entanglement_entropy(n) == pytest.approx(expected, abs=1e-10)
         assert round(entanglement_entropy(n), 2) == 0.81
+
+    def test_three_box_boxes_within_three_ulps(self):
+        # The exact entropy of box 1's printed points is itself 3.0e-16 from
+        # h(1/4); the two-qubit computation was 5 units off.
+        boxes = {box.name: box for box in three_box_report().boxes}
+        for name in ("box1", "box3"):
+            assert abs(boxes[name].entropy - self.QUARTER) <= 3 * math.ulp(self.QUARTER), name
+        assert boxes["box2"].entropy == 1.0
+
+    def test_agrees_with_two_qubit_computation(self):
+        # That computation's own error reached 1.1e-14 on these draws.
+        rng = np.random.default_rng(54)
+        for _ in range(2000):
+            pair = np.array([random_bloch(rng), random_bloch(rng)])
+            assert abs(entanglement_entropy(pair) - two_qubit_entropy(pair)) <= 2e-14
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(bloch_points, bloch_points, bloch_points, st.floats(-math.pi, math.pi))
+    def test_symmetric_and_rotation_invariant(self, a, b, axis, angle):
+        entropy = entanglement_entropy([a, b])
+        assert entanglement_entropy([b, a]) == entropy
+        turned = rotation(axis, angle)
+        assert abs(entanglement_entropy([turned @ a, turned @ b]) - entropy) <= 2e-15
 
 
 def test_state_validation():

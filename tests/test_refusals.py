@@ -34,6 +34,8 @@ REFUSALS = [
      ValueError, "theta must lie in [0, pi/2)"),
     ("entropy-shape", lambda: mg.entanglement_entropy(np.zeros((3, 3))), ValueError,
      "entropy diagnostic needs exactly two Bloch points"),
+    ("entropy-norm", lambda: mg.entanglement_entropy([EZ, [0.0, 2.0, 0.0]]), ValueError,
+     "Bloch vector norm 2.000000 deviates from 1 beyond 1e-08"),
     ("r8-shape", lambda: mg.GellMannDirection.from_r8(np.ones(7)), ValueError,
      "direction must have eight components"),
     ("r8-zero", lambda: mg.GellMannDirection.from_r8(np.zeros(8)), ValueError,

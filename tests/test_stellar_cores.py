@@ -241,7 +241,9 @@ class TestNormalizationWhenRead:
 
     def test_three_box_reads_k_once_per_box(self, calls):
         three_box_report()
-        assert calls == [2, 2, 2]
+        # The three r-basis states ({-r,-r}, {r,-r}, {r,r}), then one K per
+        # box; none for the pre- or postselected state.
+        assert calls == [2, 2, 2, 2, 2, 2]
 
 
 # --- errors of the public shells ---------------------------------------------

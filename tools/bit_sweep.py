@@ -167,6 +167,16 @@ def stellar():
                 mg.canonicalize_triple, state, _state(rng, n), _state(rng, n))
 
 
+def entropies():
+    """The entanglement entropy of random, coincident and antipodal pairs."""
+    rng = np.random.default_rng(808)
+    for _ in range(4 * DRAWS):
+        p = _bloch(rng)
+        yield "entanglement_entropy.random", _outcome(mg.entanglement_entropy, _bloch(rng, 2))
+        yield "entanglement_entropy.coincident", _outcome(mg.entanglement_entropy, [p, p])
+        yield "entanglement_entropy.antipodal", _outcome(mg.entanglement_entropy, [p, -p])
+
+
 def states():
     """The public functions that return a state, on fixed inputs: each keeps
     the global phase it fixes, whatever the value routes do with theirs."""
@@ -469,8 +479,8 @@ def surface():
     yield "majgeom.star-import", _canon(sorted(set(namespace) - {"__builtins__"}))
 
 
-SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, states, pairing,
-          experiments, cli_runs, scenario_runs, usage_runs, help_runs, surface)
+SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, entropies, states,
+          pairing, experiments, cli_runs, scenario_runs, usage_runs, help_runs, surface)
 
 
 def main() -> int:
