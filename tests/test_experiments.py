@@ -349,19 +349,17 @@ class TestThreeBoxReport:
         assert abs(1.0 / by_name["box3"].normalization - (2 * SQ3 - 2)) <= 1e-12
 
     def test_entropies(self, report):
-        expected = -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)
+        # h(1/4) at 20 digits.  The exact entropy of box 1's printed points is
+        # itself 3.0e-16 from it; the two-qubit computation was 5 units off.
+        quarter = 0.81127812445913286391
         by_name = {box.name: box for box in report.boxes}
-        assert abs(by_name["box1"].entropy - expected) <= 1e-10
-        assert abs(by_name["box3"].entropy - expected) <= 1e-10
+        for name in ("box1", "box3"):
+            assert abs(by_name[name].entropy - quarter) <= 3 * math.ulp(quarter), name
         assert round(by_name["box1"].entropy, 2) == 0.81
-        assert by_name["box2"].entropy == pytest.approx(1.0, abs=1e-12)
+        assert by_name["box2"].entropy == 1.0
 
     def test_abl_probabilities(self, report):
-        assert report.abl_one_box["box1"] == pytest.approx(1.0, abs=1e-12)
-        assert report.abl_one_box["box3"] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(report.abl_all_boxes - 1.0 / 3.0)) <= 1e-12
-
-    def test_abl_probabilities_meet_the_exact_oracle(self, report):
+        # Bit for bit the exact values, from the exact oracle.
         i, f = [1, 1, 1], [1, -1, 1]
         one_box = [exact_abl_distribution(i, [[k], [j for j in range(3) if j != k]], f)[0]
                    for k in (0, 2)]

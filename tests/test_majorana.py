@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from helpers import random_bloch, random_state, two_qubit_entropy
 from majgeom.bloch import bloch_to_qubit
 from majgeom.canonical import StateAngles, params_to_state
-from majgeom.experiments import three_box_report
 from majgeom.majorana import (
     discriminant_degeneracy,
     entanglement_entropy,
@@ -294,9 +293,6 @@ def rotation(axis: np.ndarray, angle: float) -> np.ndarray:
 
 
 class TestEntanglementEntropy:
-    # h(1/4), the box entropy, at 20 digits
-    QUARTER = 0.81127812445913286391
-
     def test_coincident(self):
         rng = np.random.default_rng(52)
         for _ in range(200):
@@ -317,14 +313,6 @@ class TestEntanglementEntropy:
         expected = -0.25 * math.log2(0.25) - 0.75 * math.log2(0.75)
         assert entanglement_entropy(n) == pytest.approx(expected, abs=1e-10)
         assert round(entanglement_entropy(n), 2) == 0.81
-
-    def test_three_box_boxes_within_three_ulps(self):
-        # The exact entropy of box 1's printed points is itself 3.0e-16 from
-        # h(1/4); the two-qubit computation was 5 units off.
-        boxes = {box.name: box for box in three_box_report().boxes}
-        for name in ("box1", "box3"):
-            assert abs(boxes[name].entropy - self.QUARTER) <= 3 * math.ulp(self.QUARTER), name
-        assert boxes["box2"].entropy == 1.0
 
     def test_agrees_with_two_qubit_computation(self):
         # That computation's own error reached 1.1e-14 on these draws.
