@@ -3,7 +3,9 @@ oriented solid angles of geodesic triangles and quadrangles, axis rotations.
 
 Every modulus ratio and polygon solid angle comes from one per-row kernel:
 the unit points are read once, and every product and formula runs row by
-row in Python floats, whose bits no BLAS build moves.  The scalar routes
+row in Python floats, whose bits no BLAS build moves.  Each ``1 + a.b`` of
+unit vectors is read as the projection ``|a+b|^2/2`` (twice ``|<a|b>|^2``),
+which keeps its relative accuracy where ``a`` nears ``-b``.  The scalar routes
 (:func:`solid_angle_triangle`, :func:`solid_angle_quadrangle`), the batches
 (:func:`weak_moduli`, :func:`modular_moduli`, :func:`triangle_solid_angles`)
 and the factored weak and modular values of :mod:`majgeom.nlevel_values` all
@@ -152,33 +154,24 @@ def bloch_to_qubit(vec) -> np.ndarray:
 
 
 def projection_probability(u, v) -> float:
-    """``|<phi_v|phi_u>|^2`` expressed through the Bloch scalar product."""
-    a, b = as_bloch(u), as_bloch(v)
-    return float(np.clip(0.5 * (1.0 + float(a @ b)), 0.0, 1.0))
+    """``|<phi_v|phi_u>|^2 = |u+v|^2/4`` of two Bloch vectors, which unlike
+    ``(1 + u.v)/2`` keeps its relative accuracy near antipodes."""
+    w = as_bloch(u) + as_bloch(v)
+    return min(0.25 * float(w @ w), 1.0)
 
 
 # The formulas run row by row in Python floats: +, -, *, /, math.sqrt and
 # math.atan2 round as numpy's elementwise ufuncs and libm do.
 
 def _moduli(nums: Iterable[float], fi: list[float]) -> list[float]:
-    """``sqrt(num / (1 + f.i))`` row by row, clipped at 0 as ``np.maximum``
-    clips (a NaN stays NaN); NaN where ``1 + f.i`` is at or below
-    ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f)."""
+    """``sqrt(num / p)`` row by row with ``p = |f+i|^2/2``; NaN where ``p`` is
+    at or below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f)."""
     floor = 2.0 * DEFAULT_TOL.orthogonality**2
-    out = []
-    for num, dot in zip(nums, fi):
-        den = 1.0 + dot
-        ratio = num / den if den > floor else math.nan
-        out.append(math.sqrt(0.0 if ratio <= 0.0 else ratio))
-    return out
+    return [math.sqrt(num / den) if den > floor else math.nan for num, den in zip(nums, fi)]
 
 
 def _weak_modulus_rows(fr: list[float], ri: list[float], fi: list[float]) -> list[float]:
-    return _moduli((0.5 * (1.0 + a) * (1.0 + b) for a, b in zip(fr, ri)), fi)
-
-
-def _modular_modulus_rows(fs: list[float], fi: list[float]) -> list[float]:
-    return _moduli((1.0 + a for a in fs), fi)
+    return _moduli((0.5 * a * b for a, b in zip(fr, ri)), fi)
 
 
 def _reduce_to_branch(omega: float) -> float:
@@ -188,21 +181,14 @@ def _reduce_to_branch(omega: float) -> float:
     return omega
 
 
-def _triangles(y: list[float], fr: list[float], ri: list[float],
-               fi: list[float]) -> list[float | None]:
-    """Solid angles of the triangles i -> r -> f row by row, from
-    ``y = f.(r x i)`` and the three scalar products; ``None`` for each
+def _triangles(y: list[float], x: list[float]) -> list[float | None]:
+    """Solid angles ``-2 atan2(y, x)`` of the triangles i -> r -> f row by
+    row, from :func:`_row_dots`'s ``y`` and ``x``; ``None`` for each
     undefined triangle."""
     zero = DEFAULT_TOL.zero
-    out = []
-    for yy, a, b, c in zip(y, fr, ri, fi):
-        x = 1.0 + a + b + c
-        if abs(x) <= zero and abs(yy) <= zero:
-            out.append(None)  # antipodal vertices: no defined area
-        else:
-            # libm's atan2 per row: numpy's vectorized arctan2 differs in the last bit.
-            out.append(_reduce_to_branch(-2.0 * math.atan2(yy, x)))
-    return out
+    # libm's atan2 per row: numpy's vectorized arctan2 differs in the last bit.
+    return [None if abs(xx) <= zero and abs(yy) <= zero  # antipodal vertices: no defined area
+            else _reduce_to_branch(-2.0 * math.atan2(yy, xx)) for yy, xx in zip(y, x)]
 
 
 def _float_rows(*vecs: np.ndarray) -> list[list[list[float]]]:
@@ -213,17 +199,26 @@ def _float_rows(*vecs: np.ndarray) -> list[list[list[float]]]:
 
 
 def _row_dots(i_rows, r_rows, f_rows) -> tuple[list[float], ...]:
-    """``f.(r x i)``, ``f.r``, ``r.i`` and ``f.i`` of the triangles (i, r, f) of
-    rows of three Python floats: the cross product in :func:`_cross`'s order,
-    each scalar product ``(a0 b0 + a1 b1) + a2 b2``, never a fused ``a*b + c``."""
-    y, fr, ri, fi = [], [], [], []
+    """``y``, ``x`` and the projections ``|f+r|^2/2``, ``|r+i|^2/2`` and
+    ``|f+i|^2/2`` of the triangles (i, r, f) of rows of three Python floats.
+
+    ``y = f.(r x i)``, the cross product in :func:`_cross`'s order, and
+    ``x = |f+i|^2/2 + r.(f+i)``, which is ``1 + f.r + r.i + f.i``.  Each sum of
+    three products is ``(a0 b0 + a1 b1) + a2 b2``, never a fused ``a*b + c``.
+    """
+    y, x, fr, ri, fi = [], [], [], [], []
     for (i0, i1, i2), (r0, r1, r2), (f0, f1, f2) in zip(i_rows, r_rows, f_rows):
         y.append((f0 * (r1 * i2 - r2 * i1) + f1 * (r2 * i0 - r0 * i2))
                  + f2 * (r0 * i1 - r1 * i0))
-        fr.append((f0 * r0 + f1 * r1) + f2 * r2)
-        ri.append((r0 * i0 + r1 * i1) + r2 * i2)
-        fi.append((f0 * i0 + f1 * i1) + f2 * i2)
-    return y, fr, ri, fi
+        a0, a1, a2 = f0 + r0, f1 + r1, f2 + r2
+        fr.append(0.5 * ((a0 * a0 + a1 * a1) + a2 * a2))
+        a0, a1, a2 = r0 + i0, r1 + i1, r2 + i2
+        ri.append(0.5 * ((a0 * a0 + a1 * a1) + a2 * a2))
+        a0, a1, a2 = f0 + i0, f1 + i1, f2 + i2
+        p = 0.5 * ((a0 * a0 + a1 * a1) + a2 * a2)
+        fi.append(p)
+        x.append(p + ((r0 * a0 + r1 * a1) + r2 * a2))
+    return y, x, fr, ri, fi
 
 
 def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> tuple[list[float], ...]:
@@ -232,17 +227,18 @@ def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> tuple[list
 
 
 def _quadrangle_rows(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
-                     vf: np.ndarray) -> tuple[list[float | None], list[float], list[float]]:
+                     vf: np.ndarray) -> tuple[list, ...]:
     """Solid angles of the quadrangles i -> r -> s -> f row by row, ``None``
-    where one is undefined, with ``f.s`` and ``f.i``.  Each is the triangles
+    where one is undefined, with the projections ``|s+r|^2/2``, ``|r+i|^2/2``,
+    ``|f+s|^2/2`` and ``|f+i|^2/2``.  Each quadrangle is the triangles
     (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, as one
     :func:`_row_dots` pass over 2n rows."""
     i, r, s, f = _float_rows(vi, vr, vs, vf)
     n = len(i)
-    y, fr, ri, fi = _row_dots(i + i, r + s, s + f)
-    angles = _triangles(y, fr, ri, fi)
+    y, x, fr, ri, fi = _row_dots(i + i, r + s, s + f)
+    angles = _triangles(y, x)
     return ([None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])],
-            fr[n:], fi[n:])
+            fr[:n], ri[:n], fr[n:], fi[n:])
 
 
 def _defined(angles: list[float | None]) -> list[float]:
@@ -258,27 +254,32 @@ def _factors(moduli: list[float],
     """The moduli and solid angles of a value's factors.  A NaN modulus (an
     initial point antipodal to the final one) raises
     :class:`OrthogonalSelection` before any angle is looked at.  A factor
-    whose modulus is exactly 0 gets 0.0: its polygon has an antipodal pair
-    there, but the value is 0 whatever its angle.  Any other undefined angle
-    raises :class:`UndefinedSolidAngle`."""
+    whose polygon is undefined (it has an antipodal pair) and whose modulus
+    is at most ``DEFAULT_TOL.zero`` is an exact zero: its modulus and angle
+    are 0.0, and the value is 0 whatever the angle.  Any other undefined
+    angle raises :class:`UndefinedSolidAngle`."""
     if any(map(math.isnan, moduli)):
         raise OrthogonalSelection("an initial point is antipodal to the final point")
-    return moduli, _defined([0.0 if modulus == 0.0 else angle
-                             for modulus, angle in zip(moduli, angles)])
+    zero = DEFAULT_TOL.zero
+    for k, (modulus, angle) in enumerate(zip(moduli, angles)):
+        if angle is None and modulus <= zero:
+            moduli[k] = angles[k] = 0.0
+    return moduli, _defined(angles)
 
 
 def _weak_factors(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
     """Factor moduli and triangle solid angles of the weak value of unit
     ``(m, 3)`` points (or one ``(3,)`` point) ``vi`` with ``vr`` and ``vf``."""
-    y, fr, ri, fi = _triangle_dots(vi, vr, vf)
-    return _factors(_weak_modulus_rows(fr, ri, fi), _triangles(y, fr, ri, fi))
+    y, x, fr, ri, fi = _triangle_dots(vi, vr, vf)
+    return _factors(_weak_modulus_rows(fr, ri, fi), _triangles(y, x))
 
 
 def _modular_factors(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray, vf: np.ndarray):
     """Factor moduli and quadrangle solid angles of the modular value of
-    paired unit points ``vi`` and ``vs`` (``(m, 3)`` or ``(3,)``)."""
-    angles, fs, fi = _quadrangle_rows(vi, vr, vs, vf)
-    return _factors(_modular_modulus_rows(fs, fi), angles)
+    paired unit points ``vi`` and ``vs`` (``(m, 3)`` or ``(3,)``), with the
+    anchor projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass."""
+    angles, sr, ri, fs, fi = _quadrangle_rows(vi, vr, vs, vf)
+    return (*_factors(_moduli(fs, fi), angles), ri, sr)
 
 
 def _flat_rows(*vecs) -> tuple[tuple[int, ...], list[np.ndarray]]:
@@ -297,25 +298,28 @@ def _shaped(values: list[float], shape: tuple[int, ...]) -> np.ndarray:
 
 def weak_moduli(i, r, f) -> np.ndarray:
     """``sqrt(0.5 (1+f.r)(1+r.i) / (1+f.i))`` over ``(..., 3)`` arrays that
-    broadcast; three single vectors give a numpy scalar.
+    broadcast, each ``1 + a.b`` formed as ``|a+b|^2/2``; three single vectors
+    give a numpy scalar.
 
     The modulus of the projector weak value ``<f|r><r|i>/<f|i>`` from unit
-    Bloch vectors (the caller validates them).  Rows whose ``1+f.i`` is at or
-    below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f) come back as NaN.
+    Bloch vectors (the caller validates them).  Rows whose ``|f+i|^2/2`` is at
+    or below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f) come back
+    as NaN.
     """
     shape, rows = _flat_rows(i, r, f)
-    return _shaped(_weak_modulus_rows(*_triangle_dots(*rows)[1:]), shape)[()]
+    return _shaped(_weak_modulus_rows(*_triangle_dots(*rows)[2:]), shape)[()]
 
 
 def modular_moduli(i, s, f) -> np.ndarray:
-    """``sqrt((1+f.s) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast.
+    """``sqrt((1+f.s) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast,
+    as ``sqrt(|f+s|^2 / |f+i|^2)``.
 
     The per-qubit modulus ratio of a modular value, ``s`` the evolved vector;
     NaN marks antipodal i and f as in :func:`weak_moduli`.
     """
     shape, rows = _flat_rows(i, s, f)
-    _, fs, _, fi = _triangle_dots(*rows)  # of the triangles (i, s, f)
-    return _shaped(_modular_modulus_rows(fs, fi), shape)[()]
+    _, _, fs, _, fi = _triangle_dots(*rows)  # of the triangles (i, s, f)
+    return _shaped(_moduli(fs, fi), shape)[()]
 
 
 def triangle_solid_angles(i, r, f) -> np.ndarray:
@@ -324,12 +328,12 @@ def triangle_solid_angles(i, r, f) -> np.ndarray:
     ``i``, ``r`` and ``f`` are ``(..., 3)`` arrays of unit vectors that
     broadcast against each other; each is validated by :func:`as_bloch_array`.
     Uses ``omega = -2 atan2(f.(r x i), 1 + f.r + r.i + f.i)`` reduced to
-    (-2*pi, 2*pi].  If any triangle has both arctangent arguments below
-    ``DEFAULT_TOL.zero`` (antipodal vertices), the batch raises
-    :class:`UndefinedSolidAngle`.
+    (-2*pi, 2*pi], the second argument as ``|f+i|^2/2 + r.(f+i)``.  If any
+    triangle has both arctangent arguments below ``DEFAULT_TOL.zero``
+    (antipodal vertices), the batch raises :class:`UndefinedSolidAngle`.
     """
     shape, rows = _flat_rows(as_bloch_array(i), as_bloch_array(r), as_bloch_array(f))
-    return _shaped(_defined(_triangles(*_triangle_dots(*rows))), shape)
+    return _shaped(_defined(_triangles(*_triangle_dots(*rows)[:2])), shape)
 
 
 def solid_angle_triangle(i, r, f) -> float:
@@ -340,7 +344,7 @@ def solid_angle_triangle(i, r, f) -> float:
     with both arctangent arguments below ``DEFAULT_TOL.zero`` (antipodal
     vertices) has no defined value and raises :class:`UndefinedSolidAngle`.
     """
-    (omega,) = _defined(_triangles(*_triangle_dots(as_bloch(i), as_bloch(r), as_bloch(f))))
+    (omega,) = _defined(_triangles(*_triangle_dots(as_bloch(i), as_bloch(r), as_bloch(f))[:2]))
     return omega
 
 

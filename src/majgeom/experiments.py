@@ -319,8 +319,8 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     # entry, and the modulus factors, NaN where a point is antipodal to the
     # postselection.  Each side of the singular bracket is unwrapped
     # independently: the genuine jump across the singularity is reported.
-    y, fr, ri, fi = _triangle_dots(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
-    raw = _triangles(y, fr, ri, fi)
+    y, x, fr, ri, fi = _triangle_dots(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
+    raw = _triangles(y, x)
     moduli = _weak_modulus_rows(fr, ri, fi)
     split = len(thetas) if singular_gap is None else singular_gap + 1
     omega1, omega2 = (_unwrap_segment(side[:split]) + _unwrap_segment(side[split:])

@@ -10,6 +10,7 @@ caller-canonicalized point sets.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -219,10 +220,10 @@ def factored_weak_value(i_points, r_point, f_point):
     in one batch.  The normalization constants of the symmetrized states
     cancel for projector weak values.
 
-    A factor whose modulus is exactly 0 (``r`` antipodal to ``i_k`` or to
-    ``f``: ``<r|i> = 0`` or ``<f|r> = 0``) gets solid angle 0.0, and the value
-    is then ``PolarComplex(0.0, 0.0)``.  Any other undefined triangle raises
-    :class:`UndefinedSolidAngle`.
+    A factor with an undefined triangle and a modulus of at most
+    ``DEFAULT_TOL.zero`` (``<r|i_k> = 0`` or ``<f|r> = 0``) is an exact zero,
+    and the value is then ``PolarComplex(0.0, 0.0)``.  Any other undefined
+    triangle raises :class:`UndefinedSolidAngle`.
     """
     return _factored_weak_value(_point_rows(i_points), as_bloch(r_point), as_bloch(f_point))
 
@@ -235,17 +236,6 @@ def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
     return breakdown.to_polar(), breakdown
 
 
-def _factored_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
-                            k_ratio: float, *, dynamical: float):
-    """:func:`factored_modular_value` of validated unit vectors (or one ``(3,)``
-    point each), paired point sets, a known K_s / K_i and the dynamical phase."""
-    moduli, omegas = _modular_factors(vi, vr, vs, vf)
-    breakdown = GeometricBreakdown(
-        tuple(map(GeometricFactor, moduli, omegas, vi.reshape(-1, 3), vs.reshape(-1, 3))),
-        dynamical_phase=dynamical, k_ratio=k_ratio)
-    return breakdown.to_polar(), breakdown
-
-
 def factored_modular_value(i_points, s_points, r_point, f_point,
                            *, alpha: float, beta: float, eigenvalue: float):
     """Modular value from canonicalized stellar points of the initial and
@@ -253,13 +243,13 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
 
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
     quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
-    phase is ``beta - alpha*((N-1)/2)*eigenvalue``; one that overflows raises
-    ``ValueError``.  The overall modulus carries
-    the anchor ratio ``prod_k |r+i_k| / prod_k |r+s_k|``, which equals the
-    normalization ratio K_s / K_i under this function's contract: ``s`` is
+    phase is ``beta - alpha*((N-1)/2)*eigenvalue``, reduced term by term; a
+    second term that overflows raises ``ValueError``.  The overall modulus
+    carries the anchor ratio ``prod_k |r+i_k| / prod_k |r+s_k|``, which equals
+    the normalization ratio K_s / K_i under this function's contract: ``s`` is
     ``i`` evolved by a unitary with the coherent state at ``r`` as an
-    eigenvector, so ``|<r|s>| = |<r|i>|``.  A pair with modulus ratio 0
-    (``s_k`` antipodal to ``f``) gets solid angle 0.0, as in
+    eigenvector, so ``|<r|s>| = |<r|i>|``.  A pair with an undefined
+    quadrangle (``s_k`` antipodal to ``f``) is an exact zero, as in
     :func:`factored_weak_value`.  ``s`` is paired to ``i``, then each set is
     validated once (``s`` first, then ``i``, ``r`` and ``f``);
     :func:`qutrit_modular_value_geometric` ends in the same core.
@@ -267,34 +257,38 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     vs = _point_rows(pair_points(i_points, s_points))
     vi = _point_rows(i_points)
-    return _paired_modular_value(vi, vs, as_bloch(r_point), as_bloch(f_point),
-                                 beta - alpha * (vi.shape[0] / 2.0) * eigenvalue)
+    phase = alpha * (vi.shape[0] / 2.0) * eigenvalue
+    _check_finite(dynamical_phase=phase)
+    return _paired_modular_value(vi, vs, as_bloch(r_point), as_bloch(f_point), beta, phase)
 
 
 def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
-                          dynamical: float):
-    """The modular value of unit rows in one frame, ``vs`` paired to ``vi``,
-    with K_s / K_i read off the anchor ``vr``.
+                          beta: float, phase: float, k_ratio: float | None = None):
+    """The modular value of unit rows (or one ``(3,)`` point each) in one
+    frame, ``vs`` paired to ``vi``, with the dynamical phase
+    ``arg(exp(1j*beta) exp(-1j*phase))``: each angle is reduced exactly, as
+    the direct routes' exponentials reduce it, so the phase's rounding does
+    not grow with their size.
 
-    The coherent state at ``r`` is an eigenvector of the evolution, so
+    K_s / K_i is ``k_ratio`` when given; otherwise it is read off the anchor
+    ``vr``.  The coherent state at ``r`` is an eigenvector of the evolution, so
     ``|<r|s>| = |<r|i>|``, and ``<r|psi> = K m! prod_k <r|q_k>`` with
     ``|<r|q_k>| = |r+q_k|/2``: K_s / K_i is ``prod_k |r+i_k| / prod_k |r+s_k|``,
-    whatever the pairing.  ``|r+x|^2`` is summed in Python floats from the rows
-    ``r+x``, not taken as ``2(1 + r.x)``, which loses bits where ``x`` nears
-    ``-r``.  A dynamical phase that overflowed raises ``ValueError``.
+    whatever the pairing, from the projections ``|r+i_k|^2/2`` and
+    ``|r+s_k|^2/2`` that the kernel pass forms for the (i_k, r, s_k) triangles.
     """
-    _check_finite(dynamical_phase=dynamical)
-    r0, r1, r2 = vr.tolist()
-    sums = [(r0 + x0, r1 + x1, r2 + x2) for x0, x1, x2 in vi.tolist() + vs.tolist()]
-    squares = [(a0 * a0 + a1 * a1) + a2 * a2 for a0, a1, a2 in sums]
-    m = len(vi)
-    num, den = math.prod(squares[:m]), math.prod(squares[m:])
-    k_ratio = math.sqrt(num / den) if den else math.inf
-    # The ratio is infinite only where some |r+s_k| is below 1e-12 (0/0 at
-    # -r).  That quadrangle has no area, so the core refuses the value unless
-    # the zero-value rule makes it 0, whatever k_ratio is; k_ratio is then 0.0.
-    return _factored_modular_value(vi, vs, vr, vf, k_ratio if k_ratio < math.inf else 0.0,
-                                   dynamical=dynamical)
+    moduli, omegas, ri, rs = _modular_factors(vi, vr, vs, vf)
+    if k_ratio is None:
+        num, den = math.prod(ri), math.prod(rs)
+        ratio = num / den if den else math.inf
+        # Infinite only where some |r+s_k| underflows (0/0 at -r): that
+        # quadrangle has no area, so the value is refused or an exact zero.
+        k_ratio = math.sqrt(ratio) if ratio < math.inf else 0.0
+    breakdown = GeometricBreakdown(
+        tuple(map(GeometricFactor, moduli, omegas, vi.reshape(-1, 3), vs.reshape(-1, 3))),
+        dynamical_phase=cmath.phase(cmath.exp(1j * beta) * cmath.exp(-1j * phase)),
+        k_ratio=k_ratio)
+    return breakdown.to_polar(), breakdown
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
@@ -319,9 +313,10 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     through the frame and their points read off.  ``s`` is paired to ``i`` and
     the points go through the core that :func:`factored_modular_value` calls
     once it has validated, with K_s / K_i read off the anchor.  The
-    dynamical phase is ``beta - s*eigenvalue``, for the evolution that
-    :func:`modular_value_direct` applies.  The selections are validated once,
-    and nothing the route makes is validated or renormalized again.
+    dynamical phase is ``beta - s*eigenvalue`` reduced to (-pi, pi], each
+    term reduced exactly as :func:`modular_value_direct`'s ``exp`` reduces
+    it.  The selections are validated once, and nothing the route makes is
+    validated or renormalized again.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     evals, evecs = _eigh(_observable(spec.observable, si.size))
@@ -332,8 +327,8 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     to_frame, f_vec, _ = _frame(evecs[:, index], sf)
     vi = _frame_points(to_frame(si)).points
     vs = pair_points(vi, _frame_points(to_frame(_evolved(si, evals, evecs, strength))).points)
-    return _paired_modular_value(vi, vs, _NORTH, f_vec,
-                                 spec.beta - strength * float(evals[index]))
+    return _paired_modular_value(vi, vs, _NORTH, f_vec, spec.beta,
+                                 strength * float(evals[index]))
 
 
 def _check_context(projectors, dim: int) -> list[np.ndarray]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _rotate, _unit_qubit, as_bloch
-from .nlevel_values import _factored_modular_value, _factored_weak_value
+from .nlevel_values import _factored_weak_value, _paired_modular_value
 from .numerics import DEFAULT_TOL, _check_finite, _check_hermitian, _checked_overlap
 from .polar import PolarComplex
 
@@ -61,9 +61,9 @@ def projector_weak_value_geometric(i, r, f):
     """Projector weak value from Bloch vectors.
 
     Modulus ``sqrt((1+f.r)(1+r.i) / (2(1+f.i)))``; argument is minus half the
-    oriented solid angle of the (i, r, f) geodesic triangle.  When the modulus
-    is exactly 0 (``r`` antipodal to ``i`` or ``f``), the solid angle is 0.0
-    and the value ``PolarComplex(0.0, 0.0)``; the triangle is undefined there.
+    oriented solid angle of the (i, r, f) geodesic triangle.  When ``r`` is
+    antipodal to ``i`` or ``f`` (a modulus of at most ``DEFAULT_TOL.zero`` and
+    an undefined triangle), the value is ``PolarComplex(0.0, 0.0)``.
     Bit for bit ``factored_weak_value([i], r, f)``.
     """
     return _factored_weak_value(as_bloch(i), as_bloch(r), as_bloch(f))
@@ -93,17 +93,17 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
 
     The evolved vector ``s`` is ``i`` rotated about the axis by ``alpha``.  The
     modulus is ``sqrt((1+f.s)/(1+f.i))``; the argument splits into the
-    dynamical term ``beta/2 - alpha/2`` (finite for every finite pair, where
-    ``(beta-alpha)/2`` can overflow) and the geometric term given by minus
-    half the (i, r, s, f) quadrangle solid angle.  When the modulus is exactly
-    0 (``s`` antipodal to ``f``), the solid angle is 0.0 and the value
-    ``PolarComplex(0.0, 0.0)``.  This is the one-point ``factored_modular_value``
-    with ``beta/2`` for ``beta``, eigenvalue 1 and K_s / K_i taken as exactly 1.
+    dynamical term ``beta/2 - alpha/2``, reduced to (-pi, pi] with each half
+    angle reduced exactly as the direct route reduces it, and the geometric term
+    given by minus half the (i, r, s, f) quadrangle solid angle.  When ``s``
+    is antipodal to ``f`` (a modulus of at most ``DEFAULT_TOL.zero`` and an
+    undefined quadrangle), the value is ``PolarComplex(0.0, 0.0)``.  This is
+    the one-point ``factored_modular_value`` with ``beta/2`` for ``beta``,
+    eigenvalue 1 and K_s / K_i taken as exactly 1.
     """
     vi, vf = as_bloch(i), as_bloch(f)
     vs = _rotate(vi, spec.axis, spec.alpha)
-    return _factored_modular_value(vi, vs, spec.axis, vf, 1.0,
-                                   dynamical=0.5 * spec.beta - 0.5 * spec.alpha)
+    return _paired_modular_value(vi, vs, spec.axis, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
 
 
 def observable_to_modular_spec(observable, theta: float) -> QubitModularSpec:

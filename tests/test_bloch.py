@@ -65,6 +65,13 @@ class TestProjectionProbability:
     def test_pole_vs_equator(self):
         assert projection_probability(EZ, EX) == pytest.approx(0.5, abs=1e-12)
 
+    def test_near_antipodal_keeps_relative_accuracy(self):
+        # (1 + a.b)/2 cancels to 0.0 here; |a+b|^2/4 is sin^2(delta/2).
+        delta = 1e-9
+        got = projection_probability(EZ, [math.sin(delta), 0.0, -math.cos(delta)])
+        exact = math.sin(0.5 * delta) ** 2
+        assert abs(got - exact) <= 1e-12 * exact
+
     def test_matches_hilbert_space(self):
         rng = np.random.default_rng(22)
         for _ in range(300):

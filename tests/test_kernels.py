@@ -2,7 +2,8 @@
 
 The reference functions below restate the scalar formulas one vector at a
 time (``np.linalg.norm``, ``math.atan2``, Python complex division, and the
-cross and scalar products in Python floats, ``(a0 b0 + a1 b1) + a2 b2``).
+cross and scalar products in Python floats, ``(a0 b0 + a1 b1) + a2 b2``, with
+each ``1 + a.b`` of unit vectors read as the projection ``|a+b|^2/2``).
 Every kernel must reproduce them bit for bit, zero signs included, for any
 batch size and broadcast pattern.
 """
@@ -78,9 +79,19 @@ def ref_cross(a, b):
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
+def ref_sum(a, b):
+    return [float(x) + float(y) for x, y in zip(a, b)]
+
+
+def ref_projection(a, b):
+    """``1 + a.b`` of unit vectors, as ``|a+b|^2/2``."""
+    w = ref_sum(a, b)
+    return 0.5 * ref_dot(w, w)
+
+
 def ref_unit_solid_angle(vi, vr, vf):
     y = ref_dot(vf, ref_cross(vr, vi))
-    x = 1.0 + ref_dot(vf, vr) + ref_dot(vr, vi) + ref_dot(vf, vi)
+    x = ref_projection(vf, vi) + ref_dot(vr, ref_sum(vf, vi))
     if abs(x) <= DEFAULT_TOL.zero and abs(y) <= DEFAULT_TOL.zero:
         raise UndefinedSolidAngle("reference")
     omega = -2.0 * math.atan2(y, x)
@@ -88,17 +99,17 @@ def ref_unit_solid_angle(vi, vr, vf):
 
 
 def ref_weak_modulus(vi, vr, vf):
-    den = 1.0 + ref_dot(vf, vi)
+    den = ref_projection(vf, vi)
     if den <= THRESHOLD:
         return math.nan
-    return math.sqrt(max(0.0, 0.5 * (1.0 + ref_dot(vf, vr)) * (1.0 + ref_dot(vr, vi)) / den))
+    return math.sqrt(0.5 * ref_projection(vf, vr) * ref_projection(vr, vi) / den)
 
 
 def ref_modular_modulus(vi, vs, vf):
-    den = 1.0 + ref_dot(vf, vi)
+    den = ref_projection(vf, vi)
     if den <= THRESHOLD:
         return math.nan
-    return math.sqrt(max(0.0, (1.0 + ref_dot(vf, vs)) / den))
+    return math.sqrt(ref_projection(vf, vs) / den)
 
 
 def same_bits(a, b) -> bool:
@@ -295,7 +306,7 @@ class TestTriangleSolidAngles:
         r = np.array([0.0, 0.0, 1.0])
         f = np.array([1.0, 0.0, 0.0])
         points[2] = -f
-        angles = _triangles(*_triangle_dots(as_bloch_array(points), r, f))
+        angles = _triangles(*_triangle_dots(as_bloch_array(points), r, f)[:2])
         assert len(angles) == 5
         assert angles[2] is None
         for k in (0, 1, 3, 4):
@@ -330,23 +341,37 @@ def exact_dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+def exact_projection(a, b):
+    w = [x + y for x, y in zip(a, b)]
+    return exact_dot(w, w) / 2
+
+
 class TestKernelProducts:
     @KERNEL_SETTINGS
     @given(case=triangle_batches())
-    def test_within_four_units_of_exact(self, case):
-        # Each product of unit vectors, against its exact value from the
-        # float inputs as rationals: at most 4 units of 2**-53 off.
+    def test_within_a_few_units_of_exact(self, case):
+        # Each kernel output against its exact value from the float inputs as
+        # rationals (u = 2**-53).  The triple product y is at most 4 u off.
+        # Each projection |a+b|^2/2 is within 6 u of itself, relative, near
+        # antipodes too (its first-order error is 5 u), and x = |f+i|^2/2 +
+        # r.(f+i) within 8 u of |f+i|^2/2 + sum_k |r_k (f_k+i_k)|; both up to
+        # 4 units of the smallest subnormal, where squares underflow.
         points, r, f = case
-        products = _triangle_dots(points, r, f)
-        vr, vf = ([Fraction(x) for x in v.tolist()] for v in (r, f))
+        y, x, fr, ri, fi = _triangle_dots(points, r, f)
+        vr, vf = ([Fraction(v) for v in vec.tolist()] for vec in (r, f))
+        unit, tiny = Fraction(1, 2**53), 4 * Fraction(1, 2**1074)
         for k, p in enumerate(points.tolist()):
-            vi = [Fraction(x) for x in p]
+            vi = [Fraction(v) for v in p]
             cross = [vr[1] * vi[2] - vr[2] * vi[1], vr[2] * vi[0] - vr[0] * vi[2],
                      vr[0] * vi[1] - vr[1] * vi[0]]
-            exact = (exact_dot(vf, cross), exact_dot(vf, vr), exact_dot(vr, vi),
-                     exact_dot(vf, vi))
-            for got, want in zip((column[k] for column in products), exact):
-                assert abs(Fraction(got) - want) <= Fraction(4, 2**53)
+            assert abs(Fraction(y[k]) - exact_dot(vf, cross)) <= 4 * unit
+            for got, (a, b) in ((fr[k], (vf, vr)), (ri[k], (vr, vi)), (fi[k], (vf, vi))):
+                want = exact_projection(a, b)
+                assert abs(Fraction(got) - want) <= 6 * unit * want + tiny
+            terms = [rk * (fk + ik) for rk, fk, ik in zip(vr, vf, vi)]
+            want = exact_projection(vf, vi)
+            assert abs(Fraction(x[k]) - (want + sum(terms))) <= (
+                8 * unit * (want + sum(map(abs, terms))) + tiny)
 
     def test_factors_make_no_blas_dot(self, monkeypatch):
         # The factor bits come from Python floats alone, so no BLAS build
@@ -403,10 +428,19 @@ class TestModuli:
 def ref_factors(moduli, angle_fns):
     """Reference factor moduli and angles under the value rules: a NaN
     modulus raises OrthogonalSelection before any angle is formed; a factor
-    of modulus exactly 0 gets 0.0; any other undefined angle raises."""
+    whose angle is undefined and whose modulus is at most DEFAULT_TOL.zero
+    is an exact zero, modulus and angle 0.0; any other undefined angle raises."""
     if any(math.isnan(m) for m in moduli):
         raise OrthogonalSelection("reference")
-    return moduli, [0.0 if m == 0.0 else angle() for m, angle in zip(moduli, angle_fns)]
+    factors = []
+    for m, angle in zip(moduli, angle_fns):
+        try:
+            factors.append((m, angle()))
+        except UndefinedSolidAngle:
+            if m > DEFAULT_TOL.zero:
+                raise
+            factors.append((0.0, 0.0))
+    return [m for m, _ in factors], [a for _, a in factors]
 
 
 def ref_weak_factors(vi, vr, vf):

@@ -153,7 +153,7 @@ def modular_routes():
             yield "nlevel.modular.routes", (
                 _outcome(mg.qutrit_modular_value_geometric, psi_i, spec, psi_f) + "|"
                 + _outcome(nlevel_values._paired_modular_value, i_points, s_points,
-                           canonical._NORTH, f_vec, beta - strength * float(evals[-1])))
+                           canonical._NORTH, f_vec, beta, strength * float(evals[-1])))
 
 
 def stellar():
