@@ -11,6 +11,12 @@ which keeps its relative accuracy where ``a`` nears ``-b``.  The scalar routes
 and the factored weak and modular values of :mod:`majgeom.nlevel_values` all
 share it; only :func:`solid_angle_quadrangle_rotation`, an independent closed
 form, does not.
+
+The checks and maps in front of the kernel (:func:`as_bloch`,
+:func:`qubit_to_bloch`, the rotation, the qubit amplitudes) run on Python
+floats too.  Their batch forms, :func:`as_bloch_array` and
+:func:`bloch_to_qubits`, write the same expressions on numpy real columns,
+never as a complex ``*``, which numpy may fuse into a multiply-add.
 """
 
 from __future__ import annotations
@@ -26,31 +32,28 @@ from .numerics import (
     _SOUTH_POLE_CUT,
     DEFAULT_TOL,
     _checked_norm,
+    _divided,
     _fix_gauge,
 )
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Scalar products along the last axis, rounded exactly as ``float(a @ b)``.
-
-    Two 1-d vectors give a numpy scalar.  Stacked rows go through
-    ``(..., 1, n) @ (..., n, 1)``, one BLAS dot per row: the routine a 1-d
-    ``a @ b`` runs, whereas ``einsum`` and ``(a * b).sum(-1)`` round differently.
-    """
-    if a.ndim == 1 and b.ndim == 1:
-        return a.dot(b)
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _dot(a, b) -> float:
+    """``(a0 b0 + a1 b1) + a2 b2`` of two 3-vectors of Python floats."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-def _column(values):
-    """``values[..., None]`` for broadcasting against rows; scalars stay scalars."""
-    return values[..., None] if values.ndim else values
+def _cross(a, b) -> list[float]:
+    """The cross product of two 3-vectors of Python floats, as ``np.cross``
+    forms it."""
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two ``(3,)`` vectors, with its roundings, in Python floats."""
-    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+def _unit_row(v) -> list[float]:
+    """A 3-vector of Python floats divided by its norm ``sqrt(_dot(v, v))``."""
+    a0, a1, a2 = v
+    norm = math.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
+    return [a0 / norm, a1 / norm, a2 / norm]
 
 
 def as_bloch_array(vecs) -> np.ndarray:
@@ -64,85 +67,104 @@ def as_bloch_array(vecs) -> np.ndarray:
     v = np.asarray(vecs, dtype=float)
     if v.ndim == 0 or v.shape[-1] != 3:
         raise ValueError("Bloch vector must have exactly three components")
-    norms = np.sqrt(_rowdot(v, v))
+    # _unit_row's norm on numpy columns: elementwise *, + and sqrt round as
+    # Python floats do, so each row keeps as_bloch's bits.
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    norms = np.sqrt((x * x + y * y) + z * z)
     unit = abs(norms - 1.0) <= _NORM_SLACK  # False for NaN
     if np.count_nonzero(unit) != unit.size:
         if not np.isfinite(v).all():
             raise ValueError("Bloch vector must be finite")
         norm = float(np.ravel(norms)[~np.ravel(unit)][0])
         raise ValueError(f"Bloch vector norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
-    return v / _column(norms)
+    return v / norms[..., None]
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """:func:`as_bloch_array`'s renormalization without its checks.  It is
-    not bitwise idempotent, so a caller applies it wherever an ``as_bloch``
-    of an already-valid vector used to run."""
-    return v / _column(np.sqrt(_rowdot(v, v)))
+def _bloch_vector(vec) -> list[float]:
+    """:func:`as_bloch` as Python floats, the form the value routes take."""
+    v = np.asarray(vec, dtype=float)
+    if v.shape != (3,):
+        raise ValueError("Bloch vector must have exactly three components")
+    a0, a1, a2 = v.tolist()
+    norm = math.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
+    if abs(norm - 1.0) <= _NORM_SLACK:  # False for NaN
+        return [a0 / norm, a1 / norm, a2 / norm]
+    return as_bloch_array(v)  # raises its error for this vector
 
 
 def as_bloch(vec) -> np.ndarray:
     """Validate and renormalize a unit 3-vector."""
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("Bloch vector must have exactly three components")
-    norm = math.sqrt(v.dot(v))
-    if abs(norm - 1.0) <= _NORM_SLACK:  # False for NaN
-        return v / norm
-    return as_bloch_array(v)  # raises its error for this vector
+    return np.array(_bloch_vector(vec))
 
 
 def as_qubit(state) -> np.ndarray:
     """Validate, normalize and gauge-fix a two-component amplitude vector."""
-    return _fix_gauge(_unit_qubit(state))
+    return _fix_gauge(np.array(_unit_qubit(state)))
 
 
-def _unit_qubit(state) -> np.ndarray:
+def _unit_qubit(state) -> list[complex]:
     """:func:`as_qubit` without the gauge: two amplitudes checked and divided
-    by their norm, in a new array, with the global phase left as given."""
+    by their norm, as Python complexes, with the global phase left as given."""
     q = np.asarray(state, dtype=complex)
     if q.shape != (2,):
         raise ValueError("qubit state must have exactly two amplitudes")
-    return q / _checked_norm(q, "qubit", "amplitudes")
+    amplitudes = q.tolist()
+    return _divided(amplitudes, _checked_norm(amplitudes, "qubit", "amplitudes"))
 
 
 def qubit_to_bloch(state) -> np.ndarray:
     """Unit Bloch vector of a pure qubit state, checked and renormalized; its
     global phase, which moves no vector, is not fixed."""
-    q = _unit_qubit(state)
-    cross = q[0].conjugate() * q[1]
-    v = np.array([2.0 * cross.real, 2.0 * cross.imag, abs(q[0]) ** 2 - abs(q[1]) ** 2])
-    return v / math.sqrt(v.dot(v))
+    q0, q1 = _unit_qubit(state)
+    a, b, c, d = q0.real, q0.imag, q1.real, q1.imag
+    # 2 conj(q0) q1 and |q0|^2 - |q1|^2 in real components.
+    return np.array(_unit_row([2.0 * (a * c + b * d), 2.0 * (a * d - b * c),
+                               (a * a + b * b) - (c * c + d * d)]))
 
 
 def _amplitudes(x: float, y: float, z: float) -> tuple[float, float, float, float]:
-    # (re, im) of (cos(t/2), e^(i p) sin(t/2)) before renormalization.
-    a0 = math.sqrt(max(0.0, 0.5 * (1.0 + z)))
+    """(re, im) of (cos(t/2), e^(i p) sin(t/2)) before renormalization.  South
+    of the equator ``a0 = |x+iy| / (2 sin(t/2))``, which keeps its relative
+    accuracy where ``sqrt((1+z)/2)`` would cancel."""
+    if z < 0.0:
+        a0 = math.hypot(x, y) / (2.0 * math.sqrt(0.5 * (1.0 - z)))
+    else:
+        a0 = math.sqrt(0.5 * (1.0 + z))
     if a0 < _SOUTH_POLE_CUT:
         return 0.0, 0.0, 1.0, 0.0
-    a1 = complex(x, y) / (2.0 * a0)
-    return a0, 0.0, a1.real, a1.imag
+    scale = 2.0 * a0
+    return a0, 0.0, x / scale, y / scale
+
+
+def _qubit(x: float, y: float, z: float) -> tuple[complex, complex]:
+    """The gauge-canonical qubit of a unit Bloch vector as two Python
+    complexes: :func:`_amplitudes` divided by their norm."""
+    a, b, c, d = _amplitudes(x, y, z)
+    norm = math.sqrt((a * a + b * b) + (c * c + d * d))
+    return complex(a / norm, b / norm), complex(c / norm, d / norm)
 
 
 def bloch_to_qubits(vecs) -> np.ndarray:
     """Gauge-canonical qubit states of the rows of an ``(..., 3)`` array.
 
     Returns an ``(..., 2)`` complex array ``(a0, a1)/|(a0, a1)|`` with
-    ``a0 = sqrt((1+z)/2)`` and ``a1 = (x + iy)/(2 a0)``; south-pole rows
-    (``a0`` below ``_SOUTH_POLE_CUT``) map to ``(0, 1)``.  Rows are validated
-    by :func:`as_bloch_array`.  The amplitudes are formed per row in Python
-    floats; the renormalization runs on the whole batch.
+    ``a0 = sqrt((1+z)/2)`` (``|x+iy| / sqrt(2(1-z))`` for z < 0) and
+    ``a1 = (x + iy)/(2 a0)``; south-pole rows (``a0`` below
+    ``_SOUTH_POLE_CUT``) map to ``(0, 1)``.  Rows are validated by
+    :func:`as_bloch_array`.  The amplitudes are formed per row in Python
+    floats; the renormalization runs on numpy columns, bit for bit as
+    :func:`_qubit` forms it for one row.
     """
     return _qubits(as_bloch_array(vecs))
 
 
 def _qubits(v: np.ndarray) -> np.ndarray:
     """:func:`bloch_to_qubits` of unit rows, without their validation."""
-    rows = [_amplitudes(*row) for row in v.reshape(-1, 3).tolist()]
-    q = np.array(rows).reshape(v.shape[:-1] + (4,)).view(complex)
-    # Real and imaginary strided dots, as np.linalg.norm takes a complex norm.
-    re, im = q.real, q.imag
-    return q / _column(np.sqrt(_rowdot(re, re) + _rowdot(im, im)))
+    rows = np.array([_amplitudes(*row) for row in v.reshape(-1, 3).tolist()],
+                    dtype=float).reshape(-1, 4)
+    a, b, c, d = rows.T
+    norms = np.sqrt((a * a + b * b) + (c * c + d * d))
+    return (rows / norms[:, None]).reshape(v.shape[:-1] + (4,)).view(complex)
 
 
 def bloch_to_qubit(vec) -> np.ndarray:
@@ -156,8 +178,8 @@ def bloch_to_qubit(vec) -> np.ndarray:
 def projection_probability(u, v) -> float:
     """``|<phi_v|phi_u>|^2 = |u+v|^2/4`` of two Bloch vectors, which unlike
     ``(1 + u.v)/2`` keeps its relative accuracy near antipodes."""
-    w = as_bloch(u) + as_bloch(v)
-    return min(0.25 * float(w @ w), 1.0)
+    w = [a + b for a, b in zip(_bloch_vector(u), _bloch_vector(v))]
+    return min(0.25 * _dot(w, w), 1.0)
 
 
 # The formulas run row by row in Python floats: +, -, *, /, math.sqrt and
@@ -191,11 +213,14 @@ def _triangles(y: list[float], x: list[float]) -> list[float | None]:
             else _reduce_to_branch(-2.0 * math.atan2(yy, xx)) for yy, xx in zip(y, x)]
 
 
-def _float_rows(*vecs: np.ndarray) -> list[list[list[float]]]:
-    """Unit ``(3,)`` vectors and ``(n, 3)`` rows as ``n`` rows of Python floats
-    each, read by one ``tolist()``; a ``(3,)`` vector is one row, shared."""
-    n = next((len(v) for v in vecs if v.ndim == 2), 1)
-    return [v.tolist() if v.ndim == 2 else [v.tolist()] * n for v in vecs]
+def _float_rows(*vecs) -> list[list[list[float]]]:
+    """Unit 3-vectors and rows of them, as numpy arrays (``(3,)`` or
+    ``(n, 3)``) or as lists of Python floats, turned into ``n`` rows of Python
+    floats each; a single vector is one row, shared."""
+    rows = [v.tolist() if isinstance(v, np.ndarray) else v for v in vecs]
+    batch = [not v or type(v[0]) is list for v in rows]
+    n = len(rows[batch.index(True)]) if True in batch else 1
+    return [v if b else [v] * n for v, b in zip(rows, batch)]
 
 
 def _row_dots(i_rows, r_rows, f_rows) -> tuple[list[float], ...]:
@@ -221,13 +246,12 @@ def _row_dots(i_rows, r_rows, f_rows) -> tuple[list[float], ...]:
     return y, x, fr, ri, fi
 
 
-def _triangle_dots(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray) -> tuple[list[float], ...]:
-    """:func:`_row_dots` of unit ``(3,)`` vectors or ``(n, 3)`` rows."""
+def _triangle_dots(vi, vr, vf) -> tuple[list[float], ...]:
+    """:func:`_row_dots` of unit vectors or rows, as :func:`_float_rows` takes them."""
     return _row_dots(*_float_rows(vi, vr, vf))
 
 
-def _quadrangle_rows(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray,
-                     vf: np.ndarray) -> tuple[list, ...]:
+def _quadrangle_rows(vi, vr, vs, vf) -> tuple[list, ...]:
     """Solid angles of the quadrangles i -> r -> s -> f row by row, ``None``
     where one is undefined, with the projections ``|s+r|^2/2``, ``|r+i|^2/2``,
     ``|f+s|^2/2`` and ``|f+i|^2/2``.  Each quadrangle is the triangles
@@ -267,16 +291,16 @@ def _factors(moduli: list[float],
     return moduli, _defined(angles)
 
 
-def _weak_factors(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
+def _weak_factors(vi, vr, vf):
     """Factor moduli and triangle solid angles of the weak value of unit
-    ``(m, 3)`` points (or one ``(3,)`` point) ``vi`` with ``vr`` and ``vf``."""
+    points ``vi`` (rows, or one vector) with ``vr`` and ``vf``."""
     y, x, fr, ri, fi = _triangle_dots(vi, vr, vf)
     return _factors(_weak_modulus_rows(fr, ri, fi), _triangles(y, x))
 
 
-def _modular_factors(vi: np.ndarray, vr: np.ndarray, vs: np.ndarray, vf: np.ndarray):
+def _modular_factors(vi, vr, vs, vf):
     """Factor moduli and quadrangle solid angles of the modular value of
-    paired unit points ``vi`` and ``vs`` (``(m, 3)`` or ``(3,)``), with the
+    paired unit points ``vi`` and ``vs`` (rows, or one vector each), with the
     anchor projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass."""
     angles, sr, ri, fs, fi = _quadrangle_rows(vi, vr, vs, vf)
     return (*_factors(_moduli(fs, fi), angles), ri, sr)
@@ -344,20 +368,22 @@ def solid_angle_triangle(i, r, f) -> float:
     with both arctangent arguments below ``DEFAULT_TOL.zero`` (antipodal
     vertices) has no defined value and raises :class:`UndefinedSolidAngle`.
     """
-    (omega,) = _defined(_triangles(*_triangle_dots(as_bloch(i), as_bloch(r), as_bloch(f))[:2]))
+    vi, vr, vf = _bloch_vector(i), _bloch_vector(r), _bloch_vector(f)
+    (omega,) = _defined(_triangles(*_triangle_dots(vi, vr, vf)[:2]))
     return omega
 
 
 def rodrigues_rotate(i, r, alpha: float) -> np.ndarray:
     """Rotate ``i`` about the axis ``r`` by ``alpha`` radians."""
-    return _rotate(as_bloch(i), as_bloch(r), alpha)
+    return np.array(_rotate(_bloch_vector(i), _bloch_vector(r), alpha))
 
 
-def _rotate(vi: np.ndarray, vr: np.ndarray, alpha: float) -> np.ndarray:
-    """:func:`rodrigues_rotate` of validated unit vectors."""
+def _rotate(vi: list[float], vr: list[float], alpha: float) -> list[float]:
+    """:func:`rodrigues_rotate` of unit vectors of Python floats,
+    ``(cos a i + (r.i)(1 - cos a) r) + sin a (r x i)`` renormalized."""
     ca, sa = math.cos(alpha), math.sin(alpha)
-    s = ca * vi + float(vr @ vi) * (1.0 - ca) * vr + sa * _cross(vr, vi)
-    return s / math.sqrt(s.dot(s))
+    k = _dot(vr, vi) * (1.0 - ca)
+    return _unit_row([(ca * a + k * b) + sa * c for a, b, c in zip(vi, vr, _cross(vr, vi))])
 
 
 def solid_angle_quadrangle(i, r, s, f) -> float:
@@ -367,8 +393,7 @@ def solid_angle_quadrangle(i, r, s, f) -> float:
     i <-> s geodesic legs cancel.  The raw sum is returned (callers compare
     modulo 4*pi).
     """
-    vi, vr, vs, vf = (as_bloch(v) for v in (i, r, s, f))
-    (omega,) = _defined(_quadrangle_rows(vi, vr, vs, vf)[0])
+    (omega,) = _defined(_quadrangle_rows(*map(_bloch_vector, (i, r, s, f)))[0])
     return omega
 
 
@@ -379,12 +404,12 @@ def solid_angle_quadrangle_rotation(i, r, f, alpha: float) -> float:
     using only scalar and triple products of the three remaining vectors.  The
     expression is regularized so it stays finite at alpha = pi.
     """
-    vi, vr, vf = as_bloch(i), as_bloch(r), as_bloch(f)
+    vi, vr, vf = _bloch_vector(i), _bloch_vector(r), _bloch_vector(f)
     c = math.cos(0.5 * alpha)
     sn = math.sin(0.5 * alpha)
-    volume = float(vf @ _cross(vr, vi))
-    pair = float(vf @ vr) + float(vr @ vi)
-    base = 1.0 + float(vf @ vi)
+    volume = _dot(vf, _cross(vr, vi))
+    pair = _dot(vf, vr) + _dot(vr, vi)
+    base = 1.0 + _dot(vf, vi)
     re = c * c * base + volume * sn * c + pair * sn * sn
     im = sn * c * base + volume * sn * sn - pair * sn * c
     if abs(re) <= DEFAULT_TOL.zero and abs(im) <= DEFAULT_TOL.zero:

@@ -11,15 +11,15 @@ import numpy as np
 
 from . import majorana
 from .bloch import (
-    _rowdot,
     _triangle_dots,
     _triangles,
-    _unit,
+    _unit_row,
     _weak_factors,
     _weak_modulus_rows,
     as_bloch_array,
 )
-from .canonical import _NORTH, _frame, _frame_points
+from .canonical import _NORTH, _frame
+from .errors import OrthogonalSelection
 from .majorana import (
     _check_state_angles,
     _discriminant,
@@ -35,7 +35,11 @@ from .numerics import (
     _SYMMETRY_SLACK,
     DEFAULT_TOL,
     _check_finite,
+    _divided,
     _gauge_phase,
+    _checked_overlap,
+    _inner,
+    _norm,
 )
 from .polar import PolarComplex
 
@@ -47,6 +51,7 @@ _EZ = np.array([0.0, 0.0, 1.0])
 _EX = np.array([1.0, 0.0, 0.0])
 # Canonical-frame postselection: coincident stellar points on the +x axis.
 _F_STATE = np.array([0.5, math.sqrt(0.5), 0.5], dtype=complex)
+_F_ENTRIES = _F_STATE.tolist()
 _R_PROJECTOR = np.diag([0.0, 0.0, 1.0]).astype(complex)
 
 # Solid angles are defined modulo 4 pi; the scan unwraps them along the grid.
@@ -152,12 +157,33 @@ def _unwrap_segment(raw: list[float | None]) -> list[float | None]:
     return out
 
 
+def _complex_columns(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def _unit_rows(c: np.ndarray) -> np.ndarray:
-    """:func:`_unit_state` of each row of an ``(n, 3)`` complex array, bit for
-    bit, without its checks: norms are ``np.linalg.norm``'s real and imaginary
-    dots."""
+    """:func:`_unit_state` of each row of an ``(n, N)`` complex array, bit for
+    bit, without its checks: the norm's sum and the division on numpy real
+    columns, in :func:`numerics._sumsq`'s order."""
     re, im = c.real, c.imag
-    return c / np.sqrt(_rowdot(re, re) + _rowdot(im, im))[:, None]
+    total = np.zeros(len(c))
+    for k in range(c.shape[1]):
+        total = total + (re[:, k] * re[:, k] + im[:, k] * im[:, k])
+    norms = np.sqrt(total)[:, None]
+    return _complex_columns(re / norms, im / norms)
+
+
+def _column_inner(bra: list[complex], kets: np.ndarray) -> np.ndarray:
+    """:func:`numerics._inner` of the Python complexes ``bra`` with each row
+    of an ``(n, N)`` complex array, bit for bit, on numpy real columns."""
+    re = im = np.zeros(len(kets))
+    for b, column in zip(bra, kets.T):
+        br, bi, kr, ki = b.real, b.imag, column.real, column.imag
+        re = re + (br * kr + bi * ki)
+        im = im + (br * ki - bi * kr)
+    return _complex_columns(re, im)
 
 
 def _gauged_rows(c: np.ndarray) -> np.ndarray:
@@ -187,8 +213,8 @@ def scan_state(theta: float, epsilon: float, chi1: float, chi2: float) -> np.nda
     return _scan_states([theta], epsilon, chi1, chi2)[0]
 
 
-def _overlap_re(theta: float, epsilon: float, chi1: float, chi2: float) -> float:
-    return float(np.vdot(_F_STATE, scan_state(theta, epsilon, chi1, chi2)).real)
+def _scan_overlap(theta: float, epsilon: float, chi1: float, chi2: float) -> complex:
+    return _inner(_F_ENTRIES, scan_state(theta, epsilon, chi1, chi2).tolist())
 
 
 def _disc_re(theta, epsilon: float, chi1: float, chi2: float):
@@ -293,9 +319,9 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     oracle_states = _unit_rows(states)
 
     theta_singular, singular_gap = _first_root(
-        thetas, np.array([np.vdot(_F_STATE, state).real for state in states]),
-        lambda th: _overlap_re(th, epsilon, chi1, chi2),
-        lambda th: abs(complex(np.vdot(_F_STATE, scan_state(th, epsilon, chi1, chi2)))))
+        thetas, _column_inner(_F_ENTRIES, states).real,
+        lambda th: _scan_overlap(th, epsilon, chi1, chi2).real,
+        lambda th: abs(_scan_overlap(th, epsilon, chi1, chi2)))
     theta_bifurcation, bifurcation_gap = _first_root(
         thetas, _disc_re(grid, epsilon, chi1, chi2),
         lambda th: _disc_re(th, epsilon, chi1, chi2),
@@ -331,16 +357,16 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     # Direct oracle, as weak_value_direct(state, _R_PROJECTOR, _F_STATE) with
     # the constant postselection validated once.
     f_state = _unit_state(_F_STATE)
-    projected = oracle_states @ _R_PROJECTOR.T
+    image = np.stack([_column_inner(row, oracle_states) for row in _R_PROJECTOR.conj().tolist()],
+                     axis=1)
     records = []
-    for k, (state, image, entries, row) in enumerate(
-            zip(oracle_states, projected, oracle_states.tolist(), flags)):
-        overlap = complex(np.vdot(f_state, state))
-        direct = None
-        if abs(overlap) <= DEFAULT_TOL.orthogonality:
+    for k, (numerator, entries, row) in enumerate(zip(
+            _column_inner(f_state, image).tolist(), oracle_states.tolist(), flags)):
+        try:
+            direct = PolarComplex.from_complex(numerator / _checked_overlap(f_state, entries))
+        except OrthogonalSelection:
+            direct = None
             row.add("singular")
-        else:
-            direct = PolarComplex.from_complex(np.vdot(f_state, image) / overlap)
         if DEFAULT_TOL.zero < _discriminant(*entries) <= _NEAR_DEGENERATE_BAND:
             row.add("near_degenerate")
         w1, w2 = omega1[k], omega2[k]
@@ -432,14 +458,16 @@ def three_box_report() -> ThreeBoxReport:
                       np.diag([0.0, 1.0, 0.0]).astype(complex),
                       np.diag([0.0, 0.0, 1.0]).astype(complex)]
 
-    to_frame, f_vec, _ = _frame(nlevel_state(psi_i), nlevel_state(psi_f))
+    to_frame, f_vec, _ = _frame(nlevel_state(psi_i).tolist(), nlevel_state(psi_f).tolist())
+    f_vec = np.array(f_vec)
     i_vec = _NORTH.copy()
-    states = [to_frame(e) for e in np.eye(3, dtype=complex)]
-    reps = [_frame_points(state) for state in states]
+    states = [to_frame(e) for e in np.eye(3, dtype=complex).tolist()]
+    reps = [majorana._majorana_points(_divided(state, _norm(state))) for state in states]
     r_pair = reps[1].points
     # The states whose points are {-r,-r}, {r,-r} and {r,r}: the symmetric
     # two-qubit r basis (-r-r, Bell, rr), in the space of the box states.
-    r_basis = [majorana._symmetrized(r_pair[rows])[0] for rows in ([1, 1], [0, 1], [0, 0])]
+    r_basis = [majorana._symmetrized(r_pair[rows].tolist())[0]
+               for rows in ([1, 1], [0, 1], [0, 0])]
 
     results = []
     for index, (projector, state, rep) in enumerate(zip(box_projectors, states, reps)):
@@ -454,7 +482,7 @@ def three_box_report() -> ThreeBoxReport:
         # stable physical row order: negative-phase factor first, then +x, +y
         factors.sort(key=lambda f: (round(f.solid_angle, 9),
                                     -round(f.point[0], 12), -round(f.point[1], 12)))
-        components = np.array([np.vdot(b, state) for b in r_basis])
+        components = np.array([_inner(b, state) for b in r_basis])
         # report the r-basis image with its largest component (the first, on a tie)
         # real and positive
         anchor = components[np.argmax(np.abs(components))]
@@ -469,7 +497,8 @@ def three_box_report() -> ThreeBoxReport:
             entropy=entanglement_entropy(rep.points),
             r_basis=components,
             bell_overlap=complex(components[1]),
-            closest_separable=None if index == 1 else _unit(rep.points.sum(axis=0)),
+            closest_separable=None if index == 1 else np.array(
+                _unit_row(rep.points.sum(axis=0).tolist())),
         ))
 
     identity = np.eye(3, dtype=complex)

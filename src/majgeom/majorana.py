@@ -6,6 +6,11 @@ polynomial.  Basis states map downward, ``|0> -> south^(N-1)`` and
 ``|N-1> -> north^(N-1)``; the general coefficient convention is pinned by the
 binomial weights below and reduces to the familiar three-level polynomial
 ``c0/sqrt(2) - c1 z + c2 z^2 / sqrt(2)`` after an overall scale.
+
+States enter as lists of Python complexes; the root points are unit rows of
+Python floats, and the symmetrized state's norm is the fixed-order sum of
+:mod:`majgeom.numerics`.  Only the companion eigenvalues of degree 3 and up
+come from LAPACK.
 """
 
 from __future__ import annotations
@@ -17,14 +22,16 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import _qubits, _unit, as_bloch_array
+from .bloch import _qubit, _unit_row, as_bloch_array
 from .numerics import (
     _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
     DEFAULT_TOL,
     _check_finite,
     _checked_norm,
+    _divided,
     _fix_gauge,
+    _norm,
     _polynomial_roots,
     canonical_gauge,
 )
@@ -36,18 +43,19 @@ def nlevel_state(coeffs) -> np.ndarray:
     """Validate, normalize and gauge-fix an N-level coefficient vector: the
     state :func:`_unit_state` returns, times the global phase that makes its
     first non-vanishing entry real and positive."""
-    return _fix_gauge(_unit_state(coeffs))
+    return _fix_gauge(np.array(_unit_state(coeffs)))
 
 
-def _unit_state(coeffs) -> np.ndarray:
+def _unit_state(coeffs) -> list[complex]:
     """An N-level coefficient vector checked (dimension, finiteness, unit norm
-    within the slack) and divided by its norm, in a new array, with its global
-    phase left as given.  Values and stellar points depend only on the ray, so
-    the routes that return no state take their inputs this way."""
+    within the slack) and divided by its norm, as Python complexes, with its
+    global phase left as given.  Values and stellar points depend only on the
+    ray, so the routes that return no state take their inputs this way."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or not 2 <= c.size <= MAX_LEVELS:
         raise ValueError(f"state dimension must lie in [2, {MAX_LEVELS}]")
-    return c / _checked_norm(c, "state", "coefficients")
+    entries = c.tolist()
+    return _divided(entries, _checked_norm(entries, "state", "coefficients"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +73,7 @@ class SymmetricRepresentation:
     def normalization(self) -> float:
         """K of the points, renormalized once more, as validating them would
         leave them."""
-        return _symmetrized(_unit(self.points))[1]
+        return _symmetrized([_unit_row(p) for p in self.points.tolist()])[1]
 
 
 def sort_points(points: np.ndarray) -> np.ndarray:
@@ -75,47 +83,50 @@ def sort_points(points: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _binomial_weights(m: int) -> np.ndarray:
+def _binomial_weights(m: int) -> tuple[float, ...]:
     """``(-1)^k sqrt(C(m, k))``, k = 0..m: state -> polynomial coefficients."""
-    return np.array([(-1.0) ** k * math.sqrt(math.comb(m, k)) for k in range(m + 1)])
+    return tuple((-1.0) ** k * math.sqrt(math.comb(m, k)) for k in range(m + 1))
 
 
 def representation_coefficients(state) -> np.ndarray:
     """Polynomial coefficients (lowest degree first) of the stellar polynomial."""
     c = nlevel_state(state)
-    return _binomial_weights(c.size - 1) * c
+    return np.array(_binomial_weights(c.size - 1)) * c
 
 
-def _root_points(roots: list[complex | None]) -> np.ndarray:
-    """Bloch points of projective roots, one per row; infinity (``None``, or a
+def _root_points(roots: list[complex | None]) -> list[list[float]]:
+    """Bloch points of projective roots, one unit row of Python floats per
+    root, in the order of :func:`sort_points`; infinity (``None``, or a
     squared modulus above ``_INFINITE_ROOT``) is the south pole."""
     rows = []
     for z in roots:
         w = math.inf if z is None else abs(z) ** 2
         if not math.isfinite(w) or w > _INFINITE_ROOT:
-            rows.append((0.0, 0.0, -1.0))
+            rows.append([0.0, 0.0, -1.0])
             continue
         denom = 1.0 + w
-        rows.append((2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - w) / denom))
-    return _unit(np.array(rows))
+        rows.append(_unit_row([2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - w) / denom]))
+    rows.sort(key=lambda p: (-p[2], -p[0], -p[1]))  # np.lexsort's order; stable
+    return rows
 
 
-def _symmetrized(pts: np.ndarray) -> tuple[np.ndarray, float]:
-    """Normalized coefficients of the symmetrized multiset of the unit rows
-    ``pts``, and its K; the rows are not validated or renormalized.
+def _symmetrized(rows) -> tuple[list[complex], float]:
+    """Normalized coefficients of the symmetrized multiset of unit rows (as
+    Python floats), and its K; the rows are not validated or renormalized.
 
     With ``a_k`` the coefficients of the product of the qubits' linear
     factors ``u z - v`` (a south-pole point just zeroes the top one), the sum
     over the m! qubit permutations has norm ``m! sqrt(sum_k |a_k|^2 / C(m, k))``.
     """
     poly = [1.0 + 0.0j]  # lowest degree first; new a_k = u a_(k-1) - v a_k
-    for u, v in _qubits(pts).tolist():
+    for x, y, z in rows:
+        u, v = _qubit(x, y, z)
         poly = [u * lower - v * same for lower, same in zip([0j, *poly], [*poly, 0j])]
-    c = np.array(poly) / _binomial_weights(pts.shape[0])
-    norm = math.sqrt(np.vdot(c, c).real)
+    c = [complex(a.real / w, a.imag / w) for a, w in zip(poly, _binomial_weights(len(rows)))]
+    norm = _norm(c)
     if norm <= 0.0:
         raise ValueError("symmetrized state has vanishing norm")
-    return c / norm, 1.0 / (math.factorial(pts.shape[0]) * norm)
+    return _divided(c, norm), 1.0 / (math.factorial(len(rows)) * norm)
 
 
 def normalization_factor(points) -> float:
@@ -124,7 +135,7 @@ def normalization_factor(points) -> float:
     Equals ``1/sqrt(m! * perm(G))`` for the Gram matrix ``G`` of the qubit
     states, evaluated in O(m^2) from the closed form of ``_symmetrized``.
     """
-    return _symmetrized(_point_rows(points))[1]
+    return _symmetrized(_point_rows(points).tolist())[1]
 
 
 def _point_rows(points) -> np.ndarray:
@@ -152,11 +163,16 @@ def majorana_points(state) -> SymmetricRepresentation:
     return _majorana_points(_unit_state(state))
 
 
-def _majorana_points(c: np.ndarray) -> SymmetricRepresentation:
+def _majorana_points(c: list[complex]) -> SymmetricRepresentation:
     """:func:`majorana_points` of a state that :func:`_unit_state` returned, or
     that was divided by its norm; nothing is checked or renormalized."""
-    return SymmetricRepresentation(
-        sort_points(_root_points(_polynomial_roots(_binomial_weights(c.size - 1) * c))))
+    return SymmetricRepresentation(np.array(_point_list(c), dtype=float))
+
+
+def _point_list(c: list[complex]) -> list[list[float]]:
+    """The sorted points of :func:`_majorana_points` as rows of Python floats."""
+    weighted = [complex(w * z.real, w * z.imag) for w, z in zip(_binomial_weights(len(c) - 1), c)]
+    return _root_points(_polynomial_roots(weighted))
 
 
 def symmetrize(points) -> tuple[np.ndarray, float]:
@@ -164,7 +180,7 @@ def symmetrize(points) -> tuple[np.ndarray, float]:
 
     Returns the gauge-canonical state together with the normalization K.
     """
-    state, normalization = _symmetrized(_point_rows(points))
+    state, normalization = _symmetrized(_point_rows(points).tolist())
     return canonical_gauge(state), normalization
 
 
@@ -182,9 +198,9 @@ def discriminant_degeneracy(state) -> float:
     the doubly-infinite case.
     """
     c = _unit_state(state)
-    if c.size != 3:
+    if len(c) != 3:
         raise ValueError("discriminant diagnostic is defined for three-level states")
-    return _discriminant(*c.tolist())
+    return _discriminant(*c)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _modular_factors, _weak_factors, as_bloch
+from .bloch import _bloch_vector, _modular_factors, _weak_factors
 from .canonical import _NORTH, _frame, _frame_points
 from .errors import IncompleteContext, ZeroDenominator
 from .majorana import _point_array, _point_rows, _unit_state
@@ -31,6 +31,8 @@ from .numerics import (
     _check_hermitian,
     _checked_overlap,
     _eigh,
+    _inner,
+    _product,
     hermiticity_defect,
 )
 from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
@@ -121,15 +123,15 @@ class NLevelModularSpec:
         _check_finite(alpha=self.alpha, beta=self.beta, generic_theta=self.generic_theta)
 
 
-def _state_pair(psi_i, psi_f) -> tuple[np.ndarray, np.ndarray]:
+def _state_pair(psi_i, psi_f) -> tuple[list[complex], list[complex]]:
     """The checked, renormalized selections; no value depends on their phases."""
     si, sf = _unit_state(psi_i), _unit_state(psi_f)
-    if si.size != sf.size:
+    if len(si) != len(sf):
         raise ValueError("pre- and postselected states must share a dimension")
     return si, sf
 
 
-def _validated_pair(psi_i, psi_f) -> tuple[np.ndarray, np.ndarray, complex]:
+def _validated_pair(psi_i, psi_f) -> tuple[list[complex], list[complex], complex]:
     si, sf = _state_pair(psi_i, psi_f)
     return si, sf, _checked_overlap(sf, si)
 
@@ -137,9 +139,10 @@ def _validated_pair(psi_i, psi_f) -> tuple[np.ndarray, np.ndarray, complex]:
 def weak_value_direct(psi_i, observable, psi_f) -> PolarComplex:
     """``<f|A|i> / <f|i>`` for a Hermitian observable."""
     si, sf, overlap = _validated_pair(psi_i, psi_f)
-    a = _observable(observable, si.size)
+    a = _observable(observable, len(si))
     _check_hermitian(a)
-    return PolarComplex.from_complex(np.vdot(sf, a @ si) / overlap)
+    image = [_inner(row, si) for row in a.conj().tolist()]  # A|i>, row by row
+    return PolarComplex.from_complex(_inner(sf, image) / overlap)
 
 
 def _observable(observable, dim: int) -> np.ndarray:
@@ -157,23 +160,53 @@ def _evolution_strength(spec: NLevelModularSpec, dim: int) -> float:
     return spec.alpha * ((dim - 1) / 2.0)
 
 
-def _evolved(si: np.ndarray, evals: np.ndarray, evecs: np.ndarray,
-             strength: float) -> np.ndarray:
-    """``exp(-1j*strength*A) si`` applied to the vector, from the
-    eigendecomposition of ``A``; no unitary is built.  A phase
-    ``strength*eigenvalue`` that overflows raises ``ValueError``; the
-    ascending spectrum's two ends bound every phase."""
-    _check_finite(evolution_phase=strength * max(-float(evals[0]), float(evals[-1])))
-    return evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+def _evolved(si: list[complex], evals: np.ndarray, evecs: np.ndarray,
+             strength: float) -> list[complex]:
+    """``exp(-1j*strength*A) si`` applied to the vector from the
+    eigendecomposition of ``A``: each component ``<v_k|si>`` turned by
+    ``exp(-1j*strength*lambda_k)``, then summed back over the ``v_k``; no
+    unitary is built.  A phase ``strength*eigenvalue`` that overflows raises
+    ``ValueError``; the ascending spectrum's two ends bound every phase."""
+    spectrum = evals.tolist()
+    _check_finite(evolution_phase=strength * max(-spectrum[0], spectrum[-1]))
+    turned = [_product(complex(math.cos(strength * lam), -math.sin(strength * lam)),
+                       _inner(column, si)) for lam, column in zip(spectrum, evecs.T.tolist())]
+    return [_inner(row, turned) for row in evecs.conj().tolist()]
+
+
+def _transition(si: list[complex], sf: list[complex], evals: np.ndarray,
+                evecs: np.ndarray, strength: float) -> complex:
+    """``<f|exp(-1j*strength*A)|i>``, the sum over k of
+    ``exp(-1j*strength*lambda_k) conj(<v_k|f>) <v_k|i>`` in one pass over the
+    eigenvectors, each sum left to right in real components; overflow is
+    refused as in :func:`_evolved`."""
+    spectrum = evals.tolist()
+    _check_finite(evolution_phase=strength * max(-spectrum[0], spectrum[-1]))
+    ir, ii = [z.real for z in si], [z.imag for z in si]
+    fr, fi = [z.real for z in sf], [z.imag for z in sf]
+    total_re = total_im = 0.0
+    for lam, col_re, col_im in zip(spectrum, evecs.real.T.tolist(), evecs.imag.T.tolist()):
+        ar = ai = br = bi = 0.0  # <v_k|f> and <v_k|i>
+        for vr, vi, xr, xi, yr, yi in zip(col_re, col_im, ir, ii, fr, fi):
+            ar += vr * yr + vi * yi
+            ai += vr * yi - vi * yr
+            br += vr * xr + vi * xi
+            bi += vr * xi - vi * xr
+        c, s = math.cos(strength * lam), -math.sin(strength * lam)
+        tr, ti = c * br - s * bi, c * bi + s * br
+        total_re += ar * tr + ai * ti
+        total_im += ar * ti - ai * tr
+    return complex(total_re, total_im)
 
 
 def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f) -> PolarComplex:
     """``exp(1j*beta) <f| U |i> / <f|i>`` with U from the spec's convention,
-    applied to ``|i>`` from one eigendecomposition of the observable."""
+    summed over the eigenbasis of one eigendecomposition of the observable."""
     si, sf, overlap = _validated_pair(psi_i, psi_f)
-    evals, evecs = _eigh(_observable(spec.observable, si.size))
-    evolved = _evolved(si, evals, evecs, _evolution_strength(spec, si.size))
-    return PolarComplex.from_complex(np.exp(1j * spec.beta) * np.vdot(sf, evolved) / overlap)
+    evals, evecs = _eigh(_observable(spec.observable, len(si)))
+    transition = _transition(si, sf, evals, evecs, _evolution_strength(spec, len(si)))
+    turn = complex(math.cos(spec.beta), math.sin(spec.beta))
+    return PolarComplex.from_complex(_product(turn, transition) / overlap)
 
 
 @functools.lru_cache(maxsize=None)
@@ -225,14 +258,16 @@ def factored_weak_value(i_points, r_point, f_point):
     and the value is then ``PolarComplex(0.0, 0.0)``.  Any other undefined
     triangle raises :class:`UndefinedSolidAngle`.
     """
-    return _factored_weak_value(_point_rows(i_points), as_bloch(r_point), as_bloch(f_point))
+    return _factored_weak_value(_point_rows(i_points), _bloch_vector(r_point),
+                                _bloch_vector(f_point))
 
 
-def _factored_weak_value(vi: np.ndarray, vr: np.ndarray, vf: np.ndarray):
-    """:func:`factored_weak_value` of validated unit vectors, or one ``(3,)`` ``vi``."""
+def _factored_weak_value(vi, vr, vf):
+    """:func:`factored_weak_value` of validated unit vectors (arrays, or
+    Python floats), or of one ``vi``."""
     moduli, angles = _weak_factors(vi, vr, vf)
-    breakdown = GeometricBreakdown(tuple(map(GeometricFactor, moduli, angles,
-                                             vi.reshape(-1, 3))))
+    points = np.asarray(vi, dtype=float).reshape(-1, 3)
+    breakdown = GeometricBreakdown(tuple(map(GeometricFactor, moduli, angles, points)))
     return breakdown.to_polar(), breakdown
 
 
@@ -259,13 +294,14 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     vi = _point_rows(i_points)
     phase = alpha * (vi.shape[0] / 2.0) * eigenvalue
     _check_finite(dynamical_phase=phase)
-    return _paired_modular_value(vi, vs, as_bloch(r_point), as_bloch(f_point), beta, phase)
+    return _paired_modular_value(vi, vs, _bloch_vector(r_point), _bloch_vector(f_point),
+                                 beta, phase)
 
 
-def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np.ndarray,
-                          beta: float, phase: float, k_ratio: float | None = None):
-    """The modular value of unit rows (or one ``(3,)`` point each) in one
-    frame, ``vs`` paired to ``vi``, with the dynamical phase
+def _paired_modular_value(vi, vs, vr, vf, beta: float, phase: float,
+                          k_ratio: float | None = None):
+    """The modular value of unit rows (or one point each; arrays, or Python
+    floats) in one frame, ``vs`` paired to ``vi``, with the dynamical phase
     ``arg(exp(1j*beta) exp(-1j*phase))``: each angle is reduced exactly, as
     the direct routes' exponentials reduce it, so the phase's rounding does
     not grow with their size.
@@ -284,8 +320,9 @@ def _paired_modular_value(vi: np.ndarray, vs: np.ndarray, vr: np.ndarray, vf: np
         # Infinite only where some |r+s_k| underflows (0/0 at -r): that
         # quadrangle has no area, so the value is refused or an exact zero.
         k_ratio = math.sqrt(ratio) if ratio < math.inf else 0.0
+    i_points, s_points = (np.asarray(v, dtype=float).reshape(-1, 3) for v in (vi, vs))
     breakdown = GeometricBreakdown(
-        tuple(map(GeometricFactor, moduli, omegas, vi.reshape(-1, 3), vs.reshape(-1, 3))),
+        tuple(map(GeometricFactor, moduli, omegas, i_points, s_points)),
         dynamical_phase=cmath.phase(cmath.exp(1j * beta) * cmath.exp(-1j * phase)),
         k_ratio=k_ratio)
     return breakdown.to_polar(), breakdown
@@ -301,7 +338,7 @@ def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     to_frame, f_vec, _ = _frame(_unit_state(psi_r), sf)
-    return _factored_weak_value(_frame_points(to_frame(si)).points, _NORTH, f_vec)
+    return _factored_weak_value(_frame_points(to_frame(si)), _NORTH, f_vec)
 
 
 def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
@@ -319,14 +356,15 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     validated or renormalized again.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
-    evals, evecs = _eigh(_observable(spec.observable, si.size))
-    index = spec.eigen_choice if spec.eigen_choice is not None else si.size - 1
-    if not 0 <= index < si.size:
+    dim = len(si)
+    evals, evecs = _eigh(_observable(spec.observable, dim))
+    index = spec.eigen_choice if spec.eigen_choice is not None else dim - 1
+    if not 0 <= index < dim:
         raise ValueError("eigen_choice outside the spectrum")
-    strength = _evolution_strength(spec, si.size)
-    to_frame, f_vec, _ = _frame(evecs[:, index], sf)
-    vi = _frame_points(to_frame(si)).points
-    vs = pair_points(vi, _frame_points(to_frame(_evolved(si, evals, evecs, strength))).points)
+    strength = _evolution_strength(spec, dim)
+    to_frame, f_vec, _ = _frame(evecs[:, index].tolist(), sf)
+    vi = np.array(_frame_points(to_frame(si)))
+    vs = pair_points(vi, np.array(_frame_points(to_frame(_evolved(si, evals, evecs, strength)))))
     return _paired_modular_value(vi, vs, _NORTH, f_vec, spec.beta,
                                  strength * float(evals[index]))
 
@@ -357,7 +395,7 @@ def abl_distribution(psi_i, projectors, psi_f) -> np.ndarray:
     ``P(k) = |<f|P_k|i>|^2 / sum_j |<f|P_j|i>|^2``.
     """
     si, sf = _state_pair(psi_i, psi_f)
-    mats = _check_context(projectors, si.size)
+    mats = _check_context(projectors, len(si))
     weights = np.array([abs(complex(np.vdot(sf, p @ si))) ** 2 for p in mats])
     total = float(weights.sum())
     if total <= DEFAULT_TOL.zero:

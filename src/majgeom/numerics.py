@@ -3,6 +3,16 @@ Hermitian eigenproblems and unitary exponentials.
 
 Everything here is a pure function over immutable inputs; results are fresh
 arrays that callers may share freely between threads.
+
+The value path holds its states as lists of Python complexes.  Its norms
+(:func:`_norm`), scalar products (:func:`_inner`) and complex products
+(:func:`_product`) are written out in a fixed order in real components:
+Python float arithmetic is never fused, whereas a BLAS dot (and numpy's
+elementwise complex ``*``, through SIMD multiply-adds) rounds differently
+from build to build and CPU to CPU.  Batch versions of these forms run on
+numpy real columns, whose elementwise ``+ - * /`` and ``sqrt`` round as
+Python floats do.  ``np.linalg.eigvals`` and ``np.linalg.eigh`` are the only
+LAPACK calls left between an input state and a printed value.
 """
 
 from __future__ import annotations
@@ -123,19 +133,55 @@ def canonical_gauge(vec: np.ndarray) -> np.ndarray:
     return _fix_gauge(np.asarray(vec, dtype=complex).copy())
 
 
-def _norm(vec: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-d complex array by its own arithmetic, as a
-    Python float; not finite when an entry is not, or when the sum overflows."""
-    x = vec.ravel(order="K")
-    re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+def _sumsq(vec) -> float:
+    """``|z0|^2 + |z1|^2 + ...`` of Python complexes (or floats), left to
+    right, each term ``re*re + im*im``: the order of every norm here."""
+    total = 0.0
+    for z in vec:
+        re, im = z.real, z.imag
+        total += re * re + im * im
+    return total
 
 
-def _checked_overlap(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """``<bra|ket>`` of the post- and preselected states as a Python complex; a
-    modulus at or below ``DEFAULT_TOL.orthogonality`` raises
-    :class:`OrthogonalSelection`."""
-    overlap = complex(np.vdot(bra, ket))
+def _norm(vec) -> float:
+    """``sqrt(_sumsq(vec))``; not finite when an entry is not, or when the sum
+    overflows."""
+    return math.sqrt(_sumsq(vec))
+
+
+def _divided(vec, norm: float) -> list[complex]:
+    """The Python complexes ``vec`` divided by ``norm`` part by part."""
+    return [complex(z.real / norm, z.imag / norm) for z in vec]
+
+
+def _inner(bra, ket) -> complex:
+    """``<bra|ket>`` of Python complexes (or floats), left to right in real
+    components: ``re += b.re k.re + b.im k.im``, ``im += b.re k.im - b.im k.re``."""
+    re = im = 0.0
+    for b, k in zip(bra, ket):
+        br, bi, kr, ki = b.real, b.imag, k.real, k.imag
+        re += br * kr + bi * ki
+        im += br * ki - bi * kr
+    return complex(re, im)
+
+
+def _product(a: complex, b: complex) -> complex:
+    """``a * b`` of Python complexes in real components, never fused."""
+    return complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _checked_overlap(bra, ket) -> complex:
+    """``<bra|ket>`` of the post- and preselected states (Python complexes),
+    each part's rounded products summed by ``math.fsum``: the overlap cancels
+    as it nears 0, and every value divides by it.  A modulus at or below
+    ``DEFAULT_TOL.orthogonality`` raises :class:`OrthogonalSelection`."""
+    re: list[float] = []
+    im: list[float] = []
+    for b, k in zip(bra, ket):
+        br, bi, kr, ki = b.real, b.imag, k.real, k.imag
+        re += (br * kr, bi * ki)
+        im += (br * ki, -(bi * kr))
+    overlap = complex(math.fsum(re), math.fsum(im))
     if abs(overlap) <= DEFAULT_TOL.orthogonality:
         raise OrthogonalSelection(
             f"|<f|i>| = {abs(overlap):.3e} is below {DEFAULT_TOL.orthogonality:.1e}")
@@ -150,11 +196,11 @@ def _check_finite(**values: float | None) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def _checked_norm(vec: np.ndarray, what: str, entries: str) -> float:
-    """:func:`_norm` of a 1-d complex array that must be finite and of unit
-    norm within ``_NORM_SLACK``; ``what`` and ``entries`` name it in errors."""
+def _checked_norm(vec: list[complex], what: str, entries: str) -> float:
+    """:func:`_norm` of Python complexes that must be finite and of unit norm
+    within ``_NORM_SLACK``; ``what`` and ``entries`` name them in errors."""
     norm = _norm(vec)
-    if not math.isfinite(norm) and not np.all(np.isfinite(vec.real) & np.isfinite(vec.imag)):
+    if not math.isfinite(norm) and not all(map(cmath.isfinite, vec)):
         raise ValueError(f"{what} {entries} must be finite")
     if abs(norm - 1.0) > _NORM_SLACK:
         raise ValueError(f"{what} norm {norm:.6f} deviates from 1 beyond {_NORM_SLACK}")
@@ -189,28 +235,29 @@ def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     return [q / c2, c0 / q]
 
 
-def _polynomial_roots(c: np.ndarray) -> list[complex | None]:
-    """:func:`solve_polynomial` of a finite 1-d complex array, without its
+def _polynomial_roots(c: list[complex]) -> list[complex | None]:
+    """:func:`solve_polynomial` of finite Python complexes, without its
     checks: the finite roots as Python complexes, then ``None`` for each
     root at infinity.
 
-    Above degree 2 the roots are the eigenvalues of the companion matrix
-    that ``np.roots`` builds, so they keep its bits and order: exact-zero
-    low-order coefficients are split off as ``0j`` roots listed last.
+    Up to degree 2 the roots come from Python complex arithmetic.  Above it
+    they are the eigenvalues of the companion matrix that ``np.roots``
+    builds, so they keep its bits and order: exact-zero low-order
+    coefficients are split off as ``0j`` roots listed last.
     """
-    mags = np.abs(c).tolist()
-    top = c.size - 1
+    mags = [abs(z) for z in c]
+    top = len(c) - 1
     while mags[top] <= DEFAULT_TOL.zero:
         top -= 1
         if top < 0:
             raise AllCoefficientsZero("every polynomial coefficient is below tolerance")
-    n_inf = c.size - 1 - top
+    n_inf = len(c) - 1 - top
 
     finite: list[complex] = []
     if top == 1:
-        finite = [complex(-c[0] / c[1])]
+        finite = [-c[0] / c[1]]
     elif top == 2:
-        finite = [complex(z) for z in _quadratic_roots(c[0], c[1], c[2])]
+        finite = _quadratic_roots(c[0], c[1], c[2])
     elif top >= 3:
         zeros = 0
         while mags[zeros] == 0.0:
@@ -219,7 +266,7 @@ def _polynomial_roots(c: np.ndarray) -> list[complex | None]:
         if size:
             # np.roots' first row -p[1:] / p[0], p = c[top], ..., c[zeros].
             companion = np.eye(size, size, -1, dtype=complex)
-            companion[0, :] = -c[zeros:top][::-1] / c[top]
+            companion[0, :] = -np.array(c[zeros:top][::-1]) / c[top]
             finite = np.linalg.eigvals(companion).tolist()
         finite += [0j] * zeros
     return finite + [None] * n_inf
@@ -238,7 +285,7 @@ def solve_polynomial(coeffs) -> list[ProjectiveRoot]:
         raise ValueError("coefficients must form a non-empty 1-d sequence")
     if not np.all(np.isfinite(c.real) & np.isfinite(c.imag)):
         raise ValueError("coefficients must be finite")
-    return [ProjectiveRoot(z) for z in _polynomial_roots(c)]
+    return [ProjectiveRoot(z) for z in _polynomial_roots(c.tolist())]
 
 
 def _as_square(matrix) -> np.ndarray:

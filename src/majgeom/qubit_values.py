@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _rotate, _unit_qubit, as_bloch
+from .bloch import _bloch_vector, _rotate, _unit_qubit, as_bloch
 from .nlevel_values import _factored_weak_value, _paired_modular_value
-from .numerics import DEFAULT_TOL, _check_finite, _check_hermitian, _checked_overlap
+from .numerics import (
+    DEFAULT_TOL,
+    _check_finite,
+    _check_hermitian,
+    _checked_overlap,
+    _inner,
+    _product,
+)
 from .polar import PolarComplex
 
 PAULI = (
@@ -53,8 +60,7 @@ def projector_weak_value_direct(i, r, f) -> PolarComplex:
     """``<f|r><r|i> / <f|i>`` for the projector onto the qubit state ``r``."""
     qi, qr, qf = _unit_qubit(i), _unit_qubit(r), _unit_qubit(f)
     den = _checked_overlap(qf, qi)
-    value = np.vdot(qf, qr) * np.vdot(qr, qi) / den
-    return PolarComplex.from_complex(value)
+    return PolarComplex.from_complex(_product(_inner(qf, qr), _inner(qr, qi)) / den)
 
 
 def projector_weak_value_geometric(i, r, f):
@@ -66,7 +72,7 @@ def projector_weak_value_geometric(i, r, f):
     an undefined triangle), the value is ``PolarComplex(0.0, 0.0)``.
     Bit for bit ``factored_weak_value([i], r, f)``.
     """
-    return _factored_weak_value(as_bloch(i), as_bloch(r), as_bloch(f))
+    return _factored_weak_value(_bloch_vector(i), _bloch_vector(r), _bloch_vector(f))
 
 
 def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
@@ -78,11 +84,11 @@ def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
     qi, qf = _unit_qubit(i), _unit_qubit(f)
     den = _checked_overlap(qf, qi)
     x, y, z = spec.axis.tolist()
-    a0, a1 = qi.tolist()
+    a0, a1 = qi
     n0, n1 = z * a0 + complex(x, -y) * a1, complex(x, y) * a0 - z * a1  # (n.sigma)|i>
     half = 0.5 * spec.alpha
     c, s = math.cos(half), math.sin(half)
-    b0, b1 = qf.conjugate().tolist()
+    b0, b1 = (b.conjugate() for b in qf)
     transition = b0 * (c * a0 - 1j * s * n0) + b1 * (c * a1 - 1j * s * n1)  # <f|U|i>
     value = cmath.exp(0.5j * spec.beta) * transition / den
     return PolarComplex.from_complex(value)
@@ -101,9 +107,9 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
     the one-point ``factored_modular_value`` with ``beta/2`` for ``beta``,
     eigenvalue 1 and K_s / K_i taken as exactly 1.
     """
-    vi, vf = as_bloch(i), as_bloch(f)
-    vs = _rotate(vi, spec.axis, spec.alpha)
-    return _paired_modular_value(vi, vs, spec.axis, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
+    vi, vr, vf = _bloch_vector(i), spec.axis.tolist(), _bloch_vector(f)
+    vs = _rotate(vi, vr, spec.alpha)
+    return _paired_modular_value(vi, vs, vr, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
 
 
 def observable_to_modular_spec(observable, theta: float) -> QubitModularSpec:

@@ -739,7 +739,7 @@ class TestCliContract:
     def test_csv_seventeen_digits(self, capsys):
         _, out = run_cli(capsys, "three-box", "--format", "csv")
         row = out.split("\n")[5].split(",")
-        assert row[:3] == ["3", "1", "0.99999999999999978"]
+        assert row[:3] == ["3", "1", "0.99999999999999967"]
 
 
 QUBIT_PAIR = {"i": {"bloch": [0, 0, 1]}, "f": {"bloch": [0, 1, 0]}}

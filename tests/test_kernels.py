@@ -1,9 +1,9 @@
 """Batched Bloch kernels against their scalar wrappers and the reference formulas.
 
 The reference functions below restate the scalar formulas one vector at a
-time (``np.linalg.norm``, ``math.atan2``, Python complex division, and the
-cross and scalar products in Python floats, ``(a0 b0 + a1 b1) + a2 b2``, with
-each ``1 + a.b`` of unit vectors read as the projection ``|a+b|^2/2``).
+time (``math.atan2``, and every norm, cross and scalar product in Python
+floats, ``(a0 b0 + a1 b1) + a2 b2``, with each ``1 + a.b`` of unit vectors
+read as the projection ``|a+b|^2/2``).
 Every kernel must reproduce them bit for bit, zero signs included, for any
 batch size and broadcast pattern.
 """
@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from majgeom import bloch
+import majgeom
+from majgeom import bloch, experiments, majorana, numerics
 from majgeom.bloch import (
     _modular_factors,
     _triangle_dots,
@@ -27,6 +28,7 @@ from majgeom.bloch import (
     bloch_to_qubit,
     bloch_to_qubits,
     modular_moduli,
+    qubit_to_bloch,
     rodrigues_rotate,
     solid_angle_quadrangle,
     solid_angle_triangle,
@@ -39,8 +41,10 @@ from majgeom.numerics import DEFAULT_TOL
 from majgeom.qubit_values import (
     QubitModularSpec,
     modular_value_geometric,
+    projector_weak_value_direct,
     projector_weak_value_geometric,
 )
+from majgeom.qubit_values import modular_value_direct as qubit_modular_value_direct
 
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                            suppress_health_check=[HealthCheck.too_slow])
@@ -50,17 +54,23 @@ THRESHOLD = 2.0 * DEFAULT_TOL.orthogonality**2
 # --- reference formulas, one vector at a time --------------------------------
 
 def ref_as_bloch(vec):
-    v = np.asarray(vec, dtype=float)
-    return v / float(np.linalg.norm(v))
+    a0, a1, a2 = map(float, vec)
+    norm = math.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
+    return np.array([a0 / norm, a1 / norm, a2 / norm])
 
 
 def ref_bloch_to_qubit(vec):
-    v = ref_as_bloch(vec)
-    a0 = math.sqrt(max(0.0, 0.5 * (1.0 + v[2])))
+    x, y, z = ref_as_bloch(vec).tolist()
+    if z < 0.0:  # cos(t/2) as |x+iy| / (2 sin(t/2)), free of the cancellation of 1 + z
+        a0 = math.hypot(x, y) / (2.0 * math.sqrt(0.5 * (1.0 - z)))
+    else:
+        a0 = math.sqrt(0.5 * (1.0 + z))
     if a0 < 1e-150:
         return np.array([0.0 + 0.0j, 1.0 + 0.0j])
-    q = np.array([a0 + 0.0j, complex(v[0], v[1]) / (2.0 * a0)])
-    return q / np.linalg.norm(q)
+    parts = [a0, 0.0, x / (2.0 * a0), y / (2.0 * a0)]
+    norm = math.sqrt((parts[0] ** 2 + parts[1] ** 2) + (parts[2] ** 2 + parts[3] ** 2))
+    return np.array([complex(parts[0] / norm, parts[1] / norm),
+                     complex(parts[2] / norm, parts[3] / norm)])
 
 
 def ref_solid_angle(i, r, f):
@@ -226,8 +236,25 @@ class TestBlochToQubits:
         points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1e-9, -1e-9, -1.0]])
         q = bloch_to_qubits(points / np.linalg.norm(points, axis=1, keepdims=True))
         assert same_bits(q[0], np.array([0j, 1 + 0j]))
-        assert same_bits(q[2], np.array([0j, 1 + 0j]))
         assert same_bits(q[1], np.array([1 + 0j, 0j]))
+        # 1.4e-9 from the pole is not the pole: |a0| = |x+iy|/2.
+        assert same_bits(q[2], ref_bloch_to_qubit(points[2]))
+        assert abs(q[2][0] - math.sqrt(0.5) * 1e-9) <= 1e-24
+
+    @pytest.mark.parametrize("phi", [0.0, 0.7, -2.9])
+    def test_near_south_pole_keeps_relative_accuracy(self, phi):
+        # The point delta = 1.3e-8 from -z has amplitudes sin(delta/2) and
+        # e^(i phi) cos(delta/2); sqrt((1+z)/2) would cancel to 7.45e-9
+        # where sin(delta/2) is 6.5e-9.
+        delta, eps = 1.3e-8, 2.0**-52
+        point = [math.sin(delta) * math.cos(phi), math.sin(delta) * math.sin(phi),
+                 -math.cos(delta)]
+        a0, a1 = bloch_to_qubit(point)
+        assert a0.imag == 0.0
+        assert abs(a0.real - math.sin(0.5 * delta)) <= 4 * eps * math.sin(0.5 * delta)
+        assert abs(a1 - math.cos(0.5 * delta) * complex(math.cos(phi), math.sin(phi))) <= 4 * eps
+        state, _ = majgeom.symmetrize([point])
+        assert abs(abs(state[1]) - math.sin(0.5 * delta)) <= 4 * eps * math.sin(0.5 * delta)
 
     def test_one_bad_row_raises_like_scalar(self):
         with pytest.raises(ValueError, match="deviates"):
@@ -374,12 +401,15 @@ class TestKernelProducts:
                 8 * unit * (want + sum(map(abs, terms))) + tiny)
 
     def test_factors_make_no_blas_dot(self, monkeypatch):
-        # The factor bits come from Python floats alone, so no BLAS build
-        # (whose dot may fuse a*b + c) can move them.
+        # From the input state to the value every sum runs in Python floats,
+        # so no BLAS build (whose dot may fuse a*b + c) can move a value's
+        # bits: the factor kernel, the qubit routes, the N-level routes,
+        # majorana_points and symmetrize all run with np.vdot refused.
         def refuse(*_):
-            raise AssertionError("_rowdot called")
+            raise AssertionError("np.vdot called")
 
-        monkeypatch.setattr(bloch, "_rowdot", refuse)
+        assert not hasattr(bloch, "_rowdot")
+        monkeypatch.setattr(np, "vdot", refuse)
         rng = np.random.default_rng(3)
         vi, vs = (v / np.linalg.norm(v, axis=1, keepdims=True) for v in rng.normal(size=(2, 4, 3)))
         r, f = np.eye(3)[2], np.eye(3)[0]
@@ -387,12 +417,90 @@ class TestKernelProducts:
             assert len(_weak_factors(rows, r, f)[0]) == len(np.atleast_2d(rows))
         assert len(_modular_factors(vi, r, vs, f)[1]) == 4
 
+        def state(n):
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            return v / np.linalg.norm(v)
+
+        qi, qr, qf = (state(2) for _ in range(3))
+        spec = QubitModularSpec(axis=qubit_to_bloch(qr), alpha=0.7, beta=0.2)
+        values = [projector_weak_value_direct(qi, qr, qf),
+                  projector_weak_value_geometric(*map(qubit_to_bloch, (qi, qr, qf)))[0],
+                  qubit_modular_value_direct(qi, spec, qf),
+                  modular_value_geometric(qubit_to_bloch(qi), spec, qubit_to_bloch(qf))[0]]
+        for n in range(2, majorana.MAX_LEVELS + 1):
+            psi_i, psi_r, psi_f = (state(n) for _ in range(3))
+            h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            nspec = majgeom.NLevelModularSpec(observable=h + h.conj().T, alpha=0.9, beta=0.3)
+            values += [majgeom.weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f),
+                       majgeom.qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)[0],
+                       majgeom.modular_value_direct(psi_i, nspec, psi_f),
+                       majgeom.qutrit_modular_value_geometric(psi_i, nspec, psi_f)[0]]
+            points = majgeom.majorana_points(psi_i).points
+            assert majgeom.symmetrize(points)[0].shape == (n,)
+        assert all(math.isfinite(v.modulus) for v in values)
+
     @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
     @pytest.mark.parametrize("kernel", [weak_moduli, modular_moduli, triangle_solid_angles])
     def test_empty_batch_gives_empty_array(self, kernel, shape):
         out = kernel(np.empty(shape), np.eye(3)[2], np.eye(3)[0])
         assert isinstance(out, np.ndarray)
         assert (out.shape, out.dtype) == (shape[:-1], np.float64)
+
+
+# --- column forms ------------------------------------------------------------
+
+# Components with signed zeros, and rows scaled near 1e-150 and 1e150 where
+# the squares of a norm neither overflow nor vanish.
+component = st.one_of(st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3), st.sampled_from([0.0, -0.0]))
+row_scale = st.sampled_from([1.0, 1e-150, 3e-150, 1e150, 3e150])
+
+
+@st.composite
+def real_rows(draw, width=3, max_rows=6):
+    """``(n, width)`` float rows, n = 0..max_rows, none all zero, each
+    scaled by a draw of ``row_scale``."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        scale = draw(row_scale)
+        row = [draw(component) * scale for _ in range(width)]
+        rows.append(row if any(row) else [scale] + row[1:])
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
+@st.composite
+def complex_rows(draw):
+    n_levels = draw(st.integers(2, majorana.MAX_LEVELS))
+    re, im = draw(real_rows(n_levels)), draw(real_rows(n_levels))
+    c = np.empty((min(len(re), len(im)), n_levels), dtype=complex)
+    c.real, c.imag = re[:len(c)], im[:len(c)]  # keeps the parts' zero signs
+    return c
+
+
+class TestColumnForms:
+    """Each batch function forms its row's scalar expression on numpy real
+    columns, bit for bit, zero signs included; ``as_bloch_array`` against
+    ``as_bloch`` is pinned in ``TestAsBlochArray``."""
+
+    @KERNEL_SETTINGS
+    @given(points=st.lists(unit_vectors(), min_size=0, max_size=7))
+    def test_qubits(self, points):
+        v = np.array(points, dtype=float).reshape(-1, 3)
+        batch = bloch._qubits(v)
+        assert batch.shape == (len(points), 2)
+        for q, p in zip(batch, v.tolist()):
+            assert same_bits(q, np.array(bloch._qubit(*p)))
+
+    @KERNEL_SETTINGS
+    @given(c=complex_rows())
+    def test_state_rows_and_overlaps(self, c):
+        units = experiments._unit_rows(c)
+        bra = (c[0] if len(c) else np.ones(c.shape[1])).tolist()
+        inner = experiments._column_inner(bra, c)
+        assert units.shape == c.shape and inner.shape == (len(c),)
+        for row, unit, value in zip(c.tolist(), units, inner):
+            norm = numerics._norm(row)
+            assert same_bits(unit, np.array(numerics._divided(row, norm)))
+            assert same_bits(value, np.complex128(numerics._inner(bra, row)))
 
 
 # --- moduli ------------------------------------------------------------------

@@ -753,8 +753,8 @@ class TestCanonicalRoutesAreFactored:
         """The frame's points of ``si`` and of its evolution, as the route reads
         them: the frame of the raw anchor eigenvector, the evolution applied to
         the vector, and ``majorana_points`` of each image."""
-        to_frame, f_vec, _ = majgeom.canonical._frame(evecs[:, -1], sf)
-        evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+        to_frame, f_vec, _ = majgeom.canonical._frame(evecs[:, -1].tolist(), sf)
+        evolved = majgeom.nlevel_values._evolved(si, evals, evecs, strength)
         i_points = majorana_points(to_frame(si)).points
         return i_points, majorana_points(to_frame(evolved)).points, f_vec
 
@@ -1112,9 +1112,10 @@ class TestAnchorRatio:
     def test_makes_no_blas_dot(self, monkeypatch):
         # |r+x|^2 is summed in Python floats, so no BLAS build moves K_s / K_i.
         def refuse(*_):
-            raise AssertionError("_rowdot called")
+            raise AssertionError("np.vdot called")
 
-        monkeypatch.setattr(majgeom.bloch, "_rowdot", refuse)
+        assert not hasattr(majgeom.bloch, "_rowdot")
+        monkeypatch.setattr(np, "vdot", refuse)
         rng = np.random.default_rng(8)
         vi, vs = random_points(rng, 4), random_points(rng, 4)
         value, breakdown = majgeom.nlevel_values._paired_modular_value(

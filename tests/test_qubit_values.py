@@ -287,19 +287,20 @@ def test_geometric_accepts_states_via_vectors():
 
 
 class TestValidatedOnce:
-    """The geometric routes pass each caller vector through ``as_bloch`` once."""
+    """The geometric routes pass each caller vector through ``as_bloch``'s
+    check, ``_bloch_vector``, once."""
 
     @pytest.fixture
     def bloch_calls(self, monkeypatch):
         calls = []
-        original = majgeom.bloch.as_bloch
+        original = majgeom.bloch._bloch_vector
 
         def counting(vec, **kwargs):
             calls.append(tuple(vec))
             return original(vec, **kwargs)
 
         for module in (majgeom.bloch, majgeom.qubit_values):
-            monkeypatch.setattr(module, "as_bloch", counting)
+            monkeypatch.setattr(module, "_bloch_vector", counting)
         return calls
 
     def test_weak_value(self, bloch_calls):

@@ -146,7 +146,7 @@ def modular_routes():
             evals, evecs = numerics._eigh(observable)
             strength = alpha * (n - 1) / 2.0
             to_frame, f_vec, _ = canonical._frame(evecs[:, -1], sf)
-            evolved = evecs @ (np.exp(-1j * strength * evals) * (si.conj() @ evecs).conj())
+            evolved = nlevel_values._evolved(si, evals, evecs, strength)
             i_points = mg.majorana_points(to_frame(si)).points
             s_points = nlevel_values.pair_points(i_points,
                                                  mg.majorana_points(to_frame(evolved)).points)

@@ -11,9 +11,11 @@ thread.  It needs only numpy and the package under ``src``::
 Inputs are built before anything is timed, and each call's conversions
 (Bloch vectors for the qubit geometric routes, the modular specs, the
 projectors of the direct weak route, the rotated points of the factored
-modular value) are built with them.  Besides the value routes, it times the
-factored cores at m = 1, 2, 4 and 7 points and the batched kernels at 1024
-rows, where the per-row kernel's small-batch gain and large-batch cost show.  Only public
+modular value) are built with them.  Besides the value routes, it times
+``qubit_to_bloch``, ``majorana_points`` and ``canonicalize_triple`` at the
+same N, ``symmetrize`` at m = 2, 4 and 7 points, the factored cores at
+m = 1, 2, 4 and 7 points and the batched kernels at 1024 rows, where the
+per-row kernel's small-batch gain and large-batch cost show.  Only public
 names are called, so the script runs unchanged on older checkouts: to
 compare two, run it in each checkout alternately, a few times, and compare
 the smallest figure of each line.
@@ -36,6 +38,7 @@ ROUNDS = 5
 CALLS = 300
 LEVELS = (3, 5, 8)
 POINTS = (1, 2, 4, 7)  # m = N - 1 of the factored cores
+SYMMETRIZED = (2, 4, 7)  # point counts given to symmetrize
 ROWS = 1024  # rows of the batched kernels
 
 
@@ -66,6 +69,7 @@ def entry_points():
     blochs = [tuple(mg.qubit_to_bloch(q) for q in triple) for triple in qubits]
     specs = [mg.QubitModularSpec(axis=_bloch(rng), alpha=float(rng.uniform(-4, 4)),
                                  beta=float(rng.uniform(-1, 1))) for _ in range(CALLS)]
+    yield ("qubit_to_bloch", mg.qubit_to_bloch, [(i,) for i, _, _ in qubits])
     yield ("qubit.weak.direct", mg.projector_weak_value_direct, qubits)
     yield ("qubit.weak.geometric", mg.projector_weak_value_geometric, blochs)
     yield ("qubit.modular.direct", mg.qubit_modular_value_direct,
@@ -84,6 +88,8 @@ def entry_points():
                [(i, spec, f) for (i, _, f), spec in zip(triples, specs)])
         yield (f"nlevel.modular.geometric.n{n}", mg.qutrit_modular_value_geometric,
                [(i, spec, f) for (i, _, f), spec in zip(triples, specs)])
+        yield (f"majorana_points.n{n}", mg.majorana_points, [(i,) for i, _, _ in triples])
+        yield (f"canonicalize_triple.n{n}", mg.canonicalize_triple, triples)
     for m in POINTS:
         # i points with coherent r and f; s is i rotated rigidly about r, so
         # r's coherent state is an eigenvector of the evolution, as the
@@ -99,6 +105,8 @@ def entry_points():
     batches = [(_blochs(rng, ROWS), _bloch(rng), _bloch(rng)) for _ in range(CALLS)]
     yield (f"triangle_solid_angles.rows{ROWS}", mg.triangle_solid_angles, batches)
     yield (f"weak_moduli.rows{ROWS}", mg.weak_moduli, batches)
+    for m in SYMMETRIZED:  # drawn last, so the lines above keep their inputs
+        yield (f"symmetrize.m{m}", mg.symmetrize, [(_blochs(rng, m),) for _ in range(CALLS)])
     yield ("singularity_scan.count512.ms", lambda: mg.singularity_scan(count=512),
            [()] * CALLS)
 
