@@ -140,20 +140,20 @@ def canonicalize_triple(psi_i, psi_r, psi_f) -> CanonicalTriple:
     and points are the frame's, as the geometric value routes take them;
     ``u_total`` is the frame applied to the identity.
     """
-    si, sr, sf = (nlevel_state(s) for s in (psi_i, psi_r, psi_f))
-    if si.size != sf.size:
+    si, sr, sf = (nlevel_state(s).tolist() for s in (psi_i, psi_r, psi_f))
+    if len(si) != len(sf):
         raise ValueError(_DIMENSIONS)
-    to_frame, f_vec, eta = _frame(sr.tolist(), sf.tolist())
-    image_i = to_frame(si.tolist())
-    columns = [to_frame(e) for e in np.eye(si.size, dtype=complex).tolist()]
+    to_frame, f_vec, eta = _frame(sr, sf)
+    image_i = to_frame(si)
+    columns = [to_frame(e) for e in np.eye(len(si), dtype=complex).tolist()]
     return CanonicalTriple(
         u_total=np.array(columns).T.copy(),
         r_vec=_NORTH.copy(),
         f_vec=np.array(f_vec),
         i_rep=_majorana_points(_divided(image_i, _norm(image_i))),
         psi_i=np.array(image_i),
-        psi_r=np.array(to_frame(sr.tolist())),
-        psi_f=np.array(to_frame(sf.tolist())),
+        psi_r=np.array(to_frame(sr)),
+        psi_f=np.array(to_frame(sf)),
         eta=eta,
     )
 
