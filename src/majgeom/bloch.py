@@ -92,6 +92,18 @@ def _bloch_vector(vec) -> list[float]:
     return as_bloch_array(v)  # raises its error for this vector
 
 
+def _bloch_rows(v: np.ndarray) -> list[list[float]]:
+    """:func:`_bloch_vector` of each row of an ``(m, 3)`` float array; a set
+    with a failing row raises :func:`as_bloch_array`'s error for the set."""
+    rows = []
+    for a0, a1, a2 in v.tolist():
+        norm = math.sqrt((a0 * a0 + a1 * a1) + a2 * a2)
+        if not abs(norm - 1.0) <= _NORM_SLACK:  # True for NaN
+            return as_bloch_array(v)
+        rows.append([a0 / norm, a1 / norm, a2 / norm])
+    return rows
+
+
 def as_bloch(vec) -> np.ndarray:
     """Validate and renormalize a unit 3-vector."""
     return np.array(_bloch_vector(vec))

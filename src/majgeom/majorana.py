@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import _qubit, _unit_row, as_bloch_array
+from .bloch import _bloch_rows, _qubit, _unit_row, as_bloch_array
 from .numerics import (
     _INFINITE_ROOT,
     _NEWTON_SLOPE_FLOOR,
@@ -135,14 +135,14 @@ def normalization_factor(points) -> float:
     Equals ``1/sqrt(m! * perm(G))`` for the Gram matrix ``G`` of the qubit
     states, evaluated in O(m^2) from the closed form of ``_symmetrized``.
     """
-    return _symmetrized(_point_rows(points).tolist())[1]
+    return _symmetrized(_point_rows(points))[1]
 
 
-def _point_rows(points) -> np.ndarray:
-    """The unit rows of an ``(m, 3)`` array of Bloch points, checked as every
-    point-set entry point checks them: shape and count by
-    :func:`_point_array`, then each row by :func:`as_bloch_array`."""
-    return as_bloch_array(_point_array(points))
+def _point_rows(points) -> list[list[float]]:
+    """The unit rows of an ``(m, 3)`` array of Bloch points as Python floats,
+    checked as every point-set entry point checks them: shape and count by
+    :func:`_point_array`, then each row by :func:`bloch._bloch_rows`."""
+    return _bloch_rows(_point_array(points))
 
 
 def _point_array(points) -> np.ndarray:
@@ -180,7 +180,7 @@ def symmetrize(points) -> tuple[np.ndarray, float]:
 
     Returns the gauge-canonical state together with the normalization K.
     """
-    state, normalization = _symmetrized(_point_rows(points).tolist())
+    state, normalization = _symmetrized(_point_rows(points))
     return canonical_gauge(state), normalization
 
 

@@ -141,7 +141,14 @@ def weak_value_direct(psi_i, observable, psi_f) -> PolarComplex:
     si, sf, overlap = _validated_pair(psi_i, psi_f)
     a = _observable(observable, len(si))
     _check_hermitian(a)
-    image = [_inner(row, si) for row in a.conj().tolist()]  # A|i>, row by row
+    image = []  # A|i>, row by row: _inner of the conjugated row, in its order
+    for row in a.tolist():
+        re = im = 0.0
+        for x, k in zip(row, si):
+            ar, ai, kr, ki = x.real, x.imag, k.real, k.imag
+            re += ar * kr - ai * ki
+            im += ar * ki + ai * kr
+        image.append(complex(re, im))
     return PolarComplex.from_complex(_inner(sf, image) / overlap)
 
 
@@ -292,7 +299,7 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     vs = _point_rows(pair_points(i_points, s_points))
     vi = _point_rows(i_points)
-    phase = alpha * (vi.shape[0] / 2.0) * eigenvalue
+    phase = alpha * (len(vi) / 2.0) * eigenvalue
     _check_finite(dynamical_phase=phase)
     return _paired_modular_value(vi, vs, _bloch_vector(r_point), _bloch_vector(f_point),
                                  beta, phase)

@@ -11,8 +11,9 @@ Python float arithmetic is never fused, whereas a BLAS dot (and numpy's
 elementwise complex ``*``, through SIMD multiply-adds) rounds differently
 from build to build and CPU to CPU.  Batch versions of these forms run on
 numpy real columns, whose elementwise ``+ - * /`` and ``sqrt`` round as
-Python floats do.  ``np.linalg.eigvals`` and ``np.linalg.eigh`` are the only
-LAPACK calls left between an input state and a printed value.
+Python floats do.  :func:`_lapack` calls the only LAPACK kernels left between
+an input state and a printed value, ``numpy.linalg``'s ``eigvals`` and
+``eigh``, without numpy's wrapper, which costs as much as LAPACK at N <= 8.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     AllCoefficientsZero,
@@ -222,6 +224,17 @@ class ProjectiveRoot:
         return self.value is None
 
 
+def _lapack(kernel: str, signature: str, a: np.ndarray):
+    """The ``numpy.linalg._umath_linalg`` gufunc ``kernel`` of the square complex
+    array ``a`` (checked by the caller) in ``numpy.linalg``'s error state, where
+    LAPACK's non-convergence raises ``LinAlgError``."""
+    def nonconvergence(err, flag):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with np.errstate(all="ignore", call=nonconvergence, invalid="call"):
+        return getattr(_umath_linalg, kernel)(a, signature=signature)
+
+
 def _quadratic_roots(c0: complex, c1: complex, c2: complex) -> list[complex]:
     # Numerically stable branch: avoid cancellation between -b and sqrt(disc).
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -265,9 +278,12 @@ def _polynomial_roots(c: list[complex]) -> list[complex | None]:
         size = top - zeros
         if size:
             # np.roots' first row -p[1:] / p[0], p = c[top], ..., c[zeros].
+            row = -np.array(c[zeros:top][::-1]) / c[top]
+            if not all(map(cmath.isfinite, row.tolist())):  # as numpy.linalg.eigvals refuses it
+                raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
             companion = np.eye(size, size, -1, dtype=complex)
-            companion[0, :] = -np.array(c[zeros:top][::-1]) / c[top]
-            finite = np.linalg.eigvals(companion).tolist()
+            companion[0, :] = row
+            finite = _lapack("eigvals", "D->D", companion).tolist()
         finite += [0j] * zeros
     return finite + [None] * n_inf
 
@@ -297,27 +313,34 @@ def _as_square(matrix) -> np.ndarray:
 
 def hermiticity_defect(matrix) -> float:
     m = _as_square(matrix)
+    return _defect(m, m.conj().T)
+
+
+def _defect(m: np.ndarray, h: np.ndarray) -> float:
+    """``max |m - h|`` of a square complex array and its conjugate transpose."""
     with np.errstate(invalid="ignore"):  # inf - inf is NaN; callers refuse a non-finite defect
-        return float(np.max(np.abs(m - m.conj().T)))
+        return float(abs(m - h).max())
 
 
-def _check_hermitian(matrix) -> None:
-    """Raise :class:`NotHermitian` unless the defect is at most
-    ``DEFAULT_TOL.unitarity``; a NaN or inf entry gives a defect that is not."""
-    defect = hermiticity_defect(matrix)
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of the square complex array ``m``; raise
+    :class:`NotHermitian` unless ``m``'s defect is at most
+    ``DEFAULT_TOL.unitarity``.  A NaN or inf entry gives a defect that is not."""
+    h = m.conj().T
+    defect = _defect(m, h)
     if not defect <= DEFAULT_TOL.unitarity:
         raise NotHermitian(
             f"Hermiticity defect {defect:.3e} exceeds {DEFAULT_TOL.unitarity:.1e}")
+    return h
 
 
 def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a small Hermitian
-    matrix, checked and symmetrized, with the column phases ``np.linalg.eigh``
-    gives them: ``V diag(f(lambda)) V^H`` and the rays of the columns do not
-    depend on those phases."""
+    matrix, checked and symmetrized (one conjugate transpose serves both), with
+    the column phases LAPACK's ``eigh`` gives them: ``V diag(f(lambda)) V^H``
+    and the rays of the columns do not depend on those phases."""
     m = _as_square(matrix)
-    _check_hermitian(m)
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
+    return _lapack("eigh_lo", "D->dD", 0.5 * (m + _check_hermitian(m)))
 
 
 def eig_hermitian(matrix):

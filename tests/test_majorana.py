@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_bloch, random_state, two_qubit_entropy
-from majgeom.bloch import bloch_to_qubit
+from majgeom.bloch import as_bloch_array, bloch_to_qubit
 from majgeom.canonical import StateAngles, params_to_state
 from majgeom.majorana import (
+    _point_rows,
     discriminant_degeneracy,
     entanglement_entropy,
     majorana_points,
@@ -140,7 +141,7 @@ class TestNormalizationFactor:
         for _ in range(200):
             state = nlevel_state(random_state(rng, 3))
             rep = majorana_points(state)
-            from majgeom.bloch import bloch_to_qubit
+            from majgeom.bloch import as_bloch_array, bloch_to_qubit
             q1, q2 = bloch_to_qubit(rep.points[0]), bloch_to_qubit(rep.points[1])
             via_dot = 1.0 / math.sqrt(3.0 + float(rep.points[0] @ rep.points[1]))
             via_overlap = (2.0 + 2.0 * abs(np.vdot(q1, q2)) ** 2) ** -0.5
@@ -151,7 +152,7 @@ class TestNormalizationFactor:
         rng = np.random.default_rng(49)
         for m in (2, 3, 4):
             pts = np.array([random_bloch(rng) for _ in range(m)])
-            from majgeom.bloch import bloch_to_qubit
+            from majgeom.bloch import as_bloch_array, bloch_to_qubit
             qs = [bloch_to_qubit(p) for p in pts]
             import itertools
             psi = sum(
@@ -337,3 +338,53 @@ def test_state_validation():
         nlevel_state(np.ones(9) / 3.0)
     with pytest.raises(ValueError):
         nlevel_state([1.0, 1.0, 1.0])
+
+
+# Components with signed zeros; rows normalized in Python floats.
+row_part = st.one_of(st.sampled_from([0.0, -0.0]),
+                     st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False))
+unit_rows = st.tuples(row_part, row_part, row_part).filter(
+    lambda v: math.sqrt(sum(a * a for a in v)) > 1e-3).map(
+    lambda v: [a / math.sqrt(sum(b * b for b in v)) for a in v])
+# A unit row, rescaled by 1 +- 5e-9 (inside the norm slack) or not at all.
+slack_rows = st.tuples(unit_rows, st.sampled_from([1.0, 1.0 + 5e-9, 1.0 - 5e-9])).map(
+    lambda pair: [a * pair[1] for a in pair[0]])
+# Rows that fail: a non-finite entry, or a norm off by more than the slack.
+non_finite_rows = st.tuples(slack_rows, st.integers(0, 2),
+                            st.sampled_from([math.nan, math.inf, -math.inf])).map(
+    lambda t: [t[2] if k == t[1] else a for k, a in enumerate(t[0])])
+off_norm_rows = st.tuples(unit_rows,
+                          st.sampled_from([0.0, 0.5, 1.0 - 2e-8, 1.0 + 2e-8, 2.0])).map(
+    lambda pair: [a * pair[1] for a in pair[0]])
+POINT_ROWS_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def refusal(call, *args):
+    try:
+        call(*args)
+    except ValueError as error:
+        return type(error), str(error)
+    return None
+
+
+class TestPointRows:
+    """``_point_rows`` checks and renormalizes a point set in Python floats,
+    bit for bit as ``as_bloch_array`` does, and refuses it as that does."""
+
+    @POINT_ROWS_SETTINGS
+    @given(st.lists(slack_rows, min_size=1, max_size=7))
+    def test_rows_match_as_bloch_array(self, rows):
+        pts = np.array(rows)
+        got = _point_rows(pts)
+        assert all(type(a) is float for row in got for a in row)
+        assert np.array(got).tobytes() == as_bloch_array(pts).tobytes()
+
+    @POINT_ROWS_SETTINGS
+    @given(st.lists(st.one_of(slack_rows, non_finite_rows, off_norm_rows),
+                    min_size=1, max_size=7))
+    def test_refusals_match_as_bloch_array(self, rows):
+        pts = np.array(rows)
+        expected = refusal(as_bloch_array, pts)
+        assert refusal(_point_rows, pts) == expected
+        if expected is None:
+            assert np.array(_point_rows(pts)).tobytes() == as_bloch_array(pts).tobytes()

@@ -142,6 +142,30 @@ class TestWeakValueDirect:
         with pytest.raises(OrthogonalSelection):
             weak_value_direct([1.0, 0.0, 0.0], np.eye(3), [0.0, 1.0, 0.0])
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2, MAX_LEVELS).flatmap(lambda n: st.tuples(
+        st.lists(signed_part, min_size=2 * n * n, max_size=2 * n * n),
+        st.lists(signed_part, min_size=2 * n, max_size=2 * n),
+        st.lists(signed_part, min_size=2 * n, max_size=2 * n))))
+    def test_matches_conjugated_row_form(self, parts):
+        # A|i> is written out from A's rows; it must keep the bits of
+        # _inner(conj(row), i), signed zeros included.
+        entries, i_parts, f_parts = (np.array(p[::2]) + 1j * np.array(p[1::2]) for p in parts)
+        n = len(i_parts)
+        a = entries.reshape(n, n)
+        a = a + a.conj().T
+        psi_i, psi_f = (v / np.linalg.norm(v) for v in (i_parts + 1.0, f_parts + 1.0))
+        assume(abs(np.vdot(psi_f, psi_i)) > 1e-3)
+        si = majgeom.majorana._unit_state(psi_i)
+        sf = majgeom.majorana._unit_state(psi_f)
+        image = [majgeom.numerics._inner(row, si) for row in a.conj().tolist()]
+        expected = majgeom.numerics._inner(sf, image) / majgeom.numerics._checked_overlap(sf, si)
+        assert weak_value_direct(psi_i, a, psi_f) == PolarComplex.from_complex(expected)
+
+
+# Ordinary values with exact and signed zeros.
+signed_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, allow_nan=False))
+
 
 def unmirrored_observable():
     observable = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -190,6 +214,27 @@ class TestNonFiniteInput:
         with pytest.raises(NotHermitian):
             modular_value_direct(self.PSI_I, NLevelModularSpec(observable=observable),
                                  self.PSI_F)
+
+    @pytest.mark.parametrize("where, bad, defect", [
+        ((1, 1), math.nan, "nan"),
+        ((1, 1), math.inf, "nan"),  # inf - inf on the diagonal
+        ((0, 1), math.inf, "inf"),
+        ((0, 2), complex(0.0, -math.inf), "inf"),
+        ((2, 0), complex(math.nan, 1.0), "nan"),
+    ])
+    def test_observable_entry_message_without_warning(self, where, bad, defect):
+        observable = np.diag([0.0, 1.0, 0.0]).astype(complex)
+        observable[where] = bad
+        spec = NLevelModularSpec(observable=observable)
+        calls = [lambda: weak_value_direct(self.PSI_I, observable, self.PSI_F),
+                 lambda: modular_value_direct(self.PSI_I, spec, self.PSI_F),
+                 lambda: qutrit_modular_value_geometric(self.PSI_I, spec, self.PSI_F)]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotHermitian) as info:
+                    call()
+            assert str(info.value) == f"Hermiticity defect {defect} exceeds 1.0e-10"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_projector_entry(self, bad):
@@ -564,7 +609,7 @@ class TestQutritModularGeometric:
 
     def test_factored_modular_value_validates_and_normalizes_each_set_once(self, monkeypatch):
         k_calls = self.count_calls(monkeypatch, "_symmetrized", (majgeom.majorana,))
-        checks = self.count_calls(monkeypatch, "as_bloch_array",
+        checks = self.count_calls(monkeypatch, "_bloch_rows",
                                   (majgeom.bloch, majgeom.majorana))
         rng = np.random.default_rng(88)
         i_pts, s_pts = random_points(rng, 4), random_points(rng, 4)

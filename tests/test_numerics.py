@@ -2,6 +2,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import types
 import warnings
 from dataclasses import fields
 
@@ -316,3 +317,88 @@ class TestGaugeMatchesReference:
             n = int(rng.integers(1, 9))
             v = random_state(rng, n) * 10.0 ** rng.uniform(-14, 2)
             assert canonical_gauge(v).tobytes() == reference_canonical_gauge(v).tobytes()
+
+
+# Entries with exact (and signed) zeros among ordinary values.
+lapack_part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, allow_nan=False))
+LAPACK_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def stellar_coefficients(draw):
+    """The stellar polynomial of an N = 4..8 state whose top coefficient is
+    above ``DEFAULT_TOL.zero``, with up to N - 2 exact-zero low-order
+    coefficients, lowest degree first."""
+    n = draw(st.integers(4, 8))
+    parts = draw(st.lists(lapack_part, min_size=2 * n, max_size=2 * n))
+    state = [complex(a, b) for a, b in zip(parts[::2], parts[1::2])]
+    state[-1] = complex(draw(st.floats(0.05, 1.0)), state[-1].imag)
+    zeros = draw(st.integers(0, n - 2))
+    state[:zeros] = [0j] * zeros
+    norm = math.sqrt(sum(abs(z) ** 2 for z in state))
+    weights = majgeom.majorana._binomial_weights(n - 1)
+    return [w * complex(z.real / norm, z.imag / norm) for w, z in zip(weights, state)]
+
+
+@st.composite
+def hermitian_matrices(draw):
+    n = draw(st.integers(2, 8))
+    parts = draw(st.lists(lapack_part, min_size=2 * n * n, max_size=2 * n * n))
+    m = np.array(parts[::2]) + 1j * np.array(parts[1::2])
+    m = m.reshape(n, n)
+    return m + m.conj().T
+
+
+class TestLapackKernels:
+    """``numerics._lapack`` calls the gufuncs behind ``np.linalg.eigvals`` and
+    ``np.linalg.eigh`` without numpy's wrapper: same bits, same refusals."""
+
+    @LAPACK_SETTINGS
+    @given(stellar_coefficients())
+    def test_companion_eigvals(self, c):
+        p = np.array(c[::-1])  # np.roots' order, highest degree first
+        roots = majgeom.numerics._polynomial_roots(c)
+        assert np.array(roots).tobytes() == np.roots(p).astype(complex).tobytes()
+        zeros = len(p) - 1 - int(np.nonzero(p)[0][-1])
+        size = len(p) - 1 - zeros
+        if size:
+            companion = np.eye(size, size, -1, dtype=complex)
+            companion[0, :] = -p[1:size + 1] / p[0]
+            direct = majgeom.numerics._lapack("eigvals", "D->D", companion)
+            assert direct.tobytes() == np.linalg.eigvals(companion).tobytes()
+
+    @LAPACK_SETTINGS
+    @given(hermitian_matrices())
+    def test_eigh(self, m):
+        evals, evecs = majgeom.numerics._lapack("eigh_lo", "D->dD", m)
+        expected = np.linalg.eigh(m)
+        assert evals.tobytes() == expected.eigenvalues.tobytes()
+        assert evecs.tobytes() == expected.eigenvectors.tobytes()
+        evals, evecs = majgeom.numerics._eigh(m)
+        expected = np.linalg.eigh(0.5 * (m + m.conj().T))
+        assert (evals.tobytes(), evecs.tobytes()) == (expected.eigenvalues.tobytes(),
+                                                      expected.eigenvectors.tobytes())
+
+    def test_invalid_flag_raises_linalg_error(self, monkeypatch):
+        # LAPACK's non-convergence reaches numpy as the invalid flag.
+        stub = types.SimpleNamespace(eigvals=lambda a, signature: np.sqrt(-np.ones(1)))
+        monkeypatch.setattr(majgeom.numerics, "_umath_linalg", stub)
+        with pytest.raises(np.linalg.LinAlgError, match="Eigenvalues did not converge"):
+            majgeom.numerics._lapack("eigvals", "D->D", np.eye(3, dtype=complex))
+
+    def test_overflow_and_division_flags_are_ignored(self, monkeypatch):
+        stub = types.SimpleNamespace(eigvals=lambda a, signature: np.ones(2) / np.zeros(2))
+        monkeypatch.setattr(majgeom.numerics, "_umath_linalg", stub)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = majgeom.numerics._lapack("eigvals", "D->D", np.eye(2, dtype=complex))
+        assert result.tolist() == [math.inf, math.inf]
+
+    def test_non_finite_companion_is_refused_as_numpy_refuses_it(self):
+        # -1e300 / 1e-11 overflows the companion's first row.
+        coeffs = [1e300, 0.0, 0.0, 1e-11]
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError) as expected:
+            np.roots(coeffs[::-1])
+        with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError) as info:
+            solve_polynomial(coeffs)
+        assert str(info.value) == str(expected.value)

@@ -15,7 +15,11 @@ modular value) are built with them.  Besides the value routes, it times
 ``qubit_to_bloch``, ``majorana_points`` and ``canonicalize_triple`` at the
 same N, ``symmetrize`` at m = 2, 4 and 7 points, the factored cores at
 m = 1, 2, 4 and 7 points and the batched kernels at 1024 rows, where the
-per-row kernel's small-batch gain and large-batch cost show.  Only public
+per-row kernel's small-batch gain and large-batch cost show.  Last come
+the numerics kernels under the value routes: ``eig_hermitian`` at N = 3, 5
+and 8, ``hermiticity_defect`` at N = 3 and 8, ``solve_polynomial`` on the
+stellar polynomials of N = 4 and 8 states, and ``normalization_factor`` at
+m = 2, 4 and 7 points.  Only public
 names are called, so the script runs unchanged on older checkouts: to
 compare two, run it in each checkout alternately, a few times, and compare
 the smallest figure of each line.
@@ -38,7 +42,10 @@ ROUNDS = 5
 CALLS = 300
 LEVELS = (3, 5, 8)
 POINTS = (1, 2, 4, 7)  # m = N - 1 of the factored cores
-SYMMETRIZED = (2, 4, 7)  # point counts given to symmetrize
+SYMMETRIZED = (2, 4, 7)  # point counts given to symmetrize and normalization_factor
+EIGH_LEVELS = (3, 5, 8)
+DEFECT_LEVELS = (3, 8)
+POLYNOMIAL_LEVELS = (4, 8)  # N of the stellar polynomial, of degree N - 1
 ROWS = 1024  # rows of the batched kernels
 
 
@@ -105,8 +112,22 @@ def entry_points():
     batches = [(_blochs(rng, ROWS), _bloch(rng), _bloch(rng)) for _ in range(CALLS)]
     yield (f"triangle_solid_angles.rows{ROWS}", mg.triangle_solid_angles, batches)
     yield (f"weak_moduli.rows{ROWS}", mg.weak_moduli, batches)
-    for m in SYMMETRIZED:  # drawn last, so the lines above keep their inputs
+    for m in SYMMETRIZED:  # drawn after the lines above, so they keep their inputs
         yield (f"symmetrize.m{m}", mg.symmetrize, [(_blochs(rng, m),) for _ in range(CALLS)])
+    # The numerics kernels and K, drawn after everything above.
+    for n in EIGH_LEVELS:
+        yield (f"eig_hermitian.n{n}", mg.eig_hermitian,
+               [(_hermitian(rng, n),) for _ in range(CALLS)])
+    for n in DEFECT_LEVELS:
+        yield (f"hermiticity_defect.n{n}", mg.numerics.hermiticity_defect,
+               [(_hermitian(rng, n),) for _ in range(CALLS)])
+    for n in POLYNOMIAL_LEVELS:
+        coefficients = mg.majorana.representation_coefficients
+        yield (f"solve_polynomial.n{n}", mg.solve_polynomial,
+               [(coefficients(_state(rng, n)),) for _ in range(CALLS)])
+    for m in SYMMETRIZED:
+        yield (f"normalization_factor.m{m}", mg.normalization_factor,
+               [(_blochs(rng, m),) for _ in range(CALLS)])
     yield ("singularity_scan.count512.ms", lambda: mg.singularity_scan(count=512),
            [()] * CALLS)
 
