@@ -10,16 +10,12 @@ from .bloch import (
     as_bloch,
     as_bloch_array,
     bloch_to_qubit,
-    bloch_to_qubits,
-    modular_moduli,
     projection_probability,
     qubit_to_bloch,
     rodrigues_rotate,
     solid_angle_quadrangle,
     solid_angle_quadrangle_rotation,
     solid_angle_triangle,
-    triangle_solid_angles,
-    weak_moduli,
 )
 from .canonical import (
     CanonicalTriple,

@@ -6,17 +6,16 @@ the unit points are read once, and every product and formula runs row by
 row in Python floats, whose bits no BLAS build moves.  Each ``1 + a.b`` of
 unit vectors is read as the projection ``|a+b|^2/2`` (twice ``|<a|b>|^2``),
 which keeps its relative accuracy where ``a`` nears ``-b``.  The scalar routes
-(:func:`solid_angle_triangle`, :func:`solid_angle_quadrangle`), the batches
-(:func:`weak_moduli`, :func:`modular_moduli`, :func:`triangle_solid_angles`)
-and the factored weak and modular values of :mod:`majgeom.nlevel_values` all
-share it; only :func:`solid_angle_quadrangle_rotation`, an independent closed
-form, does not.
+(:func:`solid_angle_triangle`, :func:`solid_angle_quadrangle`) and the
+factored weak and modular values of :mod:`majgeom.nlevel_values` share it;
+only :func:`solid_angle_quadrangle_rotation`, an independent closed form,
+does not.
 
 The checks and maps in front of the kernel (:func:`as_bloch`,
-:func:`qubit_to_bloch`, the rotation, the qubit amplitudes) run on Python
-floats too.  Their batch forms, :func:`as_bloch_array` and
-:func:`bloch_to_qubits`, write the same expressions on numpy real columns,
-never as a complex ``*``, which numpy may fuse into a multiply-add.
+:func:`qubit_to_bloch`, :func:`bloch_to_qubit`, the rotation) run on Python
+floats too.  The batch check :func:`as_bloch_array` writes the same
+expressions on numpy real columns, whose elementwise ``+ - * /`` and
+``sqrt`` round as Python floats do.
 """
 
 from __future__ import annotations
@@ -156,35 +155,12 @@ def _qubit(x: float, y: float, z: float) -> tuple[complex, complex]:
     return complex(a / norm, b / norm), complex(c / norm, d / norm)
 
 
-def bloch_to_qubits(vecs) -> np.ndarray:
-    """Gauge-canonical qubit states of the rows of an ``(..., 3)`` array.
-
-    Returns an ``(..., 2)`` complex array ``(a0, a1)/|(a0, a1)|`` with
-    ``a0 = sqrt((1+z)/2)`` (``|x+iy| / sqrt(2(1-z))`` for z < 0) and
-    ``a1 = (x + iy)/(2 a0)``; south-pole rows (``a0`` below
-    ``_SOUTH_POLE_CUT``) map to ``(0, 1)``.  Rows are validated by
-    :func:`as_bloch_array`.  The amplitudes are formed per row in Python
-    floats; the renormalization runs on numpy columns, bit for bit as
-    :func:`_qubit` forms it for one row.
-    """
-    return _qubits(as_bloch_array(vecs))
-
-
-def _qubits(v: np.ndarray) -> np.ndarray:
-    """:func:`bloch_to_qubits` of unit rows, without their validation."""
-    rows = np.array([_amplitudes(*row) for row in v.reshape(-1, 3).tolist()],
-                    dtype=float).reshape(-1, 4)
-    a, b, c, d = rows.T
-    norms = np.sqrt((a * a + b * b) + (c * c + d * d))
-    return (rows / norms[:, None]).reshape(v.shape[:-1] + (4,)).view(complex)
-
-
 def bloch_to_qubit(vec) -> np.ndarray:
-    """Gauge-canonical qubit state of a Bloch vector."""
-    v = np.asarray(vec, dtype=float)
-    if v.shape != (3,):
-        raise ValueError("Bloch vector must have exactly three components")
-    return bloch_to_qubits(v)
+    """Gauge-canonical qubit state of a Bloch vector: ``(a0, a1)/|(a0, a1)|``
+    with ``a0 = sqrt((1+z)/2)`` (``|x+iy| / sqrt(2(1-z))`` for z < 0) and
+    ``a1 = (x + iy)/(2 a0)``; a south-pole vector (``a0`` below
+    ``_SOUTH_POLE_CUT``) maps to ``(0, 1)``."""
+    return np.array(_qubit(*_bloch_vector(vec)))
 
 
 def projection_probability(u, v) -> float:
@@ -316,60 +292,6 @@ def _modular_factors(vi, vr, vs, vf):
     anchor projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass."""
     angles, sr, ri, fs, fi = _quadrangle_rows(vi, vr, vs, vf)
     return (*_factors(_moduli(fs, fi), angles), ri, sr)
-
-
-def _flat_rows(*vecs) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """The batch shape of ``(..., 3)`` arrays that broadcast, and each array
-    as a ``(3,)`` vector or as the ``(n, 3)`` rows of that shape."""
-    arrays = [np.asarray(v, dtype=float) for v in vecs]
-    shape = np.broadcast(*arrays).shape
-    return shape[:-1], [
-        a if a.ndim == 1 else (a if a.shape == shape else np.broadcast_to(a, shape)).reshape(-1, 3)
-        for a in arrays]
-
-
-def _shaped(values: list[float], shape: tuple[int, ...]) -> np.ndarray:
-    return np.array(values, dtype=float).reshape(shape)
-
-
-def weak_moduli(i, r, f) -> np.ndarray:
-    """``sqrt(0.5 (1+f.r)(1+r.i) / (1+f.i))`` over ``(..., 3)`` arrays that
-    broadcast, each ``1 + a.b`` formed as ``|a+b|^2/2``; three single vectors
-    give a numpy scalar.
-
-    The modulus of the projector weak value ``<f|r><r|i>/<f|i>`` from unit
-    Bloch vectors (the caller validates them).  Rows whose ``|f+i|^2/2`` is at
-    or below ``2 DEFAULT_TOL.orthogonality**2`` (i antipodal to f) come back
-    as NaN.
-    """
-    shape, rows = _flat_rows(i, r, f)
-    return _shaped(_weak_modulus_rows(*_triangle_dots(*rows)[2:]), shape)[()]
-
-
-def modular_moduli(i, s, f) -> np.ndarray:
-    """``sqrt((1+f.s) / (1+f.i))`` over ``(..., 3)`` arrays that broadcast,
-    as ``sqrt(|f+s|^2 / |f+i|^2)``.
-
-    The per-qubit modulus ratio of a modular value, ``s`` the evolved vector;
-    NaN marks antipodal i and f as in :func:`weak_moduli`.
-    """
-    shape, rows = _flat_rows(i, s, f)
-    _, _, fs, _, fi = _triangle_dots(*rows)  # of the triangles (i, s, f)
-    return _shaped(_moduli(fs, fi), shape)[()]
-
-
-def triangle_solid_angles(i, r, f) -> np.ndarray:
-    """Oriented solid angles of geodesic triangles i -> r -> f -> i, batched.
-
-    ``i``, ``r`` and ``f`` are ``(..., 3)`` arrays of unit vectors that
-    broadcast against each other; each is validated by :func:`as_bloch_array`.
-    Uses ``omega = -2 atan2(f.(r x i), 1 + f.r + r.i + f.i)`` reduced to
-    (-2*pi, 2*pi], the second argument as ``|f+i|^2/2 + r.(f+i)``.  If any
-    triangle has both arctangent arguments below ``DEFAULT_TOL.zero``
-    (antipodal vertices), the batch raises :class:`UndefinedSolidAngle`.
-    """
-    shape, rows = _flat_rows(as_bloch_array(i), as_bloch_array(r), as_bloch_array(f))
-    return _shaped(_defined(_triangles(*_triangle_dots(*rows)[:2])), shape)
 
 
 def solid_angle_triangle(i, r, f) -> float:

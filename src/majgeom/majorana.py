@@ -76,12 +76,6 @@ class SymmetricRepresentation:
         return _symmetrized([_unit_row(p) for p in self.points.tolist()])[1]
 
 
-def sort_points(points: np.ndarray) -> np.ndarray:
-    pts = np.asarray(points, dtype=float)
-    order = np.lexsort((-pts[:, 1], -pts[:, 0], -pts[:, 2]))
-    return pts[order]
-
-
 @functools.lru_cache(maxsize=None)
 def _binomial_weights(m: int) -> tuple[float, ...]:
     """``(-1)^k sqrt(C(m, k))``, k = 0..m: state -> polynomial coefficients."""
@@ -96,8 +90,8 @@ def representation_coefficients(state) -> np.ndarray:
 
 def _root_points(roots: list[complex | None]) -> list[list[float]]:
     """Bloch points of projective roots, one unit row of Python floats per
-    root, in the order of :func:`sort_points`; infinity (``None``, or a
-    squared modulus above ``_INFINITE_ROOT``) is the south pole."""
+    root, sorted by (z, x, y) descending; infinity (``None``, or a squared
+    modulus above ``_INFINITE_ROOT``) is the south pole."""
     rows = []
     for z in roots:
         w = math.inf if z is None else abs(z) ** 2
@@ -106,7 +100,7 @@ def _root_points(roots: list[complex | None]) -> list[list[float]]:
             continue
         denom = 1.0 + w
         rows.append(_unit_row([2.0 * z.real / denom, 2.0 * z.imag / denom, (1.0 - w) / denom]))
-    rows.sort(key=lambda p: (-p[2], -p[0], -p[1]))  # np.lexsort's order; stable
+    rows.sort(key=lambda p: (-p[2], -p[0], -p[1]))  # stable: equal rows keep the roots' order
     return rows
 
 

@@ -277,8 +277,10 @@ def _polynomial_roots(c: list[complex]) -> list[complex | None]:
             zeros += 1
         size = top - zeros
         if size:
-            # np.roots' first row -p[1:] / p[0], p = c[top], ..., c[zeros].
-            row = -np.array(c[zeros:top][::-1]) / c[top]
+            # np.roots' first row -p[1:] / p[0], p = c[top], ..., c[zeros]; a
+            # quotient that overflows is refused below, without a warning.
+            with np.errstate(over="ignore", invalid="ignore"):
+                row = -np.array(c[zeros:top][::-1]) / c[top]
             if not all(map(cmath.isfinite, row.tolist())):  # as numpy.linalg.eigvals refuses it
                 raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
             companion = np.eye(size, size, -1, dtype=complex)
@@ -338,9 +340,12 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and orthonormal eigenvectors of a small Hermitian
     matrix, checked and symmetrized (one conjugate transpose serves both), with
     the column phases LAPACK's ``eigh`` gives them: ``V diag(f(lambda)) V^H``
-    and the rays of the columns do not depend on those phases."""
+    and the rays of the columns do not depend on those phases.  The halves are
+    taken before the sum, which cannot overflow for entries near the largest
+    float."""
     m = _as_square(matrix)
-    return _lapack("eigh_lo", "D->dD", 0.5 * (m + _check_hermitian(m)))
+    h = _check_hermitian(m)  # before 0.5 * m, whose inf * 0 would warn
+    return _lapack("eigh_lo", "D->dD", 0.5 * m + 0.5 * h)
 
 
 def eig_hermitian(matrix):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from majgeom.bloch import bloch_to_qubits
+from majgeom.bloch import bloch_to_qubit
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -147,7 +147,7 @@ def two_qubit_entropy(points) -> float:
     """Entropy (bits) of either qubit of the symmetrized pair of two Bloch
     points, from the two-qubit vector: its reduced density matrix is
     diagonalized, and eigenvalues at or below 1e-15 count as zero."""
-    q1, q2 = bloch_to_qubits(points)
+    q1, q2 = (bloch_to_qubit(p) for p in points)
     psi = np.kron(q1, q2) + np.kron(q2, q1)
     amp = (psi / np.linalg.norm(psi)).reshape(2, 2)
     evals = np.clip(np.linalg.eigvalsh(amp @ amp.conj().T).real, 0.0, 1.0)

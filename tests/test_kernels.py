@@ -1,11 +1,12 @@
-"""Batched Bloch kernels against their scalar wrappers and the reference formulas.
+"""The per-row Bloch kernel, its scalar wrappers and the batch check against
+the reference formulas.
 
 The reference functions below restate the scalar formulas one vector at a
 time (``math.atan2``, and every norm, cross and scalar product in Python
 floats, ``(a0 b0 + a1 b1) + a2 b2``, with each ``1 + a.b`` of unit vectors
 read as the projection ``|a+b|^2/2``).
 Every kernel must reproduce them bit for bit, zero signs included, for any
-batch size and broadcast pattern.
+number of rows and whichever vertex the rows fill.
 """
 
 import math
@@ -19,21 +20,20 @@ from hypothesis import strategies as st
 import majgeom
 from majgeom import bloch, experiments, majorana, numerics
 from majgeom.bloch import (
+    _defined,
     _modular_factors,
+    _moduli,
     _triangle_dots,
     _triangles,
     _weak_factors,
+    _weak_modulus_rows,
     as_bloch,
     as_bloch_array,
     bloch_to_qubit,
-    bloch_to_qubits,
-    modular_moduli,
     qubit_to_bloch,
     rodrigues_rotate,
     solid_angle_quadrangle,
     solid_angle_triangle,
-    triangle_solid_angles,
-    weak_moduli,
 )
 from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
 from majgeom.nlevel_values import factored_modular_value, factored_weak_value, pair_points
@@ -124,6 +124,25 @@ def ref_modular_modulus(vi, vs, vf):
 
 def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def row_angles(i, r, f) -> list[float | None]:
+    """The row kernel's triangle solid angles of vertices (rows, or one
+    vector each) checked by ``as_bloch_array``; ``None`` where undefined."""
+    return _triangles(*_triangle_dots(*map(as_bloch_array, (i, r, f)))[:2])
+
+
+def ref_angle_or_none(i, r, f):
+    try:
+        return ref_solid_angle(i, r, f)
+    except UndefinedSolidAngle:
+        return None
+
+
+def same_angles(got, want) -> bool:
+    """Row angles equal bit for bit, ``None`` in the same rows."""
+    return ([a is None for a in got] == [a is None for a in want]
+            and all(same_bits(a, b) for a, b in zip(got, want) if a is not None))
 
 
 # --- strategies --------------------------------------------------------------
@@ -226,15 +245,14 @@ class TestBlochToQubits:
     @KERNEL_SETTINGS
     @given(points=batches())
     def test_rows_match_scalar_and_reference(self, points):
-        batch = bloch_to_qubits(points)
-        assert batch.shape == (points.shape[0], 2)
-        for row, p in zip(batch, points):
-            assert same_bits(row, bloch_to_qubit(p))
-            assert same_bits(row, ref_bloch_to_qubit(p))
+        for p in points:
+            q = bloch_to_qubit(p)
+            assert q.shape == (2,) and q.dtype == complex
+            assert same_bits(q, ref_bloch_to_qubit(p))
 
     def test_south_pole_rows(self):
         points = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [1e-9, -1e-9, -1.0]])
-        q = bloch_to_qubits(points / np.linalg.norm(points, axis=1, keepdims=True))
+        q = [bloch_to_qubit(p) for p in points / np.linalg.norm(points, axis=1, keepdims=True)]
         assert same_bits(q[0], np.array([0j, 1 + 0j]))
         assert same_bits(q[1], np.array([1 + 0j, 0j]))
         # 1.4e-9 from the pole is not the pole: |a0| = |x+iy|/2.
@@ -257,58 +275,56 @@ class TestBlochToQubits:
         assert abs(abs(state[1]) - math.sin(0.5 * delta)) <= 4 * eps * math.sin(0.5 * delta)
 
     def test_one_bad_row_raises_like_scalar(self):
-        with pytest.raises(ValueError, match="deviates"):
-            bloch_to_qubits([[0.0, 0.0, 1.0], [0.0, 0.0, 1.1]])
-        with pytest.raises(ValueError, match="three components"):
-            bloch_to_qubit([[0.0, 0.0, 1.0]])
+        for bad in ([0.0, 0.0, 1.1], [math.nan, 0.0, 1.0], [[0.0, 0.0, 1.0]]):
+            with pytest.raises(ValueError) as scalar:
+                as_bloch(bad)
+            with pytest.raises(ValueError) as qubit:
+                bloch_to_qubit(bad)
+            assert str(qubit.value) == str(scalar.value)
 
 
 # --- solid angles ------------------------------------------------------------
 
 class TestTriangleSolidAngles:
+    """:func:`solid_angle_triangle` and the row kernel behind it (and behind
+    the factored values), ``_triangles`` of ``_triangle_dots``."""
+
     @KERNEL_SETTINGS
     @given(case=triangle_batches())
     def test_batch_matches_scalar_and_reference(self, case):
         points, r, f = case
-        expected = []
-        for p in points:
-            try:
-                ref = ref_solid_angle(p, r, f)
-            except UndefinedSolidAngle:
+        expected = [ref_angle_or_none(p, r, f) for p in points]
+        assert same_angles(row_angles(points, r, f), expected)
+        for p, ref in zip(points, expected):
+            if ref is None:
                 with pytest.raises(UndefinedSolidAngle):
-                    triangle_solid_angles(points, r, f)
-                return
-            assert same_bits(solid_angle_triangle(p, r, f), ref)
-            expected.append(ref)
-        assert same_bits(triangle_solid_angles(points, r, f), np.array(expected))
+                    solid_angle_triangle(p, r, f)
+            else:
+                assert same_bits(solid_angle_triangle(p, r, f), ref)
 
     @KERNEL_SETTINGS
     @given(points=batches(), r=unit_vectors(), f=unit_vectors(),
            slot=st.integers(0, 2))
     def test_broadcast_in_every_slot(self, points, r, f, slot):
+        # The row kernel shares a single vector across the rows of any vertex,
+        # as the modular factors pair rows of i and s with one r and f.
         args = [r, f]
         args.insert(slot, points)
         singles = [[p if k == slot else a for k, a in enumerate(args)] for p in points]
-        try:
-            expected = [ref_solid_angle(*triple) for triple in singles]
-        except UndefinedSolidAngle:
-            with pytest.raises(UndefinedSolidAngle):
-                triangle_solid_angles(*args)
-            return
-        assert same_bits(triangle_solid_angles(*args), np.array(expected))
+        assert same_angles(row_angles(*args), [ref_angle_or_none(*t) for t in singles])
 
     def test_single_triangle_is_zero_dimensional(self):
         ez, ex, ey = np.eye(3)[2], np.eye(3)[0], np.eye(3)[1]
-        out = triangle_solid_angles(ez, ex, ey)
-        assert out.shape == ()
+        out = solid_angle_triangle(ez, ex, ey)
+        assert type(out) is float
         assert same_bits(out, ref_solid_angle(ez, ex, ey))
 
     def test_keeps_negative_zero(self):
         ez, ex = np.eye(3)[2], np.eye(3)[0]
-        out = triangle_solid_angles(np.array([ez, ex]), ez, ex)
-        assert same_bits(out, np.array([ref_solid_angle(ez, ez, ex),
-                                        ref_solid_angle(ex, ez, ex)]))
-        assert math.copysign(1.0, out[0]) == -1.0
+        expected = [ref_solid_angle(ez, ez, ex), ref_solid_angle(ex, ez, ex)]
+        assert same_angles(row_angles(np.array([ez, ex]), ez, ex), expected)
+        assert same_bits(solid_angle_triangle(ez, ez, ex), expected[0])
+        assert math.copysign(1.0, expected[0]) == -1.0
 
     @pytest.mark.parametrize("position", [0, 3, 6])
     def test_one_antipodal_triangle_raises_like_scalar(self, position):
@@ -321,28 +337,31 @@ class TestTriangleSolidAngles:
         with pytest.raises(UndefinedSolidAngle) as scalar:
             solid_angle_triangle(points[position], r, f)
         with pytest.raises(UndefinedSolidAngle) as batch:
-            triangle_solid_angles(points, r, f)
+            _defined(row_angles(points, r, f))
         assert str(batch.value) == str(scalar.value)
 
     def test_undefined_triangle_is_none_for_its_row_only(self):
-        # The per-row kernel behind the batch: the scan blanks an antipodal
-        # triangle's row instead of failing the whole grid.
+        # The per-row kernel: an antipodal triangle blanks its own row, and
+        # only the value that reads it refuses.
         rng = np.random.default_rng(11)
         points = rng.normal(size=(5, 3))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
         r = np.array([0.0, 0.0, 1.0])
         f = np.array([1.0, 0.0, 0.0])
         points[2] = -f
-        angles = _triangles(*_triangle_dots(as_bloch_array(points), r, f)[:2])
+        angles = row_angles(points, r, f)
         assert len(angles) == 5
         assert angles[2] is None
         for k in (0, 1, 3, 4):
             assert same_bits(angles[k], solid_angle_triangle(points[k], r, f))
 
     def test_validates_each_vertex_batch(self):
-        with pytest.raises(ValueError, match="deviates"):
-            triangle_solid_angles([[0.0, 0.0, 1.0], [0.0, 0.5, 0.5]],
-                                  [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        vertices = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+        for slot in range(3):
+            bad = list(vertices)
+            bad[slot] = [0.0, 0.5, 0.5]
+            with pytest.raises(ValueError, match="deviates"):
+                solid_angle_triangle(*bad)
 
 
 class TestQuadrangle:
@@ -439,13 +458,6 @@ class TestKernelProducts:
             assert majgeom.symmetrize(points)[0].shape == (n,)
         assert all(math.isfinite(v.modulus) for v in values)
 
-    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
-    @pytest.mark.parametrize("kernel", [weak_moduli, modular_moduli, triangle_solid_angles])
-    def test_empty_batch_gives_empty_array(self, kernel, shape):
-        out = kernel(np.empty(shape), np.eye(3)[2], np.eye(3)[0])
-        assert isinstance(out, np.ndarray)
-        assert (out.shape, out.dtype) == (shape[:-1], np.float64)
-
 
 # --- column forms ------------------------------------------------------------
 
@@ -479,16 +491,14 @@ def complex_rows(draw):
 class TestColumnForms:
     """Each batch function forms its row's scalar expression on numpy real
     columns, bit for bit, zero signs included; ``as_bloch_array`` against
-    ``as_bloch`` is pinned in ``TestAsBlochArray``."""
+    ``as_bloch`` is pinned in ``TestAsBlochArray``.  The qubit map, which
+    has no batch form, is pinned to its Python-float row here."""
 
     @KERNEL_SETTINGS
     @given(points=st.lists(unit_vectors(), min_size=0, max_size=7))
     def test_qubits(self, points):
-        v = np.array(points, dtype=float).reshape(-1, 3)
-        batch = bloch._qubits(v)
-        assert batch.shape == (len(points), 2)
-        for q, p in zip(batch, v.tolist()):
-            assert same_bits(q, np.array(bloch._qubit(*p)))
+        for p in points:
+            assert same_bits(bloch_to_qubit(p), np.array(bloch._qubit(*as_bloch(p).tolist())))
 
     @KERNEL_SETTINGS
     @given(c=complex_rows())
@@ -505,30 +515,47 @@ class TestColumnForms:
 
 # --- moduli ------------------------------------------------------------------
 
+def row_weak_moduli(i, r, f) -> list[float]:
+    """The row kernel's weak moduli of the triangles (i, r, f)."""
+    return _weak_modulus_rows(*_triangle_dots(i, r, f)[2:])
+
+
+def row_modular_moduli(i, s, f) -> list[float]:
+    """The row kernel's modular moduli ``sqrt(|f+s|^2 / |f+i|^2)``, read off
+    the triangles (i, s, f) as the modular factors read them."""
+    _, _, fs, _, fi = _triangle_dots(i, s, f)
+    return _moduli(fs, fi)
+
+
 class TestModuli:
     @KERNEL_SETTINGS
     @given(case=triangle_batches(), s=batches())
     def test_match_reference(self, case, s):
         points, r, f = case
         vi = as_bloch_array(points)
-        weak = weak_moduli(vi, r, f)
+        weak = row_weak_moduli(vi, r, f)
         assert same_bits(weak, np.array([ref_weak_modulus(p, r, f) for p in vi]))
         vs = as_bloch_array(s)[: vi.shape[0]]
         vi = vi[: vs.shape[0]]
-        modular = modular_moduli(vi, vs, f)
+        modular = row_modular_moduli(vi, vs, f)
         assert same_bits(modular, np.array([ref_modular_modulus(p, q, f)
                                             for p, q in zip(vi, vs)]))
 
     def test_antipodal_rows_are_nan(self):
         f = np.array([0.0, 0.0, 1.0])
         points = np.array([[1.0, 0.0, 0.0], -f])
-        weak = weak_moduli(points, np.array([0.0, 1.0, 0.0]), f)
+        weak = row_weak_moduli(points, np.array([0.0, 1.0, 0.0]), f)
         assert not math.isnan(weak[0]) and math.isnan(weak[1])
-        assert math.isnan(modular_moduli(points, points, f)[1])
+        assert math.isnan(row_modular_moduli(points, points, f)[1])
 
     def test_single_vectors_give_a_scalar(self):
+        # One vector per vertex is one row; the qubit route's one factor
+        # carries its modulus.
         ez, ex = np.eye(3)[2], np.eye(3)[0]
-        assert same_bits(weak_moduli(ez, ex, ez), ref_weak_modulus(ez, ex, ez))
+        (modulus,) = row_weak_moduli(ez, ex, ez)
+        assert same_bits(modulus, ref_weak_modulus(ez, ex, ez))
+        (factor,) = projector_weak_value_geometric(ez, ex, ez)[1].factors
+        assert same_bits(factor.modulus_ratio, modulus)
 
 
 # --- factored values ---------------------------------------------------------

@@ -290,6 +290,19 @@ class TestOverflowingPhase:
         assert geometric.modulus == pytest.approx(direct.modulus, rel=1e-9)
 
     @pytest.mark.parametrize("route", [modular_value_direct, qutrit_modular_value_geometric])
+    def test_observable_near_the_largest_float(self, route):
+        # A + A^H overflows here; A/2 + A^H/2 does not, so the spectrum is
+        # +-sqrt(2)*1e308 and no evolution phase is involved at alpha = 0.
+        observable = np.array([[1e308, 1e308], [1e308, -1e308]])
+        spec = NLevelModularSpec(observable=observable, alpha=0.0)
+        psi_i, psi_f = np.array([0.6, 0.8j]), np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = route(psi_i, spec, psi_f)
+        value = value if isinstance(value, PolarComplex) else value[0]
+        assert (value.modulus, value.argument) == pytest.approx((1.0, 0.0), abs=1e-12)
+
+    @pytest.mark.parametrize("route", [modular_value_direct, qutrit_modular_value_geometric])
     def test_overflowing_evolution_phase(self, route):
         spec = NLevelModularSpec(observable=10.0 * self.OBSERVABLE, alpha=1e308)
         with warnings.catch_warnings():

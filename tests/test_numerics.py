@@ -145,6 +145,22 @@ class TestEigHermitian:
             assert not math.isfinite(hermiticity_defect(matrix))
 
 
+    @pytest.mark.parametrize("matrix, spectrum", [
+        ([[1e308, 1e308], [1e308, -1e308]], [-SQ2, SQ2]),
+        ([[1e308, 0.5e308 + 0.5e308j, 0.0], [0.5e308 - 0.5e308j, -1e308, 0.0],
+          [0.0, 0.0, 1.5e308]], [-math.sqrt(1.5), math.sqrt(1.5), 1.5]),
+        ([[-1.2e308, 0.0], [0.0, 1.7e308]], [-1.2, 1.7]),
+    ])
+    def test_entries_near_the_largest_float(self, matrix, spectrum):
+        # The symmetrization halves before it sums, so A + A^H cannot overflow.
+        a = np.array(matrix, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            evals, vecs = eig_hermitian(a)
+        assert (evals / 1e308).tolist() == pytest.approx(spectrum, rel=1e-14)
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(len(a)))) <= 1e-14
+
+
 class TestUnitaryExp:
     def test_identity_at_zero(self):
         rng = np.random.default_rng(8)
@@ -308,7 +324,7 @@ class TestGaugeMatchesReference:
         m = np.array(rows)
         m = m + m.conj().T
         _, evecs = eig_hermitian(m)
-        _, raw = np.linalg.eigh(0.5 * (m + m.conj().T))
+        _, raw = np.linalg.eigh(0.5 * m + 0.5 * m.conj().T)  # as _eigh symmetrizes
         assert evecs.tobytes() == reference_column_gauge(raw, ZERO).tobytes()
 
     def test_random_states(self):
@@ -375,7 +391,7 @@ class TestLapackKernels:
         assert evals.tobytes() == expected.eigenvalues.tobytes()
         assert evecs.tobytes() == expected.eigenvectors.tobytes()
         evals, evecs = majgeom.numerics._eigh(m)
-        expected = np.linalg.eigh(0.5 * (m + m.conj().T))
+        expected = np.linalg.eigh(0.5 * m + 0.5 * m.conj().T)
         assert (evals.tobytes(), evecs.tobytes()) == (expected.eigenvalues.tobytes(),
                                                       expected.eigenvectors.tobytes())
 
@@ -402,3 +418,16 @@ class TestLapackKernels:
         with np.errstate(over="ignore"), pytest.raises(np.linalg.LinAlgError) as info:
             solve_polynomial(coeffs)
         assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("coeffs", [
+        [1e300, 0.0, 0.0, 1e-11],
+        [1e300j, 0.0, 1e300, 1e-11],
+        [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1e300 + 1e300j, 1e-11j],
+    ])
+    def test_overflowing_companion_is_refused_without_a_warning(self, coeffs):
+        # A quotient of the companion's first row overflows; the row is
+        # refused as numpy.linalg refuses it, and no RuntimeWarning comes first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="^Array must not contain infs"):
+                solve_polynomial(coeffs)

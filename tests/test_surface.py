@@ -68,11 +68,11 @@ STAR_NAMES = [
     "SCAN_CHI2", "SCAN_EPSILON", "ScanRecord", "SingularityScan", "StateAngles",
     "SymmetricRepresentation", "ThreeBoxReport", "Tolerances", "UndefinedSolidAngle",
     "ZeroDenominator", "abl_distribution", "abl_probability", "as_bloch", "as_bloch_array",
-    "bloch", "bloch_to_qubit", "bloch_to_qubits", "canonical", "canonicalize_triple",
+    "bloch", "bloch_to_qubit", "canonical", "canonicalize_triple",
     "cayley_hamilton_exp_spin1", "discriminant_degeneracy", "eig_hermitian",
     "entanglement_entropy", "errors", "experiments", "factored_modular_value",
     "factored_weak_value", "gell_mann_matrices", "majorana", "majorana_points",
-    "modular_moduli", "modular_value_direct", "nlevel_state", "nlevel_values",
+    "modular_value_direct", "nlevel_state", "nlevel_values",
     "normalization_factor", "numerics", "observable_to_modular_spec", "params_to_state",
     "polar", "projection_probability", "projector_weak_value_direct",
     "projector_weak_value_geometric", "qubit_modular_value_direct",
@@ -80,8 +80,8 @@ STAR_NAMES = [
     "qutrit_modular_value_geometric", "qutrit_projector_weak_value_geometric",
     "qutrit_roots_closed_form", "rodrigues_rotate", "singularity_scan",
     "solid_angle_quadrangle", "solid_angle_quadrangle_rotation", "solid_angle_triangle",
-    "solve_polynomial", "symmetrize", "three_box_report", "triangle_solid_angles",
-    "unitary_exp", "weak_moduli", "weak_value_direct",
+    "solve_polynomial", "symmetrize", "three_box_report", "unitary_exp",
+    "weak_value_direct",
 ]
 LAZY_NAMES = ["SCAN_CHI1", "SCAN_CHI2", "SCAN_EPSILON", "ScanRecord", "SingularityScan",
               "ThreeBoxReport", "singularity_scan", "three_box_report", "experiments"]

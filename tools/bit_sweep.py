@@ -13,7 +13,9 @@ by its type and message, so a refusal that moves shows as well.  A
 is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
 full precision.  The ``state.*`` lines hash the public functions that
-return a state (gauge-fixed), so they show apart from the value lines.
+return a state (gauge-fixed), so they show apart from the value lines; the
+plural qubit line stacks ``bloch_to_qubit`` of the rows of sets of 1 to 7
+points, under the name it has on older checkouts.
 ``nlevel.modular.routes`` hashes the geometric modular route
 together with the factored core on the frame points it reads off, so a split
 between the two shows.  The ``cli.help.*`` lines hash the ``--help``
@@ -177,6 +179,11 @@ def entropies():
         yield "entanglement_entropy.antipodal", _outcome(mg.entanglement_entropy, [p, -p])
 
 
+def _qubit_rows(points: np.ndarray) -> np.ndarray:
+    """``bloch_to_qubit`` of each row, stacked as an ``(m, 2)`` array."""
+    return np.array([mg.bloch_to_qubit(p) for p in points])
+
+
 def states():
     """The public functions that return a state, on fixed inputs: each keeps
     the global phase it fixes, whatever the value routes do with theirs."""
@@ -197,7 +204,7 @@ def states():
         yield "state.as_qubit", _outcome(bloch.as_qubit, _state(rng, 2))
         yield "state.bloch_to_qubit", _outcome(mg.bloch_to_qubit, _bloch(rng))
     for m in range(1, 8):
-        yield "state.bloch_to_qubits", _outcome(mg.bloch_to_qubits, _bloch(rng, m))
+        yield "state.bloch_to_qubits", _outcome(_qubit_rows, _bloch(rng, m))
     for kwargs in SCAN_RUNS:
         angles = {key: kwargs.get(key, default) for key, default in (
             ("epsilon", exp.SCAN_EPSILON), ("chi1", exp.SCAN_CHI1), ("chi2", exp.SCAN_CHI2))}
