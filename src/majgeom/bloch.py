@@ -69,7 +69,8 @@ def as_bloch_array(vecs) -> np.ndarray:
     # _unit_row's norm on numpy columns: elementwise *, + and sqrt round as
     # Python floats do, so each row keeps as_bloch's bits.
     x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    norms = np.sqrt((x * x + y * y) + z * z)
+    with np.errstate(over="ignore"):  # a norm that overflows is inf and fails below
+        norms = np.sqrt((x * x + y * y) + z * z)
     unit = abs(norms - 1.0) <= _NORM_SLACK  # False for NaN
     if np.count_nonzero(unit) != unit.size:
         if not np.isfinite(v).all():

@@ -168,6 +168,8 @@ def _complex_vector(raw, name: str, length: int | None = None) -> np.ndarray:
         raise ScenarioInvalid("amplitudes must be a list of [re, im] pairs")
     if length is not None and arr.shape[0] != length:
         raise ScenarioInvalid(f"expected {length} amplitudes, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():  # 1j * inf would make a NaN real part
+        raise ScenarioInvalid(f"{name} amplitudes must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -199,7 +201,8 @@ def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np
             raw = (_required(entry, "amplitudes", f"state {key!r}") if isinstance(entry, dict)
                    else entry)
             vec = _complex_vector(raw, f"state {key!r}", dim)
-            norm = float(np.linalg.norm(vec))
+            with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+                norm = float(np.linalg.norm(vec))
             if abs(norm - 1.0) > _NORM_SLACK:
                 raise ScenarioInvalid(f"state {key!r} deviates from normalization by "
                                       f"{abs(norm - 1.0):.2e}")

@@ -35,7 +35,7 @@ from .numerics import (
     _product,
     hermiticity_defect,
 )
-from .polar import GeometricBreakdown, GeometricFactor, PolarComplex
+from .polar import GeometricBreakdown, PolarComplex
 
 
 def gell_mann_matrices() -> tuple[np.ndarray, ...]:
@@ -270,11 +270,10 @@ def factored_weak_value(i_points, r_point, f_point):
 
 
 def _factored_weak_value(vi, vr, vf):
-    """:func:`factored_weak_value` of validated unit vectors (arrays, or
-    Python floats), or of one ``vi``."""
+    """:func:`factored_weak_value` of validated unit rows ``vi`` of Python
+    floats, which the breakdown holds, and unit vectors ``vr`` and ``vf``."""
     moduli, angles = _weak_factors(vi, vr, vf)
-    points = np.asarray(vi, dtype=float).reshape(-1, 3)
-    breakdown = GeometricBreakdown(tuple(map(GeometricFactor, moduli, angles, points)))
+    breakdown = GeometricBreakdown(moduli, angles, vi)
     return breakdown.to_polar(), breakdown
 
 
@@ -307,8 +306,8 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
 
 def _paired_modular_value(vi, vs, vr, vf, beta: float, phase: float,
                           k_ratio: float | None = None):
-    """The modular value of unit rows (or one point each; arrays, or Python
-    floats) in one frame, ``vs`` paired to ``vi``, with the dynamical phase
+    """The modular value of unit rows of Python floats in one frame, ``vs``
+    paired to ``vi`` and both held by the breakdown, with the dynamical phase
     ``arg(exp(1j*beta) exp(-1j*phase))``: each angle is reduced exactly, as
     the direct routes' exponentials reduce it, so the phase's rounding does
     not grow with their size.
@@ -327,9 +326,8 @@ def _paired_modular_value(vi, vs, vr, vf, beta: float, phase: float,
         # Infinite only where some |r+s_k| underflows (0/0 at -r): that
         # quadrangle has no area, so the value is refused or an exact zero.
         k_ratio = math.sqrt(ratio) if ratio < math.inf else 0.0
-    i_points, s_points = (np.asarray(v, dtype=float).reshape(-1, 3) for v in (vi, vs))
     breakdown = GeometricBreakdown(
-        tuple(map(GeometricFactor, moduli, omegas, i_points, s_points)),
+        moduli, omegas, vi, vs,
         dynamical_phase=cmath.phase(cmath.exp(1j * beta) * cmath.exp(-1j * phase)),
         k_ratio=k_ratio)
     return breakdown.to_polar(), breakdown
@@ -370,8 +368,8 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
         raise ValueError("eigen_choice outside the spectrum")
     strength = _evolution_strength(spec, dim)
     to_frame, f_vec, _ = _frame(evecs[:, index].tolist(), sf)
-    vi = np.array(_frame_points(to_frame(si)))
-    vs = pair_points(vi, np.array(_frame_points(to_frame(_evolved(si, evals, evecs, strength)))))
+    vi = _frame_points(to_frame(si))
+    vs = pair_points(vi, _frame_points(to_frame(_evolved(si, evals, evecs, strength)))).tolist()
     return _paired_modular_value(vi, vs, _NORTH, f_vec, spec.beta,
                                  strength * float(evals[index]))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,23 +54,40 @@ class GeometricFactor:
 
 @dataclass(frozen=True, eq=False)
 class GeometricBreakdown:
-    """Factored form of a weak or modular value.
+    """Factored form of a weak or modular value, held as the factor kernel's
+    columns.
 
-    Recombination contract: ``k_ratio * prod(modulus_ratio)`` is the total
-    modulus and ``dynamical_phase - sum(solid_angle)/2`` the total argument.
+    ``moduli`` and ``angles`` are the factors' modulus ratios and solid
+    angles; ``i_rows`` (and, for modular values, ``s_rows``) their points as
+    rows of three Python floats.  Recombination contract: the total modulus is
+    ``k_ratio * math.prod(moduli)`` and the total argument
+    ``dynamical_phase - sum(angles)/2``, each taken over the factors in order.
+    ``factors`` is built from the columns when it is first read.
     """
 
-    factors: tuple[GeometricFactor, ...]
+    moduli: list[float]
+    angles: list[float]
+    i_rows: list[list[float]]
+    s_rows: list[list[float]] | None = None
     dynamical_phase: float = 0.0
     k_ratio: float = 1.0
 
+    @functools.cached_property
+    def factors(self) -> tuple[GeometricFactor, ...]:
+        """One :class:`GeometricFactor` per factor; its points are rows of one
+        float array per point set."""
+        points = [np.array(self.i_rows, dtype=float)]
+        if self.s_rows is not None:
+            points.append(np.array(self.s_rows, dtype=float))
+        return tuple(map(GeometricFactor, self.moduli, self.angles, *points))
+
     @property
     def modulus(self) -> float:
-        return self.k_ratio * math.prod(f.modulus_ratio for f in self.factors)
+        return self.k_ratio * math.prod(self.moduli)
 
     @property
     def raw_argument(self) -> float:
-        return self.dynamical_phase - 0.5 * sum(f.solid_angle for f in self.factors)
+        return self.dynamical_phase - 0.5 * sum(self.angles)
 
     def to_polar(self) -> PolarComplex:
         modulus = self.modulus

@@ -72,7 +72,7 @@ def projector_weak_value_geometric(i, r, f):
     an undefined triangle), the value is ``PolarComplex(0.0, 0.0)``.
     Bit for bit ``factored_weak_value([i], r, f)``.
     """
-    return _factored_weak_value(_bloch_vector(i), _bloch_vector(r), _bloch_vector(f))
+    return _factored_weak_value([_bloch_vector(i)], _bloch_vector(r), _bloch_vector(f))
 
 
 def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
@@ -109,7 +109,7 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
     """
     vi, vr, vf = _bloch_vector(i), spec.axis.tolist(), _bloch_vector(f)
     vs = _rotate(vi, vr, spec.alpha)
-    return _paired_modular_value(vi, vs, vr, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
+    return _paired_modular_value([vi], [vs], vr, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
 
 
 def observable_to_modular_spec(observable, theta: float) -> QubitModularSpec:

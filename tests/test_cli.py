@@ -1155,6 +1155,26 @@ class TestStderr:
         assert json.loads(captured.out)["error"]["type"] == "NotHermitian"
         assert (captured.err, caught) == ("", [])
 
+    @pytest.mark.parametrize("command, state, message", [
+        ("qutrit-weak", [[0.5, 1e300], [0.0, 0.0], [0.0, 0.0]],
+         "state 'i' deviates from normalization by inf"),
+        ("qutrit-weak", [[0.5, math.inf], [0.0, 0.0], [0.0, 0.0]],
+         "state 'i' amplitudes must be finite"),
+        ("qubit-weak", {"bloch": [0, 0, 1e300]},
+         "state 'i': Bloch vector norm inf deviates from 1 beyond 1e-08"),
+    ])
+    def test_out_of_range_state_writes_no_warning(self, tmp_path, command, state, message):
+        # The norm of each state overflows, or an infinite imaginary part
+        # meets 1j; numpy's RuntimeWarning must not reach stderr.
+        doc = (json.loads((DATA / "qutrit_triple.scenario.json").read_text())
+               if command == "qutrit-weak" else
+               {"r": {"bloch": [0, 0, 1]}, "f": {"bloch": [1, 0, 0]}})
+        scenario = write_scenario(tmp_path, {**doc, "i": state})
+        done = run_python("-m", "majgeom", command, "--scenario", scenario)
+        assert (done.returncode, done.stderr) == (2, b"")
+        assert json.loads(done.stdout) == {"error": {"kind": "usage", "type": "ScenarioInvalid",
+                                                     "message": message}}
+
 
 def readme_scenarios():
     readme = Path(__file__).resolve().parent.parent / "README.md"

@@ -217,7 +217,7 @@ class TestAsBlochArray:
         ([1e300, 1e300, 0.0], "Bloch vector norm inf deviates from 1 beyond 1e-08"),
     ])
     @pytest.mark.parametrize("position", [0, 2, 4])
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # an overflowing norm warns nothing
     def test_one_bad_row_raises_like_scalar(self, bad, message, position):
         with pytest.raises(ValueError) as scalar:
             as_bloch(bad)

@@ -51,7 +51,7 @@ from majgeom.nlevel_values import (
     weak_value_direct,
 )
 from majgeom.numerics import eig_hermitian, unitary_exp
-from majgeom.polar import PolarComplex
+from majgeom.polar import GeometricFactor, PolarComplex
 from majgeom.qubit_values import (
     QubitModularSpec,
     observable_to_modular_spec,
@@ -861,6 +861,145 @@ class TestCanonicalRoutesAreFactored:
                 triple = majgeom.canonical.canonicalize_triple(psi_i, psi_r, psi_f)
                 public, _ = factored_weak_value(triple.i_rep.points, triple.r_vec, triple.f_vec)
                 assert relative_gap(public, route[0].rect) <= 1e-12
+
+
+def eager_factors(moduli, angles, i_points, s_points=None):
+    """The per-factor records built at once from a value's moduli, angles and
+    points: each point set as one ``(m, 3)`` float array, one row per factor."""
+    points = [np.asarray(p, dtype=float).reshape(-1, 3) for p in (i_points, s_points)
+              if p is not None]
+    return tuple(map(GeometricFactor, moduli, angles, *points))
+
+
+def factor_bits(factors):
+    """Per-factor records as exact bit patterns, array dtypes and shapes too."""
+    return [(f.modulus_ratio.hex(), f.solid_angle.hex(),
+             *((p.dtype.str, p.shape, p.tobytes()) if p is not None else None
+               for p in (f.i_point, f.s_point))) for f in factors]
+
+
+class TestLazyBreakdown:
+    """A breakdown holds the kernel's columns and builds its per-factor
+    records when ``factors`` is first read: bit for bit the records built at
+    once from the same moduli, angles and points, on every geometric route,
+    and none while only the value is read."""
+
+    ZERO_CASES = ("qubit.weak.zero", "factored.weak.zero", "factored.modular.zero")
+
+    @staticmethod
+    def cases():
+        """``(name, thunk, expected records)``: each thunk calls one geometric
+        route, and the records are built at once from the factor kernel's
+        moduli and angles on the points the route reads off.  A thunk may run
+        after later cases are drawn, so it binds the names they draw again."""
+        rng = np.random.default_rng(3100)
+        unit, rows = majgeom.bloch._bloch_vector, majgeom.majorana._point_rows
+        weak, modular = majgeom.bloch._weak_factors, majgeom.bloch._modular_factors
+        vi, vr, vf = (random_bloch(rng) for _ in range(3))
+        yield ("qubit.weak", lambda: projector_weak_value_geometric(vi, vr, vf),
+               eager_factors(*weak([unit(vi)], unit(vr), unit(vf)), unit(vi)))
+        spec = QubitModularSpec(random_bloch(rng), alpha=1.1, beta=0.4)
+        axis = spec.axis.tolist()
+        vs = majgeom.bloch._rotate(unit(vi), axis, spec.alpha)
+        yield ("qubit.modular", lambda q=spec: qubit_modular_value_geometric(vi, q, vf),
+               eager_factors(*modular([unit(vi)], axis, [vs], unit(vf))[:2], unit(vi), vs))
+        ez, ex, ey = np.eye(3)[2], np.eye(3)[0], np.eye(3)[1]
+        yield ("qubit.weak.zero", lambda: projector_weak_value_geometric(ex, -ez, ez),
+               eager_factors([0.0], [0.0], unit(ex)))
+        for m in range(1, MAX_LEVELS):
+            points, s = random_points(rng, m), random_points(rng, m)
+            r, f = random_bloch(rng), random_bloch(rng)
+            pi, ps = rows(points), rows(pair_points(points, s))
+            yield (f"factored.weak.m{m}", lambda p=points, r=r, f=f: factored_weak_value(p, r, f),
+                   eager_factors(*weak(pi, unit(r), unit(f)), pi))
+            yield (f"factored.modular.m{m}",
+                   lambda p=points, s=s, r=r, f=f: factored_modular_value(
+                       p, s, r, f, alpha=0.7, beta=0.2, eigenvalue=1.0),
+                   eager_factors(*modular(pi, unit(r), ps, unit(f))[:2], pi, ps))
+        points = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, -0.8]])
+        pi, ps = rows(points), rows(pair_points(points, np.array([-ex, ey])))
+        yield ("factored.weak.zero", lambda p=points: factored_weak_value(p, -ez, ez),
+               eager_factors([0.0, 0.0], [0.0, 0.0], pi))
+        yield ("factored.modular.zero",
+               lambda p=points: factored_modular_value(p, np.array([-ex, ey]), ez, ex,
+                                                       alpha=0.3, beta=0.0, eigenvalue=1.0),
+               eager_factors(*modular(pi, ez, ps, ex)[:2], pi, ps))
+        for n in range(2, MAX_LEVELS + 1):
+            psi_i, psi_r, psi_f = (random_state(rng, n) for _ in range(3))
+            si, sr, sf = (majgeom.majorana._unit_state(v) for v in (psi_i, psi_r, psi_f))
+            to_frame, f_vec, _ = majgeom.canonical._frame(sr, sf)
+            frame_i = majorana_points(to_frame(si)).points
+            yield (f"nlevel.weak.n{n}",
+                   lambda a=psi_i, b=psi_r, c=psi_f: qutrit_projector_weak_value_geometric(a, b, c),
+                   eager_factors(*weak(frame_i, NORTH, f_vec), frame_i))
+            spec = NLevelModularSpec(observable=random_hermitian(rng, n), alpha=0.9, beta=-0.3)
+            evals, evecs = majgeom.numerics._eigh(spec.observable)
+            frame_i, frame_s, f_vec = TestCanonicalRoutesAreFactored.frame_values(
+                evecs, evals, si, sf, 0.9 * ((n - 1) / 2.0))
+            frame_s = pair_points(frame_i, frame_s)
+            yield (f"nlevel.modular.n{n}",
+                   lambda a=psi_i, b=spec, c=psi_f: qutrit_modular_value_geometric(a, b, c),
+                   eager_factors(*modular(frame_i, NORTH, frame_s, f_vec)[:2], frame_i, frame_s))
+
+    def test_factors_match_eager_records(self):
+        names = set()
+        for name, route, expected in self.cases():
+            _, breakdown = route()
+            assert factor_bits(breakdown.factors) == factor_bits(expected), name
+            if name in self.ZERO_CASES:
+                assert 0.0 in [f.modulus_ratio for f in breakdown.factors], name
+            names.add(name.split(".")[0])
+        assert names == {"qubit", "factored", "nlevel"}
+
+    def test_value_alone_builds_no_record(self, monkeypatch):
+        built = []
+        init = GeometricFactor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        cases = list(self.cases())
+        monkeypatch.setattr(GeometricFactor, "__init__", counted)
+        for name, route, expected in cases:
+            value, breakdown = route()
+            reads = (value.rect, breakdown.modulus, breakdown.raw_argument,
+                     breakdown.to_polar())
+            assert reads[-1] == value, name
+            assert built == [], name
+            factors = breakdown.factors
+            assert len(built) == len(factors) == len(expected), name
+            assert breakdown.factors is factors and len(built) == len(expected), name
+            built.clear()
+
+    def test_inputs_changed_after_the_call_leave_the_records(self):
+        rng = np.random.default_rng(3200)
+        points, s = random_points(rng, 4), random_points(rng, 4)
+        r, f = random_bloch(rng), random_bloch(rng)
+        psi_i, psi_r, psi_f = (random_state(rng, 5) for _ in range(3))
+        spec = NLevelModularSpec(observable=random_hermitian(rng, 5), alpha=0.9, beta=-0.3)
+        qubit_spec = QubitModularSpec(random_bloch(rng), alpha=1.1, beta=0.4)
+        calls = [
+            (lambda: projector_weak_value_geometric(points[0], r, f), (points, r, f)),
+            (lambda: qubit_modular_value_geometric(points[0], qubit_spec, f),
+             (points, f, qubit_spec.axis)),
+            (lambda: factored_weak_value(points, r, f), (points, r, f)),
+            (lambda: factored_modular_value(points, s, r, f, alpha=0.7, beta=0.2,
+                                            eigenvalue=1.0), (points, s, r, f)),
+            (lambda: qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f),
+             (psi_i, psi_r, psi_f)),
+            (lambda: qutrit_modular_value_geometric(psi_i, spec, psi_f),
+             (psi_i, psi_f, spec.observable)),
+        ]
+        for k, (route, inputs) in enumerate(calls):
+            kept = [a.copy() for a in inputs]
+            expected = factor_bits(route()[1].factors)
+            _, breakdown = route()
+            for a in inputs:
+                a[...] = np.flip(a).copy()
+            assert factor_bits(breakdown.factors) == expected, k
+            for a, b in zip(inputs, kept):
+                a[...] = b
 
 
 def anchored_observable(rng, r):

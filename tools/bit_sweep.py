@@ -9,7 +9,9 @@ numpy and the package under ``src``::
 The inputs come from fixed seeds.  A result is hashed through its exact
 float bits (``float.hex``, the raw bytes of arrays); an exception is hashed
 by its type and message, so a refusal that moves shows as well.  A
-``SymmetricRepresentation`` is hashed with its K after its fields.  A CLI run
+``SymmetricRepresentation`` is hashed with its K after its fields, and a
+``GeometricBreakdown`` by what it is read for: its ``factors``, then its
+dynamical phase and K ratio, however it holds them.  A CLI run
 is hashed by its exit code (or ``SystemExit`` code), stdout and stderr; the
 scenarios of the value subcommands are written to a temporary directory at
 full precision.  The ``state.*`` lines hash the public functions that
@@ -65,6 +67,9 @@ def _canon(obj) -> str:
     if isinstance(obj, (np.ndarray, np.generic)):
         arr = np.ascontiguousarray(obj)
         return f"array({arr.dtype.str},{arr.shape},{arr.tobytes().hex()})"
+    if isinstance(obj, mg.GeometricBreakdown):  # its read surface, whatever its fields
+        names = ["factors", "dynamical_phase", "k_ratio"]
+        return type(obj).__name__ + _canon([(name, getattr(obj, name)) for name in names])
     if dataclasses.is_dataclass(obj):
         names = [f.name for f in dataclasses.fields(obj)]
         if isinstance(obj, mg.SymmetricRepresentation) and "normalization" not in names:

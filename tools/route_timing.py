@@ -14,7 +14,8 @@ projectors of the direct weak route, the rotated points of the factored
 modular value) are built with them.  Besides the value routes, it times
 ``qubit_to_bloch``, ``majorana_points`` and ``canonicalize_triple`` at the
 same N, ``symmetrize`` at m = 2, 4 and 7 points and the factored cores at
-m = 1, 2, 4 and 7 points.  Last come
+m = 1, 2, 4 and 7 points, each twice: the value alone, and the value with
+its breakdown's ``factors`` read (the lines ending ``.factors``).  Last come
 the numerics kernels under the value routes: ``eig_hermitian`` at N = 3, 5
 and 8, ``hermiticity_defect`` at N = 3 and 8, ``solve_polynomial`` on the
 stellar polynomials of N = 4 and 8 states, and ``normalization_factor`` at
@@ -68,6 +69,10 @@ def _blochs(rng, rows: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _factored_modular(i, s, r, f, a):
+    return mg.factored_modular_value(i, s, r, f, alpha=a, beta=0.3, eigenvalue=1.0)
+
+
 def entry_points():
     """``(name, function, argument tuples)`` for every timed entry point."""
     rng = np.random.default_rng(0)
@@ -102,12 +107,15 @@ def entry_points():
         # modular core's contract asks.
         triples = [(_blochs(rng, m), _bloch(rng), _bloch(rng)) for _ in range(CALLS)]
         angles = rng.uniform(-3, 3, size=CALLS).tolist()
+        rotated = [(i, np.array([mg.rodrigues_rotate(p, r, a) for p in i]), r, f, a)
+                   for (i, r, f), a in zip(triples, angles)]
         yield (f"factored.weak.m{m}", mg.factored_weak_value, triples)
-        yield (f"factored.modular.m{m}",
-               lambda i, s, r, f, a: mg.factored_modular_value(i, s, r, f, alpha=a, beta=0.3,
-                                                               eigenvalue=1.0),
-               [(i, np.array([mg.rodrigues_rotate(p, r, a) for p in i]), r, f, a)
-                for (i, r, f), a in zip(triples, angles)])
+        yield (f"factored.modular.m{m}", _factored_modular, rotated)
+        # The same calls with the per-factor records read, as the CLI reads them.
+        yield (f"factored.weak.m{m}.factors",
+               lambda i, r, f: mg.factored_weak_value(i, r, f)[1].factors, triples)
+        yield (f"factored.modular.m{m}.factors",
+               lambda *a: _factored_modular(*a)[1].factors, rotated)
     # Sets of 1024 points and two vectors that no line times: older checkouts
     # time batch kernels on them, and the lines below keep their inputs.
     for _ in range(CALLS):
