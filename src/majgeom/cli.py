@@ -179,7 +179,8 @@ def _complex_matrix(raw, name: str, dim: int | None = None) -> np.ndarray:
         raise ScenarioInvalid("matrix must be a square grid of [re, im] pairs")
     if dim is not None and arr.shape[0] != dim:
         raise ScenarioInvalid(f"expected a {dim}x{dim} matrix")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part, refused downstream
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def _states(doc: dict, keys: tuple[str, ...], dim: int | None = None) -> list[np.ndarray]:

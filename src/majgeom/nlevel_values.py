@@ -141,11 +141,11 @@ def weak_value_direct(psi_i, observable, psi_f) -> PolarComplex:
     si, sf, overlap = _validated_pair(psi_i, psi_f)
     a = _observable(observable, len(si))
     _check_hermitian(a)
+    ir, ii = [z.real for z in si], [z.imag for z in si]
     image = []  # A|i>, row by row: _inner of the conjugated row, in its order
-    for row in a.tolist():
+    for row_re, row_im in zip(a.real.tolist(), a.imag.tolist()):
         re = im = 0.0
-        for x, k in zip(row, si):
-            ar, ai, kr, ki = x.real, x.imag, k.real, k.imag
+        for ar, ai, kr, ki in zip(row_re, row_im, ir, ii):
             re += ar * kr - ai * ki
             im += ar * ki + ai * kr
         image.append(complex(re, im))
@@ -225,14 +225,53 @@ def _permutation_table(m: int) -> np.ndarray:
     return np.ascontiguousarray(flat.reshape(count, m).T)
 
 
+@functools.lru_cache(maxsize=None)
+def _prefix_levels(m: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
+    """Level by level, the flat ``(m, m)`` indices :func:`_pairing_costs`
+    gathers: for each length-(k+1) lexicographic prefix, in order, the entry
+    ``(k, last element)``, which is the table's row k at every
+    ``(m-1-k)!``-th column.  Level 0 is the first m indices; for each level
+    k >= 1 the tuple gives the children per parent prefix (m - k) and the
+    level's slice."""
+    table = _permutation_table(m)
+    index, levels, start = [], [], 0
+    for k in range(m):
+        images = table[k, ::math.factorial(m - 1 - k)].astype(np.intp)
+        index.append(k * m + images)
+        if k:
+            levels.append((m - k, start, start + images.size))
+        start += images.size
+    return np.concatenate(index), tuple(levels)
+
+
+def _pairing_costs(angles: np.ndarray) -> np.ndarray:
+    """The summed angle of every pairing of an ``(m, m)`` angle matrix, one
+    per column of :func:`_permutation_table`: ``angles[k, p[k]]`` added from
+    0 in row order k = 0..m-1, as a loop over the table's rows adds them.
+    Pairings that share a prefix share its partial sum, so level k's partials
+    are the parent partials, each repeated once per child, plus row k's
+    angle; the m! costs take sum_k m!/(m-k)! additions, not m*m!."""
+    m = len(angles)
+    index, levels = _prefix_levels(m)
+    gathered = angles.take(index)
+    costs = gathered[:m] + 0.0  # level 0, added to 0 as every sum starts
+    for children, start, stop in levels:
+        if children > 1:  # a last-level prefix has one child: itself
+            costs = costs.repeat(children)
+        costs = costs + gathered[start:stop]
+    return costs
+
+
 def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Reorder ``second`` to minimize the summed great-circle distance to
     ``first``.
 
-    All permutations are scored at once.  ``second`` keeps its order unless
-    the cheapest pairing is shorter than the identity by more than
-    ``_PAIRING_TIE_SLACK``; then the first cheapest pairing (in lexicographic
-    order) is returned.  Only sums over the paired polygons are
+    All m! permutations are scored, each cost summed from 0 in row order
+    over its paired angles (:func:`_pairing_costs`, which shares the partial
+    sums of permutations with a common lexicographic prefix).  ``second``
+    keeps its order unless the cheapest pairing is shorter than the identity
+    by more than ``_PAIRING_TIE_SLACK``; then the first cheapest pairing (in
+    lexicographic order) is returned.  Only sums over the paired polygons are
     contract-bearing.  Both sets are ``(m, 3)``, 1 <= m <= 7, checked before
     any m!-sized work; their rows are not.
     """
@@ -241,11 +280,8 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError("point sets must have matching shapes")
     _point_array(a)
-    angles = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
+    costs = _pairing_costs(np.arccos(np.clip(a @ b.T, -1.0, 1.0)))
     table = _permutation_table(a.shape[0])
-    costs = np.zeros(table.shape[1])
-    for row, images in zip(angles, table):
-        costs += row.take(images)
     best = int(costs.argmin())  # column 0 of the table is the identity
     if not costs[best] < costs[0] - _PAIRING_TIE_SLACK:  # False for NaN too
         best = 0

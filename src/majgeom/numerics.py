@@ -320,7 +320,9 @@ def hermiticity_defect(matrix) -> float:
 
 def _defect(m: np.ndarray, h: np.ndarray) -> float:
     """``max |m - h|`` of a square complex array and its conjugate transpose."""
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN; callers refuse a non-finite defect
+    # inf - inf is NaN and a difference near the largest float overflows to
+    # inf; callers refuse a non-finite defect.
+    with np.errstate(invalid="ignore", over="ignore"):
         return float(abs(m - h).max())
 
 

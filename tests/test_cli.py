@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import re
@@ -6,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_state, run_python
-from majgeom.cli import main
+from majgeom.cli import main, run
 from majgeom.experiments import SCAN_CHI1, SCAN_CHI2, SCAN_EPSILON
 from majgeom.nlevel_values import GellMannDirection, NLevelModularSpec, modular_value_direct
 
@@ -1141,19 +1146,22 @@ class TestStderr:
         assert captured.err == warning
 
     def test_inf_observable_entry_writes_no_warning(self, capsys, tmp_path):
-        observable = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
-        observable[1][1] = [math.inf, 0.0]
-        scenario = write_scenario(tmp_path, {
-            "i": amplitudes(np.ones(3) / SQ3),
-            "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3),
-            "kind": "weak", "observable": observable})
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = main(["nlevel-direct", "--scenario", scenario])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert json.loads(captured.out)["error"]["type"] == "NotHermitian"
-        assert (captured.err, caught) == ("", [])
+        # An infinite real or imaginary part (1j * inf has a NaN real part),
+        # and an imaginary part whose difference from its conjugate overflows.
+        for entry in ([math.inf, 0.0], [0.0, math.inf], [0.0, 1e308]):
+            observable = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+            observable[1][1] = entry
+            scenario = write_scenario(tmp_path, {
+                "i": amplitudes(np.ones(3) / SQ3),
+                "f": amplitudes(np.array([1.0, -1.0, 1.0]) / SQ3),
+                "kind": "weak", "observable": observable})
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["nlevel-direct", "--scenario", scenario])
+            captured = capsys.readouterr()
+            assert code == 2, entry
+            assert json.loads(captured.out)["error"]["type"] == "NotHermitian", entry
+            assert (captured.err, caught) == ("", []), entry
 
     @pytest.mark.parametrize("command, state, message", [
         ("qutrit-weak", [[0.5, 1e300], [0.0, 0.0], [0.0, 0.0]],
@@ -1197,3 +1205,115 @@ def test_readme_scenario_runs(capsys, tmp_path, doc):
     code, out = run_cli(capsys, command, "--scenario", str(path))
     assert code == 0, out
     assert json.loads(out)["mismatch"] is False
+
+
+# Leaves and subtrees the contract property puts in place of a scenario node:
+# signed zeros, the float extremes, non-finite numbers and the wrong JSON types.
+HOSTILE = (0, -0.0, 1e308, -1e308, 5e-324, math.nan, math.inf, -math.inf,
+           "0.5", None, True, [], {})
+# A Hermitian 3x3 observable as [re, im] pairs.
+OBSERVABLE = [[[1.0, 0.0], [0.5, -0.25], [0.0, 0.0]],
+              [[0.5, 0.25], [-0.5, 0.0], [0.0, 1.0]],
+              [[0.0, 0.0], [0.0, -1.0], [0.25, 0.0]]]
+
+
+def contract_bases():
+    """Valid scenario documents of the commands the contract property runs."""
+    triple = json.loads((DATA / "qutrit_triple.scenario.json").read_text())
+    pair = {key: triple[key] for key in ("version", "i", "f")}
+    readme = readme_scenarios()
+    four = next(doc for doc in readme if len(doc.get("r", ())) == 4)
+    r8 = next(doc for doc in readme if "spec" in doc)  # real amplitudes: zeros to sign
+    return {
+        "qutrit-weak": [triple, four],
+        "qutrit-modular": [
+            json.loads((DATA / "qutrit_modular.scenario.json").read_text()), r8,
+            {**pair, "spec": {"observable": OBSERVABLE, "alpha": 0.7, "beta": -0.2,
+                              "eigen_choice": 1}},
+            {**pair, "spec": {"observable": OBSERVABLE, "theta": 0.4}},
+        ],
+        "nlevel-direct": [
+            {**pair, "kind": "weak", "observable": OBSERVABLE},
+            {**pair, "kind": "modular", "spec": {"observable": OBSERVABLE, "alpha": 0.7}},
+            {**r8, "kind": "modular"},
+        ],
+    }
+
+
+def node_paths(node, path=()):
+    """The key path of every node below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from node_paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, base):
+    """``base`` with up to three nodes replaced by a ``HOSTILE`` value, removed,
+    or (in a list) repeated, so lengths and shapes go wrong too, or with a
+    number negated, which keeps a state's norm and turns a zero's sign."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(node_paths(doc))
+        if not paths:
+            break
+        *head, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        leaf = parent[key]
+        number = isinstance(leaf, (int, float)) and not isinstance(leaf, bool)
+        action = draw(st.sampled_from(("negate",) * number + ("replace", "remove", "repeat")))
+        if action == "negate":
+            parent[key] = -float(leaf)
+        elif action == "replace":
+            parent[key] = draw(st.sampled_from(HOSTILE))
+        elif action == "remove":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        else:
+            parent[key] = [parent[key], copy.deepcopy(parent[key])]
+    return doc
+
+
+CONTRACT_BASES = contract_bases()
+
+
+class TestContractProperty:
+    """Mutated scenarios through :func:`majgeom.cli.run` in-process, with every
+    warning raised as an error: the exit code is 0, 2 or 3, stdout is one JSON
+    document (the error object unless the exit is 0), stderr holds nothing but
+    renormalization warnings, and a second run prints the same bytes."""
+
+    @staticmethod
+    def run_captured(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("command", CONTRACT_BASES)
+    def test_exit_code_document_and_bytes(self, tmp_path_factory, command):
+        path = tmp_path_factory.mktemp("contract") / "scenario.json"
+        modes = st.just(()) if command == "nlevel-direct" else st.sampled_from(
+            ("both", "geometric", "direct")).map(lambda mode: ("--mode", mode))
+
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.sampled_from(CONTRACT_BASES[command]).flatmap(mutated), modes)
+        def check(doc, mode):
+            path.write_text(json.dumps(doc))
+            argv = [command, "--scenario", str(path), *mode]
+            code, out, err = self.run_captured(argv)
+            assert code in (0, 2, 3), out
+            envelope = json.loads(out)
+            assert ("error" in envelope) == (code != 0), out
+            assert all(line.startswith("warning: state ") for line in err.splitlines()), err
+            assert self.run_captured(argv) == (code, out, err)
+
+        check()

@@ -1506,6 +1506,75 @@ class TestPairPoints:
             pair_points(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
+def table_costs(angles):
+    """The m*m! reference scoring: zero costs plus row k's angles gathered
+    through the permutation table's row k, one row at a time."""
+    table = majgeom.nlevel_values._permutation_table(len(angles))
+    costs = np.zeros(table.shape[1])
+    for row, images in zip(angles, table):
+        costs += row.take(images)
+    return costs
+
+
+# Angle entries and point coordinates that stress the sums: signed zeros, the
+# ends of arccos's range, NaN and infinities among ordinary values.
+cost_entry = st.one_of(st.sampled_from([0.0, -0.0, math.pi, math.nan, math.inf, -math.inf]),
+                       st.floats(0.0, math.pi))
+coordinate = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf]),
+                       st.floats(-1.0, 1.0))
+
+
+@st.composite
+def point_set(draw, m):
+    """m rows of three coordinates: all one point, or rows drawn anew or
+    repeated from earlier ones."""
+    rows = [[draw(coordinate) for _ in range(3)]]
+    coincident = draw(st.booleans())
+    for _ in range(m - 1):
+        if coincident or draw(st.booleans()):
+            rows.append(draw(st.sampled_from(rows)))
+        else:
+            rows.append([draw(coordinate) for _ in range(3)])
+    return np.array(rows)
+
+
+def bits(values):
+    """The bit patterns of ``values``, every NaN as numpy's ``nan``: which
+    operand's NaN an addition keeps varies between numpy's add loops, so the
+    costs' NaN signs and payloads are not part of the pinned result."""
+    return np.where(np.isnan(values), np.nan, values).view(np.uint64).tolist()
+
+
+class TestPairingCosts:
+    """The prefix-sum scoring against the m*m! table scoring, bit for bit, at
+    m = 1..7."""
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 7).flatmap(lambda m: st.lists(
+        st.lists(cost_entry, min_size=m, max_size=m), min_size=m, max_size=m)))
+    def test_angle_matrix(self, rows):
+        angles = np.array(rows)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            costs, reference = majgeom.nlevel_values._pairing_costs(angles), table_costs(angles)
+        assert bits(costs) == bits(reference)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 7).flatmap(lambda m: st.tuples(point_set(m), point_set(m))))
+    def test_point_sets(self, sets):
+        # The angles pair_points scores, and the pairing the table's costs pick.
+        first, second = sets
+        with np.errstate(invalid="ignore"):  # inf * 0 in the products
+            angles = np.arccos(np.clip(first @ second.T, -1.0, 1.0))
+            paired = pair_points(first, second)
+        reference = table_costs(angles)
+        assert bits(majgeom.nlevel_values._pairing_costs(angles)) == bits(reference)
+        best = int(reference.argmin())
+        if not reference[best] < reference[0] - majgeom.numerics._PAIRING_TIE_SLACK:
+            best = 0
+        table = majgeom.nlevel_values._permutation_table(len(first))
+        assert bits(paired.ravel()) == bits(second.take(table[:, best], axis=0).ravel())
+
+
 class TestABL:
     def test_three_box_single_box_context(self):
         psi_i = np.ones(3) / SQ3

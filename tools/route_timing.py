@@ -19,7 +19,8 @@ its breakdown's ``factors`` read (the lines ending ``.factors``).  Last come
 the numerics kernels under the value routes: ``eig_hermitian`` at N = 3, 5
 and 8, ``hermiticity_defect`` at N = 3 and 8, ``solve_polynomial`` on the
 stellar polynomials of N = 4 and 8 states, and ``normalization_factor`` at
-m = 2, 4 and 7 points.  Only public
+m = 2, 4 and 7 points; after the scan, ``pair_points`` on two random sets of
+m = 2, 5 and 7 points, drawn after every other line's inputs.  Only public
 names are called, so the script runs unchanged on older checkouts: to
 compare two, run it in each checkout alternately, a few times, and compare
 the smallest figure of each line.
@@ -47,6 +48,7 @@ EIGH_LEVELS = (3, 5, 8)
 DEFECT_LEVELS = (3, 8)
 POLYNOMIAL_LEVELS = (4, 8)  # N of the stellar polynomial, of degree N - 1
 ROWS = 1024  # rows of the untimed point sets drawn before symmetrize's
+PAIRED = (2, 5, 7)  # point counts of the sets given to pair_points
 
 
 def _state(rng, n: int) -> np.ndarray:
@@ -138,6 +140,9 @@ def entry_points():
                [(_blochs(rng, m),) for _ in range(CALLS)])
     yield ("singularity_scan.count512.ms", lambda: mg.singularity_scan(count=512),
            [()] * CALLS)
+    for m in PAIRED:  # drawn after everything above, so older lines keep their inputs
+        yield (f"pair_points.m{m}", mg.nlevel_values.pair_points,
+               [(_blochs(rng, m), _blochs(rng, m)) for _ in range(CALLS)])
 
 
 def per_call(fn, args: list[tuple]) -> float:
