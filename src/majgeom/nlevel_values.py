@@ -20,7 +20,7 @@ import numpy as np
 
 from .bloch import _bloch_vector, _modular_factors, _weak_factors
 from .canonical import _NORTH, _frame, _frame_points
-from .errors import IncompleteContext, ZeroDenominator
+from .errors import IncompleteContext, UndefinedSolidAngle, ZeroDenominator
 from .majorana import _point_array, _point_rows, _unit_state
 from .numerics import (
     _CONTEXT_SLACK,
@@ -262,6 +262,17 @@ def _pairing_costs(angles: np.ndarray) -> np.ndarray:
     return costs
 
 
+def _point_sets(first, second) -> tuple[np.ndarray, np.ndarray]:
+    """Two point sets as float arrays of one shape, the first checked for its
+    shape and count by :func:`_point_array`; no row is checked."""
+    a = np.asarray(first, dtype=float)
+    b = np.asarray(second, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("point sets must have matching shapes")
+    _point_array(a)
+    return a, b
+
+
 def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Reorder ``second`` to minimize the summed great-circle distance to
     ``first``.
@@ -273,14 +284,13 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     by more than ``_PAIRING_TIE_SLACK``; then the first cheapest pairing (in
     lexicographic order) is returned.  Only sums over the paired polygons are
     contract-bearing.  Both sets are ``(m, 3)``, 1 <= m <= 7, checked before
-    any m!-sized work; their rows are not.
+    any m!-sized work; their rows are not: a non-finite or overflowing row
+    gives NaN or clipped costs silently, and an all-NaN cost keeps the order.
     """
-    a = np.asarray(first, dtype=float)
-    b = np.asarray(second, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("point sets must have matching shapes")
-    _point_array(a)
-    costs = _pairing_costs(np.arccos(np.clip(a @ b.T, -1.0, 1.0)))
+    a, b = _point_sets(first, second)
+    with np.errstate(invalid="ignore", over="ignore"):
+        angles = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
+    costs = _pairing_costs(angles)
     table = _permutation_table(a.shape[0])
     best = int(costs.argmin())  # column 0 of the table is the identity
     if not costs[best] < costs[0] - _PAIRING_TIE_SLACK:  # False for NaN too
@@ -327,23 +337,32 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     ``i`` evolved by a unitary with the coherent state at ``r`` as an
     eigenvector, so ``|<r|s>| = |<r|i>|``.  A pair with an undefined
     quadrangle (``s_k`` antipodal to ``f``) is an exact zero, as in
-    :func:`factored_weak_value`.  ``s`` is paired to ``i``, then each set is
-    validated once (``s`` first, then ``i``, ``r`` and ``f``);
-    :func:`qutrit_modular_value_geometric` ends in the same core.
+    :func:`factored_weak_value`.
+
+    The value is computed on the rows in the order given: neither the
+    product of the moduli nor the summed angle (mod 4*pi) depends on which
+    ``s_k`` goes with which ``i_k``.  Only the breakdown's ``factors`` do:
+    they pair ``s`` to ``i`` by :func:`pair_points` of the sets as given
+    (copied here) when first read.  Where a quadrangle of the given order is
+    undefined with a non-zero modulus (``s_k`` antipodal to ``i_k``), the
+    value is computed on the paired rows instead.  The shapes are checked to
+    match first, then ``i``'s shape and count, then ``s``'s rows, ``i``'s
+    rows, ``r`` and ``f``; :func:`qutrit_modular_value_geometric` ends in the
+    same core.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
-    vs = _point_rows(pair_points(i_points, s_points))
-    vi = _point_rows(i_points)
+    a, b = _point_sets(np.array(i_points, dtype=float), np.array(s_points, dtype=float))
+    vs, vi = _point_rows(b), _point_rows(a)
     phase = alpha * (len(vi) / 2.0) * eigenvalue
     _check_finite(dynamical_phase=phase)
-    return _paired_modular_value(vi, vs, _bloch_vector(r_point), _bloch_vector(f_point),
-                                 beta, phase)
+    return _modular_value(vi, vs, _bloch_vector(r_point), _bloch_vector(f_point), beta, phase,
+                          paired=lambda: _paired_rows(a, b, _point_rows))
 
 
-def _paired_modular_value(vi, vs, vr, vf, beta: float, phase: float,
-                          k_ratio: float | None = None):
-    """The modular value of unit rows of Python floats in one frame, ``vs``
-    paired to ``vi`` and both held by the breakdown, with the dynamical phase
+def _modular_value(vi, vs, vr, vf, beta: float, phase: float,
+                   k_ratio: float | None = None, paired=None):
+    """The modular value of unit rows of Python floats in one frame, ``vs`` in
+    the order given and both held by the breakdown, with the dynamical phase
     ``arg(exp(1j*beta) exp(-1j*phase))``: each angle is reduced exactly, as
     the direct routes' exponentials reduce it, so the phase's rounding does
     not grow with their size.
@@ -352,10 +371,23 @@ def _paired_modular_value(vi, vs, vr, vf, beta: float, phase: float,
     ``vr``.  The coherent state at ``r`` is an eigenvector of the evolution, so
     ``|<r|s>| = |<r|i>|``, and ``<r|psi> = K m! prod_k <r|q_k>`` with
     ``|<r|q_k>| = |r+q_k|/2``: K_s / K_i is ``prod_k |r+i_k| / prod_k |r+s_k|``,
-    whatever the pairing, from the projections ``|r+i_k|^2/2`` and
+    whatever the order, from the projections ``|r+i_k|^2/2`` and
     ``|r+s_k|^2/2`` that the kernel pass forms for the (i_k, r, s_k) triangles.
+
+    ``paired``, when given, returns the rows of ``vs`` paired to ``vi``, or
+    ``None`` where the pairing keeps them: the breakdown's ``factors`` are
+    built on them when first read, and the value is computed on them where a
+    quadrangle of the given order is undefined with a non-zero modulus.
+    Without it, or where it keeps the rows, the factors are the value's
+    columns.
     """
-    moduli, omegas, ri, rs = _modular_factors(vi, vr, vs, vf)
+    try:
+        moduli, omegas, ri, rs = _modular_factors(vi, vr, vs, vf)
+    except UndefinedSolidAngle:
+        rows = None if paired is None else paired()
+        if rows is None:
+            raise
+        return _modular_value(vi, rows, vr, vf, beta, phase, k_ratio)
     if k_ratio is None:
         num, den = math.prod(ri), math.prod(rs)
         ratio = num / den if den else math.inf
@@ -365,8 +397,28 @@ def _paired_modular_value(vi, vs, vr, vf, beta: float, phase: float,
     breakdown = GeometricBreakdown(
         moduli, omegas, vi, vs,
         dynamical_phase=cmath.phase(cmath.exp(1j * beta) * cmath.exp(-1j * phase)),
-        k_ratio=k_ratio)
+        k_ratio=k_ratio,
+        _paired_columns=None if paired is None else lambda: _paired_columns(
+            vi, vr, vf, paired, (moduli, omegas, vs)))
     return breakdown.to_polar(), breakdown
+
+
+def _paired_columns(vi, vr, vf, paired, columns):
+    """The moduli, solid angles and ``s`` rows of the factors of ``vi`` and the
+    rows ``paired()`` returns, from one kernel pass; ``columns`` where it
+    keeps the rows they were computed from, as the kernel runs row by row."""
+    vs = paired()
+    if vs is None:
+        return columns
+    moduli, omegas, _, _ = _modular_factors(vi, vr, vs, vf)
+    return moduli, omegas, vs
+
+
+def _paired_rows(first: np.ndarray, second: np.ndarray, unit):
+    """``unit`` of :func:`pair_points` of the two sets, or ``None`` where the
+    pairing keeps ``second``'s rows bit for bit."""
+    paired = pair_points(first, second)
+    return None if paired.tobytes() == second.tobytes() else unit(paired)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
@@ -388,13 +440,16 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     The anchor eigenvector is canonicalized together with the final state;
     the initial state and its evolution ``exp(-1j*s*A)``, applied to the
     vector from the one eigendecomposition of the observable, are pushed
-    through the frame and their points read off.  ``s`` is paired to ``i`` and
-    the points go through the core that :func:`factored_modular_value` calls
-    once it has validated, with K_s / K_i read off the anchor.  The
-    dynamical phase is ``beta - s*eigenvalue`` reduced to (-pi, pi], each
-    term reduced exactly as :func:`modular_value_direct`'s ``exp`` reduces
-    it.  The selections are validated once, and nothing the route makes is
-    validated or renormalized again.
+    through the frame and their points read off.  The points go, in the
+    sorted order the frame gives them, through the core that
+    :func:`factored_modular_value` calls once it has validated, with
+    K_s / K_i read off the anchor: the value is not paired, and the
+    breakdown's ``factors`` pair the frame's ``s`` points to its ``i`` points
+    by :func:`pair_points` when first read.  The dynamical phase is
+    ``beta - s*eigenvalue`` reduced to (-pi, pi], each term reduced exactly as
+    :func:`modular_value_direct`'s ``exp`` reduces it.  The selections are
+    validated once, and nothing the route makes is validated or renormalized
+    again.
     """
     si, sf, _ = _validated_pair(psi_i, psi_f)
     dim = len(si)
@@ -405,28 +460,31 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     strength = _evolution_strength(spec, dim)
     to_frame, f_vec, _ = _frame(evecs[:, index].tolist(), sf)
     vi = _frame_points(to_frame(si))
-    vs = pair_points(vi, _frame_points(to_frame(_evolved(si, evals, evecs, strength)))).tolist()
-    return _paired_modular_value(vi, vs, _NORTH, f_vec, spec.beta,
-                                 strength * float(evals[index]))
+    vs = _frame_points(to_frame(_evolved(si, evals, evecs, strength)))
+    return _modular_value(vi, vs, _NORTH, f_vec, spec.beta, strength * float(evals[index]),
+                          paired=lambda: _paired_rows(np.array(vi), np.array(vs),
+                                                      np.ndarray.tolist))
 
 
 def _check_context(projectors, dim: int) -> list[np.ndarray]:
     mats = [np.asarray(p, dtype=complex) for p in projectors]
     if not mats:
         raise IncompleteContext("context must contain at least one projector")
-    for p in mats:
-        if p.shape != (dim, dim):
-            raise IncompleteContext("projector dimension does not match the states")
-        if not hermiticity_defect(p) <= DEFAULT_TOL.unitarity:  # NaN and inf fail too
-            raise IncompleteContext("context contains a non-Hermitian element")
-        if float(np.max(np.abs(p @ p - p))) > _CONTEXT_SLACK:
-            raise IncompleteContext("context contains a non-idempotent element")
-    for a, b in itertools.combinations(mats, 2):
-        if float(np.max(np.abs(a @ b))) > _CONTEXT_SLACK:
-            raise IncompleteContext("context projectors are not mutually orthogonal")
-    total = sum(mats)
-    if float(np.max(np.abs(total - np.eye(dim)))) > _CONTEXT_SLACK:
-        raise IncompleteContext("context projectors do not sum to the identity")
+    # A product or sum that overflows makes an inf or NaN defect, refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p in mats:
+            if p.shape != (dim, dim):
+                raise IncompleteContext("projector dimension does not match the states")
+            if not hermiticity_defect(p) <= DEFAULT_TOL.unitarity:  # NaN and inf fail too
+                raise IncompleteContext("context contains a non-Hermitian element")
+            if not float(np.max(np.abs(p @ p - p))) <= _CONTEXT_SLACK:
+                raise IncompleteContext("context contains a non-idempotent element")
+        for a, b in itertools.combinations(mats, 2):
+            if not float(np.max(np.abs(a @ b))) <= _CONTEXT_SLACK:
+                raise IncompleteContext("context projectors are not mutually orthogonal")
+        total = sum(mats)
+        if not float(np.max(np.abs(total - np.eye(dim)))) <= _CONTEXT_SLACK:
+            raise IncompleteContext("context projectors do not sum to the identity")
     return mats
 
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,12 +58,19 @@ class GeometricBreakdown:
     """Factored form of a weak or modular value, held as the factor kernel's
     columns.
 
-    ``moduli`` and ``angles`` are the factors' modulus ratios and solid
-    angles; ``i_rows`` (and, for modular values, ``s_rows``) their points as
-    rows of three Python floats.  Recombination contract: the total modulus is
-    ``k_ratio * math.prod(moduli)`` and the total argument
-    ``dynamical_phase - sum(angles)/2``, each taken over the factors in order.
-    ``factors`` is built from the columns when it is first read.
+    ``moduli`` and ``angles`` are the modulus ratios and solid angles the
+    value was computed from; ``i_rows`` (and, for modular values, ``s_rows``)
+    their points as rows of three Python floats.  Recombination contract: the
+    total modulus is ``k_ratio * math.prod(moduli)`` and the total argument
+    ``dynamical_phase - sum(angles)/2``, each taken over the columns in order.
+
+    ``factors`` is built when it is first read.  Without the private
+    ``_paired_columns`` it is the columns, one record per row.  With it, as
+    for an N-level modular value whose ``s`` rows are held in the order the
+    route had them, it is the paired picture: ``_paired_columns()`` returns
+    the moduli, angles and ``s`` rows of ``s`` paired to ``i``, whose moduli
+    multiply and whose angles sum to the value's only to rounding and mod
+    4*pi.
     """
 
     moduli: list[float]
@@ -71,15 +79,21 @@ class GeometricBreakdown:
     s_rows: list[list[float]] | None = None
     dynamical_phase: float = 0.0
     k_ratio: float = 1.0
+    _paired_columns: Callable[[], tuple[list, list, list]] | None = field(default=None,
+                                                                         repr=False)
 
     @functools.cached_property
     def factors(self) -> tuple[GeometricFactor, ...]:
         """One :class:`GeometricFactor` per factor; its points are rows of one
         float array per point set."""
+        if self._paired_columns is None:
+            moduli, angles, s_rows = self.moduli, self.angles, self.s_rows
+        else:
+            moduli, angles, s_rows = self._paired_columns()
         points = [np.array(self.i_rows, dtype=float)]
-        if self.s_rows is not None:
-            points.append(np.array(self.s_rows, dtype=float))
-        return tuple(map(GeometricFactor, self.moduli, self.angles, *points))
+        if s_rows is not None:
+            points.append(np.array(s_rows, dtype=float))
+        return tuple(map(GeometricFactor, moduli, angles, *points))
 
     @property
     def modulus(self) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vector, _rotate, _unit_qubit, as_bloch
-from .nlevel_values import _factored_weak_value, _paired_modular_value
+from .nlevel_values import _factored_weak_value, _modular_value
 from .numerics import (
     DEFAULT_TOL,
     _check_finite,
@@ -109,7 +109,7 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
     """
     vi, vr, vf = _bloch_vector(i), spec.axis.tolist(), _bloch_vector(f)
     vs = _rotate(vi, vr, spec.alpha)
-    return _paired_modular_value([vi], [vs], vr, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
+    return _modular_value([vi], [vs], vr, vf, 0.5 * spec.beta, 0.5 * spec.alpha, 1.0)
 
 
 def observable_to_modular_spec(observable, theta: float) -> QubitModularSpec:

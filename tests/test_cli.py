@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import functools
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_state, run_python
+import majgeom.cli
 from majgeom.cli import main, run
 from majgeom.experiments import SCAN_CHI1, SCAN_CHI2, SCAN_EPSILON
 from majgeom.nlevel_values import GellMannDirection, NLevelModularSpec, modular_value_direct
@@ -1222,9 +1224,17 @@ def contract_bases():
     triple = json.loads((DATA / "qutrit_triple.scenario.json").read_text())
     pair = {key: triple[key] for key in ("version", "i", "f")}
     readme = readme_scenarios()
+    bloch = next(doc for doc in readme if isinstance(doc["i"], dict))
     four = next(doc for doc in readme if len(doc.get("r", ())) == 4)
     r8 = next(doc for doc in readme if "spec" in doc)  # real amplitudes: zeros to sign
+    half = math.sqrt(0.5)
+    qubits = {"version": 1, "i": [[0.6, 0.0], [0.0, 0.8]], "r": [[half, 0.0], [0.0, -half]],
+              "f": [[0.8, 0.0], [-0.36, 0.48]]}
+    rotation = {"axis": [0.0, 0.6, 0.8], "alpha": 0.9, "beta": -0.2}
     return {
+        "qubit-weak": [bloch, qubits],
+        "qubit-modular": [{**bloch, "spec": rotation},
+                          {**qubits, "spec": {**rotation, "axis": [1.0, 0.0, 0.0]}}],
         "qutrit-weak": [triple, four],
         "qutrit-modular": [
             json.loads((DATA / "qutrit_modular.scenario.json").read_text()), r8,
@@ -1237,6 +1247,12 @@ def contract_bases():
             {**pair, "kind": "modular", "spec": {"observable": OBSERVABLE, "alpha": 0.7}},
             {**r8, "kind": "modular"},
         ],
+        "majorana": [{"version": 1, "state": triple["i"]}, {"version": 1, "state": four["r"]},
+                     {"version": 1, "state": bloch["r"]}],
+        "canonicalize": [triple, four],
+        "abl": [{**pair, "projectors": [[[[float(j == k == n), 0.0] for k in range(3)]
+                                         for j in range(3)] for n in range(3)]},
+                {**pair, "projectors": [OBSERVABLE]}],
     }
 
 
@@ -1285,7 +1301,8 @@ CONTRACT_BASES = contract_bases()
 class TestContractProperty:
     """Mutated scenarios through :func:`majgeom.cli.run` in-process, with every
     warning raised as an error: the exit code is 0, 2 or 3, stdout is one JSON
-    document (the error object unless the exit is 0), stderr holds nothing but
+    document (the error object unless the exit is 0) or, for ``--format csv``
+    and exit 0, a ``field,value`` table, stderr holds nothing but
     renormalization warnings, and a second run prints the same bytes."""
 
     @staticmethod
@@ -1297,22 +1314,34 @@ class TestContractProperty:
                 code = run(argv)
         return code, out.getvalue(), err.getvalue()
 
+    @staticmethod
+    def check_table(out):
+        lines = out.splitlines()
+        assert out.endswith("\n") and lines[0] == "field,value", out
+        assert all(len(line.split(",")) == 2 for line in lines[1:]), out
+
     @pytest.mark.parametrize("command", CONTRACT_BASES)
-    def test_exit_code_document_and_bytes(self, tmp_path_factory, command):
+    def test_exit_code_document_and_bytes(self, tmp_path_factory, monkeypatch, command):
+        # One parser serves every run: building it is most of an in-process run.
+        monkeypatch.setattr(majgeom.cli, "build_parser", functools.cache(majgeom.cli.build_parser))
         path = tmp_path_factory.mktemp("contract") / "scenario.json"
-        modes = st.just(()) if command == "nlevel-direct" else st.sampled_from(
-            ("both", "geometric", "direct")).map(lambda mode: ("--mode", mode))
+        modes = st.sampled_from(("both", "geometric", "direct")).map(
+            lambda mode: ("--mode", mode)) if command in VALUE_COMMANDS else st.just(())
+        formats = st.sampled_from(("json", "csv"))
 
         @settings(max_examples=150, deadline=None, derandomize=True, database=None,
                   suppress_health_check=[HealthCheck.too_slow])
-        @given(st.sampled_from(CONTRACT_BASES[command]).flatmap(mutated), modes)
-        def check(doc, mode):
+        @given(st.sampled_from(CONTRACT_BASES[command]).flatmap(mutated), modes, formats)
+        def check(doc, mode, fmt):
             path.write_text(json.dumps(doc))
-            argv = [command, "--scenario", str(path), *mode]
+            argv = [command, "--scenario", str(path), *mode, "--format", fmt]
             code, out, err = self.run_captured(argv)
             assert code in (0, 2, 3), out
-            envelope = json.loads(out)
-            assert ("error" in envelope) == (code != 0), out
+            if code == 0 and fmt == "csv":
+                self.check_table(out)
+            else:
+                envelope = json.loads(out)
+                assert ("error" in envelope) == (code != 0), out
             assert all(line.startswith("warning: state ") for line in err.splitlines()), err
             assert self.run_captured(argv) == (code, out, err)
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import ang_dist
 import majgeom
 from majgeom import bloch, experiments, majorana, numerics
 from majgeom.bloch import (
@@ -624,6 +625,94 @@ def modular_batches(draw):
             v = -f + draw(st.sampled_from([0.0, 1e-9]))
             s[k] = v / np.linalg.norm(v)
     return points, s, r, f
+
+
+@st.composite
+def reordered(draw, sets):
+    """A ``(points, s, r, f)`` case from ``sets`` with s's rows in a drawn
+    order; with one chance in four, every initial point is the first one."""
+    points, s, r, f = draw(sets)
+    if draw(st.integers(0, 3)) == 0:
+        points = np.repeat(points[:1], len(points), axis=0)
+    order = draw(st.permutations(range(len(s))))
+    return points, s[list(order)], r, f
+
+
+@st.composite
+def spin_rotations(draw):
+    """Initial points, each rotated rigidly about r by +-pi into s, and f."""
+    points, r, f = draw(triangle_batches())
+    alpha = draw(st.sampled_from([math.pi, -math.pi]))
+    return points, np.array([rodrigues_rotate(p, r, alpha) for p in points]), r, f
+
+
+def angle_rounding(points, s, r, f) -> float:
+    """A bound on the rounding of the value's argument with s's rows paired to
+    ``points`` in the order given: each triangle (a, b, c) of a quadrangle
+    (i, r, s_k) and (i, s_k, f) has ``y`` and ``x`` to a few units in the last
+    place, so its share of the argument errs by at most about
+    ``16 u / |x + iy|``, with ``|x + iy|^2 = 2 p_ab p_bc p_ca`` for the
+    projections ``p_ab = |a+b|^2/2``.  It is infinite at an antipode."""
+    def projection(a, b):
+        return 0.5 * float(np.dot(a + b, a + b))
+
+    u = np.finfo(float).eps / 2
+    total = 0.0
+    vr, vf = ref_as_bloch(r), ref_as_bloch(f)
+    for vi, vs in zip(units(points), units(s)):
+        for a, b, c in ((vi, vr, vs), (vi, vs, vf)):
+            size = math.sqrt(2.0 * projection(a, b) * projection(b, c) * projection(c, a))
+            total += 16.0 * u / size if size else math.inf
+    return total
+
+
+def same_value_any_order(points, s, r, f):
+    """The modular value of s's rows as given against the value of the same
+    rows paired to ``points``: the same refusal, or the same modulus to
+    1e-12 max(1, |A|) and the same argument (mod 2 pi) to that plus |A| times
+    both orders' :func:`angle_rounding`.  A paired order that is refused may
+    be answered in another order."""
+    def value(rows):
+        return factored_modular_value(points, rows, r, f, alpha=0.4, beta=0.2,
+                                      eigenvalue=1.0)[0]
+
+    paired = pair_points(points, s)
+    try:
+        want = value(paired)
+    except OrthogonalSelection:
+        with pytest.raises(OrthogonalSelection):
+            value(s)
+        return
+    except UndefinedSolidAngle:
+        return
+    got = value(s)
+    tol = 1e-12 * max(1.0, want.modulus)
+    assert abs(got.modulus - want.modulus) <= tol
+    if want.modulus:
+        rounding = angle_rounding(points, s, r, f) + angle_rounding(points, paired, r, f)
+        assert want.modulus * ang_dist(got.argument, want.argument) <= (
+            tol + want.modulus * min(rounding, math.pi))
+    else:
+        assert got.modulus == 0.0
+
+
+class TestUnpairedValue:
+    """``factored_modular_value`` computes the value on s's rows in the order
+    given: the modulus product and the summed solid angle (mod 4 pi) do not
+    depend on the pairing, so any order gives the paired rows' value to
+    rounding.  The argument's rounding grows where a triangle's vertices near
+    an antipode in either order, s_k near -i_k included (which pairing used
+    to avoid), and the bound grows with it."""
+
+    @KERNEL_SETTINGS
+    @given(case=reordered(modular_batches()))
+    def test_any_row_order(self, case):
+        same_value_any_order(*case)
+
+    @KERNEL_SETTINGS
+    @given(case=reordered(spin_rotations()))
+    def test_spin_rotation_by_pi(self, case):
+        same_value_any_order(*case)
 
 
 class TestFactoredValues:

@@ -800,7 +800,9 @@ class TestLargeEvolutionAngle:
 
 class TestCanonicalRoutesAreFactored:
     """The canonical-frame routes return, bit for bit, what the factored cores
-    return for the frame's own points, and the public ``factored_*`` of
+    return for the frame's own points (the modular route's value, K ratio and
+    dynamical phase are the core's on the rows as sorted, its factors the
+    core's on the paired rows), and the public ``factored_*`` of
     ``canonicalize_triple``'s points agree with them to 1e-12 relative.  The
     public functions renormalize the points once more; the gap that makes
     grows like ``1/|<f|i>|``, as the routes' own gap to the direct oracle
@@ -833,8 +835,13 @@ class TestCanonicalRoutesAreFactored:
             i_points, s_points, f_vec = self.frame_values(evecs, evals, si, sf, strength)
             paired = pair_points(i_points, s_points)
             reordered += not np.array_equal(paired, s_points)
-            assert value_bits(route) == value_bits(majgeom.nlevel_values._paired_modular_value(
-                i_points, paired, NORTH, f_vec, beta, strength * float(evals[-1])))
+            phase = strength * float(evals[-1])
+            # The value on the frame's rows as sorted; the factors on them paired.
+            core = majgeom.nlevel_values._modular_value
+            unpaired = value_bits(core(i_points, s_points, NORTH, f_vec, beta, phase))
+            assert value_bits(route)[:5] == unpaired[:5]
+            assert value_bits(route)[5] == value_bits(
+                core(i_points, paired, NORTH, f_vec, beta, phase))[5]
 
             if abs(np.vdot(sf, si)) < 0.1:
                 continue
@@ -1000,6 +1007,155 @@ class TestLazyBreakdown:
             assert factor_bits(breakdown.factors) == expected, k
             for a, b in zip(inputs, kept):
                 a[...] = b
+
+
+def paired_records(vi, vs_paired, vr, vf):
+    """The per-factor records of the paired construction the breakdown used
+    before its value was unpaired: one kernel pass over ``vi`` and the rows
+    paired to it, the zero-value rule applied, each point set one array."""
+    moduli, angles, _, _ = majgeom.bloch._modular_factors(vi, vr, vs_paired, vf)
+    return eager_factors(moduli, angles, vi, vs_paired)
+
+
+class TestUnpairedModularValue:
+    """Both N-level modular routes compute their value on s's rows in the
+    order they have them (the caller's, or the frame's sorted points) and pair
+    s to i only when the breakdown's ``factors`` are read; those records are
+    the paired construction's, bit for bit."""
+
+    @staticmethod
+    def core_cases(rng, n):
+        """``(value thunk, value on the rows as given, expected records)`` of
+        ``factored_modular_value`` on random sets of n - 1 points."""
+        rows, unit = majgeom.majorana._point_rows, majgeom.bloch._bloch_vector
+        points, s = random_points(rng, n - 1), random_points(rng, n - 1)
+        r, f = random_bloch(rng), random_bloch(rng)
+        phase = 0.7 * ((n - 1) / 2.0)
+        pi, vr, vf = rows(points), unit(r), unit(f)
+        return (lambda: factored_modular_value(points, s, r, f, alpha=0.7, beta=0.2,
+                                               eigenvalue=1.0),
+                majgeom.nlevel_values._modular_value(pi, rows(s), vr, vf, 0.2, phase),
+                paired_records(pi, rows(pair_points(points, s)), vr, vf))
+
+    @staticmethod
+    def route_cases(rng, n):
+        """The same for ``qutrit_modular_value_geometric`` of random states,
+        on the frame's points as the route reads them off."""
+        psi_i, psi_f = random_state(rng, n), random_state(rng, n)
+        spec = NLevelModularSpec(observable=random_hermitian(rng, n), alpha=0.9, beta=-0.3)
+        si, sf = (majgeom.majorana._unit_state(v) for v in (psi_i, psi_f))
+        evals, evecs = majgeom.numerics._eigh(spec.observable)
+        strength = 0.9 * ((n - 1) / 2.0)
+        frame_i, frame_s, f_vec = TestCanonicalRoutesAreFactored.frame_values(
+            evecs, evals, si, sf, strength)
+        return (lambda: qutrit_modular_value_geometric(psi_i, spec, psi_f),
+                majgeom.nlevel_values._modular_value(frame_i, frame_s, NORTH, f_vec, -0.3,
+                                                     strength * float(evals[-1])),
+                paired_records(frame_i, pair_points(frame_i, frame_s), NORTH, f_vec))
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_factors_are_the_paired_records(self, n):
+        rng = np.random.default_rng(3300 + n)
+        for _ in range(10):
+            for route, unpaired, expected in (self.core_cases(rng, n),
+                                              self.route_cases(rng, n)):
+                value, breakdown = route()
+                assert (value.modulus.hex(), value.argument.hex(), breakdown.k_ratio.hex()) == (
+                    unpaired[0].modulus.hex(), unpaired[0].argument.hex(),
+                    unpaired[1].k_ratio.hex())
+                assert factor_bits(breakdown.factors) == factor_bits(expected)
+
+    def test_pairs_only_when_factors_are_read(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(majgeom.nlevel_values, "pair_points",
+                            counting(majgeom.nlevel_values.pair_points, calls))
+        rng = np.random.default_rng(3400)
+        for n in (2, 3, 5, 8):
+            for route, _, _ in (self.core_cases(rng, n), self.route_cases(rng, n)):
+                value, breakdown = route()
+                reads = (value.rect, breakdown.modulus, breakdown.raw_argument,
+                         breakdown.moduli, breakdown.angles, breakdown.s_rows,
+                         breakdown.to_polar())
+                assert reads[-1] == value and calls == []
+                factors = breakdown.factors
+                assert breakdown.factors is factors and calls == [n - 1]
+                calls.clear()
+
+    def test_row_order_antipode_is_answered(self, monkeypatch):
+        # Row order puts s_0 = -i_0, whose quadrangle has no defined area and a
+        # non-zero modulus; the pairing puts s_0 with i_1 instead, so the value
+        # is computed on the paired rows, the only pairing on the value path.
+        ex, ey, ez = np.eye(3)
+        points, s = np.array([ex, ey]), np.array([-ex, ez])
+        r, f = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0), np.array([-2.0, 1.0, 2.0]) / 3.0
+        assert np.array_equal(pair_points(points, s), s[::-1])
+
+        def value(rows):
+            return factored_modular_value(points, rows, r, f, alpha=0.3, beta=0.1,
+                                          eigenvalue=1.0)
+
+        expected = value_bits(value(s[::-1]))
+        calls = []
+        monkeypatch.setattr(majgeom.nlevel_values, "pair_points",
+                            counting(majgeom.nlevel_values.pair_points, calls))
+        result = value(s)
+        assert len(calls) == 1
+        assert value_bits(result) == expected
+        with pytest.raises(UndefinedSolidAngle):  # the kernel refuses that row order
+            majgeom.nlevel_values._modular_value(
+                *(majgeom.majorana._point_rows(a) for a in (points, s)),
+                majgeom.bloch._bloch_vector(r), majgeom.bloch._bloch_vector(f), 0.1, 0.3)
+
+    def test_row_order_near_antipode_loses_digits(self):
+        # With s_0 within d of -i_0 in row order the value is still answered,
+        # but its argument rounds like u/d where the paired rows' does not.
+        rng = np.random.default_rng(3500)
+        ex, ey, ez = np.eye(3)
+        points = np.array([ex, ey])
+        r, f = random_bloch(rng), random_bloch(rng)
+        for d, bound in ((1e-4, 1e-10), (1e-8, 1e-6)):
+            near = -ex + d * ez
+            s = np.array([near / np.linalg.norm(near), ez])
+            got, _ = factored_modular_value(points, s, r, f, alpha=0.3, beta=0.1,
+                                            eigenvalue=1.0)
+            want, _ = factored_modular_value(points, pair_points(points, s), r, f,
+                                             alpha=0.3, beta=0.1, eigenvalue=1.0)
+            assert abs(got.rect - want.rect) <= bound * max(1.0, want.modulus)
+
+    def test_shape_mismatch_refused_before_rows(self):
+        bad = np.full((2, 3), np.nan)
+        for i_points, s_points in ((bad, np.zeros((3, 3))), (np.zeros((3, 3)), bad),
+                                   (bad, bad[:, :2])):
+            with pytest.raises(ValueError, match="point sets must have matching shapes"):
+                factored_modular_value(i_points, s_points, NORTH, NORTH, alpha=0.3, beta=0.0,
+                                       eigenvalue=1.0)
+        # Then i's shape and count, then s's rows, then i's rows.
+        with pytest.raises(ValueError, match="expected an"):
+            factored_modular_value(np.zeros((2, 2)), np.zeros((2, 2)), NORTH, NORTH,
+                                   alpha=0.3, beta=0.0, eigenvalue=1.0)
+        poles = np.tile(NORTH, (MAX_LEVELS, 1))
+        with pytest.raises(ValueError, match="point count"):
+            factored_modular_value(poles, poles, NORTH, NORTH, alpha=0.3, beta=0.0,
+                                   eigenvalue=1.0)
+        with pytest.raises(ValueError, match="norm 2.0"):
+            factored_modular_value(np.array([[0.0, 0.0, 3.0]]), np.array([[0.0, 0.0, 2.0]]),
+                                   NORTH, NORTH, alpha=0.3, beta=0.0, eigenvalue=1.0)
+
+    def test_non_finite_row_refused_without_warning(self):
+        # The rows are checked before anything pairs them, and pair_points
+        # scores a non-finite or overflowing set silently (NaN costs keep the
+        # order).
+        inf = math.inf
+        points = np.array([[inf, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        s = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Bloch vector must be finite"):
+                factored_modular_value(points, s, NORTH, NORTH, alpha=0.3, beta=0.0,
+                                       eigenvalue=1.0)
+            assert np.array_equal(pair_points(points, s), s)
+            huge = np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 1.0]])
+            assert np.array_equal(pair_points(huge, huge[::-1]), huge)
 
 
 def anchored_observable(rng, r):
@@ -1315,7 +1471,7 @@ class TestAnchorRatio:
         monkeypatch.setattr(np, "vdot", refuse)
         rng = np.random.default_rng(8)
         vi, vs = random_points(rng, 4), random_points(rng, 4)
-        value, breakdown = majgeom.nlevel_values._paired_modular_value(
+        value, breakdown = majgeom.nlevel_values._modular_value(
             vi, vs, NORTH, random_bloch(rng), 0.3, 0.0)
         assert math.isfinite(value.modulus) and len(breakdown.factors) == 4
 
@@ -1576,6 +1732,18 @@ class TestPairingCosts:
 
 
 class TestABL:
+    @pytest.mark.parametrize("big", [
+        [[1.0, 0.0], [0.0, 1e308]],  # its square overflows to inf
+        [[1e308, 1e308], [1e308, -1e308]],  # inf - inf in its square: a NaN defect
+    ])
+    def test_overflowing_context_refused_without_warning(self, big):
+        psi = np.array([1.0, 0.0])
+        context = [np.array(big, dtype=complex), np.eye(2) - np.array(big)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IncompleteContext, match="non-idempotent"):
+                abl_distribution(psi, context, psi)
+
     def test_three_box_single_box_context(self):
         psi_i = np.ones(3) / SQ3
         psi_f = np.array([1.0, -1.0, 1.0]) / SQ3

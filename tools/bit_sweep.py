@@ -141,7 +141,8 @@ def modular_routes():
     """Both modular routes on one set of frame points: the geometric route, and
     the factored core given the points that route reads off (the frame of the
     anchor eigenvector, as ``numerics._eigh`` returns it without a gauge, and
-    of f, applied to i and to its evolution), so a split between the two shows."""
+    of f, applied to i and to its evolution) in their sorted order, with the
+    pairing the route gives its factors, so a split between the two shows."""
     rng = np.random.default_rng(606)
     for n in LEVELS:
         for _ in range(DRAWS):
@@ -155,12 +156,12 @@ def modular_routes():
             to_frame, f_vec, _ = canonical._frame(evecs[:, -1], sf)
             evolved = nlevel_values._evolved(si, evals, evecs, strength)
             i_points = mg.majorana_points(to_frame(si)).points
-            s_points = nlevel_values.pair_points(i_points,
-                                                 mg.majorana_points(to_frame(evolved)).points)
+            s_points = mg.majorana_points(to_frame(evolved)).points
             yield "nlevel.modular.routes", (
                 _outcome(mg.qutrit_modular_value_geometric, psi_i, spec, psi_f) + "|"
-                + _outcome(nlevel_values._paired_modular_value, i_points, s_points,
-                           canonical._NORTH, f_vec, beta, strength * float(evals[-1])))
+                + _outcome(nlevel_values._modular_value, i_points, s_points,
+                           canonical._NORTH, f_vec, beta, strength * float(evals[-1]),
+                           paired=lambda: nlevel_values.pair_points(i_points, s_points)))
 
 
 def stellar():

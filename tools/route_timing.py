@@ -20,10 +20,11 @@ the numerics kernels under the value routes: ``eig_hermitian`` at N = 3, 5
 and 8, ``hermiticity_defect`` at N = 3 and 8, ``solve_polynomial`` on the
 stellar polynomials of N = 4 and 8 states, and ``normalization_factor`` at
 m = 2, 4 and 7 points; after the scan, ``pair_points`` on two random sets of
-m = 2, 5 and 7 points, drawn after every other line's inputs.  Only public
-names are called, so the script runs unchanged on older checkouts: to
-compare two, run it in each checkout alternately, a few times, and compare
-the smallest figure of each line.
+m = 2, 5 and 7 points, and then the geometric modular route at N = 3, 5 and 8
+with its breakdown's ``factors`` read, each drawn after every line above it.
+Only public names are called, so the script runs unchanged on older
+checkouts: to compare two, run it in each checkout alternately, a few times,
+and compare the smallest figure of each line.
 """
 
 from __future__ import annotations
@@ -143,6 +144,13 @@ def entry_points():
     for m in PAIRED:  # drawn after everything above, so older lines keep their inputs
         yield (f"pair_points.m{m}", mg.nlevel_values.pair_points,
                [(_blochs(rng, m), _blochs(rng, m)) for _ in range(CALLS)])
+    for n in LEVELS:  # drawn after everything above, so older lines keep their inputs
+        cases = [(_state(rng, n), mg.NLevelModularSpec(observable=_hermitian(rng, n),
+                                                       alpha=float(rng.uniform(-3, 3)),
+                                                       beta=float(rng.uniform(-1, 1))),
+                  _state(rng, n)) for _ in range(CALLS)]
+        yield (f"nlevel.modular.geometric.n{n}.factors",
+               lambda i, spec, f: mg.qutrit_modular_value_geometric(i, spec, f)[1].factors, cases)
 
 
 def per_call(fn, args: list[tuple]) -> float:
