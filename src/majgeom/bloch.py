@@ -243,15 +243,15 @@ def _triangle_dots(vi, vr, vf) -> tuple[list[float], ...]:
 def _quadrangle_rows(vi, vr, vs, vf) -> tuple[list, ...]:
     """Solid angles of the quadrangles i -> r -> s -> f row by row, ``None``
     where one is undefined, with the projections ``|s+r|^2/2``, ``|r+i|^2/2``,
-    ``|f+s|^2/2`` and ``|f+i|^2/2``.  Each quadrangle is the triangles
-    (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, as one
-    :func:`_row_dots` pass over 2n rows."""
+    ``|f+s|^2/2``, ``|f+i|^2/2`` and ``|s+i|^2/2``.  Each quadrangle is the
+    triangles (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, as
+    one :func:`_row_dots` pass over 2n rows."""
     i, r, s, f = _float_rows(vi, vr, vs, vf)
     n = len(i)
     y, x, fr, ri, fi = _row_dots(i + i, r + s, s + f)
     angles = _triangles(y, x)
     return ([None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])],
-            fr[:n], ri[:n], fr[n:], fi[n:])
+            fr[:n], ri[:n], fr[n:], fi[n:], fi[:n])
 
 
 def _defined(angles: list[float | None]) -> list[float]:
@@ -290,9 +290,10 @@ def _weak_factors(vi, vr, vf):
 def _modular_factors(vi, vr, vs, vf):
     """Factor moduli and quadrangle solid angles of the modular value of
     paired unit points ``vi`` and ``vs`` (rows, or one vector each), with the
-    anchor projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass."""
-    angles, sr, ri, fs, fi = _quadrangle_rows(vi, vr, vs, vf)
-    return (*_factors(_moduli(fs, fi), angles), ri, sr)
+    anchor projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` and the diagonal
+    projections ``|s_k+i_k|^2/2`` of the same pass."""
+    angles, sr, ri, fs, fi, si = _quadrangle_rows(vi, vr, vs, vf)
+    return (*_factors(_moduli(fs, fi), angles), ri, sr, si)
 
 
 def solid_angle_triangle(i, r, f) -> float:

@@ -24,6 +24,7 @@ from .errors import IncompleteContext, UndefinedSolidAngle, ZeroDenominator
 from .majorana import _point_array, _point_rows, _unit_state
 from .numerics import (
     _CONTEXT_SLACK,
+    _DIAGONAL_FLOOR,
     _GELL_MANN_SLACK,
     _PAIRING_TIE_SLACK,
     DEFAULT_TOL,
@@ -343,9 +344,11 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     product of the moduli nor the summed angle (mod 4*pi) depends on which
     ``s_k`` goes with which ``i_k``.  Only the breakdown's ``factors`` do:
     they pair ``s`` to ``i`` by :func:`pair_points` of the sets as given
-    (copied here) when first read.  Where a quadrangle of the given order is
-    undefined with a non-zero modulus (``s_k`` antipodal to ``i_k``), the
-    value is computed on the paired rows instead.  The shapes are checked to
+    (copied here) when first read.  Where the given order puts some ``s_k``
+    near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``, where the
+    quadrangle's rounding grows or its area is undefined), the value is
+    computed on the paired rows instead, as it was before the value was
+    unpaired.  The shapes are checked to
     match first, then ``i``'s shape and count, then ``s``'s rows, ``i``'s
     rows, ``r`` and ``f``; :func:`qutrit_modular_value_geometric` ends in the
     same core.
@@ -356,7 +359,7 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     phase = alpha * (len(vi) / 2.0) * eigenvalue
     _check_finite(dynamical_phase=phase)
     return _modular_value(vi, vs, _bloch_vector(r_point), _bloch_vector(f_point), beta, phase,
-                          paired=lambda: _paired_rows(a, b, _point_rows))
+                          paired=lambda: _point_rows(pair_points(a, b)))
 
 
 def _modular_value(vi, vs, vr, vf, beta: float, phase: float,
@@ -374,20 +377,22 @@ def _modular_value(vi, vs, vr, vf, beta: float, phase: float,
     whatever the order, from the projections ``|r+i_k|^2/2`` and
     ``|r+s_k|^2/2`` that the kernel pass forms for the (i_k, r, s_k) triangles.
 
-    ``paired``, when given, returns the rows of ``vs`` paired to ``vi``, or
-    ``None`` where the pairing keeps them: the breakdown's ``factors`` are
-    built on them when first read, and the value is computed on them where a
-    quadrangle of the given order is undefined with a non-zero modulus.
-    Without it, or where it keeps the rows, the factors are the value's
-    columns.
+    ``paired``, when given, returns the rows of ``vs`` paired to ``vi``: the
+    breakdown's ``factors`` are built on them when first read, and the value
+    is computed on them where some ``|s_k+i_k|^2/2`` of the given order is
+    below ``_DIAGONAL_FLOOR`` (a quadrangle that rounds like ``u/|s_k+i_k|``)
+    or a quadrangle of it is undefined with a non-zero modulus.  Without it,
+    the factors are the value's columns.
     """
     try:
-        moduli, omegas, ri, rs = _modular_factors(vi, vr, vs, vf)
+        moduli, omegas, ri, rs, si = _modular_factors(vi, vr, vs, vf)
+        near = paired is not None and min(si) < _DIAGONAL_FLOOR
     except UndefinedSolidAngle:
-        rows = None if paired is None else paired()
-        if rows is None:
+        if paired is None:
             raise
-        return _modular_value(vi, rows, vr, vf, beta, phase, k_ratio)
+        near = True
+    if near:
+        return _modular_value(vi, paired(), vr, vf, beta, phase, k_ratio)
     if k_ratio is None:
         num, den = math.prod(ri), math.prod(rs)
         ratio = num / den if den else math.inf
@@ -399,26 +404,16 @@ def _modular_value(vi, vs, vr, vf, beta: float, phase: float,
         dynamical_phase=cmath.phase(cmath.exp(1j * beta) * cmath.exp(-1j * phase)),
         k_ratio=k_ratio,
         _paired_columns=None if paired is None else lambda: _paired_columns(
-            vi, vr, vf, paired, (moduli, omegas, vs)))
+            vi, vr, vf, paired))
     return breakdown.to_polar(), breakdown
 
 
-def _paired_columns(vi, vr, vf, paired, columns):
+def _paired_columns(vi, vr, vf, paired):
     """The moduli, solid angles and ``s`` rows of the factors of ``vi`` and the
-    rows ``paired()`` returns, from one kernel pass; ``columns`` where it
-    keeps the rows they were computed from, as the kernel runs row by row."""
+    rows ``paired()`` returns, from one kernel pass."""
     vs = paired()
-    if vs is None:
-        return columns
-    moduli, omegas, _, _ = _modular_factors(vi, vr, vs, vf)
+    moduli, omegas, _, _, _ = _modular_factors(vi, vr, vs, vf)
     return moduli, omegas, vs
-
-
-def _paired_rows(first: np.ndarray, second: np.ndarray, unit):
-    """``unit`` of :func:`pair_points` of the two sets, or ``None`` where the
-    pairing keeps ``second``'s rows bit for bit."""
-    paired = pair_points(first, second)
-    return None if paired.tobytes() == second.tobytes() else unit(paired)
 
 
 def qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f):
@@ -443,9 +438,11 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     through the frame and their points read off.  The points go, in the
     sorted order the frame gives them, through the core that
     :func:`factored_modular_value` calls once it has validated, with
-    K_s / K_i read off the anchor: the value is not paired, and the
-    breakdown's ``factors`` pair the frame's ``s`` points to its ``i`` points
-    by :func:`pair_points` when first read.  The dynamical phase is
+    K_s / K_i read off the anchor: the value is not paired (unless the
+    sorted order puts some ``s_k`` near ``-i_k``, as that function
+    describes), and the breakdown's ``factors`` pair the frame's ``s`` points
+    to its ``i`` points by :func:`pair_points` when first read.  The
+    dynamical phase is
     ``beta - s*eigenvalue`` reduced to (-pi, pi], each term reduced exactly as
     :func:`modular_value_direct`'s ``exp`` reduces it.  The selections are
     validated once, and nothing the route makes is validated or renormalized
@@ -462,8 +459,7 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     vi = _frame_points(to_frame(si))
     vs = _frame_points(to_frame(_evolved(si, evals, evecs, strength)))
     return _modular_value(vi, vs, _NORTH, f_vec, spec.beta, strength * float(evals[index]),
-                          paired=lambda: _paired_rows(np.array(vi), np.array(vs),
-                                                      np.ndarray.tolist))
+                          paired=lambda: pair_points(np.array(vi), np.array(vs)).tolist())
 
 
 def _check_context(projectors, dim: int) -> list[np.ndarray]:

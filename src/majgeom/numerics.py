@@ -93,6 +93,12 @@ _SOUTH_POLE_CUT = 1e-150
 # lies above the summation spread of equal costs (5.3e-15 seen at m = 7).
 _PAIRING_TIE_SLACK = 1e-12
 
+# Projection |i_k+s_k|^2/2 below which a modular value is computed on the
+# paired rows: a quadrangle's two triangles share its i-s diagonal and round
+# like u/|i_k+s_k|, about 8e-14 per triangle at this floor.  Random points fall
+# below it with probability 1e-3 per row.
+_DIAGONAL_FLOOR = 1e-3
+
 
 def principal_angle(angle: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""

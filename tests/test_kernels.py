@@ -646,13 +646,29 @@ def spin_rotations(draw):
     return points, np.array([rodrigues_rotate(p, r, alpha) for p in points]), r, f
 
 
-def angle_rounding(points, s, r, f) -> float:
+@st.composite
+def row_order_antipodes(draw):
+    """Two to seven initial points, r, f and evolved rows that, in the order
+    given, put some s_k exactly on -i_k or within a drawn distance of it."""
+    points = draw(st.lists(unit_vectors(), min_size=2, max_size=7).map(np.array))
+    s = draw(st.lists(unit_vectors(), min_size=len(points), max_size=len(points)).map(np.array))
+    r, f = draw(unit_vectors()), draw(unit_vectors())
+    for k in range(len(s)):
+        if draw(st.booleans()):
+            offset = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-4, 0.03, 0.1]))
+            v = -points[k] + offset * draw(unit_vectors())
+            s[k] = v / np.linalg.norm(v)
+    return points, s, r, f
+
+
+def angle_rounding(points, s, r, f, floor=0.0) -> float:
     """A bound on the rounding of the value's argument with s's rows paired to
     ``points`` in the order given: each triangle (a, b, c) of a quadrangle
     (i, r, s_k) and (i, s_k, f) has ``y`` and ``x`` to a few units in the last
     place, so its share of the argument errs by at most about
     ``16 u / |x + iy|``, with ``|x + iy|^2 = 2 p_ab p_bc p_ca`` for the
-    projections ``p_ab = |a+b|^2/2``.  It is infinite at an antipode."""
+    projections ``p_ab = |a+b|^2/2``.  The diagonal projection ``p_is`` is
+    taken as at least ``floor``.  It is infinite at an antipode."""
     def projection(a, b):
         return 0.5 * float(np.dot(a + b, a + b))
 
@@ -660,8 +676,10 @@ def angle_rounding(points, s, r, f) -> float:
     total = 0.0
     vr, vf = ref_as_bloch(r), ref_as_bloch(f)
     for vi, vs in zip(units(points), units(s)):
-        for a, b, c in ((vi, vr, vs), (vi, vs, vf)):
-            size = math.sqrt(2.0 * projection(a, b) * projection(b, c) * projection(c, a))
+        diagonal = max(projection(vi, vs), floor)
+        for legs in (projection(vi, vr) * projection(vr, vs),
+                     projection(vs, vf) * projection(vf, vi)):
+            size = math.sqrt(2.0 * legs * diagonal)
             total += 16.0 * u / size if size else math.inf
     return total
 
@@ -670,8 +688,12 @@ def same_value_any_order(points, s, r, f):
     """The modular value of s's rows as given against the value of the same
     rows paired to ``points``: the same refusal, or the same modulus to
     1e-12 max(1, |A|) and the same argument (mod 2 pi) to that plus |A| times
-    both orders' :func:`angle_rounding`.  A paired order that is refused may
-    be answered in another order."""
+    both orders' :func:`angle_rounding`.  The value is never computed on a
+    row order whose diagonal projection ``|s_k+i_k|^2/2`` is below
+    ``_DIAGONAL_FLOOR`` (it takes the paired rows instead), so that order's
+    rounding is bounded with the diagonal at the floor or above; a row that
+    near an antipode of its pair is not allowed for.  A paired order that is
+    refused may be answered in another order."""
     def value(rows):
         return factored_modular_value(points, rows, r, f, alpha=0.4, beta=0.2,
                                       eigenvalue=1.0)[0]
@@ -689,7 +711,8 @@ def same_value_any_order(points, s, r, f):
     tol = 1e-12 * max(1.0, want.modulus)
     assert abs(got.modulus - want.modulus) <= tol
     if want.modulus:
-        rounding = angle_rounding(points, s, r, f) + angle_rounding(points, paired, r, f)
+        rounding = (angle_rounding(points, s, r, f, floor=numerics._DIAGONAL_FLOOR)
+                    + angle_rounding(points, paired, r, f))
         assert want.modulus * ang_dist(got.argument, want.argument) <= (
             tol + want.modulus * min(rounding, math.pi))
     else:
@@ -701,8 +724,8 @@ class TestUnpairedValue:
     given: the modulus product and the summed solid angle (mod 4 pi) do not
     depend on the pairing, so any order gives the paired rows' value to
     rounding.  The argument's rounding grows where a triangle's vertices near
-    an antipode in either order, s_k near -i_k included (which pairing used
-    to avoid), and the bound grows with it."""
+    an antipode; where the given order puts s_k near -i_k, which pairing
+    avoids, the value takes the paired rows, so that growth is never met."""
 
     @KERNEL_SETTINGS
     @given(case=reordered(modular_batches()))
@@ -712,6 +735,11 @@ class TestUnpairedValue:
     @KERNEL_SETTINGS
     @given(case=reordered(spin_rotations()))
     def test_spin_rotation_by_pi(self, case):
+        same_value_any_order(*case)
+
+    @KERNEL_SETTINGS
+    @given(case=row_order_antipodes())
+    def test_row_order_near_antipode(self, case):
         same_value_any_order(*case)
 
 

@@ -1013,7 +1013,7 @@ def paired_records(vi, vs_paired, vr, vf):
     """The per-factor records of the paired construction the breakdown used
     before its value was unpaired: one kernel pass over ``vi`` and the rows
     paired to it, the zero-value rule applied, each point set one array."""
-    moduli, angles, _, _ = majgeom.bloch._modular_factors(vi, vr, vs_paired, vf)
+    moduli, angles, _, _, _ = majgeom.bloch._modular_factors(vi, vr, vs_paired, vf)
     return eager_factors(moduli, angles, vi, vs_paired)
 
 
@@ -1084,7 +1084,7 @@ class TestUnpairedModularValue:
     def test_row_order_antipode_is_answered(self, monkeypatch):
         # Row order puts s_0 = -i_0, whose quadrangle has no defined area and a
         # non-zero modulus; the pairing puts s_0 with i_1 instead, so the value
-        # is computed on the paired rows, the only pairing on the value path.
+        # is computed on the paired rows.
         ex, ey, ez = np.eye(3)
         points, s = np.array([ex, ey]), np.array([-ex, ez])
         r, f = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0), np.array([-2.0, 1.0, 2.0]) / 3.0
@@ -1106,21 +1106,57 @@ class TestUnpairedModularValue:
                 *(majgeom.majorana._point_rows(a) for a in (points, s)),
                 majgeom.bloch._bloch_vector(r), majgeom.bloch._bloch_vector(f), 0.1, 0.3)
 
-    def test_row_order_near_antipode_loses_digits(self):
-        # With s_0 within d of -i_0 in row order the value is still answered,
-        # but its argument rounds like u/d where the paired rows' does not.
+    def test_row_order_near_antipode_takes_paired_rows(self, monkeypatch):
+        # With s_0 within d of -i_0 in row order, the quadrangle's i-s
+        # triangles would round like u/d; the value is the paired rows' value,
+        # bit for bit as the value of before, which paired every input.
         rng = np.random.default_rng(3500)
         ex, ey, ez = np.eye(3)
         points = np.array([ex, ey])
         r, f = random_bloch(rng), random_bloch(rng)
-        for d, bound in ((1e-4, 1e-10), (1e-8, 1e-6)):
+        rows, unit = majgeom.majorana._point_rows, majgeom.bloch._bloch_vector
+        calls = []
+        monkeypatch.setattr(majgeom.nlevel_values, "pair_points", counting(pair_points, calls))
+
+        def value(d):
             near = -ex + d * ez
             s = np.array([near / np.linalg.norm(near), ez])
-            got, _ = factored_modular_value(points, s, r, f, alpha=0.3, beta=0.1,
+            return s, factored_modular_value(points, s, r, f, alpha=0.3, beta=0.1,
+                                             eigenvalue=1.0)
+
+        # d = 0.04 puts |s_0+i_0|^2/2 at 8e-4, below the 1e-3 floor.
+        for d in (0.04, 1e-4, 1e-8):
+            s, result = value(d)
+            paired = s[::-1]
+            assert calls == [2] and np.array_equal(pair_points(points, s), paired)
+            assert value_bits(result) == value_bits(majgeom.nlevel_values._modular_value(
+                rows(points), rows(paired), unit(r), unit(f), 0.1, 0.3))
+            calls.clear()
+        value(0.05)  # 1.25e-3, above the floor: the row order is kept
+        assert calls == []
+
+    @pytest.mark.parametrize("n", range(3, MAX_LEVELS + 1))
+    def test_spin_rotation_near_antipode_matches_direct(self, n):
+        # A rotation by pi about an axis 1e-7 off perpendicular to i_0 puts
+        # s_0 within 2e-7 of -i_0 in row order.  The value stays within 1e-12
+        # of the direct route.  (N = 2 has one pairing, which keeps that row,
+        # so its gap grows like u/d whether or not the value is paired.)
+        rng = np.random.default_rng(3600 + n)
+        for _ in range(20):
+            psi_i = random_state(rng, n)
+            i_pts = majorana_points(psi_i).points
+            axis = np.cross(i_pts[0], random_bloch(rng))
+            r = axis / np.linalg.norm(axis) + 1e-7 * i_pts[0]
+            r /= np.linalg.norm(r)
+            f = random_bloch(rng)
+            s_pts = np.array([majgeom.bloch.rodrigues_rotate(p, r, math.pi) for p in i_pts])
+            assert np.linalg.norm(s_pts[0] + i_pts[0]) < 1e-6
+            got, _ = factored_modular_value(i_pts, s_pts, r, f, alpha=math.pi, beta=0.0,
                                             eigenvalue=1.0)
-            want, _ = factored_modular_value(points, pair_points(points, s), r, f,
-                                             alpha=0.3, beta=0.1, eigenvalue=1.0)
-            assert abs(got.rect - want.rect) <= bound * max(1.0, want.modulus)
+            spec = NLevelModularSpec(spin_component(n - 1, r) / ((n - 1) / 2.0), alpha=math.pi)
+            _, evecs = eig_hermitian(spin_component(n - 1, f))
+            want = modular_value_direct(psi_i, spec, evecs[:, -1])
+            assert abs(got.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
     def test_shape_mismatch_refused_before_rows(self):
         bad = np.full((2, 3), np.nan)
