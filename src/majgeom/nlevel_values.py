@@ -346,12 +346,11 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     they pair ``s`` to ``i`` by :func:`pair_points` of the sets as given
     (copied here) when first read.  Where the given order puts some ``s_k``
     near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``, where the
-    quadrangle's rounding grows or its area is undefined), the value is
-    computed on the paired rows instead, as it was before the value was
-    unpaired.  The shapes are checked to
-    match first, then ``i``'s shape and count, then ``s``'s rows, ``i``'s
-    rows, ``r`` and ``f``; :func:`qutrit_modular_value_geometric` ends in the
-    same core.
+    quadrangle's rounding grows, or its area is undefined), the value is
+    computed on the paired rows instead.  The shapes are checked to match
+    first, then ``i``'s shape and count, then ``s``'s rows, ``i``'s rows,
+    ``r`` and ``f``; :func:`qutrit_modular_value_geometric` ends in the same
+    core.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     a, b = _point_sets(np.array(i_points, dtype=float), np.array(s_points, dtype=float))

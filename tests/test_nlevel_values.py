@@ -1109,7 +1109,7 @@ class TestUnpairedModularValue:
     def test_row_order_near_antipode_takes_paired_rows(self, monkeypatch):
         # With s_0 within d of -i_0 in row order, the quadrangle's i-s
         # triangles would round like u/d; the value is the paired rows' value,
-        # bit for bit as the value of before, which paired every input.
+        # bit for bit.
         rng = np.random.default_rng(3500)
         ex, ey, ez = np.eye(3)
         points = np.array([ex, ey])
