@@ -11,6 +11,7 @@ record the check used.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -409,8 +410,9 @@ def _cmd_scan(doc: dict, args) -> dict:
         grid_spec = _object(doc, "grid")
         start, stop, points = (_required(grid_spec, key, "grid")
                                for key in ("start", "stop", "count"))
-        grid = np.linspace(_real(start, "grid start"), _real(stop, "grid stop"),
-                           _scan_count(points, "grid count"))
+        with np.errstate(over="ignore", invalid="ignore"):  # the scan refuses inf and NaN
+            grid = np.linspace(_real(start, "grid start"), _real(stop, "grid stop"),
+                               _scan_count(points, "grid count"))
     scan = experiments.singularity_scan(grid, count=count, **kwargs)
     return {
         "parameters": {"epsilon": scan.epsilon, "chi1": scan.chi1, "chi2": scan.chi2},
@@ -499,7 +501,10 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every :func:`run`:
+    building the subparsers costs more than most commands' own work."""
     parser = _Parser(
         prog="majgeom",
         description="Weak and modular values of discrete quantum systems, "

@@ -110,7 +110,7 @@ def _symmetrized(rows) -> tuple[list[complex], float]:
 
     With ``a_k`` the coefficients of the product of the qubits' linear
     factors ``u z - v`` (a south-pole point just zeroes the top one), the sum
-    over the m! qubit permutations has norm ``m! sqrt(sum_k |a_k|^2 / C(m, k))``.
+    over the m! qubit orderings has norm ``m! sqrt(sum_k |a_k|^2 / C(m, k))``.
     """
     poly = [1.0 + 0.0j]  # lowest degree first; new a_k = u a_(k-1) - v a_k
     for x, y, z in rows:
@@ -124,7 +124,7 @@ def _symmetrized(rows) -> tuple[list[complex], float]:
 
 
 def normalization_factor(points) -> float:
-    """K such that K * sum over qubit permutations is normalized.
+    """K such that K * sum over qubit orderings is normalized.
 
     Equals ``1/sqrt(m! * perm(G))`` for the Gram matrix ``G`` of the qubit
     states, evaluated in O(m^2) from the closed form of ``_symmetrized``.

@@ -11,14 +11,13 @@ caller-canonicalized point sets.
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _bloch_vector, _modular_factors, _weak_factors
+from .bloch import _bloch_vector, _dot, _modular_factors, _weak_factors
 from .canonical import _NORTH, _frame, _frame_points
 from .errors import IncompleteContext, UndefinedSolidAngle, ZeroDenominator
 from .majorana import _point_array, _point_rows, _unit_state
@@ -217,50 +216,43 @@ def modular_value_direct(psi_i, spec: NLevelModularSpec, psi_f) -> PolarComplex:
     return PolarComplex.from_complex(_product(turn, transition) / overlap)
 
 
-@functools.lru_cache(maxsize=None)
-def _permutation_table(m: int) -> np.ndarray:
-    """Permutations of ``range(m)`` in lexicographic order, one per column."""
-    count = math.factorial(m)
-    flat = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(m))),
-                       dtype=np.int8, count=count * m)
-    return np.ascontiguousarray(flat.reshape(count, m).T)
-
-
-@functools.lru_cache(maxsize=None)
-def _prefix_levels(m: int) -> tuple[np.ndarray, tuple[tuple[int, int, int], ...]]:
-    """Level by level, the flat ``(m, m)`` indices :func:`_pairing_costs`
-    gathers: for each length-(k+1) lexicographic prefix, in order, the entry
-    ``(k, last element)``, which is the table's row k at every
-    ``(m-1-k)!``-th column.  Level 0 is the first m indices; for each level
-    k >= 1 the tuple gives the children per parent prefix (m - k) and the
-    level's slice."""
-    table = _permutation_table(m)
-    index, levels, start = [], [], 0
-    for k in range(m):
-        images = table[k, ::math.factorial(m - 1 - k)].astype(np.intp)
-        index.append(k * m + images)
-        if k:
-            levels.append((m - k, start, start + images.size))
-        start += images.size
-    return np.concatenate(index), tuple(levels)
-
-
-def _pairing_costs(angles: np.ndarray) -> np.ndarray:
-    """The summed angle of every pairing of an ``(m, m)`` angle matrix, one
-    per column of :func:`_permutation_table`: ``angles[k, p[k]]`` added from
-    0 in row order k = 0..m-1, as a loop over the table's rows adds them.
-    Pairings that share a prefix share its partial sum, so level k's partials
-    are the parent partials, each repeated once per child, plus row k's
-    angle; the m! costs take sum_k m!/(m-k)! additions, not m*m!."""
-    m = len(angles)
-    index, levels = _prefix_levels(m)
-    gathered = angles.take(index)
-    costs = gathered[:m] + 0.0  # level 0, added to 0 as every sum starts
-    for children, start, stop in levels:
-        if children > 1:  # a last-level prefix has one child: itself
-            costs = costs.repeat(children)
-        costs = costs + gathered[start:stop]
-    return costs
+def _assignment(costs: list[list[float]]) -> list[int]:
+    """The permutation p of ``range(m)`` that minimizes ``sum_k costs[k][p[k]]``
+    over a square matrix of finite costs, by shortest augmenting paths with
+    row and column potentials ``u``, ``v`` (Kuhn's method, O(m^3)).  Rows
+    join one at a time; index 0 of the columns is a sentinel, and rows are
+    counted from 1 in ``match``."""
+    m = len(costs)
+    u, v = [0.0] * (m + 1), [0.0] * (m + 1)
+    match, way = [0] * (m + 1), [0] * (m + 1)  # match[j]: the row of column j
+    for row in range(1, m + 1):
+        match[0], col = row, 0
+        slack, used = [math.inf] * (m + 1), [False] * (m + 1)
+        while match[col]:  # until the path reaches a free column
+            used[col] = True
+            i, delta, nearest = match[col], math.inf, 0
+            line, ui = costs[i - 1], u[i]
+            for j in range(1, m + 1):
+                if not used[j]:
+                    reduced = line[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nearest = slack[j], j
+            for j in range(m + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nearest
+        while col:  # shift the matches back along the path
+            match[col] = match[way[col]]
+            col = way[col]
+    perm = [0] * m
+    for j in range(1, m + 1):
+        perm[match[j] - 1] = j - 1
+    return perm
 
 
 def _point_sets(first, second) -> tuple[np.ndarray, np.ndarray]:
@@ -278,25 +270,27 @@ def pair_points(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Reorder ``second`` to minimize the summed great-circle distance to
     ``first``.
 
-    All m! permutations are scored, each cost summed from 0 in row order
-    over its paired angles (:func:`_pairing_costs`, which shares the partial
-    sums of permutations with a common lexicographic prefix).  ``second``
-    keeps its order unless the cheapest pairing is shorter than the identity
-    by more than ``_PAIRING_TIE_SLACK``; then the first cheapest pairing (in
-    lexicographic order) is returned.  Only sums over the paired polygons are
-    contract-bearing.  Both sets are ``(m, 3)``, 1 <= m <= 7, checked before
-    any m!-sized work; their rows are not: a non-finite or overflowing row
-    gives NaN or clipped costs silently, and an all-NaN cost keeps the order.
+    The cheapest pairing comes from :func:`_assignment` on the ``(m, m)``
+    angles, whose dots are the kernel's ``(a0 b0 + a1 b1) + a2 b2`` in
+    Python floats.  ``second`` keeps its order unless that pairing's cost,
+    summed from 0 in row order, is shorter than the identity's by more than
+    ``_PAIRING_TIE_SLACK``, or if any angle is NaN.  Only sums over the paired
+    polygons are contract-bearing.  Both sets are ``(m, 3)``,
+    1 <= m <= MAX_LEVELS - 1, checked first; their rows are not: a
+    non-finite or overflowing row gives NaN or clipped angles silently.
     """
     a, b = _point_sets(first, second)
-    with np.errstate(invalid="ignore", over="ignore"):
-        angles = np.arccos(np.clip(a @ b.T, -1.0, 1.0))
-    costs = _pairing_costs(angles)
-    table = _permutation_table(a.shape[0])
-    best = int(costs.argmin())  # column 0 of the table is the identity
-    if not costs[best] < costs[0] - _PAIRING_TIE_SLACK:  # False for NaN too
-        best = 0
-    return b.take(table[:, best], axis=0)
+    cols = b.tolist()
+    dots = [[_dot(x, y) for y in cols] for x in a.tolist()]
+    angles = [[math.acos(1.0 if d > 1.0 else -1.0 if d < -1.0 else d) for d in row]
+              for row in dots]  # a NaN dot stays NaN
+    order = list(range(len(angles)))
+    if not math.isnan(sum(map(sum, angles))):  # angles lie in [0, pi] or are NaN
+        best = _assignment(angles)
+        if sum(row[k] for row, k in zip(angles, best)) < \
+                sum(row[k] for row, k in zip(angles, order)) - _PAIRING_TIE_SLACK:
+            order = best
+    return b.take(order, axis=0)
 
 
 def factored_weak_value(i_points, r_point, f_point):

@@ -1,7 +1,7 @@
 import contextlib
 import copy
-import functools
 import io
+import itertools
 import json
 import math
 import re
@@ -14,7 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_state, run_python
-import majgeom.cli
 from majgeom.cli import main, run
 from majgeom.experiments import SCAN_CHI1, SCAN_CHI2, SCAN_EPSILON
 from majgeom.nlevel_values import GellMannDirection, NLevelModularSpec, modular_value_direct
@@ -1185,6 +1184,18 @@ class TestStderr:
         assert json.loads(done.stdout) == {"error": {"kind": "usage", "type": "ScenarioInvalid",
                                                      "message": message}}
 
+    @pytest.mark.parametrize("start, stop", [(math.inf, 1.0), (0.5, -math.inf),
+                                             (-1e308, 1e308)])
+    def test_non_finite_scan_grid_writes_no_warning(self, tmp_path, start, stop):
+        # An infinite end, or a span that overflows, gives non-finite grid
+        # points, which the scan refuses; numpy's RuntimeWarning must not
+        # reach stderr.
+        scenario = write_scenario(tmp_path, {"grid": {"start": start, "stop": stop, "count": 16}})
+        done = run_python("-m", "majgeom", "scan-singularity", "--scenario", scenario)
+        assert (done.returncode, done.stderr) == (2, b"")
+        assert json.loads(done.stdout) == {"error": {"kind": "usage", "type": "ValueError",
+                                                     "message": "theta grid must be finite"}}
+
 
 def readme_scenarios():
     readme = Path(__file__).resolve().parent.parent / "README.md"
@@ -1253,6 +1264,13 @@ def contract_bases():
         "abl": [{**pair, "projectors": [[[[float(j == k == n), 0.0] for k in range(3)]
                                          for j in range(3)] for n in range(3)]},
                 {**pair, "projectors": [OBSERVABLE]}],
+        # At most 16 grid points (or --count, below): a scan's time grows with them.
+        "scan-singularity": [
+            {"version": 1, "epsilon": SCAN_EPSILON, "chi1": SCAN_CHI1, "chi2": SCAN_CHI2,
+             "grid": {"start": 0.1, "stop": 1.4, "count": 16}},
+            {"version": 1, "epsilon": 0.3, "chi1": 1.0, "chi2": 2.5},
+            {"version": 1, "grid": {"start": 0.5, "stop": 1.0, "count": 16}},
+        ],
     }
 
 
@@ -1296,13 +1314,33 @@ def mutated(draw, base):
 
 
 CONTRACT_BASES = contract_bases()
+# Options drawn per example beside the scenario: --mode for the value
+# commands, and for the scan a --count (used where the scenario has no grid),
+# valid ones no larger than 64 so that every scan stays small.
+CONTRACT_OPTIONS = {
+    **{command: st.sampled_from(("both", "geometric", "direct")).map(
+        lambda mode: ("--mode", mode)) for command in VALUE_COMMANDS},
+    "scan-singularity": st.sampled_from(
+        ("2", "3", "16", "64", "1", "0", "-5", "65537", "1e3", "nan", "")).map(
+        lambda count: ("--count", count)),
+}
+# The three-box command's flags, valid and not, in any order.
+THREE_BOX_FLAGS = (("--degrees",), ("--format", "csv"), ("--format", "json"),
+                   ("--format", "xml"), ("--format",), ("--mode", "direct"), ("--count", "8"),
+                   ("--scenario", "scenario.json"), ("--out",), ("--degrees=1",), ("extra",))
+CSV_HEADERS = {
+    "scan-singularity": "theta,alpha1,alpha2,beta1,beta2,omega1,omega2,wv_mod,wv_arg,flags",
+    "three-box": "box,qubit,modulus,solid_angle,weak_value_re,weak_value_im",
+}
+CONTRACT_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                             suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestContractProperty:
-    """Mutated scenarios through :func:`majgeom.cli.run` in-process, with every
-    warning raised as an error: the exit code is 0, 2 or 3, stdout is one JSON
-    document (the error object unless the exit is 0) or, for ``--format csv``
-    and exit 0, a ``field,value`` table, stderr holds nothing but
+    """Mutated scenarios and flags through :func:`majgeom.cli.run` in-process,
+    with every warning raised as an error: the exit code is 0, 2 or 3, stdout
+    is one JSON document (the error object unless the exit is 0) or, for
+    ``--format csv`` and exit 0, the command's table, stderr holds nothing but
     renormalization warnings, and a second run prints the same bytes."""
 
     @staticmethod
@@ -1315,34 +1353,42 @@ class TestContractProperty:
         return code, out.getvalue(), err.getvalue()
 
     @staticmethod
-    def check_table(out):
+    def check_table(out, header):
         lines = out.splitlines()
-        assert out.endswith("\n") and lines[0] == "field,value", out
-        assert all(len(line.split(",")) == 2 for line in lines[1:]), out
+        assert out.endswith("\n") and lines[0] == header, out
+        assert all(line.count(",") == header.count(",") for line in lines[1:]), out
+
+    def check_contract(self, argv):
+        code, out, err = self.run_captured(argv)
+        assert code in (0, 2, 3), out
+        formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+        if code == 0 and formats[-1] == "csv":
+            self.check_table(out, CSV_HEADERS.get(argv[0], "field,value"))
+        else:
+            envelope = json.loads(out)
+            assert ("error" in envelope) == (code != 0), out
+        assert all(line.startswith("warning: state ") for line in err.splitlines()), err
+        assert self.run_captured(argv) == (code, out, err)
 
     @pytest.mark.parametrize("command", CONTRACT_BASES)
-    def test_exit_code_document_and_bytes(self, tmp_path_factory, monkeypatch, command):
-        # One parser serves every run: building it is most of an in-process run.
-        monkeypatch.setattr(majgeom.cli, "build_parser", functools.cache(majgeom.cli.build_parser))
+    def test_exit_code_document_and_bytes(self, tmp_path_factory, command):
         path = tmp_path_factory.mktemp("contract") / "scenario.json"
-        modes = st.sampled_from(("both", "geometric", "direct")).map(
-            lambda mode: ("--mode", mode)) if command in VALUE_COMMANDS else st.just(())
+        options = CONTRACT_OPTIONS.get(command, st.just(()))
         formats = st.sampled_from(("json", "csv"))
 
-        @settings(max_examples=150, deadline=None, derandomize=True, database=None,
-                  suppress_health_check=[HealthCheck.too_slow])
-        @given(st.sampled_from(CONTRACT_BASES[command]).flatmap(mutated), modes, formats)
-        def check(doc, mode, fmt):
+        @CONTRACT_SETTINGS
+        @given(st.sampled_from(CONTRACT_BASES[command]).flatmap(mutated), options, formats)
+        def check(doc, option, fmt):
             path.write_text(json.dumps(doc))
-            argv = [command, "--scenario", str(path), *mode, "--format", fmt]
-            code, out, err = self.run_captured(argv)
-            assert code in (0, 2, 3), out
-            if code == 0 and fmt == "csv":
-                self.check_table(out)
-            else:
-                envelope = json.loads(out)
-                assert ("error" in envelope) == (code != 0), out
-            assert all(line.startswith("warning: state ") for line in err.splitlines()), err
-            assert self.run_captured(argv) == (code, out, err)
+            self.check_contract([command, "--scenario", str(path), *option, "--format", fmt])
+
+        check()
+
+    def test_three_box_flags(self):
+        @CONTRACT_SETTINGS
+        @given(st.sampled_from(("json", "csv")),
+               st.lists(st.sampled_from(THREE_BOX_FLAGS), max_size=3))
+        def check(fmt, flags):
+            self.check_contract(["three-box", "--format", fmt, *itertools.chain(*flags)])
 
         check()

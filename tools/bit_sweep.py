@@ -228,6 +228,30 @@ def pairing():
             first = np.repeat(_bloch(rng)[None], m, axis=0)
             yield f"pair_points.coincident.m{m}", _outcome(
                 nlevel_values.pair_points, first, _bloch(rng, m))
+    # Sets with tied optimal pairings, so a changed tie pick shows: a first
+    # set whose rows 0 and 1 coincide (their partners swap at equal cost), and
+    # two sets that the half-turn about z maps onto themselves, the first
+    # with a pole that the second lacks, so each optimal pairing has a
+    # mirror image of the same cost.
+    rng = np.random.default_rng(405)
+    north, south = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+    for m in range(2, 8):
+        for _ in range(DRAWS):
+            first = _bloch(rng, m)
+            first[1] = first[0]
+            yield f"pair_points.coincident_pair.m{m}", _outcome(
+                nlevel_values.pair_points, first, _bloch(rng, m))
+            poles = [north, south][:2 - m % 2], [south] * (m % 2)
+            yield f"pair_points.half_turn.m{m}", _outcome(
+                nlevel_values.pair_points, *(_half_turn(rng, m, fixed) for fixed in poles))
+
+
+def _half_turn(rng, m: int, poles: list) -> np.ndarray:
+    """m points, in random order, that the half-turn about z maps onto
+    themselves: the ``poles``, and pairs of a point and its image."""
+    half = _bloch(rng, (m - len(poles)) // 2)
+    rows = [*poles, *half, *(half * [-1.0, -1.0, 1.0])]
+    return np.array(rows)[rng.permutation(m)]
 
 
 SCAN_RUNS = [
