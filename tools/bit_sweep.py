@@ -20,8 +20,11 @@ plural qubit line stacks ``bloch_to_qubit`` of the rows of sets of 1 to 7
 points, under the name it has on older checkouts.
 ``nlevel.modular.routes`` hashes the geometric modular route
 together with the factored core on the frame points it reads off, so a split
-between the two shows.  The ``cli.help.*`` lines hash the ``--help``
-text of the program and of each subcommand.  The last line hashes the sorted
+between the two shows.  The ``half_turn`` lines and
+``nlevel.modular.near_antipodal_s`` hash modular values whose evolved point
+sits at or near the antipode of an initial or final point.  The
+``cli.help.*`` lines hash the ``--help`` text of the program and of each
+subcommand.  The last line hashes the sorted
 names ``from majgeom import *`` binds, so a change of the public surface
 shows too.
 """
@@ -162,6 +165,45 @@ def modular_routes():
                 + _outcome(nlevel_values._modular_value, i_points, s_points,
                            canonical._NORTH, f_vec, beta, strength * float(evals[-1]),
                            paired=lambda: nlevel_values.pair_points(i_points, s_points)))
+
+
+def _tilted_axis(rng, point: np.ndarray, tilt: float) -> np.ndarray:
+    """A unit axis ``tilt`` radians off perpendicular to ``point``."""
+    axis = np.cross(point, _bloch(rng))
+    axis = math.cos(tilt) * axis / np.linalg.norm(axis) + math.sin(tilt) * point
+    return axis / np.linalg.norm(axis)
+
+
+def half_turns():
+    """Modular values of rotations by pi about an axis near perpendicular to
+    an initial point, which put its evolved point at or near its antipode:
+    the qubit route, the factored core with ``s_0 = -i_0`` exactly or with
+    the axis tilted so that ``s_0`` is 1e-7 from it, and the N = 2 route on
+    ``exp(-i(pi/2 - 1e-7) sigma_x)|0>``, whose ``s`` is 1e-7 from ``-f``."""
+    rng = np.random.default_rng(909)
+    for tilt in (1e-7, 1e-9):
+        for _ in range(DRAWS):
+            vi, vf = _bloch(rng), _bloch(rng)
+            spec = mg.QubitModularSpec(axis=_tilted_axis(rng, vi, tilt), alpha=math.pi,
+                                       beta=float(rng.uniform(-1, 1)))
+            yield f"qubit.modular.half_turn.{tilt:.0e}", _outcome(
+                mg.qubit_modular_value_geometric, vi, spec, vf)
+    for n in (2, 5):
+        for case, tilt in (("exact", 0.0), ("1e-07", 5e-8)):
+            for _ in range(DRAWS):
+                i_pts = mg.majorana_points(_state(rng, n)).points
+                r, f = _tilted_axis(rng, i_pts[0], tilt), _bloch(rng)
+                s_pts = np.array([mg.rodrigues_rotate(p, r, math.pi) for p in i_pts])
+                if not tilt:
+                    s_pts[0] = -i_pts[0]
+                yield f"factored_modular_value.half_turn.n{n}.{case}", _outcome(
+                    mg.factored_modular_value, i_pts, s_pts, r, f, alpha=math.pi, beta=0.0,
+                    eigenvalue=1.0)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    ket0 = np.array([1.0, 0.0], dtype=complex)
+    spec = mg.NLevelModularSpec(observable=sigma_x, generic_theta=math.pi / 2 - 1e-7)
+    yield "nlevel.modular.near_antipodal_s", _outcome(
+        mg.qutrit_modular_value_geometric, ket0, spec, ket0)
 
 
 def stellar():
@@ -516,8 +558,8 @@ def surface():
     yield "majgeom.star-import", _canon(sorted(set(namespace) - {"__builtins__"}))
 
 
-SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, stellar, entropies, states,
-          pairing, experiments, cli_runs, scenario_runs, usage_runs, help_runs, surface)
+SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, half_turns, stellar, entropies,
+          states, pairing, experiments, cli_runs, scenario_runs, usage_runs, help_runs, surface)
 
 
 def main() -> int:
