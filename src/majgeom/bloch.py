@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import OrthogonalSelection, UndefinedSolidAngle
 from .numerics import (
+    _DIAGONAL_FLOOR,
     _NORM_SLACK,
     _SOUTH_POLE_CUT,
     DEFAULT_TOL,
@@ -240,18 +241,21 @@ def _triangle_dots(vi, vr, vf) -> tuple[list[float], ...]:
     return _row_dots(*_float_rows(vi, vr, vf))
 
 
-def _quadrangle_rows(vi, vr, vs, vf) -> tuple[list, ...]:
-    """Solid angles of the quadrangles i -> r -> s -> f row by row, ``None``
-    where one is undefined, with the projections ``|s+r|^2/2``, ``|r+i|^2/2``,
-    ``|f+s|^2/2``, ``|f+i|^2/2`` and ``|s+i|^2/2``.  Each quadrangle is the
-    triangles (i, r, s) and (i, s, f), whose shared i <-> s legs cancel, as
-    one :func:`_row_dots` pass over 2n rows."""
-    i, r, s, f = _float_rows(vi, vr, vs, vf)
+def _quadrangle_rows(i, r, s, f) -> tuple[list, ...]:
+    """Solid angles of the quadrangles i -> r -> s -> f of rows of Python
+    floats, ``None`` where one is undefined, with the projections
+    ``|s+r|^2/2``, ``|r+i|^2/2``, ``|f+s|^2/2``, ``|f+i|^2/2`` and
+    ``|s+i|^2/2``.  Each quadrangle is the triangles (i, r, s) and (i, s, f),
+    whose shared i <-> s legs cancel, as one :func:`_row_dots` pass over 2n
+    rows."""
     n = len(i)
     y, x, fr, ri, fi = _row_dots(i + i, r + s, s + f)
-    angles = _triangles(y, x)
-    return ([None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])],
-            fr[:n], ri[:n], fr[n:], fi[n:], fi[:n])
+    return (_pair_sums(_triangles(y, x), n), fr[:n], ri[:n], fr[n:], fi[n:], fi[:n])
+
+
+def _pair_sums(angles: list[float | None], n: int) -> list[float | None]:
+    """``angles[k] + angles[n + k]`` for k < n, ``None`` where either is."""
+    return [None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])]
 
 
 def _defined(angles: list[float | None]) -> list[float]:
@@ -288,12 +292,28 @@ def _weak_factors(vi, vr, vf):
 
 
 def _modular_factors(vi, vr, vs, vf):
-    """Factor moduli and quadrangle solid angles of the modular value of
-    paired unit points ``vi`` and ``vs`` (rows, or one vector each), with the
-    anchor projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` and the diagonal
-    projections ``|s_k+i_k|^2/2`` of the same pass."""
-    angles, sr, ri, fs, fi, si = _quadrangle_rows(vi, vr, vs, vf)
-    return (*_factors(_moduli(fs, fi), angles), ri, sr, si)
+    """Factor moduli and quadrangle solid angles of the modular value of unit
+    points ``vi`` and ``vs`` (rows, or one vector each), with the anchor
+    projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass.
+
+    Each quadrangle i_k -> r -> s_k -> f is split along its i-s diagonal.
+    Where ``|s_k+i_k|^2/2`` is below ``_DIAGONAL_FLOOR`` (those triangles
+    round like ``u/|s_k+i_k|``, and have no area at ``s_k = -i_k``) and
+    ``|r+f|^2/2`` is larger, its angle is taken along the r-f diagonal
+    instead, as the triangles (i_k, r, f) and (r, s_k, f) of one more
+    :func:`_row_dots` pass over those rows; the moduli and projections keep
+    the i-s pass's bits.  A row with both diagonals at antipodes keeps the
+    i-s angle, undefined."""
+    i, r, s, f = _float_rows(vi, vr, vs, vf)
+    angles, sr, ri, fs, fi, si = _quadrangle_rows(i, r, s, f)
+    near = [k for k, p in enumerate(si) if p < _DIAGONAL_FLOOR]
+    if near:
+        i, r, s, f = ([rows[k] for k in near] for rows in (i, r, s, f))
+        y, x, rf, _, _ = _row_dots(i + r, r + s, f + f)
+        for k, p, angle in zip(near, rf, _pair_sums(_triangles(y, x), len(near))):
+            if p > si[k]:
+                angles[k] = angle
+    return (*_factors(_moduli(fs, fi), angles), ri, sr)
 
 
 def solid_angle_triangle(i, r, f) -> float:
@@ -329,7 +349,7 @@ def solid_angle_quadrangle(i, r, s, f) -> float:
     i <-> s geodesic legs cancel.  The raw sum is returned (callers compare
     modulo 4*pi).
     """
-    (omega,) = _defined(_quadrangle_rows(*map(_bloch_vector, (i, r, s, f)))[0])
+    (omega,) = _defined(_quadrangle_rows(*([_bloch_vector(v)] for v in (i, r, s, f)))[0])
     return omega
 
 

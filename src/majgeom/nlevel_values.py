@@ -19,11 +19,10 @@ import numpy as np
 
 from .bloch import _bloch_vector, _dot, _modular_factors, _weak_factors
 from .canonical import _NORTH, _frame, _frame_points
-from .errors import IncompleteContext, UndefinedSolidAngle, ZeroDenominator
+from .errors import IncompleteContext, ZeroDenominator
 from .majorana import _point_array, _point_rows, _unit_state
 from .numerics import (
     _CONTEXT_SLACK,
-    _DIAGONAL_FLOOR,
     _GELL_MANN_SLACK,
     _PAIRING_TIE_SLACK,
     DEFAULT_TOL,
@@ -339,12 +338,12 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     ``s_k`` goes with which ``i_k``.  Only the breakdown's ``factors`` do:
     they pair ``s`` to ``i`` by :func:`pair_points` of the sets as given
     (copied here) when first read.  Where the given order puts some ``s_k``
-    near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``, where the
-    quadrangle's rounding grows, or its area is undefined), the value is
-    computed on the paired rows instead.  The shapes are checked to match
-    first, then ``i``'s shape and count, then ``s``'s rows, ``i``'s rows,
-    ``r`` and ``f``; :func:`qutrit_modular_value_geometric` ends in the same
-    core.
+    near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``), that
+    quadrangle is split along its r-f diagonal, as
+    :func:`bloch._modular_factors` describes; with ``r = -f`` too, it is
+    undefined.  The shapes are checked to match first, then ``i``'s shape
+    and count, then ``s``'s rows, ``i``'s rows, ``r`` and ``f``;
+    :func:`qutrit_modular_value_geometric` ends in the same core.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     a, b = _point_sets(np.array(i_points, dtype=float), np.array(s_points, dtype=float))
@@ -370,22 +369,13 @@ def _modular_value(vi, vs, vr, vf, beta: float, phase: float,
     whatever the order, from the projections ``|r+i_k|^2/2`` and
     ``|r+s_k|^2/2`` that the kernel pass forms for the (i_k, r, s_k) triangles.
 
-    ``paired``, when given, returns the rows of ``vs`` paired to ``vi``: the
-    breakdown's ``factors`` are built on them when first read, and the value
-    is computed on them where some ``|s_k+i_k|^2/2`` of the given order is
-    below ``_DIAGONAL_FLOOR`` (a quadrangle that rounds like ``u/|s_k+i_k|``)
-    or a quadrangle of it is undefined with a non-zero modulus.  Without it,
-    the factors are the value's columns.
+    The value is always computed on the rows as given; the kernel splits a
+    quadrangle whose ``s_k`` nears ``-i_k`` along its r-f diagonal.
+    ``paired``, when given, returns the rows of ``vs`` paired to ``vi``, and
+    the breakdown's ``factors`` are built on them when first read.  Without
+    it, the factors are the value's columns.
     """
-    try:
-        moduli, omegas, ri, rs, si = _modular_factors(vi, vr, vs, vf)
-        near = paired is not None and min(si) < _DIAGONAL_FLOOR
-    except UndefinedSolidAngle:
-        if paired is None:
-            raise
-        near = True
-    if near:
-        return _modular_value(vi, paired(), vr, vf, beta, phase, k_ratio)
+    moduli, omegas, ri, rs = _modular_factors(vi, vr, vs, vf)
     if k_ratio is None:
         num, den = math.prod(ri), math.prod(rs)
         ratio = num / den if den else math.inf
@@ -405,7 +395,7 @@ def _paired_columns(vi, vr, vf, paired):
     """The moduli, solid angles and ``s`` rows of the factors of ``vi`` and the
     rows ``paired()`` returns, from one kernel pass."""
     vs = paired()
-    moduli, omegas, _, _, _ = _modular_factors(vi, vr, vs, vf)
+    moduli, omegas, _, _ = _modular_factors(vi, vr, vs, vf)
     return moduli, omegas, vs
 
 
@@ -431,11 +421,11 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     through the frame and their points read off.  The points go, in the
     sorted order the frame gives them, through the core that
     :func:`factored_modular_value` calls once it has validated, with
-    K_s / K_i read off the anchor: the value is not paired (unless the
-    sorted order puts some ``s_k`` near ``-i_k``, as that function
-    describes), and the breakdown's ``factors`` pair the frame's ``s`` points
-    to its ``i`` points by :func:`pair_points` when first read.  The
-    dynamical phase is
+    K_s / K_i read off the anchor: the value is not paired (a quadrangle
+    whose ``s_k`` nears ``-i_k`` in the sorted order is split along its r-f
+    diagonal, as that function describes), and the breakdown's ``factors``
+    pair the frame's ``s`` points to its ``i`` points by :func:`pair_points`
+    when first read.  The dynamical phase is
     ``beta - s*eigenvalue`` reduced to (-pi, pi], each term reduced exactly as
     :func:`modular_value_direct`'s ``exp`` reduces it.  The selections are
     validated once, and nothing the route makes is validated or renormalized

@@ -80,18 +80,20 @@ def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
 
     The evolution is applied to ``|i>`` as
     ``cos(alpha/2) |i> - 1j sin(alpha/2) (n.sigma)|i>`` from the axis
-    components; no matrix is built."""
+    components; no matrix is built.  Each product of two complexes is
+    :func:`numerics._product`, never fused."""
     qi, qf = _unit_qubit(i), _unit_qubit(f)
     den = _checked_overlap(qf, qi)
     x, y, z = spec.axis.tolist()
     a0, a1 = qi
-    n0, n1 = z * a0 + complex(x, -y) * a1, complex(x, y) * a0 - z * a1  # (n.sigma)|i>
+    # (n.sigma)|i>
+    n0, n1 = z * a0 + _product(complex(x, -y), a1), _product(complex(x, y), a0) - z * a1
     half = 0.5 * spec.alpha
     c, s = math.cos(half), math.sin(half)
     b0, b1 = (b.conjugate() for b in qf)
-    transition = b0 * (c * a0 - 1j * s * n0) + b1 * (c * a1 - 1j * s * n1)  # <f|U|i>
-    value = cmath.exp(0.5j * spec.beta) * transition / den
-    return PolarComplex.from_complex(value)
+    transition = (_product(b0, c * a0 - 1j * s * n0)
+                  + _product(b1, c * a1 - 1j * s * n1))  # <f|U|i>
+    return PolarComplex.from_complex(_product(cmath.exp(0.5j * spec.beta), transition) / den)
 
 
 def modular_value_geometric(i, spec: QubitModularSpec, f):
@@ -101,11 +103,13 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
     modulus is ``sqrt((1+f.s)/(1+f.i))``; the argument splits into the
     dynamical term ``beta/2 - alpha/2``, reduced to (-pi, pi] with each half
     angle reduced exactly as the direct route reduces it, and the geometric term
-    given by minus half the (i, r, s, f) quadrangle solid angle.  When ``s``
-    is antipodal to ``f`` (a modulus of at most ``DEFAULT_TOL.zero`` and an
-    undefined quadrangle), the value is ``PolarComplex(0.0, 0.0)``.  This is
-    the one-point ``factored_modular_value`` with ``beta/2`` for ``beta``,
-    eigenvalue 1 and K_s / K_i taken as exactly 1.
+    given by minus half the (i, r, s, f) quadrangle solid angle, split along
+    its r-f diagonal where ``s`` nears ``-i`` (a half turn about an axis
+    near perpendicular to ``i``).  When ``s`` is antipodal to ``f`` (a
+    modulus of at most ``DEFAULT_TOL.zero`` and an undefined quadrangle), the
+    value is ``PolarComplex(0.0, 0.0)``.  This is the one-point
+    ``factored_modular_value`` with ``beta/2`` for ``beta``, eigenvalue 1 and
+    K_s / K_i taken as exactly 1.
     """
     vi, vr, vf = _bloch_vector(i), spec.axis.tolist(), _bloch_vector(f)
     vs = _rotate(vi, vr, spec.alpha)

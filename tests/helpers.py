@@ -34,6 +34,15 @@ def random_bloch(rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def tilted_axis(rng, point: np.ndarray, tilt: float) -> np.ndarray:
+    """A random unit axis ``tilt`` radians off perpendicular to the unit
+    vector ``point``: a half turn about it takes ``point`` to within
+    ``2 tilt`` of its antipode."""
+    axis = np.cross(point, random_bloch(rng))
+    axis = math.cos(tilt) * axis / np.linalg.norm(axis) + math.sin(tilt) * point
+    return axis / np.linalg.norm(axis)
+
+
 def random_state(rng, n: int) -> np.ndarray:
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)

@@ -120,6 +120,22 @@ class TestQubitCommands:
         doc = json.loads(out)
         assert doc["mismatch"] is False
 
+    def test_half_turn_about_near_perpendicular_axis(self, capsys, tmp_path):
+        # +x turned by pi about an axis 1e-8 off perpendicular lands 2e-8 from
+        # -x: the quadrangle is split along its r-f diagonal, and the routes
+        # agree far inside the 1e-9 comparison.
+        scenario = write_scenario(tmp_path, {
+            "i": {"bloch": [1, 0, 0]},
+            "f": {"bloch": [0, -1, 0]},
+            "spec": {"axis": [1e-8, 0, 1], "alpha": math.pi},
+        })
+        code, out = run_cli(capsys, "qubit-modular", "--scenario", scenario, "--mode", "both")
+        assert code == 0, out
+        doc = json.loads(out)
+        geo, direct = doc["results"]["geometric"], doc["results"]["direct"]
+        assert abs(complex(geo["re"], geo["im"]) - complex(direct["re"], direct["im"])) <= 1e-12
+        assert doc["mismatch"] is False
+
     def test_zero_modular_value_exit_zero(self, capsys, tmp_path):
         # +z turned by pi about +x is antipodal to f = +z: the value is 0 and
         # the geometric route used to exit 3.

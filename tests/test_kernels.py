@@ -585,12 +585,21 @@ def ref_weak_factors(vi, vr, vf):
                        [lambda p=p: ref_unit_solid_angle(p, vr, vf) for p in vi])
 
 
+def ref_quadrangle(vi, vr, vs, vf):
+    """The quadrangle i -> r -> s -> f as the triangles (i, r, s) + (i, s, f),
+    or as (i, r, f) + (r, s, f) where ``|s+i|^2/2`` is below
+    ``_DIAGONAL_FLOOR`` and ``|r+f|^2/2`` is larger."""
+    diagonal = ref_projection(vi, vs)
+    if diagonal < numerics._DIAGONAL_FLOOR and ref_projection(vr, vf) > diagonal:
+        return ref_unit_solid_angle(vi, vr, vf) + ref_unit_solid_angle(vr, vs, vf)
+    return ref_unit_solid_angle(vi, vr, vs) + ref_unit_solid_angle(vi, vs, vf)
+
+
 def ref_modular_factors(vi, vs, vr, vf):
-    """Of unit rows ``vi`` and ``vs``, paired row by row, and unit ``vr``, ``vf``."""
+    """Of unit rows ``vi`` and ``vs``, taken row by row, and unit ``vr``, ``vf``."""
     return ref_factors(
         [ref_modular_modulus(p, q, vf) for p, q in zip(vi, vs)],
-        [lambda p=p, q=q: ref_unit_solid_angle(p, vr, q) + ref_unit_solid_angle(p, q, vf)
-         for p, q in zip(vi, vs)])
+        [lambda p=p, q=q: ref_quadrangle(p, vr, q, vf) for p, q in zip(vi, vs)])
 
 
 def units(rows):
@@ -661,14 +670,14 @@ def row_order_antipodes(draw):
     return points, s, r, f
 
 
-def angle_rounding(points, s, r, f, floor=0.0) -> float:
-    """A bound on the rounding of the value's argument with s's rows paired to
-    ``points`` in the order given: each triangle (a, b, c) of a quadrangle
-    (i, r, s_k) and (i, s_k, f) has ``y`` and ``x`` to a few units in the last
-    place, so its share of the argument errs by at most about
-    ``16 u / |x + iy|``, with ``|x + iy|^2 = 2 p_ab p_bc p_ca`` for the
-    projections ``p_ab = |a+b|^2/2``.  The diagonal projection ``p_is`` is
-    taken as at least ``floor``.  It is infinite at an antipode."""
+def angle_rounding(points, s, r, f) -> float:
+    """A bound on the rounding of the value's argument with s's rows taken in
+    the order given: each quadrangle is split along the diagonal
+    :func:`ref_quadrangle` takes, and each of its triangles (a, b, c) has
+    ``y`` and ``x`` to a few units in the last place, so its share of the
+    argument errs by at most about ``16 u / |x + iy|``, with
+    ``|x + iy|^2 = 2 p_ab p_bc p_ca`` for the projections ``p_ab = |a+b|^2/2``.
+    It is infinite at an antipode."""
     def projection(a, b):
         return 0.5 * float(np.dot(a + b, a + b))
 
@@ -676,10 +685,13 @@ def angle_rounding(points, s, r, f, floor=0.0) -> float:
     total = 0.0
     vr, vf = ref_as_bloch(r), ref_as_bloch(f)
     for vi, vs in zip(units(points), units(s)):
-        diagonal = max(projection(vi, vs), floor)
-        for legs in (projection(vi, vr) * projection(vr, vs),
-                     projection(vs, vf) * projection(vf, vi)):
-            size = math.sqrt(2.0 * legs * diagonal)
+        diagonal = projection(vi, vs)
+        ir, rs, sf, fi = (projection(a, b) for a, b in ((vi, vr), (vr, vs), (vs, vf), (vf, vi)))
+        legs = (ir * rs, sf * fi)
+        if diagonal < numerics._DIAGONAL_FLOOR and projection(vr, vf) > diagonal:
+            diagonal, legs = projection(vr, vf), (ir * fi, rs * sf)
+        for leg in legs:
+            size = math.sqrt(2.0 * leg * diagonal)
             total += 16.0 * u / size if size else math.inf
     return total
 
@@ -688,12 +700,10 @@ def same_value_any_order(points, s, r, f):
     """The modular value of s's rows as given against the value of the same
     rows paired to ``points``: the same refusal, or the same modulus to
     1e-12 max(1, |A|) and the same argument (mod 2 pi) to that plus |A| times
-    both orders' :func:`angle_rounding`.  The value is never computed on a
-    row order whose diagonal projection ``|s_k+i_k|^2/2`` is below
-    ``_DIAGONAL_FLOOR`` (it takes the paired rows instead), so that order's
-    rounding is bounded with the diagonal at the floor or above; a row that
-    near an antipode of its pair is not allowed for.  A paired order that is
-    refused may be answered in another order."""
+    both orders' :func:`angle_rounding`.  A paired order that is refused may
+    be answered in another order.  The order given is refused only where the
+    reference refuses it: a row whose quadrangle has no area along the
+    diagonal it is split on, as where ``s_k = -i_k`` and ``r = -f``."""
     def value(rows):
         return factored_modular_value(points, rows, r, f, alpha=0.4, beta=0.2,
                                       eigenvalue=1.0)[0]
@@ -707,12 +717,16 @@ def same_value_any_order(points, s, r, f):
         return
     except UndefinedSolidAngle:
         return
-    got = value(s)
+    try:
+        got = value(s)
+    except UndefinedSolidAngle:
+        with pytest.raises(UndefinedSolidAngle):
+            ref_modular_factors(units(points), units(s), ref_as_bloch(r), ref_as_bloch(f))
+        return
     tol = 1e-12 * max(1.0, want.modulus)
     assert abs(got.modulus - want.modulus) <= tol
     if want.modulus:
-        rounding = (angle_rounding(points, s, r, f, floor=numerics._DIAGONAL_FLOOR)
-                    + angle_rounding(points, paired, r, f))
+        rounding = angle_rounding(points, s, r, f) + angle_rounding(points, paired, r, f)
         assert want.modulus * ang_dist(got.argument, want.argument) <= (
             tol + want.modulus * min(rounding, math.pi))
     else:
@@ -724,8 +738,9 @@ class TestUnpairedValue:
     given: the modulus product and the summed solid angle (mod 4 pi) do not
     depend on the pairing, so any order gives the paired rows' value to
     rounding.  The argument's rounding grows where a triangle's vertices near
-    an antipode; where the given order puts s_k near -i_k, which pairing
-    avoids, the value takes the paired rows, so that growth is never met."""
+    an antipode; where the given order puts s_k near -i_k, the kernel splits
+    that quadrangle along its r-f diagonal instead, so the i-s diagonal's
+    growth is never met."""
 
     @KERNEL_SETTINGS
     @given(case=reordered(modular_batches()))

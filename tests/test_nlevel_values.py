@@ -20,6 +20,7 @@ from helpers import (
     random_state,
     random_unitary,
     spin_component,
+    tilted_axis,
     top_state,
 )
 from majgeom.bloch import qubit_to_bloch, solid_angle_triangle
@@ -567,12 +568,16 @@ class TestQutritModularGeometric:
         assert (value.modulus, value.argument, value.unwrapped_argument) == (0.0, 0.0, 0.0)
         assert [(f.modulus_ratio, f.solid_angle) for f in breakdown.factors] == [(0.0, 0.0)]
 
-    def test_near_antipodal_s_still_raises(self):
+    def test_near_antipodal_s_matches_direct(self):
+        # s lands 2e-7 from -f = -i: the modulus is about 1e-7, not 0, and the
+        # quadrangle, split along its r-f diagonal, has a defined area.
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         spec = NLevelModularSpec(observable=sigma_x, generic_theta=math.pi / 2 - 1e-7)
         ket0 = np.array([1.0, 0.0], dtype=complex)
-        with pytest.raises(UndefinedSolidAngle):
-            qutrit_modular_value_geometric(ket0, spec, ket0)
+        want = modular_value_direct(ket0, spec, ket0)
+        value, _ = qutrit_modular_value_geometric(ket0, spec, ket0)
+        assert 0.0 < want.modulus < 1e-6
+        assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
     def test_against_direct_oracle(self):
         rng = np.random.default_rng(82)
@@ -1013,7 +1018,7 @@ def paired_records(vi, vs_paired, vr, vf):
     """The per-factor records of the paired construction the breakdown used
     before its value was unpaired: one kernel pass over ``vi`` and the rows
     paired to it, the zero-value rule applied, each point set one array."""
-    moduli, angles, _, _, _ = majgeom.bloch._modular_factors(vi, vr, vs_paired, vf)
+    moduli, angles, _, _ = majgeom.bloch._modular_factors(vi, vr, vs_paired, vf)
     return eager_factors(moduli, angles, vi, vs_paired)
 
 
@@ -1082,9 +1087,9 @@ class TestUnpairedModularValue:
                 calls.clear()
 
     def test_row_order_antipode_is_answered(self, monkeypatch):
-        # Row order puts s_0 = -i_0, whose quadrangle has no defined area and a
-        # non-zero modulus; the pairing puts s_0 with i_1 instead, so the value
-        # is computed on the paired rows.
+        # Row order puts s_0 = -i_0, whose quadrangle has no area along its
+        # i-s diagonal; the kernel splits it along r-f, with no pairing, and
+        # the value is the paired rows' (s_0 with i_1) to rounding.
         ex, ey, ez = np.eye(3)
         points, s = np.array([ex, ey]), np.array([-ex, ez])
         r, f = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0), np.array([-2.0, 1.0, 2.0]) / 3.0
@@ -1092,71 +1097,104 @@ class TestUnpairedModularValue:
 
         def value(rows):
             return factored_modular_value(points, rows, r, f, alpha=0.3, beta=0.1,
-                                          eigenvalue=1.0)
+                                          eigenvalue=1.0)[0]
 
-        expected = value_bits(value(s[::-1]))
+        want = value(s[::-1])
         calls = []
         monkeypatch.setattr(majgeom.nlevel_values, "pair_points",
                             counting(majgeom.nlevel_values.pair_points, calls))
-        result = value(s)
-        assert len(calls) == 1
-        assert value_bits(result) == expected
-        with pytest.raises(UndefinedSolidAngle):  # the kernel refuses that row order
-            majgeom.nlevel_values._modular_value(
-                *(majgeom.majorana._point_rows(a) for a in (points, s)),
-                majgeom.bloch._bloch_vector(r), majgeom.bloch._bloch_vector(f), 0.1, 0.3)
+        got = value(s)
+        assert calls == []
+        assert abs(got.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
-    def test_row_order_near_antipode_takes_paired_rows(self, monkeypatch):
+    def test_row_order_near_antipode_keeps_row_order(self, monkeypatch):
         # With s_0 within d of -i_0 in row order, the quadrangle's i-s
-        # triangles would round like u/d; the value is the paired rows' value,
-        # bit for bit.
+        # triangles would round like u/d; below the floor it is split along
+        # r-f, and the value is the paired rows' value to rounding, unpaired.
         rng = np.random.default_rng(3500)
         ex, ey, ez = np.eye(3)
         points = np.array([ex, ey])
         r, f = random_bloch(rng), random_bloch(rng)
-        rows, unit = majgeom.majorana._point_rows, majgeom.bloch._bloch_vector
         calls = []
         monkeypatch.setattr(majgeom.nlevel_values, "pair_points", counting(pair_points, calls))
 
-        def value(d):
+        def value(rows):
+            return factored_modular_value(points, rows, r, f, alpha=0.3, beta=0.1,
+                                          eigenvalue=1.0)[0]
+
+        # d = 0.04 puts |s_0+i_0|^2/2 at 8e-4, below the 1e-3 floor; 0.05 at
+        # 1.25e-3, above it.
+        for d in (0.04, 1e-4, 1e-8, 0.0, 0.05):
             near = -ex + d * ez
             s = np.array([near / np.linalg.norm(near), ez])
-            return s, factored_modular_value(points, s, r, f, alpha=0.3, beta=0.1,
-                                             eigenvalue=1.0)
-
-        # d = 0.04 puts |s_0+i_0|^2/2 at 8e-4, below the 1e-3 floor.
-        for d in (0.04, 1e-4, 1e-8):
-            s, result = value(d)
-            paired = s[::-1]
-            assert calls == [2] and np.array_equal(pair_points(points, s), paired)
-            assert value_bits(result) == value_bits(majgeom.nlevel_values._modular_value(
-                rows(points), rows(paired), unit(r), unit(f), 0.1, 0.3))
-            calls.clear()
-        value(0.05)  # 1.25e-3, above the floor: the row order is kept
-        assert calls == []
-
-    @pytest.mark.parametrize("n", range(3, MAX_LEVELS + 1))
-    def test_spin_rotation_near_antipode_matches_direct(self, n):
-        # A rotation by pi about an axis 1e-7 off perpendicular to i_0 puts
-        # s_0 within 2e-7 of -i_0 in row order.  The value stays within 1e-12
-        # of the direct route.  (N = 2 has one pairing, which keeps that row,
-        # so its gap grows like u/d whether or not the value is paired.)
-        rng = np.random.default_rng(3600 + n)
-        for _ in range(20):
-            psi_i = random_state(rng, n)
-            i_pts = majorana_points(psi_i).points
-            axis = np.cross(i_pts[0], random_bloch(rng))
-            r = axis / np.linalg.norm(axis) + 1e-7 * i_pts[0]
-            r /= np.linalg.norm(r)
-            f = random_bloch(rng)
-            s_pts = np.array([majgeom.bloch.rodrigues_rotate(p, r, math.pi) for p in i_pts])
-            assert np.linalg.norm(s_pts[0] + i_pts[0]) < 1e-6
-            got, _ = factored_modular_value(i_pts, s_pts, r, f, alpha=math.pi, beta=0.0,
-                                            eigenvalue=1.0)
-            spec = NLevelModularSpec(spin_component(n - 1, r) / ((n - 1) / 2.0), alpha=math.pi)
-            _, evecs = eig_hermitian(spin_component(n - 1, f))
-            want = modular_value_direct(psi_i, spec, evecs[:, -1])
+            got = value(s)
+            assert calls == []
+            want = value(s[::-1])
             assert abs(got.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_no_pairing_at_row_order_antipodes(self, monkeypatch, n):
+        # Rotations by pi about an axis perpendicular to i_0 with s_0 = -i_0
+        # exactly, or 1e-7 off it, and the same rows in random order: no value
+        # pairs, and reading the factors pairs once.
+        rng = np.random.default_rng(3700 + n)
+        calls = []
+        monkeypatch.setattr(majgeom.nlevel_values, "pair_points",
+                            counting(majgeom.nlevel_values.pair_points, calls))
+        for tilt, exact in ((0.0, True), (5e-8, False)):
+            i_pts = majorana_points(random_state(rng, n)).points
+            r, f = tilted_axis(rng, i_pts[0], tilt), random_bloch(rng)
+            s_pts = np.array([majgeom.bloch.rodrigues_rotate(p, r, math.pi) for p in i_pts])
+            if exact:
+                s_pts[0] = -i_pts[0]
+            for rows in (s_pts, s_pts[rng.permutation(n - 1)]):
+                value, breakdown = factored_modular_value(i_pts, rows, r, f, alpha=math.pi,
+                                                          beta=0.0, eigenvalue=1.0)
+                assert calls == []
+                assert breakdown.factors
+                assert calls == [n - 1]
+                calls.clear()
+
+    def test_both_diagonals_at_antipodes_refused(self):
+        # s_0 = -i_0 and r = -f in the given order: the quadrangle has no area
+        # along either diagonal, so the value is refused, though the paired
+        # rows (s_0 with i_1) have one.
+        ex, ey, ez = np.eye(3)
+        points, s = np.array([ex, ey]), np.array([-ex, [0.6, 0.0, 0.8]])
+        assert np.array_equal(pair_points(points, s), s[::-1])
+
+        def value(rows):
+            return factored_modular_value(points, rows, ez, -ez, alpha=0.3, beta=0.1,
+                                          eigenvalue=1.0)[0]
+
+        assert value(s[::-1]).modulus > 0.0
+        with pytest.raises(UndefinedSolidAngle):
+            value(s)
+
+    @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
+    def test_spin_rotation_near_antipode_matches_direct(self, n):
+        # A rotation by pi about an axis 1e-6 to 1e-9 off perpendicular to
+        # i_0 puts s_0 within 2e-6 of -i_0 in row order; the kernel splits
+        # that quadrangle along r-f.  Both geometric routes stay within 1e-12
+        # of the direct route.
+        rng = np.random.default_rng(3600 + n)
+        for tilt in (1e-6, 1e-7, 1e-8, 1e-9):
+            for _ in range(5):
+                psi_i = random_state(rng, n)
+                i_pts = majorana_points(psi_i).points
+                r, f = tilted_axis(rng, i_pts[0], tilt), random_bloch(rng)
+                s_pts = np.array([majgeom.bloch.rodrigues_rotate(p, r, math.pi)
+                                  for p in i_pts])
+                assert np.linalg.norm(s_pts[0] + i_pts[0]) < 3 * tilt
+                got, _ = factored_modular_value(i_pts, s_pts, r, f, alpha=math.pi, beta=0.0,
+                                                eigenvalue=1.0)
+                spec = NLevelModularSpec(spin_component(n - 1, r) / ((n - 1) / 2.0),
+                                         alpha=math.pi)
+                _, evecs = eig_hermitian(spin_component(n - 1, f))
+                want = modular_value_direct(psi_i, spec, evecs[:, -1])
+                route, _ = qutrit_modular_value_geometric(psi_i, spec, evecs[:, -1])
+                for value in (got, route):
+                    assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
     def test_shape_mismatch_refused_before_rows(self):
         bad = np.full((2, 3), np.nan)
@@ -1413,6 +1451,32 @@ class TestExactWeakValue:
         kappa = 1.0 / abs(np.vdot(psi_f, psi_i))
         value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
         assert abs(value.rect - exact) <= 64 * 2.0**-53 * kappa * abs(exact)
+
+    # The largest constants measured over 10 800 draws at these overlaps
+    # (N = 3, 5, 8) were 0.77 (direct) and 27.7 (geometric); each bound is
+    # over twice its measured constant.
+    C_DIRECT, C_GEOMETRIC = 2.0, 64.0
+
+    @pytest.mark.parametrize("n", (3, 5, 8))
+    def test_small_overlaps_in_kappa_units(self, n):
+        # |<f|i>| from 2e-10, just above DEFAULT_TOL.orthogonality, to 1e-5:
+        # both routes err by at most C u kappa |A| (kappa = 1/|<f|i>|).  The
+        # geometric route may refuse instead, typed, where a stellar point of
+        # the frame image of i lands within 1e-10 of -f.
+        rng = np.random.default_rng(3900 + n)
+        for overlap in (2e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5):
+            for _ in range(8):
+                psi_i, psi_f = with_overlap(rng, n, overlap)
+                psi_r = random_state(rng, n)
+                exact = exact_weak_value(psi_i, psi_r, psi_f)
+                scale = 2.0**-53 * abs(exact) / abs(np.vdot(psi_f, psi_i))
+                direct = weak_value_direct(psi_i, np.outer(psi_r, psi_r.conj()), psi_f)
+                assert abs(direct.rect - exact) <= self.C_DIRECT * scale
+                try:
+                    value, _ = qutrit_projector_weak_value_geometric(psi_i, psi_r, psi_f)
+                except OrthogonalSelection:
+                    continue
+                assert abs(value.rect - exact) <= self.C_GEOMETRIC * scale
 
 
 class TestProjectorSumRule:

@@ -13,6 +13,7 @@ from helpers import (
     qubit_weak_value_rect,
     random_bloch,
     random_qubit,
+    tilted_axis,
 )
 import majgeom.bloch
 import majgeom.qubit_values
@@ -225,12 +226,28 @@ class TestModularValueGeometric:
         (factor,) = breakdown.factors
         assert (factor.modulus_ratio, factor.solid_angle) == (0.0, 0.0)
 
-    def test_near_antipodal_s_still_raises(self):
-        # s a hair from -f: the modulus is not 0, so the degenerate
-        # quadrangle is refused, as for weak values.
+    def test_near_antipodal_s_matches_direct(self):
+        # s a hair from -f = -i: the modulus is about 5e-8, not 0, and the
+        # quadrangle, split along its r-f diagonal, has a defined area.
         spec = QubitModularSpec(axis=EX, alpha=math.pi - 1e-7)
-        with pytest.raises(UndefinedSolidAngle):
-            modular_value_geometric(EZ, spec, EZ)
+        want = modular_value_direct(KET0, spec, KET0)
+        value, _ = modular_value_geometric(EZ, spec, EZ)
+        assert 0.0 < want.modulus < 1e-6
+        assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
+
+    @pytest.mark.parametrize("tilt", [1e-6, 1e-7, 1e-8, 1e-9])
+    def test_half_turn_near_perpendicular_axis(self, tilt):
+        # A rotation by pi about an axis ``tilt`` off perpendicular to i puts
+        # s within 2 tilt of -i; the quadrangle is split along r-f, and the
+        # value stays within 1e-12 of the direct route.
+        rng = np.random.default_rng(230)
+        for _ in range(100):
+            i, f = random_bloch(rng), random_bloch(rng)
+            spec = QubitModularSpec(axis=tilted_axis(rng, i, tilt), alpha=math.pi,
+                                    beta=rng.uniform(-1.0, 1.0))
+            want = modular_value_direct(bloch_to_qubit(i), spec, bloch_to_qubit(f))
+            value, _ = modular_value_geometric(i, spec, f)
+            assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
 
 class TestDerivativeRelation:
