@@ -306,8 +306,8 @@ def _modular_factors(vi, vr, vs, vf):
     i-s angle, undefined."""
     i, r, s, f = _float_rows(vi, vr, vs, vf)
     angles, sr, ri, fs, fi, si = _quadrangle_rows(i, r, s, f)
-    near = [k for k, p in enumerate(si) if p < _DIAGONAL_FLOOR]
-    if near:
+    if min(si) < _DIAGONAL_FLOOR:
+        near = [k for k, p in enumerate(si) if p < _DIAGONAL_FLOOR]
         i, r, s, f = ([rows[k] for k in near] for rows in (i, r, s, f))
         y, x, rf, _, _ = _row_dots(i + r, r + s, f + f)
         for k, p, angle in zip(near, rf, _pair_sums(_triangles(y, x), len(near))):
