@@ -250,12 +250,13 @@ def _quadrangle_rows(i, r, s, f) -> tuple[list, ...]:
     rows."""
     n = len(i)
     y, x, fr, ri, fi = _row_dots(i + i, r + s, s + f)
-    return (_pair_sums(_triangles(y, x), n), fr[:n], ri[:n], fr[n:], fi[n:], fi[:n])
+    return (_block_sums(_triangles(y, x), n), fr[:n], ri[:n], fr[n:], fi[n:], fi[:n])
 
 
-def _pair_sums(angles: list[float | None], n: int) -> list[float | None]:
-    """``angles[k] + angles[n + k]`` for k < n, ``None`` where either is."""
-    return [None if a is None or b is None else a + b for a, b in zip(angles[:n], angles[n:])]
+def _block_sums(angles: list[float | None], n: int) -> list[float | None]:
+    """``(angles[k] + angles[n + k]) + ...`` for k < n, ``None`` where any is."""
+    rows = zip(*(angles[j:j + n] for j in range(0, len(angles), n)))
+    return [None if None in q else sum(q[1:], q[0]) for q in rows]
 
 
 def _defined(angles: list[float | None]) -> list[float]:
@@ -273,14 +274,15 @@ def _factors(moduli: list[float],
     :class:`OrthogonalSelection` before any angle is looked at.  A factor
     whose polygon is undefined (it has an antipodal pair) and whose modulus
     is at most ``DEFAULT_TOL.zero`` is an exact zero: its modulus and angle
-    are 0.0, and the value is 0 whatever the angle.  Any other undefined
-    angle raises :class:`UndefinedSolidAngle`."""
+    are 0.0, and the value is 0 whatever the angles, so any other undefined
+    angle is 0.0 too.  Without an exact zero, an undefined angle raises
+    :class:`UndefinedSolidAngle`."""
     if any(map(math.isnan, moduli)):
         raise OrthogonalSelection("an initial point is antipodal to the final point")
     zero = DEFAULT_TOL.zero
-    for k, (modulus, angle) in enumerate(zip(moduli, angles)):
-        if angle is None and modulus <= zero:
-            moduli[k] = angles[k] = 0.0
+    if any(angle is None and modulus <= zero for modulus, angle in zip(moduli, angles)):
+        moduli = [0.0 if a is None and m <= zero else m for m, a in zip(moduli, angles)]
+        angles = [0.0 if a is None else a for a in angles]
     return moduli, _defined(angles)
 
 
@@ -302,17 +304,32 @@ def _modular_factors(vi, vr, vs, vf):
     ``|r+f|^2/2`` is larger, its angle is taken along the r-f diagonal
     instead, as the triangles (i_k, r, f) and (r, s_k, f) of one more
     :func:`_row_dots` pass over those rows; the moduli and projections keep
-    the i-s pass's bits.  A row with both diagonals at antipodes keeps the
-    i-s angle, undefined."""
+    the i-s pass's bits.
+
+    A quadrangle still undefined, as where both diagonals are at antipodes
+    or two legs of one of its triangles are, is summed as the fan of
+    triangles (p, i_k, r), (p, r, s_k), (p, s_k, f) and (p, f, i_k) from the
+    coordinate axis p whose least ``p.v`` over the four vertices is largest.
+    A vertex has ``p.v < -3/4`` for at most one of the six axes, so every
+    ``|p+v|^2/2`` is at least 1/4, and only two adjacent vertices at
+    antipodes leave a fan triangle undefined."""
     i, r, s, f = _float_rows(vi, vr, vs, vf)
     angles, sr, ri, fs, fi, si = _quadrangle_rows(i, r, s, f)
     if min(si) < _DIAGONAL_FLOOR:
         near = [k for k, p in enumerate(si) if p < _DIAGONAL_FLOOR]
-        i, r, s, f = ([rows[k] for k in near] for rows in (i, r, s, f))
-        y, x, rf, _, _ = _row_dots(i + r, r + s, f + f)
-        for k, p, angle in zip(near, rf, _pair_sums(_triangles(y, x), len(near))):
+        qi, qr, qs, qf = ([rows[k] for k in near] for rows in (i, r, s, f))
+        y, x, rf, _, _ = _row_dots(qi + qr, qr + qs, qf + qf)
+        for k, p, angle in zip(near, rf, _block_sums(_triangles(y, x), len(near))):
             if p > si[k]:
                 angles[k] = angle
+    if None in angles:
+        axes = [[a * (j == k) for k in range(3)] for j in range(3) for a in (1.0, -1.0)]
+        rows = [(i[k], r[k], s[k], f[k]) for k, a in enumerate(angles) if a is None]
+        hubs = [max(axes, key=lambda e: min(_dot(e, v) for v in row)) for row in rows]
+        n, ends = len(rows), [row[j] for j in range(4) for row in rows]
+        y, x, _, _, _ = _row_dots(hubs * 4, ends, ends[n:] + ends[:n])
+        fans = iter(_block_sums(_triangles(y, x), n))
+        angles = [next(fans) if a is None else a for a in angles]
     return (*_factors(_moduli(fs, fi), angles), ri, sr)
 
 

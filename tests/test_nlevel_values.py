@@ -1155,10 +1155,10 @@ class TestUnpairedModularValue:
                 assert calls == [n - 1]
                 calls.clear()
 
-    def test_both_diagonals_at_antipodes_refused(self):
+    def test_both_diagonals_at_antipodes_answered(self, monkeypatch):
         # s_0 = -i_0 and r = -f in the given order: the quadrangle has no area
-        # along either diagonal, so the value is refused, though the paired
-        # rows (s_0 with i_1) have one.
+        # along either diagonal, and is summed as a fan from a coordinate
+        # axis; the value is the paired rows' (s_0 with i_1) to rounding.
         ex, ey, ez = np.eye(3)
         points, s = np.array([ex, ey]), np.array([-ex, [0.6, 0.0, 0.8]])
         assert np.array_equal(pair_points(points, s), s[::-1])
@@ -1167,9 +1167,39 @@ class TestUnpairedModularValue:
             return factored_modular_value(points, rows, ez, -ez, alpha=0.3, beta=0.1,
                                           eigenvalue=1.0)[0]
 
-        assert value(s[::-1]).modulus > 0.0
-        with pytest.raises(UndefinedSolidAngle):
-            value(s)
+        want = value(s[::-1])
+        calls = []
+        monkeypatch.setattr(majgeom.nlevel_values, "pair_points", counting(pair_points, calls))
+        got = value(s)
+        assert calls == [] and want.modulus > 0.0
+        assert abs(got.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
+
+    def test_antipode_of_three_nearly_equal_vertices_answered(self):
+        # Row 0 puts s_0 = -i_0 with r and f within 4e-8 of i_0: the r-f
+        # split's (r, s_0, f) triangle has two legs at antipodes, and the
+        # fan gives the paired rows' value.  Its argument rounds like
+        # u/|r+s_0|, with |r+s_0| = 3.2e-8, as the paired rows' does.
+        ey, ez = np.eye(3)[1:]
+        points, s = np.array([-ez, ey]), np.array([ez, -ez])
+        r, f = np.array([0.0, 3.2e-8, -1.0]), np.array([0.0, 3.3e-8, -1.0])
+
+        def value(rows):
+            return factored_modular_value(points, rows, r, f, alpha=0.4, beta=0.2,
+                                          eigenvalue=1.0)[0]
+
+        want, got = value(s[::-1]), value(s)
+        assert abs(got.modulus - want.modulus) <= 1e-12
+        assert ang_dist(got.argument, want.argument) <= 1e-7
+
+    def test_exact_zero_row_leaves_other_angles_unread(self):
+        # Row 3 has s_3 = -f, an exact zero; row 0's i_0, 5e-8 from -r, would
+        # make its own angle no matter, as the value is 0 whatever the angles.
+        ez = np.eye(3)[2]
+        points = np.array([[0.0, 5e-8, -1.0], ez, ez, ez])
+        s = np.array([ez, ez, ez, -ez])
+        value, _ = factored_modular_value(points, s, ez, ez, alpha=0.4, beta=0.2,
+                                          eigenvalue=1.0)
+        assert (value.modulus, value.argument) == (0.0, 0.0)
 
     @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
     def test_spin_rotation_near_antipode_matches_direct(self, n):
