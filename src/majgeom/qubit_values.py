@@ -81,19 +81,24 @@ def modular_value_direct(i, spec: QubitModularSpec, f) -> PolarComplex:
     The evolution is applied to ``|i>`` as
     ``cos(alpha/2) |i> - 1j sin(alpha/2) (n.sigma)|i>`` from the axis
     components; no matrix is built.  Each product of two complexes is
-    :func:`numerics._product`, never fused."""
+    written out in real components, as :func:`numerics._product` forms it,
+    never fused."""
     qi, qf = _unit_qubit(i), _unit_qubit(f)
     den = _checked_overlap(qf, qi)
     x, y, z = spec.axis.tolist()
     a0, a1 = qi
-    # (n.sigma)|i>
-    n0, n1 = z * a0 + _product(complex(x, -y), a1), _product(complex(x, y), a0) - z * a1
+    # (n.sigma)|i> = (z a0 + (x - iy) a1, (x + iy) a0 - z a1)
+    n0 = z * a0 + complex(x * a1.real + y * a1.imag, x * a1.imag - y * a1.real)
+    n1 = complex(x * a0.real - y * a0.imag, x * a0.imag + y * a0.real) - z * a1
     half = 0.5 * spec.alpha
     c, s = math.cos(half), math.sin(half)
-    b0, b1 = (b.conjugate() for b in qf)
-    transition = (_product(b0, c * a0 - 1j * s * n0)
-                  + _product(b1, c * a1 - 1j * s * n1))  # <f|U|i>
-    return PolarComplex.from_complex(_product(cmath.exp(0.5j * spec.beta), transition) / den)
+    w0, w1 = c * a0 - 1j * s * n0, c * a1 - 1j * s * n1  # U|i>
+    (f0, g0), (f1, g1) = ((b.real, -b.imag) for b in qf)  # the components of <f|
+    tr = (f0 * w0.real - g0 * w0.imag) + (f1 * w1.real - g1 * w1.imag)  # <f|U|i>
+    ti = (f0 * w0.imag + g0 * w0.real) + (f1 * w1.imag + g1 * w1.real)
+    e = cmath.exp(0.5j * spec.beta)
+    return PolarComplex.from_complex(complex(e.real * tr - e.imag * ti, e.real * ti + e.imag * tr)
+                                     / den)
 
 
 def modular_value_geometric(i, spec: QubitModularSpec, f):
