@@ -37,8 +37,10 @@ def random_bloch(rng) -> np.ndarray:
 def tilted_axis(rng, point: np.ndarray, tilt: float) -> np.ndarray:
     """A random unit axis ``tilt`` radians off perpendicular to the unit
     vector ``point``: a half turn about it takes ``point`` to within
-    ``2 tilt`` of its antipode."""
-    axis = np.cross(point, random_bloch(rng))
+    ``2 tilt`` of its antipode.  ``tools/bit_sweep.py`` draws its half turns'
+    axes here, so the draw keeps the bits it had there."""
+    v = rng.normal(size=3)
+    axis = np.cross(point, v / np.linalg.norm(v, axis=-1, keepdims=True))
     axis = math.cos(tilt) * axis / np.linalg.norm(axis) + math.sin(tilt) * point
     return axis / np.linalg.norm(axis)
 

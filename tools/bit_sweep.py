@@ -2,7 +2,7 @@
 
 Run it on two checkouts and compare the printed lines; equal digests mean
 every computed bit (and every printed CLI byte) is unchanged.  It needs only
-numpy and the package under ``src``::
+numpy, the package under ``src`` and ``tests/helpers.py`` of its checkout::
 
     PYTHONPATH=src python tools/bit_sweep.py
 
@@ -49,7 +49,11 @@ import majgeom as mg
 from majgeom import bloch, canonical, cli, majorana, nlevel_values, numerics
 from majgeom import experiments as exp
 
-DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+sys.path.insert(0, str(TESTS))
+from helpers import tilted_axis  # noqa: E402  (one definition for the tests and the sweep)
+
+DATA = TESTS / "data"
 LEVELS = range(2, 9)
 DRAWS = 40
 THETA_C = math.atan(math.sqrt(1.5))  # the default scan's weak-value singularity
@@ -167,13 +171,6 @@ def modular_routes():
                            paired=lambda: nlevel_values.pair_points(i_points, s_points)))
 
 
-def _tilted_axis(rng, point: np.ndarray, tilt: float) -> np.ndarray:
-    """A unit axis ``tilt`` radians off perpendicular to ``point``."""
-    axis = np.cross(point, _bloch(rng))
-    axis = math.cos(tilt) * axis / np.linalg.norm(axis) + math.sin(tilt) * point
-    return axis / np.linalg.norm(axis)
-
-
 def half_turns():
     """Modular values of rotations by pi about an axis near perpendicular to
     an initial point, which put its evolved point at or near its antipode:
@@ -184,7 +181,7 @@ def half_turns():
     for tilt in (1e-7, 1e-9):
         for _ in range(DRAWS):
             vi, vf = _bloch(rng), _bloch(rng)
-            spec = mg.QubitModularSpec(axis=_tilted_axis(rng, vi, tilt), alpha=math.pi,
+            spec = mg.QubitModularSpec(axis=tilted_axis(rng, vi, tilt), alpha=math.pi,
                                        beta=float(rng.uniform(-1, 1)))
             yield f"qubit.modular.half_turn.{tilt:.0e}", _outcome(
                 mg.qubit_modular_value_geometric, vi, spec, vf)
@@ -192,7 +189,7 @@ def half_turns():
         for case, tilt in (("exact", 0.0), ("1e-07", 5e-8)):
             for _ in range(DRAWS):
                 i_pts = mg.majorana_points(_state(rng, n)).points
-                r, f = _tilted_axis(rng, i_pts[0], tilt), _bloch(rng)
+                r, f = tilted_axis(rng, i_pts[0], tilt), _bloch(rng)
                 s_pts = np.array([mg.rodrigues_rotate(p, r, math.pi) for p in i_pts])
                 if not tilt:
                     s_pts[0] = -i_pts[0]
