@@ -302,8 +302,9 @@ def factored_weak_value(i_points, r_point, f_point):
 
     A factor with an undefined triangle and a modulus of at most
     ``DEFAULT_TOL.zero`` (``<r|i_k> = 0`` or ``<f|r> = 0``) is an exact zero,
-    and the value is then ``PolarComplex(0.0, 0.0)``.  Any other undefined
-    triangle raises :class:`UndefinedSolidAngle`.
+    and the value is then ``PolarComplex(0.0, 0.0)``, whatever any other
+    factor's triangle.  Without an exact zero, an undefined triangle raises
+    :class:`UndefinedSolidAngle`.
     """
     return _factored_weak_value(_point_rows(i_points), _bloch_vector(r_point),
                                 _bloch_vector(f_point))
@@ -339,9 +340,9 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     they pair ``s`` to ``i`` by :func:`pair_points` of the sets as given
     (copied here) when first read.  Where the given order puts some ``s_k``
     near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``), that
-    quadrangle is split along its r-f diagonal, as
-    :func:`bloch._modular_factors` describes; with ``r = -f`` too, it is
-    undefined.  The shapes are checked to match first, then ``i``'s shape
+    quadrangle is split along its r-f diagonal, and where neither diagonal
+    splits it into defined triangles it is summed as a fan from a coordinate
+    axis, as :func:`bloch._modular_factors` describes.  The shapes are checked to match first, then ``i``'s shape
     and count, then ``s``'s rows, ``i``'s rows, ``r`` and ``f``;
     :func:`qutrit_modular_value_geometric` ends in the same core.
     """

@@ -249,6 +249,19 @@ class TestModularValueGeometric:
             value, _ = modular_value_geometric(i, spec, f)
             assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
+    def test_half_turn_with_final_point_opposite_the_axis(self):
+        # A half turn about an axis perpendicular to i puts s at -i, and
+        # f = -axis puts r at -f: neither diagonal splits the quadrangle, so
+        # it is summed as a fan, and the value meets the direct route.
+        rng = np.random.default_rng(231)
+        for i in [EX] + [random_bloch(rng) for _ in range(20)]:
+            axis = EZ if i is EX else tilted_axis(rng, i, 0.0)
+            spec = QubitModularSpec(axis=axis, alpha=math.pi, beta=rng.uniform(-1.0, 1.0))
+            f = -spec.axis
+            want = modular_value_direct(bloch_to_qubit(i), spec, bloch_to_qubit(f))
+            value, _ = modular_value_geometric(i, spec, f)
+            assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
+
 
 class TestDerivativeRelation:
     def test_spin_observable(self):
