@@ -280,7 +280,7 @@ def _factors(moduli: list[float],
     if any(map(math.isnan, moduli)):
         raise OrthogonalSelection("an initial point is antipodal to the final point")
     zero = DEFAULT_TOL.zero
-    if any(angle is None and modulus <= zero for modulus, angle in zip(moduli, angles)):
+    if None in angles and any(a is None and m <= zero for m, a in zip(moduli, angles)):
         moduli = [0.0 if a is None and m <= zero else m for m, a in zip(moduli, angles)]
         angles = [0.0 if a is None else a for a in angles]
     return moduli, _defined(angles)
