@@ -342,9 +342,10 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``), that
     quadrangle is split along its r-f diagonal, and where neither diagonal
     splits it into defined triangles it is summed as a fan from a coordinate
-    axis, as :func:`bloch._modular_factors` describes.  The shapes are checked to match first, then ``i``'s shape
-    and count, then ``s``'s rows, ``i``'s rows, ``r`` and ``f``;
-    :func:`qutrit_modular_value_geometric` ends in the same core.
+    axis, as :func:`bloch._modular_factors` describes.  The shapes are
+    checked to match first, then ``i``'s shape and count, then ``s``'s rows,
+    ``i``'s rows, ``r`` and ``f``; :func:`qutrit_modular_value_geometric`
+    ends in the same core.
     """
     _check_finite(alpha=alpha, beta=beta, eigenvalue=eigenvalue)
     a, b = _point_sets(np.array(i_points, dtype=float), np.array(s_points, dtype=float))

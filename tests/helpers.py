@@ -37,8 +37,9 @@ def random_bloch(rng) -> np.ndarray:
 def tilted_axis(rng, point: np.ndarray, tilt: float) -> np.ndarray:
     """A random unit axis ``tilt`` radians off perpendicular to the unit
     vector ``point``: a half turn about it takes ``point`` to within
-    ``2 tilt`` of its antipode.  ``tools/bit_sweep.py`` draws its half turns'
-    axes here, so the draw keeps the bits it had there."""
+    ``2 tilt`` of its antipode.  ``tools/bit_sweep.py`` takes its half-turn
+    axes from here, so the random vector is normalized as that tool's own
+    draws are, which keeps its lines' bits."""
     v = rng.normal(size=3)
     axis = np.cross(point, v / np.linalg.norm(v, axis=-1, keepdims=True))
     axis = math.cos(tilt) * axis / np.linalg.norm(axis) + math.sin(tilt) * point
