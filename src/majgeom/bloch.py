@@ -1,11 +1,16 @@
 """Bloch-sphere geometry: qubit/vector maps, projection probabilities,
 oriented solid angles of geodesic triangles and quadrangles, axis rotations.
 
-Every modulus ratio and polygon solid angle comes from one per-row kernel:
-the unit points are read once, and every product and formula runs row by
-row in Python floats, whose bits no BLAS build moves.  Each ``1 + a.b`` of
-unit vectors is read as the projection ``|a+b|^2/2`` (twice ``|<a|b>|^2``),
-which keeps its relative accuracy where ``a`` nears ``-b``.  The scalar routes
+Every modulus ratio and polygon solid angle comes from one per-row kernel,
+:func:`_polygons`.  A polygon's solid angle is minus twice the argument of
+the cyclic product of its vertices' overlaps, ``<f|s><s|r><r|i><i|f>`` (or
+``<f|r><r|i><i|f>``), with each vertex taken as an unnormalized spinor
+straight from its coordinates.  No diagonal splits the polygon, so the angle
+rounds like ``u/|<a|b>|`` of its adjacent vertices, as the polygon itself is
+conditioned.  The moduli come from the projections ``|a+b|^2/2`` (twice
+``|<a|b>|^2``) of the same adjacent vertices, which keep their relative
+accuracy where ``a`` nears ``-b``.  Every product and formula runs row by
+row in Python floats, whose bits no BLAS build moves.  The scalar routes
 (:func:`solid_angle_triangle`, :func:`solid_angle_quadrangle`) and the
 factored weak and modular values of :mod:`majgeom.nlevel_values` share it;
 only :func:`solid_angle_quadrangle_rotation`, an independent closed form,
@@ -27,7 +32,6 @@ import numpy as np
 
 from .errors import OrthogonalSelection, UndefinedSolidAngle
 from .numerics import (
-    _DIAGONAL_FLOOR,
     _NORM_SLACK,
     _SOUTH_POLE_CUT,
     DEFAULT_TOL,
@@ -182,88 +186,88 @@ def _moduli(nums: Iterable[float], fi: list[float]) -> list[float]:
     return [math.sqrt(num / den) if den > floor else math.nan for num, den in zip(nums, fi)]
 
 
-def _weak_modulus_rows(fr: list[float], ri: list[float], fi: list[float]) -> list[float]:
-    return _moduli((0.5 * a * b for a, b in zip(fr, ri)), fi)
-
-
 def _reduce_to_branch(omega: float) -> float:
-    # Solid angles live on (-2*pi, 2*pi]; -2*atan2 lands on [-2*pi, 2*pi).
+    # Solid angles live on (-2*pi, 2*pi]; -2*atan2 lands on [-2*pi, 2*pi].
     if omega <= -2.0 * math.pi:
         omega += 4.0 * math.pi
     return omega
 
 
-def _triangles(y: list[float], x: list[float]) -> list[float | None]:
-    """Solid angles ``-2 atan2(y, x)`` of the triangles i -> r -> f row by
-    row, from :func:`_row_dots`'s ``y`` and ``x``; ``None`` for each
-    undefined triangle."""
-    zero = DEFAULT_TOL.zero
-    # libm's atan2 per row: numpy's vectorized arctan2 differs in the last bit.
-    return [None if abs(xx) <= zero and abs(yy) <= zero  # antipodal vertices: no defined area
-            else _reduce_to_branch(-2.0 * math.atan2(yy, xx)) for yy, xx in zip(y, x)]
+def _vertices(v) -> list[tuple[float, ...]]:
+    """Unit 3-vectors, an ``(n, 3)`` array or list of rows of Python floats
+    or a single vector (one row, shared by every row), as rows ``(x, y, z)``
+    followed by the real and imaginary parts of the unnormalized spinor:
+    ``(1+z, x+iy)`` for z >= 0 and ``(x-iy, 1-z)`` below, whose squared norm
+    ``2(1+|z|)`` lies in [2, 4]."""
+    v = v.tolist() if isinstance(v, np.ndarray) else v
+    return [(x, y, z, 1.0 + z, 0.0, x, y) if z >= 0.0 else (x, y, z, x, -y, 1.0 - z, 0.0)
+            for x, y, z in (v if not v or type(v[0]) is list else [v])]
 
 
-def _float_rows(*vecs) -> list[list[list[float]]]:
-    """Unit 3-vectors and rows of them, as numpy arrays (``(3,)`` or
-    ``(n, 3)``) or as lists of Python floats, turned into ``n`` rows of Python
-    floats each; a single vector is one row, shared."""
-    rows = [v.tolist() if isinstance(v, np.ndarray) else v for v in vecs]
-    batch = [not v or type(v[0]) is list for v in rows]
-    n = len(rows[batch.index(True)]) if True in batch else 1
-    return [v if b else [v] * n for v, b in zip(rows, batch)]
+def _chain(a, b, c, tail) -> tuple[list, list[float], list[float]]:
+    """``<a|b><b|c>`` times ``tail``'s entry, row by row, from
+    :func:`_vertices` rows (a single row is shared by all), with the
+    projections ``|a+b|^2/2`` and ``|b+c|^2/2``.  The entry is ``None`` where
+    ``tail``'s is, or where a projection is at or below ``2 zero**2``: there
+    ``|<a|b>|`` or ``|<b|c>|`` is at most ``DEFAULT_TOL.zero``.  Each overlap
+    and product is written in real components, never fused."""
+    n = max(len(a), len(b), len(c), len(tail))
+    floor = 2.0 * DEFAULT_TOL.zero**2
+    out, ab, bc = [], [], []
+    for (x0, y0, z0, a0, a1, a2, a3), (x1, y1, z1, b0, b1, b2, b3), \
+            (x2, y2, z2, c0, c1, c2, c3), t in zip(
+                a if len(a) == n else a * n, b if len(b) == n else b * n,
+                c if len(c) == n else c * n, tail if len(tail) == n else tail * n):
+        s0, s1, s2 = x0 + x1, y0 + y1, z0 + z1
+        p = 0.5 * ((s0 * s0 + s1 * s1) + s2 * s2)
+        s0, s1, s2 = x1 + x2, y1 + y2, z1 + z2
+        q = 0.5 * ((s0 * s0 + s1 * s1) + s2 * s2)
+        ab.append(p)
+        bc.append(q)
+        if t is None or p <= floor or q <= floor:
+            out.append(None)
+            continue
+        re1 = (a0 * b0 + a1 * b1) + (a2 * b2 + a3 * b3)
+        im1 = (a0 * b1 - a1 * b0) + (a2 * b3 - a3 * b2)
+        re2 = (b0 * c0 + b1 * c1) + (b2 * c2 + b3 * c3)
+        im2 = (b0 * c1 - b1 * c0) + (b2 * c3 - b3 * c2)
+        re, im = re1 * re2 - im1 * im2, re1 * im2 + im1 * re2
+        tr, ti = t
+        out.append((re * tr - im * ti, re * ti + im * tr))
+    return out, ab, bc
 
 
-def _row_dots(i_rows, r_rows, f_rows) -> tuple[list[float], ...]:
-    """``y``, ``x`` and the projections ``|f+r|^2/2``, ``|r+i|^2/2`` and
-    ``|f+i|^2/2`` of the triangles (i, r, f) of rows of three Python floats.
+def _polygons(i, r, s, f) -> tuple[list[float | None], tuple[list[float], ...]]:
+    """Solid angles of the quadrangles i -> r -> s -> f (the triangles
+    i -> r -> f where ``s`` is ``None``) of unit vectors or rows, as
+    :func:`_vertices` takes them, row by row, with the projections
+    ``|r+i|^2/2``, ``|s+r|^2/2``, ``|f+s|^2/2`` and ``|f+i|^2/2`` of the
+    adjacent vertices (``|f+r|^2/2`` and ``|f+f|^2/2`` in the middle for a
+    triangle).
 
-    ``y = f.(r x i)``, the cross product in :func:`_cross`'s order, and
-    ``x = |f+i|^2/2 + r.(f+i)``, which is ``1 + f.r + r.i + f.i``.  Each sum of
-    three products is ``(a0 b0 + a1 b1) + a2 b2``, never a fused ``a*b + c``.
-    """
-    y, x, fr, ri, fi = [], [], [], [], []
-    for (i0, i1, i2), (r0, r1, r2), (f0, f1, f2) in zip(i_rows, r_rows, f_rows):
-        y.append((f0 * (r1 * i2 - r2 * i1) + f1 * (r2 * i0 - r0 * i2))
-                 + f2 * (r0 * i1 - r1 * i0))
-        a0, a1, a2 = f0 + r0, f1 + r1, f2 + r2
-        fr.append(0.5 * ((a0 * a0 + a1 * a1) + a2 * a2))
-        a0, a1, a2 = r0 + i0, r1 + i1, r2 + i2
-        ri.append(0.5 * ((a0 * a0 + a1 * a1) + a2 * a2))
-        a0, a1, a2 = f0 + i0, f1 + i1, f2 + i2
-        p = 0.5 * ((a0 * a0 + a1 * a1) + a2 * a2)
-        fi.append(p)
-        x.append(p + ((r0 * a0 + r1 * a1) + r2 * a2))
-    return y, x, fr, ri, fi
-
-
-def _triangle_dots(vi, vr, vf) -> tuple[list[float], ...]:
-    """:func:`_row_dots` of unit vectors or rows, as :func:`_float_rows` takes them."""
-    return _row_dots(*_float_rows(vi, vr, vf))
-
-
-def _quadrangle_rows(i, r, s, f) -> tuple[list, ...]:
-    """Solid angles of the quadrangles i -> r -> s -> f of rows of Python
-    floats, ``None`` where one is undefined, with the projections
-    ``|s+r|^2/2``, ``|r+i|^2/2``, ``|f+s|^2/2``, ``|f+i|^2/2`` and
-    ``|s+i|^2/2``.  Each quadrangle is the triangles (i, r, s) and (i, s, f),
-    whose shared i <-> s legs cancel, as one :func:`_row_dots` pass over 2n
-    rows."""
-    n = len(i)
-    y, x, fr, ri, fi = _row_dots(i + i, r + s, s + f)
-    return (_block_sums(_triangles(y, x), n), fr[:n], ri[:n], fr[n:], fi[n:], fi[:n])
-
-
-def _block_sums(angles: list[float | None], n: int) -> list[float | None]:
-    """``(angles[k] + angles[n + k]) + ...`` for k < n, ``None`` where any is."""
-    rows = zip(*(angles[j:j + n] for j in range(0, len(angles), n)))
-    return [None if None in q else sum(q[1:], q[0]) for q in rows]
+    Each angle is minus twice the argument of the cyclic product
+    ``<f|s><s|r><r|i><i|f>`` of the vertices' spinors, formed as the halves
+    ``<f|s><s|r>`` and ``<r|i><i|f>``; a half whose vertices are single
+    vectors is formed once for all rows.  The argument depends on no
+    spinor's scale or phase, and each overlap rounds to about ``u/|<a|b>|``
+    relative: the angle is as well conditioned as the polygon.  It is
+    ``None`` (undefined) where some adjacent ``|<a|b>|`` is at most
+    ``DEFAULT_TOL.zero``."""
+    i, r, f = _vertices(i), _vertices(r), _vertices(f)
+    s = f if s is None else _vertices(s)
+    half, fs, sr = _chain(f, s, r, [(1.0, 0.0)])
+    products, ri, fi = _chain(r, i, f, half)
+    n = len(products)
+    angles = [None if z is None else _reduce_to_branch(-2.0 * math.atan2(z[1], z[0]))
+              for z in products]
+    return angles, (ri, sr if len(sr) == n else sr * n, fs if len(fs) == n else fs * n, fi)
 
 
 def _defined(angles: list[float | None]) -> list[float]:
     """``angles`` unchanged, unless one is undefined (``None``): then raise."""
     if None in angles:
         raise UndefinedSolidAngle(
-            "triangle contains an antipodal pair; the enclosed area is ambiguous")
+            "polygon has adjacent antipodal vertices; the enclosed area is ambiguous")
     return angles
 
 
@@ -272,8 +276,8 @@ def _factors(moduli: list[float],
     """The moduli and solid angles of a value's factors.  A NaN modulus (an
     initial point antipodal to the final one) raises
     :class:`OrthogonalSelection` before any angle is looked at.  A factor
-    whose polygon is undefined (it has an antipodal pair) and whose modulus
-    is at most ``DEFAULT_TOL.zero`` is an exact zero: its modulus and angle
+    whose polygon is undefined (two adjacent vertices at antipodes) and
+    whose modulus is at most ``DEFAULT_TOL.zero`` is an exact zero: its modulus and angle
     are 0.0, and the value is 0 whatever the angles, so any other undefined
     angle is 0.0 too.  Without an exact zero, an undefined angle raises
     :class:`UndefinedSolidAngle`."""
@@ -286,50 +290,24 @@ def _factors(moduli: list[float],
     return moduli, _defined(angles)
 
 
+def _weak_columns(vi, vr, vf) -> tuple[list[float], list[float | None]]:
+    """Factor moduli, NaN where ``i_k`` is antipodal to ``f``, and triangle
+    solid angles, ``None`` where undefined, of the weak value of unit points
+    ``vi`` with ``vr`` and ``vf`` (each rows, or one vector)."""
+    angles, (ri, fr, _, fi) = _polygons(vi, vr, None, vf)
+    return _moduli((0.5 * a * b for a, b in zip(fr, ri)), fi), angles
+
+
 def _weak_factors(vi, vr, vf):
-    """Factor moduli and triangle solid angles of the weak value of unit
-    points ``vi`` (rows, or one vector) with ``vr`` and ``vf``."""
-    y, x, fr, ri, fi = _triangle_dots(vi, vr, vf)
-    return _factors(_weak_modulus_rows(fr, ri, fi), _triangles(y, x))
+    """:func:`_factors` of :func:`_weak_columns`."""
+    return _factors(*_weak_columns(vi, vr, vf))
 
 
 def _modular_factors(vi, vr, vs, vf):
     """Factor moduli and quadrangle solid angles of the modular value of unit
     points ``vi`` and ``vs`` (rows, or one vector each), with the anchor
-    projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass.
-
-    Each quadrangle i_k -> r -> s_k -> f is split along its i-s diagonal.
-    Where ``|s_k+i_k|^2/2`` is below ``_DIAGONAL_FLOOR`` (those triangles
-    round like ``u/|s_k+i_k|``, and have no area at ``s_k = -i_k``) and
-    ``|r+f|^2/2`` is larger, its angle is taken along the r-f diagonal
-    instead, as the triangles (i_k, r, f) and (r, s_k, f) of one more
-    :func:`_row_dots` pass over those rows; the moduli and projections keep
-    the i-s pass's bits.
-
-    A quadrangle still undefined, as where both diagonals are at antipodes
-    or two legs of one of its triangles are, is summed as the fan of
-    triangles (p, i_k, r), (p, r, s_k), (p, s_k, f) and (p, f, i_k) from the
-    coordinate axis p whose least ``p.v`` over the four vertices is largest.
-    A vertex has ``p.v < -3/4`` for at most one of the six axes, so every
-    ``|p+v|^2/2`` is at least 1/4, and only two adjacent vertices at
-    antipodes leave a fan triangle undefined."""
-    i, r, s, f = _float_rows(vi, vr, vs, vf)
-    angles, sr, ri, fs, fi, si = _quadrangle_rows(i, r, s, f)
-    if min(si) < _DIAGONAL_FLOOR:
-        near = [k for k, p in enumerate(si) if p < _DIAGONAL_FLOOR]
-        qi, qr, qs, qf = ([rows[k] for k in near] for rows in (i, r, s, f))
-        y, x, rf, _, _ = _row_dots(qi + qr, qr + qs, qf + qf)
-        for k, p, angle in zip(near, rf, _block_sums(_triangles(y, x), len(near))):
-            if p > si[k]:
-                angles[k] = angle
-    if None in angles:
-        axes = [[a * (j == k) for k in range(3)] for j in range(3) for a in (1.0, -1.0)]
-        rows = [(i[k], r[k], s[k], f[k]) for k, a in enumerate(angles) if a is None]
-        hubs = [max(axes, key=lambda e: min(_dot(e, v) for v in row)) for row in rows]
-        n, ends = len(rows), [row[j] for j in range(4) for row in rows]
-        y, x, _, _, _ = _row_dots(hubs * 4, ends, ends[n:] + ends[:n])
-        fans = iter(_block_sums(_triangles(y, x), n))
-        angles = [next(fans) if a is None else a for a in angles]
+    projections ``|r+i_k|^2/2`` and ``|r+s_k|^2/2`` of the same pass."""
+    angles, (ri, sr, fs, fi) = _polygons(vi, vr, vs, vf)
     return (*_factors(_moduli(fs, fi), angles), ri, sr)
 
 
@@ -337,12 +315,13 @@ def solid_angle_triangle(i, r, f) -> float:
     """Oriented solid angle of the geodesic triangle traversed i -> r -> f -> i.
 
     The result lies in (-2*pi, 2*pi] and equals minus twice the argument of the
-    Bargmann triple of the three corresponding qubit states.  A configuration
-    with both arctangent arguments below ``DEFAULT_TOL.zero`` (antipodal
-    vertices) has no defined value and raises :class:`UndefinedSolidAngle`.
+    Bargmann triple ``<f|r><r|i><i|f>`` of the three corresponding qubit
+    states.  A triangle with two vertices within ``DEFAULT_TOL.zero`` of
+    antipodes (an overlap ``|<a|b>|`` at most that) has no defined value and
+    raises :class:`UndefinedSolidAngle`.
     """
     vi, vr, vf = _bloch_vector(i), _bloch_vector(r), _bloch_vector(f)
-    (omega,) = _defined(_triangles(*_triangle_dots(vi, vr, vf)[:2]))
+    (omega,) = _defined(_polygons(vi, vr, None, vf)[0])
     return omega
 
 
@@ -362,11 +341,11 @@ def _rotate(vi: list[float], vr: list[float], alpha: float) -> list[float]:
 def solid_angle_quadrangle(i, r, s, f) -> float:
     """Oriented solid angle of the spherical quadrangle i -> r -> s -> f -> i.
 
-    Defined as the sum of the triangles (i, r, s) and (i, s, f); the shared
-    i <-> s geodesic legs cancel.  The raw sum is returned (callers compare
-    modulo 4*pi).
+    Minus twice the argument of the cyclic product ``<f|s><s|r><r|i><i|f>``,
+    in (-2*pi, 2*pi].  A quadrangle with two adjacent vertices within
+    ``DEFAULT_TOL.zero`` of antipodes raises :class:`UndefinedSolidAngle`.
     """
-    (omega,) = _defined(_quadrangle_rows(*([_bloch_vector(v)] for v in (i, r, s, f)))[0])
+    (omega,) = _defined(_polygons(*(_bloch_vector(v) for v in (i, r, s, f)))[0])
     return omega
 
 

@@ -10,14 +10,7 @@ from typing import Callable
 import numpy as np
 
 from . import majorana
-from .bloch import (
-    _triangle_dots,
-    _triangles,
-    _unit_row,
-    _weak_factors,
-    _weak_modulus_rows,
-    as_bloch_array,
-)
+from .bloch import _unit_row, _weak_columns, _weak_factors, as_bloch_array
 from .canonical import _NORTH, _frame
 from .errors import OrthogonalSelection
 from .majorana import (
@@ -345,9 +338,7 @@ def singularity_scan(theta_grid=None, *, count: int = 512,
     # entry, and the modulus factors, NaN where a point is antipodal to the
     # postselection.  Each side of the singular bracket is unwrapped
     # independently: the genuine jump across the singularity is reported.
-    y, x, fr, ri, fi = _triangle_dots(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
-    raw = _triangles(y, x)
-    moduli = _weak_modulus_rows(fr, ri, fi)
+    moduli, raw = _weak_columns(as_bloch_array(points).reshape(-1, 3), _EZ, _EX)
     split = len(thetas) if singular_gap is None else singular_gap + 1
     omega1, omega2 = (_unwrap_segment(side[:split]) + _unwrap_segment(side[split:])
                       for side in (raw[0::2], raw[1::2]))

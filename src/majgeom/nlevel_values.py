@@ -296,12 +296,13 @@ def factored_weak_value(i_points, r_point, f_point):
     """Projector weak value from canonicalized stellar points.
 
     One factor per initial point: modulus ``sqrt((1+f.r)(1+r.i_k)/(2(1+f.i_k)))``
-    and solid angle of the (i_k, r, f) triangle, each evaluated for all points
-    in one batch.  The normalization constants of the symmetrized states
-    cancel for projector weak values.
+    and solid angle of the (i_k, r, f) triangle, minus twice the argument of
+    ``<f|r><r|i_k><i_k|f>``, each evaluated for all points in one kernel
+    pass.  The normalization constants of the symmetrized states cancel for
+    projector weak values.
 
     A factor with an undefined triangle and a modulus of at most
-    ``DEFAULT_TOL.zero`` (``<r|i_k> = 0`` or ``<f|r> = 0``) is an exact zero,
+    ``DEFAULT_TOL.zero`` (``|<r|i_k>|`` or ``|<f|r>|`` at most that) is an exact zero,
     and the value is then ``PolarComplex(0.0, 0.0)``, whatever any other
     factor's triangle.  Without an exact zero, an undefined triangle raises
     :class:`UndefinedSolidAngle`.
@@ -324,7 +325,8 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     evolved states.
 
     Per pair (i_k, s_k): modulus ratio ``sqrt((1+f.s_k)/(1+f.i_k))`` and the
-    quadrangle i_k -> r -> s_k -> f, as two triangle batches.  The dynamical
+    quadrangle i_k -> r -> s_k -> f, minus twice the argument of the cyclic
+    product ``<f|s_k><s_k|r><r|i_k><i_k|f>``, which no diagonal splits.  The dynamical
     phase is ``beta - alpha*((N-1)/2)*eigenvalue``, reduced term by term; a
     second term that overflows raises ``ValueError``.  The overall modulus
     carries the anchor ratio ``prod_k |r+i_k| / prod_k |r+s_k|``, which equals
@@ -338,11 +340,11 @@ def factored_modular_value(i_points, s_points, r_point, f_point,
     product of the moduli nor the summed angle (mod 4*pi) depends on which
     ``s_k`` goes with which ``i_k``.  Only the breakdown's ``factors`` do:
     they pair ``s`` to ``i`` by :func:`pair_points` of the sets as given
-    (copied here) when first read.  Where the given order puts some ``s_k``
-    near ``-i_k`` (``|s_k+i_k|^2/2`` below ``_DIAGONAL_FLOOR``), that
-    quadrangle is split along its r-f diagonal, and where neither diagonal
-    splits it into defined triangles it is summed as a fan from a coordinate
-    axis, as :func:`bloch._modular_factors` describes.  The shapes are
+    (copied here) when first read.  A quadrangle's angle rounds like
+    ``u/|<a|b>|`` of its adjacent vertices only, so an ``s_k`` that the given
+    order puts near ``-i_k`` (or an ``r`` near ``-f``) costs no accuracy, and
+    only adjacent vertices within ``DEFAULT_TOL.zero`` of antipodes leave it
+    undefined.  The shapes are
     checked to match first, then ``i``'s shape and count, then ``s``'s rows,
     ``i``'s rows, ``r`` and ``f``; :func:`qutrit_modular_value_geometric`
     ends in the same core.
@@ -369,10 +371,10 @@ def _modular_value(vi, vs, vr, vf, beta: float, phase: float,
     ``|<r|s>| = |<r|i>|``, and ``<r|psi> = K m! prod_k <r|q_k>`` with
     ``|<r|q_k>| = |r+q_k|/2``: K_s / K_i is ``prod_k |r+i_k| / prod_k |r+s_k|``,
     whatever the order, from the projections ``|r+i_k|^2/2`` and
-    ``|r+s_k|^2/2`` that the kernel pass forms for the (i_k, r, s_k) triangles.
+    ``|r+s_k|^2/2`` that the kernel forms for the quadrangles' legs.
 
-    The value is always computed on the rows as given; the kernel splits a
-    quadrangle whose ``s_k`` nears ``-i_k`` along its r-f diagonal.
+    The value is always computed on the rows as given, each quadrangle as
+    the cyclic product of its vertices' spinors, whatever its diagonals.
     ``paired``, when given, returns the rows of ``vs`` paired to ``vi``, and
     the breakdown's ``factors`` are built on them when first read.  Without
     it, the factors are the value's columns.
@@ -424,8 +426,8 @@ def qutrit_modular_value_geometric(psi_i, spec: NLevelModularSpec, psi_f):
     sorted order the frame gives them, through the core that
     :func:`factored_modular_value` calls once it has validated, with
     K_s / K_i read off the anchor: the value is not paired (a quadrangle
-    whose ``s_k`` nears ``-i_k`` in the sorted order is split along its r-f
-    diagonal, as that function describes), and the breakdown's ``factors``
+    whose ``s_k`` nears ``-i_k`` in the sorted order is as well conditioned
+    as any, as that function describes), and the breakdown's ``factors``
     pair the frame's ``s`` points to its ``i`` points by :func:`pair_points`
     when first read.  The dynamical phase is
     ``beta - s*eigenvalue`` reduced to (-pi, pi], each term reduced exactly as

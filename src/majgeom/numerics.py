@@ -93,13 +93,6 @@ _SOUTH_POLE_CUT = 1e-150
 # lies above the summation spread of equal costs (5.3e-15 seen at m = 7).
 _PAIRING_TIE_SLACK = 1e-12
 
-# Projection |i_k+s_k|^2/2 below which the modular kernel splits a quadrangle
-# along its r-f diagonal, where that projection is larger: the i-s split's two
-# triangles share that diagonal and round like u/|i_k+s_k|, about 8e-14 per
-# triangle at this floor.  Random points fall below it with probability 1e-3
-# per row.
-_DIAGONAL_FLOOR = 1e-3
-
 
 def principal_angle(angle: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""

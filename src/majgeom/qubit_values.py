@@ -108,9 +108,10 @@ def modular_value_geometric(i, spec: QubitModularSpec, f):
     modulus is ``sqrt((1+f.s)/(1+f.i))``; the argument splits into the
     dynamical term ``beta/2 - alpha/2``, reduced to (-pi, pi] with each half
     angle reduced exactly as the direct route reduces it, and the geometric term
-    given by minus half the (i, r, s, f) quadrangle solid angle, split along
-    its r-f diagonal where ``s`` nears ``-i`` (a half turn about an axis
-    near perpendicular to ``i``).  When ``s`` is antipodal to ``f`` (a
+    given by minus half the (i, r, s, f) quadrangle solid angle, the
+    argument of ``<f|s><s|r><r|i><i|f>``, which stays as well conditioned
+    where ``s`` nears ``-i`` (a half turn about an axis near perpendicular to
+    ``i``) and ``f`` nears ``-r``.  When ``s`` is antipodal to ``f`` (a
     modulus of at most ``DEFAULT_TOL.zero`` and an undefined quadrangle), the
     value is ``PolarComplex(0.0, 0.0)``.  This is the one-point
     ``factored_modular_value`` with ``beta/2`` for ``beta``, eigenvalue 1 and

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,6 +132,49 @@ def exact_weak_value(psi_i, psi_r, psi_f) -> complex:
     scale = den[0] ** 2 + den[1] ** 2
     re, im = mul(num, (den[0], -den[1]))
     return complex(float(re / scale), float(im / scale))
+
+
+def exact_solid_angle(*vertices) -> float:
+    """Oriented solid angle of the triangle or quadrangle through the Bloch
+    vectors ``vertices`` (i -> r -> f or i -> r -> s -> f), to a few units in
+    the last place of the given float points, sharing no branch with
+    ``majgeom``'s kernel.
+
+    Each vertex is normalized in ``decimal`` at 50 digits, and the trace of
+    the product of the projectors ``P_v = (1 + v.sigma)/2``, which is the
+    cyclic product ``<i|r><r|(s|)f><f|i>``, is formed from dot and triple
+    products: ``(1 + a.b + b.c + c.a + i (a x b).c)/4`` for a triangle and
+    ``((1 + a.b)(1 + c.d) + (a+b).(c+d) - (a x b).(c x d)
+    + i ((a+b).(c x d) + (a x b).(c+d)))/8`` for a quadrangle.  Its real and
+    imaginary parts are rounded once to floats, and the angle is twice their
+    ``math.atan2``, in [-2 pi, 2 pi]."""
+
+    def dot(a, b):
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+    def cross(a, b):
+        return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                a[0] * b[1] - a[1] * b[0])
+
+    def plus(a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    with localcontext() as ctx:
+        ctx.prec = 50
+        units = []
+        for vertex in vertices:
+            v = [Decimal(float(c)) for c in vertex]
+            norm = dot(v, v).sqrt()
+            units.append(tuple(c / norm for c in v))
+        if len(units) == 3:
+            a, b, c = units
+            re, im = 1 + dot(a, b) + dot(b, c) + dot(c, a), dot(cross(a, b), c)
+        else:
+            a, b, c, d = units
+            ab, cd = cross(a, b), cross(c, d)
+            re = (1 + dot(a, b)) * (1 + dot(c, d)) + dot(plus(a, b), plus(c, d)) - dot(ab, cd)
+            im = dot(plus(a, b), cd) + dot(ab, plus(c, d))
+        return 2.0 * math.atan2(float(im), float(re))
 
 
 def exact_abl_distribution(psi_i, groups, psi_f) -> list[Fraction]:

@@ -122,12 +122,31 @@ class TestQubitCommands:
 
     def test_half_turn_about_near_perpendicular_axis(self, capsys, tmp_path):
         # +x turned by pi about an axis 1e-8 off perpendicular lands 2e-8 from
-        # -x: the quadrangle is split along its r-f diagonal, and the routes
-        # agree far inside the 1e-9 comparison.
+        # -x, a diagonal of the quadrangle that its cyclic product never
+        # forms: the routes agree far inside the 1e-9 comparison.
         scenario = write_scenario(tmp_path, {
             "i": {"bloch": [1, 0, 0]},
             "f": {"bloch": [0, -1, 0]},
             "spec": {"axis": [1e-8, 0, 1], "alpha": math.pi},
+        })
+        code, out = run_cli(capsys, "qubit-modular", "--scenario", scenario, "--mode", "both")
+        assert code == 0, out
+        doc = json.loads(out)
+        geo, direct = doc["results"]["geometric"], doc["results"]["direct"]
+        assert abs(complex(geo["re"], geo["im"]) - complex(direct["re"], direct["im"])) <= 1e-12
+        assert doc["mismatch"] is False
+
+    @pytest.mark.parametrize("tilt", [1e-7, 1e-8, 1e-9])
+    def test_half_turn_with_both_diagonals_near_antipodes(self, capsys, tmp_path, tilt):
+        # +x turned by pi about (tilt, 0, 1) lands 2 tilt from -x, and f =
+        # (tilt, 3 tilt, -1) sits about 3 tilt from -axis: both diagonals of
+        # the quadrangle near antipodes, so a split along either rounds like
+        # u/tilt (a gap of 1.1e-8 at 1e-9).  The cyclic product forms no
+        # diagonal and meets the direct route far inside the 1e-9 comparison.
+        scenario = write_scenario(tmp_path, {
+            "i": {"bloch": [1, 0, 0]},
+            "f": {"bloch": [tilt, 3 * tilt, -1]},
+            "spec": {"axis": [tilt, 0, 1], "alpha": math.pi},
         })
         code, out = run_cli(capsys, "qubit-modular", "--scenario", scenario, "--mode", "both")
         assert code == 0, out

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import ang_dist, exact_abl_distribution
-from majgeom.bloch import _triangle_dots, _weak_modulus_rows, as_bloch, solid_angle_triangle
+from majgeom.bloch import _weak_columns, as_bloch, solid_angle_triangle
 import majgeom.canonical
 import majgeom.experiments
 import majgeom.majorana
@@ -274,7 +274,7 @@ def bits(x) -> bytes:
 def weak_modulus(point) -> float:
     """The weak modulus of the triangle (point, +z, +x), read off the point
     as ``solid_angle_triangle`` reads it, by the per-row kernel."""
-    (modulus,) = _weak_modulus_rows(*_triangle_dots(as_bloch(point), EZ, EX)[2:])
+    (modulus,), _ = _weak_columns(as_bloch(point), EZ, EX)
     return modulus
 
 

@@ -1,12 +1,16 @@
 """The per-row Bloch kernel, its scalar wrappers and the batch check against
 the reference formulas.
 
-The reference functions below restate the scalar formulas one vector at a
-time (``math.atan2``, and every norm, cross and scalar product in Python
-floats, ``(a0 b0 + a1 b1) + a2 b2``, with each ``1 + a.b`` of unit vectors
-read as the projection ``|a+b|^2/2``).
-Every kernel must reproduce them bit for bit, zero signs included, for any
-number of rows and whichever vertex the rows fill.
+The reference functions below restate the kernel one vertex at a time in
+Python floats: each vertex's unnormalized spinor, each overlap ``<a|b>`` and
+complex product in real components, ``math.atan2`` of the cyclic product,
+and each ``1 + a.b`` of unit vectors read as the projection ``|a+b|^2/2``,
+``(a0 b0 + a1 b1) + a2 b2``.  Every kernel must reproduce them bit for bit,
+zero signs included, for any number of rows and whichever vertex the rows
+fill.  Independently of them, ``helpers.exact_solid_angle`` (50-digit
+``decimal``, no branch shared with the kernel) bounds every kernel angle on
+the near-degenerate classes by ``C u / min |<a|b>|`` of its adjacent
+vertices.
 """
 
 import math
@@ -17,17 +21,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import ang_dist
+from helpers import ang_dist, exact_solid_angle, random_state, spin_component, tilted_axis
 import majgeom
 from majgeom import bloch, experiments, majorana, numerics
 from majgeom.bloch import (
+    _chain,
     _defined,
     _modular_factors,
     _moduli,
-    _triangle_dots,
-    _triangles,
+    _polygons,
+    _vertices,
+    _weak_columns,
     _weak_factors,
-    _weak_modulus_rows,
     as_bloch,
     as_bloch_array,
     bloch_to_qubit,
@@ -37,8 +42,15 @@ from majgeom.bloch import (
     solid_angle_triangle,
 )
 from majgeom.errors import OrthogonalSelection, UndefinedSolidAngle
-from majgeom.nlevel_values import factored_modular_value, factored_weak_value, pair_points
-from majgeom.numerics import DEFAULT_TOL
+from majgeom.nlevel_values import (
+    NLevelModularSpec,
+    factored_modular_value,
+    factored_weak_value,
+    modular_value_direct,
+    pair_points,
+    qutrit_modular_value_geometric,
+)
+from majgeom.numerics import DEFAULT_TOL, eig_hermitian
 from majgeom.qubit_values import (
     QubitModularSpec,
     modular_value_geometric,
@@ -50,6 +62,13 @@ from majgeom.qubit_values import modular_value_direct as qubit_modular_value_dir
 KERNEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
                            suppress_health_check=[HealthCheck.too_slow])
 THRESHOLD = 2.0 * DEFAULT_TOL.orthogonality**2
+U = 2.0**-53
+# The kernel's angle errs from the exact angle of its float points by at most
+# C u / min |<a|b>| over the polygon's adjacent vertices.  The largest ratio
+# measured was 8.8, over 84 000 draws of the near-degenerate classes below
+# (vertices 1e-2 to 1e-10 from the antipodes, seven seeds), where the smallest
+# overlap was O(1); C holds nearly a factor of two.
+C_ANGLE = 16.0
 
 
 # --- reference formulas, one vector at a time --------------------------------
@@ -74,20 +93,16 @@ def ref_bloch_to_qubit(vec):
                      complex(parts[2] / norm, parts[3] / norm)])
 
 
-def ref_solid_angle(i, r, f):
-    return ref_unit_solid_angle(ref_as_bloch(i), ref_as_bloch(r), ref_as_bloch(f))
+def ref_solid_angle(*corners):
+    """The kernel's solid angle of the triangle (i, r, f) or quadrangle
+    (i, r, s, f) of vectors checked by :func:`ref_as_bloch`."""
+    return ref_unit_solid_angle(*map(ref_as_bloch, corners))
 
 
 def ref_dot(a, b):
     a0, a1, a2 = map(float, a)
     b0, b1, b2 = map(float, b)
     return (a0 * b0 + a1 * b1) + a2 * b2
-
-
-def ref_cross(a, b):
-    a0, a1, a2 = map(float, a)
-    b0, b1, b2 = map(float, b)
-    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def ref_sum(a, b):
@@ -100,12 +115,37 @@ def ref_projection(a, b):
     return 0.5 * ref_dot(w, w)
 
 
-def ref_unit_solid_angle(vi, vr, vf):
-    y = ref_dot(vf, ref_cross(vr, vi))
-    x = ref_projection(vf, vi) + ref_dot(vr, ref_sum(vf, vi))
-    if abs(x) <= DEFAULT_TOL.zero and abs(y) <= DEFAULT_TOL.zero:
+def ref_spinor(v):
+    """The unnormalized spinor of a unit vector as (re, im, re, im):
+    ``(1+z, x+iy)``, or ``(x-iy, 1-z)`` for z < 0."""
+    x, y, z = map(float, v)
+    return (1.0 + z, 0.0, x, y) if z >= 0.0 else (x, -y, 1.0 - z, 0.0)
+
+
+def ref_overlap(a, b):
+    """``<a|b>`` of the spinors of two unit vectors, as (re, im)."""
+    a0, a1, a2, a3 = ref_spinor(a)
+    b0, b1, b2, b3 = ref_spinor(b)
+    return (a0 * b0 + a1 * b1) + (a2 * b2 + a3 * b3), (a0 * b1 - a1 * b0) + (a2 * b3 - a3 * b2)
+
+
+def ref_times(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def ref_unit_solid_angle(*corners):
+    """Minus twice the argument of ``<f|s><s|r><r|i><i|f>`` of unit corners
+    (i, r, s, f), with s = f for a triangle (i, r, f), multiplied as
+    ``(<r|i><i|f>)((<f|s><s|r>)(1, 0))``; undefined where the projection of
+    adjacent corners is at most ``2 zero**2``."""
+    vi, vr, *rest, vf = corners
+    vs = rest[0] if rest else vf
+    legs = ((vi, vr), (vr, vs), (vs, vf), (vf, vi))
+    if min(ref_projection(a, b) for a, b in legs) <= 2.0 * DEFAULT_TOL.zero**2:
         raise UndefinedSolidAngle("reference")
-    omega = -2.0 * math.atan2(y, x)
+    half = ref_times(ref_times(ref_overlap(vf, vs), ref_overlap(vs, vr)), (1.0, 0.0))
+    re, im = ref_times(ref_times(ref_overlap(vr, vi), ref_overlap(vi, vf)), half)
+    omega = -2.0 * math.atan2(im, re)
     return omega + 4.0 * math.pi if omega <= -2.0 * math.pi else omega
 
 
@@ -127,15 +167,17 @@ def same_bits(a, b) -> bool:
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def row_angles(i, r, f) -> list[float | None]:
-    """The row kernel's triangle solid angles of vertices (rows, or one
-    vector each) checked by ``as_bloch_array``; ``None`` where undefined."""
-    return _triangles(*_triangle_dots(*map(as_bloch_array, (i, r, f)))[:2])
+def row_angles(*corners) -> list[float | None]:
+    """The kernel's solid angles of the triangles (i, r, f) or quadrangles
+    (i, r, s, f) of vertices (rows, or one vector each) checked by
+    ``as_bloch_array``; ``None`` where undefined."""
+    vi, vr, *rest, vf = map(as_bloch_array, corners)
+    return _polygons(vi, vr, rest[0] if rest else None, vf)[0]
 
 
-def ref_angle_or_none(i, r, f):
+def ref_angle_or_none(*corners):
     try:
-        return ref_solid_angle(i, r, f)
+        return ref_solid_angle(*corners)
     except UndefinedSolidAngle:
         return None
 
@@ -144,6 +186,20 @@ def same_angles(got, want) -> bool:
     """Row angles equal bit for bit, ``None`` in the same rows."""
     return ([a is None for a in got] == [a is None for a in want]
             and all(same_bits(a, b) for a, b in zip(got, want) if a is not None))
+
+
+def smallest_overlap(*corners) -> float:
+    """``min |<a|b>|`` over the adjacent corners of a polygon of unit vectors,
+    from the exact projections ``|a+b|^2/4`` of the float corners."""
+    units = [[Fraction(c) for c in ref_as_bloch(v).tolist()] for v in corners]
+    return min(math.sqrt(float(exact_projection(a, b) / 2))
+               for a, b in zip(units, units[1:] + units[:1]))
+
+
+def angle_error_bound(*corners) -> float:
+    """``C_ANGLE u / min |<a|b>|`` of a polygon's adjacent corners."""
+    size = smallest_overlap(*corners)
+    return C_ANGLE * U / size if size else math.inf
 
 
 # --- strategies --------------------------------------------------------------
@@ -367,19 +423,37 @@ class TestTriangleSolidAngles:
 
 class TestQuadrangle:
     def test_sum_of_reference_triangles(self):
+        # The quadrangle is the reference cyclic product bit for bit, and the
+        # sum of the triangles (i, r, s) and (i, s, f), whose shared i <-> s
+        # legs cancel, to the rounding of all three (mod 4 pi).
         rng = np.random.default_rng(12)
         for _ in range(300):
             i, r, s, f = (v / np.linalg.norm(v) for v in rng.normal(size=(4, 3)))
-            expected = ref_solid_angle(i, r, s) + ref_solid_angle(i, s, f)
-            assert same_bits(solid_angle_quadrangle(i, r, s, f), expected)
+            got = solid_angle_quadrangle(i, r, s, f)
+            assert same_bits(got, ref_solid_angle(i, r, s, f))
+            assert -2.0 * math.pi < got <= 2.0 * math.pi
+            total = solid_angle_triangle(i, r, s) + solid_angle_triangle(i, s, f)
+            bound = sum(angle_error_bound(*t) for t in ((i, r, s, f), (i, r, s), (i, s, f)))
+            assert ang_dist(got, total, period=4 * math.pi) <= bound
 
     @pytest.mark.parametrize("i, r, s, f", [
-        ((0, 0, 1), (1, 0, 0), (0, 0, -1), (0, 1, 0)),  # (i, r, s) undefined
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)),  # (i, s, f) undefined
+        ((0, 0, 1), (0, 0, -1), (1, 0, 0), (0, 1, 0)),  # i -> r at antipodes
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)),  # s -> f at antipodes
     ])
     def test_undefined_triangle_raises(self, i, r, s, f):
         with pytest.raises(UndefinedSolidAngle):
             solid_angle_quadrangle(i, r, s, f)
+
+    def test_antipodal_diagonals_are_defined(self):
+        # No diagonal enters the product: s = -i and f = -r leave the
+        # quadrangle z -> x -> -z -> -x a great circle through the poles,
+        # whose hemisphere is 2 pi on either side.
+        ez, ex = np.eye(3)[2], np.eye(3)[0]
+        assert abs(solid_angle_quadrangle(ez, ex, -ez, -ex)) == 2.0 * math.pi
+        ey = np.eye(3)[1]
+        got = solid_angle_quadrangle(ez, ex, -ez, ey)
+        assert same_bits(got, ref_solid_angle(ez, ex, -ez, ey))
+        assert ang_dist(got, exact_solid_angle(ez, ex, -ez, ey), 4 * math.pi) <= 4 * U
 
 
 # --- the kernel's products --------------------------------------------------
@@ -393,32 +467,49 @@ def exact_projection(a, b):
     return exact_dot(w, w) / 2
 
 
+def exact_spinor(v):
+    """:func:`ref_spinor` of a vector of rationals, exact."""
+    x, y, z = v
+    return (1 + z, 0, x, y) if z >= 0 else (x, -y, 1 - z, 0)
+
+
+def exact_overlap(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3, a0 * b1 - a1 * b0 + a2 * b3 - a3 * b2
+
+
 class TestKernelProducts:
     @KERNEL_SETTINGS
     @given(case=triangle_batches())
     def test_within_a_few_units_of_exact(self, case):
-        # Each kernel output against its exact value from the float inputs as
-        # rationals (u = 2**-53).  The triple product y is at most 4 u off.
-        # Each projection |a+b|^2/2 is within 6 u of itself, relative, near
-        # antipodes too (its first-order error is 5 u), and x = |f+i|^2/2 +
-        # r.(f+i) within 8 u of |f+i|^2/2 + sum_k |r_k (f_k+i_k)|; both up to
-        # 4 units of the smallest subnormal, where squares underflow.
+        # Each product of one kernel chain against its exact value from the
+        # float inputs as rationals (u = 2**-53).  Each projection |a+b|^2/2 is
+        # within 6 u of itself, relative, near antipodes too (its first-order
+        # error is 5 u), up to 4 units of the smallest subnormal, where
+        # squares underflow.  The half product <a|b><b|c> of the spinors is
+        # within 12 u |a| |b|^2 |c| of the exact product of the exact spinors,
+        # absolute: one rounding of 1 + z or 1 - z per spinor, and one per
+        # product and sum.
         points, r, f = case
-        y, x, fr, ri, fi = _triangle_dots(points, r, f)
+        half, ab, bc = _chain(_vertices(points.tolist()), _vertices([r.tolist()]),
+                              _vertices([f.tolist()]), [(1.0, 0.0)])
         vr, vf = ([Fraction(v) for v in vec.tolist()] for vec in (r, f))
         unit, tiny = Fraction(1, 2**53), 4 * Fraction(1, 2**1074)
+        sr, sf = exact_spinor(vr), exact_spinor(vf)
         for k, p in enumerate(points.tolist()):
             vi = [Fraction(v) for v in p]
-            cross = [vr[1] * vi[2] - vr[2] * vi[1], vr[2] * vi[0] - vr[0] * vi[2],
-                     vr[0] * vi[1] - vr[1] * vi[0]]
-            assert abs(Fraction(y[k]) - exact_dot(vf, cross)) <= 4 * unit
-            for got, (a, b) in ((fr[k], (vf, vr)), (ri[k], (vr, vi)), (fi[k], (vf, vi))):
+            for got, (a, b) in ((ab[k], (vi, vr)), (bc[k], (vr, vf))):
                 want = exact_projection(a, b)
                 assert abs(Fraction(got) - want) <= 6 * unit * want + tiny
-            terms = [rk * (fk + ik) for rk, fk, ik in zip(vr, vf, vi)]
-            want = exact_projection(vf, vi)
-            assert abs(Fraction(x[k]) - (want + sum(terms))) <= (
-                8 * unit * (want + sum(map(abs, terms))) + tiny)
+            if half[k] is None:
+                assert min(ab[k], bc[k]) <= 2.0 * DEFAULT_TOL.zero**2
+                continue
+            si = exact_spinor(vi)
+            (p_re, p_im), (q_re, q_im) = exact_overlap(si, sr), exact_overlap(sr, sf)
+            size = math.sqrt(float(exact_dot(si, si) * exact_dot(sr, sr) ** 2 * exact_dot(sf, sf)))
+            for got, want in zip(half[k], (p_re * q_re - p_im * q_im, p_re * q_im + p_im * q_re)):
+                assert abs(Fraction(got) - want) <= 12 * unit * Fraction(size) + tiny
 
     def test_factors_make_no_blas_dot(self, monkeypatch):
         # From the input state to the value every sum runs in Python floats,
@@ -518,13 +609,13 @@ class TestColumnForms:
 
 def row_weak_moduli(i, r, f) -> list[float]:
     """The row kernel's weak moduli of the triangles (i, r, f)."""
-    return _weak_modulus_rows(*_triangle_dots(i, r, f)[2:])
+    return _weak_columns(i, r, f)[0]
 
 
 def row_modular_moduli(i, s, f) -> list[float]:
     """The row kernel's modular moduli ``sqrt(|f+s|^2 / |f+i|^2)``, read off
-    the triangles (i, s, f) as the modular factors read them."""
-    _, _, fs, _, fi = _triangle_dots(i, s, f)
+    the quadrangles (i, f, s, f) as the modular factors read them."""
+    _, (_, _, fs, fi) = _polygons(i, f, s, f)
     return _moduli(fs, fi)
 
 
@@ -588,42 +679,11 @@ def ref_weak_factors(vi, vr, vf):
                        [lambda p=p: ref_unit_solid_angle(p, vr, vf) for p in vi])
 
 
-AXES = [sign * e for e in np.eye(3) for sign in (1.0, -1.0)]
-
-
-def fan_hub(corners):
-    """The coordinate axis whose least projection onto ``corners`` is largest."""
-    return max(AXES, key=lambda e: min(ref_dot(e, v) for v in corners))
-
-
-def ref_fan(corners):
-    """The polygon through ``corners`` as the triangles fanned from :func:`fan_hub`."""
-    hub = fan_hub(corners)
-    total = ref_unit_solid_angle(hub, corners[0], corners[1])
-    for a, b in zip(corners[1:], corners[2:] + corners[:1]):
-        total += ref_unit_solid_angle(hub, a, b)
-    return total
-
-
-def ref_quadrangle(vi, vr, vs, vf):
-    """The quadrangle i -> r -> s -> f as the triangles (i, r, s) + (i, s, f),
-    or as (i, r, f) + (r, s, f) where ``|s+i|^2/2`` is below
-    ``_DIAGONAL_FLOOR`` and ``|r+f|^2/2`` is larger; where that split is
-    undefined, as :func:`ref_fan`."""
-    diagonal = ref_projection(vi, vs)
-    try:
-        if diagonal < numerics._DIAGONAL_FLOOR and ref_projection(vr, vf) > diagonal:
-            return ref_unit_solid_angle(vi, vr, vf) + ref_unit_solid_angle(vr, vs, vf)
-        return ref_unit_solid_angle(vi, vr, vs) + ref_unit_solid_angle(vi, vs, vf)
-    except UndefinedSolidAngle:
-        return ref_fan([vi, vr, vs, vf])
-
-
 def ref_modular_factors(vi, vs, vr, vf):
     """Of unit rows ``vi`` and ``vs``, taken row by row, and unit ``vr``, ``vf``."""
     return ref_factors(
         [ref_modular_modulus(p, q, vf) for p, q in zip(vi, vs)],
-        [lambda p=p, q=q: ref_quadrangle(p, vr, q, vf) for p, q in zip(vi, vs)])
+        [lambda p=p, q=q: ref_unit_solid_angle(p, vr, q, vf) for p, q in zip(vi, vs)])
 
 
 def units(rows):
@@ -696,40 +756,11 @@ def row_order_antipodes(draw):
 
 def angle_rounding(points, s, r, f) -> float:
     """A bound on the rounding of the value's argument with s's rows taken in
-    the order given: each quadrangle is split along the diagonal
-    :func:`ref_quadrangle` takes, and each of its triangles (a, b, c) has
-    ``y`` and ``x`` to a few units in the last place, so its share of the
-    argument errs by at most about ``16 u / |x + iy|``, with
-    ``|x + iy|^2 = 2 p_ab p_bc p_ca`` for the projections ``p_ab = |a+b|^2/2``.
-    A split triangle that is taken has ``|x + iy|`` above about
-    ``DEFAULT_TOL.zero``; where one may not be, the row may be a fan instead,
-    and its bound is the larger of the two.  It is infinite at an antipode
-    of adjacent corners."""
-    def projection(a, b):
-        return 0.5 * float(np.dot(a + b, a + b))
-
-    def bound(*sizes):
-        return sum(16.0 * u / size if size else math.inf for size in sizes)
-
-    u = np.finfo(float).eps / 2
-    total = 0.0
-    vr, vf = ref_as_bloch(r), ref_as_bloch(f)
-    for vi, vs in zip(units(points), units(s)):
-        diagonal = projection(vi, vs)
-        ir, rs, sf, fi = (projection(a, b) for a, b in ((vi, vr), (vr, vs), (vs, vf), (vf, vi)))
-        legs = (ir * rs, sf * fi)
-        if diagonal < numerics._DIAGONAL_FLOOR and projection(vr, vf) > diagonal:
-            diagonal, legs = projection(vr, vf), (ir * fi, rs * sf)
-        sizes = [math.sqrt(2.0 * leg * diagonal) for leg in legs]
-        if min(sizes) > 2.0 * DEFAULT_TOL.zero:
-            total += bound(*sizes)
-            continue
-        corners = [vi, vr, vs, vf]
-        hub = fan_hub(corners)
-        fan = [math.sqrt(2.0 * projection(hub, a) * projection(a, b) * projection(b, hub))
-               for a, b in zip(corners, corners[1:] + corners[:1])]
-        total += max(bound(*(max(size, DEFAULT_TOL.zero) for size in sizes)), bound(*fan))
-    return total
+    the order given: half the sum of each quadrangle's
+    :func:`angle_error_bound`.  The kernel splits no quadrangle, so the
+    bound reads only adjacent vertices; it is infinite at an antipode of
+    adjacent corners."""
+    return 0.5 * sum(angle_error_bound(p, r, q, f) for p, q in zip(points, s))
 
 
 def same_value_any_order(points, s, r, f):
@@ -767,10 +798,9 @@ class TestUnpairedValue:
     """``factored_modular_value`` computes the value on s's rows in the order
     given: the modulus product and the summed solid angle (mod 4 pi) do not
     depend on the pairing, so any order gives the paired rows' value to
-    rounding.  The argument's rounding grows where a triangle's vertices near
-    an antipode; where the given order puts s_k near -i_k, the kernel splits
-    that quadrangle along its r-f diagonal instead, so the i-s diagonal's
-    growth is never met."""
+    rounding.  The argument's rounding grows only where adjacent vertices of
+    a quadrangle near an antipode: an s_k that the given order puts near
+    -i_k is a diagonal, which the cyclic product never forms."""
 
     @KERNEL_SETTINGS
     @given(case=reordered(modular_batches()))
@@ -858,3 +888,99 @@ class TestFactoredValues:
         assert [math.copysign(1.0, a) for a in angles] == [-1.0, -1.0]
         assert same_bits(np.array(moduli), np.array([ref_weak_modulus(ez, ez, ex),
                                                       ref_weak_modulus(ex, ez, ex)]))
+
+
+# --- near-degenerate classes -------------------------------------------------
+
+offsets = st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+tilts = st.sampled_from([1e-6, 1e-7, 1e-8, 1e-9])
+
+
+@st.composite
+def near(draw, point, offset):
+    """A unit vector about ``offset`` from the unit vector ``point``."""
+    v = np.asarray(point, dtype=float) + offset * draw(unit_vectors())
+    return v / np.linalg.norm(v)
+
+
+@st.composite
+def near_degenerate(draw):
+    """A quadrangle (i, r, s, f), or a triangle (i, r, f), of one of the
+    classes where splitting it along a diagonal rounds badly or not at all:
+    s_k near -i_k; both diagonals near antipodes; i, r and f nearly equal
+    with s at their antipode; an adjacent near-antipode (r near -i); f near
+    -i; a half turn of i about an axis off perpendicular to it with f near
+    either end of the axis; the weak triangle with f near i and r near their
+    antipode."""
+    kind = draw(st.sampled_from(["s_antipode", "both_diagonals", "three_equal", "adjacent",
+                                 "final_antipode", "half_turn", "weak_equal"]))
+    i, r, s, f = (draw(unit_vectors()) for _ in range(4))
+    d = draw(offsets)
+    if kind == "s_antipode":
+        s = draw(near(-i, d))
+    elif kind == "both_diagonals":
+        s, f = draw(near(-i, d)), draw(near(-r, d))
+    elif kind == "three_equal":
+        r, f, s = draw(near(i, d)), draw(near(i, d)), draw(near(-i, d))
+    elif kind == "adjacent":
+        r = draw(near(-i, d))
+    elif kind == "final_antipode":
+        f = draw(near(-i, d))
+    elif kind == "half_turn":
+        r = tilted_axis(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), i, draw(tilts))
+        s = rodrigues_rotate(i, r, math.pi)
+        f = draw(near(draw(st.sampled_from([-1.0, 1.0])) * r, d))
+    else:
+        return i, draw(near(-i, d)), draw(near(i, d))
+    return i, r, s, f
+
+
+class TestNearDegenerateClasses:
+    """The kernel against the 50-digit angle of its float points on every
+    class where a diagonal split of the polygon rounds like u over a
+    diagonal, or has no area: within ``C_ANGLE u / min |<a|b>|`` of the
+    adjacent vertices, and bit for bit the reference cyclic product.  Where
+    the value is well conditioned (a half turn, at N = 2 to 8, with f near
+    either end of the axis), both geometric routes meet the direct route to
+    1e-12 max(1, |A|)."""
+
+    @KERNEL_SETTINGS
+    @given(corners=near_degenerate())
+    def test_angle_within_bound_of_exact(self, corners):
+        (got,) = row_angles(*corners)
+        assert same_angles([got], [ref_angle_or_none(*corners)])
+        if got is None:  # only where adjacent vertices are within zero of antipodes
+            assert smallest_overlap(*corners) <= DEFAULT_TOL.zero * (1.0 + 1e-12)
+            return
+        assert -2.0 * math.pi < got <= 2.0 * math.pi
+        assert ang_dist(got, exact_solid_angle(*corners), 4 * math.pi) <= (
+            angle_error_bound(*corners))
+
+    @pytest.mark.parametrize("n", range(2, majorana.MAX_LEVELS + 1))
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(tilt=tilts, offset=st.sampled_from([0.0, 1e-10, 1e-8, 1e-6, 1e-4]),
+           sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_half_turn_routes_match_direct(self, n, tilt, offset, sign, seed):
+        # s_0 within 2 tilt of -i_0 and f within offset of -r or r: with
+        # f near -r both diagonals of the first quadrangle near antipodes.
+        rng = np.random.default_rng(seed)
+        psi_i = random_state(rng, n)
+        i_pts = majgeom.majorana_points(psi_i).points
+        r = tilted_axis(rng, i_pts[0], tilt)
+        v = sign * r + offset * rng.normal(size=3)
+        f = v / np.linalg.norm(v)
+        s_pts = np.array([rodrigues_rotate(p, r, math.pi) for p in i_pts])
+        spec = NLevelModularSpec(spin_component(n - 1, r) / ((n - 1) / 2.0), alpha=math.pi)
+        psi_f = eig_hermitian(spin_component(n - 1, f))[1][:, -1]
+        want = modular_value_direct(psi_i, spec, psi_f)
+        values = [factored_modular_value(i_pts, s_pts, r, f, alpha=math.pi, beta=0.0,
+                                         eigenvalue=1.0)[0],
+                  qutrit_modular_value_geometric(psi_i, spec, psi_f)[0]]
+        if n == 2:
+            qspec = QubitModularSpec(r, alpha=math.pi)
+            want_qubit = qubit_modular_value_direct(bloch_to_qubit(i_pts[0]), qspec,
+                                                    bloch_to_qubit(f))
+            got_qubit = modular_value_geometric(i_pts[0], qspec, f)[0]
+            assert abs(got_qubit.rect - want_qubit.rect) <= 1e-12 * max(1.0, want_qubit.modulus)
+        for value in values:
+            assert abs(value.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     ang_dist,
     exact_abl_distribution,
+    exact_solid_angle,
     exact_weak_value,
     is_spin_like,
     polar_close,
@@ -436,14 +437,50 @@ class TestQutritProjectorGeometric:
         assert [(f.modulus_ratio, f.solid_angle) for f in breakdown.factors] == [(0.0, 0.0)] * (n - 1)
 
     def test_other_undefined_triangle_raises(self):
-        # i a hair from -r and f = r: the modulus is 1, not 0, yet the triangle
-        # is degenerate within DEFAULT_TOL.zero, so the route still refuses it.
+        # i 1.5e-12 from -r (|<r|i>| = 7.5e-13, at most DEFAULT_TOL.zero) and
+        # f 60 degrees from r: the modulus is 1.3e-12, not 0, so the route
+        # refuses the undefined triangle.
+        delta = 1.5e-12
+        i_point = np.array([math.sin(delta), 0.0, -math.cos(delta)])
+        f_point = np.array([math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)])
+        with pytest.raises(UndefinedSolidAngle):
+            factored_weak_value([i_point], NORTH, f_point)
+
+    def test_degenerate_triangle_with_small_overlap_answered(self):
+        # i a hair from -r and f = r: the triangle has two equal vertices and
+        # no area, and |<r|i>| = 5e-8 is above DEFAULT_TOL.zero, so the value
+        # is <f|r><r|i>/<f|i> = 1, as the direct route gives it.
         delta = 1e-7
         i_point = np.array([math.sin(delta), 0.0, -math.cos(delta)])
-        value, _ = factored_weak_value([[0.0, 0.0, 1.0]], NORTH, NORTH)
-        assert value.modulus == 1.0
-        with pytest.raises(UndefinedSolidAngle):
-            factored_weak_value([i_point], NORTH, NORTH)
+        value, _ = factored_weak_value([i_point], NORTH, NORTH)
+        assert value.modulus == 1.0 and value.argument == 0.0
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-8])
+    def test_anchor_near_antipode_of_equal_selections(self, delta):
+        # f within delta of i and r within delta of their antipode: the legs
+        # i -> r and r -> f have |<a|b>| about delta/2, the value's modulus is
+        # O(delta^2), and its argument still means something.  A triangle
+        # formed from Bloch dot and triple products rounds like u/delta^2
+        # here (1.6e-5 at 1e-4, radians at 1e-8); the cyclic product stays
+        # within 16 u / min |<a|b>| of the 50-digit angle.
+        rng = np.random.default_rng(36)
+        u = 2.0**-53
+
+        def near(point):
+            v = point + delta * random_bloch(rng)
+            return v / np.linalg.norm(v)
+
+        for _ in range(50):
+            i_point = random_bloch(rng)
+            f_point, r_point = near(i_point), near(-i_point)
+            value, breakdown = factored_weak_value([i_point], r_point, f_point)
+            (factor,) = breakdown.factors
+            exact = exact_solid_angle(i_point, r_point, f_point)
+            smallest = min(0.5 * float(np.linalg.norm(a + b)) for a, b in (
+                (i_point, r_point), (r_point, f_point), (f_point, i_point)))
+            bound = 16 * u / smallest
+            assert ang_dist(factor.solid_angle, exact, 4 * math.pi) <= bound
+            assert ang_dist(value.argument, -0.5 * exact) <= bound
 
 
 class TestNBoxParadox:
@@ -570,7 +607,8 @@ class TestQutritModularGeometric:
 
     def test_near_antipodal_s_matches_direct(self):
         # s lands 2e-7 from -f = -i: the modulus is about 1e-7, not 0, and the
-        # quadrangle, split along its r-f diagonal, has a defined area.
+        # quadrangle, whose adjacent vertices are none at antipodes, has a
+        # defined area.
         sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         spec = NLevelModularSpec(observable=sigma_x, generic_theta=math.pi / 2 - 1e-7)
         ket0 = np.array([1.0, 0.0], dtype=complex)
@@ -1087,9 +1125,9 @@ class TestUnpairedModularValue:
                 calls.clear()
 
     def test_row_order_antipode_is_answered(self, monkeypatch):
-        # Row order puts s_0 = -i_0, whose quadrangle has no area along its
-        # i-s diagonal; the kernel splits it along r-f, with no pairing, and
-        # the value is the paired rows' (s_0 with i_1) to rounding.
+        # Row order puts s_0 = -i_0, a diagonal of its quadrangle, which the
+        # cyclic product never forms: with no pairing, the value is the
+        # paired rows' (s_0 with i_1) to rounding.
         ex, ey, ez = np.eye(3)
         points, s = np.array([ex, ey]), np.array([-ex, ez])
         r, f = np.array([1.0, 2.0, 3.0]) / math.sqrt(14.0), np.array([-2.0, 1.0, 2.0]) / 3.0
@@ -1109,8 +1147,8 @@ class TestUnpairedModularValue:
 
     def test_row_order_near_antipode_keeps_row_order(self, monkeypatch):
         # With s_0 within d of -i_0 in row order, the quadrangle's i-s
-        # triangles would round like u/d; below the floor it is split along
-        # r-f, and the value is the paired rows' value to rounding, unpaired.
+        # triangles would round like u/d; its cyclic product does not, and the
+        # value is the paired rows' value to rounding, unpaired.
         rng = np.random.default_rng(3500)
         ex, ey, ez = np.eye(3)
         points = np.array([ex, ey])
@@ -1156,9 +1194,9 @@ class TestUnpairedModularValue:
                 calls.clear()
 
     def test_both_diagonals_at_antipodes_answered(self, monkeypatch):
-        # s_0 = -i_0 and r = -f in the given order: the quadrangle has no area
-        # along either diagonal, and is summed as a fan from a coordinate
-        # axis; the value is the paired rows' (s_0 with i_1) to rounding.
+        # s_0 = -i_0 and r = -f in the given order: both diagonals at
+        # antipodes, neither of which the cyclic product forms; the value is
+        # the paired rows' (s_0 with i_1) to rounding.
         ex, ey, ez = np.eye(3)
         points, s = np.array([ex, ey]), np.array([-ex, [0.6, 0.0, 0.8]])
         assert np.array_equal(pair_points(points, s), s[::-1])
@@ -1175,10 +1213,10 @@ class TestUnpairedModularValue:
         assert abs(got.rect - want.rect) <= 1e-12 * max(1.0, want.modulus)
 
     def test_antipode_of_three_nearly_equal_vertices_answered(self):
-        # Row 0 puts s_0 = -i_0 with r and f within 4e-8 of i_0: the r-f
-        # split's (r, s_0, f) triangle has two legs at antipodes, and the
-        # fan gives the paired rows' value.  Its argument rounds like
-        # u/|r+s_0|, with |r+s_0| = 3.2e-8, as the paired rows' does.
+        # Row 0 puts s_0 = -i_0 with r and f within 4e-8 of i_0: the legs
+        # r -> s_0 and s_0 -> f are near antipodes, and the value is the
+        # paired rows'.  Its argument rounds like u/|r+s_0|, with
+        # |r+s_0| = 3.2e-8, as the paired rows' does.
         ey, ez = np.eye(3)[1:]
         points, s = np.array([-ez, ey]), np.array([ez, -ez])
         r, f = np.array([0.0, 3.2e-8, -1.0]), np.array([0.0, 3.3e-8, -1.0])
@@ -1204,8 +1242,8 @@ class TestUnpairedModularValue:
     @pytest.mark.parametrize("n", range(2, MAX_LEVELS + 1))
     def test_spin_rotation_near_antipode_matches_direct(self, n):
         # A rotation by pi about an axis 1e-6 to 1e-9 off perpendicular to
-        # i_0 puts s_0 within 2e-6 of -i_0 in row order; the kernel splits
-        # that quadrangle along r-f.  Both geometric routes stay within 1e-12
+        # i_0 puts s_0 within 2e-6 of -i_0 in row order, a diagonal of the
+        # quadrangle.  Both geometric routes stay within 1e-12
         # of the direct route.
         rng = np.random.default_rng(3600 + n)
         for tilt in (1e-6, 1e-7, 1e-8, 1e-9):

@@ -100,11 +100,23 @@ class TestProjectorWeakValueGeometric:
         assert (factor.modulus_ratio, factor.solid_angle) == (0.0, 0.0)
 
     def test_other_undefined_triangle_raises(self):
-        # i a hair from -r and f = r: modulus 1, degenerate triangle.
+        # i 1.5e-12 from -r (|<r|i>| at most DEFAULT_TOL.zero) and f 60
+        # degrees from r: modulus 1.3e-12, not an exact zero.
+        delta = 1.5e-12
+        i = np.array([math.sin(delta), 0.0, -math.cos(delta)])
+        f = np.array([math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)])
+        with pytest.raises(UndefinedSolidAngle):
+            projector_weak_value_geometric(i, EZ, f)
+
+    def test_degenerate_triangle_with_small_overlap_answered(self):
+        # i a hair from -r and f = r: two equal vertices, no area, and
+        # |<r|i>| = 5e-8 above DEFAULT_TOL.zero, so the value is 1.
         delta = 1e-7
         i = np.array([math.sin(delta), 0.0, -math.cos(delta)])
-        with pytest.raises(UndefinedSolidAngle):
-            projector_weak_value_geometric(i, EZ, EZ)
+        value, _ = projector_weak_value_geometric(i, EZ, EZ)
+        direct = projector_weak_value_direct(*map(bloch_to_qubit, (i, EZ, EZ)))
+        assert (value.modulus, value.argument) == (1.0, 0.0)
+        assert abs(value.rect - direct.rect) <= 1e-15
 
     def test_complementary_projectors(self):
         rng = np.random.default_rng(4)
@@ -228,7 +240,8 @@ class TestModularValueGeometric:
 
     def test_near_antipodal_s_matches_direct(self):
         # s a hair from -f = -i: the modulus is about 5e-8, not 0, and the
-        # quadrangle, split along its r-f diagonal, has a defined area.
+        # quadrangle, whose adjacent vertices are none at antipodes, has a
+        # defined area.
         spec = QubitModularSpec(axis=EX, alpha=math.pi - 1e-7)
         want = modular_value_direct(KET0, spec, KET0)
         value, _ = modular_value_geometric(EZ, spec, EZ)
@@ -238,8 +251,9 @@ class TestModularValueGeometric:
     @pytest.mark.parametrize("tilt", [1e-6, 1e-7, 1e-8, 1e-9])
     def test_half_turn_near_perpendicular_axis(self, tilt):
         # A rotation by pi about an axis ``tilt`` off perpendicular to i puts
-        # s within 2 tilt of -i; the quadrangle is split along r-f, and the
-        # value stays within 1e-12 of the direct route.
+        # s within 2 tilt of -i, a diagonal of the quadrangle that its cyclic
+        # product never forms: the value stays within 1e-12 of the direct
+        # route.
         rng = np.random.default_rng(230)
         for _ in range(100):
             i, f = random_bloch(rng), random_bloch(rng)

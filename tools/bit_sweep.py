@@ -22,7 +22,11 @@ points, under the name it has on older checkouts.
 together with the factored core on the frame points it reads off, so a split
 between the two shows.  The ``half_turn`` lines and
 ``nlevel.modular.near_antipodal_s`` hash modular values whose evolved point
-sits at or near the antipode of an initial or final point.  The
+sits at or near the antipode of an initial or final point; the
+``double_antipode`` lines add a final point near the far end of the axis, so
+both diagonals of a quadrangle near antipodes, and the
+``weak.antipodal_anchor`` lines hash weak values whose r sits near the
+antipode of nearly equal i and f.  The
 ``cli.help.*`` lines hash the ``--help`` text of the program and of each
 subcommand.  The last line hashes the sorted
 names ``from majgeom import *`` binds, so a change of the public surface
@@ -201,6 +205,37 @@ def half_turns():
     spec = mg.NLevelModularSpec(observable=sigma_x, generic_theta=math.pi / 2 - 1e-7)
     yield "nlevel.modular.near_antipodal_s", _outcome(
         mg.qutrit_modular_value_geometric, ket0, spec, ket0)
+
+
+def double_antipodes():
+    """Half turns of a point about an axis 1e-7 to 1e-9 off perpendicular to
+    it, with the final point within 3 tilt of the axis' far end: the qubit
+    route, and the factored core at N = 5 with the first stellar point
+    turned.  Then weak values of the qubit route with f within 1e-4 or 1e-8
+    of i and r as near their antipode."""
+    rng = np.random.default_rng(910)
+    for tilt in (1e-7, 1e-8, 1e-9):
+        for _ in range(DRAWS):
+            vi = _bloch(rng)
+            axis = tilted_axis(rng, vi, tilt)
+            vf = -axis + 3.0 * tilt * _bloch(rng)
+            spec = mg.QubitModularSpec(axis=axis, alpha=math.pi, beta=float(rng.uniform(-1, 1)))
+            yield f"qubit.modular.double_antipode.{tilt:.0e}", _outcome(
+                mg.qubit_modular_value_geometric, vi, spec, vf / np.linalg.norm(vf))
+            i_pts = mg.majorana_points(_state(rng, 5)).points
+            r = tilted_axis(rng, i_pts[0], tilt)
+            f = -r + 3.0 * tilt * _bloch(rng)
+            s_pts = np.array([mg.rodrigues_rotate(p, r, math.pi) for p in i_pts])
+            yield f"factored_modular_value.double_antipode.n5.{tilt:.0e}", _outcome(
+                mg.factored_modular_value, i_pts, s_pts, r, f / np.linalg.norm(f),
+                alpha=math.pi, beta=0.0, eigenvalue=1.0)
+    for delta in (1e-4, 1e-8):
+        for _ in range(DRAWS):
+            vi = _bloch(rng)
+            vr, vf = -vi + delta * _bloch(rng), vi + delta * _bloch(rng)
+            yield f"qubit.weak.antipodal_anchor.{delta:.0e}", _outcome(
+                mg.projector_weak_value_geometric, vi, vr / np.linalg.norm(vr),
+                vf / np.linalg.norm(vf))
 
 
 def stellar():
@@ -555,8 +590,9 @@ def surface():
     yield "majgeom.star-import", _canon(sorted(set(namespace) - {"__builtins__"}))
 
 
-SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, half_turns, stellar, entropies,
-          states, pairing, experiments, cli_runs, scenario_runs, usage_runs, help_runs, surface)
+SWEEPS = (qubit_values, nlevel_values_sweep, modular_routes, half_turns, double_antipodes,
+          stellar, entropies, states, pairing, experiments, cli_runs, scenario_runs, usage_runs,
+          help_runs, surface)
 
 
 def main() -> int:
