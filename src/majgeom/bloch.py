@@ -258,6 +258,7 @@ def _polygons(i, r, s, f) -> tuple[list[float | None], tuple[list[float], ...]]:
     half, fs, sr = _chain(f, s, r, [(1.0, 0.0)])
     products, ri, fi = _chain(r, i, f, half)
     n = len(products)
+    # libm's atan2 per row: numpy's vectorized arctan2 differs in the last bit.
     angles = [None if z is None else _reduce_to_branch(-2.0 * math.atan2(z[1], z[0]))
               for z in products]
     return angles, (ri, sr if len(sr) == n else sr * n, fs if len(fs) == n else fs * n, fi)

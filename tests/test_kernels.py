@@ -344,7 +344,7 @@ class TestBlochToQubits:
 
 class TestTriangleSolidAngles:
     """:func:`solid_angle_triangle` and the row kernel behind it (and behind
-    the factored values), ``_triangles`` of ``_triangle_dots``."""
+    the factored values), :func:`bloch._polygons` with ``s`` left out."""
 
     @KERNEL_SETTINGS
     @given(case=triangle_batches())
